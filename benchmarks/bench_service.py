@@ -95,8 +95,6 @@ GA = {
     "population": 12,
     "generations": 8,
     "stall_generations": 4,
-    "workers": 1,
-    "executor": "thread",
 }
 
 #: a longer search for the dedup burst: the first request must still be

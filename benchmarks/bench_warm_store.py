@@ -9,8 +9,7 @@ Quantifies the persistent content-addressed store behind ``repro.api``:
   output and beat the cold run by >= 2x wall time (the acceptance bar
   from the issue),
 * a repeat with a *different* GA seed misses the exact search key but
-  warm-starts the GGA from the stored final population + exported
-  fitness-cache entries.
+  warm-starts the GGA from the stored final population.
 
 Writes ``BENCH_pr5.json`` at the repo root — the perf trajectory record
 for this PR.
@@ -23,7 +22,6 @@ import time
 from pathlib import Path
 
 from repro.api import TransformConfig, transform
-from repro.search.fitness_cache import reset_shared_cache
 from repro.store import ArtifactStore
 
 from common import BENCH_SEED, bench_params, print_header
@@ -45,8 +43,6 @@ def _config(store_root: Path, seed: int = BENCH_SEED) -> TransformConfig:
 
 
 def _timed(store_root: Path, seed: int = BENCH_SEED):
-    reset_shared_cache()  # isolate the persistent store from the
-    # process-wide fitness cache so "warm" means "served from disk"
     start = time.perf_counter()
     result = transform(APP, _config(store_root, seed=seed))
     return result, time.perf_counter() - start

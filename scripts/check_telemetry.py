@@ -36,8 +36,7 @@ STAGES = ("metadata", "targets", "graphs", "search", "codegen")
 GENERATION_FIELDS = (
     "generation", "best_fitness", "best_feasible_fitness", "mean_fitness",
     "std_fitness", "feasible_count", "penalty_activations", "fissions",
-    "cache_hits", "cache_lookups", "evaluations", "worker_failures",
-    "eval_timeouts", "fallback_evaluations", "island",
+    "cache_hits", "cache_lookups", "evaluations", "island",
     "surrogate_candidates", "surrogate_admitted",
     "surrogate_rank_correlation", "elapsed_s", "migrants_in",
 )

@@ -83,8 +83,6 @@ GA = {
     "population": 10,
     "generations": 6,
     "stall_generations": 3,
-    "workers": 1,
-    "executor": "thread",
 }
 SLOW_GA = {**GA, "population": 24, "generations": 18, "stall_generations": 18}
 

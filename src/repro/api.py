@@ -9,9 +9,9 @@ One call transforms an application::
     print(result.source)          # the transformed CUDA(Lite) program
 
 :class:`TransformConfig` consolidates every knob that used to live in a
-scattered set of ``REPRO_*`` environment variables (search parallelism,
-fitness memoization, verification, interpreter strategy, telemetry, the
-persistent artifact store).  Precedence is always
+scattered set of ``REPRO_*`` environment variables (verification,
+interpreter strategy, telemetry, island search, the persistent artifact
+store).  Precedence is always
 
     explicit config field  >  environment variable  >  built-in default
 
@@ -60,7 +60,7 @@ from .observability.runtime import telemetry, telemetry_enabled
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
 from .pipeline.stages import STAGES, PipelineConfig, PipelineState
-from .search.params import GAParams, fast_params
+from .search.params import RETIRED_GA_FIELDS, GAParams, fast_params
 from .store.artifact_store import (
     ArtifactStore,
     default_store_root,
@@ -102,11 +102,6 @@ def _serialize_bool(value: bool) -> str:
     return "1" if value else "0"
 
 
-def _parse_optional_float(raw: str) -> Optional[float]:
-    value = float(raw)
-    return value if value > 0 else None
-
-
 def _serialize_optional(value: object) -> str:
     return "" if value is None else str(value)
 
@@ -125,20 +120,6 @@ class _EnvKnob:
 
 #: every environment-backed TransformConfig field, in declaration order
 ENV_KNOBS: Dict[str, _EnvKnob] = {
-    "fitness_cache": _EnvKnob(
-        "REPRO_FITNESS_CACHE", _parse_bool, _serialize_bool, True
-    ),
-    "fitness_cache_size": _EnvKnob(
-        "REPRO_FITNESS_CACHE_SIZE", int, str, 1_048_576
-    ),
-    "search_workers": _EnvKnob("REPRO_SEARCH_WORKERS", int, str, 0),
-    "search_executor": _EnvKnob(
-        "REPRO_SEARCH_EXECUTOR", lambda raw: raw.strip().lower(), str, "thread"
-    ),
-    "eval_timeout": _EnvKnob(
-        "REPRO_EVAL_TIMEOUT", _parse_optional_float, _serialize_optional, None
-    ),
-    "eval_retries": _EnvKnob("REPRO_EVAL_RETRIES", int, str, 1),
     "verify_groups": _EnvKnob(
         "REPRO_VERIFY_GROUPS", _parse_bool, _serialize_bool, True
     ),
@@ -191,7 +172,7 @@ class TransformConfig:
     Two kinds of fields:
 
     * plain fields (``device`` … ``trace_out``) have ordinary defaults;
-    * environment-backed fields (``fitness_cache`` … ``store_root``)
+    * environment-backed fields (``verify_groups`` … ``store_root``)
       default to ``None`` meaning *unset* — :meth:`resolved` fills each
       from its legacy ``REPRO_*`` variable when present, else from the
       built-in default.  An explicitly assigned value always wins.
@@ -228,18 +209,6 @@ class TransformConfig:
     trace_out: Optional[str] = None
 
     # ------------------------- environment-backed fields (None = unset)
-    #: memoize GGA fitness by partition content (REPRO_FITNESS_CACHE)
-    fitness_cache: Optional[bool] = None
-    #: max retained fitness entries (REPRO_FITNESS_CACHE_SIZE)
-    fitness_cache_size: Optional[int] = None
-    #: parallel fitness workers, 0 = auto (REPRO_SEARCH_WORKERS)
-    search_workers: Optional[int] = None
-    #: 'thread' | 'process' (REPRO_SEARCH_EXECUTOR)
-    search_executor: Optional[str] = None
-    #: per-evaluation timeout in seconds, 0 = none (REPRO_EVAL_TIMEOUT)
-    eval_timeout: Optional[float] = None
-    #: evaluation retry budget (REPRO_EVAL_RETRIES)
-    eval_retries: Optional[int] = None
     #: per-group verification gate (REPRO_VERIFY_GROUPS)
     verify_groups: Optional[bool] = None
     #: verification input-synthesis seed (REPRO_VERIFY_SEED)
@@ -282,14 +251,6 @@ class TransformConfig:
             raise ConfigError(
                 f"unknown device {self.device!r} "
                 f"(available: {sorted(available_devices())})"
-            )
-        if self.search_executor is not None and self.search_executor not in (
-            "thread",
-            "process",
-        ):
-            raise ConfigError(
-                f"search_executor must be 'thread' or 'process', "
-                f"not {self.search_executor!r}"
             )
         if self.block_exec is not None and self.block_exec not in (
             "auto",
@@ -491,11 +452,10 @@ class TransformConfig:
     def applied_env(self) -> Iterator[None]:
         """Export the environment-backed fields for the run's duration.
 
-        Deep configuration readers (the parallel evaluator, the
-        verification gate, the interpreter) resolve ``REPRO_*`` at use
-        time; scoping the resolved values into the environment makes the
-        config authoritative for them — and for any worker processes they
-        spawn — without threading a config object through every layer.
+        Deep configuration readers (the verification gate, the
+        interpreter) resolve ``REPRO_*`` at use time; scoping the resolved
+        values into the environment makes the config authoritative for
+        them without threading a config object through every layer.
         """
         assignments = self.to_env()
         saved = {name: os.environ.get(name) for name in assignments}
@@ -513,7 +473,7 @@ class TransformConfig:
 def _ga_params_from_dict(data: Dict[str, Any]) -> GAParams:
     from .search.penalty import PenaltyParams
 
-    values = dict(data)
+    values = {k: v for k, v in data.items() if k not in RETIRED_GA_FIELDS}
     known = {f.name for f in fields(GAParams)}
     unknown = set(values) - known
     if unknown:

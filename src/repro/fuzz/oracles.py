@@ -55,8 +55,8 @@ ORACLE_NAMES = ("transform", "differential", "modes", "warm_store", "fault_seams
 CHEAP_ORACLES = ("transform", "differential", "modes")
 
 #: seams whose firing the pipeline must absorb in a fail-soft transform
-#: (worker_crash/worker_hang need the parallel evaluator and a timeout
-#: budget — the dedicated reliability tests cover those)
+#: (island_migration needs islands > 1 and service_worker a serving
+#: pool — tests/test_islands.py and tests/test_service.py cover those)
 _RECOVERABLE_SEAMS = ("parse", "analysis", "codegen", "interpreter", "store")
 
 _EXEC_MODES = ("loop", "batched", "compiled", "auto")
@@ -100,7 +100,7 @@ def fuzz_config(seed: int = 0, **overrides) -> TransformConfig:
     """A small, deterministic transform configuration for fuzzing.
 
     The paper-scale GA budget (100x500) is three orders of magnitude too
-    slow for a seed campaign; a tiny sequential budget exercises the same
+    slow for a seed campaign; a tiny budget exercises the same
     pipeline stages.  Telemetry and the store stay off unless an oracle
     turns them on explicitly.
     """
@@ -109,8 +109,6 @@ def fuzz_config(seed: int = 0, **overrides) -> TransformConfig:
         generations=6,
         stall_generations=3,
         seed=seed,
-        workers=1,
-        executor="thread",
     )
     defaults = dict(
         ga_params=params,

@@ -6,7 +6,7 @@ Query the run ledger, compare runs and gate CI on regressions::
     repro-obs show latest                   # one record in full
     repro-obs diff prev latest              # stage times + store traffic
     repro-obs regress --threshold 1.5       # exit 3 on a slowdown
-    repro-obs regress --bench-baseline BENCH_pr6.json \\
+    repro-obs regress --bench-baseline BENCH_pr9.json \\
                       --bench-current /tmp/fresh.json
     repro-obs report out/ -o report.html    # self-contained HTML page
 

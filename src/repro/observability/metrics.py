@@ -10,14 +10,13 @@ Design constraints, in order:
 * **Cheap when disabled.**  Every mutator checks the global telemetry
   switch first; a disabled run costs one branch per call site.
 * **Thread-safe.**  One lock guards the maps; mutators are O(1) dict
-  operations under it (the GGA's thread pool records eval metrics
+  operations under it (island threads record search metrics
   concurrently).
 * **Process-pool-mergeable.**  :meth:`MetricsRegistry.snapshot` returns a
   plain-dict, picklable :class:`MetricsSnapshot`;
   :meth:`MetricsRegistry.merge` folds a snapshot back in (counters and
-  histogram buckets add, gauges last-write-wins).  This is how
-  ``search/parallel.py`` workers ship their metrics back with their
-  results.
+  histogram buckets add, gauges last-write-wins), so a worker process
+  can ship its metrics back with its result.
 * **No dependencies.**  Stdlib only.
 
 Label values are stringified; a series is keyed on

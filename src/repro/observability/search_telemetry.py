@@ -4,17 +4,16 @@ The search stage's prose report ("converged at generation 12") is for
 humans; this module persists the underlying per-generation record as
 ``search_telemetry.jsonl`` — one JSON object per line, one line per GGA
 generation, plus a trailing summary row — so convergence behaviour,
-penalty pressure, cache effectiveness and degradation counts can be
-plotted and regression-tracked across runs.
+penalty pressure and memo effectiveness can be plotted and
+regression-tracked across runs.
 
 Row schema (``type == "generation"``)::
 
     generation, best_fitness, best_feasible_fitness, mean_fitness,
     std_fitness, feasible_count, penalty_activations, fissions,
-    cache_hits, cache_lookups, evaluations, worker_failures,
-    eval_timeouts, fallback_evaluations, island, surrogate_candidates,
-    surrogate_admitted, surrogate_rank_correlation, elapsed_s,
-    migrants_in
+    cache_hits, cache_lookups, evaluations, island,
+    surrogate_candidates, surrogate_admitted,
+    surrogate_rank_correlation, elapsed_s, migrants_in
 
 The cumulative evaluator counters (``cache_hits`` …) are sampled at the
 end of each generation, so per-generation deltas are recoverable by
@@ -54,9 +53,6 @@ def generation_row(stats: object) -> Dict[str, object]:
         "cache_hits": stats.cache_hits,
         "cache_lookups": stats.cache_lookups,
         "evaluations": stats.evaluations,
-        "worker_failures": stats.worker_failures,
-        "eval_timeouts": stats.eval_timeouts,
-        "fallback_evaluations": stats.fallback_evaluations,
         "island": getattr(stats, "island", 0),
         "surrogate_candidates": getattr(stats, "surrogate_candidates", 0),
         "surrogate_admitted": getattr(stats, "surrogate_admitted", 0),
@@ -68,7 +64,7 @@ def generation_row(stats: object) -> Dict[str, object]:
     }
 
 
-def search_summary_row(result: object, cache_invalid: int = 0) -> Dict[str, object]:
+def search_summary_row(result: object) -> Dict[str, object]:
     """Trailing summary row from a :class:`~repro.search.gga.SearchResult`."""
     return {
         "type": "search_summary",
@@ -80,7 +76,6 @@ def search_summary_row(result: object, cache_invalid: int = 0) -> Dict[str, obje
         "cache_hits": result.cache_hits,
         "fitness_lookups": result.fitness_lookups,
         "cache_hit_rate": result.cache_hit_rate,
-        "cache_poisoned_reads": cache_invalid,
         "avg_fissions_per_generation": result.avg_fissions_per_generation,
         "fused_group_count": result.fused_group_count,
         "new_kernel_count": result.new_kernel_count,
@@ -99,14 +94,12 @@ def _clean_nan(value: float) -> Optional[float]:
     return None if isinstance(value, float) and math.isnan(value) else value
 
 
-def search_telemetry_rows(
-    result: object, cache_invalid: int = 0
-) -> List[Dict[str, object]]:
+def search_telemetry_rows(result: object) -> List[Dict[str, object]]:
     """Full JSONL payload for one search: generation rows + migration
     notes (island mode, dropped payloads only) + summary."""
     rows = [generation_row(stats) for stats in result.history]
     rows.extend(dict(note) for note in getattr(result, "migration_notes", []))
-    rows.append(search_summary_row(result, cache_invalid=cache_invalid))
+    rows.append(search_summary_row(result))
     return rows
 
 

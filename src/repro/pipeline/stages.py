@@ -319,18 +319,12 @@ def stage_search(state: PipelineState) -> PipelineState:
             state.reused["search"] = "result"
             search_note = "; result reused from store"
         else:
-            seeds, fitness_loaded = stage_cache.load_warm_start(
+            seeds = stage_cache.load_warm_start(
                 store, state.built.problem, state.config.device, params
             )
-            if seeds or fitness_loaded:
-                state.reused["search"] = (
-                    f"warm-start:{len(seeds)} seeds, "
-                    f"{fitness_loaded} cached evaluations"
-                )
-                search_note = (
-                    f"; warm-started from store ({len(seeds)} seeds, "
-                    f"{fitness_loaded} cached evaluations)"
-                )
+            if seeds:
+                state.reused["search"] = f"warm-start:{len(seeds)} seeds"
+                search_note = f"; warm-started from store ({len(seeds)} seeds)"
     if reused_result is not None:
         state.search = reused_result
     else:
@@ -405,14 +399,10 @@ def stage_search(state: PipelineState) -> PipelineState:
     )
     state._persist("search.txt", state.reports["search"])
     if telemetry_enabled() and state.config.workdir is not None:
-        from ..search.fitness_cache import get_shared_cache
-
         Path(state.config.workdir).mkdir(parents=True, exist_ok=True)
         write_jsonl(
             str(Path(state.config.workdir) / "search_telemetry.jsonl"),
-            search_telemetry_rows(
-                result, cache_invalid=get_shared_cache().stats.invalid
-            ),
+            search_telemetry_rows(result),
         )
     return state
 

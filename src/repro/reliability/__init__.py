@@ -20,7 +20,6 @@ Three cooperating pieces:
 
 from .degrade import DemotionRecord, fusion_waves
 from .faults import (
-    ENV_FAULT_HANG,
     ENV_FAULT_SEAMS,
     ENV_FAULT_SEED,
     KNOWN_SEAMS,
@@ -31,14 +30,12 @@ from .faults import (
     clear_plan,
     install_plan,
     plan_from_env,
-    worker_fault,
 )
 from .verify import GroupVerdict, VerifyConfig, verify_group
 
 __all__ = [
     "DemotionRecord",
     "fusion_waves",
-    "ENV_FAULT_HANG",
     "ENV_FAULT_SEAMS",
     "ENV_FAULT_SEED",
     "KNOWN_SEAMS",
@@ -49,7 +46,6 @@ __all__ = [
     "clear_plan",
     "install_plan",
     "plan_from_env",
-    "worker_fault",
     "GroupVerdict",
     "VerifyConfig",
     "verify_group",

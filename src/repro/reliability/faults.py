@@ -1,7 +1,7 @@
 """Deterministic fault injection at named pipeline seams.
 
-The degradation paths built into the pipeline (per-group demotion, worker
-retry, pool fallback, cache-poison recovery) are only trustworthy if they
+The degradation paths built into the pipeline (per-group demotion, store
+corruption recovery, service-worker respawn) are only trustworthy if they
 are exercised, so this module lets tests and CI inject failures *inside*
 the production code paths, deterministically.
 
@@ -19,17 +19,10 @@ Seams
 ``interpreter``
     Raised inside the verification gate's fused-kernel execution (never
     in baseline runs, which must stay clean references).
-``fitness_cache``
-    Poisons a fitness-cache read; read validation must turn it into a
-    cache miss.
 ``store``
     Poisons a persistent artifact-store read (``repro.store``); envelope
     validation must treat the entry as corrupt and degrade the stage to
     a cold (uncached) execution.
-``worker_crash`` / ``worker_hang``
-    Fired inside evaluator workers only: a crash kills the worker (a
-    real ``os._exit`` in process children, a raised error in threads), a
-    hang sleeps long enough to trip the evaluation timeout.
 ``island_migration``
     Drops an elite-migration payload on delivery between GGA islands;
     the receiving island must continue solo and record a
@@ -50,14 +43,12 @@ Configuration
 ``REPRO_FAULT_SEED``
     Seed for the probabilistic decisions (default ``0``).  Firing is a
     pure function of (seed, seam, visit number), so a plan replays
-    identically across runs, executors and worker counts.
-``REPRO_FAULT_HANG_S``
-    Sleep duration for ``worker_hang`` (default ``2.0`` seconds).
+    identically across runs.
 
 A plan can be installed programmatically (:func:`install_plan`) or lazily
 from the environment: the first :func:`check` call in a process with no
 plan installed reads the env vars, which is what makes the seams reach
-forked/spawned process-pool workers without extra plumbing.
+spawned service workers without extra plumbing.
 """
 
 from __future__ import annotations
@@ -72,7 +63,6 @@ from ..errors import FaultInjectionError
 
 ENV_FAULT_SEAMS = "REPRO_FAULT_SEAMS"
 ENV_FAULT_SEED = "REPRO_FAULT_SEED"
-ENV_FAULT_HANG = "REPRO_FAULT_HANG_S"
 
 #: the canonical registry of every seam the production code paths visit.
 #: All entry points — the ``REPRO_FAULT_SEAMS`` parser, programmatic
@@ -84,10 +74,7 @@ KNOWN_SEAMS = (
     "analysis",
     "codegen",
     "interpreter",
-    "fitness_cache",
     "store",
-    "worker_crash",
-    "worker_hang",
     "island_migration",
     "service_worker",
 )
@@ -124,7 +111,6 @@ class FaultPlan:
 
     seams: Dict[str, _SeamSpec] = field(default_factory=dict)
     seed: int = 0
-    hang_seconds: float = 2.0
     _visits: Dict[str, int] = field(default_factory=dict)
     _fires: Dict[str, int] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -206,12 +192,7 @@ def plan_from_env(environ: Optional[Dict[str, str]] = None) -> Optional[FaultPla
         seed = int(env.get(ENV_FAULT_SEED, "0"))
     except ValueError:
         pass
-    hang = 2.0
-    try:
-        hang = float(env.get(ENV_FAULT_HANG, "2.0"))
-    except ValueError:
-        pass
-    return FaultPlan(seams=parse_seam_specs(raw), seed=seed, hang_seconds=hang)
+    return FaultPlan(seams=parse_seam_specs(raw), seed=seed)
 
 
 # ----------------------------------------------------------- active-plan state
@@ -240,7 +221,7 @@ def clear_plan() -> None:
 def active_plan() -> Optional[FaultPlan]:
     """The process's active plan, lazily initialized from the environment.
 
-    Lazy env initialization is what carries fault plans into process-pool
+    Lazy env initialization is what carries fault plans into service
     workers: the child inherits ``REPRO_FAULT_SEAMS`` and builds its own
     plan on first use.
     """
@@ -286,7 +267,7 @@ def check(seam: str, describe: str = "") -> None:
     )
 
 
-def poison_cache_value(seam: str = "fitness_cache") -> bool:
+def poison_cache_value(seam: str) -> bool:
     """Should the current cache read be poisoned?  (read-side hook)"""
     _require_known(seam, "at a poison_cache_value() call site")
     plan = active_plan()
@@ -304,26 +285,3 @@ def service_worker_fault() -> None:
     plan = active_plan()
     if plan is not None and plan.should_fire("service_worker"):
         os._exit(23)
-
-
-def worker_fault(allow_exit: bool) -> None:
-    """Fire worker crash/hang seams from inside an evaluator worker.
-
-    ``allow_exit`` is True only in process-pool children, where a crash
-    is simulated as a hard ``os._exit`` (producing a genuinely broken
-    pool).  In threads a crash raises instead — killing the interpreter
-    would take the whole test process down.
-    """
-    plan = active_plan()
-    if plan is None:
-        return
-    if plan.should_fire("worker_hang"):
-        import time
-
-        time.sleep(plan.hang_seconds)
-    if plan.should_fire("worker_crash"):
-        if allow_exit:
-            os._exit(17)
-        from ..errors import SearchError
-
-        raise SearchError("injected worker crash")

@@ -19,12 +19,6 @@ from ..errors import SearchError
 from ..gpu.device import DeviceSpec
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
-from .fitness_cache import (
-    FitnessCache,
-    NullCache,
-    cache_enabled_from_env,
-    get_shared_cache,
-)
 from .grouping import (
     FusionProblem,
     Grouping,
@@ -33,6 +27,7 @@ from .grouping import (
 )
 from .objective import (
     SurrogateVariant,
+    compiled_fitness,
     get_objective,
     projected_time_s,
     spearman_rank_correlation,
@@ -45,7 +40,6 @@ from .operators import (
     mutate,
     random_grouping,
 )
-from .parallel import PopulationEvaluator
 from .params import GAParams
 
 
@@ -54,10 +48,10 @@ class GenerationStats:
     """Per-generation statistics.
 
     Beyond the paper's fitness trajectory, each row samples the
-    penalty-pressure and evaluator health counters that feed
-    ``search_telemetry.jsonl``.  The ``cache_*`` / ``evaluations`` /
-    failure counters are *cumulative* evaluator totals at the end of the
-    generation (difference consecutive rows for per-generation deltas).
+    penalty-pressure and evaluator counters that feed
+    ``search_telemetry.jsonl``.  The ``cache_*`` / ``evaluations``
+    counters are *cumulative* totals at the end of the generation
+    (difference consecutive rows for per-generation deltas).
     """
 
     generation: int
@@ -73,9 +67,6 @@ class GenerationStats:
     cache_hits: int = 0
     cache_lookups: int = 0
     evaluations: int = 0
-    worker_failures: int = 0
-    eval_timeouts: int = 0
-    fallback_evaluations: int = 0
     #: which island produced this row (0 in single-population mode)
     island: int = 0
     #: offspring bred this generation (== admitted when the surrogate
@@ -107,9 +98,9 @@ class SearchResult:
     converged_at: int
     #: average lazy fissions applied per generation
     avg_fissions_per_generation: float
-    #: objective evaluations actually executed (fitness-cache misses)
+    #: objective evaluations actually executed (fitness-memo misses)
     evaluations: int
-    #: fitness lookups served from the content-addressed cache
+    #: fitness lookups served from the evaluator's per-individual memo
     cache_hits: int = 0
     #: total fitness lookups this run (hits + misses)
     fitness_lookups: int = 0
@@ -149,12 +140,12 @@ class SearchResult:
 class GGA:
     """Grouped genetic algorithm over a :class:`FusionProblem`.
 
-    Fitness evaluation goes through the search-throughput layer: a
-    content-addressed :class:`~repro.search.fitness_cache.FitnessCache`
-    (shared process-wide by default, so repeated groupings cost nothing
-    across generations, mutations, and restarts) and an optional
-    ``concurrent.futures`` population evaluator
-    (:class:`~repro.search.parallel.PopulationEvaluator`).
+    Fitness comes from the problem's memoizing
+    :class:`~repro.search.objective.CompiledFitness`, resolved once here
+    and called directly.  The evaluator lives on the problem, so repeated
+    groupings cost one dict probe across generations, islands and
+    restarts on the same problem; ``lookups`` / ``evaluations`` count
+    this instance's own requests and memo misses.
     """
 
     def __init__(
@@ -162,7 +153,6 @@ class GGA:
         problem: FusionProblem,
         device: DeviceSpec,
         params: Optional[GAParams] = None,
-        cache: Optional[FitnessCache] = None,
         seed_population: Optional[Sequence[Grouping]] = None,
     ) -> None:
         self.problem = problem
@@ -178,42 +168,39 @@ class GGA:
         #: island index stamped on telemetry rows (set by the island driver)
         self.island = 0
         self._initialized = False
-        if cache is None:
-            if self.params.fitness_cache and cache_enabled_from_env():
-                cache = get_shared_cache()
-            else:
-                cache = NullCache()  # type: ignore[assignment]
-        self.cache = cache
-        # fitness depends on the problem, the device, the objective and the
-        # penalty constants — all of them enter the cache namespace
-        namespace = "|".join((
-            problem.fingerprint(),
-            device.name,
-            self.params.objective,
-            repr(self.params.penalties),
-        ))
-        self.evaluator = PopulationEvaluator(
-            problem,
-            device,
-            self.objective,
-            self.params.penalties,
-            objective_name=self.params.objective,
-            cache=cache,
-            namespace=namespace,
-            workers=None if self.params.workers == 0 else self.params.workers,
-            executor=self.params.executor,
-            base_seed=self.params.seed,
+        self.fitness = compiled_fitness(
+            problem, device, self.objective, self.params.penalties
         )
+        #: fitness requests this instance made
+        self.lookups = 0
+        #: objective evaluations this instance executed (memo misses)
+        self.evaluations = 0
 
     # ------------------------------------------------------------------- eval
 
     @property
-    def evaluations(self) -> int:
-        """Objective evaluations actually executed (cache misses)."""
-        return self.evaluator.evaluations
+    def cache_hits(self) -> int:
+        """Fitness requests answered from the memo."""
+        return self.lookups - self.evaluations
 
     def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
-        return self.evaluator.evaluate(individual)
+        self.lookups += 1
+        if individual not in self.fitness:
+            self.evaluations += 1
+        return self.fitness.evaluate(individual)
+
+    def evaluate_many(
+        self, individuals: Sequence[Grouping]
+    ) -> List[Tuple[float, Violations]]:
+        """Evaluate a population; results in input order."""
+        before = self.evaluations
+        results = [self.evaluate(individual) for individual in individuals]
+        misses = self.evaluations - before
+        registry = get_registry()
+        registry.inc("search_fitness_lookups_total", len(results))
+        registry.inc("search_fitness_cache_hits_total", len(results) - misses)
+        registry.inc("search_evaluations_total", misses)
+        return results
 
     def _tournament(
         self, population: List[Grouping], fitnesses: List[float]
@@ -377,7 +364,7 @@ class GGA:
         registry = get_registry()
         with span(f"gga:gen:{generation}") as gen_span:
             with span("eval", batch="population", size=len(population)):
-                evaluated = self.evaluator.evaluate_many(population)
+                evaluated = self.evaluate_many(population)
             fitnesses = [f for f, _ in evaluated]
             improved = False
             feasible_count = 0
@@ -404,8 +391,8 @@ class GGA:
             next_pop: List[Grouping] = [
                 population[i] for i in ranked[: params.elitism]
             ]
-            # breed the full offspring batch first (sequential: consumes the
-            # rng stream), then evaluate it in one parallel, memoized sweep;
+            # breed the full offspring batch first (consumes the rng
+            # stream), then evaluate it in one memoized sweep;
             # lazy fission repairs fire on the offspring stuck at the
             # shared-memory boundary.  With surrogate_topk < 1 the batch is
             # oversampled by 1/topk and ranked by the analytic-model-only
@@ -435,7 +422,7 @@ class GGA:
                             pool.append(variant)
                             scores.append(variant.score)
                 else:
-                    # custom objective / compile off: oversampled breeding
+                    # custom objective: oversampled breeding
                     # ranked by the plain surrogate score
                     extra = max(
                         0,
@@ -464,7 +451,7 @@ class GGA:
             self._surrogate_candidates += gen_candidates
             self._surrogate_admitted += len(offspring)
             with span("eval", batch="offspring", size=len(offspring)):
-                child_results = self.evaluator.evaluate_many(offspring)
+                child_results = self.evaluate_many(offspring)
             if admitted_scores:
                 corr = spearman_rank_correlation(
                     admitted_scores, [f for f, _ in child_results]
@@ -500,12 +487,9 @@ class GGA:
                     feasible_count=feasible_count,
                     std_fitness=std_fitness,
                     penalty_activations=penalty_activations,
-                    cache_hits=self.evaluator.cache_hits,
-                    cache_lookups=self.evaluator.lookups,
-                    evaluations=self.evaluator.evaluations,
-                    worker_failures=self.evaluator.worker_failures,
-                    eval_timeouts=self.evaluator.timeouts,
-                    fallback_evaluations=self.evaluator.fallback_evaluations,
+                    cache_hits=self.cache_hits,
+                    cache_lookups=self.lookups,
+                    evaluations=self.evaluations,
                     island=self.island,
                     surrogate_candidates=gen_candidates,
                     surrogate_admitted=len(offspring),
@@ -528,7 +512,7 @@ class GGA:
         self._generation = generation + 1
 
     def finalize(self) -> SearchResult:
-        """Close the evaluator and package the run into a SearchResult."""
+        """Package the run into a SearchResult."""
         best_feasible = self.best_feasible
         best_feasible_fitness = self.best_feasible_fitness
         if best_feasible is None:
@@ -551,7 +535,6 @@ class GGA:
                     break
         total_fissions = sum(s.fissions for s in history)
         correlations = self._rank_correlations
-        self.evaluator.close()
         return SearchResult(
             best=best_feasible,
             best_fitness=best_feasible_fitness,
@@ -565,8 +548,8 @@ class GGA:
                 total_fissions / generations_run if generations_run else 0.0
             ),
             evaluations=self.evaluations,
-            cache_hits=self.evaluator.cache_hits,
-            fitness_lookups=self.evaluator.lookups,
+            cache_hits=self.cache_hits,
+            fitness_lookups=self.lookups,
             final_population=list(self.population),
             migrations_received=self.migrants_received,
             surrogate_skipped=(

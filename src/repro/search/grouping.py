@@ -101,9 +101,9 @@ class FusionProblem:
     def fingerprint(self) -> str:
         """Content digest of the whole problem (nodes, capacity, edges).
 
-        Used to namespace entries in a fitness cache shared across search
-        problems: two problems with identical node metadata hash alike and
-        may share fitness results; any difference separates them.
+        Identifies the fitness landscape in the artifact store's search,
+        population and island-migration keys: two problems with identical
+        node metadata hash alike; any difference separates them.
         """
         if self._fingerprint is None:
             import hashlib

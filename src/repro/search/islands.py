@@ -13,9 +13,11 @@ per-island).
 
 Determinism
 -----------
-Island evolution is a pure function of its seed: fitness is
-content-addressed and pure, so the shared process-wide fitness cache
-makes results independent of thread scheduling.  Island 0 keeps the base
+Island evolution is a pure function of its seed: fitness is a pure
+function of the individual's value, so the per-problem evaluator memo
+the islands share makes results independent of thread scheduling (only
+the per-island ``evaluations`` split depends on who fills an entry
+first).  Island 0 keeps the base
 seed, which is why ``islands=1`` is bit-identical to the classic
 single-population :class:`~repro.search.gga.GGA` (the population is
 split ``population // K`` ways, degenerating to the full population at
@@ -43,7 +45,6 @@ from ..gpu.device import DeviceSpec
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
 from ..reliability import faults
-from .fitness_cache import FitnessCache
 from .gga import GGA, SearchResult
 from .grouping import FusionProblem, Grouping
 from .params import GAParams
@@ -166,7 +167,7 @@ class IslandGGA:
     Drives :class:`~repro.search.gga.GGA` through its steppable seam:
     every island advances ``migration_interval`` generations per epoch
     (concurrently, in threads — safe because fitness is pure and
-    content-addressed), then elites migrate along the ring at the epoch
+    memoized by value), then elites migrate along the ring at the epoch
     barrier.  The merged :class:`SearchResult` carries every island's
     history (rows tagged with their island index) and the best feasible
     individual across islands.
@@ -177,7 +178,6 @@ class IslandGGA:
         problem: FusionProblem,
         device: DeviceSpec,
         params: Optional[GAParams] = None,
-        cache: Optional[FitnessCache] = None,
         seed_population: Optional[Sequence[Grouping]] = None,
         store=None,
     ) -> None:
@@ -194,7 +194,6 @@ class IslandGGA:
                 problem,
                 device,
                 island_params(self.params, index, self.count),
-                cache=cache,
                 seed_population=seeds or None,
             )
             gga.island = index

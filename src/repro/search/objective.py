@@ -13,7 +13,6 @@ function and point the parameter file at it" workflow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import (
     Callable,
@@ -39,15 +38,6 @@ from .grouping import (
     evaluate_violations,
 )
 from .penalty import PenaltyParams, penalized_fitness
-
-#: opt-out switch for the compiled fitness evaluator (on by default)
-ENV_FITNESS_COMPILE = "REPRO_FITNESS_COMPILE"
-
-
-def fitness_compile_enabled() -> bool:
-    """Resolve the compiled-fitness switch from the environment."""
-    raw = os.environ.get(ENV_FITNESS_COMPILE, "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
 
 ObjectiveFn = Callable[[FusionProblem, Grouping, DeviceSpec], float]
 
@@ -275,10 +265,10 @@ class CompiledFitness:
     Results are bit-identical to ``evaluate_individual_reference`` for
     any objective; the fast summation path engages only for the stock
     ``projected_gflops`` (a custom objective is still called per
-    evaluation, with only the violation side memoized).  Like the fitness
-    cache, this treats fitness as a pure function of the individual's
-    *value*: numerically, float sums follow the group iteration order of
-    the first value-equal individual seen.
+    evaluation, with only the violation side memoized).  Fitness is
+    treated as a pure function of the individual's *value*: numerically,
+    float sums follow the group iteration order of the first value-equal
+    individual seen.
 
     Thread-safety matches the reference path's caches: plain dict updates
     are atomic under the GIL, and a lost race costs one recomputation.
@@ -398,6 +388,10 @@ class CompiledFitness:
             return 0.0
         return total_flops / total_time / 1e9
 
+    def __contains__(self, individual: Grouping) -> bool:
+        """Is ``individual``'s result memoized (would ``evaluate`` hit)?"""
+        return individual in self._eval_cache
+
     def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
         hit = self._eval_cache.get(individual)
         if hit is not None:
@@ -449,39 +443,8 @@ def surrogate_score(
     objective: ObjectiveFn,
     penalties: PenaltyParams,
 ) -> float:
-    """Analytic-model-only candidate score for surrogate pre-filtering.
-
-    The raw objective value — the projection-model sum, served from the
-    per-group memo — penalized by the *statically memoized* per-group
-    flags (fusability, realizability, shared-memory pressure).  What the
-    exact evaluator computes on top, and this deliberately skips, is all
-    split-dependent work: OEG edge walks, per-group convexity and the
-    Tarjan cycle check.  The score is therefore a cheap, *optimistic*
-    stand-in for the exact fitness — it can still overrank non-convex or
-    cyclic candidates, which is why the GGA admits a top slice for exact
-    evaluation rather than trusting the ranking outright.
-    """
-    evaluator = compiled_fitness(problem, device, objective, penalties)
-    if fitness_compile_enabled():
-        raw = evaluator._objective_value(individual)
-    else:
-        raw = objective(problem, individual, device)
-    violations = Violations()
-    for group in individual.groups:
-        if len(group) <= 1:
-            continue
-        unfusable, unrealizable, smem_over, relax_possible = (
-            evaluator._group_flags(group)
-        )
-        if unfusable:
-            violations.unfusable += 1
-        if unrealizable:
-            violations.unrealizable += 1
-        if smem_over:
-            violations.smem_over += 1
-            if relax_possible:
-                violations.relaxable += 1
-    return penalized_fitness(raw, violations, penalties)
+    """One-shot :meth:`SurrogateScorer.score` for outside callers."""
+    return SurrogateScorer(problem, device, objective, penalties).score(individual)
 
 
 class SurrogateVariant:
@@ -531,10 +494,9 @@ class SurrogateScorer:
     two dictionary lookups per edit instead of a full rescan.
 
     Incremental mode needs the additive default objective
-    (:func:`projected_gflops`) and the compiled evaluator; for custom
-    objectives or ``REPRO_FITNESS_COMPILE=0`` the scorer still scores
-    (via :func:`surrogate_score`) but generates no variants, and the GGA
-    falls back to oversampled breeding.
+    (:func:`projected_gflops`); for custom objectives the scorer still
+    scores but generates no variants, and the GGA falls back to
+    oversampled breeding.
     """
 
     def __init__(
@@ -553,12 +515,29 @@ class SurrogateScorer:
 
     @property
     def supports_variants(self) -> bool:
-        return self.objective is projected_gflops and fitness_compile_enabled()
+        return self.objective is projected_gflops
 
     def score(self, individual: Grouping) -> float:
-        return surrogate_score(
-            self.problem, individual, self.device, self.objective,
-            self.penalties,
+        """Analytic-model-only candidate score for surrogate pre-filtering.
+
+        The raw objective value — the projection-model sum, served from
+        the per-group memo — penalized by the *statically memoized*
+        per-group flags (fusability, realizability, shared-memory
+        pressure).  What the exact evaluator computes on top, and this
+        deliberately skips, is all split-dependent work: OEG edge walks,
+        per-group convexity and the Tarjan cycle check.  The score is
+        therefore a cheap, *optimistic* stand-in for the exact fitness —
+        it can still overrank non-convex or cyclic candidates, which is
+        why the GGA admits a top slice for exact evaluation rather than
+        trusting the ranking outright.
+        """
+        evaluator = self.evaluator
+        violations = Violations()
+        for group in individual.groups:
+            if len(group) > 1:
+                self._apply_flags(violations, evaluator._group_flags(group), +1)
+        return penalized_fitness(
+            evaluator._objective_value(individual), violations, self.penalties
         )
 
     _NO_FLAGS = (False, False, False, False)
@@ -794,18 +773,12 @@ def evaluate_individual(
 ) -> Tuple[float, Violations]:
     """One full fitness evaluation: objective, violations, penalty.
 
-    This is the unit of work the search-throughput layer memoizes and
-    parallelizes — it is a pure function of its arguments, which is what
-    makes content-addressed caching and out-of-order workers safe.
-    Routed through the memoizing :class:`CompiledFitness` evaluator
-    unless ``REPRO_FITNESS_COMPILE`` disables it.
+    One-shot convenience for outside callers: resolves the per-problem
+    :class:`CompiledFitness` on every call.  The GGA resolves it once and
+    calls :meth:`CompiledFitness.evaluate` directly.
     """
-    if fitness_compile_enabled():
-        return compiled_fitness(problem, device, objective, penalties).evaluate(
-            individual
-        )
-    return evaluate_individual_reference(
-        problem, individual, device, objective, penalties
+    return compiled_fitness(problem, device, objective, penalties).evaluate(
+        individual
     )
 
 

@@ -17,6 +17,12 @@ from ..errors import SearchError
 from .penalty import PenaltyParams
 
 
+#: parameters of the deleted evaluation pool and second fitness cache.
+#: Parameter files and ``repro.service/1`` requests written by earlier
+#: versions still carry them; readers accept exactly these and drop them.
+RETIRED_GA_FIELDS = ("fitness_cache", "workers", "executor")
+
+
 @dataclass
 class GAParams:
     """Parameters of the grouped genetic algorithm."""
@@ -37,14 +43,6 @@ class GAParams:
     #: stop early when the best fitness has not improved for this many
     #: generations (0 disables early stopping)
     stall_generations: int = 0
-    #: memoize fitness by partition content across generations and restarts
-    #: (the environment override REPRO_FITNESS_CACHE=0 wins over this)
-    fitness_cache: bool = True
-    #: parallel fitness workers per generation; 0 defers to the
-    #: REPRO_SEARCH_WORKERS environment variable, 1 forces sequential
-    workers: int = 0
-    #: 'thread' or 'process' (see repro.search.parallel)
-    executor: str = "thread"
     #: concurrent island subpopulations (1 = the classic single-population
     #: GGA; >1 enables repro.search.islands with periodic elite migration)
     islands: int = 1
@@ -83,6 +81,8 @@ class GAParams:
             value = value.strip()
             if key.startswith("penalty."):
                 penalty_kwargs[key[len("penalty."):]] = float(value)
+                continue
+            if key in RETIRED_GA_FIELDS:
                 continue
             if not hasattr(params, key):
                 raise SearchError(f"unknown GA parameter {key!r}")

@@ -66,8 +66,7 @@ class BuiltProblem:
 
     problem: FusionProblem
     bindings: Dict[str, CodegenBinding]
-    #: content digest of the problem; namespaces shared fitness-cache
-    #: entries so results survive GGA restarts over the same program
+    #: content digest of the problem (``FusionProblem.fingerprint()``)
     fingerprint: str = ""
     #: node → error message for launches whose static analysis failed and
     #: that were described conservatively (fusion-ineligible) instead

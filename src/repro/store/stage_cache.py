@@ -12,8 +12,8 @@ Namespaces
 ``graphs``            — DDG + OEG (nodes/edges with attributes) + report
 ``search``            — the exact GGA outcome for one (problem, device,
                         params-incl-seed) triple
-``population``        — warm-start payload: best + final population +
-                        fitness-cache entries, transferable across seeds
+``population``        — warm-start payload: best + final population,
+                        transferable across seeds
 ``verified_groups``   — per-group verification verdicts, keyed on group
                         content only (survive unrelated program edits)
 ``verified_programs`` — whole-program verification verdicts
@@ -42,13 +42,8 @@ from ..analysis.metadata import (
     _parse_perf,
 )
 from ..gpu.device import DeviceSpec
-from ..search.fitness_cache import (
-    cache_enabled_from_env,
-    get_shared_cache,
-    validate_fitness_result,
-)
 from ..search.gga import SearchResult
-from ..search.grouping import FusionProblem, Grouping, Violations
+from ..search.grouping import FusionProblem, Grouping
 from ..search.params import GAParams
 from ..transform.blocksize import TuningDecision
 from . import keys
@@ -72,8 +67,6 @@ MAX_SAVED_ELITES = 16
 
 #: individuals persisted for warm starting (beyond the best)
 MAX_SAVED_POPULATION = 64
-#: fitness-cache entries persisted per search
-MAX_SAVED_FITNESS = 20_000
 
 
 # ------------------------------------------------------------------ metadata
@@ -271,14 +264,7 @@ def save_search(
         if len(pop_payload) > MAX_SAVED_POPULATION:
             break
         pop_payload.append(_grouping_to_payload(individual))
-    store.put(
-        NS_POPULATION,
-        warm_key,
-        {
-            "population": pop_payload,
-            "fitness": _export_fitness_entries(),
-        },
-    )
+    store.put(NS_POPULATION, warm_key, {"population": pop_payload})
 
 
 def load_search_result(
@@ -322,18 +308,16 @@ def load_warm_start(
     problem: FusionProblem,
     device: DeviceSpec,
     params: GAParams,
-) -> Tuple[List[Grouping], int]:
-    """Warm-start payload: seed individuals + preloaded fitness entries.
+) -> List[Grouping]:
+    """Warm-start payload: the seed individuals (empty on a miss).
 
-    Returns ``(seed_population, fitness_entries_loaded)``; both empty/zero
-    on a miss.  Fitness entries go straight into the process-wide memo
-    table (PR 1), so even a differently-seeded search starts with every
-    previously evaluated partition's fitness in cache.
+    Entries written by earlier versions also carry a ``fitness`` list
+    (the deleted second cache's dump); it is ignored.
     """
     _, warm_key = _search_keys(problem, device, params)
     payload = store.get(NS_POPULATION, warm_key)
     if payload is None:
-        return [], 0
+        return []
     seeds: List[Grouping] = []
     try:
         for entry in payload.get("population", []):
@@ -342,38 +326,7 @@ def load_warm_start(
                 seeds.append(grouping)
     except (KeyError, TypeError):
         seeds = []
-    loaded = 0
-    if params.fitness_cache and cache_enabled_from_env():
-        loaded = _import_fitness_entries(payload.get("fitness", []))
-    return seeds, loaded
-
-
-def _export_fitness_entries() -> List[List[object]]:
-    """Snapshot the in-memory fitness memo table for persistence."""
-    cache = get_shared_cache()
-    entries: List[List[object]] = []
-    for key, value in cache.export_entries(MAX_SAVED_FITNESS):
-        if not validate_fitness_result(value):
-            continue
-        fitness, violations = value
-        entries.append([key, float(fitness), asdict(violations)])
-    return entries
-
-
-def _import_fitness_entries(entries: List[List[object]]) -> int:
-    cache = get_shared_cache()
-    loaded = 0
-    for entry in entries:
-        try:
-            key, fitness, violations = entry
-            value = (float(fitness), Violations(**violations))
-        except (TypeError, ValueError, KeyError):
-            continue
-        if not isinstance(key, str) or not validate_fitness_result(value):
-            continue
-        cache.put(key, value)
-        loaded += 1
-    return loaded
+    return seeds
 
 
 # --------------------------------------------------------- island migration

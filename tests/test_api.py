@@ -32,8 +32,7 @@ def small_params(seed=1):
 
 def test_default_when_nothing_set():
     resolved = TransformConfig().resolved(environ={})
-    assert resolved.search_workers == 0
-    assert resolved.fitness_cache is True
+    assert resolved.verify_seed == 0
     assert resolved.verify_groups is True
     assert resolved.verify_rtol == 0.0
     assert resolved.block_exec == "auto"
@@ -43,28 +42,28 @@ def test_default_when_nothing_set():
 
 def test_env_beats_default():
     resolved = TransformConfig().resolved(
-        environ={"REPRO_SEARCH_WORKERS": "5", "REPRO_VERIFY_RTOL": "1e-6"}
+        environ={"REPRO_VERIFY_SEED": "5", "REPRO_VERIFY_RTOL": "1e-6"}
     )
-    assert resolved.search_workers == 5
+    assert resolved.verify_seed == 5
     assert resolved.verify_rtol == 1e-6
 
 
 def test_explicit_beats_env():
-    config = TransformConfig(search_workers=2, verify_groups=False)
+    config = TransformConfig(verify_seed=2, verify_groups=False)
     resolved = config.resolved(
-        environ={"REPRO_SEARCH_WORKERS": "5", "REPRO_VERIFY_GROUPS": "1"}
+        environ={"REPRO_VERIFY_SEED": "5", "REPRO_VERIFY_GROUPS": "1"}
     )
-    assert resolved.search_workers == 2
+    assert resolved.verify_seed == 2
     assert resolved.verify_groups is False
 
 
 def test_legacy_env_knob_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        TransformConfig().resolved(environ={"REPRO_EVAL_RETRIES": "3"})
+        TransformConfig().resolved(environ={"REPRO_VERIFY_SEED": "3"})
     messages = [str(w.message) for w in caught
                 if issubclass(w.category, EnvKnobDeprecationWarning)]
-    assert any("REPRO_EVAL_RETRIES" in m and "eval_retries" in m
+    assert any("REPRO_VERIFY_SEED" in m and "verify_seed" in m
                for m in messages)
 
 
@@ -82,9 +81,9 @@ def test_store_env_does_not_warn(tmp_path):
 
 def test_malformed_env_value_falls_back_to_default():
     resolved = TransformConfig().resolved(
-        environ={"REPRO_SEARCH_WORKERS": "many", "REPRO_VERIFY_RTOL": "tiny"}
+        environ={"REPRO_VERIFY_SEED": "many", "REPRO_VERIFY_RTOL": "tiny"}
     )
-    assert resolved.search_workers == 0
+    assert resolved.verify_seed == 0
     assert resolved.verify_rtol == 0.0
 
 
@@ -93,18 +92,16 @@ def test_malformed_env_value_falls_back_to_default():
 
 def test_from_env_to_env_roundtrip(tmp_path):
     env = {
-        "REPRO_FITNESS_CACHE": "0",
-        "REPRO_SEARCH_WORKERS": "4",
-        "REPRO_SEARCH_EXECUTOR": "process",
-        "REPRO_EVAL_RETRIES": "2",
+        "REPRO_VERIFY_GROUPS": "0",
+        "REPRO_BLOCK_EXEC": "loop",
+        "REPRO_ISLANDS": "2",
         "REPRO_VERIFY_SEED": "99",
         "REPRO_STORE": str(tmp_path),
     }
     config = TransformConfig.from_env(env)
-    assert config.fitness_cache is False
-    assert config.search_workers == 4
-    assert config.search_executor == "process"
-    assert config.eval_retries == 2
+    assert config.verify_groups is False
+    assert config.block_exec == "loop"
+    assert config.islands == 2
     assert config.verify_seed == 99
     assert config.store is True and config.store_root == str(tmp_path)
     back = config.to_env()
@@ -147,6 +144,18 @@ def test_config_file_with_ga_params(tmp_path):
     assert loaded.ga_params.generations == 5
 
 
+def test_ga_params_retired_keys_dropped_others_rejected():
+    # requests / config files written before the evaluation pool was
+    # deleted carry these three keys; they behave as if absent
+    old = TransformConfig.from_dict({"ga_params": {
+        "population": 10, "workers": 4, "executor": "process",
+        "fitness_cache": False,
+    }})
+    assert old == TransformConfig.from_dict({"ga_params": {"population": 10}})
+    with pytest.raises(ConfigError, match="unknown ga_params field.*threads"):
+        TransformConfig.from_dict({"ga_params": {"threads": 2}})
+
+
 # -------------------------------------------------------------- validation
 
 
@@ -162,8 +171,6 @@ def test_invalid_values_rejected():
         TransformConfig(until="assembly")
     with pytest.raises(ConfigError):
         TransformConfig(device="RTX9090")
-    with pytest.raises(ConfigError):
-        TransformConfig(search_executor="fork")
     with pytest.raises(ConfigError):
         TransformConfig(block_exec="warp")
 
@@ -189,13 +196,13 @@ def test_transform_rejects_unsupported_input():
 
 
 def test_applied_env_exports_and_restores(monkeypatch):
-    monkeypatch.setenv("REPRO_SEARCH_WORKERS", "9")
+    monkeypatch.setenv("REPRO_BLOCK_EXEC", "loop")
     monkeypatch.delenv("REPRO_VERIFY_SEED", raising=False)
-    config = TransformConfig(search_workers=1, verify_seed=5)
+    config = TransformConfig(block_exec="compiled", verify_seed=5)
     with config.applied_env():
-        assert os.environ["REPRO_SEARCH_WORKERS"] == "1"
+        assert os.environ["REPRO_BLOCK_EXEC"] == "compiled"
         assert os.environ["REPRO_VERIFY_SEED"] == "5"
-    assert os.environ["REPRO_SEARCH_WORKERS"] == "9"
+    assert os.environ["REPRO_BLOCK_EXEC"] == "loop"
     assert "REPRO_VERIFY_SEED" not in os.environ
 
 

@@ -100,7 +100,6 @@ def test_fuzz_config_is_small_and_quiet():
     config = fuzz_config(seed=7)
     params = config.ga_params
     assert params.population <= 16 and params.generations <= 10
-    assert params.workers == 1 and params.executor == "thread"
     assert config.telemetry is False
     assert config.store is False
     # bitwise verification stays the default for differential soundness

@@ -37,7 +37,6 @@ from repro.search import (
     run_search,
     singleton_grouping,
 )
-from repro.search.fitness_cache import reset_shared_cache
 from repro.search.grouping import Grouping
 from repro.search.islands import (
     ISLAND_SEED_STRIDE,
@@ -116,13 +115,6 @@ def chain_problem():
     return _problem_from(CHAIN_SRC)
 
 
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    reset_shared_cache()
-    yield
-    reset_shared_cache()
-
-
 def _trajectory(result):
     return [
         (s.generation, s.best_fitness, s.best_feasible_fitness,
@@ -136,9 +128,7 @@ def _trajectory(result):
 
 def test_island1_bit_identical_to_gga(fluam_problem):
     params = GAParams(population=12, generations=8, seed=11)
-    reset_shared_cache()
     classic = GGA(fluam_problem, K20X, params).run()
-    reset_shared_cache()
     solo = IslandGGA(fluam_problem, K20X, params).run()
     assert solo.islands == 1
     assert solo.best == classic.best
@@ -152,9 +142,7 @@ def test_island1_bit_identical_to_gga(fluam_problem):
 def test_run_search_defaults_route_to_classic_gga(problem3):
     params = GAParams(population=8, generations=5, seed=2)
     assert params.islands == 1 and params.surrogate_topk == 1.0
-    reset_shared_cache()
     via_run = run_search(problem3, K20X, params)
-    reset_shared_cache()
     direct = GGA(problem3, K20X, params).run()
     assert via_run.best == direct.best
     assert _trajectory(via_run) == _trajectory(direct)
@@ -165,9 +153,7 @@ def test_run_search_defaults_route_to_classic_gga(problem3):
 def test_island1_identity_property(seed):
     problem = _problem_from(THREE_KERNEL_SRC)
     params = GAParams(population=8, generations=4, seed=seed)
-    reset_shared_cache()
     classic = GGA(problem, K20X, params).run()
-    reset_shared_cache()
     solo = IslandGGA(problem, K20X, params).run()
     assert solo.best == classic.best
     assert _trajectory(solo) == _trajectory(classic)
@@ -205,6 +191,26 @@ def test_k2_ring_migration(fluam_problem):
         assert sequence == list(range(len(sequence)))
     # per-row migrant counts reconcile with the bus total
     assert sum(s.migrants_in for s in result.history) == result.migrations_received
+
+
+def test_each_island_counts_its_own_lookups_and_misses(fluam_problem):
+    params = GAParams(
+        population=24, generations=6, seed=9,
+        islands=3, migration_interval=2, migration_size=2,
+    )
+    driver = IslandGGA(fluam_problem, K20X, params)
+    result = driver.run()
+    # one evaluator (memo) on the problem, one counter pair per island
+    assert len({id(g.fitness) for g in driver.islands}) == 1
+    for gga in driver.islands:
+        last = [s for s in result.history if s.island == gga.island][-1]
+        # finalize() may add one lookup when no feasible best was seen
+        assert gga.lookups - last.cache_lookups in (0, 1)
+        assert last.cache_lookups == last.evaluations + last.cache_hits
+        assert gga.evaluations > 0
+    assert result.evaluations == sum(g.evaluations for g in driver.islands)
+    assert result.fitness_lookups == sum(g.lookups for g in driver.islands)
+    assert result.fitness_lookups == result.evaluations + result.cache_hits
 
 
 def test_store_mediated_hydration(fluam_problem, tmp_path):

@@ -42,7 +42,6 @@ from repro.observability import (
 )
 from repro.pipeline import Framework, PipelineConfig
 from repro.search import fast_params
-from repro.search.fitness_cache import reset_shared_cache
 
 from conftest import CHAIN_SRC
 
@@ -509,8 +508,6 @@ def _run_small_pipeline():
     params.population = 12
     params.generations = 8
     params.stall_generations = 4
-    params.workers = 1
-    reset_shared_cache()
     config = PipelineConfig(ga_params=params, verify=False)
     return Framework(parse_program(CHAIN_SRC), config).run()
 

@@ -184,12 +184,10 @@ def test_plan_from_env():
         {
             faults.ENV_FAULT_SEAMS: "codegen:x1",
             faults.ENV_FAULT_SEED: "42",
-            faults.ENV_FAULT_HANG: "0.25",
         }
     )
     assert plan is not None
     assert plan.seed == 42
-    assert plan.hang_seconds == 0.25
     assert "codegen" in plan.seams
 
 
@@ -228,10 +226,10 @@ def test_check_raises_canonical_error(seam, exc_type):
 
 def test_check_rejects_hook_only_seams():
     faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("fitness_cache"))
+        faults.FaultPlan(seams=faults.parse_seam_specs("store"))
     )
     with pytest.raises(FaultInjectionError, match="dedicated hook"):
-        faults.check("fitness_cache")
+        faults.check("store")
 
 
 # --------------------------------------------------------- degradation ladder

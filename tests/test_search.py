@@ -11,9 +11,11 @@ from repro.cudalite import parse_program
 from repro.gpu.device import K20X
 from repro.gpu.profiler import gather_metadata
 from repro.search import (
+    GGA,
     GAParams,
     PenaltyParams,
     build_problem,
+    evaluate_individual,
     evaluate_violations,
     fast_params,
     penalized_fitness,
@@ -307,6 +309,73 @@ def test_params_file_rejects_unknown_key(tmp_path):
     path.write_text("not_a_parameter = 3\n")
     with pytest.raises(SearchError):
         GAParams.read(path)
+
+
+def test_params_file_drops_retired_keys(tmp_path):
+    # files written before the evaluation pool was deleted carry these
+    path = tmp_path / "old.params"
+    path.write_text(
+        "population = 42\nfitness_cache = True\nworkers = 4\n"
+        "executor = 'process'\n"
+    )
+    loaded = GAParams.read(path)
+    assert loaded == GAParams(population=42)
+    assert not hasattr(loaded, "workers")
+
+
+def _small_params(seed):
+    params = fast_params(seed=seed)
+    params.population = 12
+    params.generations = 6
+    return params
+
+
+def test_gga_counts_lookups_and_memo_misses(problem3):
+    gga = GGA(problem3, K20X, _small_params(5))
+    ind = singleton_grouping(problem3)
+    first, second = gga.evaluate_many([ind, ind])
+    assert first == second and first[1] is not second[1]
+    assert (gga.lookups, gga.evaluations, gga.cache_hits) == (2, 1, 1)
+
+
+def test_search_result_reports_hit_rate(problem3):
+    result = GGA(problem3, K20X, _small_params(5)).run()
+    assert result.fitness_lookups == result.evaluations + result.cache_hits
+    assert 0.0 < result.cache_hit_rate < 1.0
+    last = result.history[-1]
+    assert last.cache_lookups == last.evaluations + last.cache_hits
+
+
+def test_gga_restart_served_from_problem_memo(problem3):
+    first = GGA(problem3, K20X, _small_params(5)).run()
+    assert first.evaluations > 0
+    # the evaluator (and its memo) lives on the problem: same trajectory,
+    # every lookup a hit
+    second = GGA(problem3, K20X, _small_params(5)).run()
+    assert second.evaluations == 0
+    assert second.cache_hit_rate == 1.0
+    assert second.best == first.best
+    assert second.best_fitness == first.best_fitness
+    assert [s.best_fitness for s in second.history] == [
+        s.best_fitness for s in first.history
+    ]
+
+
+def test_evaluate_individual_direct(problem3):
+    fitness, violations = evaluate_individual(
+        problem3,
+        singleton_grouping(problem3),
+        K20X,
+        projected_gflops,
+        PenaltyParams(),
+    )
+    assert fitness > 0
+    assert violations.feasible
+
+
+def test_problem_fingerprint_stable(problem3):
+    assert problem3.fingerprint() == problem3.fingerprint()
+    assert len(problem3.fingerprint()) == 64
 
 
 def test_default_params_match_paper():

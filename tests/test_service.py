@@ -25,10 +25,17 @@ TINY_CONFIG = {
         "population": 10,
         "generations": 6,
         "stall_generations": 3,
-        "workers": 1,
-        "executor": "thread",
         "seed": 7,
     }
+}
+
+#: TINY_CONFIG as a pre-PR-12 client sends it: the retired evaluation-pool
+#: keys are accepted and dropped, so it is the *same* request
+TINY_CONFIG_OLD_CLIENT = {
+    "ga_params": dict(
+        TINY_CONFIG["ga_params"],
+        workers=1, executor="thread", fitness_cache=True,
+    )
 }
 
 #: a slower search for the dedup test: the first request must still be
@@ -38,8 +45,6 @@ SLOW_CONFIG = {
         "population": 24,
         "generations": 18,
         "stall_generations": 18,
-        "workers": 1,
-        "executor": "thread",
         "seed": 11,
     }
 }
@@ -106,7 +111,9 @@ def _counter(name):
 def test_served_transform_and_warm_reuse(tmp_path):
     with ServiceHarness(tmp_path / "store") as (harness, client):
         cold = client.transform(
-            source=THREE_KERNEL_SRC, config=TINY_CONFIG, request_id="cold"
+            source=THREE_KERNEL_SRC,
+            config=TINY_CONFIG_OLD_CLIENT,
+            request_id="cold",
         )
         assert cold.status == 200
         assert cold.request_id == "cold"
@@ -141,6 +148,12 @@ def test_error_paths(tmp_path):
             source=THREE_KERNEL_SRC, config={"mode": "telepathic"}
         )
         assert bad_config.status == 400
+
+        # only the three retired ga_params keys are tolerated
+        bad_ga = client.transform(
+            source=THREE_KERNEL_SRC, config={"ga_params": {"threads": 2}}
+        )
+        assert bad_ga.status == 400
 
         bad_program = client.transform(source="int main( {")
         assert bad_program.status == 422
@@ -288,11 +301,11 @@ def test_graceful_shutdown_drains_inflight_jobs(tmp_path):
 
 def test_worker_environment_scrubs_ambient_repro_knobs(monkeypatch):
     monkeypatch.setenv("REPRO_ISLANDS", "4")
-    monkeypatch.setenv("REPRO_SEARCH_WORKERS", "9")
+    monkeypatch.setenv("REPRO_BLOCK_EXEC", "loop")
     monkeypatch.setenv("HOME", "/home/x")
     env = worker_environment({"REPRO_FAULT_SEAMS": "service_worker"})
     assert "REPRO_ISLANDS" not in env
-    assert "REPRO_SEARCH_WORKERS" not in env
+    assert "REPRO_BLOCK_EXEC" not in env
     assert env["HOME"] == "/home/x"
     # explicit overrides survive the scrub
     assert env["REPRO_FAULT_SEAMS"] == "service_worker"

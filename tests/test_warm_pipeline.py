@@ -8,7 +8,6 @@ from repro.api import TransformConfig, transform
 from repro.pipeline.cli import main as cli_main
 from repro.reliability import faults
 from repro.search import fast_params
-from repro.search.fitness_cache import reset_shared_cache
 
 from conftest import THREE_KERNEL_SRC
 
@@ -23,13 +22,11 @@ def small_params(seed=1):
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Keep these tests hermetic: no ambient store, fresh fitness cache."""
+    """Keep these tests hermetic: no ambient store, no fault plan."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
     faults.clear_plan()
-    reset_shared_cache()
     yield
     faults.clear_plan()
-    reset_shared_cache()
 
 
 def _run(tmp_path, seed=1, **overrides):
@@ -51,7 +48,6 @@ def test_warm_run_is_bit_identical_and_reuses_every_stage(tmp_path):
     assert cold.reused == {}
     assert cold.verified is True
 
-    reset_shared_cache()
     warm = _run(tmp_path)
     assert warm.source == cold.source  # bit-identical output
     assert warm.verified is True
@@ -65,16 +61,40 @@ def test_warm_run_is_bit_identical_and_reuses_every_stage(tmp_path):
 def test_warm_start_with_different_seed(tmp_path):
     """A changed GA seed misses the exact key but warm-starts the search."""
     _run(tmp_path, seed=1)
-    reset_shared_cache()
     warm = _run(tmp_path, seed=2)
     assert warm.verified is True
     reuse = warm.reused.get("search", "")
     assert reuse.startswith("warm-start:"), warm.reused
 
 
+def test_old_population_entry_with_fitness_list_loads_cleanly(tmp_path):
+    """Entries written before the second fitness cache was deleted carry
+    its dump beside the seeds; the dump is ignored, the seeds still load."""
+    import json
+
+    from repro.store.artifact_store import ArtifactStore
+    from repro.store.stage_cache import NS_POPULATION
+
+    _run(tmp_path, seed=1)
+    store = ArtifactStore(tmp_path / "store")
+    (path,) = (tmp_path / "store").rglob(f"{NS_POPULATION}/*/*.json")
+    envelope = json.loads(path.read_text())
+    payload = envelope["payload"]
+    seeds = len(payload["population"])
+    violations = dict(
+        unfusable=0, non_convex=1, unrealizable=0, smem_over=0, relaxable=0
+    )
+    payload["fitness"] = [["ab" * 32, 12.5, violations], ["garbage"]]
+    assert store.put(NS_POPULATION, envelope["key"], payload)
+
+    warm = _run(tmp_path, seed=2)
+    assert warm.verified is True
+    assert warm.reused.get("search") == f"warm-start:{seeds} seeds"
+    assert "cached evaluations" not in warm.report
+
+
 def test_config_change_invalidates_only_downstream_stages(tmp_path):
     _run(tmp_path)
-    reset_shared_cache()
     # different exclusions -> targets/graphs/search recompute, but the
     # (program, device) metadata profile still hits
     warm = _run(tmp_path, exclude=("k2",))
@@ -106,7 +126,6 @@ def test_poisoned_store_degrades_to_cold_run(tmp_path):
         poisoned += 1
     assert poisoned > 0
 
-    reset_shared_cache()
     warm = _run(tmp_path)
     # all reuse degraded away, output identical, no exception escaped
     assert warm.reused == {}
@@ -116,7 +135,6 @@ def test_poisoned_store_degrades_to_cold_run(tmp_path):
 
 def test_store_fault_seam_degrades_to_cold_run(tmp_path):
     cold = _run(tmp_path)
-    reset_shared_cache()
     faults.install_plan(
         faults.FaultPlan(seams=faults.parse_seam_specs("store"))
     )
@@ -149,7 +167,6 @@ def test_cli_store_flags(tmp_path, capsys):
     assert cold_manifest["store"]["enabled"] is True
     assert cold_manifest["store"]["reused_stages"] == {}
 
-    reset_shared_cache()
     rc = cli_main(
         [str(source), "-o", str(out2), "--seed", "1",
          "--store", str(store_root), "--workdir", str(wd2)]
@@ -192,7 +209,6 @@ def test_poisoned_store_cli_exit_zero(tmp_path, capsys):
     assert rc == 0
     for path in store_root.rglob("*.json"):
         path.write_text("garbage")
-    reset_shared_cache()
     rc = cli_main(
         [str(source), "-o", str(out2), "--seed", "1", "--store",
          str(store_root), "--no-telemetry"]
