@@ -15,10 +15,9 @@ Top-level convenience re-exports; see the subpackages for the full API:
 - :mod:`repro.api`       — the stable entry point (transform / TransformConfig)
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 from .api import (
-    EnvKnobDeprecationWarning,
     JobHandle,
     TransformConfig,
     TransformResult,
@@ -44,7 +43,6 @@ __all__ = [
     "transform",
     "TransformConfig",
     "TransformResult",
-    "EnvKnobDeprecationWarning",
     # job-oriented core (repro.api)
     "JobHandle",
     "submit",

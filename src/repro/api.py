@@ -8,18 +8,20 @@ One call transforms an application::
     print(result.speedup, result.verified)
     print(result.source)          # the transformed CUDA(Lite) program
 
-:class:`TransformConfig` consolidates every knob that used to live in a
-scattered set of ``REPRO_*`` environment variables (verification,
+:class:`TransformConfig` holds every knob of a run (verification,
 interpreter strategy, telemetry, island search, the persistent artifact
-store).  Precedence is always
+store).  Configuration flows downward as arguments: the config is
+resolved once at the front door (:func:`submit`, the CLIs) and handed to
+the pipeline, which hands each layer the values it needs.  Two fields
+may also come from the process environment — ``telemetry``
+(``REPRO_TELEMETRY``) and ``store`` / ``store_root`` (``REPRO_STORE``) —
+with precedence
 
     explicit config field  >  environment variable  >  built-in default
 
-and :meth:`TransformConfig.resolved` materializes that chain into a fully
-concrete configuration (recorded verbatim in ``run.json``).  Setting a
-legacy knob through the environment still works but emits an
-:class:`EnvKnobDeprecationWarning` pointing at the config field that
-replaces it.
+materialized by :meth:`TransformConfig.resolved` (and recorded verbatim
+in ``run.json``).  Nothing below this module reads the environment for
+configuration and nothing writes to it.
 
 Underneath :func:`transform` sits a job-oriented core::
 
@@ -42,12 +44,10 @@ import json
 import logging
 import os
 import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .cudalite import ast_nodes as ast
 from .cudalite.parser import parse_program
@@ -56,12 +56,15 @@ from .errors import ConfigError, JobNotFound, PipelineError, ReproError
 from .gpu.device import DeviceSpec, available_devices, query_device
 from .observability.metrics import get_registry
 from .observability.runinfo import build_run_manifest, write_run_manifest
-from .observability.runtime import telemetry, telemetry_enabled
+from .observability.runtime import telemetry
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
 from .pipeline.stages import STAGES, PipelineConfig, PipelineState
 from .search.params import RETIRED_GA_FIELDS, GAParams, fast_params
 from .store.artifact_store import (
+    DEFAULT_ROOT,
+    ENV_FALSY,
+    ENV_STORE,
     ArtifactStore,
     default_store_root,
     open_store,
@@ -69,7 +72,6 @@ from .store.artifact_store import (
 )
 
 __all__ = [
-    "EnvKnobDeprecationWarning",
     "JobHandle",
     "TransformConfig",
     "TransformResult",
@@ -82,103 +84,39 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-class EnvKnobDeprecationWarning(DeprecationWarning):
-    """A legacy ``REPRO_*`` environment knob supplied a configuration value.
+ENV_TELEMETRY = "REPRO_TELEMETRY"
 
-    The environment path keeps working (scripts and CI jobs do not break),
-    but the corresponding :class:`TransformConfig` field is the supported
-    spelling going forward.
+
+def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
+    """The one configuration read of the process environment.
+
+    Returns the :class:`TransformConfig` fields that ``REPRO_TELEMETRY``
+    and ``REPRO_STORE`` set; an unset or blank variable sets nothing.
     """
-
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def _parse_bool(raw: str) -> bool:
-    return raw.strip().lower() not in _FALSY
-
-
-def _serialize_bool(value: bool) -> str:
-    return "1" if value else "0"
-
-
-def _serialize_optional(value: object) -> str:
-    return "" if value is None else str(value)
-
-
-@dataclass(frozen=True)
-class _EnvKnob:
-    """One environment-backed configuration field."""
-
-    env: str
-    parse: Callable[[str], object]
-    serialize: Callable[[object], str]
-    default: object
-    #: pre-existing knob — reading it from the environment warns
-    legacy: bool = True
-
-
-#: every environment-backed TransformConfig field, in declaration order
-ENV_KNOBS: Dict[str, _EnvKnob] = {
-    "verify_groups": _EnvKnob(
-        "REPRO_VERIFY_GROUPS", _parse_bool, _serialize_bool, True
-    ),
-    "verify_seed": _EnvKnob("REPRO_VERIFY_SEED", int, str, 0),
-    "verify_rtol": _EnvKnob("REPRO_VERIFY_RTOL", float, str, 0.0),
-    "block_exec": _EnvKnob(
-        "REPRO_BLOCK_EXEC", lambda raw: raw.strip().lower(), str, "auto"
-    ),
-    # telemetry and the store are first-class environment switches (CI
-    # and shells toggle them per-run); no deprecation warning
-    "telemetry": _EnvKnob(
-        "REPRO_TELEMETRY", _parse_bool, _serialize_bool, True, legacy=False
-    ),
-    # island-model search knobs (new; no deprecation path).  Default None
-    # = defer to the GAParams value, so an unset config never clobbers an
-    # explicit GA parameter file.
-    "islands": _EnvKnob(
-        "REPRO_ISLANDS", int, _serialize_optional, None, legacy=False
-    ),
-    "migration_interval": _EnvKnob(
-        "REPRO_ISLANDS_MIGRATION_INTERVAL",
-        int,
-        _serialize_optional,
-        None,
-        legacy=False,
-    ),
-    "migration_size": _EnvKnob(
-        "REPRO_ISLANDS_MIGRATION_SIZE",
-        int,
-        _serialize_optional,
-        None,
-        legacy=False,
-    ),
-    "surrogate_topk": _EnvKnob(
-        "REPRO_ISLANDS_SURROGATE_TOPK",
-        float,
-        _serialize_optional,
-        None,
-        legacy=False,
-    ),
-}
-
-ENV_STORE = "REPRO_STORE"
+    env = os.environ if environ is None else environ
+    values: Dict[str, Any] = {}
+    raw = (env.get(ENV_TELEMETRY) or "").strip().lower()
+    if raw:
+        values["telemetry"] = raw not in ENV_FALSY
+    if (env.get(ENV_STORE) or "").strip():
+        values["store"] = store_enabled_from_env(env)
+        if values["store"]:
+            values["store_root"] = default_store_root(env)
+    return values
 
 
 @dataclass
 class TransformConfig:
     """Complete configuration of one transformation run.
 
-    Two kinds of fields:
-
-    * plain fields (``device`` … ``trace_out``) have ordinary defaults;
-    * environment-backed fields (``verify_groups`` … ``store_root``)
-      default to ``None`` meaning *unset* — :meth:`resolved` fills each
-      from its legacy ``REPRO_*`` variable when present, else from the
-      built-in default.  An explicitly assigned value always wins.
+    Every field has an ordinary default except the island knobs
+    (``None`` defers to the GA parameter set) and ``telemetry`` /
+    ``store`` / ``store_root``, where ``None`` means *unset*:
+    :meth:`resolved` fills those three from ``REPRO_TELEMETRY`` /
+    ``REPRO_STORE`` when present, else from the built-in default.  An
+    explicitly assigned value always wins.
     """
 
-    # ------------------------------------------------- plain fields
     #: device model name (see ``repro.gpu.device.available_devices``)
     device: Union[str, DeviceSpec] = "K20X"
     #: 'automated' | 'guided' | 'manual' (§6.2.2)
@@ -208,32 +146,31 @@ class TransformConfig:
     #: Chrome trace-event destination
     trace_out: Optional[str] = None
 
-    # ------------------------- environment-backed fields (None = unset)
-    #: per-group verification gate (REPRO_VERIFY_GROUPS)
-    verify_groups: Optional[bool] = None
-    #: verification input-synthesis seed (REPRO_VERIFY_SEED)
-    verify_seed: Optional[int] = None
-    #: 0 = bitwise comparison, >0 = allclose rtol (REPRO_VERIFY_RTOL)
-    verify_rtol: Optional[float] = None
+    #: per-group verification gate
+    verify_groups: bool = True
+    #: verification input-synthesis seed
+    verify_seed: int = 0
+    #: 0 = bitwise comparison, >0 = allclose rtol
+    verify_rtol: float = 0.0
     #: interpreter strategy: 'auto' | 'loop' | 'batched' | 'compiled'
-    #: (REPRO_BLOCK_EXEC)
-    block_exec: Optional[str] = None
-    #: observability layer on/off (REPRO_TELEMETRY)
+    block_exec: str = "auto"
+    #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
     telemetry: Optional[bool] = None
-    #: GGA island subpopulations, 1 = classic single-population search
-    #: (REPRO_ISLANDS); ``None`` defers to the GA parameter set
+    #: GGA island subpopulations, 1 = classic single-population search;
+    #: ``None`` defers to the GA parameter set (as do the next three)
     islands: Optional[int] = None
     #: generations between elite migrations
-    #: (REPRO_ISLANDS_MIGRATION_INTERVAL)
     migration_interval: Optional[int] = None
-    #: elites exchanged per migration epoch (REPRO_ISLANDS_MIGRATION_SIZE)
+    #: elites exchanged per migration epoch
     migration_size: Optional[int] = None
     #: fraction of offspring admitted to exact evaluation after surrogate
-    #: ranking, 1.0 = pre-filter off (REPRO_ISLANDS_SURROGATE_TOPK)
+    #: ranking, 1.0 = pre-filter off
     surrogate_topk: Optional[float] = None
-    #: persistent cross-run artifact store (REPRO_STORE opts in)
+    #: persistent cross-run artifact store; ``None`` = unset (REPRO_STORE
+    #: opts in)
     store: Optional[bool] = None
-    #: store root directory (default ``~/.cache/repro``)
+    #: store root directory; ``None`` = unset (REPRO_STORE, else
+    #: ``~/.cache/repro``)
     store_root: Optional[str] = None
 
     # ----------------------------------------------------- validation
@@ -252,12 +189,12 @@ class TransformConfig:
                 f"unknown device {self.device!r} "
                 f"(available: {sorted(available_devices())})"
             )
-        if self.block_exec is not None and self.block_exec not in (
-            "auto",
-            "loop",
-            "batched",
-            "compiled",
-        ):
+        # a config file or request written when these four were
+        # env-backed carries null for "unset"
+        for name in ("verify_groups", "verify_seed", "verify_rtol", "block_exec"):
+            if getattr(self, name) is None:
+                setattr(self, name, getattr(type(self), name))
+        if self.block_exec not in ("auto", "loop", "batched", "compiled"):
             raise ConfigError(
                 f"block_exec must be 'auto', 'loop', 'batched' or "
                 f"'compiled', not {self.block_exec!r}"
@@ -273,88 +210,34 @@ class TransformConfig:
         ):
             raise ConfigError("surrogate_topk must be in (0, 1]")
 
-    # ---------------------------------------------------- env round-trip
+    # ------------------------------------------------------ environment
 
     @classmethod
     def from_env(
-        cls, environ: Optional[Dict[str, str]] = None, **overrides: Any
+        cls, environ: Optional[Mapping[str, str]] = None, **overrides: Any
     ) -> "TransformConfig":
-        """Build a config from the current ``REPRO_*`` environment.
+        """A config with whatever ``REPRO_TELEMETRY`` / ``REPRO_STORE``
+        set filled in; ``overrides`` are applied on top."""
+        return cls(**{**_read_env(environ), **overrides})
 
-        Every environment-backed field is read explicitly (no deprecation
-        warnings — this *is* the migration helper); ``overrides`` are
-        applied on top.
-        """
-        env = os.environ if environ is None else environ
-        values: Dict[str, Any] = {}
-        for name, knob in ENV_KNOBS.items():
-            raw = env.get(knob.env)
-            if raw is None or not raw.strip():
-                continue
-            try:
-                values[name] = knob.parse(raw)
-            except (TypeError, ValueError):
-                continue
-        if store_enabled_from_env(env):
-            values["store"] = True
-            values["store_root"] = default_store_root(env)
-        elif (env.get(ENV_STORE) or "").strip():
-            values["store"] = False
-        values.update(overrides)
-        return cls(**values)
-
-    def to_env(self) -> Dict[str, str]:
-        """The environment assignments equivalent to the *set* fields.
-
-        Round-trips with :meth:`from_env`: unset (``None``) fields are
-        omitted, so applying the result leaves their env state untouched.
-        """
-        env: Dict[str, str] = {}
-        for name, knob in ENV_KNOBS.items():
-            value = getattr(self, name)
-            if value is not None:
-                env[knob.env] = knob.serialize(value)
-        if self.store is not None:
-            if self.store:
-                env[ENV_STORE] = str(
-                    Path(self.store_root or default_store_root()).expanduser()
-                )
-            else:
-                env[ENV_STORE] = "0"
-        return env
-
-    def resolved(self, environ: Optional[Dict[str, str]] = None) -> "TransformConfig":
-        """Materialize ``explicit > env > default`` into concrete values.
-
-        Reading a *legacy* knob from the environment emits an
-        :class:`EnvKnobDeprecationWarning` naming the replacement field.
-        """
-        env = os.environ if environ is None else environ
-        values: Dict[str, Any] = {}
-        for name, knob in ENV_KNOBS.items():
-            if getattr(self, name) is not None:
-                continue
-            raw = env.get(knob.env)
-            value = knob.default
-            if raw is not None and raw.strip():
-                try:
-                    value = knob.parse(raw)
-                except (TypeError, ValueError):
-                    value = knob.default
-                else:
-                    if knob.legacy:
-                        warnings.warn(
-                            f"{knob.env} is deprecated; set "
-                            f"TransformConfig.{name} instead",
-                            EnvKnobDeprecationWarning,
-                            stacklevel=2,
-                        )
-            values[name] = value
-        if self.store is None:
-            values["store"] = store_enabled_from_env(env)
-        if self.store_root is None:
-            values["store_root"] = default_store_root(env)
-        return replace(self, **values)
+    def resolved(
+        self, environ: Optional[Mapping[str, str]] = None
+    ) -> "TransformConfig":
+        """Materialize ``explicit > env > default`` into concrete values."""
+        defaults = {
+            "telemetry": True,
+            "store": False,
+            "store_root": DEFAULT_ROOT,
+            **_read_env(environ),
+        }
+        return replace(
+            self,
+            **{
+                name: value
+                for name, value in defaults.items()
+                if getattr(self, name) is None
+            },
+        )
 
     # --------------------------------------------------- file round-trip
 
@@ -442,32 +325,14 @@ class TransformConfig:
             enable_fission=self.fission,
             tune_blocks=self.tuning,
             verify=self.verify,
-            verify_groups=bool(self.verify_groups),
+            verify_groups=self.verify_groups,
+            verify_seed=self.verify_seed,
+            verify_rtol=self.verify_rtol,
+            block_exec=self.block_exec,
             fail_soft=not self.fail_hard,
             workdir=self.workdir,
             store=store,
         )
-
-    @contextmanager
-    def applied_env(self) -> Iterator[None]:
-        """Export the environment-backed fields for the run's duration.
-
-        Deep configuration readers (the verification gate, the
-        interpreter) resolve ``REPRO_*`` at use time; scoping the resolved
-        values into the environment makes the config authoritative for
-        them without threading a config object through every layer.
-        """
-        assignments = self.to_env()
-        saved = {name: os.environ.get(name) for name in assignments}
-        os.environ.update(assignments)
-        try:
-            yield
-        finally:
-            for name, value in saved.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
 
 
 def _ga_params_from_dict(data: Dict[str, Any]) -> GAParams:
@@ -626,7 +491,7 @@ def _ledger_append(
     off or no store is attached, and a failed append degrades to a
     warning — a run must never break on its own history.
     """
-    if store is None or not telemetry_enabled():
+    if store is None or not config.telemetry:
         return
     from .observability.ledger import append_record, build_transform_record
     from .observability.trace_analytics import summarize_spans
@@ -669,7 +534,7 @@ def write_run_outputs(
     machine-readable diagnostic; skipped when telemetry is off or when no
     destination (workdir / metrics_out / trace_out) was configured.
     """
-    if not telemetry_enabled():
+    if not config.telemetry:
         return
     if not (config.workdir or config.metrics_out or config.trace_out):
         # don't surprise the caller with a run.json in their cwd
@@ -726,10 +591,10 @@ def _execute_transform(
     """Run one fully-resolved transformation end to end.
 
     The shared execution body behind :func:`transform` and the job core:
-    env export, telemetry scope, store wiring, ``run.json`` and the run
-    ledger on both the success and the failure path.
+    telemetry scope, store wiring, ``run.json`` and the run ledger on
+    both the success and the failure path.
     """
-    with resolved.applied_env(), telemetry(bool(resolved.telemetry)):
+    with telemetry(bool(resolved.telemetry)):
         store: Optional[ArtifactStore] = None
         if resolved.store:
             store = open_store(resolved.store_root)
@@ -859,10 +724,11 @@ _JOB_HISTORY = 256
 _jobs_lock = threading.Lock()
 _job_seq = itertools.count(1)
 
-#: one transformation executes at a time in this process: the pipeline
-#: scopes configuration through os.environ (applied_env), which is
-#: process-global — concurrency comes from the service's worker
-#: *processes*, not from in-process threads
+#: one transformation executes at a time in this process: the metrics
+#: registry, the tracer, the telemetry switch and the kernel compiler's
+#: stats are process-global, so concurrent runs would mix their counters
+#: and spans — concurrency comes from the service's worker *processes*,
+#: not from in-process threads
 _EXEC_LOCK = threading.Lock()
 
 _executor: Optional[ThreadPoolExecutor] = None
@@ -929,8 +795,8 @@ def submit(
     """Submit a transformation job; returns immediately with its handle.
 
     Input coercion, override validation and config resolution happen
-    here in the caller's thread (bad requests fail fast, deprecation
-    warnings surface at the call site); the pipeline itself runs on this
+    here in the caller's thread (bad requests fail fast, and this is the
+    one place the environment is read); the pipeline itself runs on this
     process's single job-worker thread.  With ``inline=True`` the job
     executes to completion in the calling thread before ``submit``
     returns — the path :func:`transform` uses.
@@ -941,22 +807,23 @@ def submit(
         program, source_label = _coerce_program(app_or_program)
     except ReproError as exc:
         # unparseable input still leaves a machine-readable diagnostic,
-        # exactly as a failed pipeline stage would
-        with resolved.applied_env(), telemetry(bool(resolved.telemetry)):
-            store = open_store(resolved.store_root) if resolved.store else None
-            write_run_outputs(
-                resolved,
-                "<unknown>",
-                None,
-                store,
-                exit_code=2,
-                error={
-                    "type": type(exc).__name__,
-                    "stage": exc.stage,
-                    "message": str(exc),
-                },
-            )
-            _ledger_append(resolved, "<unknown>", None, store, exit_code=2)
+        # exactly as a failed pipeline stage would; this runs outside
+        # _EXEC_LOCK (a job may be mid-transform), so it consults
+        # resolved.telemetry and touches no process-global switch
+        store = open_store(resolved.store_root) if resolved.store else None
+        write_run_outputs(
+            resolved,
+            "<unknown>",
+            None,
+            store,
+            exit_code=2,
+            error={
+                "type": type(exc).__name__,
+                "stage": exc.stage,
+                "message": str(exc),
+            },
+        )
+        _ledger_append(resolved, "<unknown>", None, store, exit_code=2)
         raise
     key = request_key(program, resolved)
     handle = JobHandle(

@@ -52,9 +52,8 @@ class CampaignConfig:
     #: report + reproducer destination (None = report returned only)
     out_dir: Optional[str] = None
     #: append a campaign record to the store's run ledger
-    #: (None = follow ``REPRO_STORE``)
-    store: Optional[bool] = None
-    #: ledger store root (None = ``REPRO_STORE`` / default root)
+    store: bool = False
+    #: ledger store root (None = the default root)
     store_root: Optional[str] = None
     #: progress sink (e.g. ``print``); None = silent
     progress: Optional[Callable[[str], None]] = field(
@@ -99,20 +98,16 @@ def _reduce_failure(
 def _ledger_append(config: CampaignConfig, report: Dict[str, object]) -> None:
     """Append the campaign to the store's run ledger (fail-soft).
 
-    Runs only with telemetry on *and* a store opted in (explicitly via
-    ``CampaignConfig.store`` or through ``REPRO_STORE``), so nightly fuzz
-    history lands next to transform runs without changing default output.
+    Runs only with telemetry on *and* a store opted in
+    (``CampaignConfig.store``; the CLI resolves it from ``--store`` /
+    ``REPRO_STORE``), so nightly fuzz history lands next to transform
+    runs without changing default output.
     """
     from ..observability.ledger import append_record, build_fuzz_record
     from ..observability.runtime import telemetry_enabled
-    from ..store.artifact_store import open_store, store_enabled_from_env
+    from ..store.artifact_store import open_store
 
-    if not telemetry_enabled():
-        return
-    enabled = (
-        config.store if config.store is not None else store_enabled_from_env()
-    )
-    if not enabled:
+    if not (telemetry_enabled() and config.store):
         return
     store = open_store(config.store_root)
     if store is None:

@@ -15,6 +15,8 @@ import argparse
 import sys
 from typing import Optional, Sequence, Tuple
 
+from ..api import TransformConfig
+from ..observability.runtime import telemetry
 from .campaign import CampaignConfig, run_campaign
 from .oracles import CHEAP_ORACLES, ORACLE_NAMES
 
@@ -140,6 +142,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         store, store_root = True, (args.store or None)
     else:
         store, store_root = None, None  # follow REPRO_STORE
+    # the front door: REPRO_STORE / REPRO_TELEMETRY are read here, once
+    resolved = TransformConfig(store=store, store_root=store_root).resolved()
     config = CampaignConfig(
         seed_start=start,
         seed_end=end,
@@ -147,12 +151,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         budget=args.budget,
         reduce=not args.no_reduce,
         out_dir=args.out,
-        store=store,
-        store_root=store_root,
+        store=resolved.store,
+        store_root=resolved.store_root,
         progress=None if args.quiet else lambda line: print(line, flush=True),
     )
     try:
-        report = run_campaign(config)
+        with telemetry(resolved.telemetry):
+            report = run_campaign(config)
     except ValueError as exc:
         print(f"repro-fuzz: {exc}", file=sys.stderr)
         return 2

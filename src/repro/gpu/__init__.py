@@ -14,7 +14,6 @@ from .interpreter import (
     HostInterpreter,
     LaunchRecord,
     RunResult,
-    block_exec_from_env,
     outputs_allclose,
     run_program,
     trace_launches,
@@ -42,7 +41,6 @@ __all__ = [
     "query_device", "register_device", "available_devices",
     "Dim3", "HostInterpreter", "LaunchRecord", "RunResult",
     "run_program", "trace_launches", "outputs_allclose",
-    "block_exec_from_env",
     "OccupancyResult", "BlockShape", "calculate_occupancy",
     "candidate_shapes", "tune_block_size",
     "CodegenTraits", "KernelProjection", "ProgramProjection",

@@ -9,11 +9,11 @@ once, ``compile()``d in-process, and cached two ways:
   fitness sweeps, multi-step host loops) pay zero lowering cost, and
   kernels that failed to lower are negatively cached so the fallback
   decision is also taken once;
-* a persistent ``compiled_kernel`` namespace in :mod:`repro.store`
-  (enabled whenever ``REPRO_STORE`` enables the store, which
-  ``TransformConfig.applied_env`` exports during transforms) — warm runs
-  skip lowering entirely.  Only *source* is persisted, version-salted
-  like every other envelope, and recompiled on load.
+* a persistent ``compiled_kernel`` namespace in the
+  :class:`~repro.store.artifact_store.ArtifactStore` the caller passes
+  (the run's own store during transforms; ``None`` = memory only) — warm
+  runs skip lowering entirely.  Only *source* is persisted,
+  version-salted like every other envelope, and recompiled on load.
 
 The cache key is the SHA-256 of the kernel's canonical unparsed text, so
 textually identical kernels share one compiled function across programs,
@@ -25,13 +25,16 @@ from __future__ import annotations
 import logging
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..cudalite import ast_nodes as ast
 from ..errors import LoweringError
 from ..observability.metrics import get_registry
-from ..store.keys import kernel_fingerprint
+from ..store.keys import compiled_kernel_key, kernel_fingerprint
 from .lowering import LOWERING_VERSION, lower_kernel, runtime_namespace
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability -> gpu)
+    from ..store.artifact_store import ArtifactStore
 
 __all__ = [
     "CompiledKernel",
@@ -123,30 +126,14 @@ def compile_kernel_source(
     )
 
 
-def _store_and_key(fingerprint: str):
-    """Best-effort handle on the persistent store (None when disabled)."""
-    try:
-        from ..store import keys
-        from ..store.artifact_store import (
-            default_store_root,
-            open_store,
-            store_enabled_from_env,
-        )
-
-        if not store_enabled_from_env():
-            return None, None
-        store = open_store(default_store_root())
-        return store, keys.compiled_kernel_key(fingerprint, LOWERING_VERSION)
-    except Exception:  # store trouble must never break execution
-        logger.debug("compiled-kernel store unavailable", exc_info=True)
-        return None, None
-
-
-def get_compiled_kernel(kernel: ast.KernelDef, shape: str = "") -> Optional[CompiledFn]:
+def get_compiled_kernel(
+    kernel: ast.KernelDef, store: Optional[ArtifactStore] = None
+) -> Optional[CompiledFn]:
     """Return the compiled function for ``kernel``, or None to fall back.
 
-    The lowered source is shape-independent (``shape`` is accepted for
-    symmetry with the executor's dispatch but does not key the cache).
+    The lowered source is shape-independent, so one entry serves both the
+    vectorized and the batched lattice.  With a ``store`` the source is
+    also looked up in / persisted to its ``compiled_kernel`` namespace.
     Lowering failures are negatively cached; every path through here is
     safe to call from concurrent evaluator threads.
     """
@@ -159,11 +146,11 @@ def get_compiled_kernel(kernel: ast.KernelDef, shape: str = "") -> Optional[Comp
                 return None
             _STATS.memory_hits += 1
             return cached.fn
-    store, key = _store_and_key(fingerprint)
     compiled: Optional[CompiledKernel] = None
     if store is not None:
         from ..store.stage_cache import load_compiled_kernel
 
+        key = compiled_kernel_key(fingerprint, LOWERING_VERSION)
         source = load_compiled_kernel(store, key, LOWERING_VERSION)
         if source is not None:
             try:

@@ -32,9 +32,8 @@ Two execution strategies are used:
         whose loop bounds, while conditions or shared extents are not
         block-invariant fall back to ``loop`` automatically, as does race
         detection.  Select explicitly via the ``block_exec`` argument of
-        :func:`run_program` / :class:`HostInterpreter` or the
-        ``REPRO_BLOCK_EXEC`` environment variable (``auto`` | ``loop`` |
-        ``batched`` | ``compiled``).
+        :func:`run_program` / :class:`HostInterpreter` (``auto`` |
+        ``loop`` | ``batched`` | ``compiled``).
 
 A third strategy, ``compiled``, lowers the kernel body once into generated
 numpy Python source (see :mod:`repro.gpu.compiler`) and runs the compiled
@@ -52,9 +51,8 @@ placement is additionally validated statically by the transformation tests.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,17 +61,18 @@ from ..errors import InterpreterError, OutOfBoundsError
 from ..observability.hwcounters import KernelCounters
 from ..observability.tracing import span
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability -> gpu)
+    from ..store.artifact_store import ArtifactStore
+
 Scalar = Union[int, float, bool]
 Value = Union[Scalar, np.ndarray]
 
-ENV_BLOCK_EXEC = "REPRO_BLOCK_EXEC"
 _BLOCK_EXEC_MODES = ("auto", "loop", "batched", "compiled")
 
-
-def block_exec_from_env(default: str = "auto") -> str:
-    """Resolve the shared-memory execution strategy from the environment."""
-    raw = os.environ.get(ENV_BLOCK_EXEC, default).strip().lower()
-    return raw if raw in _BLOCK_EXEC_MODES else default
+#: the strategy used when a caller passes ``block_exec=None``; the test
+#: harness's ``--block-exec`` option rebinds it to run the interpreter
+#: suites under every mode
+DEFAULT_BLOCK_EXEC = "auto"
 
 
 @dataclass(frozen=True)
@@ -225,6 +224,7 @@ class _KernelExec:
         block_order: str = "forward",
         block_exec: str = "auto",
         counters: Optional[KernelCounters] = None,
+        store: Optional[ArtifactStore] = None,
     ) -> None:
         self.kernel = kernel
         self.grid = grid
@@ -233,6 +233,8 @@ class _KernelExec:
         self.detect_races = detect_races
         self.block_order = block_order
         self.block_exec = block_exec
+        #: persistent store for compiled-kernel sources (``compiled`` mode)
+        self.store = store
         #: hardware-ish event counters; None disables counting entirely
         #: (the hot paths then pay one `is not None` check per event site)
         self.counters = counters
@@ -302,17 +304,14 @@ class _KernelExec:
         """
         from . import compiler  # deferred: the compiler imports this module
 
-        if not self.uses_shared():
-            shape = "vectorized"
-        elif self._batchable():
-            shape = "batched"
-        else:
+        vectorized = not self.uses_shared()
+        if not vectorized and not self._batchable():
             compiler.note_fallback(self.kernel.name, "unbatchable_shared")
             return False
-        fn = compiler.get_compiled_kernel(self.kernel, shape)
+        fn = compiler.get_compiled_kernel(self.kernel, self.store)
         if fn is None:
             return False
-        if shape == "vectorized":
+        if vectorized:
             self._setup_vectorized()
         else:
             self._setup_batched()
@@ -1127,21 +1126,25 @@ class HostInterpreter:
         block_order: str = "forward",
         block_exec: Optional[str] = None,
         collect_counters: bool = False,
+        store: Optional[ArtifactStore] = None,
     ) -> None:
         """``block_order`` ('forward' | 'reverse') sets the sequential order
         in which per-block kernel execution visits thread blocks; running a
         program under both orders and comparing outputs exposes inter-block
         races that a single deterministic order would mask.
 
-        ``block_exec`` ('auto' | 'loop' | 'batched') selects the
-        shared-memory execution strategy; ``None`` defers to the
-        ``REPRO_BLOCK_EXEC`` environment variable (default 'auto')."""
+        ``block_exec`` ('auto' | 'loop' | 'batched' | 'compiled') selects
+        the execution strategy; ``None`` means :data:`DEFAULT_BLOCK_EXEC`.
+
+        ``store`` persists compiled-kernel sources across processes
+        (``compiled`` mode only; ``None`` keeps them in memory)."""
         self.program = program
         self.detect_races = detect_races
         self.execute_kernels = execute_kernels
         self.block_order = block_order
-        self.block_exec = block_exec_from_env() if block_exec is None else block_exec
+        self.block_exec = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
         self.collect_counters = collect_counters
+        self.store = store
         self.env: Dict[str, Any] = {}
         self.arrays: Dict[str, np.ndarray] = {}
         self.launches: List[LaunchRecord] = []
@@ -1257,6 +1260,7 @@ class HostInterpreter:
         executor = _KernelExec(
             kernel, grid, block, args, self.arrays, self.detect_races,
             self.block_order, self.block_exec, counters=counters,
+            store=self.store,
         )
         try:
             with span(f"interp:{stmt.kernel}", grid=grid.count):
@@ -1346,6 +1350,7 @@ def launch_kernel(
     block_order: str = "forward",
     block_exec: Optional[str] = None,
     counters: Optional[KernelCounters] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> None:
     """Execute a single kernel launch against caller-provided arguments.
 
@@ -1353,7 +1358,8 @@ def launch_kernel(
     ``args``, in kernel-parameter order.  This is the entry point for the
     per-group verification gate, which replays individual kernels outside
     any host program.  Pass a :class:`KernelCounters` to have the launch's
-    memory/sync/divergence events tallied into it.
+    memory/sync/divergence events tallied into it.  ``block_exec`` and
+    ``store`` are as for :class:`HostInterpreter`.
     """
     executor = _KernelExec(
         kernel,
@@ -1363,8 +1369,9 @@ def launch_kernel(
         {},
         detect_races,
         block_order,
-        block_exec_from_env() if block_exec is None else block_exec,
+        DEFAULT_BLOCK_EXEC if block_exec is None else block_exec,
         counters=counters,
+        store=store,
     )
     try:
         executor.run()
@@ -1378,6 +1385,7 @@ def run_program(
     block_order: str = "forward",
     block_exec: Optional[str] = None,
     collect_counters: bool = False,
+    store: Optional[ArtifactStore] = None,
 ) -> RunResult:
     """Execute ``program`` on the simulator and return final device arrays."""
     return HostInterpreter(
@@ -1386,6 +1394,7 @@ def run_program(
         block_order=block_order,
         block_exec=block_exec,
         collect_counters=collect_counters,
+        store=store,
     ).run()
 
 

@@ -1,7 +1,7 @@
 """End-to-end observability for the transformation pipeline.
 
 Five cooperating pieces, all zero-dependency and all behind one global
-switch (``REPRO_TELEMETRY`` / :func:`set_telemetry_enabled`):
+switch (``TransformConfig.telemetry`` / :func:`set_telemetry_enabled`):
 
 * :mod:`~repro.observability.metrics` — a thread-safe, process-pool-
   mergeable registry of counters / gauges / histograms with Prometheus
@@ -62,11 +62,9 @@ from .regress import (
 )
 from .runinfo import build_run_manifest, env_knobs, git_sha, write_run_manifest
 from .runtime import (
-    ENV_TELEMETRY,
     set_telemetry_enabled,
     telemetry,
     telemetry_enabled,
-    telemetry_enabled_from_env,
 )
 from .search_telemetry import (
     read_jsonl,
@@ -92,7 +90,6 @@ from .tracing import (
 
 __all__ = [
     "ENV_LOG_FORMAT",
-    "ENV_TELEMETRY",
     "Finding",
     "JsonLogFormatter",
     "KernelCounters",
@@ -133,7 +130,6 @@ __all__ = [
     "summarize_spans",
     "telemetry",
     "telemetry_enabled",
-    "telemetry_enabled_from_env",
     "validate_model",
     "write_jsonl",
     "write_run_manifest",

@@ -6,32 +6,19 @@ run pays a single attribute load and branch per call site — the
 "near-zero-overhead no-op path" the pipeline promises under
 ``--no-telemetry``.
 
-The switch is resolved once at import from ``REPRO_TELEMETRY`` (default
-enabled; ``0`` / ``false`` / ``off`` / ``no`` disable) and can be flipped
-programmatically with :func:`set_telemetry_enabled` (the CLI's
-``--no-telemetry`` flag, tests' overhead guard).
+The switch starts enabled.  A transformation scopes it to its resolved
+``TransformConfig.telemetry`` (``--no-telemetry`` / ``REPRO_TELEMETRY``,
+read once by :meth:`repro.api.TransformConfig.resolved`) with
+:func:`telemetry`; :func:`set_telemetry_enabled` flips it outright
+(tests' overhead guard).
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Iterator
 
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-
-_FALSY = {"0", "false", "off", "no"}
-
-
-def telemetry_enabled_from_env(default: bool = True) -> bool:
-    """Resolve the telemetry switch from the environment."""
-    raw = os.environ.get(ENV_TELEMETRY)
-    if raw is None:
-        return default
-    return raw.strip().lower() not in _FALSY
-
-
-_enabled: bool = telemetry_enabled_from_env()
+_enabled: bool = True
 
 
 def telemetry_enabled() -> bool:
@@ -40,7 +27,7 @@ def telemetry_enabled() -> bool:
 
 
 def set_telemetry_enabled(enabled: bool) -> None:
-    """Flip the global recording switch (CLI ``--no-telemetry``, tests)."""
+    """Flip the global recording switch (tests)."""
     global _enabled
     _enabled = bool(enabled)
 

@@ -216,6 +216,7 @@ def materialize(
     initial_block: Optional[Tuple[int, int, int]] = None,
     verify_config: Optional[VerifyConfig] = None,
     store: Optional[ArtifactStore] = None,
+    block_exec: Optional[str] = None,
 ) -> TransformResult:
     """Generate the transformed program for ``grouping``.
 
@@ -224,7 +225,8 @@ def materialize(
     improves it), matching how the paper reports occupancy before/after.
 
     ``verify_config`` parameterizes the per-group verification gate
-    (``None`` resolves it from ``REPRO_VERIFY_*``).  A group that fails
+    (``None`` = enabled, seed 0, bitwise) and ``block_exec`` the
+    interpreter strategy its kernel launches use.  A group that fails
     codegen or verification is demoted down the fusion ladder — complex
     fusion → per-wave simple fusion → per-member launches — and each
     demotion is recorded in :attr:`TransformResult.demotions`.
@@ -232,11 +234,12 @@ def materialize(
     ``store`` enables incremental re-verification: a generated group whose
     content (kernel text, launch configuration, constituents, array
     shapes, verification settings) matches a previously *passed*
-    verification is committed without re-running the interpreter, and
-    block-tuning decisions are memoized by their occupancy inputs.
+    verification is committed without re-running the interpreter,
+    block-tuning decisions are memoized by their occupancy inputs, and
+    ``compiled``-mode launches persist their lowered kernels.
     """
     options = options or FusionOptions()
-    verify_cfg = verify_config or VerifyConfig.from_env()
+    verify_cfg = verify_config or VerifyConfig()
     schedule = _schedule_groups(problem, grouping)
     device_fp = store_keys.device_fingerprint(device)
 
@@ -387,6 +390,8 @@ def materialize(
                     array_shapes,
                     compare,
                     verify_cfg,
+                    block_exec=block_exec,
+                    store=store,
                 )
             get_registry().inc(
                 "verify_group_verdicts_total", status=fresh.status

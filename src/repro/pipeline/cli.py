@@ -73,8 +73,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="K",
         help=(
-            "GGA island subpopulations (default: REPRO_ISLANDS or the GA "
-            "parameter set; 1 = classic single-population search)"
+            "GGA island subpopulations (default: the GA parameter set; "
+            "1 = classic single-population search)"
         ),
     )
     parser.add_argument(
@@ -160,8 +160,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=("auto", "loop", "batched", "compiled"),
         help=(
             "interpreter execution strategy for kernel launches "
-            "(default: REPRO_BLOCK_EXEC or 'auto'; 'compiled' lowers "
-            "kernels to cached numpy code with per-kernel fallback)"
+            "(default: 'auto'; 'compiled' lowers kernels to cached numpy "
+            "code with per-kernel fallback)"
         ),
     )
     parser.add_argument(
@@ -211,7 +211,8 @@ def _build_config(args) -> TransformConfig:
 
     Flags whose argparse default is ``None``/``False``/``[]`` only
     override the file when the user actually passed them, preserving the
-    documented precedence (explicit > file > env > default).
+    documented precedence (explicit > file > env > default; only
+    ``REPRO_STORE`` and ``REPRO_TELEMETRY`` are read from the environment).
     """
     config = (
         TransformConfig.from_file(args.config)

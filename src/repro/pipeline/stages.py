@@ -17,7 +17,7 @@ the programmer amend them in between.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -29,7 +29,7 @@ from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import PipelineError, ReproError
 from ..gpu.device import DeviceSpec, K20X
-from ..gpu.interpreter import outputs_allclose, run_program
+from ..gpu.interpreter import RunResult, outputs_allclose, run_program
 from ..gpu.perfmodel import ProgramProjection
 from ..gpu.profiler import gather_metadata
 from ..graphs import (
@@ -91,6 +91,13 @@ class PipelineConfig:
     #: verify each fused group against its unfused constituents as it is
     #: generated (the per-group gate; see repro.reliability.verify)
     verify_groups: bool = True
+    #: the gate's input-synthesis seed
+    verify_seed: int = 0
+    #: the gate's tolerance: 0 = bitwise, >0 = allclose rtol
+    verify_rtol: float = 0.0
+    #: interpreter strategy for every kernel launch of the run:
+    #: 'auto' | 'loop' | 'batched' | 'compiled'
+    block_exec: str = "auto"
     #: degrade gracefully instead of raising: a failed search falls back
     #: to the identity grouping, a failed whole-program verification
     #: falls back to the identity (untransformed-kernel) program
@@ -407,13 +414,23 @@ def stage_search(state: PipelineState) -> PipelineState:
     return state
 
 
+def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
+    """``run_program`` under the run's interpreter strategy and store."""
+    return run_program(
+        program,
+        block_exec=state.config.block_exec,
+        store=state.config.store,
+        **kwargs,
+    )
+
+
 def _whole_program_verified(state: PipelineState) -> bool:
     """Run original vs transformed (forward + reversed block order)."""
     assert state.transform is not None
-    before = run_program(state.program)
-    after = run_program(state.transform.program)
+    before = _run(state, state.program)
+    after = _run(state, state.transform.program)
     # second run with reversed block order exposes inter-block races
-    after_reversed = run_program(state.transform.program, block_order="reverse")
+    after_reversed = _run(state, state.transform.program, block_order="reverse")
     return outputs_allclose(before, after) and outputs_allclose(
         before, after_reversed
     )
@@ -430,9 +447,11 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     """
     if state.built is None or state.search is None or state.metadata is None:
         raise PipelineError("earlier stages have not run")
-    verify_cfg = VerifyConfig.from_env()
-    if not state.config.verify_groups:
-        verify_cfg = replace(verify_cfg, enabled=False)
+    verify_cfg = VerifyConfig(
+        enabled=state.config.verify_groups,
+        seed=state.config.verify_seed,
+        rtol=state.config.verify_rtol,
+    )
     store = state.config.store
     state.transform = materialize(
         state.program,
@@ -445,6 +464,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         tune_blocks=state.config.tune_blocks,
         verify_config=verify_cfg,
         store=store,
+        block_exec=state.config.block_exec,
     )
     reused_groups = [
         v.kernel
@@ -502,7 +522,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 state.metadata.array_shapes,
                 options=state.config.fusion_options(),
                 tune_blocks=False,
-                verify_config=replace(verify_cfg, enabled=False),
+                verify_config=VerifyConfig(enabled=False),
             )
             fallback.demotions = state.transform.demotions + demoted
             fallback.degraded_groups = state.transform.degraded_groups + [
@@ -577,7 +597,7 @@ def _model_validation(state: PipelineState) -> str:
         return ""
     assert state.transform is not None and state.transformed_projection is not None
     try:
-        counted = run_program(state.transform.program, collect_counters=True)
+        counted = _run(state, state.transform.program, collect_counters=True)
     except ReproError as exc:  # pragma: no cover - counted rerun is best effort
         logger.warning("model-validation run failed: %s", exc)
         return ""

@@ -12,22 +12,16 @@ by ``sha256(seed, array_name)``, so a verdict depends only on the kernels
 and the configured seed — never on worker count, scheduling or host
 state.
 
-Environment configuration
--------------------------
-``REPRO_VERIFY_GROUPS``
-    ``0`` / ``false`` disables the gate (default enabled).
-``REPRO_VERIFY_SEED``
-    Input-synthesis seed (default ``0``).
-``REPRO_VERIFY_RTOL``
-    Comparison tolerance; ``0`` (the default) means bitwise equality.
+The gate is configured by a :class:`VerifyConfig` the caller passes
+(``TransformConfig.verify_groups`` / ``verify_seed`` / ``verify_rtol``
+on a pipeline run); nothing here reads ambient process state.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,35 +29,19 @@ from ..errors import ReproError
 from ..gpu.interpreter import Dim3, launch_kernel
 from . import faults
 
-ENV_VERIFY_GROUPS = "REPRO_VERIFY_GROUPS"
-ENV_VERIFY_SEED = "REPRO_VERIFY_SEED"
-ENV_VERIFY_RTOL = "REPRO_VERIFY_RTOL"
-
-_FALSY = ("0", "false", "no", "off")
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability)
+    from ..store.artifact_store import ArtifactStore
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Gate configuration (normally resolved from the environment)."""
+    """Gate configuration."""
 
     enabled: bool = True
+    #: input-synthesis seed
     seed: int = 0
     #: 0 = bitwise comparison; >0 = np.allclose with this rtol (and atol)
     rtol: float = 0.0
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None) -> "VerifyConfig":
-        env = os.environ if environ is None else environ
-        enabled = env.get(ENV_VERIFY_GROUPS, "1").strip().lower() not in _FALSY
-        try:
-            seed = int(env.get(ENV_VERIFY_SEED, "0"))
-        except ValueError:
-            seed = 0
-        try:
-            rtol = float(env.get(ENV_VERIFY_RTOL, "0"))
-        except ValueError:
-            rtol = 0.0
-        return cls(enabled=enabled, seed=seed, rtol=rtol)
 
 
 @dataclass(frozen=True)
@@ -145,12 +123,19 @@ def _kernel_args(
     return args
 
 
-def _launch(binding, arrays: Mapping[str, np.ndarray]) -> None:
+def _launch(
+    binding,
+    arrays: Mapping[str, np.ndarray],
+    block_exec: Optional[str],
+    store: Optional[ArtifactStore],
+) -> None:
     launch_kernel(
         binding.kernel,
         Dim3(*binding.grid),
         Dim3(*binding.block),
         _kernel_args(binding.kernel, binding.array_args, binding.scalar_values, arrays),
+        block_exec=block_exec,
+        store=store,
     )
 
 
@@ -160,6 +145,9 @@ def verify_group(
     array_shapes: Mapping[str, Tuple[int, ...]],
     compare_arrays: Optional[Sequence[str]] = None,
     config: Optional[VerifyConfig] = None,
+    *,
+    block_exec: Optional[str] = None,
+    store: Optional[ArtifactStore] = None,
 ) -> GroupVerdict:
     """Execute ``fused`` against its unfused ``constituents`` and compare.
 
@@ -169,9 +157,10 @@ def verify_group(
     ``grid``/``block`` (a
     :class:`~repro.search.problem_builder.CodegenBinding`).
     ``compare_arrays`` restricts the comparison (defaults to every array
-    either side touches).
+    either side touches).  ``block_exec`` and ``store`` are handed to
+    every :func:`~repro.gpu.interpreter.launch_kernel` call.
     """
-    config = config or VerifyConfig.from_env()
+    config = config or VerifyConfig()
     members = tuple(getattr(fused, "constituents", ()))
     if not config.enabled:
         return GroupVerdict(fused.kernel.name, members, "pass", "gate disabled")
@@ -200,7 +189,7 @@ def verify_group(
     baseline = {name: arr.copy() for name, arr in inputs.items()}
     try:
         for binding in constituents:
-            _launch(binding, baseline)
+            _launch(binding, baseline, block_exec, store)
     except ReproError as exc:
         return GroupVerdict(
             fused.kernel.name,
@@ -220,6 +209,8 @@ def verify_group(
             _kernel_args(
                 fused.kernel, fused.pointer_args, fused.scalar_values, candidate
             ),
+            block_exec=block_exec,
+            store=store,
         )
     except ReproError as exc:
         return GroupVerdict(

@@ -15,13 +15,13 @@ Worker environment hygiene
 Workers are spawned with every ``REPRO_*`` variable stripped and only
 the pool's explicit ``worker_env`` re-added.  The server ships each job
 a *fully resolved* config, so ambient server environment must never
-leak into request semantics — without the scrub, a stray
-``REPRO_ISLANDS=4`` in the server's shell would silently reshape every
-tenant's search (and break response bit-identity across a pool whose
-workers were spawned under different shells).  The four island knobs —
-and every other env-backed field — reach nested *search* worker
-processes through ``TransformConfig.applied_env()`` inside the worker,
-which is covered by the config round-trip tests.
+leak into request semantics — a stray ``REPRO_STORE`` in the server's
+shell must not redirect a tenant's artifacts (nor break response
+bit-identity across a pool whose workers were spawned under different
+shells).  Inside the worker the config travels as arguments from
+``transform()`` down to the interpreter, the gate and the search; the
+island fields that are ``None`` on the wire defer to the request's GA
+parameter set.
 """
 
 from __future__ import annotations

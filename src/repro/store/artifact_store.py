@@ -61,14 +61,16 @@ LAYOUT_DIR = "v1"
 ENV_STORE = "REPRO_STORE"
 DEFAULT_ROOT = "~/.cache/repro"
 
-_FALSY = {"0", "false", "off", "no"}
+#: spellings that switch an environment variable off — the one definition,
+#: shared with the ``REPRO_TELEMETRY`` half of the reader in :mod:`repro.api`
+ENV_FALSY = frozenset({"0", "false", "off", "no"})
 
 
 def default_store_root(environ: Optional[Dict[str, str]] = None) -> str:
     """The effective store root: ``REPRO_STORE`` or ``~/.cache/repro``."""
     env = os.environ if environ is None else environ
     raw = (env.get(ENV_STORE) or "").strip()
-    if raw and raw.lower() not in _FALSY:
+    if raw and raw.lower() not in ENV_FALSY:
         return raw
     return DEFAULT_ROOT
 
@@ -82,7 +84,7 @@ def store_enabled_from_env(environ: Optional[Dict[str, str]] = None) -> bool:
     """
     env = os.environ if environ is None else environ
     raw = (env.get(ENV_STORE) or "").strip()
-    return bool(raw) and raw.lower() not in _FALSY
+    return bool(raw) and raw.lower() not in ENV_FALSY
 
 
 @dataclass

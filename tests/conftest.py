@@ -20,6 +20,27 @@ settings.register_profile(
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--block-exec",
+        choices=("auto", "loop", "batched", "compiled"),
+        default=None,
+        help=(
+            "execution strategy for every interpreter call that names none "
+            "(the CI mode differential; a test-harness seam, not a product "
+            "option)"
+        ),
+    )
+
+
+def pytest_configure(config):
+    mode = config.getoption("--block-exec")
+    if mode is not None:
+        from repro.gpu import interpreter
+
+        interpreter.DEFAULT_BLOCK_EXEC = mode
+
+
 DIFFUSE_SRC = """
 __global__ void diffuse(double *A, const double *B, int nx, int ny, int nz, double c) {
     int i = blockIdx.x * blockDim.x + threadIdx.x;

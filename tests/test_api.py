@@ -7,7 +7,6 @@ import warnings
 import pytest
 
 from repro.api import (
-    EnvKnobDeprecationWarning,
     TransformConfig,
     TransformResult,
     transform,
@@ -40,80 +39,64 @@ def test_default_when_nothing_set():
     assert resolved.store is False
 
 
-def test_env_beats_default():
+def test_env_beats_default(tmp_path):
     resolved = TransformConfig().resolved(
-        environ={"REPRO_VERIFY_SEED": "5", "REPRO_VERIFY_RTOL": "1e-6"}
+        environ={"REPRO_TELEMETRY": "0", "REPRO_STORE": str(tmp_path)}
     )
-    assert resolved.verify_seed == 5
-    assert resolved.verify_rtol == 1e-6
+    assert resolved.telemetry is False
+    assert resolved.store is True
+    assert resolved.store_root == str(tmp_path)
 
 
-def test_explicit_beats_env():
-    config = TransformConfig(verify_seed=2, verify_groups=False)
+def test_explicit_beats_env(tmp_path):
+    config = TransformConfig(telemetry=True, store=False)
     resolved = config.resolved(
-        environ={"REPRO_VERIFY_SEED": "5", "REPRO_VERIFY_GROUPS": "1"}
+        environ={"REPRO_TELEMETRY": "0", "REPRO_STORE": str(tmp_path)}
     )
-    assert resolved.verify_seed == 2
-    assert resolved.verify_groups is False
-
-
-def test_legacy_env_knob_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        TransformConfig().resolved(environ={"REPRO_VERIFY_SEED": "3"})
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, EnvKnobDeprecationWarning)]
-    assert any("REPRO_VERIFY_SEED" in m and "verify_seed" in m
-               for m in messages)
+    assert resolved.telemetry is True
+    assert resolved.store is False
+    rooted = TransformConfig(store_root="/elsewhere").resolved(
+        environ={"REPRO_STORE": str(tmp_path)}
+    )
+    assert rooted.store is True and rooted.store_root == "/elsewhere"
 
 
 def test_store_env_does_not_warn(tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         resolved = TransformConfig().resolved(
-            environ={"REPRO_STORE": str(tmp_path)}
+            environ={"REPRO_STORE": str(tmp_path), "REPRO_TELEMETRY": "off"}
         )
     assert resolved.store is True
     assert resolved.store_root == str(tmp_path)
-    assert not [w for w in caught
-                if issubclass(w.category, EnvKnobDeprecationWarning)]
+    assert resolved.telemetry is False
+    assert not caught
 
 
-def test_malformed_env_value_falls_back_to_default():
-    resolved = TransformConfig().resolved(
-        environ={"REPRO_VERIFY_SEED": "many", "REPRO_VERIFY_RTOL": "tiny"}
+def test_from_env_reads_the_same_two_variables(tmp_path):
+    env = {"REPRO_STORE": str(tmp_path), "REPRO_TELEMETRY": "0"}
+    config = TransformConfig.from_env(env, seed=4)
+    assert (config.telemetry, config.store, config.store_root, config.seed) == (
+        False, True, str(tmp_path), 4
     )
-    assert resolved.verify_seed == 0
-    assert resolved.verify_rtol == 0.0
+    assert TransformConfig.from_env({"REPRO_STORE": "off"}).store is False
+    # unset variables leave the fields unset, and overrides win
+    assert TransformConfig.from_env({}) == TransformConfig()
+    assert TransformConfig.from_env(env, telemetry=True).telemetry is True
+
+
+def test_null_for_a_formerly_env_backed_field_means_default():
+    """Config files and requests written before these four fields had
+    concrete defaults carry ``null`` for "unset"."""
+    old = TransformConfig.from_dict({
+        "verify_groups": None, "verify_seed": None,
+        "verify_rtol": None, "block_exec": None,
+    })
+    assert old == TransformConfig()
+    assert old.verify_groups is True and old.block_exec == "auto"
 
 
 # ------------------------------------------------------------- round-trips
-
-
-def test_from_env_to_env_roundtrip(tmp_path):
-    env = {
-        "REPRO_VERIFY_GROUPS": "0",
-        "REPRO_BLOCK_EXEC": "loop",
-        "REPRO_ISLANDS": "2",
-        "REPRO_VERIFY_SEED": "99",
-        "REPRO_STORE": str(tmp_path),
-    }
-    config = TransformConfig.from_env(env)
-    assert config.verify_groups is False
-    assert config.block_exec == "loop"
-    assert config.islands == 2
-    assert config.verify_seed == 99
-    assert config.store is True and config.store_root == str(tmp_path)
-    back = config.to_env()
-    for name, value in env.items():
-        assert back[name] == value
-    # a second from_env over the exported dict is a fixpoint
-    assert TransformConfig.from_env(back) == config
-
-
-def test_to_env_omits_unset_fields():
-    assert TransformConfig().to_env() == {}
-    assert TransformConfig(verify_seed=7).to_env() == {"REPRO_VERIFY_SEED": "7"}
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -190,20 +173,6 @@ def test_transform_unknown_override_rejected():
 def test_transform_rejects_unsupported_input():
     with pytest.raises(ConfigError, match="cannot transform"):
         transform(12345)
-
-
-# -------------------------------------------------------------- applied_env
-
-
-def test_applied_env_exports_and_restores(monkeypatch):
-    monkeypatch.setenv("REPRO_BLOCK_EXEC", "loop")
-    monkeypatch.delenv("REPRO_VERIFY_SEED", raising=False)
-    config = TransformConfig(block_exec="compiled", verify_seed=5)
-    with config.applied_env():
-        assert os.environ["REPRO_BLOCK_EXEC"] == "compiled"
-        assert os.environ["REPRO_VERIFY_SEED"] == "5"
-    assert os.environ["REPRO_BLOCK_EXEC"] == "loop"
-    assert "REPRO_VERIFY_SEED" not in os.environ
 
 
 # ------------------------------------------------------------------ facade
@@ -392,6 +361,68 @@ def test_bad_input_fails_at_submit_time():
         submit("int main( {", TransformConfig())
 
 
+def test_bad_submit_while_a_job_runs_leaves_global_state_alone(
+    tmp_path, monkeypatch
+):
+    """The unparseable-input path runs in the caller's thread, outside
+    the execution lock: it must write its exit-code-2 ``run.json``
+    without touching ``os.environ`` or the telemetry switch that the
+    running job scoped for itself."""
+    import threading
+
+    import repro.api as api_module
+    from repro.api import submit
+    from repro.observability.runtime import telemetry_enabled
+    from repro.pipeline import framework
+
+    def global_state():
+        return dict(os.environ), telemetry_enabled()
+
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+    real_stage = framework.STAGE_FUNCTIONS["metadata"]
+    real_write = api_module.write_run_outputs
+
+    def blocked_stage(state):
+        seen["job_before"] = global_state()
+        entered.set()
+        assert release.wait(60)
+        seen["job_after"] = global_state()
+        return real_stage(state)
+
+    def spying_write(*args, **kwargs):
+        seen.setdefault("bad_submit", global_state())
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setitem(framework.STAGE_FUNCTIONS, "metadata", blocked_stage)
+    monkeypatch.setattr(api_module, "write_run_outputs", spying_write)
+    job = submit(
+        THREE_KERNEL_SRC, TransformConfig(until="metadata", telemetry=False)
+    )
+    try:
+        assert entered.wait(60)
+        bad_dir = tmp_path / "bad"
+        with pytest.raises(ReproError):
+            submit(
+                "int main( {",
+                TransformConfig(
+                    telemetry=True,
+                    workdir=str(bad_dir),
+                    store=True,
+                    store_root=str(tmp_path / "store"),
+                ),
+            )
+    finally:
+        release.set()
+    job.result(timeout=60)
+    assert seen["job_before"][1] is False  # the job's own telemetry scope
+    assert seen["bad_submit"] == seen["job_before"]
+    assert seen["job_after"] == seen["job_before"]
+    run = json.loads((bad_dir / "run.json").read_text())
+    assert run["exit_code"] == 2
+    assert run["error"]["type"]
+
+
 def test_failed_job_reports_and_reraises(monkeypatch):
     import repro.api as api_module
     from repro.api import submit
@@ -420,74 +451,19 @@ def test_transform_is_the_submit_facade():
     assert isinstance(outcome, TransformResult)
 
 
-# ------------------------------------------------- island knob round-trip
-
-
-ISLAND_KNOBS = {
-    "islands": ("REPRO_ISLANDS", 4),
-    "migration_interval": ("REPRO_ISLANDS_MIGRATION_INTERVAL", 2),
-    "migration_size": ("REPRO_ISLANDS_MIGRATION_SIZE", 3),
-    "surrogate_topk": ("REPRO_ISLANDS_SURROGATE_TOPK", 0.25),
-}
-
-
-def test_island_knobs_round_trip_through_the_environment():
-    config = TransformConfig(
-        **{field: value for field, (_env, value) in ISLAND_KNOBS.items()}
-    )
-    env = config.to_env()
-    for field, (env_name, value) in ISLAND_KNOBS.items():
-        assert env[env_name] == str(value), field
-    rebuilt = TransformConfig.from_env(environ=env)
-    for field, (_env, value) in ISLAND_KNOBS.items():
-        assert getattr(rebuilt, field) == value, field
-    resolved = TransformConfig().resolved(environ=env)
-    for field, (_env, value) in ISLAND_KNOBS.items():
-        assert getattr(resolved, field) == value, field
+# ------------------------------------------------------------ island knobs
 
 
 def test_island_knobs_reach_the_resolved_ga_params():
     config = TransformConfig(
         ga_params=small_params(),
-        **{field: value for field, (_env, value) in ISLAND_KNOBS.items()},
+        islands=4,
+        migration_interval=2,
+        migration_size=3,
+        surrogate_topk=0.25,
     )
     params = config.resolved().resolved_ga_params()
     assert params.islands == 4
     assert params.migration_interval == 2
     assert params.migration_size == 3
     assert params.surrogate_topk == 0.25
-
-
-def test_island_knobs_survive_applied_env_into_a_subprocess():
-    """applied_env() must carry all four island knobs into spawned
-    workers: a child that re-resolves from its inherited environment
-    sees exactly the parent's values, none dropped."""
-    import subprocess
-    import sys
-
-    config = TransformConfig(
-        **{field: value for field, (_env, value) in ISLAND_KNOBS.items()}
-    )
-    probe = (
-        "import json, os\n"
-        "from repro.api import TransformConfig\n"
-        "r = TransformConfig().resolved(environ=os.environ)\n"
-        "print(json.dumps({f: getattr(r, f) for f in "
-        f"{sorted(ISLAND_KNOBS)!r}}}))\n"
-    )
-    with config.applied_env():
-        out = subprocess.run(
-            [sys.executable, "-c", probe],
-            capture_output=True,
-            text=True,
-            check=True,
-            env={
-                **os.environ,
-                "PYTHONPATH": os.pathsep.join(
-                    p for p in sys.path if p
-                ),
-            },
-        ).stdout
-    seen = json.loads(out)
-    for field, (_env, value) in ISLAND_KNOBS.items():
-        assert seen[field] == value, f"{field} dropped in the subprocess"

@@ -298,22 +298,34 @@ def test_vectorized_kernels_record_no_fallback_reason():
 
 
 def test_persistent_store_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+    from repro.store import open_store
+
+    # the store reaches the compiler as an argument; an ambient one is inert
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "ambient"))
     program = parse_program(TILED)
-    cold = run_program(program, block_exec="compiled")
+    cold = run_program(
+        program, block_exec="compiled", store=open_store(str(tmp_path / "given"))
+    )
     assert compiler.stats().lowered == 1
 
     compiler.reset_code_cache()
-    warm = run_program(program, block_exec="compiled")
+    warm = run_program(
+        program, block_exec="compiled", store=open_store(str(tmp_path / "given"))
+    )
     stats = compiler.stats()
     assert stats.store_hits == 1
     assert stats.lowered == 0
     for name, arr in cold.arrays.items():
         assert np.array_equal(arr, warm.arrays[name])
 
+    compiler.reset_code_cache()
+    run_program(program, block_exec="compiled")  # no store: memory only
+    assert compiler.stats().store_hits == 0
+    assert compiler.stats().lowered == 1
+    assert not (tmp_path / "ambient").exists()
 
-def test_store_load_rejects_other_lowering_version(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+
+def test_store_load_rejects_other_lowering_version(tmp_path):
     from repro.store import compiled_kernel_key, kernel_fingerprint, open_store
     from repro.store.stage_cache import load_compiled_kernel, save_compiled_kernel
 

@@ -12,11 +12,7 @@ import pytest
 
 from repro.cudalite import parse_program
 from repro.errors import InterpreterError, OutOfBoundsError
-from repro.gpu.interpreter import (
-    ENV_BLOCK_EXEC,
-    block_exec_from_env,
-    run_program,
-)
+from repro.gpu.interpreter import run_program
 from repro.pipeline.framework import transform_program
 
 
@@ -193,8 +189,8 @@ def test_auto_falls_back_on_global_rw_conflict():
         auto = run(CROSS_BLOCK_CHAIN, block_order=order, block_exec="auto")
         loop = run(CROSS_BLOCK_CHAIN, block_order=order, block_exec="loop")
         assert_bit_equal(auto, loop)
-    fwd = run(CROSS_BLOCK_CHAIN, block_order="forward")
-    rev = run(CROSS_BLOCK_CHAIN, block_order="reverse")
+    fwd = run(CROSS_BLOCK_CHAIN, block_order="forward", block_exec="auto")
+    rev = run(CROSS_BLOCK_CHAIN, block_order="reverse", block_exec="auto")
     assert not np.array_equal(fwd.arrays["A"], rev.arrays["A"])
 
 
@@ -266,14 +262,3 @@ def test_pipeline_fused_program_bit_exact_across_modes(chain_program):
         loop = run_program(fused, block_order=order, block_exec="loop")
         batched = run_program(fused, block_order=order, block_exec="batched")
         assert_bit_equal(loop, batched)
-
-
-def test_block_exec_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_BLOCK_EXEC, "loop")
-    assert block_exec_from_env() == "loop"
-    monkeypatch.setenv(ENV_BLOCK_EXEC, "BATCHED")
-    assert block_exec_from_env() == "batched"
-    monkeypatch.setenv(ENV_BLOCK_EXEC, "nonsense")
-    assert block_exec_from_env() == "auto"
-    monkeypatch.delenv(ENV_BLOCK_EXEC)
-    assert block_exec_from_env() == "auto"

@@ -423,17 +423,3 @@ def test_transform_config_island_validation():
         TransformConfig(surrogate_topk=0.0)
     with pytest.raises(ConfigError):
         TransformConfig(surrogate_topk=1.5)
-
-
-def test_env_knobs_resolve_island_fields(monkeypatch):
-    monkeypatch.setenv("REPRO_ISLANDS", "2")
-    monkeypatch.setenv("REPRO_ISLANDS_MIGRATION_INTERVAL", "4")
-    monkeypatch.setenv("REPRO_ISLANDS_MIGRATION_SIZE", "1")
-    monkeypatch.setenv("REPRO_ISLANDS_SURROGATE_TOPK", "0.25")
-    config = TransformConfig.from_env()
-    assert config.islands == 2
-    assert config.migration_interval == 4
-    assert config.migration_size == 1
-    assert config.surrogate_topk == 0.25
-    params = config.resolved_ga_params()
-    assert (params.islands, params.surrogate_topk) == (2, 0.25)

@@ -300,12 +300,12 @@ def test_graceful_shutdown_drains_inflight_jobs(tmp_path):
 
 
 def test_worker_environment_scrubs_ambient_repro_knobs(monkeypatch):
-    monkeypatch.setenv("REPRO_ISLANDS", "4")
-    monkeypatch.setenv("REPRO_BLOCK_EXEC", "loop")
+    monkeypatch.setenv("REPRO_STORE", "/srv/ambient-store")
+    monkeypatch.setenv("REPRO_TELEMETRY", "0")
     monkeypatch.setenv("HOME", "/home/x")
     env = worker_environment({"REPRO_FAULT_SEAMS": "service_worker"})
-    assert "REPRO_ISLANDS" not in env
-    assert "REPRO_BLOCK_EXEC" not in env
+    assert "REPRO_STORE" not in env
+    assert "REPRO_TELEMETRY" not in env
     assert env["HOME"] == "/home/x"
     # explicit overrides survive the scrub
     assert env["REPRO_FAULT_SEAMS"] == "service_worker"
