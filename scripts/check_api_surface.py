@@ -2,9 +2,11 @@
 """Guard the public API surface against accidental removals.
 
 Compares the names exported today — ``repro.__all__``, ``repro.api``,
-``repro.store``, the :class:`repro.api.TransformConfig` fields and the
-:class:`repro.api.TransformResult` attributes — against the committed
-snapshot (``scripts/api_surface.json``).
+``repro.store``, the :class:`repro.api.TransformConfig` fields, the
+:class:`repro.api.TransformResult` attributes and the fields of the
+interpreter's :class:`~repro.gpu.interpreter.LaunchRecord` (what
+``RunResult.launches`` consumers read) — against the committed snapshot
+(``scripts/api_surface.json``).
 
 * a **removed** name fails the check (that's a breaking change; bump the
   snapshot deliberately with ``--update`` and call it out in the PR);
@@ -30,6 +32,7 @@ def current_surface() -> dict:
     import repro
     import repro.api
     import repro.store
+    from repro.gpu.interpreter import LaunchRecord
 
     return {
         "repro": sorted(repro.__all__),
@@ -46,6 +49,7 @@ def current_surface() -> dict:
                 if isinstance(value, property)
             ]
         ),
+        "LaunchRecord.fields": sorted(f.name for f in fields(LaunchRecord)),
     }
 
 

@@ -31,11 +31,14 @@ import sys
 
 MODES = ("loop", "batched", "compiled", "auto")
 
-#: a tiled stage-in/write-out stencil (batched-friendly shared memory)
-#: plus an in-place kernel whose global read/write conflict forces the
-#: per-block loop strategy — so the differential also covers the
-#: compiled mode's per-kernel fallback path (each thread touches only
-#: its own element, so every mode still agrees bitwise)
+#: a tiled stage-in/write-out stencil (batched-friendly shared memory),
+#: an in-place kernel that reads and writes one array but only ever its
+#: own element (the per-element watch keeps it on the batched lattice),
+#: and one whose blocks pre-load a neighbour's cell before that
+#: neighbour stores it — a dead value, so every mode still agrees
+#: bitwise, but a cross-block hazard the watch must replay on the block
+#: loop: the differential thereby also covers the compiled mode's
+#: per-kernel fallback path
 _STENCIL = """
 __global__ void blur(const double* in, double* out, int nx, int ny) {
     __shared__ double t[8][8];
@@ -62,6 +65,22 @@ __global__ void relax(double* a, int nx, int ny) {
     a[i][j] = t[tx][ty] * 0.5 + 1.0;
 }
 
+__global__ void shift(double* a, int nx, int ny) {
+    __shared__ double t[8][8];
+    int tx = threadIdx.x;
+    int ty = threadIdx.y;
+    int i = blockIdx.x * blockDim.x + tx;
+    int j = blockIdx.y * blockDim.y + ty;
+    t[tx][ty] = 0.0;
+    if (i >= 1) {
+        t[tx][ty] = a[i - 1][j];
+    }
+    __syncthreads();
+    t[tx][ty] = a[i][j] * 0.5 + 1.0;
+    __syncthreads();
+    a[i][j] = t[tx][ty];
+}
+
 int main() {
     int nx = 96;
     int ny = 96;
@@ -70,6 +89,7 @@ int main() {
     deviceRandom(a, 20150615);
     blur<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(a, b, nx, ny);
     relax<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(b, nx, ny);
+    shift<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(b, nx, ny);
     return 0;
 }
 """
@@ -161,6 +181,10 @@ def main(argv=None) -> int:
     print(f"compiler cache: {stats}")
     if not stats["lowered"]:
         problems.append("no kernel was actually compiled — differential vacuous")
+    if not str(stats["fallback_reasons"].get("shift", "")).startswith(
+        "cross_block_hazard"
+    ):
+        problems.append("the hazard kernel was not replayed — fallback untested")
 
     for problem in problems:
         print(f"differential_modes: {problem}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .cudalite import ast_nodes as ast
 from .cudalite.parser import parse_program
 from .cudalite.unparser import unparse
 from .errors import ConfigError, JobNotFound, PipelineError, ReproError
+from .gpu import interpreter
 from .gpu.device import DeviceSpec, available_devices, query_device
 from .observability.metrics import get_registry
 from .observability.runinfo import build_run_manifest, write_run_manifest
@@ -514,6 +515,7 @@ def _ledger_append(
             store_stats=store.stats.as_dict(),
             counters=get_registry().counter_totals(),
             trace=summarize_spans(get_tracer().spans()),
+            interpreter=interpreter.stats().as_dict(),
         )
         append_record(store, record)
     except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
@@ -556,6 +558,8 @@ def write_run_outputs(
         extra={
             "store": _store_provenance(state, store),
             "compiled_kernels": _compiler_provenance(),
+            # this run's executors: reset in _execute_transform
+            "interpreter": interpreter.stats().as_dict(),
         },
     )
     write_run_manifest(str(run_dir / "run.json"), manifest)
@@ -595,6 +599,8 @@ def _execute_transform(
     both the success and the failure path.
     """
     with telemetry(bool(resolved.telemetry)):
+        # run.json / the ledger report this run's executors and loop launches
+        interpreter.reset_stats()
         store: Optional[ArtifactStore] = None
         if resolved.store:
             store = open_store(resolved.store_root)

@@ -21,8 +21,9 @@ Knobs live on :class:`FuzzSpec`; each kernel is drawn from the weighted
     Tile staged through ``__shared__`` memory (2D, exact-fit domain);
     batchable, so the compiled mode runs it on the batched lattice.
 ``race``
-    In-place update through a shared tile — the batched/compiled modes
-    must degrade it to the per-block loop (``unbatchable_shared``).
+    In-place update through a shared tile: one array read and written,
+    but each element only by its own thread — the per-element watch must
+    admit it to the batched lattice (no fallback, no hazard replay).
 ``unlowerable``
     Maybe-defined scalar read — the kernel lowerer must refuse and the
     compiled mode must fall back per kernel (``lowering``).

@@ -15,7 +15,8 @@ failure" cheaply.
     default; fusion/fission/tuning must preserve every element).
 ``modes``
     The loop / batched / compiled / auto interpreter strategies agree
-    bitwise on arrays and on the mode-invariant counter signature.
+    bitwise on arrays and on the mode-invariant counter signature, under
+    the forward and under the reversed block order.
 ``warm_store``
     Re-running the identical transform against a warm artifact store is
     bit-identical to the cold run (caching must never change results).
@@ -60,6 +61,10 @@ CHEAP_ORACLES = ("transform", "differential", "modes")
 _RECOVERABLE_SEAMS = ("parse", "analysis", "codegen", "interpreter", "store")
 
 _EXEC_MODES = ("loop", "batched", "compiled", "auto")
+
+#: every mode is compared with the loop under the same block order: the
+#: lattice modes may not hide (or invent) a schedule dependence
+_BLOCK_ORDERS = ("forward", "reverse")
 
 
 @dataclass(frozen=True)
@@ -184,28 +189,38 @@ def _check_differential(
 
 
 def _check_modes(program: ast.Program) -> Optional[OracleFailure]:
-    try:
-        runs = {
-            mode: run_program(program, block_exec=mode, collect_counters=True)
+    for order in _BLOCK_ORDERS:
+        try:
+            runs = {
+                mode: run_program(
+                    program,
+                    block_order=order,
+                    block_exec=mode,
+                    collect_counters=True,
+                )
+                for mode in _EXEC_MODES
+            }
+        except BaseException as exc:  # noqa: BLE001
+            return _escape("modes", exc)
+        signatures = {
+            mode: counters_signature(rec.counters for rec in runs[mode].launches)
             for mode in _EXEC_MODES
         }
-    except BaseException as exc:  # noqa: BLE001
-        return _escape("modes", exc)
-    for mode in _EXEC_MODES[1:]:
-        detail = _array_diff(runs["loop"].arrays, runs[mode].arrays)
-        if detail is not None:
-            return OracleFailure("modes", f"array-mismatch:{mode}", detail)
-    signatures = {
-        mode: counters_signature(rec.counters for rec in runs[mode].launches)
-        for mode in _EXEC_MODES
-    }
-    for mode in _EXEC_MODES[1:]:
-        if signatures[mode] != signatures["loop"]:
-            return OracleFailure(
-                "modes",
-                f"counter-mismatch:{mode}",
-                f"loop={signatures['loop']} {mode}={signatures[mode]}",
-            )
+        # the forward order keeps the signatures it always had
+        suffix = "" if order == "forward" else f":{order}"
+        for mode in _EXEC_MODES[1:]:
+            detail = _array_diff(runs["loop"].arrays, runs[mode].arrays)
+            if detail is not None:
+                return OracleFailure(
+                    "modes", f"array-mismatch:{mode}{suffix}", detail
+                )
+        for mode in _EXEC_MODES[1:]:
+            if signatures[mode] != signatures["loop"]:
+                return OracleFailure(
+                    "modes",
+                    f"counter-mismatch:{mode}{suffix}",
+                    f"loop={signatures['loop']} {mode}={signatures[mode]}",
+                )
     return None
 
 

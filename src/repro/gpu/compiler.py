@@ -99,8 +99,10 @@ def note_fallback(kernel_name: str, reason: str, detail: str = "") -> None:
 
     Deduplicated by kernel name (the first reason wins), so multi-launch
     kernels record once.  ``reason`` is a low-cardinality label
-    (``lowering`` | ``unbatchable_shared`` | ``detect_races``) used for
-    the metrics counter; ``detail`` carries the specific diagnostic.
+    (``lowering`` | ``unbatchable_shared`` — block-variant loop bounds or
+    shared extents — | ``cross_block_hazard`` — the batched pass was
+    aborted and replayed on the block loop — | ``detect_races``) used
+    for the metrics counter; ``detail`` carries the specific diagnostic.
     """
     with _LOCK:
         if kernel_name in _STATS.fallback_reasons:

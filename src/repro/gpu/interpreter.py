@@ -31,9 +31,15 @@ Two execution strategies are used:
         is paid once per statement instead of once per block.  Kernels
         whose loop bounds, while conditions or shared extents are not
         block-invariant fall back to ``loop`` automatically, as does race
-        detection.  Select explicitly via the ``block_exec`` argument of
-        :func:`run_program` / :class:`HostInterpreter` (``auto`` |
-        ``loop`` | ``batched`` | ``compiled``).
+        detection.  Blocks interact only through global memory, so under
+        ``auto`` / ``compiled`` every global array the kernel writes
+        carries a per-element block record for the launch; the first
+        element two different blocks touch with a store among the touches
+        aborts the pass, restores the launch's entry state and replays it
+        on ``loop`` (DESIGN.md, "Per-element batchability").  Select
+        explicitly via the ``block_exec`` argument of :func:`run_program`
+        / :class:`HostInterpreter` (``auto`` | ``loop`` | ``batched`` |
+        ``compiled``).
 
 A third strategy, ``compiled``, lowers the kernel body once into generated
 numpy Python source (see :mod:`repro.gpu.compiler`) and runs the compiled
@@ -51,14 +57,18 @@ placement is additionally validated statically by the transformation tests.
 
 from __future__ import annotations
 
+import copy
+import threading
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..cudalite import ast_nodes as ast
 from ..errors import InterpreterError, OutOfBoundsError
 from ..observability.hwcounters import KernelCounters
+from ..observability.metrics import get_registry
 from ..observability.tracing import span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability -> gpu)
@@ -115,6 +125,12 @@ class LaunchRecord:
     #: hardware-ish event counters, populated when the interpreter runs
     #: with ``collect_counters=True`` (None otherwise)
     counters: Optional[KernelCounters] = None
+    #: what executed the launch: ``vectorized`` | ``batched`` | ``loop`` |
+    #: ``compiled`` (None for dry-run traces)
+    executor: Optional[str] = None
+    #: ``"<array>:<RAW|WAR|WAW|ERR>"`` when the batched pass was aborted
+    #: and the launch replayed on the per-block loop, else None
+    hazard_replay: Optional[str] = None
 
 
 @dataclass
@@ -210,6 +226,191 @@ _BINOPS = {
 }
 
 
+@dataclass
+class InterpreterStats:
+    """Which executor ran the launches since :func:`reset_stats`.
+
+    ``repro.api`` resets these when a transform starts, so the
+    ``interpreter`` section of ``run.json`` / the ledger is per run: it
+    names every launch that still paid the per-block loop and why.
+    """
+
+    #: executor -> launches (``vectorized`` | ``batched`` | ``loop`` | ``compiled``)
+    launches_by_executor: Dict[str, int] = field(default_factory=dict)
+    #: kernel -> launches that ran on the per-block loop
+    loop_launches: Dict[str, int] = field(default_factory=dict)
+    #: kernel -> first hazard that forced a replay (``"<array>:<kind>"``)
+    hazard_replays: Dict[str, str] = field(default_factory=dict)
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "launches_by_executor": dict(sorted(self.launches_by_executor.items())),
+            "loop_launches": dict(sorted(self.loop_launches.items())),
+            "hazard_replays": dict(sorted(self.hazard_replays.items())),
+        }
+
+
+_STATS_LOCK = threading.Lock()
+_STATS = InterpreterStats()
+
+
+def stats() -> InterpreterStats:
+    """Snapshot of the executor tallies since the last :func:`reset_stats`."""
+    with _STATS_LOCK:
+        return copy.deepcopy(_STATS)
+
+
+def reset_stats() -> None:
+    global _STATS
+    with _STATS_LOCK:
+        _STATS = InterpreterStats()
+
+
+def _note_launch(kernel: str, executor: str, hazard: Optional[str]) -> None:
+    with _STATS_LOCK:
+        by = _STATS.launches_by_executor
+        by[executor] = by.get(executor, 0) + 1
+        if executor == "loop":
+            loops = _STATS.loop_launches
+            loops[kernel] = loops.get(kernel, 0) + 1
+        if hazard is not None:
+            _STATS.hazard_replays.setdefault(kernel, hazard)
+    registry = get_registry()
+    registry.inc("gpu_launches_total", executor=executor)
+    if hazard is not None:
+        registry.inc("gpu_hazard_replays_total")
+
+
+@dataclass(frozen=True)
+class _KernelFacts:
+    """What dispatch needs to know about a kernel's *text*.
+
+    Computed by one walk per :class:`~repro.cudalite.ast_nodes.KernelDef`
+    and reused by every launch; only the binding of the pointer names to
+    array identities is per launch.
+    """
+
+    uses_shared: bool
+    #: every construct the batched lattice must scalarize — loop bounds,
+    #: while conditions, shared extents — is statically block-invariant
+    #: (literals, scalar parameters, blockDim/gridDim)
+    uniform_bounds: bool
+    #: pointer parameters syntactically read / written
+    reads: FrozenSet[str]
+    writes: FrozenSet[str]
+
+
+#: id(KernelDef) -> facts; entries leave with their kernel (KernelDef
+#: hashes by content, which would cost the walk this cache avoids)
+_FACTS: Dict[int, _KernelFacts] = {}
+
+
+def _kernel_facts(kernel: ast.KernelDef) -> _KernelFacts:
+    facts = _FACTS.get(id(kernel))
+    if facts is None:
+        facts = _FACTS[id(kernel)] = _analyse_kernel(kernel)
+        weakref.finalize(kernel, _FACTS.pop, id(kernel), None)
+    return facts
+
+
+def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
+    pointer_params = {p.name for p in kernel.params if p.type.is_pointer}
+    scalar_params = {p.name for p in kernel.params if not p.type.is_pointer}
+
+    def uniform(expr: ast.Expr) -> bool:
+        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit)):
+            return True
+        if isinstance(expr, ast.Ident):
+            return expr.name in scalar_params
+        if isinstance(expr, ast.Member):
+            return isinstance(expr.obj, ast.Ident) and expr.obj.name in (
+                "blockDim",
+                "gridDim",
+            )
+        if isinstance(expr, ast.Unary):
+            return uniform(expr.operand)
+        if isinstance(expr, ast.Binary):
+            return uniform(expr.lhs) and uniform(expr.rhs)
+        if isinstance(expr, ast.Ternary):
+            return uniform(expr.cond) and uniform(expr.then) and uniform(expr.els)
+        if isinstance(expr, ast.Call):
+            return all(uniform(a) for a in expr.args)
+        return False
+
+    uses_shared = False
+    uniform_bounds = True
+    for node in kernel.body.walk():
+        if isinstance(node, ast.For):
+            uniform_bounds &= (
+                uniform(node.start) and uniform(node.bound) and uniform(node.step)
+            )
+        elif isinstance(node, ast.While):
+            uniform_bounds &= uniform(node.cond)
+        elif isinstance(node, ast.VarDecl) and node.is_shared:
+            uses_shared = True
+            uniform_bounds &= all(uniform(d) for d in node.array_dims)
+
+    reads: set = set()
+    writes: set = set()
+
+    def expr_reads(expr: ast.Expr) -> None:
+        for node in expr.walk():
+            if isinstance(node, ast.Index) and node.array_name in pointer_params:
+                reads.add(node.array_name)
+
+    def visit(stmt: ast.Stmt) -> None:
+        if isinstance(stmt, ast.Assign):
+            target = stmt.target
+            if isinstance(target, ast.Index):
+                if target.array_name in pointer_params:
+                    writes.add(target.array_name)
+                    if stmt.op != "=":
+                        reads.add(target.array_name)
+                for e in target.indices:
+                    expr_reads(e)
+            expr_reads(stmt.value)
+        elif isinstance(stmt, ast.VarDecl):
+            for d in stmt.array_dims:
+                expr_reads(d)
+            if stmt.init is not None:
+                expr_reads(stmt.init)
+        elif isinstance(stmt, ast.If):
+            expr_reads(stmt.cond)
+            visit(stmt.then)
+            if stmt.els is not None:
+                visit(stmt.els)
+        elif isinstance(stmt, ast.For):
+            expr_reads(stmt.start)
+            expr_reads(stmt.bound)
+            expr_reads(stmt.step)
+            visit(stmt.body)
+        elif isinstance(stmt, ast.While):
+            expr_reads(stmt.cond)
+            visit(stmt.body)
+        elif isinstance(stmt, ast.ExprStmt):
+            expr_reads(stmt.expr)
+        elif isinstance(stmt, ast.Block):
+            for s in stmt.stmts:
+                visit(s)
+        elif isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                expr_reads(stmt.value)
+
+    visit(kernel.body)
+    return _KernelFacts(
+        uses_shared, bool(uniform_bounds), frozenset(reads), frozenset(writes)
+    )
+
+
+class _BlockHazard(Exception):
+    """Two blocks touched one element of a written global array."""
+
+    def __init__(self, array: str, kind: str) -> None:
+        super().__init__(f"{array}:{kind}")
+        self.array = array
+        self.kind = kind
+
+
 class _KernelExec:
     """Executes one kernel launch."""
 
@@ -246,6 +447,12 @@ class _KernelExec:
         #: in batched mode, the positional block index (nb, 1, 1, 1) used to
         #: address the leading axis of batched shared arrays; None otherwise
         self._block_axis: Optional[np.ndarray] = None
+        #: id(global array) -> per-element block record, while a batched
+        #: pass is being checked against the block loop (None otherwise)
+        self._watch: Optional[Dict[int, np.ndarray]] = None
+        #: what ran (or is running) the launch, for :class:`LaunchRecord`
+        self.executor = "loop"
+        self.hazard_replay: Optional[str] = None
         params = kernel.params
         if len(args) != len(params):
             raise InterpreterError(
@@ -262,188 +469,170 @@ class _KernelExec:
 
     # ----------------------------------------------------------------- running
 
-    def uses_shared(self) -> bool:
-        return any(
-            isinstance(n, ast.VarDecl) and n.is_shared for n in self.kernel.body.walk()
-        )
-
     def run(self) -> None:
         mode = self.block_exec
         if mode not in _BLOCK_EXEC_MODES:
             raise InterpreterError(f"unknown block_exec mode {mode!r}")
-        if mode == "compiled":
-            if self.detect_races:
-                from . import compiler
+        try:
+            self._dispatch(mode)
+        finally:
+            _note_launch(self.kernel.name, self.executor, self.hazard_replay)
 
-                compiler.note_fallback(self.kernel.name, "detect_races")
-            elif self._run_compiled():
-                return
-        if not self.uses_shared():
-            self._run_vectorized()
-            return
-        if self.detect_races:
+    def _dispatch(self, mode: str) -> None:
+        facts = _kernel_facts(self.kernel)
+        compiled = mode == "compiled"
+        if compiled and self.detect_races:
+            self._note_fallback("detect_races")
+            compiled = False
+        if not facts.uses_shared:
+            self._setup_vectorized()
+            self._run_lattice(compiled, "vectorized")
+        elif self.detect_races or mode == "loop":
             # the scatter race checks reason about one block at a time;
             # cross-block writes in the same statement would be flagged as
             # intra-block races under batching
-            mode = "loop"
-        elif mode in ("auto", "compiled"):
-            mode = "batched" if self._batchable() else "loop"
-        if mode == "batched":
-            self._run_batched()
+            self._run_per_block()
+        elif mode == "batched":
+            self._setup_batched()
+            self._run_lattice(False, "batched")
+        elif facts.uniform_bounds:
+            self._run_watched(facts, compiled)
         else:
+            if compiled:
+                self._note_fallback("unbatchable_shared")
             self._run_per_block()
 
-    def _run_compiled(self) -> bool:
-        """Execute via generated numpy code; False requests interpretation.
-
-        Compilation targets the same two lattices the interpreter uses:
-        the full-thread vectorized lattice for kernels without shared
-        memory and the batched ``(nb, bx, by, bz)`` lattice for batchable
-        shared kernels.  Loop-mode kernels (block-variant bounds, global
-        read+write conflicts) and lowering failures fall back per kernel.
-        """
+    def _note_fallback(self, reason: str, detail: str = "") -> None:
         from . import compiler  # deferred: the compiler imports this module
 
-        vectorized = not self.uses_shared()
-        if not vectorized and not self._batchable():
-            compiler.note_fallback(self.kernel.name, "unbatchable_shared")
-            return False
-        fn = compiler.get_compiled_kernel(self.kernel, self.store)
+        compiler.note_fallback(self.kernel.name, reason, detail)
+
+    def _run_lattice(self, compiled: bool, lattice: str) -> None:
+        """Run the body over the lattice the caller set up — through the
+        generated numpy code when ``compiled`` and the kernel lowers
+        (lowering failures fall back per kernel), else on the tree-walker."""
+        self.executor = lattice
+        fn = None
+        if compiled:
+            from . import compiler  # deferred: the compiler imports this module
+
+            fn = compiler.get_compiled_kernel(self.kernel, self.store)
+        mask = np.ones((), dtype=bool)  # scalar True: all threads active
         if fn is None:
-            return False
-        if vectorized:
-            self._setup_vectorized()
+            self._exec_block(self.kernel.body, mask)
         else:
-            self._setup_batched()
-        fn(self, np.ones((), dtype=bool))
-        return True
+            self.executor = "compiled"
+            fn(self, mask)
 
-    def _batchable(self) -> bool:
-        """True when batched execution is bit-equivalent to the block loop.
+    def _run_watched(self, facts: _KernelFacts, compiled: bool) -> None:
+        """Batched execution that proves itself equal to the block loop.
 
-        Two requirements:
-
-        * every construct the batched mode must scalarize — loop bounds,
-          while conditions, shared extents — is statically block-invariant
-          (literals, scalar parameters, blockDim/gridDim);
-        * no global array is both read and written by the kernel.  The
-          sequential block loop lets a later block observe an earlier
-          block's global writes, a visibility the all-blocks-at-once
-          lattice cannot reproduce; restricting batching to kernels with
-          disjoint global read/write sets (by array identity, so aliased
-          parameters count) keeps the loop mode's power to expose
-          inter-block races through ``block_order`` comparisons.
+        Blocks interact only through global memory.  Every global array
+        the kernel writes gets a per-element record of the block that
+        touched it (:meth:`_watch_access`); if no element is touched by
+        two different blocks with a store among the touches, every
+        block's values are independent of all others and the lockstep
+        lattice equals every sequential block order.  The first such
+        element aborts the pass: the written arrays and the counters are
+        restored from the entry snapshot and the launch replays on the
+        per-block loop in the requested ``block_order`` — which therefore
+        keeps its power to expose races.  An error raised on the lattice
+        while some array is both read and written is replayed the same
+        way: a stale cross-block read may have caused it before the store
+        that reveals the hazard ran, so the loop decides whether the
+        launch fails.
         """
-        if self._global_rw_conflict():
-            return False
-        scalar_params = {
-            p.name for p in self.kernel.params if not p.type.is_pointer
+        written = {
+            id(arr): arr
+            for name in facts.writes
+            if isinstance(arr := self.env.get(name), np.ndarray)
         }
+        base_env = dict(self.env)
+        saved_arrays = [(arr, arr.copy()) for arr in written.values()]
+        saved_counters = (
+            dict(vars(self.counters)) if self.counters is not None else None
+        )
+        self._watch = {
+            key: np.zeros(arr.size, dtype=np.int32) for key, arr in written.items()
+        } or None
+        self._setup_batched()
+        try:
+            self._run_lattice(compiled, "batched")
+            return
+        except _BlockHazard as hazard:
+            self.hazard_replay = f"{hazard.array}:{hazard.kind}"
+        except InterpreterError as exc:
+            if not any(id(base_env.get(name)) in written for name in facts.reads):
+                raise
+            self.hazard_replay = f"{getattr(exc, 'array', None) or '?'}:ERR"
+        finally:
+            self._watch = None
+        for arr, saved in saved_arrays:
+            arr[...] = saved
+        if saved_counters is not None:
+            vars(self.counters).update(saved_counters)
+        self.env = base_env
+        self.shared = {}
+        self._block_axis = None
+        if compiled:
+            self._note_fallback("cross_block_hazard", self.hazard_replay)
+        self._run_per_block()
 
-        def uniform(expr: ast.Expr) -> bool:
-            if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit)):
-                return True
-            if isinstance(expr, ast.Ident):
-                return expr.name in scalar_params
-            if isinstance(expr, ast.Member):
-                return isinstance(expr.obj, ast.Ident) and expr.obj.name in (
-                    "blockDim",
-                    "gridDim",
-                )
-            if isinstance(expr, ast.Unary):
-                return uniform(expr.operand)
-            if isinstance(expr, ast.Binary):
-                return uniform(expr.lhs) and uniform(expr.rhs)
-            if isinstance(expr, ast.Ternary):
-                return (
-                    uniform(expr.cond)
-                    and uniform(expr.then)
-                    and uniform(expr.els)
-                )
-            if isinstance(expr, ast.Call):
-                return all(uniform(a) for a in expr.args)
-            return False
+    def _watch_access(
+        self, name: str, arr: np.ndarray, idxs: List[Value], mask: Value, store: bool
+    ) -> None:
+        """Record which block touches which element of a watched array.
 
-        for node in self.kernel.body.walk():
-            if isinstance(node, ast.For):
-                if not (
-                    uniform(node.start)
-                    and uniform(node.bound)
-                    and uniform(node.step)
-                ):
-                    return False
-            elif isinstance(node, ast.While):
-                if not uniform(node.cond):
-                    return False
-            elif isinstance(node, ast.VarDecl) and node.is_shared:
-                if not all(uniform(d) for d in node.array_dims):
-                    return False
-        return True
-
-    def _global_rw_conflict(self) -> bool:
-        """Does any device array get both read and written by this kernel?
-
-        Collected syntactically per pointer parameter, then intersected by
-        the identity of the bound numpy arrays so that two parameters
-        aliasing one allocation conflict as well.
+        Per element: 0 untouched, ``2c`` read only by the block with code
+        ``c`` (``c = 1 + position on the block axis``; ``2 * (nb + 1)``
+        once several blocks have read it), ``2c + 1`` written by block
+        ``c`` (which may also have read it).  Raises :class:`_BlockHazard`
+        on the first element two different blocks touch with a store
+        among the touches — including two blocks in this one statement.
         """
-        pointer_params = {
-            p.name for p in self.kernel.params if p.type.is_pointer
-        }
-        reads: set = set()
-        writes: set = set()
-
-        def expr_reads(expr: ast.Expr) -> None:
-            for node in expr.walk():
-                if isinstance(node, ast.Index) and node.array_name in pointer_params:
-                    reads.add(node.array_name)
-
-        def visit(stmt: ast.Stmt) -> None:
-            if isinstance(stmt, ast.Assign):
-                target = stmt.target
-                if isinstance(target, ast.Index):
-                    if target.array_name in pointer_params:
-                        writes.add(target.array_name)
-                        if stmt.op != "=":
-                            reads.add(target.array_name)
-                    for e in target.indices:
-                        expr_reads(e)
-                expr_reads(stmt.value)
-            elif isinstance(stmt, ast.VarDecl):
-                for d in stmt.array_dims:
-                    expr_reads(d)
-                if stmt.init is not None:
-                    expr_reads(stmt.init)
-            elif isinstance(stmt, ast.If):
-                expr_reads(stmt.cond)
-                visit(stmt.then)
-                if stmt.els is not None:
-                    visit(stmt.els)
-            elif isinstance(stmt, ast.For):
-                expr_reads(stmt.start)
-                expr_reads(stmt.bound)
-                expr_reads(stmt.step)
-                visit(stmt.body)
-            elif isinstance(stmt, ast.While):
-                expr_reads(stmt.cond)
-                visit(stmt.body)
-            elif isinstance(stmt, ast.ExprStmt):
-                expr_reads(stmt.expr)
-            elif isinstance(stmt, ast.Block):
-                for s in stmt.stmts:
-                    visit(s)
-            elif isinstance(stmt, ast.Return):
-                if stmt.value is not None:
-                    expr_reads(stmt.value)
-
-        visit(self.kernel.body)
-        read_ids = {
-            id(self.env[n]) for n in reads if isinstance(self.env.get(n), np.ndarray)
-        }
-        write_ids = {
-            id(self.env[n]) for n in writes if isinstance(self.env.get(n), np.ndarray)
-        }
-        return bool(read_ids & write_ids)
+        state = self._watch.get(id(arr))  # type: ignore[union-attr]
+        if state is None:
+            return
+        lin: Value = 0
+        for idx, extent in zip(idxs, arr.shape):
+            lin = lin * extent + np.asarray(idx)
+        block = self._block_axis + 1
+        masked = isinstance(mask, np.ndarray) and mask.ndim > 0
+        shape = np.broadcast_shapes(
+            np.shape(lin), block.shape, mask.shape if masked else ()
+        )
+        lin = np.broadcast_to(lin, shape)
+        block = np.broadcast_to(block, shape)
+        if masked:
+            active = np.broadcast_to(mask, shape)
+            lin, block = lin[active], block[active]
+        else:
+            lin, block = lin.ravel(), block.ravel()
+        seen = state[lin]
+        reader = block * 2
+        writer = reader + 1
+        if store:
+            foreign = (seen != 0) & (seen != reader) & (seen != writer)
+            if foreign.any():
+                first = int(seen[np.argmax(foreign)])
+                raise _BlockHazard(name, "WAW" if first & 1 else "WAR")
+            state[lin] = writer
+            if (state[lin] != writer).any():
+                raise _BlockHazard(name, "WAW")
+            return
+        if (((seen & 1) == 1) & (seen != writer)).any():
+            raise _BlockHazard(name, "RAW")
+        many = 2 * (self.lattice_shape[0] + 1)
+        now = np.where((seen == 0) | (seen == reader), reader, many)
+        now = np.where(seen == writer, writer, now)
+        changed = now != seen
+        if changed.any():
+            lin, now = lin[changed], now[changed]
+            state[lin] = now
+            # two blocks reading one fresh element in this statement
+            clash = state[lin] != now
+            if clash.any():
+                state[lin[clash]] = many
 
     def _visit_order(self) -> List[Tuple[int, int, int]]:
         blocks = [
@@ -468,12 +657,8 @@ class _KernelExec:
         self.tidx = {"x": ax % bx, "y": ay % by, "z": az % bz}
         self.bidx = {"x": ax // bx, "y": ay // by, "z": az // bz}
 
-    def _run_vectorized(self) -> None:
-        self._setup_vectorized()
-        mask = np.ones((), dtype=bool)  # scalar True: all threads active
-        self._exec_block(self.kernel.body, mask)
-
     def _run_per_block(self) -> None:
+        self.executor = "loop"
         bx, by, bz = self.block.as_tuple()
         self.lattice_shape = (bx, by, bz)
         self._blocks_covered = 1
@@ -517,11 +702,6 @@ class _KernelExec:
             "z": np.array([b[2] for b in blocks]).reshape(nb, 1, 1, 1),
         }
         self._block_axis = np.arange(nb).reshape(nb, 1, 1, 1)
-
-    def _run_batched(self) -> None:
-        self._setup_batched()
-        mask = np.ones((), dtype=bool)
-        self._exec_block(self.kernel.body, mask)
 
     # -------------------------------------------------------------- counters
 
@@ -832,6 +1012,8 @@ class _KernelExec:
         mask: Value,
     ) -> None:
         idxs = self._validate_indices(name, arr, idxs, mask, offset=len(prefix))
+        if self._watch is not None:
+            self._watch_access(name, arr, idxs, mask, store=True)
         if self.counters is not None:
             self.counters.count_store(
                 name in self.shared, self._active_threads(mask), arr.dtype.itemsize
@@ -1078,6 +1260,8 @@ class _KernelExec:
         mask: Value,
     ) -> Value:
         idxs = self._validate_indices(name, arr, idxs, mask, offset=len(prefix))
+        if self._watch is not None:
+            self._watch_access(name, arr, idxs, mask, store=False)
         if self.counters is not None:
             self.counters.count_load(
                 name in self.shared, self._active_threads(mask), arr.dtype.itemsize
@@ -1250,11 +1434,10 @@ class HostInterpreter:
             if self.collect_counters and self.execute_kernels
             else None
         )
-        self.launches.append(
-            LaunchRecord(
-                stmt.kernel, grid, block, array_args, scalar_args, counters=counters
-            )
+        record = LaunchRecord(
+            stmt.kernel, grid, block, array_args, scalar_args, counters=counters
         )
+        self.launches.append(record)
         if not self.execute_kernels:
             return
         executor = _KernelExec(
@@ -1267,6 +1450,9 @@ class HostInterpreter:
                 executor.run()
         except _ReturnSignal:
             pass
+        finally:
+            record.executor = executor.executor
+            record.hazard_replay = executor.hazard_replay
 
     def _eval_dim3(self, expr: ast.Expr) -> Dim3:
         value = self._eval(expr)

@@ -109,6 +109,7 @@ def build_transform_record(
     store_stats: Optional[Dict[str, object]] = None,
     counters: Optional[Dict[str, float]] = None,
     trace: Optional[Dict[str, object]] = None,
+    interpreter: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """One ledger record for a pipeline run (cold, warm or failed)."""
     times = {k: round(v, 6) for k, v in (stage_times or {}).items()}
@@ -129,6 +130,7 @@ def build_transform_record(
             "store": store_stats,
             "counters": dict(counters or {}),
             "trace": trace,
+            "interpreter": interpreter,
         }
     )
     return record

@@ -677,23 +677,20 @@ def _emit_merged_segment(
     """Emit a merged segment: staging + extended computes + guarded waves."""
     loop_var = UNIFIED_LOOP if seg_kind == "loop" else None
 
-    # per-iteration statements
-    iteration: List[ast.Stmt] = []
-    for host in sorted(tiles):
-        iteration.extend(staging_stmts(tiles[host], loop_var))
-
     # extended computes for internal-RAW arrays produced in this segment
     seg_raw = {
         host: (producer, consumers)
         for host, (producer, consumers) in raw_arrays.items()
         if member_segment.get(producer) == seg_idx and host in tiles
     }
+    extended: List[ast.Stmt] = []
+    overwritten: Dict[str, ast.Expr] = {}
     writeback: Dict[int, List[ast.Stmt]] = {}
     suppressed: Dict[int, Set[str]] = {}
     for host in sorted(seg_raw):
         producer, _ = seg_raw[host]
         tile = tiles[host]
-        stmts, wb = _producer_extended_compute(
+        stmts, wb, assigned = _producer_extended_compute(
             constituents[producer],
             per_const_mapping[producer],
             host,
@@ -701,9 +698,20 @@ def _emit_merged_segment(
             loop_var,
             fused_extents,
         )
-        iteration.extend(stmts)
+        extended.extend(stmts)
+        if assigned is not None:
+            overwritten[host] = assigned
         writeback.setdefault(producer, []).extend(wb)
         suppressed.setdefault(producer, set()).add(host)
+
+    # per-iteration statements: staging (minus the cells an extended
+    # compute assigns anyway), then the extended computes
+    iteration: List[ast.Stmt] = []
+    for host in sorted(tiles):
+        iteration.extend(
+            staging_stmts(tiles[host], loop_var, overwritten.get(host))
+        )
+    iteration.extend(extended)
 
     # constituents ordered by wave then original order
     ordered = sorted(members, key=lambda m: (waves[m], m))
@@ -839,11 +847,15 @@ def _producer_extended_compute(
     tile: TileSpec,
     loop_var: Optional[str],
     fused_extents,
-) -> Tuple[List[ast.Stmt], List[ast.Stmt]]:
+) -> Tuple[List[ast.Stmt], List[ast.Stmt], Optional[ast.Expr]]:
     """Temporal blocking: recompute ``host_array`` over the extended tile.
 
     Returns (statements for the cooperative extended compute, global
-    write-back statements to prepend to the producer's guarded body).
+    write-back statements to prepend to the producer's guarded body, the
+    condition under which the extended compute *assigns* a tile cell).
+    The condition is None when the producer's first statement is a
+    compound assignment: it reads what the staging pre-loaded, so the
+    pre-load must stay complete.
     """
     loop_mapping = dict(mapping)
     if producer.model.k_loop is not None and loop_var is not None:
@@ -926,6 +938,9 @@ def _producer_extended_compute(
         halo_guard = substitute_expr(renamed_guard, subs)
 
     extended = extended_compute_stmts(tile, halo_guard, rhs_builder, loop_var)
+    assigned: Optional[ast.Expr] = None
+    if producing[0].op == "=":
+        assigned = halo_guard if halo_guard is not None else ast.BoolLit(True)
 
     # global write-back of the thread's own site
     last_target = producing[-1].target
@@ -939,7 +954,7 @@ def _producer_extended_compute(
             ast.Index(b.ident(tile.tile_name), tuple(tile_read_idx)),
         )
     ]
-    return extended, writeback
+    return extended, writeback, assigned
 
 
 # ------------------------------------------------------------ traits & volume

@@ -98,18 +98,32 @@ def _ceil_div(a: int, d: int) -> int:
 
 
 def staging_stmts(
-    tile: TileSpec, loop_var: Optional[str]
+    tile: TileSpec,
+    loop_var: Optional[str],
+    overwritten: Optional[ast.Expr] = None,
 ) -> List[ast.Stmt]:
     """Emit the cooperative load of ``tile`` from global memory.
 
     ``loop_var`` is the unified sequential loop variable indexing the
     array's last dimension (None for arrays without a loop dim).
+
+    ``overwritten`` is the condition, over the cell's global position
+    (``gx_h`` / ``gy_h``), under which a temporally blocked producer's
+    extended compute assigns the cell before anything reads it.  Those
+    cells are not loaded: the value would be dead, and the load would
+    race with the neighbouring block that stores the same global cell in
+    this launch.  An always-true condition leaves nothing to load.
     """
+    if isinstance(overwritten, ast.BoolLit) and overwritten.value:
+        return []
     bx, by = tile.block
     r = tile.radius
     shape = tile.array_shape
     nx = shape[0]
     read_idx: List[ast.Expr]
+    kept: List[ast.Expr] = (
+        [] if overwritten is None else [ast.Unary("!", overwritten)]
+    )
 
     if tile.tiled_dims == 1:
         cx = _ceil_div(tile.tile_extent_x, bx)
@@ -120,7 +134,7 @@ def staging_stmts(
             read_idx.append(b.ident(loop_var))
         store = b.assign(b.idx(tile.tile_name, xx), ast.Index(b.ident(tile.array), tuple(read_idx)))
         guarded = b.if_(
-            b.logical_and(b.ge(gx, 0), b.lt(gx, nx)),
+            b.logical_and(b.ge(gx, 0), b.lt(gx, nx), *kept),
             [store],
         )
         body = [
@@ -151,7 +165,7 @@ def staging_stmts(
         ast.Index(b.ident(tile.array), tuple(read_idx)),
     )
     bounds_guard = b.if_(
-        b.logical_and(b.ge(gx, 0), b.lt(gx, nx), b.ge(gy, 0), b.lt(gy, ny)),
+        b.logical_and(b.ge(gx, 0), b.lt(gx, nx), b.ge(gy, 0), b.lt(gy, ny), *kept),
         [store],
     )
     inner_body: List[ast.Stmt] = [

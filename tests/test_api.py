@@ -467,3 +467,32 @@ def test_island_knobs_reach_the_resolved_ga_params():
     assert params.migration_interval == 2
     assert params.migration_size == 3
     assert params.surrogate_topk == 0.25
+
+
+def test_run_json_and_ledger_name_this_runs_executors(tmp_path):
+    """``interpreter`` in run.json / the ledger is per run: which executor
+    ran the launches, which kernels paid the block loop, and why."""
+    from repro.observability.ledger import RunLedger
+
+    def run_once(name):
+        transform(
+            THREE_KERNEL_SRC,
+            ga_params=small_params(),
+            workdir=str(tmp_path / name),
+            store=True,
+            store_root=str(tmp_path / "store"),
+        )
+        return json.loads((tmp_path / name / "run.json").read_text())["interpreter"]
+
+    cold = run_once("cold")
+    assert set(cold) == {"launches_by_executor", "loop_launches", "hazard_replays"}
+    assert sum(cold["launches_by_executor"].values()) > 0
+    assert cold["loop_launches"] == {} and cold["hazard_replays"] == {}
+    warm = run_once("warm")
+    # reset per run, not process-cumulative: the warm run reuses verified
+    # stages and so launches less, never more
+    assert sum(warm["launches_by_executor"].values()) < sum(
+        cold["launches_by_executor"].values()
+    )
+    records = RunLedger(str(tmp_path / "store")).list(kind="transform")
+    assert [r["interpreter"] for r in records] == [cold, warm]

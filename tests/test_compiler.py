@@ -97,8 +97,9 @@ int main() {
 }
 """
 
-#: in-place global read+write with shared staging — not batchable, so the
-#: compiled mode has no lattice for it and falls back to the block loop
+#: in-place global read+write with shared staging — every thread touches
+#: only its own element, so the per-element watch admits it to the batched
+#: lattice and the compiled mode runs it like any other tiled kernel
 INPLACE = """
 __global__ void relax(double* a, int nx, int ny) {
     __shared__ double t[8][8];
@@ -117,6 +118,29 @@ int main() {
     double* a = cudaMalloc2D(nx, ny);
     deviceRandom(a, 11);
     relax<<<dim3(2, 2, 1), dim3(8, 8, 1)>>>(a, nx, ny);
+    return 0;
+}
+"""
+
+
+#: a loop bound that differs per block — the batched lattice cannot
+#: scalarize it, so the compiled mode has no lattice for this kernel and
+#: falls back to the block loop
+BLOCK_VARIANT = """
+__global__ void ramp(double* a, int n) {
+    __shared__ double t[1];
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    double s = 0.0;
+    for (int r = 0; r < blockIdx.x + 1; r++) {
+        s = s + 1.0;
+    }
+    a[i] = s;
+}
+
+int main() {
+    int n = 32;
+    double* a = cudaMalloc1D(n);
+    ramp<<<dim3(4, 1, 1), dim3(8, 1, 1)>>>(a, n);
     return 0;
 }
 """
@@ -225,7 +249,7 @@ def test_lowering_fallback_is_negatively_cached():
 
 def test_unbatchable_kernel_never_reaches_the_compiler():
     # shape fallback happens before lowering: no stats movement at all
-    program = parse_program(INPLACE)
+    program = parse_program(BLOCK_VARIANT)
     run_program(program, block_exec="compiled")
     stats = compiler.stats()
     assert stats.lowered == 0
@@ -252,10 +276,17 @@ def test_lowering_fallback_records_reason():
 
 
 def test_unbatchable_shared_fallback_records_reason():
-    run_program(parse_program(INPLACE), block_exec="compiled")
+    run_program(parse_program(BLOCK_VARIANT), block_exec="compiled")
     assert compiler.stats().fallback_reasons == {
-        "relax": "unbatchable_shared"
+        "ramp": "unbatchable_shared"
     }
+
+
+def test_own_element_read_write_kernel_compiles_without_fallback():
+    result = run_program(parse_program(INPLACE), block_exec="compiled")
+    assert compiler.stats().lowered == 1
+    assert compiler.stats().fallback_reasons == {}
+    assert [rec.executor for rec in result.launches] == ["compiled"]
 
 
 def test_detect_races_fallback_records_reason():
