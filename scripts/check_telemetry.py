@@ -8,7 +8,8 @@ Usage::
 
 Checks, with plain asserts and no dependencies:
 
-* ``run.json``        — schema tag, config/env/stage-time structure;
+* ``run.json``        — schema tag, config/env/stage-time structure, and
+  the ``verification`` block (program runs, reversed run, counter source);
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
   (every parent_id resolves), and a ``stage:*`` span per pipeline stage;
 * ``search_telemetry.jsonl`` — one well-formed row per GGA generation
@@ -32,6 +33,10 @@ import sys
 from pathlib import Path
 
 STAGES = ("metadata", "targets", "graphs", "search", "codegen")
+
+VERIFICATION_FIELDS = (
+    "program_runs", "reversed_run", "order_sensitive_launches", "counters_from",
+)
 
 GENERATION_FIELDS = (
     "generation", "best_fitness", "best_feasible_fitness", "mean_fitness",
@@ -88,8 +93,32 @@ def check_run_manifest(path: Path) -> None:
     else:
         expect(run.get("error") is not None,
                "a failed run must carry an error diagnostic")
+    check_verification(run.get("verification"), "run.json")
     print(f"  run manifest ok ({len(times)} stage times, "
           f"exit {run['exit_code']})")
+
+
+def check_verification(block: object, where: str) -> None:
+    """The ``verification`` block of ``run.json`` / a ledger record: what
+    codegen interpreted.  ``None`` when the run never built a state."""
+    if block is None:
+        return
+    expect(isinstance(block, dict), f"{where}: verification must be an object")
+    for key in VERIFICATION_FIELDS:
+        expect(key in block, f"{where}: verification missing {key!r}")
+    runs, sensitive = block["program_runs"], block["order_sensitive_launches"]
+    expect(isinstance(runs, int) and runs >= 0,
+           f"{where}: verification.program_runs must be a count")
+    expect(isinstance(block["reversed_run"], bool),
+           f"{where}: verification.reversed_run must be a boolean")
+    expect(isinstance(sensitive, dict)
+           and all(isinstance(n, int) and n > 0 for n in sensitive.values()),
+           f"{where}: order_sensitive_launches must map kernel -> count")
+    expect(block["counters_from"] in ("verify", "rerun", None),
+           f"{where}: bad counters_from {block['counters_from']!r}")
+    # the reversed run exists for order-sensitive launches and only them
+    expect(not block["reversed_run"] or (bool(sensitive) and runs >= 3),
+           f"{where}: reversed run without an order-sensitive launch")
 
 
 def check_trace(path: Path) -> None:
@@ -237,6 +266,7 @@ def check_ledger(root: Path) -> None:
                        f"{path.name}: unknown stage {stage!r}")
                 expect(isinstance(value, (int, float)) and value >= 0,
                        f"{path.name}: bad time for stage {stage!r}")
+            check_verification(record.get("verification"), path.name)
         elif kind == "fuzz":
             fuzz = record.get("fuzz")
             expect(isinstance(fuzz, dict),

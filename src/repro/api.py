@@ -516,6 +516,7 @@ def _ledger_append(
             counters=get_registry().counter_totals(),
             trace=summarize_spans(get_tracer().spans()),
             interpreter=interpreter.stats().as_dict(),
+            verification=state.verification if state is not None else None,
         )
         append_record(store, record)
     except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
@@ -560,6 +561,8 @@ def write_run_outputs(
             "compiled_kernels": _compiler_provenance(),
             # this run's executors: reset in _execute_transform
             "interpreter": interpreter.stats().as_dict(),
+            # whole-program interpretations codegen made, and why
+            "verification": state.verification if state is not None else None,
         },
     )
     write_run_manifest(str(run_dir / "run.json"), manifest)

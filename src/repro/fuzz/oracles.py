@@ -16,7 +16,9 @@ failure" cheaply.
 ``modes``
     The loop / batched / compiled / auto interpreter strategies agree
     bitwise on arrays and on the mode-invariant counter signature, under
-    the forward and under the reversed block order.
+    the forward and under the reversed block order; and a run none of
+    whose launches is order-sensitive computes the same arrays in both
+    orders (what lets whole-program verification skip its reversed run).
 ``warm_store``
     Re-running the identical transform against a warm artifact store is
     bit-identical to the cold run (caching must never change results).
@@ -189,9 +191,10 @@ def _check_differential(
 
 
 def _check_modes(program: ast.Program) -> Optional[OracleFailure]:
+    by_order = {}
     for order in _BLOCK_ORDERS:
         try:
-            runs = {
+            runs = by_order[order] = {
                 mode: run_program(
                     program,
                     block_order=order,
@@ -221,6 +224,17 @@ def _check_modes(program: ast.Program) -> Optional[OracleFailure]:
                     f"counter-mismatch:{mode}{suffix}",
                     f"loop={signatures['loop']} {mode}={signatures[mode]}",
                 )
+    # the premise whole-program verification skips its reversed run on
+    # (pipeline/stages.py): no order-sensitive launch, no order dependence
+    for mode in _EXEC_MODES:
+        forward = by_order["forward"][mode]
+        if any(rec.order_sensitive for rec in forward.launches):
+            continue
+        detail = _array_diff(forward.arrays, by_order["reverse"][mode].arrays)
+        if detail is not None:
+            return OracleFailure(
+                "modes", f"order-insensitive-diverged:{mode}", detail
+            )
     return None
 
 

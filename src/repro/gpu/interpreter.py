@@ -131,6 +131,9 @@ class LaunchRecord:
     #: ``"<array>:<RAW|WAR|WAW|ERR>"`` when the batched pass was aborted
     #: and the launch replayed on the per-block loop, else None
     hazard_replay: Optional[str] = None
+    #: whether ``block_order`` could have changed what the launch computed
+    #: (see :attr:`_KernelExec.order_sensitive`)
+    order_sensitive: bool = False
 
 
 @dataclass
@@ -453,6 +456,13 @@ class _KernelExec:
         #: what ran (or is running) the launch, for :class:`LaunchRecord`
         self.executor = "loop"
         self.hazard_replay: Optional[str] = None
+        #: True once the launch ran several blocks in ``block_order``
+        #: with nothing proving the order irrelevant: on the per-block
+        #: loop, or on the unwatched forced-``batched`` lattice.  The
+        #: vectorized lattice never consults the order and a watched
+        #: lattice that passed equals every order (:meth:`_run_watched`),
+        #: so a run with no such launch is bit-identical when reversed.
+        self.order_sensitive = False
         params = kernel.params
         if len(args) != len(params):
             raise InterpreterError(
@@ -493,6 +503,7 @@ class _KernelExec:
             # intra-block races under batching
             self._run_per_block()
         elif mode == "batched":
+            self.order_sensitive = self.grid.count > 1
             self._setup_batched()
             self._run_lattice(False, "batched")
         elif facts.uniform_bounds:
@@ -659,6 +670,7 @@ class _KernelExec:
 
     def _run_per_block(self) -> None:
         self.executor = "loop"
+        self.order_sensitive = self.grid.count > 1
         bx, by, bz = self.block.as_tuple()
         self.lattice_shape = (bx, by, bz)
         self._blocks_covered = 1
@@ -1453,6 +1465,7 @@ class HostInterpreter:
         finally:
             record.executor = executor.executor
             record.hazard_replay = executor.hazard_replay
+            record.order_sensitive = executor.order_sensitive
 
     def _eval_dim3(self, expr: ast.Expr) -> Dim3:
         value = self._eval(expr)

@@ -110,6 +110,7 @@ def build_transform_record(
     counters: Optional[Dict[str, float]] = None,
     trace: Optional[Dict[str, object]] = None,
     interpreter: Optional[Dict[str, object]] = None,
+    verification: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """One ledger record for a pipeline run (cold, warm or failed)."""
     times = {k: round(v, 6) for k, v in (stage_times or {}).items()}
@@ -131,6 +132,7 @@ def build_transform_record(
             "counters": dict(counters or {}),
             "trace": trace,
             "interpreter": interpreter,
+            "verification": verification,
         }
     )
     return record

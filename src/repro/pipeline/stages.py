@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import networkx as nx
 
@@ -29,7 +29,7 @@ from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import PipelineError, ReproError
 from ..gpu.device import DeviceSpec, K20X
-from ..gpu.interpreter import RunResult, outputs_allclose, run_program
+from ..gpu.interpreter import LaunchRecord, RunResult, outputs_allclose, run_program
 from ..gpu.perfmodel import ProgramProjection
 from ..gpu.profiler import gather_metadata
 from ..graphs import (
@@ -44,6 +44,7 @@ from ..observability.metrics import get_registry
 from ..observability.model_validation import validate_model
 from ..observability.runtime import telemetry_enabled
 from ..observability.search_telemetry import search_telemetry_rows, write_jsonl
+from ..observability.tracing import span
 from ..reliability.degrade import DemotionRecord
 from ..reliability.verify import VerifyConfig
 from ..search import (
@@ -147,6 +148,21 @@ class PipelineState:
     #: stage/artifact reuse provenance (stage name -> what was reused);
     #: lands in ``run.json`` so a repeat run is auditable
     reused: Dict[str, str] = field(default_factory=dict)
+    #: what codegen interpreted, and why (``run.json`` / ledger
+    #: ``verification`` block)
+    verification: Dict[str, Any] = field(
+        default_factory=lambda: {
+            "program_runs": 0,
+            "reversed_run": False,
+            "order_sensitive_launches": {},
+            "counters_from": None,
+        }
+    )
+    #: the program the gate last ran with counters on and that run's
+    #: launch records — only those: its arrays are dead once compared
+    _counted_run: Optional[Tuple[ast.Program, List[LaunchRecord]]] = field(
+        default=None, repr=False
+    )
     _program_fp: Optional[str] = field(default=None, repr=False)
 
     @property
@@ -174,6 +190,11 @@ class PipelineState:
 
 
 # -------------------------------------------------------------------- stages
+
+
+def _writes_telemetry(state: PipelineState) -> bool:
+    """Telemetry is on and there is a working directory to write it to."""
+    return telemetry_enabled() and state.config.workdir is not None
 
 
 def _metadata_store_key(state: PipelineState) -> str:
@@ -405,7 +426,7 @@ def stage_search(state: PipelineState) -> PipelineState:
         + search_note
     )
     state._persist("search.txt", state.reports["search"])
-    if telemetry_enabled() and state.config.workdir is not None:
+    if _writes_telemetry(state):
         Path(state.config.workdir).mkdir(parents=True, exist_ok=True)
         write_jsonl(
             str(Path(state.config.workdir) / "search_telemetry.jsonl"),
@@ -416,6 +437,7 @@ def stage_search(state: PipelineState) -> PipelineState:
 
 def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
     """``run_program`` under the run's interpreter strategy and store."""
+    state.verification["program_runs"] += 1
     return run_program(
         program,
         block_exec=state.config.block_exec,
@@ -425,15 +447,37 @@ def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
 
 
 def _whole_program_verified(state: PipelineState) -> bool:
-    """Run original vs transformed (forward + reversed block order)."""
+    """Run original vs transformed — and transformed again under the
+    reversed block order when a launch could tell the difference.
+
+    The reversed run exposes inter-block races.  It is skipped when no
+    launch of the forward run was order-sensitive
+    (:class:`~repro.gpu.interpreter.LaunchRecord`): by induction over the
+    launches it would recompute bit-identical arrays.  The forward run
+    doubles as the counted run of :func:`_model_validation`.
+    """
     assert state.transform is not None
-    before = _run(state, state.program)
-    after = _run(state, state.transform.program)
-    # second run with reversed block order exposes inter-block races
-    after_reversed = _run(state, state.transform.program, block_order="reverse")
-    return outputs_allclose(before, after) and outputs_allclose(
-        before, after_reversed
-    )
+    program = state.transform.program
+    counted = _writes_telemetry(state)
+    with span("verify:program") as gate:
+        before = _run(state, state.program)
+        after = _run(state, program, collect_counters=counted)
+        if counted:
+            state._counted_run = (program, after.launches)
+        sensitive = [r.kernel for r in after.launches if r.order_sensitive]
+        verified = outputs_allclose(before, after)
+        reverse = verified and bool(sensitive)
+        if reverse:
+            verified = outputs_allclose(
+                before, _run(state, program, block_order="reverse")
+            )
+        gate.set(runs=3 if reverse else 2, reversed=reverse)
+    info = state.verification
+    info["reversed_run"] |= reverse
+    by_kernel = info["order_sensitive_launches"]
+    for kernel in sensitive:
+        by_kernel[kernel] = by_kernel.get(kernel, 0) + 1
+    return verified
 
 
 def stage_codegen(state: PipelineState) -> PipelineState:
@@ -481,10 +525,12 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     )
     codegen_note = ""
     if state.config.verify:
-        program_key = store_keys.verified_program_key(
-            unparse(state.program), unparse(state.transform.program)
-        )
-        if store is not None and stage_cache.program_previously_verified(
+        program_key = None
+        if store is not None:
+            program_key = store_keys.verified_program_key(
+                unparse(state.program), unparse(state.transform.program)
+            )
+        if program_key is not None and stage_cache.program_previously_verified(
             store, program_key
         ):
             state.verified = True
@@ -492,7 +538,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             codegen_note = "; verification reused from store"
         else:
             state.verified = _whole_program_verified(state)
-            if state.verified and store is not None:
+            if state.verified and program_key is not None:
                 stage_cache.record_verified_program(store, program_key)
         if not state.verified:
             if not state.config.fail_soft:
@@ -565,7 +611,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     )
     state._persist("transformed.cu", unparse(state.transform.program))
     state._persist("codegen.txt", state.reports["codegen"])
-    if telemetry_enabled() and state.config.workdir is not None:
+    if _writes_telemetry(state):
         telemetry_path = Path(state.config.workdir) / "search_telemetry.jsonl"
         if telemetry_path.exists():
             write_jsonl(
@@ -587,23 +633,31 @@ def stage_codegen(state: PipelineState) -> PipelineState:
 def _model_validation(state: PipelineState) -> str:
     """Compare interpreter counters against the perf model's projections.
 
-    Re-runs the transformed program with hardware-ish counters enabled and
-    lines every launch up with its :class:`KernelProjection`.  Gated on
-    telemetry + a working directory (the extra interpreted run is not free,
-    so library users and benchmarks that set neither never pay for it).
+    Lines every launch of the transformed program, run with hardware-ish
+    counters enabled, up with its :class:`KernelProjection`.  The run is the
+    one whole-program verification already made (counters are mode- and
+    order-invariant); only when the gate made none of *this* program —
+    ``verify`` off, verdict reused from the store — is it run here.  Gated
+    on telemetry + a working directory (counting is not free, so library
+    users and benchmarks that set neither never pay for it).
     Returns a one-line note for the codegen report ("" when skipped).
     """
-    if not (telemetry_enabled() and state.config.workdir is not None):
+    if not _writes_telemetry(state):
         return ""
     assert state.transform is not None and state.transformed_projection is not None
-    try:
-        counted = _run(state, state.transform.program, collect_counters=True)
-    except ReproError as exc:  # pragma: no cover - counted rerun is best effort
-        logger.warning("model-validation run failed: %s", exc)
-        return ""
-    report = validate_model(
-        counted.launches, state.transformed_projection.kernels
-    )
+    program = state.transform.program
+    counted_program, launches = state._counted_run or (None, [])
+    state._counted_run = None
+    reran = counted_program is not program
+    with span("telemetry:model_validation", reran=reran):
+        if reran:
+            try:
+                launches = _run(state, program, collect_counters=True).launches
+            except ReproError as exc:  # pragma: no cover - best effort
+                logger.warning("model-validation run failed: %s", exc)
+                return ""
+        state.verification["counters_from"] = "rerun" if reran else "verify"
+        report = validate_model(launches, state.transformed_projection.kernels)
     report.write_json(str(Path(state.config.workdir) / "model_validation.json"))
     state._persist("model_validation.txt", report.summary() + "\n")
     registry = get_registry()
