@@ -184,10 +184,11 @@ class GGA:
         return self.lookups - self.evaluations
 
     def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
+        fitness, violations, hit = self.fitness.lookup(individual)
         self.lookups += 1
-        if individual not in self.fitness:
+        if not hit:
             self.evaluations += 1
-        return self.fitness.evaluate(individual)
+        return fitness, violations
 
     def evaluate_many(
         self, individuals: Sequence[Grouping]

@@ -21,6 +21,7 @@ the block-size tuner after the search, §4.2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -58,10 +59,6 @@ class NodeInfo:
     #: fragment node ids when this node is fissionable (whole form)
     fragments: Tuple[str, ...] = ()
 
-    @property
-    def touched(self) -> FrozenSet[str]:
-        return self.arrays_read | self.arrays_written
-
 
 class FusionProblem:
     """The search problem: nodes, precedence, capacity."""
@@ -95,6 +92,17 @@ class FusionProblem:
             n.node: n.fragments for n in nodes if n.fragments
         }
         self._whole_nodes = [n.node for n in nodes if n.parent is None]
+        # the integer view the search loop reads instead of NodeInfo fields,
+        # built once: node -> bit (launch order), node -> arrays touched,
+        # and the nodes a multi-member group may contain
+        ordered = sorted(nodes, key=lambda n: n.order)
+        self.bit: Dict[str, int] = {n.node: 1 << i for i, n in enumerate(ordered)}
+        self.touched: Dict[str, FrozenSet[str]] = {
+            n.node: n.arrays_read | n.arrays_written for n in nodes
+        }
+        self.mergeable: FrozenSet[str] = frozenset(
+            n.node for n in nodes if n.eligible and n.fusable
+        )
         self._oeg_cache: Dict[FrozenSet[str], Tuple[nx.DiGraph, Dict[str, Set[str]]]] = {}
         self._fingerprint: Optional[str] = None
 
@@ -141,6 +149,13 @@ class FusionProblem:
 
     def eligible_nodes(self) -> List[str]:
         return [n for n in self.whole_nodes() if self.infos[n].eligible]
+
+    def mergeable_groups(self, groups: Sequence[FrozenSet[str]]) -> List[int]:
+        """Indices of the groups that may be merged with another: every
+        member eligible and fusable."""
+        return list(
+            compress(range(len(groups)), map(self.mergeable.issuperset, groups))
+        )
 
     # ------------------------------------------------------- precedence (OEG)
 
@@ -193,6 +208,30 @@ class FusionProblem:
             self._oeg_cache.pop(next(iter(self._oeg_cache)))
             self._oeg_cache[key] = (oeg, reach)
         return oeg, reach
+
+    def reach_masks(
+        self, active: Iterable[str]
+    ) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """Descendant and ancestor bitmask of every node under ``active``.
+
+        The reachability :meth:`node_oeg` computes, as integers over
+        :attr:`bit`; nodes outside the active set reach nothing.  With
+        ``desc(M)`` / ``anc(M)`` the union over a member mask ``M``, a
+        group is convex iff ``desc(M) & anc(M) & ~M == 0`` — the same
+        predicate as :meth:`group_convex`, without the set walks.
+        """
+        _, reach = self.node_oeg(active)
+        bit = self.bit
+        desc = dict.fromkeys(bit, 0)
+        anc = dict.fromkeys(bit, 0)
+        for node, below in reach.items():
+            node_bit = bit[node]
+            mask = 0
+            for other in below:
+                mask |= bit[other]
+                anc[other] |= node_bit
+            desc[node] = mask
+        return desc, anc
 
     # ---------------------------------------------------------- smem estimate
 
@@ -387,6 +426,14 @@ class Violations:
     unrealizable: int = 0
     #: groups over the smem budget that contain a fissionable member
     relaxable: int = 0
+
+    def copy(self) -> "Violations":
+        """A fresh record with the same counts (``dataclasses.replace``
+        without the per-call field introspection — memo hits pay this)."""
+        return Violations(
+            self.non_convex, self.smem_over, self.unfusable,
+            self.unrealizable, self.relaxable,
+        )
 
     @property
     def total(self) -> int:

@@ -13,16 +13,13 @@ function and point the parameter file at it" workflow.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -40,6 +37,12 @@ from .grouping import (
 from .penalty import PenaltyParams, penalized_fitness
 
 ObjectiveFn = Callable[[FusionProblem, Grouping, DeviceSpec], float]
+
+#: per-split feasibility state of :class:`CompiledFitness`: descendant and
+#: ancestor mask per node, and the fused groups seen under this split
+_SplitState = Tuple[
+    Dict[str, int], Dict[str, int], Dict[FrozenSet[str], Tuple[int, int, bool]]
+]
 
 _REGISTRY: Dict[str, ObjectiveFn] = {}
 
@@ -101,10 +104,11 @@ def group_projection_time(
     blocks = [problem.info(m).block for m in members]
     if blocks:
         block = max(set(blocks), key=blocks.count)
-    # dict get/setdefault are atomic under the GIL, so concurrent evaluator
-    # threads share this cache safely; a lost race costs one recomputation
+    # dict get/setdefault are atomic under the GIL, so island threads share
+    # this cache safely; a lost race costs one recomputation.  Keyed on the
+    # frozen DeviceSpec, not its name: two specs may share a name
     cache: Dict = problem.__dict__.setdefault("_group_time_cache", {})
-    key = (frozenset(members), device.name, block)
+    key = (frozenset(members), device, block)
     cached = cache.get(key)
     if cached is not None:
         return cached
@@ -183,84 +187,40 @@ def clear_projection_caches(problem: FusionProblem) -> None:
     problem.__dict__.pop("_group_time_cache", None)
 
 
-def _cyclic_components(n_groups: int, adj: Dict[int, List[int]]) -> Set[int]:
-    """Group indices inside a non-trivial SCC of the condensed OEG.
-
-    Iterative Tarjan over the (small) group-index graph — replaces the
-    per-evaluation ``networkx.DiGraph`` construction of
-    :func:`~repro.search.grouping.cyclic_group_indices`, with identical
-    results (the condensation has no self-loops, so only components of
-    size > 1 are cyclic).
-    """
-    counter = 0
-    index: Dict[int, int] = {}
-    low: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    cyclic: Set[int] = set()
-    for root in range(n_groups):
-        if root in index:
-            continue
-        work: List[List[int]] = [[root, 0]]
-        while work:
-            frame = work[-1]
-            node, pos = frame
-            if pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            descended = False
-            succs = adj.get(node, ())
-            while frame[1] < len(succs):
-                succ = succs[frame[1]]
-                frame[1] += 1
-                if succ not in index:
-                    work.append([succ, 0])
-                    descended = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component: List[int] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                if len(component) > 1:
-                    cyclic.update(component)
-    return cyclic
-
-
 class CompiledFitness:
     """Memoizing fitness evaluator, bit-identical to the reference path.
 
     The GGA evaluates the same *parts* — splits, groups — in endless new
     combinations; the reference path rebuilds per-part state (OEG edge
-    lists, networkx condensations, feasibility checks, projection sums)
-    for every individual.  This evaluator precomputes nothing but
-    memoizes everything at part granularity:
+    lists, networkx condensations, feasibility set walks, projection
+    sums) for every individual.  This evaluator reads the problem's
+    integer view (:attr:`FusionProblem.bit`, one bit per node in launch
+    order) and memoizes at part granularity:
 
-    * per split: the active node list's OEG edges and reachability
-      (delegating to the problem's own ``node_oeg`` cache for the build);
+    * per split: the descendant / ancestor bitmask of every active node
+      (:meth:`FusionProblem.reach_masks`) and, inside that entry, per
+      fused group its member mask ``M``, ``desc(M)`` and convexity
+      ``desc(M) & anc(M) & ~M == 0`` — the group masks live and die with
+      their split;
     * per group: fusability / realizability / smem pressure / lazy-fission
       relaxability, and the (projection time, flops) pair of the default
       objective;
-    * per (group, split): convexity under that split's reachability;
-    * the cycle check runs a direct Tarjan pass over group indices instead
-      of constructing a ``networkx`` digraph per evaluation;
-    * per individual value: the final (fitness, violations) pair, so an
-      exact re-evaluation (replays, restarts, converged populations) is a
-      single dict probe.  A fresh ``Violations`` record is returned per
-      call, matching the reference path's ownership semantics.
+    * per individual value: the final (fitness, violation counts) pair,
+      so an exact re-evaluation (replays, restarts, converged
+      populations) is one dict probe.  A fresh ``Violations`` record is
+      returned per call, matching the reference path's ownership
+      semantics.
+
+    The scheduling (cycle) test runs over the *k fused groups only*:
+    ``i -> j`` iff ``desc(M_i) & M_j``, closed over k-bit rows.  A
+    singleton is transparent — an edge into and an edge out of it compose
+    into one node-level path, which ``desc`` already contains — so a
+    condensation cycle through other fused groups is a cycle of this
+    k-node graph, and one through singletons alone leaves the group and
+    re-enters it, which is a convexity failure counted anyway.  The
+    ``non_convex`` count therefore equals the reference's
+    (:func:`~repro.search.grouping.evaluate_violations`, the oracle of
+    ``tests/test_fitness_differential.py``).
 
     Results are bit-identical to ``evaluate_individual_reference`` for
     any objective; the fast summation path engages only for the stock
@@ -270,9 +230,15 @@ class CompiledFitness:
     float sums follow the group iteration order of the first value-equal
     individual seen.
 
-    Thread-safety matches the reference path's caches: plain dict updates
-    are atomic under the GIL, and a lost race costs one recomputation.
+    Island threads share one evaluator: every memo is a plain dict whose
+    single-key reads and writes are atomic under the GIL, a lost race
+    costs one recomputation, and hit/miss is reported per call
+    (:meth:`lookup`) rather than counted here.
     """
+
+    #: memo bounds; a full memo is dropped wholesale on the next miss
+    MAX_SPLITS = 512
+    MAX_INDIVIDUALS = 65536
 
     def __init__(
         self,
@@ -287,13 +253,14 @@ class CompiledFitness:
         self.penalties = penalties
         self._whole = problem.whole_nodes()
         self._fragments = problem.fragments_of
-        self._split_cache: Dict[FrozenSet[str], Tuple[Tuple, Mapping]] = {}
+        #: split -> (desc, anc, {group: (M, desc(M), convex)})
+        self._split_cache: Dict[FrozenSet[str], _SplitState] = {}
         self._group_static: Dict[FrozenSet[str], Tuple[bool, bool, bool, bool]] = {}
-        self._group_convex: Dict[Tuple[FrozenSet[str], FrozenSet[str]], bool] = {}
         self._group_obj: Dict[FrozenSet[str], Tuple[float, float]] = {}
+        #: individual -> (fitness, the memo's own Violations record)
         self._eval_cache: Dict[Grouping, Tuple[float, Violations]] = {}
 
-    def _split_state(self, split: FrozenSet[str]) -> Tuple[Tuple, Mapping]:
+    def _split_state(self, split: FrozenSet[str]) -> _SplitState:
         state = self._split_cache.get(split)
         if state is None:
             active: List[str] = []
@@ -302,9 +269,8 @@ class CompiledFitness:
                     active.extend(self._fragments[node])
                 else:
                     active.append(node)
-            oeg, reach = self.problem.node_oeg(active)
-            state = (tuple(oeg.edges), reach)
-            if len(self._split_cache) > 512:
+            state = (*self.problem.reach_masks(active), {})
+            if len(self._split_cache) > self.MAX_SPLITS:
                 self._split_cache.clear()
             self._split_cache[split] = state
         return state
@@ -327,45 +293,52 @@ class CompiledFitness:
         return flags
 
     def _violations(self, individual: Grouping) -> Violations:
-        edges, reach = self._split_state(individual.split)
-        groups = individual.groups
-        owner: Dict[str, int] = {}
-        for gid, group in enumerate(groups):
-            for node in group:
-                owner[node] = gid
-        adj: Dict[int, List[int]] = {}
-        for u, v in edges:
-            gu = owner.get(u)
-            gv = owner.get(v)
-            if gu is None or gv is None or gu == gv:
-                continue
-            adj.setdefault(gu, []).append(gv)
-        ordering_bad: Set[int] = (
-            _cyclic_components(len(groups), adj) if adj else set()
-        )
+        desc, anc, masks = self._split_state(individual.split)
+        bit = self.problem.bit
         violations = Violations()
-        convex_cache = self._group_convex
-        for index, group in enumerate(groups):
+        fused: List[Tuple[int, int, bool]] = []
+        for group in individual.groups:
             if len(group) <= 1:
                 continue
+            entry = masks.get(group)
+            if entry is None:
+                members = below = above = 0
+                for node in group:
+                    members |= bit[node]
+                    below |= desc[node]
+                    above |= anc[node]
+                entry = masks[group] = (
+                    members, below, not below & above & ~members
+                )
+            fused.append(entry)
             unfusable, unrealizable, smem_over, relax_possible = self._group_flags(
                 group
             )
             if unfusable:
                 violations.unfusable += 1
-            key = (group, individual.split)
-            convex = convex_cache.get(key)
-            if convex is None:
-                convex = self.problem.group_convex(group, reach)
-                convex_cache[key] = convex
-            if not convex or index in ordering_bad:
-                violations.non_convex += 1
             if unrealizable:
                 violations.unrealizable += 1
             if smem_over:
                 violations.smem_over += 1
                 if relax_possible:
                     violations.relaxable += 1
+        # rows[i]: the fused groups a member of group i reaches; group i
+        # is unschedulable iff the closure brings i back to itself
+        rows: List[int] = []
+        for i, (_, below, _) in enumerate(fused):
+            row = 0
+            for j, (members, _, _) in enumerate(fused):
+                if j != i and below & members:
+                    row |= 1 << j
+            rows.append(row)
+        for k, via in enumerate(rows):
+            if via:
+                for i, row in enumerate(rows):
+                    if row >> k & 1:
+                        rows[i] = row | via
+        for i, (_, _, convex) in enumerate(fused):
+            if not convex or rows[i] >> i & 1:
+                violations.non_convex += 1
         return violations
 
     def _objective_value(self, individual: Grouping) -> float:
@@ -388,23 +361,27 @@ class CompiledFitness:
             return 0.0
         return total_flops / total_time / 1e9
 
-    def __contains__(self, individual: Grouping) -> bool:
-        """Is ``individual``'s result memoized (would ``evaluate`` hit)?"""
-        return individual in self._eval_cache
+    def lookup(self, individual: Grouping) -> Tuple[float, Violations, bool]:
+        """``(fitness, violations, hit)``: one memo probe per call.
 
-    def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
-        hit = self._eval_cache.get(individual)
-        if hit is not None:
-            # fresh Violations per call, like the reference path (callers
-            # may hold on to / mutate the returned record)
-            return hit[0], replace(hit[1])
+        ``hit`` says whether the memo answered — the caller's evaluation
+        counter, with no second probe to infer it.  The record is fresh
+        per call either way (callers may hold on to / mutate it).
+        """
+        cached = self._eval_cache.get(individual)
+        if cached is not None:
+            return cached[0], cached[1].copy(), True
         raw = self._objective_value(individual)
         violations = self._violations(individual)
         fitness = penalized_fitness(raw, violations, self.penalties)
-        if len(self._eval_cache) > 65536:
+        if len(self._eval_cache) > self.MAX_INDIVIDUALS:
             self._eval_cache.clear()
-        self._eval_cache[individual] = (fitness, replace(violations))
-        return fitness, violations
+        self._eval_cache[individual] = (fitness, violations.copy())
+        return fitness, violations, False
+
+    def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
+        """:meth:`lookup` for callers that do not count misses."""
+        return self.lookup(individual)[:2]
 
 
 def compiled_fitness(
@@ -454,7 +431,7 @@ class SurrogateVariant:
     of the groups the edit removes and the groups it adds — so the
     surrogate score can be computed incrementally from the per-group
     memos without ever constructing the child.  Only variants admitted
-    by the ranking pay :func:`~repro.search.operators.make_grouping`.
+    by the ranking pay :func:`~repro.search.operators.replace_groups`.
     """
 
     __slots__ = ("score", "parent", "_drop", "_add")
@@ -472,14 +449,9 @@ class SurrogateVariant:
         self._add = add
 
     def materialize(self) -> Grouping:
-        from .operators import make_grouping
+        from .operators import replace_groups
 
-        dropped = set(self._drop)
-        groups = [
-            g for i, g in enumerate(self.parent.groups) if i not in dropped
-        ]
-        groups.extend(g for g in self._add if g)
-        return make_grouping(set(self.parent.split), groups)
+        return replace_groups(self.parent, self._drop, self._add)
 
 
 class SurrogateScorer:
@@ -524,9 +496,9 @@ class SurrogateScorer:
         the per-group memo — penalized by the *statically memoized*
         per-group flags (fusability, realizability, shared-memory
         pressure).  What the exact evaluator computes on top, and this
-        deliberately skips, is all split-dependent work: OEG edge walks,
-        per-group convexity and the Tarjan cycle check.  The score is
-        therefore a cheap, *optimistic* stand-in for the exact fitness —
+        deliberately skips, is all split-dependent work: the reachability
+        masks, per-group convexity and the fused-group cycle closure.  The
+        score is therefore a cheap, *optimistic* stand-in for the exact fitness —
         it can still overrank non-convex or cyclic candidates, which is
         why the GGA admits a top slice for exact evaluation rather than
         trusting the ranking outright.
@@ -569,7 +541,7 @@ class SurrogateScorer:
         """
         hit = self._components.get(individual)
         if hit is not None:
-            return hit[0], hit[1], replace(hit[2])
+            return hit[0], hit[1], hit[2].copy()
         total_time = 0.0
         total_flops = 0.0
         violations = Violations()
@@ -581,7 +553,7 @@ class SurrogateScorer:
         if len(self._components) > 16384:
             self._components.clear()
         self._components[individual] = (
-            total_time, total_flops, replace(violations),
+            total_time, total_flops, violations.copy(),
         )
         return total_time, total_flops, violations
 
@@ -624,11 +596,7 @@ class SurrogateScorer:
         problem = self.problem
         groups = individual.groups
         infos = problem.infos
-        fusable = [
-            i
-            for i, group in enumerate(groups)
-            if all(infos[m].eligible and infos[m].fusable for m in group)
-        ]
+        fusable = problem.mergeable_groups(groups)
         fused = [i for i, g in enumerate(groups) if len(g) > 1]
         base_time, base_flops, base_viol = components
         out: List[SurrogateVariant] = []
@@ -677,7 +645,7 @@ class SurrogateScorer:
                     drop = (source,)
                     add = (rest, frozenset({node}))
             d_time, d_flops = 0.0, 0.0
-            violations = replace(base_viol)
+            violations = base_viol.copy()
             for index in drop:
                 g_time, g_flops, flags = self._group_terms(groups[index])
                 d_time -= g_time

@@ -16,21 +16,53 @@ Individuals are partitions, so the operators work on *groups*, not genes:
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from bisect import insort
+from itertools import filterfalse
+from typing import Collection, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .grouping import FusionProblem, Grouping
 
 
-def _normalize(groups: Sequence[FrozenSet[str]]) -> Tuple[FrozenSet[str], ...]:
-    cleaned = [g for g in groups if g]
-    cleaned.sort(key=lambda g: sorted(g)[0])
-    return tuple(cleaned)
+class CanonicalGroups(tuple):
+    """A partition's groups in canonical order: by least member.
+
+    The order is a contract — value-equal individuals must compare and
+    hash alike, and the evaluator sums floats in ``groups`` order.  The
+    type is the voucher that it holds: only :func:`make_grouping` (a full
+    sort) and :func:`replace_groups` (ordered insertion into a vouched
+    tuple) build one, so operators never re-sort their own output, while
+    a plain tuple (``singleton_grouping`` is in launch order) still gets
+    the sort.  Equal to, and hashes like, the plain tuple of its groups.
+    """
+
+    __slots__ = ()
 
 
 def make_grouping(
-    split: Set[str], groups: Sequence[FrozenSet[str]]
+    split: Iterable[str], groups: Iterable[FrozenSet[str]]
 ) -> Grouping:
-    return Grouping(split=frozenset(split), groups=_normalize(groups))
+    return Grouping(
+        split=frozenset(split),
+        groups=CanonicalGroups(sorted((g for g in groups if g), key=min)),
+    )
+
+
+def replace_groups(
+    individual: Grouping,
+    drop: Collection[int],
+    add: Iterable[FrozenSet[str]],
+) -> Grouping:
+    """``individual`` without the groups at indices ``drop`` and with the
+    non-empty groups of ``add``, in canonical order."""
+    groups = list(individual.groups)
+    for index in sorted(drop, reverse=True):
+        del groups[index]
+    if type(individual.groups) is not CanonicalGroups:
+        return make_grouping(individual.split, groups + list(add))
+    for group in add:
+        if group:
+            insort(groups, group, key=min)
+    return Grouping(split=individual.split, groups=CanonicalGroups(groups))
 
 
 def ensure_whole(
@@ -87,42 +119,34 @@ def random_grouping(
     return individual
 
 
-def _fusable_groups(problem: FusionProblem, g: Grouping) -> List[int]:
-    return [
-        i
-        for i, group in enumerate(g.groups)
-        if all(problem.infos[m].eligible and problem.infos[m].fusable for m in group)
-    ]
-
-
 def mutate_merge(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
     """Merge two groups, preferring pairs that share a data array."""
-    candidates = _fusable_groups(problem, individual)
+    candidates = problem.mergeable_groups(individual.groups)
     if len(candidates) < 2:
         return None
     first = rng.choice(candidates)
+    touched = problem.touched
     first_arrays: Set[str] = set()
     for member in individual.groups[first]:
-        first_arrays |= problem.infos[member].touched
+        first_arrays |= touched[member]
     sharing = [
         i
         for i in candidates
         if i != first
         and any(
-            problem.infos[m].touched & first_arrays for m in individual.groups[i]
+            not touched[m].isdisjoint(first_arrays) for m in individual.groups[i]
         )
     ]
     pool = sharing if sharing and rng.random() < 0.8 else [i for i in candidates if i != first]
     if not pool:
         return None
     second = rng.choice(pool)
-    groups = list(individual.groups)
-    merged = groups[first] | groups[second]
-    groups = [g for i, g in enumerate(groups) if i not in (first, second)]
-    groups.append(merged)
-    return make_grouping(set(individual.split), groups)
+    groups = individual.groups
+    return replace_groups(
+        individual, (first, second), (groups[first] | groups[second],)
+    )
 
 
 def mutate_split(
@@ -135,10 +159,9 @@ def mutate_split(
     members = sorted(individual.groups[target])
     rng.shuffle(members)
     cut = rng.randint(1, len(members) - 1)
-    groups = [g for i, g in enumerate(individual.groups) if i != target]
-    groups.append(frozenset(members[:cut]))
-    groups.append(frozenset(members[cut:]))
-    return make_grouping(set(individual.split), groups)
+    return replace_groups(
+        individual, (target,), (frozenset(members[:cut]), frozenset(members[cut:]))
+    )
 
 
 def mutate_move(
@@ -148,23 +171,20 @@ def mutate_move(
     if not fused:
         return None
     source = rng.choice(fused)
-    node = rng.choice(sorted(individual.groups[source]))
-    groups = list(individual.groups)
-    groups[source] = groups[source] - {node}
-    destinations = [
-        i
-        for i, g in enumerate(groups)
-        if i != source
-        and g
-        and all(problem.infos[m].eligible and problem.infos[m].fusable for m in g)
-        and problem.infos[node].fusable
-    ]
+    groups = individual.groups
+    node = rng.choice(sorted(groups[source]))
+    rest = groups[source] - {node}
+    destinations = (
+        [i for i in problem.mergeable_groups(groups) if i != source]
+        if problem.infos[node].fusable
+        else []
+    )
     if destinations and rng.random() < 0.6:
         dest = rng.choice(destinations)
-        groups[dest] = groups[dest] | {node}
-    else:
-        groups.append(frozenset({node}))
-    return make_grouping(set(individual.split), groups)
+        return replace_groups(
+            individual, (source, dest), (rest, groups[dest] | {node})
+        )
+    return replace_groups(individual, (source,), (rest, frozenset({node})))
 
 
 def mutate_fission_toggle(
@@ -212,7 +232,7 @@ def lazy_fission_repair(
         rest = group - {node}
         rest_arrays: Set[str] = set()
         for member in rest:
-            rest_arrays |= problem.infos[member].touched
+            rest_arrays |= problem.touched[member]
         # split the node: fragments sharing arrays with the rest stay, but
         # only while the group remains within the shared-memory budget
         # (greedy re-admission); the others become singletons
@@ -223,10 +243,10 @@ def lazy_fission_repair(
         sharing = [
             f
             for f in problem.fragments_of[node]
-            if problem.infos[f].touched & rest_arrays
+            if problem.touched[f] & rest_arrays
         ]
         sharing.sort(
-            key=lambda f: len(problem.infos[f].touched & rest_arrays), reverse=True
+            key=lambda f: len(problem.touched[f] & rest_arrays), reverse=True
         )
         for fragment in sharing:
             candidate_group = rest | keep | {fragment}
@@ -254,24 +274,28 @@ def crossover(
     count = max(1, rng.randint(1, len(donor_groups)))
     injected = rng.sample(donor_groups, count)
 
-    split = set(receiver.split)
-    groups = list(receiver.groups)
-    # reconcile representations
     injected_members: Set[str] = set()
     for group in injected:
         injected_members |= group
+    # reconcile representations; a receiver that needed none keeps its
+    # (vouched) group order, a reconciled one is re-sorted
+    split = set(receiver.split)
+    groups = list(receiver.groups)
     for node, fragments in problem.fragments_of.items():
         if node in injected_members:
             ensure_whole(problem, split, groups, node)
         elif injected_members & set(fragments):
             ensure_split(problem, split, groups, node)
-    # remove injected members from receiver groups
-    for i, group in enumerate(list(groups)):
-        if group & injected_members:
-            groups[i] = group - injected_members
-    groups = [g for g in groups if g]
-    groups.extend(injected)
-    return make_grouping(split, groups)
+    if split != receiver.split:
+        receiver = Grouping(split=frozenset(split), groups=tuple(groups))
+    # injected members leave the receiver's groups
+    groups = receiver.groups
+    overlap = list(filterfalse(injected_members.isdisjoint, groups))
+    return replace_groups(
+        receiver,
+        [groups.index(g) for g in overlap],
+        [g - injected_members for g in overlap] + injected,
+    )
 
 
 def mutate(

@@ -373,6 +373,27 @@ def test_evaluate_individual_direct(problem3):
     assert violations.feasible
 
 
+def test_projection_memo_separates_devices_sharing_a_name(problem3):
+    """The per-problem projection memo is keyed on the whole DeviceSpec: a
+    spec that keeps K20X's name but not its bandwidth must not be served
+    K20X's time (it was, when the key was ``device.name``)."""
+    from dataclasses import replace
+
+    from repro.search import group_projection_time
+    from repro.search.objective import clear_projection_caches
+
+    group = singleton_grouping(problem3).groups[0]
+    starved = replace(K20X, peak_bandwidth_gbs=1.0)
+    assert starved.name == K20X.name
+    clear_projection_caches(problem3)
+    fast = group_projection_time(problem3, group, K20X)
+    slow = group_projection_time(problem3, group, starved)
+    clear_projection_caches(problem3)
+    assert slow == group_projection_time(problem3, group, starved)
+    assert slow > 10 * fast
+    assert group_projection_time(problem3, group, K20X) == fast
+
+
 def test_problem_fingerprint_stable(problem3):
     assert problem3.fingerprint() == problem3.fingerprint()
     assert len(problem3.fingerprint()) == 64
