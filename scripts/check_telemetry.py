@@ -8,8 +8,9 @@ Usage::
 
 Checks, with plain asserts and no dependencies:
 
-* ``run.json``        — schema tag, config/env/stage-time structure, and
-  the ``verification`` block (program runs, reversed run, counter source);
+* ``run.json``        — schema tag, config/env/stage-time structure, the
+  ``verification`` block (program runs, reversed run, counter source) and
+  the ``front_door`` block (source size, load time, memo outcome);
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
   (every parent_id resolves), and a ``stage:*`` span per pipeline stage;
 * ``search_telemetry.jsonl`` — one well-formed row per GGA generation
@@ -37,6 +38,8 @@ STAGES = ("metadata", "targets", "graphs", "search", "codegen")
 VERIFICATION_FIELDS = (
     "program_runs", "reversed_run", "order_sensitive_launches", "counters_from",
 )
+
+FRONT_DOOR_FIELDS = ("source_bytes", "load_s", "memo")
 
 GENERATION_FIELDS = (
     "generation", "best_fitness", "best_feasible_fitness", "mean_fitness",
@@ -94,6 +97,8 @@ def check_run_manifest(path: Path) -> None:
         expect(run.get("error") is not None,
                "a failed run must carry an error diagnostic")
     check_verification(run.get("verification"), "run.json")
+    expect("front_door" in run, "run.json missing key 'front_door'")
+    check_front_door(run["front_door"], "run.json")
     print(f"  run manifest ok ({len(times)} stage times, "
           f"exit {run['exit_code']})")
 
@@ -119,6 +124,25 @@ def check_verification(block: object, where: str) -> None:
     # the reversed run exists for order-sensitive launches and only them
     expect(not block["reversed_run"] or (bool(sensitive) and runs >= 3),
            f"{where}: reversed run without an order-sensitive launch")
+
+
+def check_front_door(block: object, where: str) -> None:
+    """The ``front_door`` block of ``run.json`` / a ledger record: what
+    ``submit()`` loaded before the pipeline started.  ``source_bytes``
+    and ``memo`` are null for an input that was not text (a Program, an
+    app name); ``memo`` is also null when the load itself failed."""
+    expect(isinstance(block, dict), f"{where}: front_door must be an object")
+    for key in FRONT_DOOR_FIELDS:
+        expect(key in block, f"{where}: front_door missing {key!r}")
+    size, memo = block["source_bytes"], block["memo"]
+    expect(size is None or (isinstance(size, int) and size >= 0),
+           f"{where}: front_door.source_bytes must be a size or null")
+    expect(isinstance(block["load_s"], (int, float)) and block["load_s"] >= 0,
+           f"{where}: front_door.load_s must be a non-negative number")
+    expect(memo in ("hit", "miss", "uncached", None),
+           f"{where}: bad front_door.memo {memo!r}")
+    expect(memo is None or size is not None,
+           f"{where}: a memo outcome without a source text")
 
 
 def check_trace(path: Path) -> None:
@@ -267,6 +291,9 @@ def check_ledger(root: Path) -> None:
                 expect(isinstance(value, (int, float)) and value >= 0,
                        f"{path.name}: bad time for stage {stage!r}")
             check_verification(record.get("verification"), path.name)
+            # additive field: records written before it carry none
+            if record.get("front_door") is not None:
+                check_front_door(record["front_door"], path.name)
         elif kind == "fuzz":
             fuzz = record.get("fuzz")
             expect(isinstance(fuzz, dict),

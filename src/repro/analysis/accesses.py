@@ -20,7 +20,7 @@ from transformation and so do we (they pass through as no-fusion kernels).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..cudalite import ast_nodes as ast
 
@@ -67,6 +67,18 @@ def _match_global_index(expr: ast.Expr) -> Optional[str]:
     return None
 
 
+def _statements(stmt: ast.Stmt) -> Iterator[ast.Stmt]:
+    """``stmt`` and every statement nested in it, in preorder.
+
+    Expressions are not entered (no statement lives inside one), which
+    is most of a kernel body's nodes.
+    """
+    yield stmt
+    for child in stmt.children():
+        if isinstance(child, ast.Stmt):
+            yield from _statements(child)
+
+
 def find_global_index_vars(kernel: ast.KernelDef) -> Dict[str, str]:
     """Map local variable names to the CUDA axis they index (``x``/``y``/``z``).
 
@@ -74,7 +86,7 @@ def find_global_index_vars(kernel: ast.KernelDef) -> Dict[str, str]:
     global index variable).
     """
     result: Dict[str, str] = {}
-    for node in kernel.body.walk():
+    for node in _statements(kernel.body):
         if isinstance(node, ast.VarDecl) and node.init is not None:
             axis = _match_global_index(node.init)
             if axis is not None:

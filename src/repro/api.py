@@ -44,9 +44,11 @@ import json
 import logging
 import os
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from .cudalite import ast_nodes as ast
@@ -62,6 +64,7 @@ from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
 from .pipeline.stages import STAGES, PipelineConfig, PipelineState
 from .search.params import RETIRED_GA_FIELDS, GAParams, fast_params
+from .store import keys as store_keys
 from .store.artifact_store import (
     DEFAULT_ROOT,
     ENV_FALSY,
@@ -411,11 +414,79 @@ class TransformResult:
 # ------------------------------------------------------------------ facade
 
 
-def _coerce_program(app_or_program: object) -> Tuple[ast.Program, str]:
+#: bound on the source text the front-door memo retains, summed over its
+#: entries (``len(text)``, which is bytes for the ASCII the lexer accepts
+#: outside comments).  Text size, not entry count: an AST costs 21-27 B
+#: per source byte and a single request body may be 64 MiB, so 4 MiB of
+#: text is ~100 MiB of AST however many programs it is.
+_SOURCE_MEMO_BYTES = 4 * 1024 * 1024
+_SOURCE_MEMO: "OrderedDict[str, Tuple[ast.Program, str]]" = OrderedDict()
+_source_memo_lock = threading.Lock()
+
+
+def load_source(text: str) -> Tuple[ast.Program, str, str]:
+    """The front door for source text: ``(program, fingerprint, memo)``.
+
+    One parse and one fingerprint per distinct text per process: equal
+    text returns the *same* ``Program`` (the AST is frozen dataclasses,
+    so runs can share it) and its canonical fingerprint,
+    ``program_fingerprint(parse_program(text))``.  ``memo`` says how:
+    ``"hit"``, ``"miss"`` (parsed and retained, least recently used
+    entries evicted down to ``_SOURCE_MEMO_BYTES``) or ``"uncached"`` (a
+    text over the bound on its own is parsed and not kept).  A
+    ``LexError`` / ``ParseError`` propagates and is never cached.  The
+    lock is held across the parse, so concurrent loads of one text
+    parse it once.
+    """
+    with _source_memo_lock:
+        entry = _SOURCE_MEMO.get(text)
+        if entry is not None:
+            _SOURCE_MEMO.move_to_end(text)
+            return (*entry, "hit")
+        program = parse_program(text)
+        entry = (program, store_keys.program_fingerprint(program))
+        if len(text) > _SOURCE_MEMO_BYTES:
+            return (*entry, "uncached")
+        _SOURCE_MEMO[text] = entry
+        retained = sum(map(len, _SOURCE_MEMO))
+        while retained > _SOURCE_MEMO_BYTES:
+            evicted, _ = _SOURCE_MEMO.popitem(last=False)
+            retained -= len(evicted)
+        return (*entry, "miss")
+
+
+def _coerce_program(
+    app_or_program: object, telemetry: bool, front_door: Dict[str, Any]
+) -> Tuple[ast.Program, str, str]:
     """Accept a Program, app name, source path, source text or GeneratedApp.
 
-    Returns ``(program, source_label)`` — the label lands in ``run.json``.
+    Returns ``(program, fingerprint, source_label)`` — the label lands in
+    ``run.json``.  Source text (a path is re-read on every call) goes
+    through :func:`load_source`; the other inputs are fingerprinted here,
+    once, and nothing downstream unparses the input program again.
+    Fills the caller's ``front_door`` (the ``run.json`` / ledger block of
+    that name), so a load that raises still reports its size and time.
     """
+    front_door.update(source_bytes=None, load_s=0.0, memo=None)
+    start = perf_counter()
+    try:
+        source, label = _program_or_text(app_or_program)
+        if isinstance(source, ast.Program):
+            return source, store_keys.program_fingerprint(source), label
+        front_door["source_bytes"] = len(source)
+        program, fingerprint, memo = load_source(source)
+        front_door["memo"] = memo
+        if telemetry:
+            get_registry().inc("source_loads_total", outcome=memo)
+        return program, fingerprint, label
+    finally:
+        front_door["load_s"] = round(perf_counter() - start, 6)
+
+
+def _program_or_text(
+    app_or_program: object,
+) -> Tuple[Union[ast.Program, str], str]:
+    """``(Program or source text, source_label)`` of a transform input."""
     if isinstance(app_or_program, ast.Program):
         return app_or_program, "<program>"
     program = getattr(app_or_program, "program", None)
@@ -423,18 +494,15 @@ def _coerce_program(app_or_program: object) -> Tuple[ast.Program, str]:
         name = getattr(app_or_program, "name", "<app>")
         return program, f"app:{name}"
     if isinstance(app_or_program, Path):
-        return parse_program(app_or_program.read_text()), str(app_or_program)
+        return app_or_program.read_text(), str(app_or_program)
     if isinstance(app_or_program, str):
         from .apps import APP_NAMES, build_app
 
         if app_or_program in APP_NAMES:
             return build_app(app_or_program).program, f"app:{app_or_program}"
         if "\n" not in app_or_program and Path(app_or_program).is_file():
-            return (
-                parse_program(Path(app_or_program).read_text()),
-                app_or_program,
-            )
-        return parse_program(app_or_program), "<source>"
+            return Path(app_or_program).read_text(), app_or_program
+        return app_or_program, "<source>"
     raise ConfigError(
         f"cannot transform a {type(app_or_program).__name__}; expected a "
         "Program, app name, source path, source text or GeneratedApp"
@@ -485,6 +553,7 @@ def _ledger_append(
     framework: Optional[Framework],
     store: Optional[ArtifactStore],
     exit_code: int,
+    front_door: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Append this run to the store's run ledger.
 
@@ -517,6 +586,7 @@ def _ledger_append(
             trace=summarize_spans(get_tracer().spans()),
             interpreter=interpreter.stats().as_dict(),
             verification=state.verification if state is not None else None,
+            front_door=front_door,
         )
         append_record(store, record)
     except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
@@ -530,6 +600,7 @@ def write_run_outputs(
     store: Optional[ArtifactStore],
     exit_code: int,
     error: Optional[Dict[str, object]] = None,
+    front_door: Optional[Dict[str, Any]] = None,
 ) -> None:
     """Persist ``run.json`` (+ optional metrics/trace files) for one run.
 
@@ -563,6 +634,8 @@ def write_run_outputs(
             "interpreter": interpreter.stats().as_dict(),
             # whole-program interpretations codegen made, and why
             "verification": state.verification if state is not None else None,
+            # what submit() did before the pipeline started: the load
+            "front_door": front_door,
         },
     )
     write_run_manifest(str(run_dir / "run.json"), manifest)
@@ -593,13 +666,18 @@ def _merge_overrides(
 
 
 def _execute_transform(
-    program: ast.Program, source_label: str, resolved: TransformConfig
+    program: ast.Program,
+    fingerprint: str,
+    source_label: str,
+    front_door: Dict[str, Any],
+    resolved: TransformConfig,
 ) -> TransformResult:
     """Run one fully-resolved transformation end to end.
 
     The shared execution body behind :func:`transform` and the job core:
     telemetry scope, store wiring, ``run.json`` and the run ledger on
-    both the success and the failure path.
+    both the success and the failure path.  ``fingerprint`` and
+    ``front_door`` are what :func:`_coerce_program` made of the input.
     """
     with telemetry(bool(resolved.telemetry)):
         # run.json / the ledger report this run's executors and loop launches
@@ -609,7 +687,11 @@ def _execute_transform(
             store = open_store(resolved.store_root)
         framework: Optional[Framework] = None
         try:
-            framework = Framework(program, resolved.pipeline_config(store))
+            framework = Framework(
+                program,
+                resolved.pipeline_config(store),
+                program_fingerprint=fingerprint,
+            )
             state = framework.run(until=resolved.until)
         except ReproError as exc:
             write_run_outputs(
@@ -623,15 +705,21 @@ def _execute_transform(
                     "stage": exc.stage,
                     "message": str(exc),
                 },
+                front_door=front_door,
             )
             _ledger_append(
-                resolved, source_label, framework, store, exit_code=2
+                resolved, source_label, framework, store, exit_code=2,
+                front_door=front_door,
             )
             raise
         write_run_outputs(
-            resolved, source_label, framework, store, exit_code=0
+            resolved, source_label, framework, store, exit_code=0,
+            front_door=front_door,
         )
-        _ledger_append(resolved, source_label, framework, store, exit_code=0)
+        _ledger_append(
+            resolved, source_label, framework, store, exit_code=0,
+            front_door=front_door,
+        )
         return TransformResult(
             state=state,
             config=resolved,
@@ -726,8 +814,11 @@ class JobHandle:
         )
 
 
-#: submitted jobs by id, newest last; finished jobs are evicted beyond
-#: _JOB_HISTORY so a long-lived process cannot grow without bound
+#: asynchronously submitted jobs by id, newest last; finished jobs are
+#: evicted beyond _JOB_HISTORY so a long-lived process cannot grow without
+#: bound.  An inline job (every ``transform()``) is not entered: its caller
+#: holds the only handle anyone can use, and an entry here would pin the
+#: result's AST, problem and memo for 256 calls.
 _JOBS: "Dict[str, JobHandle]" = {}
 _JOB_HISTORY = 256
 _jobs_lock = threading.Lock()
@@ -754,18 +845,18 @@ def _job_executor() -> ThreadPoolExecutor:
         return _executor
 
 
-def request_key(program: ast.Program, resolved: TransformConfig) -> str:
+def request_key(program_fingerprint: str, resolved: TransformConfig) -> str:
     """The content-addressed identity of one transformation request.
 
-    Digest of the program fingerprint and the *semantic* configuration
-    (output paths, store wiring and telemetry excluded) — the dedup key
-    of the service layer and the ``key`` on every :class:`JobHandle`.
+    Digest of the program fingerprint (as :func:`_coerce_program`
+    returns it) and the *semantic* configuration (output paths, store
+    wiring and telemetry excluded) — the dedup key of the service layer
+    and the ``key`` on every :class:`JobHandle`.
     """
     from .observability.ledger import config_digest
-    from .store.keys import program_fingerprint, service_request_key
 
-    return service_request_key(
-        program_fingerprint(program), config_digest(resolved.to_dict())
+    return store_keys.service_request_key(
+        program_fingerprint, config_digest(resolved.to_dict())
     )
 
 
@@ -780,13 +871,17 @@ def _register_job(handle: JobHandle) -> None:
 
 
 def _run_job(
-    handle: JobHandle, program: ast.Program, resolved: TransformConfig
+    handle: JobHandle,
+    program: ast.Program,
+    fingerprint: str,
+    front_door: Dict[str, Any],
+    resolved: TransformConfig,
 ) -> None:
     with _EXEC_LOCK:
         handle._mark_running()
         try:
             result = _execute_transform(
-                program, handle.source_label, resolved
+                program, fingerprint, handle.source_label, front_door, resolved
             )
         except BaseException as exc:  # noqa: BLE001 - stored, re-raised
             handle._finish(None, exc)
@@ -808,12 +903,16 @@ def submit(
     one place the environment is read); the pipeline itself runs on this
     process's single job-worker thread.  With ``inline=True`` the job
     executes to completion in the calling thread before ``submit``
-    returns — the path :func:`transform` uses.
+    returns — the path :func:`transform` uses — and is reachable through
+    the returned handle only, not by id.
     """
     base = _merge_overrides(config, overrides)
     resolved = base.resolved()
+    front_door: Dict[str, Any] = {}
     try:
-        program, source_label = _coerce_program(app_or_program)
+        program, fingerprint, source_label = _coerce_program(
+            app_or_program, bool(resolved.telemetry), front_door
+        )
     except ReproError as exc:
         # unparseable input still leaves a machine-readable diagnostic,
         # exactly as a failed pipeline stage would; this runs outside
@@ -831,20 +930,26 @@ def submit(
                 "stage": exc.stage,
                 "message": str(exc),
             },
+            front_door=front_door,
         )
-        _ledger_append(resolved, "<unknown>", None, store, exit_code=2)
+        _ledger_append(
+            resolved, "<unknown>", None, store, exit_code=2,
+            front_door=front_door,
+        )
         raise
-    key = request_key(program, resolved)
+    key = request_key(fingerprint, resolved)
     handle = JobHandle(
         job_id=f"{key[:16]}-{next(_job_seq)}",
         key=key,
         source_label=source_label,
     )
-    _register_job(handle)
     if inline:
-        _run_job(handle, program, resolved)
+        _run_job(handle, program, fingerprint, front_door, resolved)
     else:
-        _job_executor().submit(_run_job, handle, program, resolved)
+        _register_job(handle)
+        _job_executor().submit(
+            _run_job, handle, program, fingerprint, front_door, resolved
+        )
     return handle
 
 

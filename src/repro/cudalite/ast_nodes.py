@@ -78,9 +78,13 @@ class Node:
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants in preorder."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        # explicit stack, children pushed reversed: a recursive ``yield
+        # from`` resumes one generator per level of depth for every node
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(tuple(node.children())))
 
 
 class Expr(Node):

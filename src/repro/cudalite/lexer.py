@@ -1,20 +1,33 @@
-"""Hand-written lexer for the CudaLite dialect.
+"""Regex lexer for the CudaLite dialect.
 
-The lexer is a single linear scan producing :class:`~repro.cudalite.tokens.Token`
-objects.  It supports ``//`` line comments and ``/* */`` block comments and
-tracks 1-based line/column positions for error reporting.
+One compiled master pattern matches, per token, the trivia before it
+(whitespace, ``//`` line comments, ``/* */`` block comments) and then the
+token itself, producing :class:`~repro.cudalite.tokens.Token` objects with
+1-based line/column positions for error reporting.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterator, List
 
 from ..errors import LexError
 from .tokens import KEYWORDS, PUNCTUATORS, TokKind, Token
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*"
+#: digits with an optional fraction (``1.`` only at end of input: ``1.x``
+#: is a member access), or ``.5``; then exponent and CUDA float suffix
+_NUMBER = r"(?:[0-9]+(?:\.(?:[0-9]+|\Z))?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fF]?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+#: a ``/*`` the trivia did not consume has no closing ``*/``
+_OPEN_COMMENT = r"/\*"
+#: PUNCTUATORS is longest-first, so alternation order is greedy matching
+_PUNCT = "|".join(re.escape(p) for p in PUNCTUATORS)
+
+_TOKEN = re.compile(
+    rf"({_TRIVIA})(?:({_NUMBER})|({_IDENT})|({_OPEN_COMMENT})|({_PUNCT}))?",
+    re.DOTALL,
+)
 
 
 class Lexer:
@@ -31,114 +44,35 @@ class Lexer:
 
     def __init__(self, source: str) -> None:
         self.src = source
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-
-    # -- low-level cursor helpers -------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        idx = self.pos + offset
-        return self.src[idx] if idx < len(self.src) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos >= len(self.src):
-                return
-            if self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and comments."""
-        while self.pos < len(self.src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start_line, start_col = self.line, self.col
-                self._advance(2)
-                while self.pos < len(self.src) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.pos >= len(self.src):
-                    raise LexError("unterminated block comment", start_line, start_col)
-                self._advance(2)
-            else:
-                return
-
-    # -- token scanners -----------------------------------------------------------
-
-    def _scan_number(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        is_float = False
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and self._peek(1) in _DIGITS | {""} and (
-            self._peek(1) in _DIGITS or self.pos > start
-        ):
-            is_float = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in ("e", "E") and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        # CUDA float suffixes
-        if self._peek() in ("f", "F"):
-            is_float = True
-            self._advance()
-        text = self.src[start : self.pos]
-        return Token(TokKind.FLOAT if is_float else TokKind.INT, text, line, col)
-
-    def _scan_ident(self) -> Token:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.src[start : self.pos]
-        kind = TokKind.KEYWORD if text in KEYWORDS else TokKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _scan_punct(self) -> Token:
-        line, col = self.line, self.col
-        for punct in PUNCTUATORS:
-            if self.src.startswith(punct, self.pos):
-                self._advance(len(punct))
-                return Token(TokKind.PUNCT, punct, line, col)
-        raise LexError(f"unexpected character {self._peek()!r}", line, col)
-
-    # -- public API ----------------------------------------------------------------
 
     def tokens(self) -> Iterator[Token]:
         """Yield tokens one at a time, ending with an EOF token."""
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.src):
-                yield Token(TokKind.EOF, "", self.line, self.col)
+        src = self.src
+        pos, line, line_start = 0, 1, 0
+        for match in _TOKEN.finditer(src):
+            trivia, number, ident, open_comment, punct = match.groups("")
+            if trivia:
+                if "\n" in trivia:
+                    line += trivia.count("\n")
+                    line_start = pos + trivia.rfind("\n") + 1
+                pos += len(trivia)
+            col = pos - line_start + 1
+            if punct:
+                yield Token(TokKind.PUNCT, punct, line, col)
+            elif ident:
+                kind = TokKind.KEYWORD if ident in KEYWORDS else TokKind.IDENT
+                yield Token(kind, ident, line, col)
+            elif number:
+                kind = TokKind.INT if number.isdigit() else TokKind.FLOAT
+                yield Token(kind, number, line, col)
+            elif open_comment:
+                raise LexError("unterminated block comment", line, col)
+            elif pos >= len(src):
+                yield Token(TokKind.EOF, "", line, col)
                 return
-            ch = self._peek()
-            if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-                yield self._scan_number()
-            elif ch in _IDENT_START:
-                yield self._scan_ident()
             else:
-                yield self._scan_punct()
+                raise LexError(f"unexpected character {src[pos]!r}", line, col)
+            pos = match.end()
 
     def tokenize(self) -> List[Token]:
         """Return the complete token list (terminated by EOF)."""

@@ -21,7 +21,11 @@ failure" cheaply.
     orders (what lets whole-program verification skip its reversed run).
 ``warm_store``
     Re-running the identical transform against a warm artifact store is
-    bit-identical to the cold run (caching must never change results).
+    bit-identical to the cold run (caching must never change results),
+    and the warm leg — submitted as source *text*, through the front
+    door's lexer, parser and loader — lands on the cold leg's store
+    entries: the parsed text fingerprints like the program it was
+    unparsed from.
 ``fault_seams``
     With each recoverable fault seam firing once, the transform still
     completes (graceful degradation end-to-end).
@@ -37,6 +41,7 @@ import numpy as np
 
 from ..api import TransformConfig, TransformResult, transform
 from ..cudalite import ast_nodes as ast
+from ..cudalite.unparser import unparse
 from ..gpu.interpreter import run_program
 from ..observability import counters_signature
 from ..reliability import faults
@@ -247,7 +252,7 @@ def _check_warm_store(
         stored = replace(config, store=True, store_root=root)
         try:
             cold = transform(program, stored)
-            warm = transform(program, stored)
+            warm = transform(unparse(program), stored)
         except BaseException as exc:  # noqa: BLE001
             return _escape("warm_store", exc)
     if cold.source != warm.source:
@@ -255,6 +260,15 @@ def _check_warm_store(
             "warm_store",
             "warm-divergence",
             "warm re-run produced a different transformed program",
+        )
+    # checked last so the signatures above stay what they were
+    missed = sorted({"metadata", "targets", "graphs"} - set(warm.reused))
+    if missed:
+        return OracleFailure(
+            "warm_store",
+            "warm-front-door-miss",
+            f"the re-parsed text did not reuse {', '.join(missed)}: its "
+            "fingerprint differs from the built program's",
         )
     return None
 

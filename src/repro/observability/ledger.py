@@ -111,6 +111,7 @@ def build_transform_record(
     trace: Optional[Dict[str, object]] = None,
     interpreter: Optional[Dict[str, object]] = None,
     verification: Optional[Dict[str, object]] = None,
+    front_door: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """One ledger record for a pipeline run (cold, warm or failed)."""
     times = {k: round(v, 6) for k, v in (stage_times or {}).items()}
@@ -133,6 +134,7 @@ def build_transform_record(
             "trace": trace,
             "interpreter": interpreter,
             "verification": verification,
+            "front_door": front_door,
         }
     )
     return record

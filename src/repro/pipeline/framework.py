@@ -49,10 +49,18 @@ class Framework:
         self,
         program: "ast.Program | str",
         config: Optional[PipelineConfig] = None,
+        *,
+        program_fingerprint: Optional[str] = None,
     ) -> None:
         if isinstance(program, str):
             program = parse_program(program)
-        self.state = PipelineState(program=program, config=config or PipelineConfig())
+        # a caller that already holds the program's digest (repro.api's
+        # front door) seeds it; otherwise it is computed on first use
+        self.state = PipelineState(
+            program=program,
+            config=config or PipelineConfig(),
+            _program_fp=program_fingerprint,
+        )
         self._interventions: Dict[str, List[Intervention]] = {s: [] for s in STAGES}
         self._completed: List[str] = []
         #: wall time per completed stage, in execution order (telemetry)

@@ -524,11 +524,14 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         state.built.problem, state.config.device
     )
     codegen_note = ""
+    # the transformed program's text: unparsed once, where first needed
+    transformed_text: Optional[str] = None
     if state.config.verify:
         program_key = None
         if store is not None:
+            transformed_text = unparse(state.transform.program)
             program_key = store_keys.verified_program_key(
-                unparse(state.program), unparse(state.transform.program)
+                state.program_fingerprint, transformed_text
             )
         if program_key is not None and stage_cache.program_previously_verified(
             store, program_key
@@ -575,6 +578,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 d.members for d in demoted
             ]
             state.transform = fallback
+            transformed_text = None  # that was the demoted program's
             codegen_note = "; fell back to identity program"
             state.verified = _whole_program_verified(state)
             if not state.verified:
@@ -609,7 +613,10 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         + demotion_note
         + validation_note
     )
-    state._persist("transformed.cu", unparse(state.transform.program))
+    if state.config.workdir is not None:
+        if transformed_text is None:
+            transformed_text = unparse(state.transform.program)
+        state._persist("transformed.cu", transformed_text)
     state._persist("codegen.txt", state.reports["codegen"])
     if _writes_telemetry(state):
         telemetry_path = Path(state.config.workdir) / "search_telemetry.jsonl"

@@ -184,10 +184,13 @@ class TransformService:
     ) -> Tuple[_Execution, bool]:
         """Dedup gate: join an in-flight execution or start a new one."""
         config = self._effective_config(request)
-        program, source_label = _coerce_program(
-            request.source if request.source is not None else request.app
+        # the same front door as submit(): a repeated text costs a lookup
+        _, fingerprint, source_label = _coerce_program(
+            request.source if request.source is not None else request.app,
+            bool(config.telemetry),
+            {},
         )
-        key = request_key(program, config)
+        key = request_key(fingerprint, config)
         registry = get_registry()
         existing = self._inflight.get(key)
         if existing is not None:

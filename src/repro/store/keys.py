@@ -156,9 +156,10 @@ def verified_group_key(
     )
 
 
-def verified_program_key(original_text: str, transformed_text: str) -> str:
-    """Identity of one whole-program verification (original vs output)."""
-    return digest("verified-program", original_text, transformed_text)
+def verified_program_key(original_fp: str, transformed_text: str) -> str:
+    """Identity of one whole-program verification: the original by its
+    fingerprint (the run already holds it), the output by its text."""
+    return digest("verified-program", original_fp, transformed_text)
 
 
 def kernel_fingerprint(kernel: "ast.KernelDef") -> str:

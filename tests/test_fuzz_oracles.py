@@ -83,6 +83,25 @@ def test_transform_escape_is_a_stable_failure(monkeypatch):
     assert escape.signature() == "transform:uncaught:RuntimeError"
 
 
+def test_warm_store_oracle_flags_a_front_door_miss(monkeypatch):
+    """The warm leg goes in as text; if what the front door makes of it
+    does not fingerprint like the program the cold leg was given, the
+    store is missed — same output, but a failure of its own kind."""
+    import itertools
+
+    from repro.store import keys
+
+    app = generate_app(3)
+    assert run_oracles(app, ("warm_store",), fuzz_config(seed=3)).ok
+    real, calls = keys.program_fingerprint, itertools.count()
+    monkeypatch.setattr(
+        keys, "program_fingerprint", lambda p: f"{real(p)}-{next(calls)}"
+    )
+    verdict = run_oracles(app, ("warm_store",), fuzz_config(seed=3))
+    assert verdict.signatures() == ("warm_store:warm-front-door-miss",)
+    assert "metadata" in verdict.failures[0].detail
+
+
 def test_verdict_signatures_are_ordered_and_stable():
     failures = (
         OracleFailure("modes", "array-mismatch:batched", "x"),

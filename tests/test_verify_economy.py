@@ -255,6 +255,35 @@ def test_identity_fallback_never_reports_the_rejected_programs_counters(
     )
 
 
+def test_identity_fallback_writes_its_own_text(monkeypatch, tmp_path):
+    """With a store the rejected program was unparsed for its verdict
+    key; ``transformed.cu`` must be the fallback's text, not that one."""
+    source = unparse(build_app("MITgcm", scale=APP_SCALE).program)
+    real = stages.outputs_allclose
+    verdicts = iter([False])  # reject the fused program once
+
+    monkeypatch.setattr(
+        stages, "outputs_allclose",
+        lambda a, b, **kw: next(verdicts, None) is None and real(a, b, **kw),
+    )
+    workdir = tmp_path / "run"
+    result = transform(
+        source, store=True, store_root=str(tmp_path / "store"),
+        seed=PINNED_GA_SEED, workdir=str(workdir),
+    )
+    assert "fell back to identity program" in result.state.reports["codegen"]
+    assert not result.state.transform.fused_kernels
+    assert (workdir / "transformed.cu").read_text() == result.source
+    # the rejected program's verdict key was never recorded: a repeat
+    # fuses, verifies for real this time and records that
+    again = transform(
+        source, store=True, store_root=str(tmp_path / "store"),
+        seed=PINNED_GA_SEED,
+    )
+    assert again.state.transform.fused_kernels
+    assert "verify_program" not in again.reused and again.verified is True
+
+
 def test_counted_run_of_another_program_is_not_consumed(program_runs, tmp_path):
     """The hand-off is keyed on the identity of the program that ran."""
     source = unparse(build_app("MITgcm", scale=APP_SCALE).program)
