@@ -9,8 +9,9 @@ Usage::
 Checks, with plain asserts and no dependencies:
 
 * ``run.json``        — schema tag, config/env/stage-time structure, the
-  ``verification`` block (program runs, reversed run, counter source) and
-  the ``front_door`` block (source size, load time, memo outcome);
+  ``verification`` block (program runs, reversed run, counter source),
+  the ``front_door`` block (source size, load time, memo outcome) and
+  the ``interpreter`` block (launches per executor, accesses per path);
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
   (every parent_id resolves), and a ``stage:*`` span per pipeline stage;
 * ``search_telemetry.jsonl`` — one well-formed row per GGA generation
@@ -40,6 +41,11 @@ VERIFICATION_FIELDS = (
 )
 
 FRONT_DOOR_FIELDS = ("source_bytes", "load_s", "memo")
+
+INTERPRETER_FIELDS = (
+    "launches_by_executor", "loop_launches", "hazard_replays",
+    "accesses_by_path",
+)
 
 GENERATION_FIELDS = (
     "generation", "best_fitness", "best_feasible_fitness", "mean_fitness",
@@ -99,6 +105,8 @@ def check_run_manifest(path: Path) -> None:
     check_verification(run.get("verification"), "run.json")
     expect("front_door" in run, "run.json missing key 'front_door'")
     check_front_door(run["front_door"], "run.json")
+    expect("interpreter" in run, "run.json missing key 'interpreter'")
+    check_interpreter(run["interpreter"], run["config"], "run.json")
     print(f"  run manifest ok ({len(times)} stage times, "
           f"exit {run['exit_code']})")
 
@@ -143,6 +151,30 @@ def check_front_door(block: object, where: str) -> None:
            f"{where}: bad front_door.memo {memo!r}")
     expect(memo is None or size is not None,
            f"{where}: a memo outcome without a source text")
+
+
+def check_interpreter(block: object, config: object, where: str) -> None:
+    """The ``interpreter`` block of ``run.json`` / a ledger record: which
+    executor ran the launches and which path the array references took.
+    The per-block loop is the oracle: a ``block_exec="loop"`` run never
+    takes the slice path."""
+    expect(isinstance(block, dict), f"{where}: interpreter must be an object")
+    for key in INTERPRETER_FIELDS:
+        expect(key in block, f"{where}: interpreter missing {key!r}")
+    by_path = block["accesses_by_path"]
+    expect(isinstance(by_path, dict) and set(by_path) == {"slice", "funnel"},
+           f"{where}: accesses_by_path must count 'slice' and 'funnel'")
+    expect(all(isinstance(n, int) and n >= 0 for n in by_path.values()),
+           f"{where}: accesses_by_path values must be counts")
+    launches = block["launches_by_executor"]
+    expect(isinstance(launches, dict)
+           and all(isinstance(n, int) and n > 0 for n in launches.values()),
+           f"{where}: launches_by_executor must map executor -> count")
+    expect(bool(launches) or not any(by_path.values()),
+           f"{where}: array accesses without a launch")
+    if isinstance(config, dict) and config.get("block_exec") == "loop":
+        expect(by_path["slice"] == 0,
+               f"{where}: block_exec=loop took the slice path")
 
 
 def check_trace(path: Path) -> None:
@@ -294,6 +326,10 @@ def check_ledger(root: Path) -> None:
             # additive field: records written before it carry none
             if record.get("front_door") is not None:
                 check_front_door(record["front_door"], path.name)
+            # likewise accesses_by_path inside the interpreter block
+            block = record.get("interpreter")
+            if block is not None and "accesses_by_path" in block:
+                check_interpreter(block, None, path.name)
         elif kind == "fuzz":
             fuzz = record.get("fuzz")
             expect(isinstance(fuzz, dict),

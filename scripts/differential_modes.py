@@ -13,7 +13,10 @@ mode makes:
   agree across all modes;
 * the **full** counter totals — including the execution-shape-dependent
   ``branch_divergence`` — agree between ``compiled`` and ``auto``, the
-  interpretation mode whose lattice it shares.
+  interpretation mode whose lattice it shares;
+* ``auto`` ran array references as slices and ``loop`` ran none
+  (``InterpreterStats.accesses_by_path``), so the comparison above is a
+  slice-vs-funnel differential and stays one.
 
 Exits non-zero on any mismatch; prints the compiler's cache counters so
 CI logs show how many kernels actually compiled vs fell back.
@@ -103,17 +106,20 @@ def array_hashes(result) -> dict:
 
 
 def run_modes(program) -> dict:
+    from repro.gpu import interpreter
     from repro.gpu.interpreter import run_program
     from repro.observability import counters_signature
 
     runs = {}
     for mode in MODES:
+        interpreter.reset_stats()
         result = run_program(program, block_exec=mode, collect_counters=True)
         counters = [rec.counters for rec in result.launches]
         runs[mode] = {
             "hashes": array_hashes(result),
             "invariant": counters_signature(counters),
             "full": counters_signature(counters, include_divergence=True),
+            "sliced": interpreter.stats().accesses_by_path["slice"],
         }
     return runs
 
@@ -141,6 +147,11 @@ def diff_runs(label: str, runs: dict) -> list:
             f"compiled vs auto:\n"
             f"  auto:     {runs['auto']['full']}\n"
             f"  compiled: {runs['compiled']['full']}"
+        )
+    if reference["sliced"] or not runs["auto"]["sliced"]:
+        problems.append(
+            f"{label}: not a slice-vs-funnel differential: loop sliced "
+            f"{reference['sliced']} accesses, auto {runs['auto']['sliced']}"
         )
     return problems
 

@@ -19,8 +19,10 @@ from transformation and so do we (they pass through as no-fusion kernels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+import weakref
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..cudalite import ast_nodes as ast
 
@@ -160,14 +162,14 @@ def linear_index_term(expr: ast.Expr) -> IndexTerm:
     return (IRREGULAR, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayAccessInfo:
     """Read/write footprint of one array inside one kernel."""
 
     name: str
     #: Each access is a tuple of per-dimension IndexTerms.
-    reads: Set[Tuple[IndexTerm, ...]] = field(default_factory=set)
-    writes: Set[Tuple[IndexTerm, ...]] = field(default_factory=set)
+    reads: FrozenSet[Tuple[IndexTerm, ...]] = frozenset()
+    writes: FrozenSet[Tuple[IndexTerm, ...]] = frozenset()
     irregular: bool = False
 
     @property
@@ -204,7 +206,7 @@ class ArrayAccessInfo:
         return radius
 
 
-@dataclass
+@dataclass(frozen=True)
 class StatementAccess:
     """Read/write sets of one executable statement (assignments and
     initialized declarations)."""
@@ -222,15 +224,19 @@ class StatementAccess:
     guard_depth: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelAccesses:
-    """Complete access summary for a kernel."""
+    """Complete access summary for a kernel.
+
+    Read-only: :func:`collect_accesses` hands the same object to every
+    caller for as long as the kernel lives.
+    """
 
     kernel_name: str
-    index_vars: Dict[str, str]
-    arrays: Dict[str, ArrayAccessInfo]
-    statements: List[StatementAccess]
-    loops: List[LoopInfo]
+    index_vars: Mapping[str, str]
+    arrays: Mapping[str, ArrayAccessInfo]
+    statements: Tuple[StatementAccess, ...]
+    loops: Tuple[LoopInfo, ...]
     uses_shared: bool
     has_irregular: bool
 
@@ -325,39 +331,51 @@ def _expr_names(expr: ast.Expr) -> Tuple[Set[str], Set[str]]:
     return arrays, scalars
 
 
+#: id(KernelDef) -> its summary; entries leave with their kernel (the
+#: scheme of ``gpu.interpreter._kernel_facts``: KernelDef hashes by
+#: content, which would cost the walk this memo avoids)
+_SUMMARIES: Dict[int, KernelAccesses] = {}
+
+
 def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
-    """Build the full access summary for ``kernel``."""
+    """The access summary of ``kernel``, built once per kernel object."""
+    summary = _SUMMARIES.get(id(kernel))
+    if summary is None:
+        summary = _SUMMARIES[id(kernel)] = _summarize(kernel)
+        weakref.finalize(kernel, _SUMMARIES.pop, id(kernel), None)
+    return summary
+
+
+def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
     index_vars = find_global_index_vars(kernel)
     pointer_params = {p.name for p in kernel.pointer_params()}
     shared_names: Set[str] = set()
-    arrays: Dict[str, ArrayAccessInfo] = {}
+    #: name -> (reads, writes), in first-access order
+    footprints: Dict[str, Tuple[Set[Tuple[IndexTerm, ...]], ...]] = {}
+    irregular_arrays: Set[str] = set()
     statements: List[StatementAccess] = []
     loops = find_loops(kernel)
     uses_shared = False
-    has_irregular = False
     counter = 0
+    #: a summary lives as long as its kernel and a frozenset is 216 B:
+    #: keep one per distinct name set (the empty one, mostly)
+    interned: Dict[FrozenSet[str], FrozenSet[str]] = {}
 
-    def info(name: str) -> ArrayAccessInfo:
-        if name not in arrays:
-            arrays[name] = ArrayAccessInfo(name)
-        return arrays[name]
+    def names(values: Set[str]) -> FrozenSet[str]:
+        key = frozenset(values)
+        return interned.setdefault(key, key)
 
     def record_access(node: ast.Index, is_write: bool) -> None:
-        nonlocal has_irregular
         name = node.array_name
         if name is None or (name not in pointer_params and name not in shared_names):
             return
         if name in shared_names:
             return  # shared tiles are staging, not global footprint
         terms = tuple(linear_index_term(i) for i in node.indices)
-        entry = info(name)
         if any(t[0] == IRREGULAR for t in terms):
-            entry.irregular = True
-            has_irregular = True
-        if is_write:
-            entry.writes.add(terms)
-        else:
-            entry.reads.add(terms)
+            irregular_arrays.add(name)
+        reads, writes = footprints.setdefault(name, (set(), set()))
+        (writes if is_write else reads).add(terms)
 
     def scan_expr(expr: ast.Expr, is_store: bool = False) -> None:
         if isinstance(expr, ast.Index):
@@ -394,10 +412,10 @@ def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
                     StatementAccess(
                         index=counter,
                         stmt=stmt,
-                        arrays_read=frozenset(init_arrays & global_arrays),
-                        arrays_written=frozenset(),
-                        scalars_read=frozenset(init_scalars - global_arrays),
-                        scalars_written=frozenset({stmt.name}),
+                        arrays_read=names(init_arrays & global_arrays),
+                        arrays_written=names(set()),
+                        scalars_read=names(init_scalars - global_arrays),
+                        scalars_written=names({stmt.name}),
                         # integer index math (pure-scalar inits) is
                         # address arithmetic, not floating-point work
                         flops=_count_flops(stmt.init) if init_arrays else 0,
@@ -434,10 +452,10 @@ def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
                 StatementAccess(
                     index=counter,
                     stmt=stmt,
-                    arrays_read=frozenset(arrays_r & global_arrays),
-                    arrays_written=frozenset(arrays_w & global_arrays),
-                    scalars_read=frozenset(scalars_r - global_arrays),
-                    scalars_written=frozenset(scalars_w - global_arrays),
+                    arrays_read=names(arrays_r & global_arrays),
+                    arrays_written=names(arrays_w & global_arrays),
+                    scalars_read=names(scalars_r - global_arrays),
+                    scalars_written=names(scalars_w - global_arrays),
                     flops=_count_flops(stmt.value),
                     loop_context=loop_ctx,
                     guard_depth=guard_depth,
@@ -467,14 +485,20 @@ def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
     for stmt in kernel.body.stmts:
         visit(stmt, (), 0)
 
+    arrays = {
+        name: ArrayAccessInfo(
+            name, frozenset(reads), frozenset(writes), name in irregular_arrays
+        )
+        for name, (reads, writes) in footprints.items()
+    }
     return KernelAccesses(
         kernel_name=kernel.name,
-        index_vars=index_vars,
-        arrays=arrays,
-        statements=statements,
-        loops=loops,
+        index_vars=MappingProxyType(index_vars),
+        arrays=MappingProxyType(arrays),
+        statements=tuple(statements),
+        loops=tuple(loops),
         uses_shared=uses_shared,
-        has_irregular=has_irregular,
+        has_irregular=bool(irregular_arrays),
     )
 
 

@@ -19,6 +19,10 @@ failure" cheaply.
     the forward and under the reversed block order; and a run none of
     whose launches is order-sensitive computes the same arrays in both
     orders (what lets whole-program verification skip its reversed run).
+    ``loop`` must have run no array reference as slices and — on a
+    generated app, whose every kernel indexes by its global thread id —
+    ``auto`` some, which keeps that comparison a slice-vs-funnel
+    differential.
 ``warm_store``
     Re-running the identical transform against a warm artifact store is
     bit-identical to the cold run (caching must never change results),
@@ -42,6 +46,7 @@ import numpy as np
 from ..api import TransformConfig, TransformResult, transform
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
+from ..gpu import interpreter
 from ..gpu.interpreter import run_program
 from ..observability import counters_signature
 from ..reliability import faults
@@ -195,19 +200,23 @@ def _check_differential(
     return None
 
 
-def _check_modes(program: ast.Program) -> Optional[OracleFailure]:
+def _check_modes(
+    program: ast.Program, expect_slices: bool
+) -> Optional[OracleFailure]:
     by_order = {}
+    sliced = {}
     for order in _BLOCK_ORDERS:
         try:
-            runs = by_order[order] = {
-                mode: run_program(
+            runs = by_order[order] = {}
+            for mode in _EXEC_MODES:
+                interpreter.reset_stats()
+                runs[mode] = run_program(
                     program,
                     block_order=order,
                     block_exec=mode,
                     collect_counters=True,
                 )
-                for mode in _EXEC_MODES
-            }
+                sliced[mode] = interpreter.stats().accesses_by_path["slice"]
         except BaseException as exc:  # noqa: BLE001
             return _escape("modes", exc)
         signatures = {
@@ -240,6 +249,14 @@ def _check_modes(program: ast.Program) -> Optional[OracleFailure]:
             return OracleFailure(
                 "modes", f"order-insensitive-diverged:{mode}", detail
             )
+    # the premise that makes loop-vs-auto a slice-vs-funnel differential
+    # (a hand-written or reduced program need not have a sliceable access)
+    if sliced["loop"] or (expect_slices and not sliced["auto"]):
+        return OracleFailure(
+            "modes",
+            "not-slice-vs-funnel",
+            f"loop sliced {sliced['loop']} accesses, auto {sliced['auto']}",
+        )
     return None
 
 
@@ -334,7 +351,9 @@ def run_oracles(
             if transform_failed
             else _check_differential(program, result)
         ),
-        "modes": lambda: _check_modes(program),
+        "modes": lambda: _check_modes(
+            program, expect_slices=not isinstance(app_or_program, ast.Program)
+        ),
         "warm_store": lambda: _check_warm_store(program, config),
         "fault_seams": lambda: _check_fault_seams(program, config),
     }

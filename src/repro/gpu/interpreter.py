@@ -53,18 +53,47 @@ the tree-walker uses.
 Statements act as implicit barriers in both modes (a vectorized statement
 completes for every thread before the next begins).  ``__syncthreads()``
 placement is additionally validated statically by the transformation tests.
+
+**Affine accesses.**  Every array reference can run through the *funnel*
+— evaluate the subscripts to index arrays, validate and clip them per
+axis, gather or scatter (:meth:`_KernelExec._finish_load` /
+:meth:`_KernelExec._finish_store`).  On the tree-walker's vectorized and
+batched lattices a stencil's references do not need it: an ``int`` local
+whose value is ``arange + base`` along one full lattice axis is tagged
+when it is declared, each mask's active-lane count and per-axis hull are
+computed once per mask object, and an access whose subscripts are tagged
+locals ``± const`` (distinct axes, in lattice order) or thread-invariant
+ints runs as basic slices once ``hull + shift`` is proved inside the
+extent (:meth:`_KernelExec._slice_index`).  Whatever does not qualify —
+and every access under ``block_exec="loop"``, ``detect_races``, a
+``compiled`` kernel or a hazard replay — takes the funnel unchanged; the
+equivalence argument and the fallback list are in DESIGN.md §7 ("Affine
+accesses"), the split is reported as
+:attr:`InterpreterStats.accesses_by_path`.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 import threading
 import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, FrozenSet, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    FrozenSet,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
+from ..analysis.accesses import IRREGULAR, IndexTerm, linear_index_term
 from ..cudalite import ast_nodes as ast
 from ..errors import InterpreterError, OutOfBoundsError
 from ..observability.hwcounters import KernelCounters
@@ -194,6 +223,18 @@ def _c_mod(lhs: Value, rhs: Value) -> Value:
     return np.fmod(lhs, rhs)
 
 
+def _restrict(value: np.ndarray, region: Tuple[slice, ...]) -> np.ndarray:
+    """The lanes ``region`` of a lattice-broadcastable array (a view)."""
+    return value[
+        tuple(
+            [
+                lanes if extent != 1 else slice(None)
+                for lanes, extent in zip(region, value.shape)
+            ]
+        )
+    ]
+
+
 def _as_int(value: Value) -> Value:
     """C-style truncating conversion of a declared ``int`` initializer."""
     if isinstance(value, np.ndarray):
@@ -244,12 +285,18 @@ class InterpreterStats:
     loop_launches: Dict[str, int] = field(default_factory=dict)
     #: kernel -> first hazard that forced a replay (``"<array>:<kind>"``)
     hazard_replays: Dict[str, str] = field(default_factory=dict)
+    #: executed array references that ran as basic slices / through the
+    #: gather-scatter funnel (DESIGN.md, "Affine accesses")
+    accesses_by_path: Dict[str, int] = field(
+        default_factory=lambda: {"slice": 0, "funnel": 0}
+    )
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "launches_by_executor": dict(sorted(self.launches_by_executor.items())),
             "loop_launches": dict(sorted(self.loop_launches.items())),
             "hazard_replays": dict(sorted(self.hazard_replays.items())),
+            "accesses_by_path": dict(self.accesses_by_path),
         }
 
 
@@ -269,7 +316,9 @@ def reset_stats() -> None:
         _STATS = InterpreterStats()
 
 
-def _note_launch(kernel: str, executor: str, hazard: Optional[str]) -> None:
+def _note_launch(
+    kernel: str, executor: str, hazard: Optional[str], accesses: Dict[str, int]
+) -> None:
     with _STATS_LOCK:
         by = _STATS.launches_by_executor
         by[executor] = by.get(executor, 0) + 1
@@ -278,10 +327,14 @@ def _note_launch(kernel: str, executor: str, hazard: Optional[str]) -> None:
             loops[kernel] = loops.get(kernel, 0) + 1
         if hazard is not None:
             _STATS.hazard_replays.setdefault(kernel, hazard)
+        for path, count in accesses.items():
+            _STATS.accesses_by_path[path] += count
     registry = get_registry()
     registry.inc("gpu_launches_total", executor=executor)
     if hazard is not None:
         registry.inc("gpu_hazard_replays_total")
+    for path, count in accesses.items():
+        registry.inc("gpu_accesses_total", count, path=path)
 
 
 @dataclass(frozen=True)
@@ -301,6 +354,10 @@ class _KernelFacts:
     #: pointer parameters syntactically read / written
     reads: FrozenSet[str]
     writes: FrozenSet[str]
+    #: id(Index node) -> its subscripts as ``var ± const`` terms, for the
+    #: nodes where every subscript has that form (the nodes live as long
+    #: as the kernel, so the ids are stable)
+    subscripts: Dict[int, Tuple[IndexTerm, ...]]
 
 
 #: id(KernelDef) -> facts; entries leave with their kernel (KernelDef
@@ -342,8 +399,13 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
 
     uses_shared = False
     uniform_bounds = True
+    subscripts: Dict[int, Tuple[IndexTerm, ...]] = {}
     for node in kernel.body.walk():
-        if isinstance(node, ast.For):
+        if isinstance(node, ast.Index):
+            terms = tuple(linear_index_term(e) for e in node.indices)
+            if all(base != IRREGULAR for base, _ in terms):
+                subscripts[id(node)] = terms
+        elif isinstance(node, ast.For):
             uniform_bounds &= (
                 uniform(node.start) and uniform(node.bound) and uniform(node.step)
             )
@@ -401,7 +463,11 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
 
     visit(kernel.body)
     return _KernelFacts(
-        uses_shared, bool(uniform_bounds), frozenset(reads), frozenset(writes)
+        uses_shared,
+        bool(uniform_bounds),
+        frozenset(reads),
+        frozenset(writes),
+        subscripts,
     )
 
 
@@ -412,6 +478,21 @@ class _BlockHazard(Exception):
         super().__init__(f"{array}:{kind}")
         self.array = array
         self.kind = kind
+
+
+#: the implicit leading subscript of a batched shared tile: the block axis
+_BLOCK_AXIS = "<block>"
+
+class _MaskFacts(NamedTuple):
+    """What one mask keeps active on the current lattice."""
+
+    #: active lanes over the full lattice
+    count: int
+    #: per-axis ``(lo, hi)`` of the active lanes; None when not slicing, for
+    #: an empty mask and for a mask of another rank than the lattice
+    hull: Optional[Tuple[Tuple[int, int], ...]]
+    #: the mask is its whole hull (every lane of the box is active)
+    boxed: bool
 
 
 class _KernelExec:
@@ -453,6 +534,20 @@ class _KernelExec:
         #: id(global array) -> per-element block record, while a batched
         #: pass is being checked against the block loop (None otherwise)
         self._watch: Optional[Dict[int, np.ndarray]] = None
+        #: whether array references may run as basic slices: on the
+        #: tree-walker's vectorized / batched lattices only — the per-block
+        #: loop is the oracle and the race checks need the element lists
+        self._slicing = False
+        #: int local -> (lattice axis, base): its value is ``arange + base``
+        #: along that one full axis (module docstring, "Affine accesses")
+        self._affine: Dict[str, Tuple[int, int]] = {}
+        #: id(mask) -> (mask, facts); holding the mask keeps its id its own
+        self._hulls: Dict[int, Tuple[np.ndarray, _MaskFacts]] = {}
+        #: facts of the scalar all-true mask on the current lattice
+        self._all_lanes = _MaskFacts(1, (), True)
+        #: array references executed, by path (flushed by :func:`_note_launch`)
+        self._accesses = {"slice": 0, "funnel": 0}
+        self._facts = _kernel_facts(kernel)
         #: what ran (or is running) the launch, for :class:`LaunchRecord`
         self.executor = "loop"
         self.hazard_replay: Optional[str] = None
@@ -486,10 +581,12 @@ class _KernelExec:
         try:
             self._dispatch(mode)
         finally:
-            _note_launch(self.kernel.name, self.executor, self.hazard_replay)
+            _note_launch(
+                self.kernel.name, self.executor, self.hazard_replay, self._accesses
+            )
 
     def _dispatch(self, mode: str) -> None:
-        facts = _kernel_facts(self.kernel)
+        facts = self._facts
         compiled = mode == "compiled"
         if compiled and self.detect_races:
             self._note_fallback("detect_races")
@@ -530,6 +627,7 @@ class _KernelExec:
             fn = compiler.get_compiled_kernel(self.kernel, self.store)
         mask = np.ones((), dtype=bool)  # scalar True: all threads active
         if fn is None:
+            self._slicing = not self.detect_races and self.block_exec != "loop"
             self._exec_block(self.kernel.body, mask)
         else:
             self.executor = "compiled"
@@ -660,8 +758,7 @@ class _KernelExec:
         gx, gy, gz = self.grid.as_tuple()
         bx, by, bz = self.block.as_tuple()
         nx, ny, nz = gx * bx, gy * by, gz * bz
-        self.lattice_shape = (nx, ny, nz)
-        self._blocks_covered = self.grid.count
+        self._set_lattice((nx, ny, nz), self.grid.count)
         ax = np.arange(nx).reshape(nx, 1, 1)
         ay = np.arange(ny).reshape(1, ny, 1)
         az = np.arange(nz).reshape(1, 1, nz)
@@ -670,10 +767,10 @@ class _KernelExec:
 
     def _run_per_block(self) -> None:
         self.executor = "loop"
+        self._slicing = False
         self.order_sensitive = self.grid.count > 1
         bx, by, bz = self.block.as_tuple()
-        self.lattice_shape = (bx, by, bz)
-        self._blocks_covered = 1
+        self._set_lattice((bx, by, bz), 1)
         self.tidx = {
             "x": np.arange(bx).reshape(bx, 1, 1),
             "y": np.arange(by).reshape(1, by, 1),
@@ -701,8 +798,8 @@ class _KernelExec:
         blocks = self._visit_order()
         nb = len(blocks)
         bx, by, bz = self.block.as_tuple()
-        self.lattice_shape = (nb, bx, by, bz)
-        self._blocks_covered = nb
+        self._set_lattice((nb, bx, by, bz), nb)
+        self._affine[_BLOCK_AXIS] = (0, 0)
         self.tidx = {
             "x": np.arange(bx).reshape(1, bx, 1, 1),
             "y": np.arange(by).reshape(1, 1, by, 1),
@@ -715,16 +812,48 @@ class _KernelExec:
         }
         self._block_axis = np.arange(nb).reshape(nb, 1, 1, 1)
 
-    # -------------------------------------------------------------- counters
+    def _set_lattice(self, shape: Tuple[int, ...], blocks_covered: int) -> None:
+        self.lattice_shape = shape
+        self._blocks_covered = blocks_covered
+        self._all_lanes = _MaskFacts(
+            math.prod(shape), tuple((0, extent) for extent in shape), True
+        )
+        self._affine = {}
+        self._hulls = {}
+
+    # ------------------------------------------------------ masks and counters
+
+    def _mask_facts(self, mask: Value) -> _MaskFacts:
+        """Active lanes of ``mask`` and, when slicing, their hull — computed
+        once per mask object (masks are never written in place)."""
+        if not (isinstance(mask, np.ndarray) and mask.ndim > 0):
+            return self._all_lanes
+        entry = self._hulls.get(id(mask))
+        if entry is None:
+            entry = self._hulls[id(mask)] = (mask, self._measure_mask(mask))
+        return entry[1]
+
+    def _measure_mask(self, mask: np.ndarray) -> _MaskFacts:
+        shape = self.lattice_shape
+        # a mask is broadcast over the lattice axes it does not span
+        count = int(np.count_nonzero(mask)) * (self._all_lanes.count // mask.size)
+        if not self._slicing or count == 0 or mask.ndim != len(shape):
+            return _MaskFacts(count, None, False)
+        hull = []
+        cells = 1
+        for axis, extent in enumerate(shape):
+            lo, hi = 0, extent
+            if mask.shape[axis] != 1:
+                others = tuple(a for a in range(mask.ndim) if a != axis)
+                on = np.flatnonzero(mask.any(axis=others))
+                lo, hi = int(on[0]), int(on[-1]) + 1
+            hull.append((lo, hi))
+            cells *= hi - lo
+        return _MaskFacts(count, tuple(hull), cells == count)
 
     def _active_threads(self, mask: Value) -> int:
         """Threads the current mask keeps active over the full lattice."""
-        if isinstance(mask, np.ndarray) and mask.ndim > 0:
-            return int(np.count_nonzero(np.broadcast_to(mask, self.lattice_shape)))
-        total = 1
-        for extent in self.lattice_shape:
-            total *= extent
-        return total
+        return self._mask_facts(mask).count
 
     # -------------------------------------------------------------- statements
 
@@ -748,10 +877,14 @@ class _KernelExec:
                         self.counters.branch_divergence += 1
                 if np.any(then_mask):
                     self._exec_block(stmt.then, then_mask)
+                    # a branch mask dies with its branch: a long loop must
+                    # not retain one hull per iteration
+                    self._hulls.pop(id(then_mask), None)
                 if stmt.els is not None:
                     else_mask = np.logical_and(mask, np.logical_not(cond))
                     if np.any(else_mask):
                         self._exec_block(stmt.els, else_mask)
+                        self._hulls.pop(id(else_mask), None)
             else:
                 if bool(cond):
                     self._exec_block(stmt.then, mask)
@@ -805,6 +938,27 @@ class _KernelExec:
             elif decl.type.base in ("double", "float"):
                 value = _as_float(value)
         self.env[decl.name] = value
+        self._affine.pop(decl.name, None)
+        if self._slicing and decl.type.base == "int":
+            self._tag_affine(decl.name, value)
+
+    def _tag_affine(self, name: str, value: Value) -> None:
+        """Remember that ``name`` holds ``arange + base`` along exactly one
+        full lattice axis — ``blockIdx.x * blockDim.x + threadIdx.x`` on the
+        vectorized lattice, ``threadIdx.x + lx0 * 16`` on the batched one."""
+        lattice = self.lattice_shape
+        if not (isinstance(value, np.ndarray) and value.ndim == len(lattice)):
+            return
+        spanned = [axis for axis, extent in enumerate(value.shape) if extent != 1]
+        if len(spanned) != 1:
+            return
+        (axis,) = spanned
+        extent = lattice[axis]
+        base = int(value.flat[0])
+        if value.size == extent and np.array_equal(
+            value.ravel(), np.arange(base, base + extent)
+        ):
+            self._affine[name] = (axis, base)
 
     def _exec_assign(self, stmt: ast.Assign, mask: Value) -> None:
         value = self._eval(stmt.value, mask)
@@ -821,6 +975,7 @@ class _KernelExec:
             raise InterpreterError("invalid assignment target")
 
     def _store_scalar(self, name: str, value: Value, mask: Value) -> None:
+        self._affine.pop(name, None)
         fully_active = not (isinstance(mask, np.ndarray) and mask.ndim > 0)
         if fully_active:
             self.env[name] = value
@@ -861,12 +1016,70 @@ class _KernelExec:
             )
         return arr, prefix
 
-    def _index_arrays(
-        self, target: ast.Index, mask: Value
-    ) -> Tuple[np.ndarray, List[np.ndarray], List[Value]]:
-        arr, prefix = self._resolve_access(target.array_name, len(target.indices))
-        idxs = [self._eval(e, mask) for e in target.indices]
-        return arr, prefix, idxs
+    def _slice_index(
+        self, node: ast.Index, arr: np.ndarray, prefixed: bool, mask: Value, store: bool
+    ) -> Optional[Tuple[Tuple[Any, ...], Tuple[slice, ...], List[int]]]:
+        """The basic index that runs this access as slices, or None for
+        the funnel (DESIGN.md, "Affine accesses").
+
+        Each subscript must be a thread-invariant in-range int or
+        ``lane + shift`` along its own lattice axis, the axes in lattice
+        order, with ``hull + shift`` inside the extent: the subscript is
+        monotone in its lane, so that proves every active lane in bounds.
+        Returns ``(index, region, shape)``: ``arr[index]`` holds the
+        elements of the lattice lanes ``region``, with a unit axis per
+        lattice axis no subscript addresses (``shape`` is the lattice's
+        with those axes collapsed).  A store covers the hull and needs
+        every axis the hull spans addressed (else several lanes share an
+        element); a load covers every in-range lane.
+        """
+        terms = self._facts.subscripts.get(id(node))
+        if terms is None or (self._watch is not None and id(arr) in self._watch):
+            return None
+        hull = self._mask_facts(mask).hull
+        if hull is None:
+            return None
+        if prefixed:
+            terms = ((_BLOCK_AXIS, 0),) + terms
+        lattice = self.lattice_shape
+        index: List[Any] = []
+        region = [slice(lo, hi) if store else slice(None) for lo, hi in hull]
+        shape = [1] * len(hull)
+        free = 0  # first lattice axis no earlier subscript addresses
+        for (base, offset), extent in zip(terms, arr.shape):
+            tag = self._affine.get(base)  # type: ignore[arg-type]
+            if tag is None:
+                at: Value = offset
+                if base is not None:
+                    at = self.env.get(base)  # type: ignore[assignment]
+                    if not _is_int(at) or isinstance(at, np.ndarray):
+                        return None
+                    at = int(at) + offset
+                if not 0 <= at < extent:
+                    return None
+                index.append(at)
+                continue
+            axis, lane0 = tag
+            shift = lane0 + offset
+            lo, hi = hull[axis]
+            if axis < free or lo + shift < 0 or hi + shift > extent:
+                return None
+            if not store:
+                lo, hi = max(0, -shift), min(lattice[axis], extent - shift)
+                region[axis] = slice(lo, hi)
+            index += [None] * (axis - free)
+            index.append(slice(lo + shift, hi + shift))
+            shape[axis] = lattice[axis]
+            free = axis + 1
+        if free == 0:
+            return None
+        # a collapsed axis the hull spans: several lanes, one element
+        if store and any(
+            hi - lo > 1 for (lo, hi), lanes in zip(hull, shape) if lanes == 1
+        ):
+            return None
+        index += [None] * (len(hull) - free)
+        return tuple(index), tuple(region), shape
 
     def _validate_indices(
         self,
@@ -998,8 +1211,32 @@ class _KernelExec:
             return None, None, None
 
     def _store_array(self, target: ast.Index, value: Value, mask: Value) -> None:
-        arr, prefix, idxs = self._index_arrays(target, mask)
-        name = target.array_name or "<anon>"
+        name = target.array_name
+        arr, prefix = self._resolve_access(name, len(target.indices))
+        if self._slicing and np.ndim(value) in (0, len(self.lattice_shape)):
+            plan = self._slice_index(target, arr, bool(prefix), mask, store=True)
+            if plan is not None:
+                index, region, _ = plan
+                if self.counters is not None:
+                    self.counters.count_store(
+                        name in self.shared,
+                        self._active_threads(mask),
+                        arr.dtype.itemsize,
+                    )
+                self._accesses["slice"] += 1
+                if np.ndim(value):
+                    value = _restrict(value, region)
+                if self._mask_facts(mask).boxed:
+                    arr[index] = value
+                else:
+                    np.copyto(
+                        arr[index],
+                        value,
+                        casting="unsafe",
+                        where=_restrict(mask, region),
+                    )
+                return
+        idxs = [self._eval(e, mask) for e in target.indices]
         self._finish_store(name, arr, prefix, idxs, value, mask)
 
     def store_values(
@@ -1023,6 +1260,7 @@ class _KernelExec:
         value: Value,
         mask: Value,
     ) -> None:
+        self._accesses["funnel"] += 1
         idxs = self._validate_indices(name, arr, idxs, mask, offset=len(prefix))
         if self._watch is not None:
             self._watch_access(name, arr, idxs, mask, store=True)
@@ -1163,6 +1401,7 @@ class _KernelExec:
             raise InterpreterError("loop step must be positive")
         end = bound + 1 if stmt.cmp == "<=" else bound
         saved = self.env.get(stmt.var, _MISSING)
+        self._affine.pop(stmt.var, None)
         value = start
         while value < end:
             self.env[stmt.var] = int(value)
@@ -1250,8 +1489,25 @@ class _KernelExec:
         return table[expr.field_name]
 
     def _eval_index(self, expr: ast.Index, mask: Value) -> Value:
-        arr, prefix, idxs = self._index_arrays(expr, mask)
-        name = expr.array_name or "<anon>"
+        name = expr.array_name
+        arr, prefix = self._resolve_access(name, len(expr.indices))
+        if self._slicing:
+            plan = self._slice_index(expr, arr, bool(prefix), mask, store=False)
+            if plan is not None:
+                index, region, shape = plan
+                if self.counters is not None:
+                    self.counters.count_load(
+                        name in self.shared,
+                        self._active_threads(mask),
+                        arr.dtype.itemsize,
+                    )
+                self._accesses["slice"] += 1
+                # a copy, never a view of device memory; lanes whose index
+                # is out of range (all inactive) read 0
+                out = np.zeros(shape, dtype=arr.dtype)
+                out[region] = arr[index]
+                return out
+        idxs = [self._eval(e, mask) for e in expr.indices]
         return self._finish_load(name, arr, prefix, idxs, mask)
 
     def load_values(self, name: str, idxs: List[Value], mask: Value) -> Value:
@@ -1271,6 +1527,7 @@ class _KernelExec:
         idxs: List[Value],
         mask: Value,
     ) -> Value:
+        self._accesses["funnel"] += 1
         idxs = self._validate_indices(name, arr, idxs, mask, offset=len(prefix))
         if self._watch is not None:
             self._watch_access(name, arr, idxs, mask, store=False)

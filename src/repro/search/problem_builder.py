@@ -180,7 +180,6 @@ def build_problem(
     """
     nodes: List[NodeInfo] = []
     bindings: Dict[str, CodegenBinding] = {}
-    access_cache: Dict[str, KernelAccesses] = {}
     analysis_failures: Dict[str, str] = {}
 
     for index, entry in enumerate(metadata.launch_order):
@@ -195,9 +194,7 @@ def build_problem(
         node = f"{kernel_name}@{index}"
         try:
             faults.check("analysis", node)
-            if kernel_name not in access_cache:
-                access_cache[kernel_name] = collect_accesses(kernel)
-            accesses = access_cache[kernel_name]
+            accesses = collect_accesses(kernel)
         except ReproError as exc:
             logger.warning(
                 "analysis failed for %s; describing conservatively: %s", node, exc

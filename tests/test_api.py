@@ -485,8 +485,13 @@ def test_run_json_and_ledger_name_this_runs_executors(tmp_path):
         return json.loads((tmp_path / name / "run.json").read_text())["interpreter"]
 
     cold = run_once("cold")
-    assert set(cold) == {"launches_by_executor", "loop_launches", "hazard_replays"}
+    assert set(cold) == {
+        "launches_by_executor", "loop_launches", "hazard_replays", "accesses_by_path",
+    }
     assert sum(cold["launches_by_executor"].values()) > 0
+    # shared-memory-free kernels on the vectorized lattice: every access slices
+    assert cold["accesses_by_path"]["slice"] > 0
+    assert set(cold["accesses_by_path"]) == {"slice", "funnel"}
     assert cold["loop_launches"] == {} and cold["hazard_replays"] == {}
     warm = run_once("warm")
     # reset per run, not process-cumulative: the warm run reuses verified

@@ -102,6 +102,24 @@ def test_warm_store_oracle_flags_a_front_door_miss(monkeypatch):
     assert "metadata" in verdict.failures[0].detail
 
 
+def test_modes_oracle_flags_a_differential_that_is_not_slice_vs_funnel(
+    monkeypatch,
+):
+    """``loop`` against ``auto`` is only an independent check while the
+    loop keeps the funnel and ``auto`` leaves it: an ``auto`` that stopped
+    slicing passes every comparison and fails the premise."""
+    from repro.gpu.interpreter import _KernelExec
+
+    app = generate_app(3)
+    assert run_oracles(app, ("modes",)).ok
+    monkeypatch.setattr(_KernelExec, "_slice_index", lambda *a, **k: None)
+    verdict = run_oracles(app, ("modes",))
+    assert verdict.signatures() == ("modes:not-slice-vs-funnel",)
+    assert "auto 0" in verdict.failures[0].detail
+    # a plain program makes no such promise (it may have nothing to slice)
+    assert run_oracles(app.program, ("modes",)).ok
+
+
 def test_verdict_signatures_are_ordered_and_stable():
     failures = (
         OracleFailure("modes", "array-mismatch:batched", "x"),

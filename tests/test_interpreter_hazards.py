@@ -239,8 +239,14 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
 
     loops = counter("gpu_launches_total", executor="loop")
     replays = counter("gpu_hazard_replays_total")
+    funnel = counter("gpu_accesses_total", path="funnel")
     run_program(parse_program(CASES["aliased"][0]), block_exec="compiled")
-    assert interpreter.stats().as_dict() == {
+    stats = interpreter.stats().as_dict()
+    # the aborted compiled pass and the loop replay both count; neither slices
+    accesses = stats.pop("accesses_by_path")
+    assert accesses["slice"] == 0 and accesses["funnel"] > 0
+    assert counter("gpu_accesses_total", path="funnel") == funnel + accesses["funnel"]
+    assert stats == {
         "launches_by_executor": {"compiled": 1, "loop": 1},
         "loop_launches": {"k": 1},
         "hazard_replays": {"k": "A:WAR"},
@@ -253,6 +259,7 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
     interpreter.reset_stats()
     assert interpreter.stats().as_dict() == {
         "launches_by_executor": {}, "loop_launches": {}, "hazard_replays": {},
+        "accesses_by_path": {"slice": 0, "funnel": 0},
     }
 
 

@@ -422,6 +422,44 @@ def test_no_faults_no_demotions():
     assert state.speedup > 1.0
 
 
+def test_group_gate_demotes_a_real_misfusion_of_full_scale_fluam():
+    """The per-group gate is not idle on the paper apps: at full scale
+    the seed-20150615 search of Fluam proposes this group, whose complex
+    fusion serves ``F003``'s read of the *old* ``v05`` from the tile
+    ``F022`` fills with the *new* one (ROADMAP item 5).  Only the gate
+    stands between that kernel and the emitted program, and it names the
+    one group to demote."""
+    from repro.api import transform
+    from repro.apps import build_app
+    from repro.pipeline.apply import materialize
+    from repro.search.grouping import singleton_grouping
+
+    state = transform(
+        build_app("Fluam").program, ga_params=small_params(), store=False,
+        until="search", telemetry=False,
+    ).state
+    problem = state.built.problem
+    group = frozenset(
+        {"F003@3", "F017@17", "F021@21", "F022@22", "F023@23", "F029@29"}
+    )
+    rest = tuple(g for g in singleton_grouping(problem).groups if not g & group)
+    result = materialize(
+        state.program, problem, state.built.bindings,
+        Grouping(frozenset(), (group,) + rest),
+        state.config.device, state.metadata.array_shapes,
+        options=state.config.fusion_options(),
+    )
+    (demotion,) = result.demotions
+    assert set(demotion.members) == group
+    assert (demotion.from_level, demotion.to_level) == ("complex", "simple")
+    assert "output mismatch on array 'v19'" in demotion.cause
+    # the per-wave simple fusions of the same members pass the same gate
+    assert [v.status for v in result.group_verdicts] == ["pass", "pass"]
+    assert {m for v in result.group_verdicts for m in v.members} == {
+        node.split("@")[0] for node in group
+    }
+
+
 def test_codegen_fault_walks_the_whole_ladder():
     install("codegen")  # every fusion attempt fails
     framework, state = run_three_kernel()
