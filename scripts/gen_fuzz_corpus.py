@@ -5,7 +5,7 @@ Each corpus entry freezes one generated application as *source text*
 (schema ``repro.fuzz.corpus/1``), so the regression suite replays the
 exact program even if the generator evolves.  The selection covers every
 archetype family, with dedicated shared-memory, own-element read+write
-(race) and forced-fallback (unlowerable) entries, plus two hand-written
+(race) and maybe-defined-read (unlowerable) entries, plus two hand-written
 programs the generator cannot draw: shared-memory kernels whose blocks
 really touch each other's cells, which the interpreter must catch on the
 batched lattice and replay on the per-block loop.
@@ -58,7 +58,7 @@ ENTRIES = (
         "unlowerable",
         301,
         {"weights": (("unlowerable", 3.0), ("pointwise", 1.0))},
-        "forced fallback: maybe-defined scalar read (lowering refusal)",
+        "maybe-defined scalar reads, no bounds guard",
     ),
     (
         "unlowerable-mixed",
@@ -67,7 +67,7 @@ ENTRIES = (
             "weights": (("unlowerable", 1.0), ("shared", 1.0), ("race", 1.0)),
             "min_kernels": 3,
         },
-        "lowering refusals next to batched shared and in-place kernels",
+        "maybe-defined reads next to batched shared and in-place kernels",
     ),
     (
         "deep-loops",
@@ -209,8 +209,9 @@ int main() {
 
 #: (slug, source, replayed kernels, note): hand-written programs.  Each
 #: kernel listed must be replayed on the per-block loop with a recorded
-#: ``cross_block_hazard`` — and still agree with every other mode under
-#: both block orders, the hazards being benign by construction
+#: hazard (``InterpreterStats.hazard_replays``) — and still agree with
+#: every other mode under both block orders, the hazards being benign by
+#: construction
 HANDWRITTEN = (
     (
         "halo-preload",

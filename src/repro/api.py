@@ -156,7 +156,7 @@ class TransformConfig:
     verify_seed: int = 0
     #: 0 = bitwise comparison, >0 = allclose rtol
     verify_rtol: float = 0.0
-    #: interpreter strategy: 'auto' | 'loop' | 'batched' | 'compiled'
+    #: interpreter strategy: 'auto' | 'loop' | 'batched'
     block_exec: str = "auto"
     #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
     telemetry: Optional[bool] = None
@@ -198,10 +198,10 @@ class TransformConfig:
         for name in ("verify_groups", "verify_seed", "verify_rtol", "block_exec"):
             if getattr(self, name) is None:
                 setattr(self, name, getattr(type(self), name))
-        if self.block_exec not in ("auto", "loop", "batched", "compiled"):
+        if self.block_exec not in interpreter.BLOCK_EXEC_MODES:
             raise ConfigError(
-                f"block_exec must be 'auto', 'loop', 'batched' or "
-                f"'compiled', not {self.block_exec!r}"
+                f"block_exec must be one of {interpreter.BLOCK_EXEC_MODES}, "
+                f"not {self.block_exec!r}"
             )
         if self.islands is not None and self.islands < 1:
             raise ConfigError("islands must be >= 1")
@@ -522,13 +522,6 @@ def _store_provenance(
     }
 
 
-def _compiler_provenance() -> Dict[str, int]:
-    """Kernel-compiler cache counters (process-cumulative) for run.json."""
-    from .gpu import compiler
-
-    return compiler.stats().as_dict()
-
-
 def _outcome_of(
     state: Optional[PipelineState],
 ) -> Tuple[Optional[float], Optional[bool], int]:
@@ -629,7 +622,6 @@ def write_run_outputs(
         error=error,
         extra={
             "store": _store_provenance(state, store),
-            "compiled_kernels": _compiler_provenance(),
             # this run's executors: reset in _execute_transform
             "interpreter": interpreter.stats().as_dict(),
             # whole-program interpretations codegen made, and why
@@ -825,7 +817,7 @@ _jobs_lock = threading.Lock()
 _job_seq = itertools.count(1)
 
 #: one transformation executes at a time in this process: the metrics
-#: registry, the tracer, the telemetry switch and the kernel compiler's
+#: registry, the tracer, the telemetry switch and the interpreter's
 #: stats are process-global, so concurrent runs would mix their counters
 #: and spans — concurrency comes from the service's worker *processes*,
 #: not from in-process threads

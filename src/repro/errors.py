@@ -96,14 +96,6 @@ class OutOfBoundsError(InterpreterError):
         self.thread = thread
 
 
-class LoweringError(ReproError):
-    """The kernel lowerer cannot compile a construct to vectorized numpy.
-
-    Never fatal: the compiled execution mode catches it and falls back,
-    per kernel, to the tree-walking interpreter.
-    """
-
-
 class AnalysisError(ReproError):
     """A static-analysis pass could not process a kernel."""
 

@@ -19,14 +19,15 @@ Knobs live on :class:`FuzzSpec`; each kernel is drawn from the weighted
     The paper-app structural vocabulary (3D arrays, vertical ``k`` loops).
 ``shared``
     Tile staged through ``__shared__`` memory (2D, exact-fit domain);
-    batchable, so the compiled mode runs it on the batched lattice.
+    batchable, so ``auto`` runs it on the batched lattice.
 ``race``
     In-place update through a shared tile: one array read and written,
     but each element only by its own thread — the per-element watch must
     admit it to the batched lattice (no fallback, no hazard replay).
 ``unlowerable``
-    Maybe-defined scalar read — the kernel lowerer must refuse and the
-    compiled mode must fall back per kernel (``lowering``).
+    Maybe-defined scalar read with no bounds guard (2D, exact-fit
+    domain): the member shape behind the ``fused execution failed``
+    demotions (ROADMAP item 5).
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ ARCHETYPES = (
 )
 
 #: default archetype mix: mostly paper-shaped kernels, with a steady
-#: trickle of the compiled-mode edge cases
+#: trickle of the interpreter's edge cases
 _DEFAULT_WEIGHTS: Tuple[Tuple[str, float], ...] = (
     ("stencil", 4.0),
     ("pointwise", 2.0),

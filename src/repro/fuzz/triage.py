@@ -49,7 +49,7 @@ class CrashBucket:
 
 
 def _normalize_module(filename: str) -> Optional[str]:
-    """``.../src/repro/gpu/lowering.py`` -> ``repro.gpu.lowering``."""
+    """``.../src/repro/gpu/interpreter.py`` -> ``repro.gpu.interpreter``."""
     parts = Path(filename).with_suffix("").parts
     for index in range(len(parts) - 1, -1, -1):
         if parts[index] == "repro":

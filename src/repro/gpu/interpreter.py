@@ -32,23 +32,15 @@ Two execution strategies are used:
         whose loop bounds, while conditions or shared extents are not
         block-invariant fall back to ``loop`` automatically, as does race
         detection.  Blocks interact only through global memory, so under
-        ``auto`` / ``compiled`` every global array the kernel writes
+        ``auto`` every global array the kernel writes
         carries a per-element block record for the launch; the first
         element two different blocks touch with a store among the touches
         aborts the pass, restores the launch's entry state and replays it
         on ``loop`` (DESIGN.md, "Per-element batchability").  Select
         explicitly via the ``block_exec`` argument of :func:`run_program`
-        / :class:`HostInterpreter` (``auto`` | ``loop`` | ``batched`` |
-        ``compiled``).
+        / :class:`HostInterpreter` (``auto`` | ``loop`` | ``batched``).
 
-A third strategy, ``compiled``, lowers the kernel body once into generated
-numpy Python source (see :mod:`repro.gpu.compiler`) and runs the compiled
-closure over the same vectorized/batched lattices.  Kernels the lowerer
-cannot handle fall back per-kernel to the interpretation modes above;
-outputs and hardware-ish counters are bit-identical by construction
-because the generated code funnels every array access through the same
-:meth:`_KernelExec.load_values` / :meth:`_KernelExec.store_values` paths
-the tree-walker uses.
+Every strategy is the same tree-walker over a different lattice.
 
 Statements act as implicit barriers in both modes (a vectorized statement
 completes for every thread before the next begins).  ``__syncthreads()``
@@ -57,16 +49,16 @@ placement is additionally validated statically by the transformation tests.
 **Affine accesses.**  Every array reference can run through the *funnel*
 — evaluate the subscripts to index arrays, validate and clip them per
 axis, gather or scatter (:meth:`_KernelExec._finish_load` /
-:meth:`_KernelExec._finish_store`).  On the tree-walker's vectorized and
-batched lattices a stencil's references do not need it: an ``int`` local
+:meth:`_KernelExec._finish_store`).  On the vectorized and batched
+lattices a stencil's references do not need it: an ``int`` local
 whose value is ``arange + base`` along one full lattice axis is tagged
 when it is declared, each mask's active-lane count and per-axis hull are
 computed once per mask object, and an access whose subscripts are tagged
 locals ``± const`` (distinct axes, in lattice order) or thread-invariant
 ints runs as basic slices once ``hull + shift`` is proved inside the
 extent (:meth:`_KernelExec._slice_index`).  Whatever does not qualify —
-and every access under ``block_exec="loop"``, ``detect_races``, a
-``compiled`` kernel or a hazard replay — takes the funnel unchanged; the
+and every access under ``block_exec="loop"``, ``detect_races`` or a
+hazard replay — takes the funnel unchanged; the
 equivalence argument and the fallback list are in DESIGN.md §7 ("Affine
 accesses"), the split is reported as
 :attr:`InterpreterStats.accesses_by_path`.
@@ -80,7 +72,6 @@ import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -100,13 +91,10 @@ from ..observability.hwcounters import KernelCounters
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability -> gpu)
-    from ..store.artifact_store import ArtifactStore
-
 Scalar = Union[int, float, bool]
 Value = Union[Scalar, np.ndarray]
 
-_BLOCK_EXEC_MODES = ("auto", "loop", "batched", "compiled")
+BLOCK_EXEC_MODES = ("auto", "loop", "batched")
 
 #: the strategy used when a caller passes ``block_exec=None``; the test
 #: harness's ``--block-exec`` option rebinds it to run the interpreter
@@ -154,8 +142,8 @@ class LaunchRecord:
     #: hardware-ish event counters, populated when the interpreter runs
     #: with ``collect_counters=True`` (None otherwise)
     counters: Optional[KernelCounters] = None
-    #: what executed the launch: ``vectorized`` | ``batched`` | ``loop`` |
-    #: ``compiled`` (None for dry-run traces)
+    #: what executed the launch: ``vectorized`` | ``batched`` | ``loop``
+    #: (None for dry-run traces)
     executor: Optional[str] = None
     #: ``"<array>:<RAW|WAR|WAW|ERR>"`` when the batched pass was aborted
     #: and the launch replayed on the per-block loop, else None
@@ -279,7 +267,7 @@ class InterpreterStats:
     names every launch that still paid the per-block loop and why.
     """
 
-    #: executor -> launches (``vectorized`` | ``batched`` | ``loop`` | ``compiled``)
+    #: executor -> launches (``vectorized`` | ``batched`` | ``loop``)
     launches_by_executor: Dict[str, int] = field(default_factory=dict)
     #: kernel -> launches that ran on the per-block loop
     loop_launches: Dict[str, int] = field(default_factory=dict)
@@ -509,7 +497,6 @@ class _KernelExec:
         block_order: str = "forward",
         block_exec: str = "auto",
         counters: Optional[KernelCounters] = None,
-        store: Optional[ArtifactStore] = None,
     ) -> None:
         self.kernel = kernel
         self.grid = grid
@@ -518,8 +505,6 @@ class _KernelExec:
         self.detect_races = detect_races
         self.block_order = block_order
         self.block_exec = block_exec
-        #: persistent store for compiled-kernel sources (``compiled`` mode)
-        self.store = store
         #: hardware-ish event counters; None disables counting entirely
         #: (the hot paths then pay one `is not None` check per event site)
         self.counters = counters
@@ -535,8 +520,8 @@ class _KernelExec:
         #: pass is being checked against the block loop (None otherwise)
         self._watch: Optional[Dict[int, np.ndarray]] = None
         #: whether array references may run as basic slices: on the
-        #: tree-walker's vectorized / batched lattices only — the per-block
-        #: loop is the oracle and the race checks need the element lists
+        #: vectorized / batched lattices only — the per-block loop is the
+        #: oracle and the race checks need the element lists
         self._slicing = False
         #: int local -> (lattice axis, base): its value is ``arange + base``
         #: along that one full axis (module docstring, "Affine accesses")
@@ -576,7 +561,7 @@ class _KernelExec:
 
     def run(self) -> None:
         mode = self.block_exec
-        if mode not in _BLOCK_EXEC_MODES:
+        if mode not in BLOCK_EXEC_MODES:
             raise InterpreterError(f"unknown block_exec mode {mode!r}")
         try:
             self._dispatch(mode)
@@ -587,13 +572,9 @@ class _KernelExec:
 
     def _dispatch(self, mode: str) -> None:
         facts = self._facts
-        compiled = mode == "compiled"
-        if compiled and self.detect_races:
-            self._note_fallback("detect_races")
-            compiled = False
         if not facts.uses_shared:
             self._setup_vectorized()
-            self._run_lattice(compiled, "vectorized")
+            self._run_lattice("vectorized")
         elif self.detect_races or mode == "loop":
             # the scatter race checks reason about one block at a time;
             # cross-block writes in the same statement would be flagged as
@@ -602,38 +583,20 @@ class _KernelExec:
         elif mode == "batched":
             self.order_sensitive = self.grid.count > 1
             self._setup_batched()
-            self._run_lattice(False, "batched")
+            self._run_lattice("batched")
         elif facts.uniform_bounds:
-            self._run_watched(facts, compiled)
+            self._run_watched(facts)
         else:
-            if compiled:
-                self._note_fallback("unbatchable_shared")
             self._run_per_block()
 
-    def _note_fallback(self, reason: str, detail: str = "") -> None:
-        from . import compiler  # deferred: the compiler imports this module
-
-        compiler.note_fallback(self.kernel.name, reason, detail)
-
-    def _run_lattice(self, compiled: bool, lattice: str) -> None:
-        """Run the body over the lattice the caller set up — through the
-        generated numpy code when ``compiled`` and the kernel lowers
-        (lowering failures fall back per kernel), else on the tree-walker."""
+    def _run_lattice(self, lattice: str) -> None:
+        """Run the body over the lattice the caller set up."""
         self.executor = lattice
-        fn = None
-        if compiled:
-            from . import compiler  # deferred: the compiler imports this module
+        self._slicing = not self.detect_races and self.block_exec != "loop"
+        # scalar True: all threads active
+        self._exec_block(self.kernel.body, np.ones((), dtype=bool))
 
-            fn = compiler.get_compiled_kernel(self.kernel, self.store)
-        mask = np.ones((), dtype=bool)  # scalar True: all threads active
-        if fn is None:
-            self._slicing = not self.detect_races and self.block_exec != "loop"
-            self._exec_block(self.kernel.body, mask)
-        else:
-            self.executor = "compiled"
-            fn(self, mask)
-
-    def _run_watched(self, facts: _KernelFacts, compiled: bool) -> None:
+    def _run_watched(self, facts: _KernelFacts) -> None:
         """Batched execution that proves itself equal to the block loop.
 
         Blocks interact only through global memory.  Every global array
@@ -666,7 +629,7 @@ class _KernelExec:
         } or None
         self._setup_batched()
         try:
-            self._run_lattice(compiled, "batched")
+            self._run_lattice("batched")
             return
         except _BlockHazard as hazard:
             self.hazard_replay = f"{hazard.array}:{hazard.kind}"
@@ -683,8 +646,6 @@ class _KernelExec:
         self.env = base_env
         self.shared = {}
         self._block_axis = None
-        if compiled:
-            self._note_fallback("cross_block_hazard", self.hazard_replay)
         self._run_per_block()
 
     def _watch_access(
@@ -908,22 +869,17 @@ class _KernelExec:
         else:
             raise InterpreterError(f"unsupported statement {type(stmt).__name__}")
 
-    def decl_shared(self, name: str, dims: List[int], base: str) -> None:
-        """Allocate a shared tile (also the compiled-kernel entry point)."""
-        dims = [int(d) for d in dims]
-        dtype = np.float64 if base in ("double", "float") else np.int64
-        if self._block_axis is not None:
-            # one tile per block, stacked along the batch axis
-            dims = [self.lattice_shape[0]] + dims
-        self.shared[name] = np.zeros(tuple(dims), dtype=dtype)
-
     def _exec_decl(self, decl: ast.VarDecl, mask: Value) -> None:
         if decl.is_shared:
             dims = [
                 int(self._eval_scalar(dim, "shared array dimension"))
                 for dim in decl.array_dims
             ]
-            self.decl_shared(decl.name, dims, decl.type.base)
+            if self._block_axis is not None:
+                # one tile per block, stacked along the batch axis
+                dims = [self.lattice_shape[0]] + dims
+            dtype = np.float64 if decl.type.base in ("double", "float") else np.int64
+            self.shared[decl.name] = np.zeros(tuple(dims), dtype=dtype)
             return
         if decl.array_dims:
             raise InterpreterError(
@@ -1239,18 +1195,6 @@ class _KernelExec:
         idxs = [self._eval(e, mask) for e in target.indices]
         self._finish_store(name, arr, prefix, idxs, value, mask)
 
-    def store_values(
-        self, name: str, idxs: List[Value], value: Value, mask: Value
-    ) -> None:
-        """Masked scatter into array ``name`` (compiled-kernel entry point).
-
-        Shares validation, counters and scatter semantics with the AST
-        path (:meth:`_store_array`) so compiled and interpreted execution
-        are bit-identical by construction.
-        """
-        arr, prefix = self._resolve_access(name, len(idxs))
-        self._finish_store(name, arr, prefix, list(idxs), value, mask)
-
     def _finish_store(
         self,
         name: str,
@@ -1510,15 +1454,6 @@ class _KernelExec:
         idxs = [self._eval(e, mask) for e in expr.indices]
         return self._finish_load(name, arr, prefix, idxs, mask)
 
-    def load_values(self, name: str, idxs: List[Value], mask: Value) -> Value:
-        """Gather from array ``name`` (compiled-kernel entry point).
-
-        Same bounds validation, counter increments and gather semantics
-        as the AST path (:meth:`_eval_index`).
-        """
-        arr, prefix = self._resolve_access(name, len(idxs))
-        return self._finish_load(name, arr, prefix, list(idxs), mask)
-
     def _finish_load(
         self,
         name: str,
@@ -1579,25 +1514,20 @@ class HostInterpreter:
         block_order: str = "forward",
         block_exec: Optional[str] = None,
         collect_counters: bool = False,
-        store: Optional[ArtifactStore] = None,
     ) -> None:
         """``block_order`` ('forward' | 'reverse') sets the sequential order
         in which per-block kernel execution visits thread blocks; running a
         program under both orders and comparing outputs exposes inter-block
         races that a single deterministic order would mask.
 
-        ``block_exec`` ('auto' | 'loop' | 'batched' | 'compiled') selects
-        the execution strategy; ``None`` means :data:`DEFAULT_BLOCK_EXEC`.
-
-        ``store`` persists compiled-kernel sources across processes
-        (``compiled`` mode only; ``None`` keeps them in memory)."""
+        ``block_exec`` (one of :data:`BLOCK_EXEC_MODES`) selects the
+        execution strategy; ``None`` means :data:`DEFAULT_BLOCK_EXEC`."""
         self.program = program
         self.detect_races = detect_races
         self.execute_kernels = execute_kernels
         self.block_order = block_order
         self.block_exec = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
         self.collect_counters = collect_counters
-        self.store = store
         self.env: Dict[str, Any] = {}
         self.arrays: Dict[str, np.ndarray] = {}
         self.launches: List[LaunchRecord] = []
@@ -1712,7 +1642,6 @@ class HostInterpreter:
         executor = _KernelExec(
             kernel, grid, block, args, self.arrays, self.detect_races,
             self.block_order, self.block_exec, counters=counters,
-            store=self.store,
         )
         try:
             with span(f"interp:{stmt.kernel}", grid=grid.count):
@@ -1806,7 +1735,6 @@ def launch_kernel(
     block_order: str = "forward",
     block_exec: Optional[str] = None,
     counters: Optional[KernelCounters] = None,
-    store: Optional[ArtifactStore] = None,
 ) -> None:
     """Execute a single kernel launch against caller-provided arguments.
 
@@ -1814,8 +1742,8 @@ def launch_kernel(
     ``args``, in kernel-parameter order.  This is the entry point for the
     per-group verification gate, which replays individual kernels outside
     any host program.  Pass a :class:`KernelCounters` to have the launch's
-    memory/sync/divergence events tallied into it.  ``block_exec`` and
-    ``store`` are as for :class:`HostInterpreter`.
+    memory/sync/divergence events tallied into it.  ``block_exec`` is as
+    for :class:`HostInterpreter`.
     """
     executor = _KernelExec(
         kernel,
@@ -1827,7 +1755,6 @@ def launch_kernel(
         block_order,
         DEFAULT_BLOCK_EXEC if block_exec is None else block_exec,
         counters=counters,
-        store=store,
     )
     try:
         executor.run()
@@ -1841,7 +1768,6 @@ def run_program(
     block_order: str = "forward",
     block_exec: Optional[str] = None,
     collect_counters: bool = False,
-    store: Optional[ArtifactStore] = None,
 ) -> RunResult:
     """Execute ``program`` on the simulator and return final device arrays."""
     return HostInterpreter(
@@ -1850,7 +1776,6 @@ def run_program(
         block_order=block_order,
         block_exec=block_exec,
         collect_counters=collect_counters,
-        store=store,
     ).run()
 
 

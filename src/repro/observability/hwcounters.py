@@ -28,10 +28,9 @@ Counter semantics (deterministic, hand-countable, identical across the
     ``divergence_factor`` charges.  Unlike the other counters it is
     *execution-shape dependent*: the per-block loop sees one ``if``
     execution per block where the whole-grid lattices see one, so loop
-    totals can legitimately exceed batched/vectorized totals.  The
-    ``compiled`` mode matches the lattice it runs on (vectorized or
-    batched) bit-exactly; :func:`counters_signature` provides the
-    mode-invariant projection for cross-mode differential checks.
+    totals can legitimately exceed batched/vectorized totals.
+    :func:`counters_signature` provides the mode-invariant projection
+    for cross-mode differential checks.
 
 Counting is opt-in (``collect_counters=True`` on the interpreter entry
 points); when off, the interpreter's hot paths pay one ``is not None``
@@ -108,8 +107,8 @@ class KernelCounters:
         }
 
 
-#: counters whose totals are identical across loop/batched/vectorized/
-#: compiled execution (branch_divergence is per execution site, which the
+#: counters whose totals are identical across loop/batched/vectorized
+#: execution (branch_divergence is per execution site, which the
 #: per-block loop visits once per block)
 MODE_INVARIANT_FIELDS = (
     "launches",
@@ -125,21 +124,13 @@ MODE_INVARIANT_FIELDS = (
 
 def counters_signature(
     counters: Iterable[Optional[KernelCounters]],
-    include_divergence: bool = False,
 ) -> Dict[str, Dict[str, int]]:
-    """Canonical per-kernel totals for differential comparison.
-
-    By default projects onto :data:`MODE_INVARIANT_FIELDS`, which must
-    compare equal across *all* execution modes; with
-    ``include_divergence`` the full counter set is returned, which must
-    compare equal between ``compiled`` and the interpretation mode whose
-    lattice it shares (``auto``).
+    """Canonical per-kernel totals for differential comparison: the
+    projection onto :data:`MODE_INVARIANT_FIELDS`, which must compare
+    equal across *all* execution modes.
     """
-    fields = MODE_INVARIANT_FIELDS + (
-        ("branch_divergence",) if include_divergence else ()
-    )
     return {
-        kernel: {f: int(getattr(total, f)) for f in fields}
+        kernel: {f: int(getattr(total, f)) for f in MODE_INVARIANT_FIELDS}
         for kernel, total in sorted(aggregate_counters(counters, by_kernel=True).items())
     }
 

@@ -234,9 +234,8 @@ def materialize(
     ``store`` enables incremental re-verification: a generated group whose
     content (kernel text, launch configuration, constituents, array
     shapes, verification settings) matches a previously *passed*
-    verification is committed without re-running the interpreter,
-    block-tuning decisions are memoized by their occupancy inputs, and
-    ``compiled``-mode launches persist their lowered kernels.
+    verification is committed without re-running the interpreter, and
+    block-tuning decisions are memoized by their occupancy inputs.
     """
     options = options or FusionOptions()
     verify_cfg = verify_config or VerifyConfig()
@@ -391,7 +390,6 @@ def materialize(
                     compare,
                     verify_cfg,
                     block_exec=block_exec,
-                    store=store,
                 )
             get_registry().inc(
                 "verify_group_verdicts_total", status=fresh.status

@@ -20,6 +20,7 @@ from pathlib import Path
 from ..api import TransformConfig, transform
 from ..errors import ConfigError, ReproError
 from ..gpu.device import available_devices
+from ..gpu.interpreter import BLOCK_EXEC_MODES
 from ..observability.logfmt import configure_logging
 from ..search.params import GAParams
 from .stages import STAGES
@@ -157,12 +158,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--block-exec",
         default=None,
-        choices=("auto", "loop", "batched", "compiled"),
-        help=(
-            "interpreter execution strategy for kernel launches "
-            "(default: 'auto'; 'compiled' lowers kernels to cached numpy "
-            "code with per-kernel fallback)"
-        ),
+        choices=BLOCK_EXEC_MODES,
+        help="interpreter execution strategy for kernel launches (default: 'auto')",
     )
     parser.add_argument(
         "--store",

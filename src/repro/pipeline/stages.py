@@ -97,7 +97,7 @@ class PipelineConfig:
     #: the gate's tolerance: 0 = bitwise, >0 = allclose rtol
     verify_rtol: float = 0.0
     #: interpreter strategy for every kernel launch of the run:
-    #: 'auto' | 'loop' | 'batched' | 'compiled'
+    #: 'auto' | 'loop' | 'batched'
     block_exec: str = "auto"
     #: degrade gracefully instead of raising: a failed search falls back
     #: to the identity grouping, a failed whole-program verification
@@ -436,14 +436,9 @@ def stage_search(state: PipelineState) -> PipelineState:
 
 
 def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
-    """``run_program`` under the run's interpreter strategy and store."""
+    """``run_program`` under the run's interpreter strategy."""
     state.verification["program_runs"] += 1
-    return run_program(
-        program,
-        block_exec=state.config.block_exec,
-        store=state.config.store,
-        **kwargs,
-    )
+    return run_program(program, block_exec=state.config.block_exec, **kwargs)
 
 
 def _whole_program_verified(state: PipelineState) -> bool:

@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import ReproError
 from ..gpu.interpreter import Dim3, launch_kernel
 from . import faults
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (store -> reliability)
-    from ..store.artifact_store import ArtifactStore
 
 
 @dataclass(frozen=True)
@@ -124,10 +121,7 @@ def _kernel_args(
 
 
 def _launch(
-    binding,
-    arrays: Mapping[str, np.ndarray],
-    block_exec: Optional[str],
-    store: Optional[ArtifactStore],
+    binding, arrays: Mapping[str, np.ndarray], block_exec: Optional[str]
 ) -> None:
     launch_kernel(
         binding.kernel,
@@ -135,7 +129,6 @@ def _launch(
         Dim3(*binding.block),
         _kernel_args(binding.kernel, binding.array_args, binding.scalar_values, arrays),
         block_exec=block_exec,
-        store=store,
     )
 
 
@@ -147,7 +140,6 @@ def verify_group(
     config: Optional[VerifyConfig] = None,
     *,
     block_exec: Optional[str] = None,
-    store: Optional[ArtifactStore] = None,
 ) -> GroupVerdict:
     """Execute ``fused`` against its unfused ``constituents`` and compare.
 
@@ -157,8 +149,8 @@ def verify_group(
     ``grid``/``block`` (a
     :class:`~repro.search.problem_builder.CodegenBinding`).
     ``compare_arrays`` restricts the comparison (defaults to every array
-    either side touches).  ``block_exec`` and ``store`` are handed to
-    every :func:`~repro.gpu.interpreter.launch_kernel` call.
+    either side touches).  ``block_exec`` is handed to every
+    :func:`~repro.gpu.interpreter.launch_kernel` call.
     """
     config = config or VerifyConfig()
     members = tuple(getattr(fused, "constituents", ()))
@@ -189,7 +181,7 @@ def verify_group(
     baseline = {name: arr.copy() for name, arr in inputs.items()}
     try:
         for binding in constituents:
-            _launch(binding, baseline, block_exec, store)
+            _launch(binding, baseline, block_exec)
     except ReproError as exc:
         return GroupVerdict(
             fused.kernel.name,
@@ -210,7 +202,6 @@ def verify_group(
                 fused.kernel, fused.pointer_args, fused.scalar_values, candidate
             ),
             block_exec=block_exec,
-            store=store,
         )
     except ReproError as exc:
         return GroupVerdict(

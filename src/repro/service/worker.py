@@ -1,7 +1,7 @@
 """One long-lived service pool worker (``python -m repro.service.worker``).
 
 A worker is a persistent subprocess that amortizes interpreter startup,
-imports, the in-memory kernel-compiler cache and the fitness cache
+imports, the per-kernel analysis memos and the fitness cache
 across many served jobs.  It speaks the length-prefixed pickle protocol
 of :mod:`repro.service.protocol` over its stdin/stdout pipes:
 

@@ -24,10 +24,8 @@ from .artifact_store import (
     store_enabled_from_env,
 )
 from .keys import (
-    compiled_kernel_key,
     device_fingerprint,
     digest,
-    kernel_fingerprint,
     params_fingerprint,
     program_fingerprint,
     service_request_key,
@@ -36,11 +34,9 @@ from .keys import (
 __all__ = [
     "ArtifactStore",
     "StoreStats",
-    "compiled_kernel_key",
     "default_store_root",
     "device_fingerprint",
     "digest",
-    "kernel_fingerprint",
     "open_store",
     "params_fingerprint",
     "program_fingerprint",

@@ -162,24 +162,6 @@ def verified_program_key(original_fp: str, transformed_text: str) -> str:
     return digest("verified-program", original_fp, transformed_text)
 
 
-def kernel_fingerprint(kernel: "ast.KernelDef") -> str:
-    """Content digest of one kernel definition (canonical unparsed text)."""
-    from ..cudalite.unparser import unparse
-
-    return hashlib.sha256(unparse(kernel).encode("utf-8")).hexdigest()
-
-
-def compiled_kernel_key(kernel_fp: str, lowering_version: int) -> str:
-    """Identity of one lowered kernel source.
-
-    Keyed on kernel *content* (not program): the same kernel text in any
-    application hits the same compiled artifact.  The lowering version
-    participates on top of the package-version salt so a lowerer change
-    within a release still invalidates stale sources.
-    """
-    return digest("compiled-kernel", kernel_fp, int(lowering_version))
-
-
 def service_request_key(program_fp: str, config_digest: str) -> str:
     """Identity of one transformation request, as served by ``repro.service``.
 

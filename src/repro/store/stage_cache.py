@@ -18,8 +18,6 @@ Namespaces
                         content only (survive unrelated program edits)
 ``verified_programs`` — whole-program verification verdicts
 ``tuning``            — thread-block tuning decisions
-``compiled_kernel``   — lowered kernel sources for the compiled
-                        execution mode (recompiled on load)
 ``island_migration``  — per-island elite payloads published at every
                         migration epoch; later runs hydrate their
                         islands from these (seed-free key, like
@@ -59,7 +57,6 @@ NS_POPULATION = "population"
 NS_VERIFIED_GROUPS = "verified_groups"
 NS_VERIFIED_PROGRAMS = "verified_programs"
 NS_TUNING = "tuning"
-NS_COMPILED_KERNELS = "compiled_kernel"
 NS_ISLAND_MIGRATION = "island_migration"
 
 #: elites persisted per island per migration epoch
@@ -442,38 +439,6 @@ def save_tuning(store: ArtifactStore, key: str, decision: TuningDecision) -> Non
             "changed": decision.changed,
         },
     )
-
-
-def save_compiled_kernel(
-    store: ArtifactStore, key: str, kernel: str, source: str, lowering_version: int
-) -> None:
-    """Persist one lowered kernel *source* (never code objects: the loader
-    recompiles, so a poisoned store can at worst fail to parse)."""
-    store.put(
-        NS_COMPILED_KERNELS,
-        key,
-        {
-            "kernel": kernel,
-            "lowering_version": int(lowering_version),
-            "source": source,
-        },
-    )
-
-
-def load_compiled_kernel(
-    store: ArtifactStore, key: str, lowering_version: int
-) -> Optional[str]:
-    """Return the stored lowered source, or None on any miss/mismatch."""
-    payload = store.get(NS_COMPILED_KERNELS, key)
-    if payload is None:
-        return None
-    try:
-        if int(payload["lowering_version"]) != int(lowering_version):
-            return None
-        source = payload["source"]
-    except (KeyError, TypeError, ValueError):
-        return None
-    return source if isinstance(source, str) else None
 
 
 def load_tuning(

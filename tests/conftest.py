@@ -9,6 +9,7 @@ from hypothesis import settings
 
 from repro.cudalite import parse_program
 from repro.gpu.device import K20X, K40, TESTING
+from repro.gpu.interpreter import BLOCK_EXEC_MODES
 
 # Deterministic profile for CI: derandomized (fixed seed), a bounded
 # number of examples, and no per-example deadline (shared runners are
@@ -23,7 +24,7 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def pytest_addoption(parser):
     parser.addoption(
         "--block-exec",
-        choices=("auto", "loop", "batched", "compiled"),
+        choices=BLOCK_EXEC_MODES,
         default=None,
         help=(
             "execution strategy for every interpreter call that names none "

@@ -36,12 +36,10 @@ def test_transformed_paper_app_never_pays_the_block_loop(app):
     result = transform(source, store=False, seed=PINNED_GA_SEED)
     assert result.verified is True
     assert result.speedup == speedup
-    for mode in ("auto", "compiled"):
-        launches = run_program(result.program, block_exec=mode).launches
-        assert [r.kernel for r in launches if r.executor == "loop"] == []
-        assert [r.kernel for r in launches if r.hazard_replay is not None] == []
-        if mode == "auto":
-            # the kernels that used to fall off the fast path are still
-            # there, on the batched lattice now
-            batched = [r.kernel for r in launches if r.executor == "batched"]
-            assert len(batched) == fused_launches
+    launches = run_program(result.program, block_exec="auto").launches
+    assert [r.kernel for r in launches if r.executor == "loop"] == []
+    assert [r.kernel for r in launches if r.hazard_replay is not None] == []
+    # the kernels that used to fall off the fast path are still there, on
+    # the batched lattice now
+    batched = [r.kernel for r in launches if r.executor == "batched"]
+    assert len(batched) == fused_launches

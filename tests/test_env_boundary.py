@@ -16,7 +16,7 @@ import pytest
 import repro
 import repro.pipeline.apply as apply_module
 from repro.api import TransformConfig, transform
-from repro.gpu import compiler
+from repro.gpu import interpreter
 from repro.search import fast_params
 
 from conftest import THREE_KERNEL_SRC
@@ -93,20 +93,17 @@ def small_params(seed=1):
     return params
 
 
-@pytest.mark.parametrize("mode, lowers", [("compiled", True), ("loop", False)])
-def test_block_exec_reaches_the_interpreter(mode, lowers):
-    compiler.reset_code_cache()
-    try:
-        result = transform(
-            THREE_KERNEL_SRC,
-            ga_params=small_params(),
-            block_exec=mode,
-            store=False,
-        )
-        assert result.verified is True
-        assert (compiler.stats().lowered > 0) is lowers
-    finally:
-        compiler.reset_code_cache()
+@pytest.mark.parametrize("mode, slices", [("auto", True), ("loop", False)])
+def test_block_exec_reaches_the_interpreter(mode, slices):
+    result = transform(
+        THREE_KERNEL_SRC,
+        ga_params=small_params(),
+        block_exec=mode,
+        store=False,
+    )
+    assert result.verified is True
+    # the per-block loop is the oracle: it never runs an access as slices
+    assert (interpreter.stats().accesses_by_path["slice"] > 0) is slices
 
 
 def test_gate_settings_reach_verify_group(monkeypatch):
@@ -129,7 +126,7 @@ def test_gate_settings_reach_verify_group(monkeypatch):
     assert calls, "no fused group reached the gate"
     for config, kwargs in calls:
         assert (config.enabled, config.seed, config.rtol) == (True, 7, 1e-6)
-        assert kwargs == {"block_exec": "batched", "store": None}
+        assert kwargs == {"block_exec": "batched"}
 
 
 # ------------------------------------------------- deleted variables inert

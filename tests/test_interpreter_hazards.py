@@ -1,9 +1,9 @@
 """Per-element batchability: the watch set, abort-restore-replay, staging.
 
-``auto`` and ``compiled`` run every uniform-bounds shared-memory kernel on
-the batched lattice while recording, per element of each global array the
-kernel writes, which block touched it.  The contract under test: whatever
-the kernel does, both modes are **bit-equal to the per-block loop under
+``auto`` runs every uniform-bounds shared-memory kernel on the batched
+lattice while recording, per element of each global array the kernel
+writes, which block touched it.  The contract under test: whatever the
+kernel does, it is **bit-equal to the per-block loop under
 both block orders**, an aborted batched pass leaves no trace in arrays or
 counters, and the launch record says which executor ran and why.
 """
@@ -15,7 +15,7 @@ from repro.cudalite import ast_nodes as ast
 from repro.cudalite import parse_program, unparse
 from repro.cudalite.unparser import unparse_expr
 from repro.errors import OutOfBoundsError
-from repro.gpu import compiler, interpreter
+from repro.gpu import interpreter
 from repro.gpu.interpreter import run_program
 from repro.observability import counters_signature
 from repro.transform import fuse_kernels
@@ -157,16 +157,13 @@ def _runs(source, order):
         mode: run_program(
             parsed, block_order=order, block_exec=mode, collect_counters=True
         )
-        for mode in ("loop", "auto", "compiled")
+        for mode in ("loop", "auto")
     }
 
 
 @pytest.fixture(autouse=True)
 def _fresh_state():
-    compiler.reset_code_cache()
     interpreter.reset_stats()
-    yield
-    compiler.reset_code_cache()
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -174,18 +171,16 @@ def _fresh_state():
 def test_lattice_modes_equal_the_block_loop(case, order):
     source, hazards = CASES[case]
     runs = _runs(source, order)
-    loop = runs["loop"]
-    for mode, lattice in (("auto", "batched"), ("compiled", "compiled")):
-        run = runs[mode]
-        for name, arr in loop.arrays.items():
-            assert np.array_equal(arr, run.arrays[name]), (mode, name)
-        assert counters_signature(
-            rec.counters for rec in run.launches
-        ) == counters_signature(rec.counters for rec in loop.launches), mode
-        assert [rec.hazard_replay for rec in run.launches] == hazards, mode
-        assert [rec.executor for rec in run.launches] == [
-            lattice if hazard is None else "loop" for hazard in hazards
-        ], mode
+    loop, run = runs["loop"], runs["auto"]
+    for name, arr in loop.arrays.items():
+        assert np.array_equal(arr, run.arrays[name]), name
+    assert counters_signature(
+        rec.counters for rec in run.launches
+    ) == counters_signature(rec.counters for rec in loop.launches)
+    assert [rec.hazard_replay for rec in run.launches] == hazards
+    assert [rec.executor for rec in run.launches] == [
+        "batched" if hazard is None else "loop" for hazard in hazards
+    ]
     assert [rec.executor for rec in loop.launches] == ["loop"] * len(hazards)
     assert [rec.hazard_replay for rec in loop.launches] == [None] * len(hazards)
 
@@ -216,7 +211,7 @@ ERROR_BEFORE_HAZARD = program(
 )
 
 
-@pytest.mark.parametrize("mode", ["auto", "compiled"])
+@pytest.mark.parametrize("mode", ["auto"])
 def test_error_on_the_lattice_is_replayed_not_trusted(mode):
     parsed = parse_program(ERROR_BEFORE_HAZARD)
     loop = run_program(parsed, block_exec="loop")
@@ -240,19 +235,17 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
     loops = counter("gpu_launches_total", executor="loop")
     replays = counter("gpu_hazard_replays_total")
     funnel = counter("gpu_accesses_total", path="funnel")
-    run_program(parse_program(CASES["aliased"][0]), block_exec="compiled")
+    run_program(parse_program(CASES["aliased"][0]), block_exec="auto")
     stats = interpreter.stats().as_dict()
-    # the aborted compiled pass and the loop replay both count; neither slices
+    # the first launch stays batched, the aliased one replays on the loop;
+    # the accesses of its aborted batched pass count too
     accesses = stats.pop("accesses_by_path")
-    assert accesses["slice"] == 0 and accesses["funnel"] > 0
+    assert accesses["funnel"] > 0
     assert counter("gpu_accesses_total", path="funnel") == funnel + accesses["funnel"]
     assert stats == {
-        "launches_by_executor": {"compiled": 1, "loop": 1},
+        "launches_by_executor": {"batched": 1, "loop": 1},
         "loop_launches": {"k": 1},
         "hazard_replays": {"k": "A:WAR"},
-    }
-    assert compiler.stats().fallback_reasons == {
-        "k": "cross_block_hazard: A:WAR"
     }
     assert counter("gpu_launches_total", executor="loop") == loops + 1
     assert counter("gpu_hazard_replays_total") == replays + 1
@@ -327,13 +320,12 @@ def test_plain_producer_preloads_only_cells_it_will_not_assign():
     new_program = run_fused(parsed, [fused])
     assert unparse(parse_program(unparse(new_program))) == unparse(new_program)
     before = run_program(parsed, block_exec="loop")
-    for mode in ("auto", "compiled"):
-        for order in ORDERS:
-            after = run_program(new_program, block_order=order, block_exec=mode)
-            for name, arr in before.arrays.items():
-                assert np.array_equal(arr, after.arrays[name]), (mode, order, name)
-            assert [rec.hazard_replay for rec in after.launches] == [None]
-            assert after.launches[0].executor != "loop"
+    for order in ORDERS:
+        after = run_program(new_program, block_order=order, block_exec="auto")
+        for name, arr in before.arrays.items():
+            assert np.array_equal(arr, after.arrays[name]), (order, name)
+        assert [rec.hazard_replay for rec in after.launches] == [None]
+        assert after.launches[0].executor != "loop"
 
 
 def test_compound_producer_keeps_the_full_preload_and_replays():

@@ -20,7 +20,6 @@ from repro.api import transform
 from repro.apps import build_app
 from repro.cudalite import parse_program, unparse
 from repro.errors import PipelineError
-from repro.gpu import compiler
 from repro.gpu.interpreter import outputs_allclose, run_program
 from repro.observability.model_validation import validate_model
 from repro.pipeline import stages
@@ -30,14 +29,7 @@ from test_cold_path_counts import APP_SCALE, PINNED_GA_SEED
 from test_fusion import run_fused
 from test_interpreter_hazards import ALLOC, CASES, LAUNCH, _fused_chain, program
 
-MODES = ("auto", "compiled", "loop", "batched")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_code_cache():
-    compiler.reset_code_cache()
-    yield
-    compiler.reset_code_cache()
+MODES = ("auto", "loop", "batched")
 
 
 @pytest.fixture
@@ -117,7 +109,7 @@ def test_gate_free_paths_keep_the_standalone_counted_run(program_runs, tmp_path)
         workdir=str(tmp_path / "run"),
     )
     assert [kw for kw, _ in program_runs] == [
-        {"block_exec": "auto", "store": None, "collect_counters": True}
+        {"block_exec": "auto", "collect_counters": True}
     ]
     assert result.state.verification["counters_from"] == "rerun"
     assert (tmp_path / "run" / "model_validation.json").read_bytes() == (
@@ -328,10 +320,8 @@ def test_launch_records_say_whether_the_order_could_matter():
     assert sensitive(independent, "batched") == ("batched", True)
     # a watched lattice that passed equals every order
     assert sensitive(independent, "auto") == ("batched", False)
-    assert sensitive(independent, "compiled") == ("compiled", False)
     # a hazard replay lands on the loop
     assert sensitive(racy, "auto") == ("loop", True)
-    assert sensitive(racy, "compiled") == ("loop", True)
     # no shared memory: the vectorized lattice never consults the order
     pointwise = (
         "__global__ void p(double *A, int n) {"
