@@ -44,7 +44,7 @@ FRONT_DOOR_FIELDS = ("source_bytes", "load_s", "memo")
 
 INTERPRETER_FIELDS = (
     "launches_by_executor", "loop_launches", "hazard_replays",
-    "accesses_by_path",
+    "accesses_by_path", "statements_by_path", "lift_replays",
 )
 
 GENERATION_FIELDS = (
@@ -157,7 +157,7 @@ def check_interpreter(block: object, config: object, where: str) -> None:
     """The ``interpreter`` block of ``run.json`` / a ledger record: which
     executor ran the launches and which path the array references took.
     The per-block loop is the oracle: a ``block_exec="loop"`` run never
-    takes the slice path."""
+    takes the slice path and never lifts a loop."""
     expect(isinstance(block, dict), f"{where}: interpreter must be an object")
     for key in INTERPRETER_FIELDS:
         expect(key in block, f"{where}: interpreter missing {key!r}")
@@ -166,6 +166,16 @@ def check_interpreter(block: object, config: object, where: str) -> None:
            f"{where}: accesses_by_path must count 'slice' and 'funnel'")
     expect(all(isinstance(n, int) and n >= 0 for n in by_path.values()),
            f"{where}: accesses_by_path values must be counts")
+    statements = block["statements_by_path"]
+    expect(isinstance(statements, dict)
+           and set(statements) == {"lifted", "sequential"},
+           f"{where}: statements_by_path must count 'lifted' and 'sequential'")
+    expect(all(isinstance(n, int) and n >= 0 for n in statements.values()),
+           f"{where}: statements_by_path values must be counts")
+    replays = block["lift_replays"]
+    expect(isinstance(replays, dict)
+           and all(isinstance(n, int) and n > 0 for n in replays.values()),
+           f"{where}: lift_replays must map kernel -> count")
     launches = block["launches_by_executor"]
     expect(isinstance(launches, dict)
            and all(isinstance(n, int) and n > 0 for n in launches.values()),
@@ -175,6 +185,8 @@ def check_interpreter(block: object, config: object, where: str) -> None:
     if isinstance(config, dict) and config.get("block_exec") == "loop":
         expect(by_path["slice"] == 0,
                f"{where}: block_exec=loop took the slice path")
+        expect(statements["lifted"] == 0 and not replays,
+               f"{where}: block_exec=loop lifted a loop")
 
 
 def check_trace(path: Path) -> None:
@@ -326,9 +338,9 @@ def check_ledger(root: Path) -> None:
             # additive field: records written before it carry none
             if record.get("front_door") is not None:
                 check_front_door(record["front_door"], path.name)
-            # likewise accesses_by_path inside the interpreter block
+            # likewise statements_by_path inside the interpreter block
             block = record.get("interpreter")
-            if block is not None and "accesses_by_path" in block:
+            if block is not None and "statements_by_path" in block:
                 check_interpreter(block, None, path.name)
         elif kind == "fuzz":
             fuzz = record.get("fuzz")

@@ -12,15 +12,19 @@ stencil under every block execution strategy — ``loop``, ``batched`` and
   agree across all modes;
 * ``auto`` ran array references as slices and ``loop`` ran none
   (``InterpreterStats.accesses_by_path``), so the comparison above is a
-  slice-vs-funnel differential and stays one.
+  slice-vs-funnel differential and stays one;
+* ``auto`` lifted loops and ``loop`` lifted none
+  (``InterpreterStats.statements_by_path``): a lifted-vs-sequential
+  differential too.
 
 Exits non-zero on any mismatch, and when ``auto`` did not replay the
-stencil program's hazard kernel on the block loop (the fallback path
-would then be untested).
+stencil program's hazard kernel on the block loop, or did not abandon
+its lifted pass of the lagged-tile kernel (either fallback path would
+then be untested).
 
 Usage::
 
-    PYTHONPATH=src python scripts/differential_modes.py [--app Fluam]
+    PYTHONPATH=src python scripts/differential_modes.py [--app Fluam ...|all]
 """
 
 from __future__ import annotations
@@ -37,7 +41,10 @@ MODES = ("loop", "batched", "auto")
 #: and one whose blocks pre-load a neighbour's cell before that
 #: neighbour stores it — a dead value, so every mode still agrees
 #: bitwise, but a cross-block hazard the watch must replay on the block
-#: loop: the differential thereby also covers ``auto``'s fallback path
+#: loop: the differential thereby also covers ``auto``'s fallback path.
+#: ``lag`` reads in iteration ``k`` the tile cell iteration ``k - 1``
+#: staged: its loop qualifies for lifting, the write record of the
+#: privatised tile must catch the read and the launch re-run sequentially
 _STENCIL = """
 __global__ void blur(const double* in, double* out, int nx, int ny) {
     __shared__ double t[8][8];
@@ -80,15 +87,30 @@ __global__ void shift(double* a, int nx, int ny) {
     a[i][j] = t[tx][ty];
 }
 
+__global__ void lag(const double* in, double* out, int nx, int ny) {
+    __shared__ double t[8];
+    int tx = threadIdx.x;
+    int i = blockIdx.x * blockDim.x + tx;
+    for (int k = 0; k < ny; k++) {
+        if (k > 0) {
+            out[i][k] = t[tx] + in[i][k];
+        }
+        t[tx] = in[i][k] * 0.5;
+        __syncthreads();
+    }
+}
+
 int main() {
     int nx = 96;
     int ny = 96;
     double* a = cudaMalloc2D(nx, ny);
     double* b = cudaMalloc2D(nx, ny);
+    double* c = cudaMalloc2D(nx, ny);
     deviceRandom(a, 20150615);
     blur<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(a, b, nx, ny);
     relax<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(b, nx, ny);
     shift<<<dim3(12, 12, 1), dim3(8, 8, 1)>>>(b, nx, ny);
+    lag<<<dim3(12, 1, 1), dim3(8, 1, 1)>>>(a, c, nx, ny);
     return 0;
 }
 """
@@ -115,7 +137,9 @@ def run_modes(program) -> dict:
             "hashes": array_hashes(result),
             "invariant": counters_signature(rec.counters for rec in result.launches),
             "sliced": stats.accesses_by_path["slice"],
+            "lifted": stats.statements_by_path["lifted"],
             "replayed": sorted(stats.hazard_replays),
+            "lift_replayed": sorted(stats.lift_replays),
         }
     return runs
 
@@ -142,13 +166,21 @@ def diff_runs(label: str, runs: dict) -> list:
             f"{label}: not a slice-vs-funnel differential: loop sliced "
             f"{reference['sliced']} accesses, auto {runs['auto']['sliced']}"
         )
+    # the stencil program's one loop is the lagged tile, which replays
+    expect_lifts = label != "stencil+fallback"
+    if reference["lifted"] or (expect_lifts and not runs["auto"]["lifted"]):
+        problems.append(
+            f"{label}: not a lifted-vs-sequential differential: loop lifted "
+            f"{reference['lifted']} statements, auto {runs['auto']['lifted']}"
+        )
     return problems
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--app", default="Fluam",
-                        help="generated application to run (default: Fluam)")
+    parser.add_argument("--app", nargs="+", default=["Fluam"],
+                        help="generated applications to run, or 'all' for "
+                             "the six paper apps (default: Fluam)")
     parser.add_argument("--scale", type=float, default=1.0,
                         help="application scale factor (default: 1.0)")
     parser.add_argument("--fuzz-seed", type=int, default=None, metavar="N",
@@ -156,14 +188,14 @@ def main(argv=None) -> int:
                              "(repro.fuzz.appgen.generate_app)")
     args = parser.parse_args(argv)
 
-    from repro.apps import build_app
+    from repro.apps import APP_NAMES, build_app
     from repro.cudalite import parse_program
 
     problems = []
-    programs = {
-        "stencil+fallback": parse_program(_STENCIL),
-        args.app: build_app(args.app, scale=args.scale).program,
-    }
+    apps = APP_NAMES if args.app == ["all"] else args.app
+    programs = {"stencil+fallback": parse_program(_STENCIL)}
+    for app in apps:
+        programs[app] = build_app(app, scale=args.scale).program
     if args.fuzz_seed is not None:
         from repro.fuzz import generate_app
 
@@ -174,9 +206,14 @@ def main(argv=None) -> int:
         problems.extend(diff_runs(label, runs))
         kernels = len(runs["loop"]["invariant"])
         print(f"{label}: {kernels} kernels x {len(MODES)} modes compared, "
-              f"auto replayed {runs['auto']['replayed']}")
-        if label == "stencil+fallback" and runs["auto"]["replayed"] != ["shift"]:
-            problems.append("the hazard kernel was not replayed — fallback untested")
+              f"auto replayed {runs['auto']['replayed']}, "
+              f"lift replayed {runs['auto']['lift_replayed']}")
+        if label == "stencil+fallback":
+            if runs["auto"]["replayed"] != ["shift"]:
+                problems.append("the hazard kernel was not replayed — fallback untested")
+            if runs["auto"]["lift_replayed"] != ["lag"]:
+                problems.append("the lagged-tile kernel was not replayed — "
+                                "the write record is untested")
 
     for problem in problems:
         print(f"differential_modes: {problem}", file=sys.stderr)

@@ -5,7 +5,9 @@ The bench's ``cold-transform`` runs MITgcm and Fluam at half scale; this
 is the full-scale row perf PRs cannot add to it (ROADMAP items 1(c), 2).
 Same GA seed as the bench, no store.  Prints the wall time, the stage
 times, launches and ms/launch per executor, the share of array
-references that ran as slices (``accesses_by_path``), the verdict and a
+references that ran as slices (``accesses_by_path``), the share of
+statement executions lifted loop bodies stood in for
+(``statements_by_path``) and the lift replays, the verdict and a
 digest of the emitted source — then the top-N functions of a second cold
 transform (a re-parsed text: fresh AST, cold per-kernel memos) under
 cProfile.  cProfile inflates call-heavy Python and not native code: use
@@ -89,6 +91,11 @@ def main() -> int:
     total = sum(by_path.values())
     print(f"  accesses_by_path {by_path}  slice share "
           f"{by_path['slice'] / total if total else 0.0:.3f}")
+    by_path = stats["statements_by_path"]
+    total = sum(by_path.values())
+    print(f"  statements_by_path {by_path}  lifted share "
+          f"{by_path['lifted'] / total if total else 0.0:.3f}  "
+          f"lift_replays {stats['lift_replays']}")
     if stats["loop_launches"] or stats["hazard_replays"]:
         print(f"  loop_launches {stats['loop_launches']}  "
               f"hazard_replays {stats['hazard_replays']}")

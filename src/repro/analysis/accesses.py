@@ -22,7 +22,18 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..cudalite import ast_nodes as ast
 
@@ -505,3 +516,226 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
 def shared_arrays_between(a: KernelAccesses, b: KernelAccesses) -> Set[str]:
     """Arrays touched by both kernels (the locality targets of fusion)."""
     return (a.arrays_read | a.arrays_written) & (b.arrays_read | b.arrays_written)
+
+
+# ------------------------------------------------------------ parallel loops
+
+
+def thread_invariant(expr: ast.Expr, scalar_params: Set[str]) -> bool:
+    """``expr`` is statically the same for every thread of a launch:
+    literals, scalar parameters and ``blockDim`` / ``gridDim``."""
+    if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit)):
+        return True
+    if isinstance(expr, ast.Ident):
+        return expr.name in scalar_params
+    if isinstance(expr, ast.Member):
+        return isinstance(expr.obj, ast.Ident) and expr.obj.name in (
+            "blockDim",
+            "gridDim",
+        )
+    if isinstance(expr, (ast.Unary, ast.Binary, ast.Ternary, ast.Call)):
+        return all(thread_invariant(e, scalar_params) for e in expr.children())
+    return False
+
+
+@dataclass(frozen=True)
+class ParallelLoop:
+    """A counted loop whose iterations carry no dependence.
+
+    Iteration ``v`` touches only slice ``v`` of every global array the
+    body writes and assigns only scalars the body declares.  One fact the
+    text cannot show is left to whoever reorders the iterations to check:
+    that each iteration reads a ``__shared__`` tile only where it staged
+    it (DESIGN.md §7, "Lifted loops").
+    """
+
+    loop: ast.For
+    #: pointer parameters the body writes
+    writes: FrozenSet[str]
+    #: ``__shared__`` tiles declared before the loop and touched only in
+    #: its body: each iteration needs its own copy
+    tiles: FrozenSet[str]
+
+
+class _Use(NamedTuple):
+    """One occurrence of a scalar name."""
+
+    name: str
+    assigned: bool
+    #: ids of the ``for`` nodes around the occurrence
+    loops: Tuple[int, ...]
+    #: ids of the ``for`` nodes around the declaration it resolves to by
+    #: C scoping (None: it resolves to none)
+    bound_in: Optional[Tuple[int, ...]]
+
+
+class _ArrayUse(NamedTuple):
+    name: Optional[str]
+    written: bool
+    loops: Tuple[int, ...]
+    terms: Tuple[IndexTerm, ...]
+
+
+def parallel_loops(kernel: ast.KernelDef) -> Tuple[ParallelLoop, ...]:
+    """Every ``for`` of ``kernel`` whose iterations may run in any order.
+
+    A loop qualifies when
+    * its start, bound and step are thread-invariant;
+    * its body has no ``while`` or ``return``, and no inner loop's
+      start, bound or step reads the loop variable;
+    * every global array the body writes is subscripted, in every access
+      of the body, by the loop variable at offset 0 on one common axis —
+      so no other offset of it is read;
+    * every scalar the body assigns is declared in the body, and every
+      use of a body-declared name resolves to a declaration in the body
+      (no value flows from one iteration to the next);
+    * no body declaration shadows a name visible at the loop, and every
+      use after the loop of a body-declared name resolves to a
+      declaration of its own — the interpreter's environment is flat, so
+      either would otherwise observe the last iteration's value;
+    * every ``__shared__`` tile the body touches is touched nowhere else,
+      and is declared either before the loop or in the body, not both.
+    """
+    pointer = {p.name for p in kernel.params if p.type.is_pointer}
+    scalars = {p.name for p in kernel.params if not p.type.is_pointer}
+    uses: List[_Use] = []
+    arrays: List[_ArrayUse] = []
+    #: (name, loops around the declaration) of every declaration
+    decls: List[Tuple[str, Tuple[int, ...]]] = []
+    #: tile name -> loops around each of its declarations
+    shared: Dict[str, List[Tuple[int, ...]]] = {}
+    #: id(For) -> (node, names visible where it starts)
+    fors: Dict[int, Tuple[ast.For, FrozenSet[str]]] = {}
+    rejected: Set[int] = set()
+    scopes: List[Dict[str, Tuple[int, ...]]] = [
+        {name: () for name in pointer | scalars}
+    ]
+
+    def lookup(name: str) -> Optional[Tuple[int, ...]]:
+        for scope in reversed(scopes):
+            if name in scope:
+                return scope[name]
+        return None
+
+    def read(expr: ast.Expr, loops: Tuple[int, ...]) -> None:
+        for node in expr.walk():
+            if isinstance(node, ast.Ident):
+                uses.append(_Use(node.name, False, loops, lookup(node.name)))
+            elif isinstance(node, ast.Index):
+                access(node, False, loops)
+
+    def access(node: ast.Index, written: bool, loops: Tuple[int, ...]) -> None:
+        terms = tuple(linear_index_term(e) for e in node.indices)
+        arrays.append(_ArrayUse(node.array_name, written, loops, terms))
+
+    def declare(name: str, loops: Tuple[int, ...]) -> None:
+        scopes[-1][name] = loops
+        decls.append((name, loops))
+
+    def block(stmts: Sequence[ast.Stmt], loops: Tuple[int, ...]) -> None:
+        scopes.append({})
+        for stmt in stmts:
+            visit(stmt, loops)
+        scopes.pop()
+
+    def visit(stmt: ast.Stmt, loops: Tuple[int, ...]) -> None:
+        if isinstance(stmt, ast.VarDecl):
+            for dim in stmt.array_dims:
+                read(dim, loops)
+            if stmt.init is not None:
+                read(stmt.init, loops)
+            if stmt.is_shared:
+                shared.setdefault(stmt.name, []).append(loops)
+            declare(stmt.name, loops)
+        elif isinstance(stmt, ast.Assign):
+            target = stmt.target
+            if isinstance(target, ast.Index):
+                access(target, True, loops)
+                if stmt.op != "=":
+                    access(target, False, loops)
+                for sub in target.indices:
+                    read(sub, loops)
+            elif isinstance(target, ast.Ident):
+                uses.append(_Use(target.name, True, loops, lookup(target.name)))
+            read(stmt.value, loops)
+        elif isinstance(stmt, ast.If):
+            read(stmt.cond, loops)
+            block(stmt.then.stmts, loops)
+            if stmt.els is not None:
+                block(stmt.els.stmts, loops)
+        elif isinstance(stmt, ast.For):
+            for expr in (stmt.start, stmt.bound, stmt.step):
+                read(expr, loops)
+                names = {n.name for n in expr.walk() if isinstance(n, ast.Ident)}
+                rejected.update(key for key in loops if fors[key][0].var in names)
+            if id(stmt) in fors:  # one node object in two places
+                rejected.add(id(stmt))
+            fors[id(stmt)] = (
+                stmt,
+                frozenset(name for scope in scopes for name in scope),
+            )
+            scopes.append({})
+            declare(stmt.var, loops)
+            block(stmt.body.stmts, loops + (id(stmt),))
+            scopes.pop()
+        elif isinstance(stmt, (ast.While, ast.Return)):
+            rejected.update(loops)
+            for child in stmt.children():
+                if isinstance(child, ast.Expr):
+                    read(child, loops)
+            if isinstance(stmt, ast.While):
+                block(stmt.body.stmts, loops)
+        elif isinstance(stmt, ast.ExprStmt):
+            read(stmt.expr, loops)
+        elif isinstance(stmt, ast.Block):
+            block(stmt.stmts, loops)
+
+    block(kernel.body.stmts, ())
+
+    found: List[ParallelLoop] = []
+    for key, (loop, visible) in fors.items():
+        if key in rejected or not all(
+            thread_invariant(e, scalars) for e in (loop.start, loop.bound, loop.step)
+        ):
+            continue
+        declared = {name for name, around in decls if key in around}
+        if loop.var in declared or declared & visible:
+            continue
+        if not all(_use_allowed(use, key, declared) for use in uses):
+            continue
+        inside = [a for a in arrays if key in a.loops]
+        tiles = {a.name for a in inside if a.name in shared}
+        writes = {a.name for a in inside if a.written} - tiles
+        if not writes <= pointer or tiles & pointer:
+            continue
+        if not all(_one_slice(inside, name, loop.var) for name in writes):
+            continue
+        if any(key not in a.loops for a in arrays if a.name in tiles):
+            continue
+        in_body = {key in around for name in tiles for around in shared[name]}
+        if len(in_body) > 1:
+            continue
+        outer_tiles = frozenset() if in_body == {True} else frozenset(tiles)
+        found.append(ParallelLoop(loop, frozenset(writes), outer_tiles))
+    return tuple(found)
+
+
+def _use_allowed(use: _Use, key: int, declared: Set[str]) -> bool:
+    """Whether one occurrence of a scalar lets the loop ``key``, whose body
+    declares ``declared``, run its iterations in any order."""
+    if key not in use.loops:
+        return use.name not in declared or use.bound_in is not None
+    if use.name in declared:
+        return use.bound_in is not None and key in use.bound_in
+    return not use.assigned
+
+
+def _one_slice(inside: List[_ArrayUse], name: str, var: str) -> bool:
+    """Every access of ``name`` among ``inside`` has ``var`` (offset 0) as
+    its subscript on one common axis."""
+    axes: Optional[Set[int]] = None
+    for a in inside:
+        if a.name == name:
+            here = {d for d, term in enumerate(a.terms) if term == (var, 0)}
+            axes = here if axes is None else axes & here
+    return bool(axes)

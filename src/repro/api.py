@@ -547,12 +547,17 @@ def _ledger_append(
     store: Optional[ArtifactStore],
     exit_code: int,
     front_door: Optional[Dict[str, Any]] = None,
+    trace_mark: Optional[Tuple[int, int]] = None,
 ) -> None:
     """Append this run to the store's run ledger.
 
     Strictly fail-soft bookkeeping: skipped entirely when telemetry is
     off or no store is attached, and a failed append degrades to a
-    warning — a run must never break on its own history.
+    warning — a run must never break on its own history.  The ``trace``
+    block summarises the spans opened since ``trace_mark``
+    (:meth:`~repro.observability.tracing.Tracer.mark`, taken when the
+    run began; none when the run never started), not everything the
+    process's tracer kept.
     """
     if store is None or not config.telemetry:
         return
@@ -576,7 +581,9 @@ def _ledger_append(
             reused=dict(state.reused) if state is not None else {},
             store_stats=store.stats.as_dict(),
             counters=get_registry().counter_totals(),
-            trace=summarize_spans(get_tracer().spans()),
+            trace=summarize_spans(
+                get_tracer().spans_since(trace_mark) if trace_mark else []
+            ),
             interpreter=interpreter.stats().as_dict(),
             verification=state.verification if state is not None else None,
             front_door=front_door,
@@ -674,6 +681,8 @@ def _execute_transform(
     with telemetry(bool(resolved.telemetry)):
         # run.json / the ledger report this run's executors and loop launches
         interpreter.reset_stats()
+        # ... and the ledger's trace block this run's spans
+        trace_mark = get_tracer().mark() if resolved.telemetry else None
         store: Optional[ArtifactStore] = None
         if resolved.store:
             store = open_store(resolved.store_root)
@@ -701,7 +710,7 @@ def _execute_transform(
             )
             _ledger_append(
                 resolved, source_label, framework, store, exit_code=2,
-                front_door=front_door,
+                front_door=front_door, trace_mark=trace_mark,
             )
             raise
         write_run_outputs(
@@ -710,7 +719,7 @@ def _execute_transform(
         )
         _ledger_append(
             resolved, source_label, framework, store, exit_code=0,
-            front_door=front_door,
+            front_door=front_door, trace_mark=trace_mark,
         )
         return TransformResult(
             state=state,

@@ -22,7 +22,9 @@ failure" cheaply.
     ``loop`` must have run no array reference as slices and — on a
     generated app, whose every kernel indexes by its global thread id —
     ``auto`` some, which keeps that comparison a slice-vs-funnel
-    differential.
+    differential; likewise ``loop`` must have lifted no loop and ``auto``
+    some on a generated app with a liftable loop outside shared-memory
+    kernels (``not-lifted-vs-sequential``).
 ``warm_store``
     Re-running the identical transform against a warm artifact store is
     bit-identical to the cold run (caching must never change results),
@@ -43,6 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..analysis.accesses import collect_accesses, parallel_loops
 from ..api import TransformConfig, TransformResult, transform
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
@@ -206,6 +209,7 @@ def _check_modes(
 ) -> Optional[OracleFailure]:
     by_order = {}
     sliced = {}
+    lifted = {}
     for order in _BLOCK_ORDERS:
         try:
             runs = by_order[order] = {}
@@ -217,7 +221,9 @@ def _check_modes(
                     block_exec=mode,
                     collect_counters=True,
                 )
-                sliced[mode] = interpreter.stats().accesses_by_path["slice"]
+                stats = interpreter.stats()
+                sliced[mode] = stats.accesses_by_path["slice"]
+                lifted[mode] = stats.statements_by_path["lifted"]
         except BaseException as exc:  # noqa: BLE001
             return _escape("modes", exc)
         signatures = {
@@ -257,6 +263,18 @@ def _check_modes(
             "modes",
             "not-slice-vs-funnel",
             f"loop sliced {sliced['loop']} accesses, auto {sliced['auto']}",
+        )
+    # likewise lifted-vs-sequential: the loop never lifts, and ``auto``
+    # lifts a generated app that has a loop its vectorized lattice can lift
+    expect_lifts = expect_slices and any(
+        parallel_loops(kernel) and not collect_accesses(kernel).uses_shared
+        for kernel in program.kernels
+    )
+    if lifted["loop"] or (expect_lifts and not lifted["auto"]):
+        return OracleFailure(
+            "modes",
+            "not-lifted-vs-sequential",
+            f"loop lifted {lifted['loop']} statements, auto {lifted['auto']}",
         )
     return None
 

@@ -62,6 +62,21 @@ hazard replay — takes the funnel unchanged; the
 equivalence argument and the fallback list are in DESIGN.md §7 ("Affine
 accesses"), the split is reported as
 :attr:`InterpreterStats.accesses_by_path`.
+
+**Lifted loops.**  On the same two lattices a ``for`` whose iterations
+carry no dependence (:func:`~repro.analysis.accesses.parallel_loops`,
+once per kernel) runs its body once, the iterations one more trailing
+lattice axis and the loop variable an ``arange`` along it, tagged affine
+like any lattice coordinate.  ``__shared__`` tiles the body touches get
+that axis too, each iteration its own copy, and a per-cell "written this
+iteration" record: reading a cell the iteration has not written, any
+:class:`InterpreterError` or block hazard in the body, or a store whose
+threads all hit one element per iteration abandons the pass, restores
+the launch's entry state and re-runs it with every loop sequential
+(:meth:`_KernelExec._run_lattice`).  Counters count per iteration, so
+they equal the sequential loop's; ``block_exec="loop"``,
+``detect_races`` and the per-block loop never lift (DESIGN.md §7,
+"Lifted loops"; :attr:`InterpreterStats.statements_by_path`).
 """
 
 from __future__ import annotations
@@ -84,7 +99,14 @@ from typing import (
 
 import numpy as np
 
-from ..analysis.accesses import IRREGULAR, IndexTerm, linear_index_term
+from ..analysis.accesses import (
+    IRREGULAR,
+    IndexTerm,
+    ParallelLoop,
+    linear_index_term,
+    parallel_loops,
+    thread_invariant,
+)
 from ..cudalite import ast_nodes as ast
 from ..errors import InterpreterError, OutOfBoundsError
 from ..observability.hwcounters import KernelCounters
@@ -278,6 +300,14 @@ class InterpreterStats:
     accesses_by_path: Dict[str, int] = field(
         default_factory=lambda: {"slice": 0, "funnel": 0}
     )
+    #: statement executions on the sequential path, and the sequential
+    #: executions lifted loop bodies stood in for (DESIGN.md, "Lifted loops")
+    statements_by_path: Dict[str, int] = field(
+        default_factory=lambda: {"lifted": 0, "sequential": 0}
+    )
+    #: kernel -> launches whose lifted pass was abandoned and re-run with
+    #: every loop sequential
+    lift_replays: Dict[str, int] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -285,6 +315,8 @@ class InterpreterStats:
             "loop_launches": dict(sorted(self.loop_launches.items())),
             "hazard_replays": dict(sorted(self.hazard_replays.items())),
             "accesses_by_path": dict(self.accesses_by_path),
+            "statements_by_path": dict(self.statements_by_path),
+            "lift_replays": dict(sorted(self.lift_replays.items())),
         }
 
 
@@ -305,7 +337,12 @@ def reset_stats() -> None:
 
 
 def _note_launch(
-    kernel: str, executor: str, hazard: Optional[str], accesses: Dict[str, int]
+    kernel: str,
+    executor: str,
+    hazard: Optional[str],
+    accesses: Dict[str, int],
+    statements: Dict[str, int],
+    lift_replayed: bool,
 ) -> None:
     with _STATS_LOCK:
         by = _STATS.launches_by_executor
@@ -317,12 +354,21 @@ def _note_launch(
             _STATS.hazard_replays.setdefault(kernel, hazard)
         for path, count in accesses.items():
             _STATS.accesses_by_path[path] += count
+        for path, count in statements.items():
+            _STATS.statements_by_path[path] += count
+        if lift_replayed:
+            replays = _STATS.lift_replays
+            replays[kernel] = replays.get(kernel, 0) + 1
     registry = get_registry()
     registry.inc("gpu_launches_total", executor=executor)
     if hazard is not None:
         registry.inc("gpu_hazard_replays_total")
+    if lift_replayed:
+        registry.inc("gpu_lift_replays_total")
     for path, count in accesses.items():
         registry.inc("gpu_accesses_total", count, path=path)
+    for path, count in statements.items():
+        registry.inc("gpu_statements_total", count, path=path)
 
 
 @dataclass(frozen=True)
@@ -346,6 +392,9 @@ class _KernelFacts:
     #: nodes where every subscript has that form (the nodes live as long
     #: as the kernel, so the ids are stable)
     subscripts: Dict[int, Tuple[IndexTerm, ...]]
+    #: id(For node) -> its facts, for every loop whose iterations may run
+    #: in any order (the lattices lift those)
+    lifts: Dict[int, ParallelLoop]
 
 
 #: id(KernelDef) -> facts; entries leave with their kernel (KernelDef
@@ -366,24 +415,7 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
     scalar_params = {p.name for p in kernel.params if not p.type.is_pointer}
 
     def uniform(expr: ast.Expr) -> bool:
-        if isinstance(expr, (ast.IntLit, ast.FloatLit, ast.BoolLit)):
-            return True
-        if isinstance(expr, ast.Ident):
-            return expr.name in scalar_params
-        if isinstance(expr, ast.Member):
-            return isinstance(expr.obj, ast.Ident) and expr.obj.name in (
-                "blockDim",
-                "gridDim",
-            )
-        if isinstance(expr, ast.Unary):
-            return uniform(expr.operand)
-        if isinstance(expr, ast.Binary):
-            return uniform(expr.lhs) and uniform(expr.rhs)
-        if isinstance(expr, ast.Ternary):
-            return uniform(expr.cond) and uniform(expr.then) and uniform(expr.els)
-        if isinstance(expr, ast.Call):
-            return all(uniform(a) for a in expr.args)
-        return False
+        return thread_invariant(expr, scalar_params)
 
     uses_shared = False
     uniform_bounds = True
@@ -456,6 +488,7 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
         frozenset(reads),
         frozenset(writes),
         subscripts,
+        {id(lift.loop): lift for lift in parallel_loops(kernel)},
     )
 
 
@@ -468,8 +501,34 @@ class _BlockHazard(Exception):
         self.kind = kind
 
 
+class _LiftHazard(_BlockHazard):
+    """A lifted loop body could not stand in for its sequential loop."""
+
+
 #: the implicit leading subscript of a batched shared tile: the block axis
 _BLOCK_AXIS = "<block>"
+#: the implicit trailing subscript of a tile a lifted loop privatised
+_LIFT_AXIS = "<lift>"
+
+
+class _Lift(NamedTuple):
+    """The loop running as the trailing lattice axis."""
+
+    trip: int
+    #: ``0 .. trip - 1`` along that axis: a privatised tile's last subscript
+    lane: np.ndarray
+    #: privatised tile -> per-cell "written this iteration" record
+    written: Dict[str, np.ndarray]
+
+
+class _Entry(NamedTuple):
+    """What a pass over a launch may change, as the pass found it."""
+
+    env: Dict[str, Value]
+    #: (written global array, its copy)
+    arrays: List[Tuple[np.ndarray, np.ndarray]]
+    counters: Optional[Dict[str, Any]]
+
 
 class _MaskFacts(NamedTuple):
     """What one mask keeps active on the current lattice."""
@@ -481,6 +540,8 @@ class _MaskFacts(NamedTuple):
     hull: Optional[Tuple[Tuple[int, int], ...]]
     #: the mask is its whole hull (every lane of the box is active)
     boxed: bool
+    #: iterations of the lifted loop with an active lane (1 outside one)
+    slices: int
 
 
 class _KernelExec:
@@ -529,9 +590,17 @@ class _KernelExec:
         #: id(mask) -> (mask, facts); holding the mask keeps its id its own
         self._hulls: Dict[int, Tuple[np.ndarray, _MaskFacts]] = {}
         #: facts of the scalar all-true mask on the current lattice
-        self._all_lanes = _MaskFacts(1, (), True)
+        self._all_lanes = _MaskFacts(1, (), True, 1)
         #: array references executed, by path (flushed by :func:`_note_launch`)
         self._accesses = {"slice": 0, "funnel": 0}
+        #: whether this pass lifts the loops that qualify (:meth:`_run_lattice`)
+        self._lifting = False
+        #: the loop running as the trailing lattice axis, if any
+        self._lift: Optional[_Lift] = None
+        #: statement executions, by path (flushed by :func:`_note_launch`)
+        self._statements = {"lifted": 0, "sequential": 0}
+        #: a lifted pass was abandoned and the launch re-run sequentially
+        self.lift_replayed = False
         self._facts = _kernel_facts(kernel)
         #: what ran (or is running) the launch, for :class:`LaunchRecord`
         self.executor = "loop"
@@ -567,7 +636,12 @@ class _KernelExec:
             self._dispatch(mode)
         finally:
             _note_launch(
-                self.kernel.name, self.executor, self.hazard_replay, self._accesses
+                self.kernel.name,
+                self.executor,
+                self.hazard_replay,
+                self._accesses,
+                self._statements,
+                self.lift_replayed,
             )
 
     def _dispatch(self, mode: str) -> None:
@@ -589,12 +663,37 @@ class _KernelExec:
         else:
             self._run_per_block()
 
-    def _run_lattice(self, lattice: str) -> None:
-        """Run the body over the lattice the caller set up."""
+    def _run_lattice(self, lattice: str, entry: Optional[_Entry] = None) -> None:
+        """Run the body over the lattice the caller set up.
+
+        Loops that qualify are lifted (module docstring, "Lifted loops").
+        A lifted body that cannot stand in for its sequential loop raises
+        :class:`_LiftHazard`; the launch is then restored to ``entry`` —
+        taken here unless the caller took it — and re-run on the same
+        lattice with every loop sequential, so the executor, any block
+        hazard and any error are the ones that run finds.
+        """
         self.executor = lattice
         self._slicing = not self.detect_races and self.block_exec != "loop"
+        self._lifting = self._slicing and bool(self._facts.lifts)
         # scalar True: all threads active
-        self._exec_block(self.kernel.body, np.ones((), dtype=bool))
+        mask = np.ones((), dtype=bool)
+        if self._lifting:
+            if entry is None:
+                entry = self._entry_state()
+            affine = dict(self._affine)
+            try:
+                self._exec_block(self.kernel.body, mask)
+                return
+            except _LiftHazard:
+                self.lift_replayed = True
+            self._restore(entry)
+            self._affine = affine
+            for state in (self._watch or {}).values():
+                state[...] = 0
+            self._statements = {"lifted": 0, "sequential": 0}
+            self._lifting = False
+        self._exec_block(self.kernel.body, mask)
 
     def _run_watched(self, facts: _KernelFacts) -> None:
         """Batched execution that proves itself equal to the block loop.
@@ -614,39 +713,49 @@ class _KernelExec:
         that reveals the hazard ran, so the loop decides whether the
         launch fails.
         """
-        written = {
-            id(arr): arr
-            for name in facts.writes
-            if isinstance(arr := self.env.get(name), np.ndarray)
-        }
-        base_env = dict(self.env)
-        saved_arrays = [(arr, arr.copy()) for arr in written.values()]
-        saved_counters = (
-            dict(vars(self.counters)) if self.counters is not None else None
-        )
+        entry = self._entry_state()
+        watched = {id(arr) for arr, _ in entry.arrays}
         self._watch = {
-            key: np.zeros(arr.size, dtype=np.int32) for key, arr in written.items()
+            id(arr): np.zeros(arr.size, dtype=np.int32) for arr, _ in entry.arrays
         } or None
         self._setup_batched()
         try:
-            self._run_lattice("batched")
+            self._run_lattice("batched", entry)
             return
         except _BlockHazard as hazard:
             self.hazard_replay = f"{hazard.array}:{hazard.kind}"
         except InterpreterError as exc:
-            if not any(id(base_env.get(name)) in written for name in facts.reads):
+            if not any(id(entry.env.get(name)) in watched for name in facts.reads):
                 raise
             self.hazard_replay = f"{getattr(exc, 'array', None) or '?'}:ERR"
         finally:
             self._watch = None
-        for arr, saved in saved_arrays:
-            arr[...] = saved
-        if saved_counters is not None:
-            vars(self.counters).update(saved_counters)
-        self.env = base_env
-        self.shared = {}
+        self._restore(entry)
         self._block_axis = None
         self._run_per_block()
+
+    def _entry_state(self) -> _Entry:
+        """What a pass may change: the environment, the counters and every
+        global array the kernel writes (one copy per distinct array)."""
+        written = {
+            id(arr): arr
+            for name in self._facts.writes
+            if isinstance(arr := self.env.get(name), np.ndarray)
+        }
+        return _Entry(
+            dict(self.env),
+            [(arr, arr.copy()) for arr in written.values()],
+            dict(vars(self.counters)) if self.counters is not None else None,
+        )
+
+    def _restore(self, entry: _Entry) -> None:
+        """Undo a pass: arrays, counters and environment as at ``entry``."""
+        for arr, saved in entry.arrays:
+            arr[...] = saved
+        if entry.counters is not None:
+            vars(self.counters).update(entry.counters)
+        self.env = dict(entry.env)
+        self.shared = {}
 
     def _watch_access(
         self, name: str, arr: np.ndarray, idxs: List[Value], mask: Value, store: bool
@@ -728,7 +837,7 @@ class _KernelExec:
 
     def _run_per_block(self) -> None:
         self.executor = "loop"
-        self._slicing = False
+        self._slicing = self._lifting = False
         self.order_sensitive = self.grid.count > 1
         bx, by, bz = self.block.as_tuple()
         self._set_lattice((bx, by, bz), 1)
@@ -777,7 +886,7 @@ class _KernelExec:
         self.lattice_shape = shape
         self._blocks_covered = blocks_covered
         self._all_lanes = _MaskFacts(
-            math.prod(shape), tuple((0, extent) for extent in shape), True
+            math.prod(shape), tuple((0, extent) for extent in shape), True, 1
         )
         self._affine = {}
         self._hulls = {}
@@ -798,8 +907,10 @@ class _KernelExec:
         shape = self.lattice_shape
         # a mask is broadcast over the lattice axes it does not span
         count = int(np.count_nonzero(mask)) * (self._all_lanes.count // mask.size)
+        # a mask that does not span the lift axis is alike in every iteration
+        slices = self._all_lanes.slices
         if not self._slicing or count == 0 or mask.ndim != len(shape):
-            return _MaskFacts(count, None, False)
+            return _MaskFacts(count, None, False, slices)
         hull = []
         cells = 1
         for axis, extent in enumerate(shape):
@@ -808,17 +919,36 @@ class _KernelExec:
                 others = tuple(a for a in range(mask.ndim) if a != axis)
                 on = np.flatnonzero(mask.any(axis=others))
                 lo, hi = int(on[0]), int(on[-1]) + 1
+                if self._lift is not None and axis == len(shape) - 1:
+                    slices = len(on)
             hull.append((lo, hi))
             cells *= hi - lo
-        return _MaskFacts(count, tuple(hull), cells == count)
+        return _MaskFacts(count, tuple(hull), cells == count, slices)
 
     def _active_threads(self, mask: Value) -> int:
         """Threads the current mask keeps active over the full lattice."""
         return self._mask_facts(mask).count
 
+    def _diverging(self, on: np.ndarray, off: np.ndarray) -> int:
+        """Divergent branches: 1 when active threads take both sides, and in
+        a lifted body one per iteration in which they do."""
+        if self._lift is None:
+            return int(bool(np.any(on)) and bool(np.any(off)))
+        both = np.logical_and(
+            *(m.any(axis=tuple(range(m.ndim - 1))) for m in (on, off))
+        )
+        return int(np.count_nonzero(np.broadcast_to(both, (self._lift.trip,))))
+
     # -------------------------------------------------------------- statements
 
     def _exec_block(self, block: ast.Block, mask: Value) -> None:
+        if self._lift is None:
+            self._statements["sequential"] += len(block.stmts)
+        else:
+            # the statements each active iteration would have executed
+            self._statements["lifted"] += (
+                len(block.stmts) * self._mask_facts(mask).slices
+            )
         for stmt in block.stmts:
             self._exec_stmt(stmt, mask)
 
@@ -834,8 +964,9 @@ class _KernelExec:
                 if self.counters is not None:
                     # active threads disagree on a thread-varying condition
                     off_mask = np.logical_and(mask, np.logical_not(cond))
-                    if np.any(then_mask) and np.any(off_mask):
-                        self.counters.branch_divergence += 1
+                    self.counters.branch_divergence += self._diverging(
+                        then_mask, off_mask
+                    )
                 if np.any(then_mask):
                     self._exec_block(stmt.then, then_mask)
                     # a branch mask dies with its branch: a long loop must
@@ -857,9 +988,11 @@ class _KernelExec:
             self._exec_while(stmt, mask)
         elif isinstance(stmt, ast.SyncThreads):
             # statements already act as barriers in vectorized execution;
-            # the counter still records one barrier per covered block
+            # the counter still records one barrier per covered block (and
+            # per active iteration of a lifted loop)
             if self.counters is not None:
-                self.counters.syncthreads += self._blocks_covered
+                iterations = 1 if self._lift is None else self._mask_facts(mask).slices
+                self.counters.syncthreads += self._blocks_covered * iterations
         elif isinstance(stmt, ast.ExprStmt):
             self._eval(stmt.expr, mask)
         elif isinstance(stmt, ast.Return):
@@ -878,6 +1011,10 @@ class _KernelExec:
             if self._block_axis is not None:
                 # one tile per block, stacked along the batch axis
                 dims = [self.lattice_shape[0]] + dims
+            if self._lift is not None:
+                # one tile per iteration, its reads checked against its writes
+                dims.append(self._lift.trip)
+                self._lift.written[decl.name] = np.zeros(tuple(dims), dtype=bool)
             dtype = np.float64 if decl.type.base in ("double", "float") else np.int64
             self.shared[decl.name] = np.zeros(tuple(dims), dtype=dtype)
             return
@@ -951,29 +1088,46 @@ class _KernelExec:
 
     def _resolve_access(
         self, name: Optional[str], nidx: int
-    ) -> Tuple[np.ndarray, List[np.ndarray]]:
-        """Resolve an array access to (array, prefix).
+    ) -> Tuple[np.ndarray, List[np.ndarray], List[np.ndarray]]:
+        """Resolve an array access to (array, prefix, suffix).
 
-        ``prefix`` is the implicit leading block-axis index for batched
-        shared arrays (empty otherwise); the user-visible dimensionality
-        is checked against the declared shape without the batch axis.
+        ``prefix`` is the implicit leading block-axis index of a batched
+        shared tile and ``suffix`` the implicit trailing iteration index of
+        a tile a lifted loop privatised (both empty otherwise); the
+        user-visible dimensionality is checked against the declared shape
+        without them.
         """
         if name is None:
             raise InterpreterError("array base must be a name")
         arr = self._lookup_array(name)
         prefix: List[np.ndarray] = []
-        ndim = arr.ndim
-        if self._block_axis is not None and name in self.shared:
-            prefix = [self._block_axis]
-            ndim -= 1
+        suffix: List[np.ndarray] = []
+        if name in self.shared:
+            if self._block_axis is not None:
+                prefix = [self._block_axis]
+            if self._lift is not None and name in self._lift.written:
+                suffix = [self._lift.lane]
+        ndim = arr.ndim - len(prefix) - len(suffix)
         if nidx != ndim:
             raise InterpreterError(
                 f"array {name!r} has {ndim} dims, indexed with {nidx}"
             )
-        return arr, prefix
+        return arr, prefix, suffix
+
+    def _check_staged(self, name: str, seen: np.ndarray, active: Value) -> None:
+        """A privatised tile cell read before its iteration wrote it would
+        have held an earlier iteration's value: abandon the lifted pass."""
+        if np.any(np.logical_and(active, np.logical_not(seen))):
+            raise _LiftHazard(name, "RAW")
 
     def _slice_index(
-        self, node: ast.Index, arr: np.ndarray, prefixed: bool, mask: Value, store: bool
+        self,
+        node: ast.Index,
+        arr: np.ndarray,
+        prefixed: bool,
+        suffixed: bool,
+        mask: Value,
+        store: bool,
     ) -> Optional[Tuple[Tuple[Any, ...], Tuple[slice, ...], List[int]]]:
         """The basic index that runs this access as slices, or None for
         the funnel (DESIGN.md, "Affine accesses").
@@ -997,6 +1151,8 @@ class _KernelExec:
             return None
         if prefixed:
             terms = ((_BLOCK_AXIS, 0),) + terms
+        if suffixed:
+            terms = terms + ((_LIFT_AXIS, 0),)
         lattice = self.lattice_shape
         index: List[Any] = []
         region = [slice(lo, hi) if store else slice(None) for lo, hi in hull]
@@ -1168,9 +1324,11 @@ class _KernelExec:
 
     def _store_array(self, target: ast.Index, value: Value, mask: Value) -> None:
         name = target.array_name
-        arr, prefix = self._resolve_access(name, len(target.indices))
+        arr, prefix, suffix = self._resolve_access(name, len(target.indices))
         if self._slicing and np.ndim(value) in (0, len(self.lattice_shape)):
-            plan = self._slice_index(target, arr, bool(prefix), mask, store=True)
+            plan = self._slice_index(
+                target, arr, bool(prefix), bool(suffix), mask, store=True
+            )
             if plan is not None:
                 index, region, _ = plan
                 if self.counters is not None:
@@ -1182,30 +1340,39 @@ class _KernelExec:
                 self._accesses["slice"] += 1
                 if np.ndim(value):
                     value = _restrict(value, region)
+                written = self._lift.written[name][index] if suffix else None
                 if self._mask_facts(mask).boxed:
                     arr[index] = value
+                    if written is not None:
+                        written[...] = True
                 else:
-                    np.copyto(
-                        arr[index],
-                        value,
-                        casting="unsafe",
-                        where=_restrict(mask, region),
-                    )
+                    active = _restrict(mask, region)
+                    np.copyto(arr[index], value, casting="unsafe", where=active)
+                    if written is not None:
+                        np.copyto(written, True, where=active)
                 return
         idxs = [self._eval(e, mask) for e in target.indices]
-        self._finish_store(name, arr, prefix, idxs, value, mask)
+        self._finish_store(name, arr, prefix, suffix, idxs, value, mask)
 
     def _finish_store(
         self,
         name: str,
         arr: np.ndarray,
         prefix: List[np.ndarray],
+        suffix: List[np.ndarray],
         idxs: List[Value],
         value: Value,
         mask: Value,
     ) -> None:
         self._accesses["funnel"] += 1
         idxs = self._validate_indices(name, arr, idxs, mask, offset=len(prefix))
+        if self._lift is not None and not any(
+            isinstance(i, np.ndarray) and i.ndim and i.size > i.shape[-1]
+            for i in idxs
+        ):
+            # every thread of an iteration stores to one element: the
+            # first-active / last-block rules below pick per iteration
+            raise _LiftHazard(name, "ONE")
         if self._watch is not None:
             self._watch_access(name, arr, idxs, mask, store=True)
         if self.counters is not None:
@@ -1243,7 +1410,7 @@ class _KernelExec:
             # into its own tile slot (the per-block scalar-store rule)
             self._store_shared_scalar(arr, idxs, value, mask)
             return
-        all_idxs = list(prefix) + list(idxs)
+        all_idxs = list(prefix) + list(idxs) + list(suffix)
         # the broadcast lattice must also cover value/mask variance that the
         # indices alone do not span (e.g. a block-axis prefix of (nb,1,1,1)
         # stored with thread-varying values of shape (1,bx,1,1))
@@ -1262,10 +1429,13 @@ class _KernelExec:
                 self._check_race(name, arr, sel, value_arr[mask_arr])
             arr[sel] = value_arr[mask_arr]
         else:
+            sel = tuple(full_idxs)
             if self.detect_races:
                 flat = tuple(ix.ravel() for ix in full_idxs)
                 self._check_race(name, arr, flat, value_arr.ravel())
-            arr[tuple(full_idxs)] = value_arr
+            arr[sel] = value_arr
+        if suffix:
+            self._lift.written[name][sel] = True  # type: ignore[union-attr]
 
     def _store_shared_scalar(
         self, arr: np.ndarray, idxs: List[Value], value: Value, mask: Value
@@ -1344,8 +1514,15 @@ class _KernelExec:
         if step <= 0:
             raise InterpreterError("loop step must be positive")
         end = bound + 1 if stmt.cmp == "<=" else bound
-        saved = self.env.get(stmt.var, _MISSING)
         self._affine.pop(stmt.var, None)
+        lift = self._facts.lifts.get(id(stmt)) if self._lifting else None
+        if (
+            lift is not None
+            and self._lift is None
+            and self._run_lifted(lift, mask, start, end, step)
+        ):
+            return
+        saved = self.env.get(stmt.var, _MISSING)
         value = start
         while value < end:
             self.env[stmt.var] = int(value)
@@ -1355,6 +1532,82 @@ class _KernelExec:
             self.env.pop(stmt.var, None)
         else:
             self.env[stmt.var] = saved
+
+    def _run_lifted(
+        self, lift: ParallelLoop, mask: Value, start: Scalar, end: Scalar, step: Scalar
+    ) -> bool:
+        """Run ``lift``'s loop as one pass, its iterations a trailing
+        lattice axis (module docstring, "Lifted loops"); False, having
+        changed nothing, when the loop is better run sequentially."""
+        if not all(type(v) is int for v in (start, end, step)):
+            return False
+        trip = len(range(start, end, step))  # type: ignore[arg-type]
+        if trip < 2:
+            return False
+        pointers = [p.name for p in self.kernel.params if p.type.is_pointer]
+        bound = [id(self.env.get(name)) for name in pointers]
+        # a written array bound to two parameters: the slice argument is
+        # per name, so it says nothing about the other name's accesses
+        if any(bound.count(id(self.env.get(name))) > 1 for name in lift.writes):
+            return False
+        rank = len(self.lattice_shape)
+        values = [
+            v for name, v in self.env.items() if name not in pointers
+        ] + list(self.tidx.values()) + list(self.bidx.values())
+        if any(isinstance(v, np.ndarray) and v.ndim not in (0, rank) for v in values):
+            return False
+
+        def grow(value: Value) -> Value:
+            if isinstance(value, np.ndarray) and value.ndim:
+                return value[..., None]
+            return value
+
+        saved = (
+            self.env, self.tidx, self.bidx, self._block_axis, self.shared,
+            self.lattice_shape, self._all_lanes, self._affine, self._hulls,
+        )
+        lane = np.arange(trip).reshape((1,) * rank + (trip,))
+        shape = self.lattice_shape + (trip,)
+        self.lattice_shape = shape
+        self._all_lanes = _MaskFacts(
+            math.prod(shape), tuple((0, extent) for extent in shape), True, trip
+        )
+        self._hulls = {}
+        self._affine = dict(self._affine)
+        self._affine[_LIFT_AXIS] = (rank, 0)
+        self.env = {
+            name: value if name in pointers else grow(value)
+            for name, value in self.env.items()
+        }
+        var = lift.loop.var
+        self.env[var] = np.arange(start, end, step, dtype=np.int64).reshape(lane.shape)
+        self._tag_affine(var, self.env[var])
+        self.tidx = {axis: grow(v) for axis, v in self.tidx.items()}
+        self.bidx = {axis: grow(v) for axis, v in self.bidx.items()}
+        if self._block_axis is not None:
+            self._block_axis = grow(self._block_axis)
+        self.shared = dict(self.shared)
+        written: Dict[str, np.ndarray] = {}
+        for name in lift.tiles & self.shared.keys():
+            tile_shape = self.shared[name].shape + (trip,)
+            self.shared[name] = np.zeros(tile_shape, dtype=self.shared[name].dtype)
+            written[name] = np.zeros(tile_shape, dtype=bool)
+        self._lift = _Lift(trip, lane, written)
+        try:
+            self._exec_block(lift.loop.body, grow(mask))
+        except _LiftHazard:
+            raise
+        except _BlockHazard as hazard:
+            raise _LiftHazard(hazard.array, hazard.kind) from hazard
+        except InterpreterError as exc:
+            raise _LiftHazard(getattr(exc, "array", None) or "?", "ERR") from exc
+        finally:
+            self._lift = None
+            (
+                self.env, self.tidx, self.bidx, self._block_axis, self.shared,
+                self.lattice_shape, self._all_lanes, self._affine, self._hulls,
+            ) = saved
+        return True
 
     def _exec_while(self, stmt: ast.While, mask: Value) -> None:
         iterations = 0
@@ -1434,11 +1687,18 @@ class _KernelExec:
 
     def _eval_index(self, expr: ast.Index, mask: Value) -> Value:
         name = expr.array_name
-        arr, prefix = self._resolve_access(name, len(expr.indices))
+        arr, prefix, suffix = self._resolve_access(name, len(expr.indices))
         if self._slicing:
-            plan = self._slice_index(expr, arr, bool(prefix), mask, store=False)
+            plan = self._slice_index(
+                expr, arr, bool(prefix), bool(suffix), mask, store=False
+            )
             if plan is not None:
                 index, region, shape = plan
+                if suffix:
+                    active = _restrict(mask, region) if np.ndim(mask) else mask
+                    self._check_staged(
+                        name, self._lift.written[name][index], active  # type: ignore[union-attr]
+                    )
                 if self.counters is not None:
                     self.counters.count_load(
                         name in self.shared,
@@ -1452,13 +1712,14 @@ class _KernelExec:
                 out[region] = arr[index]
                 return out
         idxs = [self._eval(e, mask) for e in expr.indices]
-        return self._finish_load(name, arr, prefix, idxs, mask)
+        return self._finish_load(name, arr, prefix, suffix, idxs, mask)
 
     def _finish_load(
         self,
         name: str,
         arr: np.ndarray,
         prefix: List[np.ndarray],
+        suffix: List[np.ndarray],
         idxs: List[Value],
         mask: Value,
     ) -> Value:
@@ -1470,10 +1731,13 @@ class _KernelExec:
             self.counters.count_load(
                 name in self.shared, self._active_threads(mask), arr.dtype.itemsize
             )
-        full = list(prefix) + list(idxs)
+        full = list(prefix) + list(idxs) + list(suffix)
         if all(not (isinstance(i, np.ndarray) and i.ndim) for i in full):
             return arr[tuple(int(i) for i in full)]
-        return arr[tuple(np.asarray(i) for i in full)]
+        index = tuple(np.asarray(i) for i in full)
+        if suffix:
+            self._check_staged(name, self._lift.written[name][index], mask)  # type: ignore[union-attr]
+        return arr[index]
 
     def _eval_call(self, expr: ast.Call, mask: Value) -> Value:
         args = [self._eval(a, mask) for a in expr.args]

@@ -23,7 +23,7 @@ import uuid
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .runtime import telemetry_enabled
 
@@ -84,6 +84,20 @@ class Tracer:
     def spans(self) -> List[SpanRecord]:
         with self._lock:
             return list(self._spans)
+
+    def mark(self) -> Tuple[int, int]:
+        """A watermark for :meth:`spans_since`: the next span id and the
+        number of spans kept so far."""
+        with self._lock:
+            return self._next_id, len(self._spans)
+
+    def spans_since(self, mark: Tuple[int, int]) -> List[SpanRecord]:
+        """The kept spans opened after ``mark`` was taken.  A span is kept
+        when it closes, so only those kept since can qualify; one that was
+        open at the mark (an enclosing span) is left out."""
+        first_id, kept = mark
+        with self._lock:
+            return [s for s in self._spans[kept:] if s.span_id >= first_id]
 
     def clear(self) -> None:
         with self._lock:

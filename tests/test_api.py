@@ -487,12 +487,15 @@ def test_run_json_and_ledger_name_this_runs_executors(tmp_path):
     cold = run_once("cold")
     assert set(cold) == {
         "launches_by_executor", "loop_launches", "hazard_replays", "accesses_by_path",
+        "statements_by_path", "lift_replays",
     }
     assert sum(cold["launches_by_executor"].values()) > 0
     # shared-memory-free kernels on the vectorized lattice: every access slices
     assert cold["accesses_by_path"]["slice"] > 0
     assert set(cold["accesses_by_path"]) == {"slice", "funnel"}
     assert cold["loop_launches"] == {} and cold["hazard_replays"] == {}
+    # every kernel's k loop runs as a lattice axis, none replays
+    assert cold["statements_by_path"]["lifted"] > 0 and cold["lift_replays"] == {}
     warm = run_once("warm")
     # reset per run, not process-cumulative: the warm run reuses verified
     # stages and so launches less, never more
@@ -501,3 +504,35 @@ def test_run_json_and_ledger_name_this_runs_executors(tmp_path):
     )
     records = RunLedger(str(tmp_path / "store")).list(kind="transform")
     assert [r["interpreter"] for r in records] == [cold, warm]
+
+
+def test_ledger_trace_covers_this_run_only(tmp_path, monkeypatch):
+    """The ledger's ``trace`` block summarises the spans this run opened,
+    not every span the process kept: a second run's record does not
+    describe the first, and once the tracer is full a run whose spans
+    were all dropped says so instead of repeating stale ones."""
+    from repro.observability import tracing
+    from repro.observability.ledger import RunLedger
+
+    def two_runs(tracer, root):
+        monkeypatch.setattr(tracing, "_tracer", tracer)
+        for seed in (1, 2):
+            transform(
+                THREE_KERNEL_SRC,
+                ga_params=small_params(),
+                seed=seed,
+                telemetry=True,
+                store=True,
+                store_root=str(root),
+            )
+        return [r["trace"] for r in RunLedger(str(root)).list(kind="transform")]
+
+    tracer = tracing.Tracer()
+    first, second = two_runs(tracer, tmp_path / "roomy")
+    assert first["span_count"] > 0 and second["span_count"] > 0
+    assert first["span_count"] + second["span_count"] <= len(tracer.spans())
+
+    tiny = tracing.Tracer(max_spans=10)
+    first, second = two_runs(tiny, tmp_path / "tiny")
+    assert tiny.dropped > 0 and first["span_count"] == 10
+    assert second == {"span_count": 0, "critical_path": [], "self_time_ms": {}}

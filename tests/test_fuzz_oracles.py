@@ -120,6 +120,22 @@ def test_modes_oracle_flags_a_differential_that_is_not_slice_vs_funnel(
     assert run_oracles(app.program, ("modes",)).ok
 
 
+def test_modes_oracle_flags_a_differential_that_is_not_lifted_vs_sequential(
+    monkeypatch,
+):
+    """Likewise ``loop`` against ``auto`` compares lifted loops with
+    sequential ones only while ``auto`` lifts: an ``auto`` that stopped
+    lifting passes every comparison and fails the premise."""
+    from repro.gpu.interpreter import _KernelExec
+
+    app = generate_app(3)
+    monkeypatch.setattr(_KernelExec, "_run_lifted", lambda *a, **k: False)
+    verdict = run_oracles(app, ("modes",))
+    assert verdict.signatures() == ("modes:not-lifted-vs-sequential",)
+    assert "auto 0" in verdict.failures[0].detail
+    assert run_oracles(app.program, ("modes",)).ok
+
+
 def test_verdict_signatures_are_ordered_and_stable():
     failures = (
         OracleFailure("modes", "array-mismatch:batched", "x"),

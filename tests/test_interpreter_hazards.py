@@ -241,6 +241,8 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
     # the accesses of its aborted batched pass count too
     accesses = stats.pop("accesses_by_path")
     assert accesses["funnel"] > 0
+    assert stats.pop("statements_by_path")["sequential"] > 0
+    assert stats.pop("lift_replays") == {}
     assert counter("gpu_accesses_total", path="funnel") == funnel + accesses["funnel"]
     assert stats == {
         "launches_by_executor": {"batched": 1, "loop": 1},
@@ -253,6 +255,7 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
     assert interpreter.stats().as_dict() == {
         "launches_by_executor": {}, "loop_launches": {}, "hazard_replays": {},
         "accesses_by_path": {"slice": 0, "funnel": 0},
+        "statements_by_path": {"lifted": 0, "sequential": 0}, "lift_replays": {},
     }
 
 
