@@ -6,7 +6,8 @@ The bench's own source, data seed and GA seed (imported from
 that one cold set-up transform fills.  Prints seconds per op by segment —
 the self time of each ``benchmarks/e2e/trace.py`` patch point, so the
 segments are the bench's per-layer rows, with ``op:*`` the unattributed
-remainder — then the top-N functions of one more ``repeat`` under
+remainder — and the store reads the memory tier answered per op, by
+namespace; then the top-N functions of one more ``repeat`` under
 cProfile.  cProfile inflates call-heavy Python and not native code, so
 use it to find candidates and ``benchmarks/e2e/run.py --workload
 warm-iterate`` (profiling off) to measure them.
@@ -46,6 +47,23 @@ def main() -> int:
     import trace
     import workloads
     from repro.api import transform
+    from repro.observability.metrics import get_registry
+    from repro.store import stage_cache
+
+    namespaces = (
+        stage_cache.NS_METADATA, stage_cache.NS_TARGETS, stage_cache.NS_GRAPHS,
+        stage_cache.NS_BUILT_PROBLEMS, stage_cache.NS_SEARCH,
+        stage_cache.NS_MATERIALIZED, stage_cache.NS_VERIFIED_PROGRAMS,
+    )
+
+    def tier_hits() -> dict:
+        registry = get_registry()
+        return {
+            ns: registry.counter_value(
+                "store_reads_total", namespace=ns, outcome="memory"
+            )
+            for ns in namespaces
+        }
 
     seed = bench_run.DEFAULT_SEED if args.seed is None else args.seed
     source = workloads.app_source(workloads.WarmIterate.app, seed, smoke=False)
@@ -65,12 +83,16 @@ def main() -> int:
 
         tracer = trace.BenchTracer()
         tracer.install()
+        served = {}
         try:
             for kind, op in (("repeat", repeat), ("reseed", reseed)):
+                before = tier_hits()
                 for n in range(args.ops):
                     index = tracer.begin(f"op:{kind}", "api", op=kind)
                     op(n)
                     tracer.end(index)
+                after = tier_hits()
+                served[kind] = {ns: after[ns] - before[ns] for ns in namespaces}
         finally:
             tracer.uninstall()
 
@@ -90,6 +112,10 @@ def main() -> int:
             ):
                 print(f"  {name:<22} {total / args.ops:8.4f} s/op "
                       f"{calls / args.ops:7.1f} calls/op")
+            print("  memory-tier hits/op: " + ", ".join(
+                f"{ns} {hits / args.ops:.1f}"
+                for ns, hits in served[kind].items()
+            ))
 
         profiler = cProfile.Profile()
         profiler.runcall(repeat, 0)

@@ -21,7 +21,7 @@ and slow GGA convergence; only manual filtering removes them.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..analysis.metadata import ProgramMetadata
@@ -49,6 +49,10 @@ class TargetReport:
     """Output of the target-identification stage."""
 
     decisions: Dict[str, FilterDecision] = field(default_factory=dict)
+
+    def copy(self) -> "TargetReport":
+        """An independent copy: amending it leaves this one as it was."""
+        return TargetReport({k: replace(d) for k, d in self.decisions.items()})
 
     @property
     def targets(self) -> List[str]:

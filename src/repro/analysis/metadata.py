@@ -12,6 +12,7 @@ File format: a simple sectioned key/value layout (``[kernel <name>]`` /
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -111,6 +112,16 @@ class ProgramMetadata:
     def arrays(self) -> Set[str]:
         return set(self.array_shapes)
 
+    def copy(self) -> "ProgramMetadata":
+        """An independent copy: amending it leaves this one as it was."""
+        return ProgramMetadata(
+            device=self.device,
+            performance={k: copy.copy(v) for k, v in self.performance.items()},
+            operations={k: _copy_record(v) for k, v in self.operations.items()},
+            launch_order=list(self.launch_order),
+            array_shapes=dict(self.array_shapes),
+        )
+
     # ---------------------------------------------------------------- file IO
 
     def write(self, directory: str | Path) -> None:
@@ -190,6 +201,15 @@ class ProgramMetadata:
         _parse_perf((directory / "performance.meta").read_text(), meta)
         _parse_ops((directory / "operations.meta").read_text(), meta)
         return meta
+
+
+def _copy_record(record):
+    """A copy of a flat record whose dict / list fields are copied too."""
+    dup = copy.copy(record)
+    for name, value in vars(record).items():
+        if isinstance(value, (dict, list)):
+            setattr(dup, name, type(value)(value))
+    return dup
 
 
 def _sections(text: str) -> List[Tuple[str, Dict[str, str]]]:

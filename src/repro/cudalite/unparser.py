@@ -11,7 +11,8 @@ property, tested with hypothesis).
 
 from __future__ import annotations
 
-from typing import List
+import weakref
+from typing import Dict, List
 
 from . import ast_nodes as ast
 
@@ -214,8 +215,42 @@ class Unparser:
         raise TypeError(f"cannot unparse expression {type(expr).__name__}")
 
 
+#: id(Program | KernelDef) -> its text; entries leave with their node (the
+#: scheme of ``gpu.interpreter._kernel_facts``: the frozen AST hashes by
+#: content, which would cost the walk this memo avoids)
+_TEXTS: Dict[int, str] = {}
+
+
+def _memo_text(node: ast.Node) -> str:
+    """The text of a program or kernel, rendered once per object.
+
+    A program's text is its items' texts joined by blank lines, so a
+    transformed program reuses the text of every kernel it kept.
+    """
+    text = _TEXTS.get(id(node))
+    if text is None:
+        if isinstance(node, ast.Program) and node.items:
+            text = "\n".join(
+                _memo_text(item)
+                if isinstance(item, ast.KernelDef)
+                else Unparser().unparse(item)
+                for item in node.items
+            )
+        else:
+            text = Unparser().unparse(node)
+        _TEXTS[id(node)] = text
+        weakref.finalize(node, _TEXTS.pop, id(node), None)
+    return text
+
+
 def unparse(node: ast.Node) -> str:
-    """Render an AST node to CudaLite source text."""
+    """Render an AST node to CudaLite source text.
+
+    Programs and kernels are immutable, so each object is rendered once
+    and later calls are a dict probe.
+    """
+    if isinstance(node, (ast.Program, ast.KernelDef)):
+        return _memo_text(node)
     return Unparser().unparse(node)
 
 

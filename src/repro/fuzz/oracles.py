@@ -31,7 +31,10 @@ failure" cheaply.
     and the warm leg — submitted as source *text*, through the front
     door's lexer, parser and loader — lands on the cold leg's store
     entries: the parsed text fingerprints like the program it was
-    unparsed from.
+    unparsed from.  A third leg is served by the store's memory tier
+    (the objects the warm leg decoded, ``tier-miss`` if not) and a fourth
+    runs with the tier cleared, so the disk decode path stays covered;
+    both must equal the warm leg (program and reused stages).
 ``fault_seams``
     With each recoverable fault seam firing once, the transform still
     completes (graceful degradation end-to-end).
@@ -54,6 +57,7 @@ from ..gpu.interpreter import run_program
 from ..observability import counters_signature
 from ..reliability import faults
 from ..search.params import GAParams
+from ..store.artifact_store import MEMORY_TIER
 
 __all__ = [
     "CHEAP_ORACLES",
@@ -289,6 +293,9 @@ def _check_warm_store(
         try:
             cold = transform(program, stored)
             warm = transform(unparse(program), stored)
+            memory = transform(program, stored)
+            MEMORY_TIER.clear()
+            disk = transform(program, stored)
         except BaseException as exc:  # noqa: BLE001
             return _escape("warm_store", exc)
     if cold.source != warm.source:
@@ -305,6 +312,19 @@ def _check_warm_store(
             "warm-front-door-miss",
             f"the re-parsed text did not reuse {', '.join(missed)}: its "
             "fingerprint differs from the built program's",
+        )
+    for leg, run in (("memory", memory), ("disk", disk)):
+        if (run.source, run.reused) != (warm.source, warm.reused):
+            return OracleFailure(
+                "warm_store",
+                f"{leg}-divergence",
+                f"the {leg}-served re-run differs from the disk-served one",
+            )
+    if memory.state.metadata is not warm.state.metadata:
+        return OracleFailure(
+            "warm_store",
+            "tier-miss",
+            "the memory tier did not serve what the warm leg decoded",
         )
     return None
 

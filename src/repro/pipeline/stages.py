@@ -17,9 +17,9 @@ the programmer amend them in between.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import networkx as nx
 
@@ -27,7 +27,7 @@ from ..analysis.filtering import TargetReport, identify_targets, tag_eligibility
 from ..analysis.metadata import ProgramMetadata
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
-from ..errors import PipelineError, ReproError
+from ..errors import InterpreterError, PipelineError, ReproError
 from ..gpu.device import DeviceSpec, K20X
 from ..gpu.interpreter import LaunchRecord, RunResult, outputs_allclose, run_program
 from ..gpu.perfmodel import ProgramProjection
@@ -56,9 +56,10 @@ from ..search import (
     run_search,
     singleton_grouping,
 )
+from ..search.objective import drop_individual_memos
 from ..store import keys as store_keys
 from ..store import stage_cache
-from ..store.artifact_store import ArtifactStore
+from ..store.artifact_store import ArtifactStore, Deps
 from ..transform.fusion import FusionOptions
 from .apply import (
     TransformResult,
@@ -68,6 +69,8 @@ from .apply import (
 )
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 STAGES: Tuple[str, ...] = ("metadata", "targets", "graphs", "search", "codegen")
 
@@ -164,6 +167,39 @@ class PipelineState:
         default=None, repr=False
     )
     _program_fp: Optional[str] = field(default=None, repr=False)
+    #: artifacts the store served this state (metadata, targets, graphs,
+    #: built, search) -> (content key, the store entries they came from):
+    #: shared with the store's memory tier, so never mutated, and the
+    #: inputs a memory-only entry may be derived from
+    _served: Dict[str, Tuple[str, Deps]] = field(default_factory=dict, repr=False)
+
+    def own_served(self) -> None:
+        """Replace the served stage artifacts a programmer may amend with
+        private copies, before the state is handed to code outside the
+        pipeline — an edit must not reach the store's memory tier, and
+        nothing derived from an edited artifact may enter it."""
+        if "metadata" in self._served:
+            self.metadata = self.metadata.copy()
+        if "targets" in self._served:
+            self.targets = self.targets.copy()
+        if "graphs" in self._served:
+            self.ddg = self.ddg.copy()
+            self.oeg = self.oeg.copy()
+        if "search" in self._served:
+            self.search = replace(
+                self.search,
+                history=list(self.search.history),
+                final_population=list(self.search.final_population),
+                migration_notes=list(self.search.migration_notes),
+            )
+        self._served.clear()
+
+    def _served_inputs(self, *names: str) -> Optional[Deps]:
+        """The store entries behind ``names`` — ``None`` unless every one
+        of them was served by the store."""
+        if not all(name in self._served for name in names):
+            return None
+        return tuple(dep for name in names for dep in self._served[name][1])
 
     @property
     def program_fingerprint(self) -> str:
@@ -197,6 +233,23 @@ def _writes_telemetry(state: PipelineState) -> bool:
     return telemetry_enabled() and state.config.workdir is not None
 
 
+def _serve(
+    state: PipelineState, name: str, key: str, load: Callable[[], Optional[T]]
+) -> Optional[T]:
+    """``load()`` from the store, recorded in ``state._served`` as ``name``
+    when it served (a miss leaves ``name`` to be computed, unrecorded)."""
+    store = state.config.store
+    state._served.pop(name, None)
+    if store is None:
+        return None
+    mark = store.mark()
+    value = load()
+    deps = store.served_since(mark)
+    if value is not None and deps:
+        state._served[name] = (key, deps)
+    return value
+
+
 def _metadata_store_key(state: PipelineState) -> str:
     return store_keys.metadata_key(
         state.program_fingerprint, state.device_fingerprint
@@ -212,18 +265,17 @@ def stage_metadata(state: PipelineState) -> PipelineState:
     """
     store = state.config.store
     reuse_note = ""
-    metadata: Optional[ProgramMetadata] = None
-    if store is not None:
-        metadata = stage_cache.load_metadata(store, _metadata_store_key(state))
-        if metadata is not None:
-            state.reused["metadata"] = "profile"
-            reuse_note = " (reused from store)"
-    if metadata is None:
+    key = _metadata_store_key(state)
+    metadata = _serve(
+        state, "metadata", key, lambda: stage_cache.load_metadata(store, key)
+    )
+    if metadata is not None:
+        state.reused["metadata"] = "profile"
+        reuse_note = " (reused from store)"
+    else:
         metadata = gather_metadata(state.program, state.config.device)
         if store is not None:
-            stage_cache.save_metadata(
-                store, _metadata_store_key(state), metadata
-            )
+            stage_cache.save_metadata(store, key, metadata)
     state.metadata = metadata
     if state.config.workdir is not None:
         state.metadata.write(Path(state.config.workdir) / "metadata")
@@ -253,13 +305,14 @@ def stage_targets(state: PipelineState) -> PipelineState:
         raise PipelineError("metadata stage has not run")
     store = state.config.store
     reuse_note = ""
-    targets: Optional[TargetReport] = None
-    if store is not None:
-        targets = stage_cache.load_targets(store, _targets_store_key(state))
-        if targets is not None:
-            state.reused["targets"] = "filter"
-            reuse_note = "\n(reused from store)"
-    if targets is None:
+    key = _targets_store_key(state)
+    targets = _serve(
+        state, "targets", key, lambda: stage_cache.load_targets(store, key)
+    )
+    if targets is not None:
+        state.reused["targets"] = "filter"
+        reuse_note = "\n(reused from store)"
+    else:
         targets = identify_targets(
             state.metadata,
             state.config.device,
@@ -268,11 +321,15 @@ def stage_targets(state: PipelineState) -> PipelineState:
             disable_filtering=state.config.disable_filtering,
         )
         if store is not None:
-            stage_cache.save_targets(store, _targets_store_key(state), targets)
+            stage_cache.save_targets(store, key, targets)
     state.targets = targets
     state.reports["targets"] = state.targets.summary() + reuse_note
     state._persist("targets.txt", state.reports["targets"])
     return state
+
+
+def _graphs_store_key(state: PipelineState) -> str:
+    return store_keys.graphs_key(_targets_store_key(state))
 
 
 def stage_graphs(state: PipelineState) -> PipelineState:
@@ -280,17 +337,19 @@ def stage_graphs(state: PipelineState) -> PipelineState:
     if state.metadata is None or state.targets is None:
         raise PipelineError("earlier stages have not run")
     store = state.config.store
-    graphs_key = store_keys.graphs_key(_targets_store_key(state))
+    graphs_key = _graphs_store_key(state)
     reuse_note = ""
     ddg = oeg = None
     report_text: Optional[str] = None
-    if store is not None:
-        cached = stage_cache.load_graphs(store, graphs_key)
-        if cached is not None:
-            ddg, oeg, report_text = cached
-            state.reused["graphs"] = "ddg+oeg"
-            reuse_note = " (reused from store)"
-    if ddg is None or oeg is None:
+    cached = _serve(
+        state, "graphs", graphs_key,
+        lambda: stage_cache.load_graphs(store, graphs_key),
+    )
+    if cached is not None:
+        ddg, oeg, report_text = cached
+        state.reused["graphs"] = "ddg+oeg"
+        reuse_note = " (reused from store)"
+    else:
         invocations = invocation_table(state.program, state.metadata)
         ddg, report = optimize_ddg(invocations)
         validate_ddg(ddg)
@@ -309,8 +368,9 @@ def stage_graphs(state: PipelineState) -> PipelineState:
         + "\n"
         + (report_text or "")
     )
-    state._persist("ddg.dot", graph_to_dot(ddg, "DDG"))
-    state._persist("oeg.dot", graph_to_dot(oeg, "OEG"))
+    if state.config.workdir is not None:
+        state._persist("ddg.dot", graph_to_dot(ddg, "DDG"))
+        state._persist("oeg.dot", graph_to_dot(oeg, "OEG"))
     return state
 
 
@@ -325,23 +385,52 @@ def stage_search(state: PipelineState) -> PipelineState:
         for u, v, dep in state.oeg.edges(data="dep"):
             if dep == "USER":
                 extra_precedence.append((u, v))
-    state.built = build_problem(
-        state.program,
-        state.metadata,
-        state.targets,
-        state.config.device,
-        extra_precedence=extra_precedence,
-        enable_fission=state.config.enable_fission,
-    )
-    params = state.config.ga_params or fast_params()
     store = state.config.store
+    # the problem is a function of what the store served, so a memory-only
+    # entry keyed on it (and on the search inputs the graphs key misses)
+    # holds exactly what building it from those served artifacts gives
+    inputs = state._served_inputs("metadata", "targets", "graphs")
+    built_key: Optional[str] = None
+    state.built = None
+    state._served.pop("built", None)
+    if store is not None and inputs is not None:
+        built_key = store_keys.digest(
+            "built-problem",
+            _graphs_store_key(state),
+            state.device_fingerprint,
+            tuple(extra_precedence),
+            state.config.enable_fission,
+        )
+        state.built = store.recall(stage_cache.NS_BUILT_PROBLEMS, built_key)
+    if state.built is None:
+        state.built = build_problem(
+            state.program,
+            state.metadata,
+            state.targets,
+            state.config.device,
+            extra_precedence=extra_precedence,
+            enable_fission=state.config.enable_fission,
+        )
+        if built_key is not None:
+            store.remember(
+                stage_cache.NS_BUILT_PROBLEMS, built_key, state.built, inputs
+            )
+    if built_key is not None:
+        state._served["built"] = (built_key, inputs)
+    params = state.config.ga_params or fast_params()
     search_note = ""
     fell_back = False
     reused_result: Optional[SearchResult] = None
     seeds: List = []
     if store is not None:
-        reused_result = stage_cache.load_search_result(
-            store, state.built.problem, state.config.device, params
+        search_key = stage_cache.search_result_key(
+            state.built.problem, state.config.device, params
+        )
+        reused_result = _serve(
+            state, "search", search_key,
+            lambda: stage_cache.load_search_result(
+                store, state.built.problem, state.config.device, params
+            ),
         )
         if reused_result is not None:
             state.reused["search"] = "result"
@@ -384,6 +473,10 @@ def stage_search(state: PipelineState) -> PipelineState:
             search_note += (
                 f"; search failed ({exc}), fell back to identity grouping"
             )
+        finally:
+            # the problem may be shared with later runs (memory tier): a
+            # search's per-individual memo ends with it
+            drop_individual_memos(state.built.problem)
         if store is not None and not fell_back:
             stage_cache.save_search(
                 store,
@@ -441,9 +534,20 @@ def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
     return run_program(program, block_exec=state.config.block_exec, **kwargs)
 
 
-def _whole_program_verified(state: PipelineState) -> bool:
+#: demotion causes of a failed whole-program verification
+MISMATCH = "whole-program verification mismatch"
+EXECUTION_FAILED = "whole-program execution failed"
+
+
+def _whole_program_failure(state: PipelineState) -> Optional[str]:
     """Run original vs transformed — and transformed again under the
     reversed block order when a launch could tell the difference.
+
+    Returns ``None`` when the transformed program verified, else the
+    cause: its outputs differ (:data:`MISMATCH`) or a run of it raised an
+    :class:`~repro.errors.InterpreterError` (:data:`EXECUTION_FAILED` —
+    e.g. a fused kernel out of bounds on the app's own data, which only
+    the per-group gate would otherwise have caught).
 
     The reversed run exposes inter-block races.  It is skipped when no
     launch of the forward run was order-sensitive
@@ -454,25 +558,32 @@ def _whole_program_verified(state: PipelineState) -> bool:
     assert state.transform is not None
     program = state.transform.program
     counted = _writes_telemetry(state)
+    sensitive: List[str] = []
+    reverse = False
     with span("verify:program") as gate:
         before = _run(state, state.program)
-        after = _run(state, program, collect_counters=counted)
-        if counted:
-            state._counted_run = (program, after.launches)
-        sensitive = [r.kernel for r in after.launches if r.order_sensitive]
-        verified = outputs_allclose(before, after)
-        reverse = verified and bool(sensitive)
-        if reverse:
-            verified = outputs_allclose(
-                before, _run(state, program, block_order="reverse")
-            )
+        try:
+            after = _run(state, program, collect_counters=counted)
+            if counted:
+                state._counted_run = (program, after.launches)
+            sensitive = [r.kernel for r in after.launches if r.order_sensitive]
+            verified = outputs_allclose(before, after)
+            reverse = verified and bool(sensitive)
+            if reverse:
+                verified = outputs_allclose(
+                    before, _run(state, program, block_order="reverse")
+                )
+            failure = None if verified else MISMATCH
+        except InterpreterError as exc:
+            logger.warning("transformed program failed to run: %s", exc)
+            failure = EXECUTION_FAILED
         gate.set(runs=3 if reverse else 2, reversed=reverse)
     info = state.verification
     info["reversed_run"] |= reverse
     by_kernel = info["order_sensitive_launches"]
     for kernel in sensitive:
         by_kernel[kernel] = by_kernel.get(kernel, 0) + 1
-    return verified
+    return failure
 
 
 def stage_codegen(state: PipelineState) -> PipelineState:
@@ -492,19 +603,48 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         rtol=state.config.verify_rtol,
     )
     store = state.config.store
-    state.transform = materialize(
-        state.program,
-        state.built.problem,
-        state.built.bindings,
-        state.search.best,
-        state.config.device,
-        state.metadata.array_shapes,
-        options=state.config.fusion_options(),
-        tune_blocks=state.config.tune_blocks,
-        verify_config=verify_cfg,
-        store=store,
-        block_exec=state.config.block_exec,
-    )
+    options = state.config.fusion_options()
+    # a materialization of a served problem and search result, whose own
+    # store reads all hit, is what any later such run materializes
+    inputs = state._served_inputs("built", "search")
+    materialized_key: Optional[str] = None
+    state.transform = None
+    if store is not None and inputs is not None:
+        materialized_key = store_keys.digest(
+            "materialized",
+            state._served["built"][0],
+            state._served["search"][0],
+            repr(options),
+            repr(verify_cfg),
+            state.config.tune_blocks,
+            state.config.block_exec,
+        )
+        state.transform = store.recall(
+            stage_cache.NS_MATERIALIZED, materialized_key
+        )
+    if state.transform is None:
+        mark = store.mark() if store is not None else None
+        state.transform = materialize(
+            state.program,
+            state.built.problem,
+            state.built.bindings,
+            state.search.best,
+            state.config.device,
+            state.metadata.array_shapes,
+            options=options,
+            tune_blocks=state.config.tune_blocks,
+            verify_config=verify_cfg,
+            store=store,
+            block_exec=state.config.block_exec,
+        )
+        reads = store.served_since(mark) if materialized_key else None
+        if reads is not None:
+            store.remember(
+                stage_cache.NS_MATERIALIZED,
+                materialized_key,
+                state.transform,
+                inputs + reads,
+            )
     reused_groups = [
         v.kernel
         for v in state.transform.group_verdicts
@@ -528,6 +668,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             program_key = store_keys.verified_program_key(
                 state.program_fingerprint, transformed_text
             )
+        failure: Optional[str] = None
         if program_key is not None and stage_cache.program_previously_verified(
             store, program_key
         ):
@@ -535,24 +676,27 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             state.reused["verify_program"] = "verdict"
             codegen_note = "; verification reused from store"
         else:
-            state.verified = _whole_program_verified(state)
+            failure = _whole_program_failure(state)
+            state.verified = failure is None
             if state.verified and program_key is not None:
                 stage_cache.record_verified_program(store, program_key)
         if not state.verified:
             if not state.config.fail_soft:
                 raise PipelineError(
                     "transformed program output does not match the original"
+                    if failure == MISMATCH
+                    else "transformed program failed to run on the app's data"
                 )
             logger.error(
-                "whole-program verification failed; falling back to the "
-                "identity (no-fusion) program"
+                "whole-program verification failed (%s); falling back to "
+                "the identity (no-fusion) program", failure,
             )
             demoted = [
                 DemotionRecord(
                     launch.members,
                     "complex" if launch.fused.is_complex else "simple",
                     "none",
-                    "whole-program verification mismatch",
+                    failure,
                 )
                 for launch in state.transform.launches
                 if launch.fused is not None
@@ -564,18 +708,20 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 singleton_grouping(state.built.problem),
                 state.config.device,
                 state.metadata.array_shapes,
-                options=state.config.fusion_options(),
+                options=options,
                 tune_blocks=False,
                 verify_config=VerifyConfig(enabled=False),
             )
-            fallback.demotions = state.transform.demotions + demoted
-            fallback.degraded_groups = state.transform.degraded_groups + [
-                d.members for d in demoted
-            ]
-            state.transform = fallback
+            # a new result, never an assignment into one the tier may share
+            state.transform = replace(
+                fallback,
+                demotions=state.transform.demotions + demoted,
+                degraded_groups=state.transform.degraded_groups
+                + [d.members for d in demoted],
+            )
             transformed_text = None  # that was the demoted program's
             codegen_note = "; fell back to identity program"
-            state.verified = _whole_program_verified(state)
+            state.verified = _whole_program_failure(state) is None
             if not state.verified:
                 raise PipelineError(
                     "identity fallback program does not match the original "

@@ -405,6 +405,18 @@ def compiled_fitness(
     return evaluator
 
 
+def drop_individual_memos(problem: FusionProblem) -> None:
+    """End a search on ``problem``: forget its per-individual fitness memos.
+
+    The per-part memos (splits, groups, projection times) are pure per
+    key and stay, so a later search on the same problem object computes
+    bit-identical values; the per-individual memo would instead answer
+    that search's lookups and change what it counts as an evaluation.
+    """
+    for evaluator in problem.__dict__.get("_compiled_fitness", {}).values():
+        evaluator._eval_cache.clear()
+
+
 def clear_compiled_fitness(problem: FusionProblem) -> None:
     """Drop the per-problem compiled evaluators (tests / benchmarks)."""
     problem.__dict__.pop("_compiled_fitness", None)

@@ -22,6 +22,16 @@ Namespaces
                         migration epoch; later runs hydrate their
                         islands from these (seed-free key, like
                         ``population``)
+
+Memory-only namespaces (:meth:`ArtifactStore.remember`, never on disk):
+
+``built_problems``    — the search stage's :class:`BuiltProblem`
+``materialized``      — codegen's materialized ``TransformResult``
+
+The ``metadata``, ``targets``, ``graphs``, ``search`` and
+``verified_programs`` loaders read through the memory tier
+(:meth:`ArtifactStore.get_decoded`): what they return is shared with
+later hits and must not be mutated.
 """
 
 from __future__ import annotations
@@ -58,6 +68,8 @@ NS_VERIFIED_GROUPS = "verified_groups"
 NS_VERIFIED_PROGRAMS = "verified_programs"
 NS_TUNING = "tuning"
 NS_ISLAND_MIGRATION = "island_migration"
+NS_BUILT_PROBLEMS = "built_problems"
+NS_MATERIALIZED = "materialized"
 
 #: elites persisted per island per migration epoch
 MAX_SAVED_ELITES = 16
@@ -82,9 +94,10 @@ def save_metadata(store: ArtifactStore, key: str, meta: ProgramMetadata) -> None
 
 
 def load_metadata(store: ArtifactStore, key: str) -> Optional[ProgramMetadata]:
-    payload = store.get(NS_METADATA, key)
-    if payload is None:
-        return None
+    return store.get_decoded(NS_METADATA, key, _decode_metadata)
+
+
+def _decode_metadata(payload: Dict[str, object]) -> Optional[ProgramMetadata]:
     try:
         device = _parse_device(payload["device"])
         meta = ProgramMetadata(device=device)
@@ -111,9 +124,10 @@ def save_targets(store: ArtifactStore, key: str, report: TargetReport) -> None:
 
 
 def load_targets(store: ArtifactStore, key: str) -> Optional[TargetReport]:
-    payload = store.get(NS_TARGETS, key)
-    if payload is None:
-        return None
+    return store.get_decoded(NS_TARGETS, key, _decode_targets)
+
+
+def _decode_targets(payload: Dict[str, object]) -> Optional[TargetReport]:
     try:
         decisions = {
             d["kernel"]: FilterDecision(
@@ -175,9 +189,12 @@ def save_graphs(
 def load_graphs(
     store: ArtifactStore, key: str
 ) -> Optional[Tuple[nx.DiGraph, nx.DiGraph, str]]:
-    payload = store.get(NS_GRAPHS, key)
-    if payload is None:
-        return None
+    return store.get_decoded(NS_GRAPHS, key, _decode_graphs)
+
+
+def _decode_graphs(
+    payload: Dict[str, object]
+) -> Optional[Tuple[nx.DiGraph, nx.DiGraph, str]]:
     try:
         ddg = _graph_from_payload(payload["ddg"])
         oeg = _graph_from_payload(payload["oeg"])
@@ -233,6 +250,13 @@ def _search_keys(
     return exact, warm
 
 
+def search_result_key(
+    problem: FusionProblem, device: DeviceSpec, params: GAParams
+) -> str:
+    """The exact-outcome key :func:`load_search_result` reads."""
+    return _search_keys(problem, device, params)[0]
+
+
 def save_search(
     store: ArtifactStore,
     problem: FusionProblem,
@@ -270,11 +294,20 @@ def load_search_result(
     device: DeviceSpec,
     params: GAParams,
 ) -> Optional[SearchResult]:
-    """Exact-match reuse: the stored best partition *is* this run's answer."""
+    """Exact-match reuse: the stored best partition *is* this run's answer.
+
+    The key covers the problem's fingerprint, so checking the stored
+    grouping against ``problem`` is still a function of the entry alone.
+    """
     exact_key, _ = _search_keys(problem, device, params)
-    payload = store.get(NS_SEARCH, exact_key)
-    if payload is None:
-        return None
+    return store.get_decoded(
+        NS_SEARCH, exact_key, lambda payload: _decode_search(payload, problem)
+    )
+
+
+def _decode_search(
+    payload: Dict[str, object], problem: FusionProblem
+) -> Optional[SearchResult]:
     try:
         best = _grouping_from_payload(payload["best"], problem)
         if best is None:
@@ -420,8 +453,13 @@ def record_verified_program(store: ArtifactStore, key: str) -> None:
 
 
 def program_previously_verified(store: ArtifactStore, key: str) -> bool:
-    payload = store.get(NS_VERIFIED_PROGRAMS, key)
-    return payload is not None and payload.get("verified") is True
+    return bool(
+        store.get_decoded(
+            NS_VERIFIED_PROGRAMS,
+            key,
+            lambda payload: payload.get("verified") is True or None,
+        )
+    )
 
 
 # --------------------------------------------------------------- block tuning

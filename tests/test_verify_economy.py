@@ -166,7 +166,7 @@ def test_reduced_gate_gives_the_three_run_verdict(case, mode, program_runs):
     original, transformed = RACES[case]
     expected = _three_run_verdict(original, transformed, mode)
     state = _gate_state(original, transformed, mode)
-    assert stages._whole_program_verified(state) is expected
+    assert (stages._whole_program_failure(state) is None) is expected
     forward = program_runs[1][1]
     sensitive = [r.kernel for r in forward.launches if r.order_sensitive]
     reversed_runs = [
@@ -354,3 +354,22 @@ def test_modes_oracle_rejects_an_order_dependent_launch_that_claims_otherwise(
     monkeypatch.setattr(oracles, "run_program", forgetful)
     verdict = oracles.run_oracles(racy, ("modes",))
     assert verdict.signatures() == ("modes:order-insensitive-diverged:loop",)
+
+
+def test_a_fused_kernel_out_of_bounds_demotes_without_the_group_gate():
+    """Fuzz seed 10 fuses a kernel that runs out of bounds on the app's
+    own data.  With the per-group gate off only the whole-program run
+    sees it; under fail_soft that is the identity fallback, not an
+    ``OutOfBoundsError`` escaping ``transform()``."""
+    from repro.fuzz.appgen import generate_app
+    from repro.fuzz.oracles import fuzz_config
+
+    program = generate_app(10).program
+    result = transform(program, fuzz_config(10, verify_groups=False))
+    assert result.verified is True
+    assert [d.cause for d in result.state.transform.demotions] == [
+        stages.EXECUTION_FAILED
+    ]
+    assert "fell back to identity program" in result.reports["codegen"]
+    with pytest.raises(PipelineError, match="failed to run"):
+        transform(program, fuzz_config(10, verify_groups=False, fail_hard=True))
