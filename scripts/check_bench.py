@@ -1,20 +1,18 @@
 #!/usr/bin/env python
 """Gate a fresh benchmark record against the committed baseline.
 
-The benchmark suites write JSON records at the repo root
-(``BENCH_pr9.json`` from the island-scaling bench, ``BENCH_pr10.json``
-from the service bench); CI re-runs a bench and feeds the fresh
-record plus the committed copy through this script.  The check tables
+The service bench writes a JSON record at the repo root
+(``BENCH_pr10.json``); CI re-runs it and feeds the fresh record plus the
+committed copy through this script.  The check tables
 are selected by the record's ``bench`` tag.  Three kinds of checks,
 from hardest to softest:
 
 * **exact** — machine-independent facts must match bit-for-bit: the
-  island bench's generation-at-target numbers, the service bench's
-  dedup accounting.  Any drift here is a semantic change, not noise.
+  service bench's dedup accounting.  Any drift here is a semantic
+  change, not noise.
 * **floors** — committed acceptance bars that must hold on any machine:
-  K=4 islands crossing the K=1 best in >= 2x fewer generations, warm
-  served requests cheaper than cold ones.
-* **ratios** — timing-derived numbers (evals/sec, wall speedups) may
+  warm served requests cheaper than cold ones.
+* **ratios** — timing-derived numbers (requests/sec) may
   not regress below ``--tolerance`` (default 0.35) of the committed
   value.  Shared CI runners are noisy; this catches collapses, not
   jitter.
@@ -22,7 +20,7 @@ from hardest to softest:
 Usage::
 
     PYTHONPATH=src python scripts/check_bench.py \
-        --baseline BENCH_pr9.json --current /tmp/fresh/BENCH_pr9.json
+        --baseline BENCH_pr10.json --current /tmp/fresh/BENCH_pr10.json
 """
 
 from __future__ import annotations
@@ -34,22 +32,6 @@ from pathlib import Path
 
 #: per-bench dotted paths whose values must match the baseline exactly
 EXACT = {
-    "islands": (
-        "schema",
-        "bench",
-        "app",
-        "protocol",
-        # the search is seeded and single-threaded per island epoch, so
-        # fitness trajectories are machine-independent facts
-        "headline.target_fitness",
-        "headline.k1_time_to_best_generation",
-        "curve.k1.cold.best_fitness",
-        "curve.k2.cold.best_fitness",
-        "curve.k4.cold.best_fitness",
-        "curve.k4.cold.generation_at_target",
-        # (evaluations_at_target is not here: island threads share one
-        # memo, so which island pays a miss depends on scheduling)
-    ),
     "service": (
         "schema",
         "bench",
@@ -74,18 +56,6 @@ EXACT = {
 
 #: per-bench (dotted path, minimum value) acceptance floors
 FLOORS = {
-    "islands": (
-        # the ISSUE acceptance bar, stated machine-independently: K=4
-        # reaches the K=1 best fitness in >= 2x fewer generations ...
-        ("headline.k4_cold_generation_speedup", 2.0),
-        # ... and the wall-clock speedup may not collapse below 1x even
-        # on a noisy runner (the committed value is gated by RATIOS)
-        ("headline.k4_cold_speedup", 1.0),
-        ("curve.k4.cold.surrogate_rank_correlation", 0.3),
-        ("curve.k4.cold.migrations_received", 1),
-        # warm hydration re-reaches the target almost immediately
-        ("curve.k4.warm.migrations_received", 1),
-    ),
     "service": (
         # warm (store-served) requests must be cheaper to serve than
         # cold ones even with serving overhead on a noisy runner
@@ -97,20 +67,12 @@ FLOORS = {
 
 #: per-bench dotted paths of timing-derived values gated by --tolerance
 RATIOS = {
-    "islands": (
-        "headline.k4_cold_speedup",
-        "headline.k4_cold_generation_speedup",
-        "headline.k4_cold_evaluation_speedup",
-    ),
     "service": (
         "cold.requests_per_sec",
         "warm.requests_per_sec",
         "headline.sustained_requests_per_sec",
     ),
 }
-
-#: warm island runs must cross the target within this many generations
-WARM_GENERATION_CEILING = 10
 
 #: every warm (store-served) service request must finish within this
 #: many seconds of wall time — the ISSUE acceptance bar
@@ -158,15 +120,6 @@ def check(baseline: dict, current: dict, tolerance: float) -> list:
             problems.append(
                 f"regression at {path}: {got} < {tolerance} * baseline {want}"
             )
-    if bench == "islands":
-        for key in ("k2", "k4"):
-            path = f"curve.{key}.warm.generation_at_target"
-            got = lookup(current, path)
-            if got is None or got > WARM_GENERATION_CEILING:
-                problems.append(
-                    f"warm hydration broken at {path}: {got!r} "
-                    f"(ceiling {WARM_GENERATION_CEILING})"
-                )
     if bench == "service":
         got = lookup(current, "warm.max_latency_s")
         if got is None or got > SERVICE_WARM_LATENCY_CEILING_S:

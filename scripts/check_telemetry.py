@@ -54,12 +54,10 @@ INTERPRETER_FIELDS = (
 GENERATION_FIELDS = (
     "generation", "best_fitness", "best_feasible_fitness", "mean_fitness",
     "std_fitness", "feasible_count", "penalty_activations", "fissions",
-    "cache_hits", "cache_lookups", "evaluations", "island",
+    "cache_hits", "cache_lookups", "evaluations",
     "surrogate_candidates", "surrogate_admitted",
-    "surrogate_rank_correlation", "elapsed_s", "migrants_in",
+    "surrogate_rank_correlation", "elapsed_s",
 )
-
-MIGRATION_NOTE_FIELDS = ("island", "epoch", "event", "reason")
 
 COUNTER_FIELDS = (
     "kernel", "launches", "global_loads", "global_stores", "shared_loads",
@@ -293,22 +291,11 @@ def check_search_telemetry(path: Path) -> None:
         expect(not missing, f"generation row missing fields {missing}")
     expect(any(r.get("type") == "search_summary" for r in rows),
            "no search_summary row in search telemetry")
-    # island mode emits one generation sequence per island; each must be
-    # consecutive from 0 in emission order
-    islands = sorted({r.get("island", 0) for r in generations})
-    for island in islands:
-        sequence = [r["generation"] for r in generations
-                    if r.get("island", 0) == island]
-        expect(sequence == list(range(len(sequence))),
-               f"island {island} generation rows must be consecutive "
-               f"from 0, got {sequence[:8]}...")
-    for row in rows:
-        if row.get("type") != "migration_note":
-            continue
-        missing = [f for f in MIGRATION_NOTE_FIELDS if f not in row]
-        expect(not missing, f"migration note missing fields {missing}")
-    print(f"  search telemetry ok ({len(generations)} generations, "
-          f"{len(islands)} island(s))")
+    sequence = [r["generation"] for r in generations]
+    expect(sequence == list(range(len(sequence))),
+           f"generation rows must be consecutive from 0, "
+           f"got {sequence[:8]}...")
+    print(f"  search telemetry ok ({len(generations)} generations)")
 
 
 def check_model_validation(path: Path) -> None:

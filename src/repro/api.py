@@ -9,13 +9,13 @@ One call transforms an application::
     print(result.source)          # the transformed CUDA(Lite) program
 
 :class:`TransformConfig` holds every knob of a run (verification,
-interpreter strategy, telemetry, island search, the persistent artifact
-store).  Configuration flows downward as arguments: the config is
-resolved once at the front door (:func:`submit`, the CLIs) and handed to
-the pipeline, which hands each layer the values it needs.  Two fields
-may also come from the process environment — ``telemetry``
-(``REPRO_TELEMETRY``) and ``store`` / ``store_root`` (``REPRO_STORE``) —
-with precedence
+interpreter strategy, telemetry, the search's surrogate pre-filter, the
+persistent artifact store).  Configuration flows downward as arguments:
+the config is resolved once at the front door (:func:`submit`, the
+CLIs) and handed to the pipeline, which hands each layer the values it
+needs.  Two fields may also come from the process environment —
+``telemetry`` (``REPRO_TELEMETRY``) and ``store`` / ``store_root``
+(``REPRO_STORE``) — with precedence
 
     explicit config field  >  environment variable  >  built-in default
 
@@ -63,7 +63,7 @@ from .observability.runtime import telemetry
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
 from .pipeline.stages import STAGES, PipelineConfig, PipelineState
-from .search.params import RETIRED_GA_FIELDS, GAParams, fast_params
+from .search.params import GAParams, drop_retired, fast_params
 from .store import keys as store_keys
 from .store.artifact_store import (
     DEFAULT_ROOT,
@@ -109,11 +109,16 @@ def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
     return values
 
 
+#: fields a config written before 4.0 carries (``null`` = defer to the GA
+#: parameter set), read through :func:`drop_retired`
+_RETIRED_CONFIG_FIELDS = ("islands", "migration_interval", "migration_size")
+
+
 @dataclass
 class TransformConfig:
     """Complete configuration of one transformation run.
 
-    Every field has an ordinary default except the island knobs
+    Every field has an ordinary default except ``surrogate_topk``
     (``None`` defers to the GA parameter set) and ``telemetry`` /
     ``store`` / ``store_root``, where ``None`` means *unset*:
     :meth:`resolved` fills those three from ``REPRO_TELEMETRY`` /
@@ -160,15 +165,8 @@ class TransformConfig:
     block_exec: str = "auto"
     #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
     telemetry: Optional[bool] = None
-    #: GGA island subpopulations, 1 = classic single-population search;
-    #: ``None`` defers to the GA parameter set (as do the next three)
-    islands: Optional[int] = None
-    #: generations between elite migrations
-    migration_interval: Optional[int] = None
-    #: elites exchanged per migration epoch
-    migration_size: Optional[int] = None
     #: fraction of offspring admitted to exact evaluation after surrogate
-    #: ranking, 1.0 = pre-filter off
+    #: ranking, 1.0 = pre-filter off; ``None`` defers to the GA parameter set
     surrogate_topk: Optional[float] = None
     #: persistent cross-run artifact store; ``None`` = unset (REPRO_STORE
     #: opts in)
@@ -203,12 +201,6 @@ class TransformConfig:
                 f"block_exec must be one of {interpreter.BLOCK_EXEC_MODES}, "
                 f"not {self.block_exec!r}"
             )
-        if self.islands is not None and self.islands < 1:
-            raise ConfigError("islands must be >= 1")
-        if self.migration_interval is not None and self.migration_interval < 1:
-            raise ConfigError("migration_interval must be >= 1")
-        if self.migration_size is not None and self.migration_size < 1:
-            raise ConfigError("migration_size must be >= 1")
         if self.surrogate_topk is not None and not (
             0.0 < self.surrogate_topk <= 1.0
         ):
@@ -250,13 +242,17 @@ class TransformConfig:
         """Build a config from a plain dict (e.g. a parsed config file)."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
+        values = {
+            k: v
+            for k, v in data.items()
+            if not (k in _RETIRED_CONFIG_FIELDS and drop_retired(k, v))
+        }
         known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(values) - known
         if unknown:
             raise ConfigError(
                 f"unknown config field(s): {', '.join(sorted(unknown))}"
             )
-        values = dict(data)
         ga = values.get("ga_params")
         if isinstance(ga, dict):
             values["ga_params"] = _ga_params_from_dict(ga)
@@ -304,17 +300,9 @@ class TransformConfig:
 
     def resolved_ga_params(self) -> GAParams:
         params = self.ga_params or fast_params(seed=self.seed)
-        overrides: Dict[str, Any] = {}
-        for name in (
-            "islands",
-            "migration_interval",
-            "migration_size",
-            "surrogate_topk",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                overrides[name] = value
-        return replace(params, **overrides) if overrides else params
+        if self.surrogate_topk is None:
+            return params
+        return replace(params, surrogate_topk=self.surrogate_topk)
 
     def pipeline_config(
         self, store: Optional[ArtifactStore] = None
@@ -342,7 +330,7 @@ class TransformConfig:
 def _ga_params_from_dict(data: Dict[str, Any]) -> GAParams:
     from .search.penalty import PenaltyParams
 
-    values = {k: v for k, v in data.items() if k not in RETIRED_GA_FIELDS}
+    values = {k: v for k, v in data.items() if not drop_retired(k, v)}
     known = {f.name for f in fields(GAParams)}
     unknown = set(values) - known
     if unknown:

@@ -75,8 +75,7 @@ ORACLE_NAMES = ("transform", "differential", "modes", "warm_store", "fault_seams
 CHEAP_ORACLES = ("transform", "differential", "modes")
 
 #: seams whose firing the pipeline must absorb in a fail-soft transform
-#: (island_migration needs islands > 1 and service_worker a serving
-#: pool — tests/test_islands.py and tests/test_service.py cover those)
+#: (service_worker needs a serving pool — tests/test_service.py covers it)
 _RECOVERABLE_SEAMS = ("parse", "analysis", "codegen", "interpreter", "store")
 
 #: the loop first: every other mode is compared against it

@@ -25,12 +25,10 @@ On top of the per-run layer sits the *cross-run* layer (PR 8):
   extraction, per-name self-time rollups and a text waterfall;
 * :mod:`~repro.observability.regress` — the regression sentinel's
   comparison engine (ledger records and ``BENCH_*.json`` floors);
-* :mod:`~repro.observability.report_html` — the self-contained HTML run
-  report;
 * :mod:`~repro.observability.logfmt` — structured JSON log output with
   trace/span correlation (``REPRO_LOG_FORMAT=json``);
 * :mod:`~repro.observability.cli` — the ``repro-obs`` command
-  (``list`` / ``show`` / ``diff`` / ``regress`` / ``report``).
+  (``list`` / ``show`` / ``diff`` / ``regress``).
 """
 
 from .hwcounters import (

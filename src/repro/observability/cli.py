@@ -6,9 +6,8 @@ Query the run ledger, compare runs and gate CI on regressions::
     repro-obs show latest                   # one record in full
     repro-obs diff prev latest              # stage times + store traffic
     repro-obs regress --threshold 1.5       # exit 3 on a slowdown
-    repro-obs regress --bench-baseline BENCH_pr9.json \\
+    repro-obs regress --bench-baseline BENCH_pr10.json \\
                       --bench-current /tmp/fresh.json
-    repro-obs report out/ -o report.html    # self-contained HTML page
 
 The ledger lives in the artifact store (``--store ROOT``, else
 ``REPRO_STORE``, else ``~/.cache/repro``).  Exit status: ``0`` ok, ``2``
@@ -30,7 +29,6 @@ from .regress import (
     compare_ledger_records,
     render_findings,
 )
-from .report_html import write_report_html
 from .trace_analytics import render_waterfall, spans_from_chrome_trace
 
 EXIT_OK = 0
@@ -249,29 +247,6 @@ def _cmd_regress(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args) -> int:
-    workdir = Path(args.workdir)
-    if not workdir.is_dir():
-        print(f"repro-obs: {workdir} is not a directory", file=sys.stderr)
-        return EXIT_ERROR
-    history: List[Dict[str, object]] = []
-    try:
-        ledger = _open_ledger(args.store)
-        app = None
-        run = workdir / "run.json"
-        if run.is_file():
-            source = json.loads(run.read_text()).get("source") or ""
-            if str(source).startswith("app:"):
-                app = str(source)[len("app:"):]
-        history = ledger.list(kind="transform", app=app, limit=args.history)
-    except (OSError, ValueError):
-        history = []
-    out = Path(args.output) if args.output else workdir / "report.html"
-    write_report_html(workdir, out, list(reversed(history)))
-    print(f"report written to {out}")
-    return EXIT_OK
-
-
 # --------------------------------------------------------------- arg parsing
 
 
@@ -279,8 +254,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-obs",
         description=(
-            "Cross-run observability: query the run ledger, diff runs, "
-            "emit HTML reports and gate CI on performance regressions."
+            "Cross-run observability: query the run ledger, diff runs "
+            "and gate CI on performance regressions."
         ),
     )
     parser.add_argument(
@@ -356,19 +331,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     p_reg.set_defaults(func=_cmd_regress)
 
-    p_rep = sub.add_parser(
-        "report", help="emit a self-contained HTML run report"
-    )
-    p_rep.add_argument("workdir", help="a run's working directory")
-    p_rep.add_argument(
-        "-o", "--output", default=None,
-        help="destination (default: WORKDIR/report.html)",
-    )
-    p_rep.add_argument(
-        "--history", type=int, default=10,
-        help="ledger records to include in the history table",
-    )
-    p_rep.set_defaults(func=_cmd_report)
     return parser
 
 

@@ -10,8 +10,8 @@ Design constraints, in order:
 * **Cheap when disabled.**  Every mutator checks the global telemetry
   switch first; a disabled run costs one branch per call site.
 * **Thread-safe.**  One lock guards the maps; mutators are O(1) dict
-  operations under it (island threads record search metrics
-  concurrently).
+  operations under it (a caller's inline transform and the job-worker
+  thread record metrics concurrently).
 * **Process-pool-mergeable.**  :meth:`MetricsRegistry.snapshot` returns a
   plain-dict, picklable :class:`MetricsSnapshot`;
   :meth:`MetricsRegistry.merge` folds a snapshot back in (counters and

@@ -11,17 +11,14 @@ Row schema (``type == "generation"``)::
 
     generation, best_fitness, best_feasible_fitness, mean_fitness,
     std_fitness, feasible_count, penalty_activations, fissions,
-    cache_hits, cache_lookups, evaluations, island,
+    cache_hits, cache_lookups, evaluations,
     surrogate_candidates, surrogate_admitted,
-    surrogate_rank_correlation, elapsed_s, migrants_in
+    surrogate_rank_correlation, elapsed_s
 
 The cumulative evaluator counters (``cache_hits`` …) are sampled at the
 end of each generation, so per-generation deltas are recoverable by
-differencing consecutive rows.  In island mode every island emits its
-own generation sequence (rows tagged with an ``island`` index, each
-sequence consecutive from 0), and dropped migration payloads appear as
-``type == "migration_note"`` rows — the search-layer analogue of
-codegen's DemotionRecord.  ``surrogate_rank_correlation`` is the
+differencing consecutive rows; generations run consecutively from 0.
+``surrogate_rank_correlation`` is the
 per-generation Spearman rho between the analytic-model-only surrogate
 scores and the exact penalized fitness of the admitted offspring
 (``null`` when the pre-filter is off or the sample is degenerate).
@@ -53,14 +50,12 @@ def generation_row(stats: object) -> Dict[str, object]:
         "cache_hits": stats.cache_hits,
         "cache_lookups": stats.cache_lookups,
         "evaluations": stats.evaluations,
-        "island": getattr(stats, "island", 0),
         "surrogate_candidates": getattr(stats, "surrogate_candidates", 0),
         "surrogate_admitted": getattr(stats, "surrogate_admitted", 0),
         "surrogate_rank_correlation": clean(
             getattr(stats, "surrogate_rank_correlation", float("nan"))
         ),
         "elapsed_s": getattr(stats, "elapsed_s", 0.0),
-        "migrants_in": getattr(stats, "migrants_in", 0),
     }
 
 
@@ -79,9 +74,6 @@ def search_summary_row(result: object) -> Dict[str, object]:
         "avg_fissions_per_generation": result.avg_fissions_per_generation,
         "fused_group_count": result.fused_group_count,
         "new_kernel_count": result.new_kernel_count,
-        "islands": getattr(result, "islands", 1),
-        "migrations_received": getattr(result, "migrations_received", 0),
-        "migrations_dropped": getattr(result, "migrations_dropped", 0),
         "surrogate_skipped": getattr(result, "surrogate_skipped", 0),
         "surrogate_rank_correlation": _clean_nan(
             getattr(result, "surrogate_rank_correlation", float("nan"))
@@ -95,10 +87,8 @@ def _clean_nan(value: float) -> Optional[float]:
 
 
 def search_telemetry_rows(result: object) -> List[Dict[str, object]]:
-    """Full JSONL payload for one search: generation rows + migration
-    notes (island mode, dropped payloads only) + summary."""
+    """Full JSONL payload for one search: generation rows + summary."""
     rows = [generation_row(stats) for stats in result.history]
-    rows.extend(dict(note) for note in getattr(result, "migration_notes", []))
     rows.append(search_summary_row(result))
     return rows
 

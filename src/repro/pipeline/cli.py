@@ -69,30 +69,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--ga-params", default=None, help="GA parameter file (see GAParams)"
     )
     parser.add_argument(
-        "--islands",
-        type=int,
-        default=None,
-        metavar="K",
-        help=(
-            "GGA island subpopulations (default: the GA parameter set; "
-            "1 = classic single-population search)"
-        ),
-    )
-    parser.add_argument(
-        "--migration-interval",
-        type=int,
-        default=None,
-        metavar="M",
-        help="generations between elite migrations in island mode",
-    )
-    parser.add_argument(
-        "--migration-size",
-        type=int,
-        default=None,
-        metavar="E",
-        help="elites exchanged per migration epoch in island mode",
-    )
-    parser.add_argument(
         "--surrogate-topk",
         type=float,
         default=None,
@@ -225,12 +201,6 @@ def _build_config(args) -> TransformConfig:
         overrides["seed"] = args.seed
     if args.ga_params:
         overrides["ga_params"] = GAParams.read(args.ga_params)
-    if args.islands is not None:
-        overrides["islands"] = args.islands
-    if args.migration_interval is not None:
-        overrides["migration_interval"] = args.migration_interval
-    if args.migration_size is not None:
-        overrides["migration_size"] = args.migration_size
     if args.surrogate_topk is not None:
         overrides["surrogate_topk"] = args.surrogate_topk
     if args.until is not None:

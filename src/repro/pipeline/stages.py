@@ -190,7 +190,6 @@ class PipelineState:
                 self.search,
                 history=list(self.search.history),
                 final_population=list(self.search.final_population),
-                migration_notes=list(self.search.migration_notes),
             )
         self._served.clear()
 
@@ -451,7 +450,6 @@ def stage_search(state: PipelineState) -> PipelineState:
                 state.config.device,
                 params,
                 seed_population=seeds or None,
-                store=store,
             )
         except ReproError as exc:
             if not state.config.fail_soft:
@@ -492,16 +490,6 @@ def stage_search(state: PipelineState) -> PipelineState:
         search_note += (
             f"; {len(state.built.analysis_failures)} launches "
             f"analyzed conservatively ({failed})"
-        )
-    if result.islands > 1:
-        search_note += (
-            f"; {result.islands} islands, "
-            f"{result.migrations_received} migrants exchanged"
-            + (
-                f" ({result.migrations_dropped} dropped)"
-                if result.migrations_dropped
-                else ""
-            )
         )
     if result.surrogate_skipped:
         search_note += (

@@ -23,7 +23,6 @@ from .faults import (
     ENV_FAULT_SEAMS,
     ENV_FAULT_SEED,
     KNOWN_SEAMS,
-    SEAMS,
     FaultPlan,
     active_plan,
     check,
@@ -39,7 +38,6 @@ __all__ = [
     "ENV_FAULT_SEAMS",
     "ENV_FAULT_SEED",
     "KNOWN_SEAMS",
-    "SEAMS",
     "FaultPlan",
     "active_plan",
     "check",

@@ -23,10 +23,6 @@ Seams
     Poisons a persistent artifact-store read (``repro.store``); envelope
     validation must treat the entry as corrupt and degrade the stage to
     a cold (uncached) execution.
-``island_migration``
-    Drops an elite-migration payload on delivery between GGA islands;
-    the receiving island must continue solo and record a
-    ``migration_note`` in the search telemetry.
 ``service_worker``
     Hard-kills a ``repro.service`` pool worker (``os._exit``) right
     after it accepts a job — the serving pool must detect the dead
@@ -75,12 +71,8 @@ KNOWN_SEAMS = (
     "codegen",
     "interpreter",
     "store",
-    "island_migration",
     "service_worker",
 )
-
-#: backwards-compatible alias for :data:`KNOWN_SEAMS`
-SEAMS = KNOWN_SEAMS
 
 _KNOWN_SEAM_SET = frozenset(KNOWN_SEAMS)
 

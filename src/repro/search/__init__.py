@@ -1,7 +1,6 @@
 """Optimization package: grouped GA with lazy fission (GGA)."""
 
 from .gga import GGA, GenerationStats, SearchResult, run_search
-from .islands import IslandGGA, MigrationBus, island_params, island_seed
 from .grouping import (
     NOMINAL_BLOCK,
     FusionProblem,
@@ -43,7 +42,6 @@ __all__ = [
     "FusionProblem", "NodeInfo", "Grouping", "Violations",
     "evaluate_violations", "singleton_grouping", "NOMINAL_BLOCK",
     "GGA", "run_search", "SearchResult", "GenerationStats",
-    "IslandGGA", "MigrationBus", "island_params", "island_seed",
     "projected_gflops", "projected_time_s", "group_volume",
     "group_projection_time", "register_objective", "get_objective",
     "evaluate_individual", "surrogate_score", "spearman_rank_correlation",

@@ -67,8 +67,6 @@ class GenerationStats:
     cache_hits: int = 0
     cache_lookups: int = 0
     evaluations: int = 0
-    #: which island produced this row (0 in single-population mode)
-    island: int = 0
     #: offspring bred this generation (== admitted when the surrogate
     #: pre-filter is off)
     surrogate_candidates: int = 0
@@ -80,8 +78,6 @@ class GenerationStats:
     #: wall-clock seconds since the search started, sampled at the end of
     #: the generation (time-to-target-fitness measurements difference this)
     elapsed_s: float = 0.0
-    #: migrants accepted into this island since the previous row
-    migrants_in: int = 0
 
 
 @dataclass
@@ -107,12 +103,6 @@ class SearchResult:
     #: the last generation's population (cross-run warm-start payload);
     #: empty when the result was reconstructed from the artifact store
     final_population: List[Grouping] = field(default_factory=list)
-    #: island subpopulations the search ran (1 = classic GGA)
-    islands: int = 1
-    #: migrant individuals accepted across all islands
-    migrations_received: int = 0
-    #: migration payloads dropped (fault injection / corrupt store entries)
-    migrations_dropped: int = 0
     #: offspring the surrogate pre-filter kept away from exact evaluation
     surrogate_skipped: int = 0
     #: mean per-generation surrogate-vs-exact Spearman correlation
@@ -120,9 +110,6 @@ class SearchResult:
     surrogate_rank_correlation: float = float("nan")
     #: wall-clock seconds the search spent (0 for store-reconstructed results)
     wall_time_s: float = 0.0
-    #: DemotionRecord-style notes from the migration bus (dropped payloads);
-    #: emitted as ``migration_note`` rows in search_telemetry.jsonl
-    migration_notes: List[dict] = field(default_factory=list)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -143,9 +130,9 @@ class GGA:
     Fitness comes from the problem's memoizing
     :class:`~repro.search.objective.CompiledFitness`, resolved once here
     and called directly.  The evaluator lives on the problem, so repeated
-    groupings cost one dict probe across generations, islands and
-    restarts on the same problem; ``lookups`` / ``evaluations`` count
-    this instance's own requests and memo misses.
+    groupings cost one dict probe across generations and restarts on the
+    same problem; ``lookups`` / ``evaluations`` count this instance's own
+    requests and memo misses.
     """
 
     def __init__(
@@ -165,9 +152,6 @@ class GGA:
         ]
         self.objective = get_objective(self.params.objective)
         self.rng = random.Random(self.params.seed)
-        #: island index stamped on telemetry rows (set by the island driver)
-        self.island = 0
-        self._initialized = False
         self.fitness = compiled_fitness(
             problem, device, self.objective, self.params.penalties
         )
@@ -215,13 +199,6 @@ class GGA:
         return population[best_idx]
 
     # -------------------------------------------------------------------- run
-    #
-    # The run is decomposed into initialize() / step() / finalize() so the
-    # island driver (repro.search.islands) can interleave generations of
-    # several GGA instances and inject migrants between epochs.  run() is
-    # the classic composition and is bit-identical to the pre-island code:
-    # the per-step body consumes the rng stream and calls the evaluator in
-    # exactly the original order when the surrogate pre-filter is off.
 
     def initialize(self) -> None:
         """Build generation 0 and reset the run-state trackers."""
@@ -283,13 +260,9 @@ class GGA:
         self._stall = 0
         self._generation = 0
         self._start_time = time.perf_counter()
-        self._elites: List[Grouping] = []
-        self.migrants_received = 0
-        self._migrants_pending = 0
         self._surrogate_candidates = screened
         self._surrogate_admitted = min(screened, fill)
         self._rank_correlations: List[float] = []
-        self._initialized = True
 
     @property
     def done(self) -> bool:
@@ -300,35 +273,6 @@ class GGA:
         return bool(
             params.stall_generations and self._stall >= params.stall_generations
         )
-
-    def top_individuals(self, count: int) -> List[Grouping]:
-        """The best ``count`` individuals of the last evaluated generation
-        (fitness-ranked; the migration payload an island emits)."""
-        return list(self._elites[:count])
-
-    def receive_migrants(self, migrants: Sequence[Grouping]) -> int:
-        """Replace the tail of the current population with ``migrants``.
-
-        The tail holds the most recently bred offspring — the individuals
-        with the least selection pressure behind them — so replacement is
-        deterministic without re-evaluating the population.  Migrants
-        already present (by value) or not covering the problem are
-        skipped.  Returns the number accepted.
-        """
-        accepted = 0
-        current = set(self.population)
-        for migrant in migrants:
-            if migrant in current or not migrant.covers(self.problem):
-                continue
-            slot = len(self.population) - 1 - accepted
-            if slot < self.params.elitism:
-                break
-            self.population[slot] = migrant
-            current.add(migrant)
-            accepted += 1
-        self.migrants_received += accepted
-        self._migrants_pending += accepted
-        return accepted
 
     def _scorer(self):
         """The surrogate scorer, created on first use (shares the
@@ -388,7 +332,6 @@ class GGA:
             ranked = sorted(
                 range(len(population)), key=lambda i: fitnesses[i], reverse=True
             )
-            self._elites = [population[i] for i in ranked]
             next_pop: List[Grouping] = [
                 population[i] for i in ranked[: params.elitism]
             ]
@@ -491,15 +434,12 @@ class GGA:
                     cache_hits=self.cache_hits,
                     cache_lookups=self.lookups,
                     evaluations=self.evaluations,
-                    island=self.island,
                     surrogate_candidates=gen_candidates,
                     surrogate_admitted=len(offspring),
                     surrogate_rank_correlation=surrogate_corr,
                     elapsed_s=time.perf_counter() - self._start_time,
-                    migrants_in=self._migrants_pending,
                 )
             )
-            self._migrants_pending = 0
             registry.inc("gga_generations_total")
             registry.inc("gga_penalty_activations_total", penalty_activations)
             registry.inc("gga_fissions_total", fissions_this_gen)
@@ -552,7 +492,6 @@ class GGA:
             cache_hits=self.cache_hits,
             fitness_lookups=self.lookups,
             final_population=list(self.population),
-            migrations_received=self.migrants_received,
             surrogate_skipped=(
                 self._surrogate_candidates - self._surrogate_admitted
             ),
@@ -605,20 +544,9 @@ def run_search(
     device: DeviceSpec,
     params: Optional[GAParams] = None,
     seed_population: Optional[Sequence[Grouping]] = None,
-    store=None,
 ) -> SearchResult:
     """Convenience wrapper: construct and run the GGA.
 
     ``seed_population`` warm-starts generation 0 (see :class:`GGA`).
-    ``params.islands > 1`` routes to the island-model driver
-    (:class:`repro.search.islands.IslandGGA`); ``store`` then mediates
-    cross-run elite migration and is ignored in single-population mode.
     """
-    params = params or GAParams()
-    if params.islands > 1:
-        from .islands import IslandGGA
-
-        return IslandGGA(
-            problem, device, params, seed_population=seed_population, store=store
-        ).run()
     return GGA(problem, device, params, seed_population=seed_population).run()

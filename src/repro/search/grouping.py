@@ -109,8 +109,8 @@ class FusionProblem:
     def fingerprint(self) -> str:
         """Content digest of the whole problem (nodes, capacity, edges).
 
-        Identifies the fitness landscape in the artifact store's search,
-        population and island-migration keys: two problems with identical
+        Identifies the fitness landscape in the artifact store's search
+        and population keys: two problems with identical
         node metadata hash alike; any difference separates them.
         """
         if self._fingerprint is None:

@@ -104,8 +104,9 @@ def group_projection_time(
     blocks = [problem.info(m).block for m in members]
     if blocks:
         block = max(set(blocks), key=blocks.count)
-    # dict get/setdefault are atomic under the GIL, so island threads share
-    # this cache safely; a lost race costs one recomputation.  Keyed on the
+    # dict get/setdefault are atomic under the GIL, so concurrent searches
+    # of one problem (shared through the store's memory tier) share this
+    # cache safely; a lost race costs one recomputation.  Keyed on the
     # frozen DeviceSpec, not its name: two specs may share a name
     cache: Dict = problem.__dict__.setdefault("_group_time_cache", {})
     key = (frozenset(members), device, block)
@@ -230,7 +231,8 @@ class CompiledFitness:
     float sums follow the group iteration order of the first value-equal
     individual seen.
 
-    Island threads share one evaluator: every memo is a plain dict whose
+    Concurrent searches of one problem (shared through the store's
+    memory tier) share one evaluator: every memo is a plain dict whose
     single-key reads and writes are atomic under the GIL, a lost race
     costs one recomputation, and hit/miss is reported per call
     (:meth:`lookup`) rather than counted here.

@@ -9,18 +9,45 @@ function registered via :func:`repro.search.objective.register_objective`.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from ..errors import SearchError
+from ..errors import ConfigError, SearchError
 from .penalty import PenaltyParams
 
 
-#: parameters of the deleted evaluation pool and second fitness cache.
-#: Parameter files and ``repro.service/1`` requests written by earlier
-#: versions still carry them; readers accept exactly these and drop them.
-RETIRED_GA_FIELDS = ("fitness_cache", "workers", "executor")
+#: parameters of deleted mechanisms -> the values earlier versions wrote
+#: for them by default (``None``: any value).  Parameter files, config
+#: files and ``repro.service/1`` requests written by those versions
+#: still carry them.  The evaluation pool and second fitness cache
+#: (``fitness_cache`` / ``workers`` / ``executor``) never changed a
+#: result, so any value is dropped; the island model's knobs did, so
+#: only their old defaults are (a config's top level wrote ``null``).
+RETIRED_GA_FIELDS: Dict[str, Optional[Tuple[Any, ...]]] = {
+    "fitness_cache": None,
+    "workers": None,
+    "executor": None,
+    "islands": (1, None),
+    "migration_interval": (5, None),
+    "migration_size": (2, None),
+}
+
+
+def drop_retired(name: str, value: Any) -> bool:
+    """True when ``name`` is a retired parameter whose ``value`` loads as
+    if absent; False when ``name`` is not retired.  Any other value of a
+    retired parameter raises :class:`ConfigError` naming the removal."""
+    if name not in RETIRED_GA_FIELDS:
+        return False
+    defaults = RETIRED_GA_FIELDS[name]
+    if defaults is None or value in defaults:
+        return True
+    raise ConfigError(
+        f"{name}={value!r}: the island model was removed in 4.0 and the "
+        f"search runs one population; drop {name!r}"
+    )
 
 
 @dataclass
@@ -43,13 +70,6 @@ class GAParams:
     #: stop early when the best fitness has not improved for this many
     #: generations (0 disables early stopping)
     stall_generations: int = 0
-    #: concurrent island subpopulations (1 = the classic single-population
-    #: GGA; >1 enables repro.search.islands with periodic elite migration)
-    islands: int = 1
-    #: generations between elite exchanges when ``islands > 1``
-    migration_interval: int = 5
-    #: elites each island emits per migration epoch
-    migration_size: int = 2
     #: fraction of bred offspring admitted to exact fitness evaluation
     #: after the analytic-model-only surrogate ranking pass (1.0 disables
     #: the pre-filter and is bit-identical to the classic GGA)
@@ -82,7 +102,7 @@ class GAParams:
             if key.startswith("penalty."):
                 penalty_kwargs[key[len("penalty."):]] = float(value)
                 continue
-            if key in RETIRED_GA_FIELDS:
+            if drop_retired(key, _literal(value)):
                 continue
             if not hasattr(params, key):
                 raise SearchError(f"unknown GA parameter {key!r}")
@@ -98,6 +118,14 @@ class GAParams:
         if penalty_kwargs:
             params.penalties = PenaltyParams(**penalty_kwargs)
         return params
+
+
+def _literal(value: str) -> Any:
+    """A parameter-file value as :meth:`GAParams.write` wrote it."""
+    try:
+        return ast.literal_eval(value)
+    except (ValueError, SyntaxError):
+        return value
 
 
 def default_params() -> GAParams:

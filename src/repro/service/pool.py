@@ -19,9 +19,9 @@ leak into request semantics — a stray ``REPRO_STORE`` in the server's
 shell must not redirect a tenant's artifacts (nor break response
 bit-identity across a pool whose workers were spawned under different
 shells).  Inside the worker the config travels as arguments from
-``transform()`` down to the interpreter, the gate and the search; the
-island fields that are ``None`` on the wire defer to the request's GA
-parameter set.
+``transform()`` down to the interpreter, the gate and the search; a
+``surrogate_topk`` that is ``None`` on the wire defers to the request's
+GA parameter set.
 """
 
 from __future__ import annotations

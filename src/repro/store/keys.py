@@ -105,29 +105,6 @@ def population_key(
     return digest("population", problem_fp, device_fp, objective, penalties_repr)
 
 
-def island_migration_key(
-    problem_fp: str,
-    device_fp: str,
-    objective: str,
-    penalties_repr: str,
-    island: int,
-) -> str:
-    """Identity of one island's published elites.
-
-    Keyed like the warm-start population — fitness-landscape identity
-    (problem/device/objective/penalties), seed-free so elites transfer
-    across differently-seeded runs — plus the island slot, so a K-island
-    run hydrates each slot from its own predecessor."""
-    return digest(
-        "island-migration",
-        problem_fp,
-        device_fp,
-        objective,
-        penalties_repr,
-        int(island),
-    )
-
-
 def verified_group_key(
     fused_text: str,
     launch_sig: Tuple[object, ...],

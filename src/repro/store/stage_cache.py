@@ -18,10 +18,6 @@ Namespaces
                         content only (survive unrelated program edits)
 ``verified_programs`` — whole-program verification verdicts
 ``tuning``            — thread-block tuning decisions
-``island_migration``  — per-island elite payloads published at every
-                        migration epoch; later runs hydrate their
-                        islands from these (seed-free key, like
-                        ``population``)
 
 Memory-only namespaces (:meth:`ArtifactStore.remember`, never on disk):
 
@@ -67,12 +63,8 @@ NS_POPULATION = "population"
 NS_VERIFIED_GROUPS = "verified_groups"
 NS_VERIFIED_PROGRAMS = "verified_programs"
 NS_TUNING = "tuning"
-NS_ISLAND_MIGRATION = "island_migration"
 NS_BUILT_PROBLEMS = "built_problems"
 NS_MATERIALIZED = "materialized"
-
-#: elites persisted per island per migration epoch
-MAX_SAVED_ELITES = 16
 
 #: individuals persisted for warm starting (beyond the best)
 MAX_SAVED_POPULATION = 64
@@ -357,74 +349,6 @@ def load_warm_start(
     except (KeyError, TypeError):
         seeds = []
     return seeds
-
-
-# --------------------------------------------------------- island migration
-
-
-def _island_migration_key(
-    problem: FusionProblem, device: DeviceSpec, params: GAParams, island: int
-) -> str:
-    return keys.island_migration_key(
-        problem.fingerprint(),
-        keys.device_fingerprint(device),
-        params.objective,
-        repr(params.penalties),
-        island,
-    )
-
-
-def save_island_elites(
-    store: ArtifactStore,
-    problem: FusionProblem,
-    device: DeviceSpec,
-    params: GAParams,
-    island: int,
-    elites: List[Grouping],
-) -> None:
-    """Publish one island's current elites (overwrites the previous epoch)."""
-    store.put(
-        NS_ISLAND_MIGRATION,
-        _island_migration_key(problem, device, params, island),
-        {
-            "island": int(island),
-            "elites": [
-                _grouping_to_payload(e) for e in elites[:MAX_SAVED_ELITES]
-            ],
-        },
-    )
-
-
-def load_island_elites(
-    store: ArtifactStore,
-    problem: FusionProblem,
-    device: DeviceSpec,
-    params: GAParams,
-    island: int,
-) -> List[Grouping]:
-    """Elites a previous run published for this island slot.
-
-    Corrupt or stale payloads degrade to an empty list — a cold island —
-    with individual entries that no longer fit the problem dropped.
-    """
-    payload = store.get(
-        NS_ISLAND_MIGRATION,
-        _island_migration_key(problem, device, params, island),
-    )
-    if payload is None:
-        return []
-    elites: List[Grouping] = []
-    try:
-        for entry in payload.get("elites", []):
-            grouping = _grouping_from_payload(entry, problem)
-            if grouping is not None:
-                elites.append(grouping)
-    except (KeyError, TypeError, AttributeError):
-        logger.warning(
-            "store: island %d migration entry unusable; starting cold", island
-        )
-        return []
-    return elites
 
 
 # ------------------------------------------------------- verification reuse

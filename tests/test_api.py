@@ -13,7 +13,7 @@ from repro.api import (
 )
 from repro.errors import ConfigError, ReproError
 from repro.pipeline.cli import main as cli_main
-from repro.search import fast_params
+from repro.search import GAParams, fast_params
 
 from conftest import THREE_KERNEL_SRC
 
@@ -127,7 +127,59 @@ def test_config_file_with_ga_params(tmp_path):
     assert loaded.ga_params.generations == 5
 
 
-def test_ga_params_retired_keys_dropped_others_rejected():
+#: ``TransformConfig(seed=7, ga_params=fast_params(seed=7)).to_json()`` as
+#: version 3.1 wrote it: the island knobs at their defaults, null on top
+CONFIG_FILE_3_1 = """{
+  "device": "K20X", "mode": "automated", "seed": 7,
+  "ga_params": {
+    "population": 36, "generations": 60, "tournament_size": 3,
+    "crossover_rate": 0.8, "mutate_merge": 0.3, "mutate_split": 0.15,
+    "mutate_move": 0.2, "mutate_fission": 0.1, "elitism": 2, "seed": 7,
+    "objective": "projected_gflops", "stall_generations": 15,
+    "islands": 1, "migration_interval": 5, "migration_size": 2,
+    "surrogate_topk": 1.0,
+    "penalties": {"c_convexity": 200.0, "c_shared_mem": 120.0,
+                  "c_unfusable": 200.0, "c_unrealizable": 180.0,
+                  "c_sm_relax": 0.75}
+  },
+  "until": null, "exclude": [], "filtering": true, "fission": true,
+  "tuning": true, "verify": true, "fail_hard": false, "workdir": null,
+  "metrics_out": null, "trace_out": null, "verify_groups": true,
+  "verify_seed": 0, "verify_rtol": 0.0, "block_exec": "auto",
+  "telemetry": null, "islands": null, "migration_interval": null,
+  "migration_size": null, "surrogate_topk": null, "store": null,
+  "store_root": null
+}
+"""
+
+#: ``GAParams(population=42).write()`` as version 3.1 wrote it
+PARAMS_FILE_3_1 = """\
+# GA parameter file (amend and pass back to the framework)
+population = 42
+generations = 500
+tournament_size = 3
+crossover_rate = 0.8
+mutate_merge = 0.3
+mutate_split = 0.15
+mutate_move = 0.2
+mutate_fission = 0.1
+elitism = 2
+seed = 12345
+objective = 'projected_gflops'
+stall_generations = 0
+islands = 1
+migration_interval = 5
+migration_size = 2
+surrogate_topk = 1.0
+penalty.c_convexity = 200.0
+penalty.c_shared_mem = 120.0
+penalty.c_unfusable = 200.0
+penalty.c_unrealizable = 180.0
+penalty.c_sm_relax = 0.75
+"""
+
+
+def test_ga_params_retired_keys_dropped_others_rejected(tmp_path):
     # requests / config files written before the evaluation pool was
     # deleted carry these three keys; they behave as if absent
     old = TransformConfig.from_dict({"ga_params": {
@@ -137,6 +189,25 @@ def test_ga_params_retired_keys_dropped_others_rejected():
     assert old == TransformConfig.from_dict({"ga_params": {"population": 10}})
     with pytest.raises(ConfigError, match="unknown ga_params field.*threads"):
         TransformConfig.from_dict({"ga_params": {"threads": 2}})
+
+    # files written before the island model was deleted carry its three
+    # knobs at their defaults; they load as if absent
+    config_file = tmp_path / "config-3.1.json"
+    config_file.write_text(CONFIG_FILE_3_1)
+    assert TransformConfig.from_file(config_file) == TransformConfig(
+        seed=7, ga_params=fast_params(seed=7)
+    )
+    params_file = tmp_path / "ga-3.1.params"
+    params_file.write_text(PARAMS_FILE_3_1)
+    assert GAParams.read(params_file) == GAParams(population=42)
+    # any other value asked for the removed mechanism: refused, by name
+    with pytest.raises(ConfigError, match="islands=4.*removed"):
+        TransformConfig.from_dict({"islands": 4})
+    with pytest.raises(ConfigError, match="migration_size=3.*removed"):
+        TransformConfig.from_dict({"ga_params": {"migration_size": 3}})
+    params_file.write_text("islands = 4\n")
+    with pytest.raises(ConfigError, match="islands=4.*removed"):
+        GAParams.read(params_file)
 
 
 # -------------------------------------------------------------- validation
@@ -451,22 +522,14 @@ def test_transform_is_the_submit_facade():
     assert isinstance(outcome, TransformResult)
 
 
-# ------------------------------------------------------------ island knobs
+# --------------------------------------------------------- surrogate knob
 
 
-def test_island_knobs_reach_the_resolved_ga_params():
-    config = TransformConfig(
-        ga_params=small_params(),
-        islands=4,
-        migration_interval=2,
-        migration_size=3,
-        surrogate_topk=0.25,
-    )
+def test_surrogate_knob_reaches_the_resolved_ga_params():
+    config = TransformConfig(ga_params=small_params(), surrogate_topk=0.25)
     params = config.resolved().resolved_ga_params()
-    assert params.islands == 4
-    assert params.migration_interval == 2
-    assert params.migration_size == 3
     assert params.surrogate_topk == 0.25
+    assert params.population == small_params().population
 
 
 def test_run_json_and_ledger_name_this_runs_executors(tmp_path):

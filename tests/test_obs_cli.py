@@ -1,4 +1,4 @@
-"""The ``repro-obs`` CLI: list/show/diff/regress/report (PR 8).
+"""The ``repro-obs`` CLI: list/show/diff/regress.
 
 Exercises the acceptance criteria of the observability PR end to end
 against a crafted ledger: a clean repeat exits 0, an injected slowdown
@@ -208,29 +208,3 @@ def test_regress_bench_missing_file_is_an_error(tmp_path, capsys):
     args = ["regress", "--bench-baseline", baseline,
             "--bench-current", str(tmp_path / "absent.json")]
     assert main(args) == EXIT_ERROR
-
-
-# ------------------------------------------------------------------- report
-
-
-def test_report_writes_html_with_history(root, tmp_path, capsys):
-    _append(root, when=1.0)
-    workdir = tmp_path / "work"
-    workdir.mkdir()
-    (workdir / "run.json").write_text(json.dumps({
-        "schema": "repro.run/1", "source": "app:Fluam",
-        "config": {}, "env": {"knobs": {}},
-        "stage_wall_time_s": {"search": 1.0}, "reports": {}, "exit_code": 0,
-    }))
-    out = tmp_path / "report.html"
-    args = ["--store", str(root), "report", str(workdir), "-o", str(out)]
-    assert main(args) == EXIT_OK
-    html = out.read_text()
-    assert html.lstrip().startswith("<!DOCTYPE html>" ) or "<html" in html
-    assert "Fluam" in html
-
-
-def test_report_missing_workdir_is_an_error(root, tmp_path, capsys):
-    args = ["--store", str(root), "report", str(tmp_path / "absent")]
-    assert main(args) == EXIT_ERROR
-    assert "is not a directory" in capsys.readouterr().err

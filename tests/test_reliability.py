@@ -120,7 +120,6 @@ def test_known_seams_is_the_canonical_registry():
     import repro.reliability as reliability
 
     assert reliability.KNOWN_SEAMS is faults.KNOWN_SEAMS
-    assert faults.SEAMS is faults.KNOWN_SEAMS  # compat alias
     assert len(faults.KNOWN_SEAMS) == len(set(faults.KNOWN_SEAMS))
     for seam in ("parse", "analysis", "codegen", "interpreter", "store"):
         assert seam in faults.KNOWN_SEAMS

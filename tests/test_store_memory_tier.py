@@ -419,8 +419,10 @@ def test_the_bound_holds_through_the_store(tmp_path, monkeypatch):
 
 
 def _search_outcome(search):
-    """Everything a search returns except wall-clock readings (as JSON,
-    where the NaN of a surrogate that never ran equals itself)."""
+    """Everything a search returns except wall-clock readings, as JSON:
+    with the pre-filter off, the result's and every generation row's
+    ``surrogate_rank_correlation`` is NaN, which only compares equal as
+    text."""
     record = asdict(search)
     record.pop("wall_time_s")
     for row in record["history"]:
