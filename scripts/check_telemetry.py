@@ -195,7 +195,7 @@ def check_verification(block: object, where: str) -> None:
 
 def check_front_door(block: object, where: str) -> None:
     """The ``front_door`` block of ``run.json`` / a ledger record: what
-    ``submit()`` loaded before the pipeline started.  ``source_bytes``
+    ``transform()`` loaded before the pipeline started.  ``source_bytes``
     and ``memo`` are null for an input that was not text (a Program, an
     app name); ``memo`` is also null when the load itself failed."""
     expect(isinstance(block, dict), f"{where}: front_door must be an object")

@@ -15,17 +15,9 @@ Top-level convenience re-exports; see the subpackages for the full API:
 - :mod:`repro.api`       — the stable entry point (transform / TransformConfig)
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
-from .api import (
-    JobHandle,
-    TransformConfig,
-    TransformResult,
-    result,
-    status,
-    submit,
-    transform,
-)
+from .api import TransformConfig, TransformResult, transform
 from .cudalite import parse_program, unparse
 from .errors import (
     ConfigError,
@@ -43,11 +35,6 @@ __all__ = [
     "transform",
     "TransformConfig",
     "TransformResult",
-    # job-oriented core (repro.api)
-    "JobHandle",
-    "submit",
-    "status",
-    "result",
     # errors
     "ReproError",
     "ConfigError",

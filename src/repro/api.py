@@ -11,7 +11,7 @@ One call transforms an application::
 :class:`TransformConfig` holds every knob of a run (verification,
 interpreter strategy, telemetry, the search's surrogate pre-filter, the
 persistent artifact store).  Configuration flows downward as arguments:
-the config is resolved once at the front door (:func:`submit`, the
+the config is resolved once at the front door (:func:`transform`, the
 CLIs) and handed to the pipeline, which hands each layer the values it
 needs.  Two fields may also come from the process environment —
 ``telemetry`` (``REPRO_TELEMETRY``) and ``store`` / ``store_root``
@@ -23,29 +23,18 @@ materialized by :meth:`TransformConfig.resolved` (and recorded verbatim
 in ``run.json``).  Nothing below this module reads the environment for
 configuration and nothing writes to it.
 
-Underneath :func:`transform` sits a job-oriented core::
-
-    job = submit("Fluam", TransformConfig(device="K20X"))
-    print(job.status())           # 'pending' | 'running' | 'done' | 'failed'
-    result = job.result()         # blocks; re-raises the job's error
-
-:func:`submit` validates the request up front, computes its
-content-addressed ``key`` (the identity ``repro.service`` deduplicates
-on) and schedules the pipeline on this process's job-worker thread;
-:func:`status` and :func:`result` look jobs up by handle or id.
-:func:`transform` is the synchronous facade: ``submit(...,
-inline=True).result()``.
+For asynchronous, deduplicated or multi-tenant use, run ``repro-serve``
+(:mod:`repro.service`): it queues requests at ``/v1/jobs`` and runs each
+one through :func:`transform` in a worker process.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
@@ -54,7 +43,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 from .cudalite import ast_nodes as ast
 from .cudalite.parser import parse_program
 from .cudalite.unparser import unparse
-from .errors import ConfigError, JobNotFound, PipelineError, ReproError
+from .errors import ConfigError, PipelineError, ReproError
 from .gpu import interpreter
 from .gpu.device import DeviceSpec, available_devices, query_device
 from .observability.metrics import get_registry
@@ -76,12 +65,8 @@ from .store.artifact_store import (
 )
 
 __all__ = [
-    "JobHandle",
     "TransformConfig",
     "TransformResult",
-    "result",
-    "status",
-    "submit",
     "transform",
 ]
 
@@ -207,14 +192,6 @@ class TransformConfig:
             raise ConfigError("surrogate_topk must be in (0, 1]")
 
     # ------------------------------------------------------ environment
-
-    @classmethod
-    def from_env(
-        cls, environ: Optional[Mapping[str, str]] = None, **overrides: Any
-    ) -> "TransformConfig":
-        """A config with whatever ``REPRO_TELEMETRY`` / ``REPRO_STORE``
-        set filled in; ``overrides`` are applied on top."""
-        return cls(**{**_read_env(environ), **overrides})
 
     def resolved(
         self, environ: Optional[Mapping[str, str]] = None
@@ -624,7 +601,7 @@ def write_run_outputs(
             "interpreter": interpreter.stats().as_dict(),
             # whole-program interpretations codegen made, and why
             "verification": state.verification if state is not None else None,
-            # what submit() did before the pipeline started: the load
+            # what transform() did before the pipeline started: the load
             "front_door": front_door,
         },
     )
@@ -664,7 +641,7 @@ def _execute_transform(
 ) -> TransformResult:
     """Run one fully-resolved transformation end to end.
 
-    The shared execution body behind :func:`transform` and the job core:
+    The execution body of :func:`transform`, under ``_EXEC_LOCK``:
     telemetry scope, store wiring, ``run.json`` and the run ledger on
     both the success and the failure path.  ``fingerprint`` and
     ``front_door`` are what :func:`_coerce_program` made of the input.
@@ -722,101 +699,7 @@ def _execute_transform(
         )
 
 
-# ---------------------------------------------------------------- job core
-
-#: lifecycle of a job, in order
-JOB_STATES = ("pending", "running", "done", "failed")
-
-
-class JobHandle:
-    """One submitted transformation job.
-
-    Returned by :func:`submit`; thread-safe.  ``job_id`` is unique per
-    submission while ``key`` is the content-addressed request identity
-    (two submissions of the same program + semantic config share a
-    ``key`` but never a ``job_id``) — the same key the service layer
-    deduplicates on.
-    """
-
-    def __init__(self, job_id: str, key: str, source_label: str) -> None:
-        self.job_id = job_id
-        self.key = key
-        self.source_label = source_label
-        self._done = threading.Event()
-        self._lock = threading.Lock()
-        self._status = "pending"
-        self._result: Optional[TransformResult] = None
-        self._error: Optional[BaseException] = None
-
-    # ------------------------------------------------------- state queries
-
-    def status(self) -> str:
-        """'pending' | 'running' | 'done' | 'failed'."""
-        with self._lock:
-            return self._status
-
-    def done(self) -> bool:
-        """Has the job reached a terminal state (done or failed)?"""
-        return self._done.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> TransformResult:
-        """Block until the job finishes; return or re-raise its outcome."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"job {self.job_id} still {self.status()!r} "
-                f"after {timeout} s"
-            )
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            assert self._result is not None
-            return self._result
-
-    def exception(
-        self, timeout: Optional[float] = None
-    ) -> Optional[BaseException]:
-        """The job's error, or None once it completed successfully."""
-        if not self._done.wait(timeout):
-            raise TimeoutError(
-                f"job {self.job_id} still {self.status()!r} "
-                f"after {timeout} s"
-            )
-        with self._lock:
-            return self._error
-
-    # -------------------------------------------------- state transitions
-
-    def _mark_running(self) -> None:
-        with self._lock:
-            self._status = "running"
-
-    def _finish(
-        self,
-        result: Optional[TransformResult],
-        error: Optional[BaseException],
-    ) -> None:
-        with self._lock:
-            self._result = result
-            self._error = error
-            self._status = "failed" if error is not None else "done"
-        self._done.set()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"JobHandle({self.job_id!r}, status={self.status()!r}, "
-            f"source={self.source_label!r})"
-        )
-
-
-#: asynchronously submitted jobs by id, newest last; finished jobs are
-#: evicted beyond _JOB_HISTORY so a long-lived process cannot grow without
-#: bound.  An inline job (every ``transform()``) is not entered: its caller
-#: holds the only handle anyone can use, and an entry here would pin the
-#: result's AST, problem and memo for 256 calls.
-_JOBS: "Dict[str, JobHandle]" = {}
-_JOB_HISTORY = 256
-_jobs_lock = threading.Lock()
-_job_seq = itertools.count(1)
+# ---------------------------------------------------------------- entry
 
 #: one transformation executes at a time in this process: the metrics
 #: registry, the tracer, the telemetry switch and the interpreter's
@@ -825,27 +708,13 @@ _job_seq = itertools.count(1)
 #: not from in-process threads
 _EXEC_LOCK = threading.Lock()
 
-_executor: Optional[ThreadPoolExecutor] = None
-_executor_lock = threading.Lock()
-
-
-def _job_executor() -> ThreadPoolExecutor:
-    global _executor
-    with _executor_lock:
-        if _executor is None:
-            _executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-job"
-            )
-        return _executor
-
 
 def request_key(program_fingerprint: str, resolved: TransformConfig) -> str:
     """The content-addressed identity of one transformation request.
 
     Digest of the program fingerprint (as :func:`_coerce_program`
     returns it) and the *semantic* configuration (output paths, store
-    wiring and telemetry excluded) — the dedup key of the service layer
-    and the ``key`` on every :class:`JobHandle`.
+    wiring and telemetry excluded) — the dedup key of the service layer.
     """
     from .observability.ledger import config_digest
 
@@ -854,54 +723,30 @@ def request_key(program_fingerprint: str, resolved: TransformConfig) -> str:
     )
 
 
-def _register_job(handle: JobHandle) -> None:
-    with _jobs_lock:
-        _JOBS[handle.job_id] = handle
-        if len(_JOBS) > _JOB_HISTORY:
-            for job_id in [
-                j for j, h in _JOBS.items() if h.done()
-            ][: len(_JOBS) - _JOB_HISTORY]:
-                del _JOBS[job_id]
-
-
-def _run_job(
-    handle: JobHandle,
-    program: ast.Program,
-    fingerprint: str,
-    front_door: Dict[str, Any],
-    resolved: TransformConfig,
-) -> None:
-    with _EXEC_LOCK:
-        handle._mark_running()
-        try:
-            result = _execute_transform(
-                program, fingerprint, handle.source_label, front_door, resolved
-            )
-        except BaseException as exc:  # noqa: BLE001 - stored, re-raised
-            handle._finish(None, exc)
-        else:
-            handle._finish(result, None)
-
-
-def submit(
+def transform(
     app_or_program: object,
     config: Optional[TransformConfig] = None,
-    *,
-    inline: bool = False,
     **overrides: Any,
-) -> JobHandle:
-    """Submit a transformation job; returns immediately with its handle.
+) -> TransformResult:
+    """Transform an application end-to-end and return the result.
+
+    ``app_or_program`` may be a parsed :class:`~repro.cudalite.ast_nodes.
+    Program`, a generated app (or its registry name, e.g. ``"Fluam"``), a
+    source file path, or CUDA(Lite) source text.  ``overrides`` are
+    :class:`TransformConfig` fields applied on top of ``config``.
 
     Input coercion, override validation and config resolution happen
-    here in the caller's thread (bad requests fail fast, and this is the
-    one place the environment is read); the pipeline itself runs on this
-    process's single job-worker thread.  With ``inline=True`` the job
-    executes to completion in the calling thread before ``submit``
-    returns — the path :func:`transform` uses — and is reachable through
-    the returned handle only, not by id.
+    first (bad requests fail fast, and this is the one place the
+    environment is read); the pipeline then runs in the calling thread
+    under :data:`_EXEC_LOCK`.  For asynchronous use, run ``repro-serve``
+    and submit through its ``/v1/jobs`` API
+    (:meth:`repro.service.ServiceClient.submit`).
+
+    Raises :class:`~repro.errors.ReproError` subclasses on failure; when
+    a working directory is configured, ``run.json`` is written on both
+    the success and the failure path.
     """
-    base = _merge_overrides(config, overrides)
-    resolved = base.resolved()
+    resolved = _merge_overrides(config, overrides).resolved()
     front_door: Dict[str, Any] = {}
     try:
         program, fingerprint, source_label = _coerce_program(
@@ -910,7 +755,7 @@ def submit(
     except ReproError as exc:
         # unparseable input still leaves a machine-readable diagnostic,
         # exactly as a failed pipeline stage would; this runs outside
-        # _EXEC_LOCK (a job may be mid-transform), so it consults
+        # _EXEC_LOCK (another thread may be mid-transform), so it consults
         # resolved.telemetry and touches no process-global switch
         store = open_store(resolved.store_root) if resolved.store else None
         write_run_outputs(
@@ -931,64 +776,7 @@ def submit(
             front_door=front_door,
         )
         raise
-    key = request_key(fingerprint, resolved)
-    handle = JobHandle(
-        job_id=f"{key[:16]}-{next(_job_seq)}",
-        key=key,
-        source_label=source_label,
-    )
-    if inline:
-        _run_job(handle, program, fingerprint, front_door, resolved)
-    else:
-        _register_job(handle)
-        _job_executor().submit(
-            _run_job, handle, program, fingerprint, front_door, resolved
+    with _EXEC_LOCK:
+        return _execute_transform(
+            program, fingerprint, source_label, front_door, resolved
         )
-    return handle
-
-
-def _resolve_handle(job: "JobHandle | str") -> JobHandle:
-    if isinstance(job, JobHandle):
-        return job
-    with _jobs_lock:
-        handle = _JOBS.get(job)
-    if handle is None:
-        raise JobNotFound(f"unknown job id {job!r}")
-    return handle
-
-
-def status(job: "JobHandle | str") -> str:
-    """The state of a job (by handle or id): pending/running/done/failed."""
-    return _resolve_handle(job).status()
-
-
-def result(
-    job: "JobHandle | str", timeout: Optional[float] = None
-) -> TransformResult:
-    """Block until a job (by handle or id) finishes; return its result."""
-    return _resolve_handle(job).result(timeout)
-
-
-def transform(
-    app_or_program: object,
-    config: Optional[TransformConfig] = None,
-    **overrides: Any,
-) -> TransformResult:
-    """Transform an application end-to-end and return the result.
-
-    ``app_or_program`` may be a parsed :class:`~repro.cudalite.ast_nodes.
-    Program`, a generated app (or its registry name, e.g. ``"Fluam"``), a
-    source file path, or CUDA(Lite) source text.  ``overrides`` are
-    :class:`TransformConfig` fields applied on top of ``config``.
-
-    The synchronous facade over the job core: equivalent to
-    ``submit(..., inline=True).result()``, so the pipeline runs in the
-    calling thread and the call blocks until the job finishes.
-
-    Raises :class:`~repro.errors.ReproError` subclasses on failure; when
-    a working directory is configured, ``run.json`` is written on both
-    the success and the failure path.
-    """
-    return submit(
-        app_or_program, config, inline=True, **overrides
-    ).result()

@@ -146,7 +146,3 @@ class ServiceError(ReproError):
     the serving policy rejects (client-supplied output paths), and when a
     job exhausts its worker-crash retry budget.
     """
-
-
-class JobNotFound(ServiceError):
-    """No job with the requested id is known to this process/server."""

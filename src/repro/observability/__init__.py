@@ -24,7 +24,7 @@ On top of the per-run layer sits the *cross-run* layer (PR 8):
 * :mod:`~repro.observability.trace_analytics` — critical-path
   extraction, per-name self-time rollups and a text waterfall;
 * :mod:`~repro.observability.regress` — the regression sentinel's
-  comparison engine (ledger records and ``BENCH_*.json`` floors);
+  comparison engine (ledger records);
 * :mod:`~repro.observability.logfmt` — structured JSON log output with
   trace/span correlation (``REPRO_LOG_FORMAT=json``);
 * :mod:`~repro.observability.cli` — the ``repro-obs`` command
@@ -55,7 +55,6 @@ from .metrics import (
 from .model_validation import ModelValidationReport, validate_model
 from .regress import (
     Finding,
-    compare_bench_records,
     compare_ledger_records,
 )
 from .runinfo import build_run_manifest, env_knobs, git_sha, write_run_manifest
@@ -106,7 +105,6 @@ __all__ = [
     "build_fuzz_record",
     "build_run_manifest",
     "build_transform_record",
-    "compare_bench_records",
     "compare_ledger_records",
     "configure_logging",
     "counters_signature",

@@ -6,8 +6,6 @@ Query the run ledger, compare runs and gate CI on regressions::
     repro-obs show latest                   # one record in full
     repro-obs diff prev latest              # stage times + store traffic
     repro-obs regress --threshold 1.5       # exit 3 on a slowdown
-    repro-obs regress --bench-baseline BENCH_pr10.json \\
-                      --bench-current /tmp/fresh.json
 
 The ledger lives in the artifact store (``--store ROOT``, else
 ``REPRO_STORE``, else ``~/.cache/repro``).  Exit status: ``0`` ok, ``2``
@@ -24,11 +22,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..store.artifact_store import ArtifactStore, default_store_root
 from .ledger import RunLedger
-from .regress import (
-    compare_bench_records,
-    compare_ledger_records,
-    render_findings,
-)
+from .regress import compare_ledger_records, render_findings
 from .trace_analytics import render_waterfall, spans_from_chrome_trace
 
 EXIT_OK = 0
@@ -189,51 +183,37 @@ def _cmd_diff(args) -> int:
 
 
 def _cmd_regress(args) -> int:
-    if args.bench_baseline or args.bench_current:
-        if not (args.bench_baseline and args.bench_current):
+    ledger = _open_ledger(args.store)
+    if args.current == "latest" and args.app:
+        current = ledger.latest(kind="transform", app=args.app)
+        if current is None:
             print(
-                "repro-obs: bench mode needs both --bench-baseline and "
-                "--bench-current",
+                f"repro-obs: no transform records for app {args.app!r}",
                 file=sys.stderr,
             )
             return EXIT_ERROR
-        baseline = json.loads(Path(args.bench_baseline).read_text())
-        current = json.loads(Path(args.bench_current).read_text())
-        findings = compare_bench_records(
-            baseline, current, tolerance=args.tolerance
-        )
     else:
-        ledger = _open_ledger(args.store)
-        if args.current == "latest" and args.app:
-            current = ledger.latest(kind="transform", app=args.app)
-            if current is None:
-                print(
-                    f"repro-obs: no transform records for app {args.app!r}",
-                    file=sys.stderr,
-                )
-                return EXIT_ERROR
-        else:
-            current = _resolve_or_die(ledger, args.current)
-        if args.baseline == "prev":
-            baseline = ledger.previous(current)
-            if baseline is None:
-                print(
-                    "repro-obs: no baseline in the ledger yet (first run of "
-                    "this app/config) — nothing to compare",
-                )
-                return EXIT_OK
-        else:
-            baseline = _resolve_or_die(ledger, args.baseline)
-        findings = compare_ledger_records(
-            baseline,
-            current,
-            threshold=args.threshold,
-            min_seconds=args.min_seconds,
-        )
-        print(
-            f"baseline: {_one_line(baseline)}\n"
-            f"current:  {_one_line(current)}\n"
-        )
+        current = _resolve_or_die(ledger, args.current)
+    if args.baseline == "prev":
+        baseline = ledger.previous(current)
+        if baseline is None:
+            print(
+                "repro-obs: no baseline in the ledger yet (first run of "
+                "this app/config) — nothing to compare",
+            )
+            return EXIT_OK
+    else:
+        baseline = _resolve_or_die(ledger, args.baseline)
+    findings = compare_ledger_records(
+        baseline,
+        current,
+        threshold=args.threshold,
+        min_seconds=args.min_seconds,
+    )
+    print(
+        f"baseline: {_one_line(baseline)}\n"
+        f"current:  {_one_line(current)}\n"
+    )
     print(render_findings(findings))
     regressed = [f for f in findings if f.regressed]
     if regressed:
@@ -316,18 +296,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_reg.add_argument(
         "--min-seconds", type=float, default=0.05,
         help="ignore ratio breaches smaller than this absolute delta",
-    )
-    p_reg.add_argument(
-        "--bench-baseline", default=None, metavar="FILE",
-        help="bench mode: committed BENCH_*.json floors",
-    )
-    p_reg.add_argument(
-        "--bench-current", default=None, metavar="FILE",
-        help="bench mode: fresh bench record to gate",
-    )
-    p_reg.add_argument(
-        "--tolerance", type=float, default=0.35,
-        help="bench mode: allowed fractional drop/growth (default 0.35)",
     )
     p_reg.set_defaults(func=_cmd_regress)
 

@@ -1,22 +1,16 @@
 """The regression sentinel: compare runs, fail CI when the pipeline slows.
 
-Two comparison modes, both returning plain :class:`Finding` rows the CLI
-renders and gates on:
-
-* :func:`compare_ledger_records` — current run vs a ledger baseline:
-  per-stage and total wall time may not exceed ``baseline * threshold``
-  (with an absolute ``min_seconds`` floor so microsecond stages cannot
-  trip the ratio), and the projected speedup may not collapse below
-  ``baseline / threshold``.
-* :func:`compare_bench_records` — a fresh ``BENCH_*.json`` record vs the
-  committed one: throughput/speedup/hit-rate leaves may not drop below
-  ``1 - tolerance`` of the baseline, latency leaves (``*_ms`` / ``*_s``)
-  may not grow past ``1 + tolerance``.  Count-like leaves are ignored —
-  they are exactness checks, ``scripts/check_bench.py``'s job.
+:func:`compare_ledger_records` compares the current run with a ledger
+baseline and returns plain :class:`Finding` rows the CLI renders and
+gates on: per-stage and total wall time may not exceed ``baseline *
+threshold`` (with an absolute ``min_seconds`` floor so microsecond
+stages cannot trip the ratio), and the projected speedup may not
+collapse below ``baseline / threshold``.
 
 Thresholds are deliberately ratio-based: CI runners are noisy, so the
 sentinel is tuned to catch collapses (a stage going 2x slower), not
-jitter.
+jitter.  Performance across commits is the end-to-end bench's job
+(``benchmarks/e2e``), not this module's.
 """
 
 from __future__ import annotations
@@ -26,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "Finding",
-    "compare_bench_records",
     "compare_ledger_records",
     "render_findings",
 ]
@@ -125,69 +118,6 @@ def compare_ledger_records(
                 threshold=threshold,
                 regressed=False,
                 note="informational",
-            )
-        )
-    return findings
-
-
-# -------------------------------------------------------------- bench mode
-
-
-def _numeric_leaves(
-    record: Dict[str, object], prefix: str = ""
-) -> Dict[str, float]:
-    leaves: Dict[str, float] = {}
-    for key, value in record.items():
-        path = f"{prefix}.{key}" if prefix else str(key)
-        if isinstance(value, dict):
-            leaves.update(_numeric_leaves(value, path))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            leaves[path] = float(value)
-    return leaves
-
-
-def _classify(path: str) -> Optional[str]:
-    """'higher' / 'lower' (is better), or None for ungated leaves."""
-    leaf = path.rsplit(".", 1)[-1]
-    if leaf.endswith(("_ms", "_s", "_seconds")):
-        return "lower"
-    if "per_sec" in leaf or "speedup" in leaf or "hit_rate" in leaf:
-        return "higher"
-    return None
-
-
-def compare_bench_records(
-    baseline: Dict[str, object],
-    current: Dict[str, object],
-    *,
-    tolerance: float = 0.35,
-) -> List[Finding]:
-    """Ratio findings for two ``repro.bench/1`` records (committed floors
-    vs a fresh run); only performance-shaped leaves are gated."""
-    b_leaves = _numeric_leaves(baseline)
-    c_leaves = _numeric_leaves(current)
-    threshold = 1.0 + tolerance
-    findings: List[Finding] = []
-    for path in sorted(set(b_leaves) & set(c_leaves)):
-        direction = _classify(path)
-        if direction is None:
-            continue
-        b, c = b_leaves[path], c_leaves[path]
-        if direction == "lower":
-            ratio = _ratio(c, b)
-            regressed = c > b * threshold
-        else:
-            ratio = _ratio(b, c)
-            regressed = c < b * (1.0 - tolerance)
-        findings.append(
-            Finding(
-                metric=path,
-                baseline=b,
-                current=c,
-                ratio=ratio,
-                threshold=threshold,
-                regressed=regressed,
-                note=f"{direction} is better",
             )
         )
     return findings

@@ -114,7 +114,7 @@ class TransformService:
         max_retries: int = 2,
         worker_env: Optional[Dict[str, str]] = None,
     ) -> None:
-        base = (base_config or TransformConfig.from_env()).resolved()
+        base = (base_config or TransformConfig()).resolved()
         # serving policy: the server owns its store and filesystem; no
         # request (and no ambient base config) may redirect outputs
         self.store_root = store_root or base.store_root
@@ -184,7 +184,7 @@ class TransformService:
     ) -> Tuple[_Execution, bool]:
         """Dedup gate: join an in-flight execution or start a new one."""
         config = self._effective_config(request)
-        # the same front door as submit(): a repeated text costs a lookup
+        # the same front door as transform(): a repeated text costs a lookup
         _, fingerprint, source_label = _coerce_program(
             request.source if request.source is not None else request.app,
             bool(config.telemetry),

@@ -46,6 +46,8 @@ def test_env_beats_default(tmp_path):
     assert resolved.telemetry is False
     assert resolved.store is True
     assert resolved.store_root == str(tmp_path)
+    off = TransformConfig().resolved(environ={"REPRO_STORE": "off"})
+    assert off.store is False
 
 
 def test_explicit_beats_env(tmp_path):
@@ -71,18 +73,6 @@ def test_store_env_does_not_warn(tmp_path):
     assert resolved.store_root == str(tmp_path)
     assert resolved.telemetry is False
     assert not caught
-
-
-def test_from_env_reads_the_same_two_variables(tmp_path):
-    env = {"REPRO_STORE": str(tmp_path), "REPRO_TELEMETRY": "0"}
-    config = TransformConfig.from_env(env, seed=4)
-    assert (config.telemetry, config.store, config.store_root, config.seed) == (
-        False, True, str(tmp_path), 4
-    )
-    assert TransformConfig.from_env({"REPRO_STORE": "off"}).store is False
-    # unset variables leave the fields unset, and overrides win
-    assert TransformConfig.from_env({}) == TransformConfig()
-    assert TransformConfig.from_env(env, telemetry=True).telemetry is True
 
 
 def test_null_for_a_formerly_env_backed_field_means_default():
@@ -363,86 +353,54 @@ def test_public_surface_exports():
     assert repro.TransformConfig is TransformConfig
 
 
-# ---------------------------------------------------------------- job core
+# ------------------------------------------------------------- request key
 
 
-def test_submit_returns_a_completed_job(tmp_path):
-    from repro.api import result, status, submit
+def _key(config, **overrides):
+    from dataclasses import replace
 
-    job = submit(
-        THREE_KERNEL_SRC,
-        TransformConfig(ga_params=small_params(), workdir=str(tmp_path)),
-    )
-    assert job.job_id.startswith(job.key[:16])
-    outcome = job.result(timeout=300)
-    assert isinstance(outcome, TransformResult)
-    assert outcome.speedup is not None
-    assert job.status() == "done"
-    assert job.done()
-    assert job.exception() is None
-    # lookups by id route through the registry
-    assert status(job.job_id) == "done"
-    assert result(job.job_id) is outcome
+    from repro.api import request_key
+    from repro.cudalite import parse_program
+    from repro.store import program_fingerprint
+
+    fingerprint = program_fingerprint(parse_program(THREE_KERNEL_SRC))
+    return request_key(fingerprint, replace(config, **overrides).resolved())
 
 
 def test_identical_submissions_share_a_key_not_a_job_id():
-    from repro.api import submit
-
     config = TransformConfig(ga_params=small_params(), until="metadata")
-    first = submit(THREE_KERNEL_SRC, config, inline=True)
-    second = submit(THREE_KERNEL_SRC, config, inline=True)
-    assert first.key == second.key
-    assert first.job_id != second.job_id
+    assert _key(config) == _key(config)
 
 
 def test_semantic_config_changes_the_request_key():
-    from repro.api import submit
-
     base = TransformConfig(ga_params=small_params(), until="metadata")
-    cold = submit(THREE_KERNEL_SRC, base, inline=True)
-    reseeded = submit(
-        THREE_KERNEL_SRC, base, inline=True, seed=999
-    )
-    assert cold.key != reseeded.key
+    assert _key(base) != _key(base, seed=999)
 
 
 def test_output_paths_do_not_change_the_request_key(tmp_path):
-    from repro.api import submit
-
     config = TransformConfig(ga_params=small_params(), until="metadata")
-    plain = submit(THREE_KERNEL_SRC, config, inline=True)
-    routed = submit(
-        THREE_KERNEL_SRC, config, inline=True, workdir=str(tmp_path)
-    )
-    assert plain.key == routed.key
+    assert _key(config) == _key(config, workdir=str(tmp_path))
 
 
-def test_unknown_job_id_raises():
-    from repro.api import status
-    from repro.errors import JobNotFound
-
-    with pytest.raises(JobNotFound):
-        status("no-such-job")
+# ------------------------------------------------------------ failure paths
 
 
 def test_bad_input_fails_at_submit_time():
-    from repro.api import submit
-
     with pytest.raises(ReproError):
-        submit("int main( {", TransformConfig())
+        transform("int main( {", TransformConfig())
 
 
 def test_bad_submit_while_a_job_runs_leaves_global_state_alone(
     tmp_path, monkeypatch
 ):
     """The unparseable-input path runs in the caller's thread, outside
-    the execution lock: it must write its exit-code-2 ``run.json``
-    without touching ``os.environ`` or the telemetry switch that the
-    running job scoped for itself."""
+    the execution lock: while another thread's ``transform()`` holds the
+    lock, it must write its exit-code-2 ``run.json`` without touching
+    ``os.environ`` or the telemetry switch that the running transform
+    scoped for itself."""
     import threading
 
     import repro.api as api_module
-    from repro.api import submit
     from repro.observability.runtime import telemetry_enabled
     from repro.pipeline import framework
 
@@ -465,16 +423,20 @@ def test_bad_submit_while_a_job_runs_leaves_global_state_alone(
         seen.setdefault("bad_submit", global_state())
         return real_write(*args, **kwargs)
 
+    def running():
+        seen["result"] = transform(
+            THREE_KERNEL_SRC, TransformConfig(until="metadata", telemetry=False)
+        )
+
     monkeypatch.setitem(framework.STAGE_FUNCTIONS, "metadata", blocked_stage)
     monkeypatch.setattr(api_module, "write_run_outputs", spying_write)
-    job = submit(
-        THREE_KERNEL_SRC, TransformConfig(until="metadata", telemetry=False)
-    )
+    job = threading.Thread(target=running)
+    job.start()
     try:
         assert entered.wait(60)
         bad_dir = tmp_path / "bad"
         with pytest.raises(ReproError):
-            submit(
+            transform(
                 "int main( {",
                 TransformConfig(
                     telemetry=True,
@@ -485,8 +447,9 @@ def test_bad_submit_while_a_job_runs_leaves_global_state_alone(
             )
     finally:
         release.set()
-    job.result(timeout=60)
-    assert seen["job_before"][1] is False  # the job's own telemetry scope
+        job.join(60)
+    assert isinstance(seen["result"], TransformResult)
+    assert seen["job_before"][1] is False  # the running transform's scope
     assert seen["bad_submit"] == seen["job_before"]
     assert seen["job_after"] == seen["job_before"]
     run = json.loads((bad_dir / "run.json").read_text())
@@ -494,12 +457,15 @@ def test_bad_submit_while_a_job_runs_leaves_global_state_alone(
     assert run["error"]["type"]
 
 
-def test_failed_job_reports_and_reraises(monkeypatch):
+def test_failed_job_reports_and_reraises(tmp_path, monkeypatch):
+    """``transform()`` re-raises the pipeline error after reporting it."""
     import repro.api as api_module
-    from repro.api import submit
     from repro.errors import PipelineError
 
     class ExplodingFramework:
+        state = None
+        stage_times = {}
+
         def __init__(self, *args, **kwargs):
             pass
 
@@ -507,19 +473,11 @@ def test_failed_job_reports_and_reraises(monkeypatch):
             raise PipelineError("stage blew up")
 
     monkeypatch.setattr(api_module, "Framework", ExplodingFramework)
-    job = submit(THREE_KERNEL_SRC, TransformConfig(), inline=True)
-    assert job.status() == "failed"
-    assert isinstance(job.exception(), ReproError)
-    with pytest.raises(ReproError):
-        job.result()
-
-
-def test_transform_is_the_submit_facade():
-    outcome = transform(
-        THREE_KERNEL_SRC,
-        TransformConfig(ga_params=small_params(), until="metadata"),
-    )
-    assert isinstance(outcome, TransformResult)
+    with pytest.raises(PipelineError, match="stage blew up"):
+        transform(THREE_KERNEL_SRC, TransformConfig(workdir=str(tmp_path)))
+    run = json.loads((tmp_path / "run.json").read_text())
+    assert run["exit_code"] == 2
+    assert run["error"]["type"] == "PipelineError"
 
 
 # --------------------------------------------------------- surrogate knob

@@ -169,42 +169,3 @@ def test_regress_app_filter(root, capsys):
     _append(root, when=3.0, app="Mini", seed=2, search=1.0)
     args = ["--store", str(root), "regress", "--app", "Mini"]
     assert main(args) == EXIT_OK
-
-
-# --------------------------------------------------------------- bench mode
-
-
-def _bench(tmp_path, name, total_ms):
-    path = tmp_path / name
-    path.write_text(json.dumps({
-        "suite": {"pipeline": {"total_ms": total_ms, "runs": 3}},
-    }))
-    return str(path)
-
-
-def test_regress_bench_mode_gates_floors(root, tmp_path, capsys):
-    baseline = _bench(tmp_path, "BENCH_base.json", 100.0)
-    slow = _bench(tmp_path, "fresh_slow.json", 200.0)
-    args = ["regress", "--bench-baseline", baseline,
-            "--bench-current", slow]
-    assert main(args) == EXIT_REGRESSION
-    assert "total_ms" in capsys.readouterr().out
-
-    fine = _bench(tmp_path, "fresh_ok.json", 110.0)
-    args = ["regress", "--bench-baseline", baseline,
-            "--bench-current", fine]
-    assert main(args) == EXIT_OK
-
-
-def test_regress_bench_mode_needs_both_files(tmp_path, capsys):
-    baseline = _bench(tmp_path, "BENCH_base.json", 100.0)
-    args = ["regress", "--bench-baseline", baseline]
-    assert main(args) == EXIT_ERROR
-    assert "needs both" in capsys.readouterr().err
-
-
-def test_regress_bench_missing_file_is_an_error(tmp_path, capsys):
-    baseline = _bench(tmp_path, "BENCH_base.json", 100.0)
-    args = ["regress", "--bench-baseline", baseline,
-            "--bench-current", str(tmp_path / "absent.json")]
-    assert main(args) == EXIT_ERROR

@@ -110,11 +110,14 @@ def _counter(name):
 
 def test_served_transform_and_warm_reuse(tmp_path):
     with ServiceHarness(tmp_path / "store") as (harness, client):
+        restarts_before = _counter("service_worker_restarts_total")
+        start = time.perf_counter()
         cold = client.transform(
             source=THREE_KERNEL_SRC,
             config=TINY_CONFIG_OLD_CLIENT,
             request_id="cold",
         )
+        cold_wall = time.perf_counter() - start
         assert cold.status == 200
         assert cold.request_id == "cold"
         assert not cold.dedup
@@ -133,8 +136,17 @@ def test_served_transform_and_warm_reuse(tmp_path):
         assert warm_response.reused
         assert warm_response.speedup == response.speedup
         assert warm_wall < 1.0, f"warm request took {warm_wall:.2f}s"
+        assert warm_wall < cold_wall, (cold_wall, warm_wall)
         assert warm.key == cold.key
         assert warm.job_id != cold.job_id
+        # two executions, one service ledger record each, no worker lost
+        records = RunLedger(harness.store_root).list(kind="service")
+        assert sorted(r["service"]["job_id"] for r in records) == sorted(
+            [cold.job_id, warm.job_id]
+        )
+        assert (
+            _counter("service_worker_restarts_total") == restarts_before
+        )
 
 
 def test_error_paths(tmp_path):
