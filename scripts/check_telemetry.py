@@ -10,7 +10,8 @@ Usage::
 Checks, with plain asserts and no dependencies:
 
 * ``run.json``        — schema tag, config/env/stage-time structure, the
-  ``verification`` block (program runs, reversed run, counter source),
+  ``verification`` block (program runs, reversed run, counter source,
+  launches the paired run shared, gate times, first divergence),
   the ``front_door`` block (source size, load time, memo outcome) and
   the ``interpreter`` block (launches per executor, accesses per path);
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
@@ -42,6 +43,8 @@ STAGES = ("metadata", "targets", "graphs", "search", "codegen")
 
 VERIFICATION_FIELDS = (
     "program_runs", "reversed_run", "order_sensitive_launches", "counters_from",
+    "program_launches", "shared_launches", "first_divergence",
+    "program_gate_s", "group_gate_s",
 )
 
 FRONT_DOOR_FIELDS = ("source_bytes", "load_s", "memo")
@@ -191,6 +194,23 @@ def check_verification(block: object, where: str) -> None:
     # the reversed run exists for order-sensitive launches and only them
     expect(not block["reversed_run"] or (bool(sensitive) and runs >= 3),
            f"{where}: reversed run without an order-sensitive launch")
+    launches, shared = block["program_launches"], block["shared_launches"]
+    expect(isinstance(launches, dict)
+           and set(launches) == {"original", "transformed"}
+           and all(isinstance(n, int) and n >= 0 for n in launches.values()),
+           f"{where}: program_launches must map original/transformed -> count")
+    expect(isinstance(shared, int) and 0 <= shared <= min(launches.values()),
+           f"{where}: shared_launches {shared!r} exceeds a program's launches "
+           f"{launches}")
+    for key in ("program_gate_s", "group_gate_s"):
+        expect(isinstance(block[key], (int, float)) and block[key] >= 0,
+               f"{where}: verification.{key} must be a non-negative number")
+    divergence = block["first_divergence"]
+    expect(divergence is None
+           or (isinstance(divergence, dict)
+               and set(divergence) == {"original", "transformed", "arrays"}
+               and bool(divergence["arrays"])),
+           f"{where}: bad first_divergence {divergence!r}")
 
 
 def check_front_door(block: object, where: str) -> None:

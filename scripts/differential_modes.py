@@ -15,7 +15,11 @@ stencil under every block execution strategy — ``loop``, ``batched`` and
   slice-vs-funnel differential and stays one;
 * ``auto`` lifted loops and ``loop`` lifted none
   (``InterpreterStats.statements_by_path``): a lifted-vs-sequential
-  differential too.
+  differential too;
+* under every mode, the whole-program gate's paired run of the program
+  and its transformation (``run_program(transformed, reference=program)``)
+  equals the two separate runs: array hashes of both programs and the
+  transformed program's counter signature.
 
 Exits non-zero on any mismatch, and when ``auto`` did not replay the
 stencil program's hazard kernel on the block loop, or did not abandon
@@ -144,6 +148,40 @@ def run_modes(program) -> dict:
     return runs
 
 
+def diff_paired(label: str, program, runs: dict) -> list:
+    """The paired run against the separate runs, under every mode."""
+    from repro.gpu.interpreter import run_program
+    from repro.observability import counters_signature
+    from repro.pipeline import Framework, PipelineConfig
+    from repro.search import fast_params
+
+    # untiled fusions: a fused tile on the per-block ``loop`` costs minutes
+    # at these scales (tests/test_program_gate.py pairs tiled ones)
+    config = PipelineConfig(
+        ga_params=fast_params(seed=1), verify=False, stage_shared=False
+    )
+    transformed = Framework(program, config).run().transform.program
+    problems = []
+    shared = {}
+    for mode in MODES:
+        alone = run_program(transformed, block_exec=mode, collect_counters=True)
+        paired = run_program(
+            transformed, block_exec=mode, collect_counters=True, reference=program
+        )
+        shared[mode] = paired.shared_launches
+        if array_hashes(paired.reference) != runs[mode]["hashes"]:
+            problems.append(f"{label}: paired run's original arrays differ ({mode})")
+        if array_hashes(paired) != array_hashes(alone):
+            problems.append(f"{label}: paired run's transformed arrays differ ({mode})")
+        if counters_signature(r.counters for r in paired.launches) != (
+            counters_signature(r.counters for r in alone.launches)
+        ):
+            problems.append(f"{label}: paired run's counters differ ({mode})")
+    print(f"{label}: paired vs separate under {len(MODES)} modes, "
+          f"shared launches {shared}")
+    return problems
+
+
 def diff_runs(label: str, runs: dict) -> list:
     problems = []
     reference = runs["loop"]
@@ -208,6 +246,7 @@ def main(argv=None) -> int:
         print(f"{label}: {kernels} kernels x {len(MODES)} modes compared, "
               f"auto replayed {runs['auto']['replayed']}, "
               f"lift replayed {runs['auto']['lift_replayed']}")
+        problems.extend(diff_paired(label, program, runs))
         if label == "stencil+fallback":
             if runs["auto"]["replayed"] != ["shift"]:
                 problems.append("the hazard kernel was not replayed — fallback untested")
@@ -219,7 +258,8 @@ def main(argv=None) -> int:
         print(f"differential_modes: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print("all modes bitwise-identical (arrays) and counter-consistent")
+    print("all modes bitwise-identical (arrays) and counter-consistent, "
+          "paired runs equal to separate ones")
     return 0
 
 

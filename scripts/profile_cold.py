@@ -7,8 +7,11 @@ Same GA seed as the bench, no store.  Prints the wall time, the stage
 times, launches and ms/launch per executor, the share of array
 references that ran as slices (``accesses_by_path``), the share of
 statement executions lifted loop bodies stood in for
-(``statements_by_path``) and the lift replays, the verdict and a
-digest of the emitted source — then the top-N functions of a second cold
+(``statements_by_path``) and the lift replays, what the two
+verification gates cost (``program_gate_s``, ``group_gate_s``) and how
+many launches the whole-program gate's paired run executed once for
+both programs (``shared_launches``), the verdict and a digest of the
+emitted source — then the top-N functions of a second cold
 transform (a re-parsed text: fresh AST, cold per-kernel memos) under
 cProfile.  cProfile inflates call-heavy Python and not native code: use
 it to find candidates and the first block to measure them.
@@ -96,6 +99,12 @@ def main() -> int:
     print(f"  statements_by_path {by_path}  lifted share "
           f"{by_path['lifted'] / total if total else 0.0:.3f}  "
           f"lift_replays {stats['lift_replays']}")
+    gates = result.state.verification
+    print(f"  program_gate_s {gates['program_gate_s']:.3f}  "
+          f"group_gate_s {gates['group_gate_s']:.3f}  "
+          f"shared_launches {gates['shared_launches']} of "
+          f"{gates['program_launches']}  "
+          f"first_divergence {gates['first_divergence']}")
     if stats["loop_launches"] or stats["hazard_replays"]:
         print(f"  loop_launches {stats['loop_launches']}  "
               f"hazard_replays {stats['hazard_replays']}")

@@ -15,7 +15,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 - :mod:`repro.api`       — the stable entry point (transform / TransformConfig)
 """
 
-__version__ = "5.0.0"
+__version__ = "5.1.0"
 
 from .api import TransformConfig, TransformResult, transform
 from .cudalite import parse_program, unparse

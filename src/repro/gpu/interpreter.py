@@ -82,7 +82,9 @@ they equal the sequential loop's; ``block_exec="loop"``,
 from __future__ import annotations
 
 import copy
+import difflib
 import math
+import struct
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -93,6 +95,7 @@ from typing import (
     List,
     NamedTuple,
     Optional,
+    Set,
     Tuple,
     Union,
 )
@@ -181,6 +184,20 @@ class RunResult:
 
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     launches: List[LaunchRecord] = field(default_factory=list)
+    #: the reference program's run, when this one was paired with it
+    #: (:meth:`HostInterpreter.run_paired`); the two may hold the very
+    #: same array objects
+    reference: Optional["RunResult"] = None
+    #: a paired run's own failure, once its reference ran to completion
+    #: (``arrays`` is then empty)
+    error: Optional[InterpreterError] = None
+    #: launches a paired run executed once for both programs
+    shared_launches: int = 0
+    #: ``{"original": kernels, "transformed": kernels, "arrays": names}``
+    #: of the first stretch the two programs ran on their own after which
+    #: arrays they wrote differed byte for byte; None when none did, or
+    #: when every array of the two ended byte-equal
+    first_divergence: Optional[Dict[str, List[str]]] = None
 
     def array(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -388,6 +405,9 @@ class _KernelFacts:
     #: pointer parameters syntactically read / written
     reads: FrozenSet[str]
     writes: FrozenSet[str]
+    #: parameters a launch may store through: the ones stores name, or
+    #: every parameter when a store names a local that may alias one
+    may_write: FrozenSet[str]
     #: id(Index node) -> its subscripts as ``var ± const`` terms, for the
     #: nodes where every subscript has that form (the nodes live as long
     #: as the kernel, so the ids are stable)
@@ -420,7 +440,11 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
     uses_shared = False
     uniform_bounds = True
     subscripts: Dict[int, Tuple[IndexTerm, ...]] = {}
+    stored: set = set()
+    tiles: set = set()
     for node in kernel.body.walk():
+        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Index):
+            stored.add(node.target.array_name)
         if isinstance(node, ast.Index):
             terms = tuple(linear_index_term(e) for e in node.indices)
             if all(base != IRREGULAR for base, _ in terms):
@@ -433,10 +457,10 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
             uniform_bounds &= uniform(node.cond)
         elif isinstance(node, ast.VarDecl) and node.is_shared:
             uses_shared = True
+            tiles.add(node.name)
             uniform_bounds &= all(uniform(d) for d in node.array_dims)
 
     reads: set = set()
-    writes: set = set()
 
     def expr_reads(expr: ast.Expr) -> None:
         for node in expr.walk():
@@ -447,10 +471,8 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
         if isinstance(stmt, ast.Assign):
             target = stmt.target
             if isinstance(target, ast.Index):
-                if target.array_name in pointer_params:
-                    writes.add(target.array_name)
-                    if stmt.op != "=":
-                        reads.add(target.array_name)
+                if target.array_name in pointer_params and stmt.op != "=":
+                    reads.add(target.array_name)
                 for e in target.indices:
                     expr_reads(e)
             expr_reads(stmt.value)
@@ -482,11 +504,13 @@ def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
                 expr_reads(stmt.value)
 
     visit(kernel.body)
+    params = set(kernel.param_names())
     return _KernelFacts(
         uses_shared,
         bool(uniform_bounds),
         frozenset(reads),
-        frozenset(writes),
+        frozenset(stored & pointer_params),
+        frozenset(params if stored - params - tiles else stored & params),
         subscripts,
         {id(lift.loop): lift for lift in parallel_loops(kernel)},
     )
@@ -553,7 +577,6 @@ class _KernelExec:
         grid: Dim3,
         block: Dim3,
         args: List[Value],
-        arrays: Dict[str, np.ndarray],
         detect_races: bool = False,
         block_order: str = "forward",
         block_exec: str = "auto",
@@ -562,7 +585,6 @@ class _KernelExec:
         self.kernel = kernel
         self.grid = grid
         self.block = block
-        self.arrays = arrays
         self.detect_races = detect_races
         self.block_order = block_order
         self.block_exec = block_exec
@@ -1759,53 +1781,76 @@ class _ReturnSignal(Exception):
 _MISSING = object()
 
 
-class HostInterpreter:
-    """Executes the host side of a CudaLite program (``main``).
+# ------------------------------------------------------------------ host code
+#
+# Host code never reads device data — the host ``_eval`` has no ``Index``
+# case — so ``main`` first runs dry into a *tape*: allocations,
+# ``deviceRandom`` / ``deviceFill`` writes, launches with their bound
+# arguments, and the exception that ended the dry run, if one did.  The
+# tape is then replayed over device memory.  A paired run replays two
+# tapes over two memories that share every array the programs hold equal,
+# so a launch both programs make on the same arrays executes once
+# (:meth:`HostInterpreter.run_paired`; DESIGN.md §5, "The paired run").
 
-    Parameters
-    ----------
-    program:
-        The program to execute.
-    detect_races:
-        If True, kernel scatters check for write-write races (slower).
-    """
 
-    def __init__(
-        self,
-        program: ast.Program,
-        detect_races: bool = False,
-        execute_kernels: bool = True,
-        block_order: str = "forward",
-        block_exec: Optional[str] = None,
-        collect_counters: bool = False,
-    ) -> None:
-        """``block_order`` ('forward' | 'reverse') sets the sequential order
-        in which per-block kernel execution visits thread blocks; running a
-        program under both orders and comparing outputs exposes inter-block
-        races that a single deterministic order would mask.
+@dataclass(frozen=True, eq=False)
+class _ArrayRef:
+    """A device array in host code: the allocation that made it."""
 
-        ``block_exec`` (one of :data:`BLOCK_EXEC_MODES`) selects the
-        execution strategy; ``None`` means :data:`DEFAULT_BLOCK_EXEC`."""
+    slot: int
+    name: str
+
+
+class _Alloc(NamedTuple):
+    slot: int
+    name: str
+    shape: Tuple[int, ...]
+    dtype: type
+
+
+class _Fill(NamedTuple):
+    """``deviceRandom(array, seed)`` (``random``) or ``deviceFill(array, value)``."""
+
+    slot: int
+    random: bool
+    value: Any
+
+
+class _Launch(NamedTuple):
+    kernel: ast.KernelDef
+    grid: Dim3
+    block: Dim3
+    #: an :class:`_ArrayRef` per array argument, else the scalar
+    args: Tuple[Any, ...]
+
+
+class _HostError(NamedTuple):
+    """What ended the dry run; raised where the replay reaches it."""
+
+    error: Exception
+
+
+_Event = Union[_Alloc, _Fill, _Launch, _HostError]
+
+
+class _HostRecorder:
+    """Dry-runs ``main`` into a tape of :data:`_Event`."""
+
+    def __init__(self, program: ast.Program) -> None:
         self.program = program
-        self.detect_races = detect_races
-        self.execute_kernels = execute_kernels
-        self.block_order = block_order
-        self.block_exec = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
-        self.collect_counters = collect_counters
         self.env: Dict[str, Any] = {}
-        self.arrays: Dict[str, np.ndarray] = {}
-        self.launches: List[LaunchRecord] = []
-        self._array_names: Dict[int, str] = {}
+        self.tape: List[_Event] = []
+        self._slots = 0
 
-    # -------------------------------------------------------------------- run
-
-    def run(self) -> RunResult:
+    def record(self) -> List[_Event]:
         main = self.program.main()
         try:
             self._exec_stmts(main.body.stmts)
         except _ReturnSignal:
             pass
-        return RunResult(arrays=dict(self.arrays), launches=list(self.launches))
+        except Exception as exc:  # noqa: BLE001 - raised again in program order
+            self.tape.append(_HostError(exc))
+        return self.tape
 
     def _exec_stmts(self, stmts: Tuple[ast.Stmt, ...]) -> None:
         for stmt in stmts:
@@ -1824,7 +1869,14 @@ class HostInterpreter:
         elif isinstance(stmt, ast.ExprStmt):
             self._eval(stmt.expr, statement=True)
         elif isinstance(stmt, ast.Launch):
-            self._exec_launch(stmt)
+            self.tape.append(
+                _Launch(
+                    self.program.kernel(stmt.kernel),
+                    self._eval_dim3(stmt.grid),
+                    self._eval_dim3(stmt.block),
+                    tuple(self._eval(a) for a in stmt.args),
+                )
+            )
         elif isinstance(stmt, ast.If):
             if bool(self._eval(stmt.cond)):
                 self._exec_stmts(stmt.then.stmts)
@@ -1871,51 +1923,14 @@ class HostInterpreter:
                     f"{init.func} expects {expected} extent args, got {len(shape)}"
                 )
             dtype = np.float64 if decl.type.base in ("double", "float") else np.int64
-            data = np.zeros(shape, dtype=dtype)
-            self.arrays[decl.name] = data
-            self.env[decl.name] = data
-            self._array_names[id(data)] = decl.name
+            self.tape.append(_Alloc(self._slots, decl.name, shape, dtype))
+            self.env[decl.name] = _ArrayRef(self._slots, decl.name)
+            self._slots += 1
             return
         value = self._eval(init) if init is not None else 0
         if decl.type.base == "int":
             value = int(value)
         self.env[decl.name] = value
-
-    def _exec_launch(self, stmt: ast.Launch) -> None:
-        kernel = self.program.kernel(stmt.kernel)
-        grid = self._eval_dim3(stmt.grid)
-        block = self._eval_dim3(stmt.block)
-        args = [self._eval(a) for a in stmt.args]
-        array_args = tuple(
-            self._array_names.get(id(a), "?")
-            for a in args
-            if isinstance(a, np.ndarray)
-        )
-        scalar_args = tuple(a for a in args if not isinstance(a, np.ndarray))
-        counters = (
-            KernelCounters(kernel=stmt.kernel)
-            if self.collect_counters and self.execute_kernels
-            else None
-        )
-        record = LaunchRecord(
-            stmt.kernel, grid, block, array_args, scalar_args, counters=counters
-        )
-        self.launches.append(record)
-        if not self.execute_kernels:
-            return
-        executor = _KernelExec(
-            kernel, grid, block, args, self.arrays, self.detect_races,
-            self.block_order, self.block_exec, counters=counters,
-        )
-        try:
-            with span(f"interp:{stmt.kernel}", grid=grid.count):
-                executor.run()
-        except _ReturnSignal:
-            pass
-        finally:
-            record.executor = executor.executor
-            record.hazard_replay = executor.hazard_replay
-            record.order_sensitive = executor.order_sensitive
 
     def _eval_dim3(self, expr: ast.Expr) -> Dim3:
         value = self._eval(expr)
@@ -1938,15 +1953,21 @@ class HostInterpreter:
             except KeyError:
                 raise InterpreterError(f"undefined host name {expr.name!r}") from None
         if isinstance(expr, ast.Binary):
-            return _BINOPS[expr.op](self._eval(expr.lhs), self._eval(expr.rhs))
+            return _BINOPS[expr.op](self._operand(expr.lhs), self._operand(expr.rhs))
         if isinstance(expr, ast.Unary):
-            value = self._eval(expr.operand)
+            value = self._operand(expr.operand)
             return -value if expr.op == "-" else np.logical_not(value)
         if isinstance(expr, ast.Call):
             return self._eval_host_call(expr, statement)
         raise InterpreterError(
             f"unsupported host expression {type(expr).__name__}"
         )
+
+    def _operand(self, expr: ast.Expr) -> Any:
+        value = self._eval(expr)
+        if isinstance(value, _ArrayRef):
+            raise InterpreterError("host code cannot compute with a device array")
+        return value
 
     def _eval_host_call(self, expr: ast.Call, statement: bool) -> Any:
         func = expr.func
@@ -1968,17 +1989,16 @@ class HostInterpreter:
                 raise InterpreterError("deviceRandom(array, seed)")
             arr = self._eval(expr.args[0])
             seed = int(self._eval(expr.args[1]))
-            if not isinstance(arr, np.ndarray):
+            if not isinstance(arr, _ArrayRef):
                 raise InterpreterError("deviceRandom target must be a device array")
-            rng = np.random.default_rng(seed)
-            arr[...] = rng.random(arr.shape)
+            self.tape.append(_Fill(arr.slot, True, seed))
             return 0
         if func == "deviceFill":
             arr = self._eval(expr.args[0])
             value = self._eval(expr.args[1])
-            if not isinstance(arr, np.ndarray):
+            if not isinstance(arr, _ArrayRef):
                 raise InterpreterError("deviceFill target must be a device array")
-            arr[...] = value
+            self.tape.append(_Fill(arr.slot, False, value))
             return 0
         if func in ("sqrt", "fabs", "exp"):
             return _MATH_FUNCS[func](self._eval(expr.args[0]))
@@ -1987,6 +2007,348 @@ class HostInterpreter:
                 self._eval(expr.args[0]), self._eval(expr.args[1])
             )
         raise InterpreterError(f"unknown host function {func!r}")
+
+
+def _fill(array: np.ndarray, event: _Fill) -> None:
+    if event.random:
+        array[...] = np.random.default_rng(event.value).random(array.shape)
+    else:
+        array[...] = event.value
+
+
+def _written_slots(event: _Launch) -> List[int]:
+    """The allocations ``event``'s kernel may store to (a superset)."""
+    writes = _kernel_facts(event.kernel).may_write
+    return [
+        arg.slot
+        for param, arg in zip(event.kernel.params, event.args)
+        if isinstance(arg, _ArrayRef) and param.name in writes
+    ]
+
+
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return (
+        a.dtype == b.dtype
+        and a.shape == b.shape
+        and bool(np.array_equal(a.view(np.uint8), b.view(np.uint8)))
+    )
+
+
+def _scalar_key(value: Any) -> Any:
+    """Equal only for scalars no kernel can tell apart: same type, same bits."""
+    if isinstance(value, float):
+        return (type(value), struct.pack("<d", value))
+    return (type(value), value)
+
+
+def _event_keys(tape: List[_Event], kernel_key: Dict[int, Any]) -> List[Any]:
+    """One hashable key per event, equal across two tapes where the events
+    are the same host action: allocations by (name, how many of that name
+    came before), kernels by ``kernel_key`` (``id`` → key), scalars by
+    :func:`_scalar_key`.  A :class:`_HostError` never equals anything."""
+    seen: Dict[str, int] = {}
+    labels: Dict[int, Tuple[str, int]] = {}
+    keys: List[Any] = []
+    for event in tape:
+        if isinstance(event, _Alloc):
+            label = labels[event.slot] = (event.name, seen.get(event.name, 0))
+            seen[event.name] = label[1] + 1
+            keys.append(("alloc", label, event.shape, event.dtype))
+        elif isinstance(event, _Fill):
+            keys.append(
+                ("fill", labels[event.slot], event.random, _scalar_key(event.value))
+            )
+        elif isinstance(event, _Launch):
+            args = tuple(
+                labels[a.slot] if isinstance(a, _ArrayRef) else _scalar_key(a)
+                for a in event.args
+            )
+            keys.append(
+                ("launch", kernel_key[id(event.kernel)], event.grid, event.block, args)
+            )
+        else:
+            keys.append(("error", id(event)))
+    return keys
+
+
+class _Memory:
+    """One program's device memory while its tape replays: an array per
+    allocation, possibly the very array its partner in a paired run holds
+    for the allocation paired with it."""
+
+    def __init__(self, tape: List[_Event], counted: bool) -> None:
+        self.tape = tape
+        self.counted = counted
+        self.names = {e.slot: e.name for e in tape if isinstance(e, _Alloc)}
+        self.slots: Dict[int, np.ndarray] = {}
+        self.launches: List[LaunchRecord] = []
+        self.partner: Optional[_Memory] = None
+        #: slot -> the partner's slot, for the allocations the two programs
+        #: made in one aligned step
+        self.pairs: Dict[int, int] = {}
+        #: paired slots this program wrote on its own since the last
+        #: reconciliation, and the kernels it launched on its own
+        self.dirty: Set[int] = set()
+        self.solo: List[str] = []
+        self.error: Optional[InterpreterError] = None
+
+    def own(self, slot: int) -> None:
+        """Make ``slot``'s array this program's alone: it is about to be written."""
+        partner = self.partner
+        if partner is None or slot not in self.pairs:
+            return
+        if partner.slots.get(self.pairs[slot]) is self.slots[slot]:
+            self.slots[slot] = self.slots[slot].copy()
+        self.dirty.add(slot)
+
+    def bind(self, event: _Launch) -> List[Value]:
+        return [
+            self.slots[a.slot] if isinstance(a, _ArrayRef) else a for a in event.args
+        ]
+
+    def result(self) -> RunResult:
+        arrays: Dict[str, np.ndarray] = {}
+        for event in self.tape:
+            if isinstance(event, _Alloc) and event.slot in self.slots:
+                arrays[event.name] = self.slots[event.slot]
+        return RunResult(arrays=arrays, launches=self.launches)
+
+
+class HostInterpreter:
+    """Executes the host side of a CudaLite program (``main``).
+
+    Parameters
+    ----------
+    program:
+        The program to execute.
+    detect_races:
+        If True, kernel scatters check for write-write races (slower).
+    """
+
+    def __init__(
+        self,
+        program: ast.Program,
+        detect_races: bool = False,
+        execute_kernels: bool = True,
+        block_order: str = "forward",
+        block_exec: Optional[str] = None,
+        collect_counters: bool = False,
+    ) -> None:
+        """``block_order`` ('forward' | 'reverse') sets the sequential order
+        in which per-block kernel execution visits thread blocks; running a
+        program under both orders and comparing outputs exposes inter-block
+        races that a single deterministic order would mask.
+
+        ``block_exec`` (one of :data:`BLOCK_EXEC_MODES`) selects the
+        execution strategy; ``None`` means :data:`DEFAULT_BLOCK_EXEC`."""
+        self.program = program
+        self.detect_races = detect_races
+        self.execute_kernels = execute_kernels
+        self.block_order = block_order
+        self.block_exec = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
+        self.collect_counters = collect_counters
+
+    # -------------------------------------------------------------------- run
+
+    def run(self) -> RunResult:
+        memory = _Memory(_HostRecorder(self.program).record(), self.collect_counters)
+        for event in memory.tape:
+            self._step(memory, event)
+        return memory.result()
+
+    def run_paired(self, reference: ast.Program) -> RunResult:
+        """Interpret ``reference`` and this program together.
+
+        Both tapes are aligned (:class:`difflib.SequenceMatcher` on
+        :func:`_event_keys`).  An aligned allocation is one zero array in
+        both memories; an aligned launch whose every array argument is the
+        same array in both executes once, its one run giving both records.
+        Everything else runs in each memory on its own, and a program
+        copies a shared array before it writes it.  Where the tapes come
+        back into step, every array either program wrote on its own is
+        compared by raw bytes, and equal ones are shared again.
+
+        A launch is a deterministic function of its kernel, configuration,
+        scalars, argument bytes, ``block_exec`` and ``block_order``, so
+        both programs' arrays and this program's records are bitwise what
+        two separate runs give; the alignment decides only how much work
+        is shared.  Counters are collected for this program only.
+
+        Returns this program's :class:`RunResult` with the reference's as
+        ``.reference``.  A failure of the reference — including in a
+        shared launch — raises, as ``run_program(reference)`` would.  This
+        program's own :class:`InterpreterError` is returned in ``.error``
+        (its ``arrays`` then empty) once the reference ran to completion.
+        """
+        ref = _Memory(_HostRecorder(reference).record(), False)
+        new = _Memory(_HostRecorder(self.program).record(), self.collect_counters)
+        ref.partner, new.partner = new, ref
+        kernels = {e.kernel.name: e.kernel for e in ref.tape if isinstance(e, _Launch)}
+        key = {id(k): k.name for k in kernels.values()}
+        for event in new.tape:
+            if isinstance(event, _Launch) and id(event.kernel) not in key:
+                same = kernels.get(event.kernel.name)
+                key[id(event.kernel)] = (
+                    event.kernel.name if same == event.kernel else ("new", id(event.kernel))
+                )
+        pair = _PairedReplay(self, ref, new)
+        matcher = difflib.SequenceMatcher(
+            None, _event_keys(ref.tape, key), _event_keys(new.tape, key), autojunk=False
+        )
+        for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+            if tag == "equal":
+                for a, b in zip(ref.tape[i1:i2], new.tape[j1:j2]):
+                    pair.step(a, b)
+            else:
+                for event in ref.tape[i1:i2]:
+                    self._step(ref, event)
+                for event in new.tape[j1:j2]:
+                    pair.step_candidate(event)
+            pair.reconcile()
+        result = (
+            new.result()
+            if new.error is None
+            else RunResult(launches=new.launches, error=new.error)
+        )
+        result.reference = ref.result()
+        result.shared_launches = pair.shared
+        # a reordered launch makes a stretch differ only until the other
+        # program catches up: no divergence if every array ended shared
+        ended_equal = len(ref.slots) == len(new.slots) and all(
+            t in new.pairs and ref.slots[new.pairs[t]] is array
+            for t, array in new.slots.items()
+        )
+        result.first_divergence = None if ended_equal else pair.divergence
+        return result
+
+    def _step(self, memory: _Memory, event: _Event) -> None:
+        """Replay one event in ``memory`` alone."""
+        if isinstance(event, _Alloc):
+            memory.slots[event.slot] = np.zeros(event.shape, dtype=event.dtype)
+        elif isinstance(event, _Fill):
+            memory.own(event.slot)
+            _fill(memory.slots[event.slot], event)
+        elif isinstance(event, _Launch):
+            record = self._record(memory, event)
+            if self.execute_kernels:
+                for slot in _written_slots(event):
+                    memory.own(slot)
+                memory.solo.append(event.kernel.name)
+                self._execute(event, memory.bind(event), (record,))
+        else:
+            raise event.error
+
+    def _record(self, memory: _Memory, event: _Launch) -> LaunchRecord:
+        name = event.kernel.name
+        record = LaunchRecord(
+            name,
+            event.grid,
+            event.block,
+            tuple(a.name for a in event.args if isinstance(a, _ArrayRef)),
+            tuple(a for a in event.args if not isinstance(a, _ArrayRef)),
+            counters=(
+                KernelCounters(kernel=name)
+                if memory.counted and self.execute_kernels
+                else None
+            ),
+        )
+        memory.launches.append(record)
+        return record
+
+    def _execute(
+        self, event: _Launch, args: List[Value], records: Tuple[LaunchRecord, ...]
+    ) -> None:
+        """Run one launch; every record in ``records`` gets its outcome,
+        the last one also its counters."""
+        executor = _KernelExec(
+            event.kernel, event.grid, event.block, args, self.detect_races,
+            self.block_order, self.block_exec, counters=records[-1].counters,
+        )
+        try:
+            with span(f"interp:{event.kernel.name}", grid=event.grid.count):
+                executor.run()
+        except _ReturnSignal:
+            pass
+        finally:
+            for record in records:
+                record.executor = executor.executor
+                record.hazard_replay = executor.hazard_replay
+                record.order_sensitive = executor.order_sensitive
+
+
+class _PairedReplay:
+    """The state of :meth:`HostInterpreter.run_paired` between events."""
+
+    def __init__(self, host: HostInterpreter, ref: _Memory, new: _Memory) -> None:
+        self.host = host
+        self.ref = ref
+        self.new = new
+        #: launches executed once for both programs
+        self.shared = 0
+        #: the first reconciliation that found arrays differing
+        self.divergence: Optional[Dict[str, List[str]]] = None
+
+    def step(self, a: _Event, b: _Event) -> None:
+        """Replay two aligned events."""
+        ref, new = self.ref, self.new
+        if new.error is not None:
+            self.host._step(ref, a)
+            return
+        self.reconcile()
+        if isinstance(a, _Alloc):
+            ref.slots[a.slot] = new.slots[b.slot] = np.zeros(a.shape, dtype=a.dtype)
+            ref.pairs[a.slot], new.pairs[b.slot] = b.slot, a.slot
+        elif isinstance(a, _Fill) and ref.slots[a.slot] is new.slots[b.slot]:
+            _fill(ref.slots[a.slot], a)
+        elif isinstance(a, _Launch) and all(
+            ref.slots[x.slot] is new.slots[y.slot]
+            for x, y in zip(a.args, b.args)
+            if isinstance(x, _ArrayRef)
+        ):
+            records = (self.host._record(ref, a), self.host._record(new, b))
+            self.host._execute(a, ref.bind(a), records)
+            self.shared += 1
+        else:
+            self.host._step(ref, a)
+            self.step_candidate(b)
+
+    def step_candidate(self, event: _Event) -> None:
+        """Replay one event of the candidate alone; its failure ends its
+        replay, not the reference's."""
+        new = self.new
+        if new.error is not None:
+            return
+        try:
+            self.host._step(new, event)
+        except InterpreterError as exc:
+            new.error = exc
+            self.ref.partner = new.partner = None
+
+    def reconcile(self) -> None:
+        """Share again the arrays the programs wrote on their own and hold
+        byte-equal; the first time some differ, remember where."""
+        ref, new = self.ref, self.new
+        pairs = sorted(
+            {(s, ref.pairs[s]) for s in ref.dirty}
+            | {(new.pairs[t], t) for t in new.dirty}
+        )
+        differ = []
+        if ref.partner is not None:
+            for r, n in pairs:
+                a, b = ref.slots[r], new.slots[n]
+                if a is b:
+                    continue
+                if _same_bytes(a, b):
+                    new.slots[n] = a
+                else:
+                    differ.append(ref.names[r])
+        if differ and self.divergence is None:
+            self.divergence = {
+                "original": ref.solo, "transformed": new.solo, "arrays": differ,
+            }
+        ref.dirty.clear()
+        new.dirty.clear()
+        ref.solo, new.solo = [], []
 
 
 def launch_kernel(
@@ -2014,7 +2376,6 @@ def launch_kernel(
         grid,
         block,
         list(args),
-        {},
         detect_races,
         block_order,
         DEFAULT_BLOCK_EXEC if block_exec is None else block_exec,
@@ -2032,15 +2393,21 @@ def run_program(
     block_order: str = "forward",
     block_exec: Optional[str] = None,
     collect_counters: bool = False,
+    reference: Optional[ast.Program] = None,
 ) -> RunResult:
-    """Execute ``program`` on the simulator and return final device arrays."""
-    return HostInterpreter(
+    """Execute ``program`` on the simulator and return final device arrays.
+
+    With a ``reference`` the two programs are interpreted together and
+    the launches they share execute once (:meth:`HostInterpreter.run_paired`):
+    the result is ``program``'s, with ``reference``'s as ``.reference``."""
+    host = HostInterpreter(
         program,
         detect_races=detect_races,
         block_order=block_order,
         block_exec=block_exec,
         collect_counters=collect_counters,
-    ).run()
+    )
+    return host.run() if reference is None else host.run_paired(reference)
 
 
 def trace_launches(program: ast.Program) -> RunResult:
@@ -2055,10 +2422,16 @@ def trace_launches(program: ast.Program) -> RunResult:
 def outputs_allclose(
     a: RunResult, b: RunResult, rtol: float = 1e-10, atol: float = 1e-12
 ) -> bool:
-    """Compare the device arrays of two runs (the paper's verification step)."""
+    """Compare the device arrays of two runs (the paper's verification step).
+
+    NaN equals NaN in the same cell: a program whose output holds NaN
+    verifies against itself."""
     if set(a.arrays) != set(b.arrays):
         return False
     return all(
-        np.allclose(a.arrays[name], b.arrays[name], rtol=rtol, atol=atol)
+        a.arrays[name] is b.arrays[name]
+        or np.allclose(
+            a.arrays[name], b.arrays[name], rtol=rtol, atol=atol, equal_nan=True
+        )
         for name in a.arrays
     )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -87,6 +88,8 @@ class TransformResult:
     demotions: List[DemotionRecord] = field(default_factory=list)
     #: per-group verification-gate verdicts for the committed kernels
     group_verdicts: List[GroupVerdict] = field(default_factory=list)
+    #: seconds the per-group gate spent executing kernels
+    group_gate_s: float = 0.0
 
     @property
     def new_kernel_count(self) -> int:
@@ -248,6 +251,7 @@ def materialize(
     degraded: List[Tuple[str, ...]] = []
     demotions: List[DemotionRecord] = []
     verdicts: List[GroupVerdict] = []
+    gate_s = 0.0  # in verify_group
     fused_counter = 0
 
     group_options = FusionOptions(**{**options.__dict__})
@@ -363,6 +367,7 @@ def materialize(
         def gated_verify(kernel_candidate: FusedKernel) -> GroupVerdict:
             """Verify one generated kernel, reusing a stored verdict when
             the group's full content matches a previously passed gate."""
+            nonlocal gate_s
             group_key: Optional[str] = None
             if store is not None and verify_cfg.enabled:
                 group_key = _group_verify_key(
@@ -382,6 +387,7 @@ def materialize(
                         status="pass",
                         cause="reused from store",
                     )
+            start = perf_counter()
             with span("verify:group", kernel=name):
                 fresh = verify_group(
                     kernel_candidate,
@@ -391,6 +397,7 @@ def materialize(
                     verify_cfg,
                     block_exec=block_exec,
                 )
+            gate_s += perf_counter() - start
             get_registry().inc(
                 "verify_group_verdicts_total", status=fresh.status
             )
@@ -544,6 +551,7 @@ def materialize(
         degraded_groups=degraded,
         demotions=demotions,
         group_verdicts=verdicts,
+        group_gate_s=gate_s,
     )
 
 

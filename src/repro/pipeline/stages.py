@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
 import networkx as nx
@@ -152,13 +153,22 @@ class PipelineState:
     #: lands in ``run.json`` so a repeat run is auditable
     reused: Dict[str, str] = field(default_factory=dict)
     #: what codegen interpreted, and why (``run.json`` / ledger
-    #: ``verification`` block)
+    #: ``verification`` block).  Summed over the gate's paired runs:
+    #: ``program_launches`` per program, the ``shared_launches`` executed
+    #: once for both, ``program_gate_s``; ``first_divergence`` is the
+    #: first paired run's (:class:`~repro.gpu.interpreter.RunResult`);
+    #: ``group_gate_s`` is the per-group gate's time in ``verify_group``
     verification: Dict[str, Any] = field(
         default_factory=lambda: {
             "program_runs": 0,
             "reversed_run": False,
             "order_sensitive_launches": {},
             "counters_from": None,
+            "program_launches": {"original": 0, "transformed": 0},
+            "shared_launches": 0,
+            "first_divergence": None,
+            "program_gate_s": 0.0,
+            "group_gate_s": 0.0,
         }
     )
     #: the program the gate last ran with counters on and that run's
@@ -518,7 +528,7 @@ def stage_search(state: PipelineState) -> PipelineState:
 
 def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
     """``run_program`` under the run's interpreter strategy."""
-    state.verification["program_runs"] += 1
+    state.verification["program_runs"] += 1 + ("reference" in kwargs)
     return run_program(program, block_exec=state.config.block_exec, **kwargs)
 
 
@@ -528,15 +538,21 @@ EXECUTION_FAILED = "whole-program execution failed"
 
 
 def _whole_program_failure(state: PipelineState) -> Optional[str]:
-    """Run original vs transformed — and transformed again under the
-    reversed block order when a launch could tell the difference.
+    """Run original vs transformed in one paired run — and transformed
+    again, on its own, under the reversed block order when a launch could
+    tell the difference.
 
     Returns ``None`` when the transformed program verified, else the
     cause: its outputs differ (:data:`MISMATCH`) or a run of it raised an
     :class:`~repro.errors.InterpreterError` (:data:`EXECUTION_FAILED` —
     e.g. a fused kernel out of bounds on the app's own data, which only
-    the per-group gate would otherwise have caught).
+    the per-group gate would otherwise have caught).  The original's own
+    failure raises.
 
+    The paired run (:meth:`~repro.gpu.interpreter.HostInterpreter.run_paired`)
+    interprets both programs at once and executes each launch they share
+    once; its arrays and the transformed program's launch records are
+    bitwise those of two separate runs (DESIGN.md §5, "The paired run").
     The reversed run exposes inter-block races.  It is skipped when no
     launch of the forward run was order-sensitive
     (:class:`~repro.gpu.interpreter.LaunchRecord`): by induction over the
@@ -546,27 +562,40 @@ def _whole_program_failure(state: PipelineState) -> Optional[str]:
     assert state.transform is not None
     program = state.transform.program
     counted = _writes_telemetry(state)
+    info = state.verification
     sensitive: List[str] = []
     reverse = False
+    start = perf_counter()
     with span("verify:program") as gate:
-        before = _run(state, state.program)
-        try:
-            after = _run(state, program, collect_counters=counted)
+        after = _run(
+            state, program, collect_counters=counted, reference=state.program
+        )
+        launches = info["program_launches"]
+        launches["original"] += len(after.reference.launches)
+        launches["transformed"] += len(after.launches)
+        info["shared_launches"] += after.shared_launches
+        info["first_divergence"] = info["first_divergence"] or after.first_divergence
+        error = after.error
+        if error is None:
             if counted:
                 state._counted_run = (program, after.launches)
             sensitive = [r.kernel for r in after.launches if r.order_sensitive]
-            verified = outputs_allclose(before, after)
+            verified = outputs_allclose(after.reference, after)
             reverse = verified and bool(sensitive)
             if reverse:
-                verified = outputs_allclose(
-                    before, _run(state, program, block_order="reverse")
-                )
+                try:
+                    verified = outputs_allclose(
+                        after.reference, _run(state, program, block_order="reverse")
+                    )
+                except InterpreterError as exc:
+                    error = exc
+        if error is not None:
+            logger.warning("transformed program failed to run: %s", error)
+            failure: Optional[str] = EXECUTION_FAILED
+        else:
             failure = None if verified else MISMATCH
-        except InterpreterError as exc:
-            logger.warning("transformed program failed to run: %s", exc)
-            failure = EXECUTION_FAILED
         gate.set(runs=3 if reverse else 2, reversed=reverse)
-    info = state.verification
+    info["program_gate_s"] += perf_counter() - start
     info["reversed_run"] |= reverse
     by_kernel = info["order_sensitive_launches"]
     for kernel in sensitive:
@@ -625,6 +654,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             store=store,
             block_exec=state.config.block_exec,
         )
+        state.verification["group_gate_s"] += state.transform.group_gate_s
         reads = store.served_since(mark) if materialized_key else None
         if reads is not None:
             store.remember(

@@ -37,7 +37,8 @@ class VerifyConfig:
     enabled: bool = True
     #: input-synthesis seed
     seed: int = 0
-    #: 0 = bitwise comparison; >0 = np.allclose with this rtol (and atol)
+    #: 0 = exact comparison; >0 = np.allclose with this rtol (and atol);
+    #: either way NaN equals NaN in the same cell
     rtol: float = 0.0
 
 
@@ -214,17 +215,16 @@ def verify_group(
             continue
         a, b = baseline[name], candidate[name]
         if config.rtol > 0:
-            ok = np.allclose(a, b, rtol=config.rtol, atol=config.rtol)
+            differ = ~np.isclose(a, b, rtol=config.rtol, atol=config.rtol, equal_nan=True)
         else:
-            ok = bool(np.array_equal(a, b))
-        if not ok:
-            diff = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-            count = int(np.count_nonzero(diff))
+            differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+        if differ.any():
+            diff = np.abs(a[differ].astype(np.float64) - b[differ].astype(np.float64))
             return GroupVerdict(
                 fused.kernel.name,
                 members,
                 "fail",
                 f"output mismatch on array {name!r} "
-                f"({count} cells differ, max |diff| {float(diff.max()):.3e})",
+                f"({int(differ.sum())} cells differ, max |diff| {np.max(diff):.3e})",
             )
     return GroupVerdict(fused.kernel.name, members, "pass")

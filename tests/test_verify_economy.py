@@ -1,7 +1,8 @@
 """Run every program once — gated on counts (no timing, no noise).
 
-A cold ``transform()`` interprets two whole programs: the original and
-one transformed run that both feeds the verification gate and, counted,
+A cold ``transform()`` interprets two whole programs in one paired
+``run_program`` call: the original as the reference, and the transformed
+program, whose run both feeds the verification gate and, counted,
 ``model_validation.json``.  The reversed-block-order run happens only
 when a launch of that run was order-sensitive
 (``LaunchRecord.order_sensitive``).  Pinned here: the run counts on the
@@ -60,6 +61,18 @@ def _standalone_validation(result, path):
 
 # ------------------------------------------------------- (i) + (ii) paper apps
 
+#: launches of the transformed program the paired run executes once for
+#: both programs: all but the fused hunk's
+SHARED_LAUNCHES = {"Fluam": 63, "MITgcm": 11}
+#: launches of the original and of the transformed program
+PROGRAM_LAUNCHES = {"Fluam": (84, 66), "MITgcm": (19, 14)}
+TIMES = ("program_gate_s", "group_gate_s")
+
+
+def _untimed(block):
+    assert all(block[key] >= 0 for key in TIMES), block
+    return {k: v for k, v in block.items() if k not in TIMES}
+
 
 @pytest.mark.parametrize("app", ["Fluam", "MITgcm"])
 def test_cold_transform_interprets_two_programs(app, program_runs, tmp_path):
@@ -74,28 +87,40 @@ def test_cold_transform_interprets_two_programs(app, program_runs, tmp_path):
     assert loud.verified is True and quiet.verified is True
     assert loud.source == quiet.source
 
-    # before + one after, counted only when someone reads the counters
-    assert [kw.get("collect_counters", False) for kw, _ in loud_runs] == [
-        False, True,
-    ]
+    # one paired call (before + after), counted only when someone reads
+    # the counters
+    assert [kw.get("collect_counters", False) for kw, _ in loud_runs] == [True]
     assert [kw.get("collect_counters", False) for kw, _ in program_runs] == [
-        False, False,
+        False
     ]
+    for runs, result in ((loud_runs, loud), (program_runs, quiet)):
+        assert [kw["reference"] for kw, _ in runs] == [result.state.program]
     assert all("block_order" not in kw for kw, _ in loud_runs + program_runs)
     # what telemetry costs end to end: no launch the quiet run does not make
-    assert [len(r.launches) for _, r in loud_runs] == [
-        len(r.launches) for _, r in program_runs
+    assert [
+        (len(r.launches), len(r.reference.launches), r.shared_launches)
+        for _, r in loud_runs
+    ] == [
+        (len(r.launches), len(r.reference.launches), r.shared_launches)
+        for _, r in program_runs
     ]
 
     block = json.loads((workdir / "run.json").read_text())["verification"]
-    assert block == {
+    assert _untimed(block) == {
         "program_runs": 2,
         "reversed_run": False,
         "order_sensitive_launches": {},
         "counters_from": "verify",
+        "program_launches": dict(
+            zip(("original", "transformed"), PROGRAM_LAUNCHES[app])
+        ),
+        "shared_launches": SHARED_LAUNCHES[app],
+        "first_divergence": None,
     }
     assert loud.state.verification == block
-    assert quiet.state.verification == {**block, "counters_from": None}
+    assert _untimed(quiet.state.verification) == {
+        **_untimed(block), "counters_from": None,
+    }
     # the gate's counted run is as good as a run made for the counters alone
     assert (workdir / "model_validation.json").read_bytes() == (
         _standalone_validation(loud, tmp_path / "standalone.json")
@@ -167,16 +192,17 @@ def test_reduced_gate_gives_the_three_run_verdict(case, mode, program_runs):
     expected = _three_run_verdict(original, transformed, mode)
     state = _gate_state(original, transformed, mode)
     assert (stages._whole_program_failure(state) is None) is expected
-    forward = program_runs[1][1]
+    forward = program_runs[0][1]
     sensitive = [r.kernel for r in forward.launches if r.order_sensitive]
     reversed_runs = [
         kw for kw, _ in program_runs if kw.get("block_order") == "reverse"
     ]
     # the reversed run is made iff a launch could tell and forward passed
-    forward_ok = outputs_allclose(program_runs[0][1], forward)
+    forward_ok = outputs_allclose(forward.reference, forward)
     assert len(reversed_runs) == int(bool(sensitive) and forward_ok)
     assert state.verification["reversed_run"] is bool(reversed_runs)
-    assert state.verification["program_runs"] == len(program_runs)
+    # the paired call interprets two programs
+    assert state.verification["program_runs"] == len(program_runs) + 1
     assert sum(state.verification["order_sensitive_launches"].values()) == len(
         sensitive
     )
@@ -228,13 +254,17 @@ def test_identity_fallback_never_reports_the_rejected_programs_counters(
     )
     assert result.verified is True
     assert "fell back to identity program" in result.state.reports["codegen"]
-    assert result.state.verification == {
+    assert _untimed(result.state.verification) == {
         "program_runs": 4,
         "reversed_run": False,
         "order_sensitive_launches": {},
         "counters_from": "verify",
+        # the identity fallback makes every launch of the original
+        "program_launches": {"original": 19 + 19, "transformed": 14 + 19},
+        "shared_launches": SHARED_LAUNCHES["MITgcm"] + 19,
+        "first_divergence": None,
     }
-    rejected, identity = program_runs[1][1], program_runs[3][1]
+    rejected, identity = program_runs[0][1], program_runs[1][1]
     assert {r.kernel for r in rejected.launches} != {
         r.kernel for r in identity.launches
     }
