@@ -2300,10 +2300,14 @@ class _PairedReplay:
             ref.pairs[a.slot], new.pairs[b.slot] = b.slot, a.slot
         elif isinstance(a, _Fill) and ref.slots[a.slot] is new.slots[b.slot]:
             _fill(ref.slots[a.slot], a)
-        elif isinstance(a, _Launch) and all(
-            ref.slots[x.slot] is new.slots[y.slot]
-            for x, y in zip(a.args, b.args)
-            if isinstance(x, _ArrayRef)
+        elif (
+            isinstance(a, _Launch)
+            and self.host.execute_kernels
+            and all(
+                ref.slots[x.slot] is new.slots[y.slot]
+                for x, y in zip(a.args, b.args)
+                if isinstance(x, _ArrayRef)
+            )
         ):
             records = (self.host._record(ref, a), self.host._record(new, b))
             self.host._execute(a, ref.bind(a), records)

@@ -138,6 +138,10 @@ __global__ void alias(double *A, const double *B, int n) {
     double *p = A;
     p[i] = B[i] + 1.0;
 }
+__global__ void addhalf(double *A, double s, int n) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    A[i] = A[i] + s / 2;
+}
 """
 OK = "ok<<<dim3(4, 1, 1), dim3(8, 1, 1)>>>(A, B, n);"
 OK_BACK = "ok<<<dim3(4, 1, 1), dim3(8, 1, 1)>>>(B, A, n);"
@@ -164,6 +168,29 @@ def test_a_store_through_a_local_alias_stays_in_its_program():
         assert_bitwise(paired.reference, run_program(original))
         assert_bitwise(paired, run_program(transformed))
         assert paired.shared_launches == 1  # A differs after alias
+
+
+def test_a_kernel_that_keeps_its_name_but_not_its_body_is_never_shared():
+    original = program(OK, OK_BACK)
+    transformed = parse_program(
+        unparse(original).replace("B[i] * 2.0", "B[i] * 3.0")
+    )
+    assert original.kernel("ok") != transformed.kernel("ok")
+    paired = run_program(transformed, reference=original)
+    assert paired.shared_launches == 0
+    assert_bitwise(paired.reference, run_program(original))
+    assert_bitwise(paired, run_program(transformed))
+
+
+def test_scalars_equal_in_value_but_not_in_type_are_never_shared():
+    """The interpreter binds a scalar argument as passed: ``3 / 2`` is 1."""
+    launch = "addhalf<<<dim3(4, 1, 1), dim3(8, 1, 1)>>>(A, {}, n);"
+    original, transformed = program(launch.format("3")), program(launch.format("3.0"))
+    paired = run_program(transformed, reference=original)
+    assert paired.shared_launches == 0
+    assert not np.array_equal(paired.arrays["A"], paired.reference.arrays["A"])
+    assert_bitwise(paired.reference, run_program(original))
+    assert_bitwise(paired, run_program(transformed))
 
 
 def raised(call):
