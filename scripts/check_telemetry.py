@@ -11,7 +11,8 @@ Checks, with plain asserts and no dependencies:
 
 * ``run.json``        — schema tag, config/env/stage-time structure, the
   ``verification`` block (program runs, reversed run, counter source,
-  launches the paired run shared, gate times, first divergence),
+  launches the paired run shared, gate times, first divergence, gate
+  verdicts the store served),
   the ``front_door`` block (source size, load time, memo outcome) and
   the ``interpreter`` block (launches per executor, accesses per path);
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
@@ -46,6 +47,9 @@ VERIFICATION_FIELDS = (
     "program_launches", "shared_launches", "first_divergence",
     "program_gate_s", "group_gate_s",
 )
+
+#: ``verification.verdicts_reused``: group verdicts by status + program
+VERDICT_KINDS = {"pass", "fail", "inconclusive", "program"}
 
 FRONT_DOOR_FIELDS = ("source_bytes", "load_s", "memo")
 
@@ -107,7 +111,10 @@ def check_run_manifest(path: Path) -> None:
     else:
         expect(run.get("error") is not None,
                "a failed run must carry an error diagnostic")
-    check_verification(run.get("verification"), "run.json")
+    block = run.get("verification")
+    expect(block is None or "verdicts_reused" in block,
+           "run.json: verification missing 'verdicts_reused'")
+    check_verification(block, "run.json")
     expect("front_door" in run, "run.json missing key 'front_door'")
     check_front_door(run["front_door"], "run.json")
     expect("interpreter" in run, "run.json missing key 'interpreter'")
@@ -205,6 +212,16 @@ def check_verification(block: object, where: str) -> None:
     for key in ("program_gate_s", "group_gate_s"):
         expect(isinstance(block[key], (int, float)) and block[key] >= 0,
                f"{where}: verification.{key} must be a non-negative number")
+    # additive: ledger records written before failures were stored carry
+    # none; run.json must (check_run_manifest)
+    reused = block.get("verdicts_reused")
+    expect(reused is None
+           or (isinstance(reused, dict) and set(reused) == VERDICT_KINDS
+               and all(isinstance(n, int) and n >= 0 for n in reused.values())),
+           f"{where}: verdicts_reused must map {sorted(VERDICT_KINDS)} -> count")
+    expect(reused is None or reused["program"] <= 2,
+           f"{where}: more served program verdicts than gates "
+           f"(the transformed program and its identity fallback)")
     divergence = block["first_divergence"]
     expect(divergence is None
            or (isinstance(divergence, dict)

@@ -9,6 +9,7 @@ exit-code-2 failures leave a machine-readable trace too).
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import platform
@@ -19,11 +20,24 @@ from typing import Dict, Optional
 
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
-    """Best-effort revision of the working tree (None outside a repo)."""
+    """Best-effort revision of the working tree (None outside a repo).
+
+    Read once per process and directory: the code a process runs does not
+    change under it, and every ledger record and ``run.json`` asks.
+    """
+    try:
+        directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
+    except OSError:
+        return None
+    return _git_sha_in(directory)
+
+
+@functools.lru_cache(maxsize=16)
+def _git_sha_in(directory: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
+            cwd=directory,
             capture_output=True,
             text=True,
             timeout=5,

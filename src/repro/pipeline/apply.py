@@ -44,7 +44,12 @@ from ..observability.metrics import get_registry
 from ..observability.tracing import span
 from ..reliability import faults
 from ..reliability.degrade import DemotionRecord, fusion_waves
-from ..reliability.verify import GroupVerdict, VerifyConfig, verify_group
+from ..reliability.verify import (
+    GROUP_STATUSES,
+    GroupVerdict,
+    VerifyConfig,
+    verify_group,
+)
 from ..search.grouping import FusionProblem, Grouping
 from ..search.problem_builder import CodegenBinding
 from ..store import keys as store_keys
@@ -90,6 +95,10 @@ class TransformResult:
     group_verdicts: List[GroupVerdict] = field(default_factory=list)
     #: seconds the per-group gate spent executing kernels
     group_gate_s: float = 0.0
+    #: group verdicts served by the store instead of the gate, by status
+    verdicts_reused: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(GROUP_STATUSES, 0)
+    )
 
     @property
     def new_kernel_count(self) -> int:
@@ -236,9 +245,10 @@ def materialize(
 
     ``store`` enables incremental re-verification: a generated group whose
     content (kernel text, launch configuration, constituents, array
-    shapes, verification settings) matches a previously *passed*
-    verification is committed without re-running the interpreter, and
-    block-tuning decisions are memoized by their occupancy inputs.
+    shapes, verification settings) the gate has judged before gets that
+    verdict back without re-running the interpreter — a pass is
+    committed, a failure demotes with the same cause — and block-tuning
+    decisions are memoized by their occupancy inputs.
     """
     options = options or FusionOptions()
     verify_cfg = verify_config or VerifyConfig()
@@ -252,6 +262,7 @@ def materialize(
     demotions: List[DemotionRecord] = []
     verdicts: List[GroupVerdict] = []
     gate_s = 0.0  # in verify_group
+    verdicts_reused = dict.fromkeys(GROUP_STATUSES, 0)
     fused_counter = 0
 
     group_options = FusionOptions(**{**options.__dict__})
@@ -365,8 +376,8 @@ def materialize(
         candidate = tuned if tuned is not None else fused
 
         def gated_verify(kernel_candidate: FusedKernel) -> GroupVerdict:
-            """Verify one generated kernel, reusing a stored verdict when
-            the group's full content matches a previously passed gate."""
+            """Verify one generated kernel, or serve the verdict the gate
+            reached before on the group's full content."""
             nonlocal gate_s
             group_key: Optional[str] = None
             if store is not None and verify_cfg.enabled:
@@ -377,16 +388,13 @@ def materialize(
                     array_shapes,
                     verify_cfg,
                 )
-                if stage_cache.group_previously_verified(store, group_key):
+                stored = stage_cache.load_group_verdict(store, group_key)
+                if stored is not None:
+                    verdicts_reused[stored.status] += 1
                     get_registry().inc(
                         "verify_group_verdicts_total", status="reused"
                     )
-                    return GroupVerdict(
-                        kernel=name,
-                        members=tuple(members),
-                        status="pass",
-                        cause="reused from store",
-                    )
+                    return stored
             start = perf_counter()
             with span("verify:group", kernel=name):
                 fresh = verify_group(
@@ -401,8 +409,8 @@ def materialize(
             get_registry().inc(
                 "verify_group_verdicts_total", status=fresh.status
             )
-            if group_key is not None and fresh.status == "pass":
-                stage_cache.record_verified_group(store, group_key, fresh)
+            if group_key is not None:
+                stage_cache.record_group_verdict(store, group_key, fresh)
             return fresh
 
         verdict = gated_verify(candidate)
@@ -552,6 +560,7 @@ def materialize(
         demotions=demotions,
         group_verdicts=verdicts,
         group_gate_s=gate_s,
+        verdicts_reused=verdicts_reused,
     )
 
 

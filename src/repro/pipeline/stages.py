@@ -47,7 +47,7 @@ from ..observability.runtime import telemetry_enabled
 from ..observability.search_telemetry import search_telemetry_rows, write_jsonl
 from ..observability.tracing import span
 from ..reliability.degrade import DemotionRecord
-from ..reliability.verify import VerifyConfig
+from ..reliability.verify import GROUP_STATUSES, VerifyConfig
 from ..search import (
     BuiltProblem,
     GAParams,
@@ -157,7 +157,9 @@ class PipelineState:
     #: ``program_launches`` per program, the ``shared_launches`` executed
     #: once for both, ``program_gate_s``; ``first_divergence`` is the
     #: first paired run's (:class:`~repro.gpu.interpreter.RunResult`);
-    #: ``group_gate_s`` is the per-group gate's time in ``verify_group``
+    #: ``group_gate_s`` is the per-group gate's time in ``verify_group``;
+    #: ``verdicts_reused`` counts the gate verdicts the store served
+    #: instead: group verdicts by status, whole-program ones as ``program``
     verification: Dict[str, Any] = field(
         default_factory=lambda: {
             "program_runs": 0,
@@ -169,6 +171,7 @@ class PipelineState:
             "first_divergence": None,
             "program_gate_s": 0.0,
             "group_gate_s": 0.0,
+            "verdicts_reused": {**dict.fromkeys(GROUP_STATUSES, 0), "program": 0},
         }
     )
     #: the program the gate last ran with counters on and that run's
@@ -603,6 +606,30 @@ def _whole_program_failure(state: PipelineState) -> Optional[str]:
     return failure
 
 
+def _program_gate(
+    state: PipelineState, text: Optional[str]
+) -> Tuple[Optional[str], bool]:
+    """:func:`_whole_program_failure` of ``state.transform.program``, or
+    the verdict the gate reached before on the same original and
+    transformed ``text`` (``None`` without a store); and whether the
+    store served it."""
+    store = state.config.store
+    key: Optional[str] = None
+    if store is not None and text is not None:
+        key = store_keys.verified_program_key(state.program_fingerprint, text)
+        stored = stage_cache.load_program_verdict(store, key)
+        if stored is not None:
+            state.verification["verdicts_reused"]["program"] += 1
+            state.reused["verify_program"] = "verdict"
+            return (None if stored == stage_cache.PROGRAM_PASS else stored), True
+    failure = _whole_program_failure(state)
+    if key is not None:
+        stage_cache.record_program_verdict(
+            store, key, failure or stage_cache.PROGRAM_PASS
+        )
+    return failure, False
+
+
 def stage_codegen(state: PipelineState) -> PipelineState:
     """Stage 5: generate the new kernels and rewrite the host code.
 
@@ -663,13 +690,12 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 state.transform,
                 inputs + reads,
             )
-    reused_groups = [
-        v.kernel
-        for v in state.transform.group_verdicts
-        if v.cause == "reused from store"
-    ]
+    reused_verdicts = state.verification["verdicts_reused"]
+    for status, count in state.transform.verdicts_reused.items():
+        reused_verdicts[status] += count
+    reused_groups = sum(state.transform.verdicts_reused.values())
     if reused_groups:
-        state.reused["verify_groups"] = f"{len(reused_groups)} groups"
+        state.reused["verify_groups"] = f"{reused_groups} groups"
     reused_tuning = sum(1 for t in state.transform.tuning if t.reused)
     if reused_tuning:
         state.reused["tuning"] = f"{reused_tuning} blocks"
@@ -680,24 +706,12 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     # the transformed program's text: unparsed once, where first needed
     transformed_text: Optional[str] = None
     if state.config.verify:
-        program_key = None
         if store is not None:
             transformed_text = unparse(state.transform.program)
-            program_key = store_keys.verified_program_key(
-                state.program_fingerprint, transformed_text
-            )
-        failure: Optional[str] = None
-        if program_key is not None and stage_cache.program_previously_verified(
-            store, program_key
-        ):
-            state.verified = True
-            state.reused["verify_program"] = "verdict"
+        failure, served = _program_gate(state, transformed_text)
+        state.verified = failure is None
+        if served:
             codegen_note = "; verification reused from store"
-        else:
-            failure = _whole_program_failure(state)
-            state.verified = failure is None
-            if state.verified and program_key is not None:
-                stage_cache.record_verified_program(store, program_key)
         if not state.verified:
             if not state.config.fail_soft:
                 raise PipelineError(
@@ -738,8 +752,10 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 + [d.members for d in demoted],
             )
             transformed_text = None  # that was the demoted program's
-            codegen_note = "; fell back to identity program"
-            state.verified = _whole_program_failure(state) is None
+            if store is not None:
+                transformed_text = unparse(state.transform.program)
+            codegen_note += "; fell back to identity program"
+            state.verified = _program_gate(state, transformed_text)[0] is None
             if not state.verified:
                 raise PipelineError(
                     "identity fallback program does not match the original "

@@ -42,6 +42,10 @@ class VerifyConfig:
     rtol: float = 0.0
 
 
+#: every ``GroupVerdict.status``
+GROUP_STATUSES = ("pass", "fail", "inconclusive")
+
+
 @dataclass(frozen=True)
 class GroupVerdict:
     """Outcome of verifying one fused group.

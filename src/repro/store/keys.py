@@ -14,6 +14,7 @@ search parameter and the metadata/graph entries keep hitting.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import asdict
@@ -50,8 +51,12 @@ def program_fingerprint(program: "ast.Program") -> str:
     return hashlib.sha256(unparse(program).encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
 def device_fingerprint(device: "DeviceSpec") -> str:
-    """Content digest of a device model (every spec field participates)."""
+    """Content digest of a device model (every spec field participates).
+
+    Memoised per (frozen, hashable) spec: a warm run asks for it once per
+    stage key."""
     return digest("device", tuple(sorted(asdict(device).items())))
 
 

@@ -14,9 +14,12 @@ Namespaces
                         params-incl-seed) triple
 ``population``        — warm-start payload: best + final population,
                         transferable across seeds
-``verified_groups``   — per-group verification verdicts, keyed on group
-                        content only (survive unrelated program edits)
-``verified_programs`` — whole-program verification verdicts
+``verified_groups``   — every per-group verdict the gate reached (pass,
+                        fail or inconclusive, with its cause), keyed on
+                        group content only (survive unrelated program
+                        edits)
+``verified_programs`` — every whole-program verdict: verified, or the
+                        failure cause (the identity fallback's too)
 ``tuning``            — thread-block tuning decisions
 
 Memory-only namespaces (:meth:`ArtifactStore.remember`, never on disk):
@@ -28,6 +31,10 @@ The ``metadata``, ``targets``, ``graphs``, ``search`` and
 ``verified_programs`` loaders read through the memory tier
 (:meth:`ArtifactStore.get_decoded`): what they return is shared with
 later hits and must not be mutated.
+
+A verdict is a function of its key, so failures are stored beside
+passes and a warm run re-executes no gate.  While a fault plan is active
+no non-pass verdict is written or served: a seam may have caused it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,8 @@ from ..analysis.metadata import (
     _parse_perf,
 )
 from ..gpu.device import DeviceSpec
+from ..reliability import faults
+from ..reliability.verify import GROUP_STATUSES, GroupVerdict
 from ..search.gga import SearchResult
 from ..search.grouping import FusionProblem, Grouping
 from ..search.params import GAParams
@@ -353,9 +362,16 @@ def load_warm_start(
 
 # ------------------------------------------------------- verification reuse
 
+#: the stored outcome of a whole-program gate that verified
+PROGRAM_PASS = "pass"
 
-def record_verified_group(store: ArtifactStore, key: str, verdict) -> None:
-    """Remember that the group addressed by ``key`` verified clean."""
+
+def record_group_verdict(
+    store: ArtifactStore, key: str, verdict: GroupVerdict
+) -> None:
+    """Remember the verdict the group gate reached on ``key``'s group."""
+    if not verdict.passed and faults.active_plan() is not None:
+        return
     store.put(
         NS_VERIFIED_GROUPS,
         key,
@@ -363,27 +379,54 @@ def record_verified_group(store: ArtifactStore, key: str, verdict) -> None:
             "kernel": verdict.kernel,
             "members": list(verdict.members),
             "status": verdict.status,
+            "cause": verdict.cause,
         },
     )
 
 
-def group_previously_verified(store: ArtifactStore, key: str) -> bool:
+def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]:
+    """The verdict stored for ``key``'s group, or ``None``."""
     payload = store.get(NS_VERIFIED_GROUPS, key)
-    return payload is not None and payload.get("status") == "pass"
-
-
-def record_verified_program(store: ArtifactStore, key: str) -> None:
-    store.put(NS_VERIFIED_PROGRAMS, key, {"verified": True})
-
-
-def program_previously_verified(store: ArtifactStore, key: str) -> bool:
-    return bool(
-        store.get_decoded(
-            NS_VERIFIED_PROGRAMS,
-            key,
-            lambda payload: payload.get("verified") is True or None,
+    if payload is None:
+        return None
+    try:
+        verdict = GroupVerdict(
+            kernel=str(payload["kernel"]),
+            members=tuple(str(m) for m in payload["members"]),
+            status=str(payload["status"]),
+            cause=str(payload.get("cause", "")),
         )
-    )
+    except (KeyError, TypeError) as exc:
+        logger.warning("store: group verdict unusable (%s); re-verifying", exc)
+        return None
+    if verdict.status not in GROUP_STATUSES:
+        return None
+    if not verdict.passed and faults.active_plan() is not None:
+        return None
+    return verdict
+
+
+def record_program_verdict(store: ArtifactStore, key: str, outcome: str) -> None:
+    """Remember the whole-program gate's outcome on ``key``'s program:
+    :data:`PROGRAM_PASS` or the failure cause."""
+    if outcome != PROGRAM_PASS and faults.active_plan() is not None:
+        return
+    store.put(NS_VERIFIED_PROGRAMS, key, {"outcome": outcome})
+
+
+def load_program_verdict(store: ArtifactStore, key: str) -> Optional[str]:
+    """The outcome stored for ``key``'s program, or ``None``."""
+    outcome = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
+    if outcome != PROGRAM_PASS and faults.active_plan() is not None:
+        return None
+    return outcome
+
+
+def _decode_program_verdict(payload: Dict[str, object]) -> Optional[str]:
+    if payload.get("verified") is True:  # written before failures were kept
+        return PROGRAM_PASS
+    outcome = payload.get("outcome")
+    return outcome if isinstance(outcome, str) and outcome else None
 
 
 # --------------------------------------------------------------- block tuning

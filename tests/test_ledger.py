@@ -70,6 +70,26 @@ def test_config_digest_ignores_output_paths():
 # ----------------------------------------------------------- append/query
 
 
+def test_git_revision_is_read_once_per_directory(tmp_path, monkeypatch):
+    """Every record and run.json asks for the revision; only the first ask
+    in a directory forks ``git``."""
+    from repro.observability import runinfo
+
+    forks = []
+    real = subprocess.run
+    monkeypatch.setattr(
+        runinfo.subprocess, "run",
+        lambda *a, **kw: forks.append(kw["cwd"]) or real(*a, **kw),
+    )
+    first = runinfo.git_sha(str(tmp_path))
+    assert runinfo.git_sha(str(tmp_path / ".")) == first
+    assert forks == [str(tmp_path.resolve())]
+    here = runinfo.git_sha()
+    forks.clear()
+    assert [_record(when=float(i))["git_sha"] for i in range(3)] == [here] * 3
+    assert forks == []
+
+
 def test_append_assigns_unique_ids_and_roundtrips(store):
     ids = {append_record(store, _record(when=i)) for i in range(5)}
     assert len(ids) == 5 and None not in ids

@@ -67,6 +67,8 @@ SHARED_LAUNCHES = {"Fluam": 63, "MITgcm": 11}
 #: launches of the original and of the transformed program
 PROGRAM_LAUNCHES = {"Fluam": (84, 66), "MITgcm": (19, 14)}
 TIMES = ("program_gate_s", "group_gate_s")
+#: ``verdicts_reused`` of a storeless run: every gate ran
+NONE_REUSED = {"pass": 0, "fail": 0, "inconclusive": 0, "program": 0}
 
 
 def _untimed(block):
@@ -116,6 +118,7 @@ def test_cold_transform_interprets_two_programs(app, program_runs, tmp_path):
         ),
         "shared_launches": SHARED_LAUNCHES[app],
         "first_divergence": None,
+        "verdicts_reused": NONE_REUSED,
     }
     assert loud.state.verification == block
     assert _untimed(quiet.state.verification) == {
@@ -263,6 +266,7 @@ def test_identity_fallback_never_reports_the_rejected_programs_counters(
         "program_launches": {"original": 19 + 19, "transformed": 14 + 19},
         "shared_launches": SHARED_LAUNCHES["MITgcm"] + 19,
         "first_divergence": None,
+        "verdicts_reused": NONE_REUSED,
     }
     rejected, identity = program_runs[0][1], program_runs[1][1]
     assert {r.kernel for r in rejected.launches} != {
@@ -296,14 +300,22 @@ def test_identity_fallback_writes_its_own_text(monkeypatch, tmp_path):
     assert "fell back to identity program" in result.state.reports["codegen"]
     assert not result.state.transform.fused_kernels
     assert (workdir / "transformed.cu").read_text() == result.source
-    # the rejected program's verdict key was never recorded: a repeat
-    # fuses, verifies for real this time and records that
+    # the rejection was recorded under the rejected program's text and
+    # the fallback's verdict under its own: a repeat is served both and
+    # runs no program
+    runs = []
+    monkeypatch.setattr(
+        stages, "run_program",
+        lambda *a, **kw: runs.append(kw) or run_program(*a, **kw),
+    )
     again = transform(
         source, store=True, store_root=str(tmp_path / "store"),
         seed=PINNED_GA_SEED,
     )
-    assert again.state.transform.fused_kernels
-    assert "verify_program" not in again.reused and again.verified is True
+    assert runs == []
+    assert again.source == result.source and again.verified is True
+    assert again.reused["verify_program"] == "verdict"
+    assert again.state.verification["verdicts_reused"]["program"] == 2
 
 
 def test_counted_run_of_another_program_is_not_consumed(program_runs, tmp_path):
