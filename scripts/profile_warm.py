@@ -14,15 +14,15 @@ use it to find candidates and ``benchmarks/e2e/run.py --workload
 warm-iterate`` (profiling off) to measure them.
 
 ``repeat`` is served by the memory tier.  ``disk-served`` is the path
-every service worker and every CLI re-run takes: the first ``--programs``
-programs of the ``service-mixed`` population, transformed cold into a
-second store with the bench's service config, then each once more with
-the tier cleared first, so every stage is decoded from disk.
+every service worker and every CLI re-run takes: the programs of one
+``service-mixed`` round, transformed cold into a second store with the
+bench's service config, then each once more with the tier cleared first,
+so every stage is decoded from disk.
 
 Usage::
 
-    python3 scripts/profile_warm.py [--top 25] [--ops 3] [--programs 20]
-        [--seed 20150615] [--sort tottime|cumtime]
+    python3 scripts/profile_warm.py [--top 25] [--ops 3] [--seed 20150615]
+        [--sort tottime|cumtime]
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=25)
     parser.add_argument("--ops", type=int, default=3,
                         help="ops of each kind to average over")
-    parser.add_argument("--programs", type=int, default=20,
-                        help="service programs to time disk-served (0: none)")
     parser.add_argument("--seed", type=int, default=None,
                         help="bench data seed (default: the bench's own)")
     parser.add_argument("--sort", choices=("tottime", "cumtime"), default="tottime")
@@ -79,7 +77,9 @@ def main() -> int:
     source = workloads.app_source(workloads.WarmIterate.app, seed, smoke=False)
     ga_seed = workloads.PINNED_GA_SEED
 
-    programs = workloads.service_programs(seed, args.programs)
+    programs = workloads.service_programs(
+        seed, workloads.ServiceMixed.programs_per_round
+    )
 
     with tempfile.TemporaryDirectory(prefix="profile-warm-") as store_root:
         base = dict(store=True, store_root=store_root, verify_seed=seed)

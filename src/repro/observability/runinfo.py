@@ -9,7 +9,6 @@ exit-code-2 failures leave a machine-readable trace too).
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import platform
@@ -23,17 +22,27 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     """Best-effort revision of the working tree (None outside a repo).
 
     Read once per process and directory: the code a process runs does not
-    change under it, and every ledger record and ``run.json`` asks.
+    change under it, and every ledger record and ``run.json`` asks.  Only
+    a revision is kept; a failed read (a timeout on a loaded machine) is
+    retried by the next caller.
     """
     try:
         directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
     except OSError:
         return None
-    return _git_sha_in(directory)
+    sha = _GIT_SHAS.get(directory)
+    if sha is None:
+        sha = _read_git_sha(directory)
+        if sha is not None:
+            _GIT_SHAS[directory] = sha
+    return sha
 
 
-@functools.lru_cache(maxsize=16)
-def _git_sha_in(directory: str) -> Optional[str]:
+#: resolved directory -> its revision, for the directories read so far
+_GIT_SHAS: Dict[str, str] = {}
+
+
+def _read_git_sha(directory: str) -> Optional[str]:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

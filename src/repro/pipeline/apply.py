@@ -32,6 +32,7 @@ from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import ReproError, TransformError, VerificationError
 from ..gpu.device import DeviceSpec
+from ..gpu.interpreter import DEFAULT_BLOCK_EXEC
 from ..gpu.perfmodel import (
     CodegenTraits,
     KernelProjection,
@@ -252,6 +253,9 @@ def materialize(
     """
     options = options or FusionOptions()
     verify_cfg = verify_config or VerifyConfig()
+    # a stored failure is served only under the executor it was reached
+    # under: its cause text may locate the failing block
+    verdict_mode = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
     schedule = _schedule_groups(problem, grouping)
     device_fp = store_keys.device_fingerprint(device)
 
@@ -388,7 +392,9 @@ def materialize(
                     array_shapes,
                     verify_cfg,
                 )
-                stored = stage_cache.load_group_verdict(store, group_key)
+                stored = stage_cache.load_group_verdict(
+                    store, group_key, verdict_mode
+                )
                 if stored is not None:
                     verdicts_reused[stored.status] += 1
                     get_registry().inc(
@@ -410,7 +416,9 @@ def materialize(
                 "verify_group_verdicts_total", status=fresh.status
             )
             if group_key is not None:
-                stage_cache.record_group_verdict(store, group_key, fresh)
+                stage_cache.record_group_verdict(
+                    store, group_key, fresh, verdict_mode
+                )
             return fresh
 
         verdict = gated_verify(candidate)

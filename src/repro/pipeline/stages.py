@@ -617,7 +617,9 @@ def _program_gate(
     key: Optional[str] = None
     if store is not None and text is not None:
         key = store_keys.verified_program_key(state.program_fingerprint, text)
-        stored = stage_cache.load_program_verdict(store, key)
+        stored = stage_cache.load_program_verdict(
+            store, key, state.config.block_exec
+        )
         if stored is not None:
             state.verification["verdicts_reused"]["program"] += 1
             state.reused["verify_program"] = "verdict"
@@ -625,7 +627,7 @@ def _program_gate(
     failure = _whole_program_failure(state)
     if key is not None:
         stage_cache.record_program_verdict(
-            store, key, failure or stage_cache.PROGRAM_PASS
+            store, key, failure or stage_cache.PROGRAM_PASS, state.config.block_exec
         )
     return failure, False
 

@@ -33,8 +33,12 @@ The ``metadata``, ``targets``, ``graphs``, ``search`` and
 later hits and must not be mutated.
 
 A verdict is a function of its key, so failures are stored beside
-passes and a warm run re-executes no gate.  While a fault plan is active
-no non-pass verdict is written or served: a seam may have caused it.
+passes and a warm run re-executes no gate.  A failure's cause text can
+depend on the executor (only the per-block loop locates a thread-invariant
+out-of-bounds access), so a non-pass verdict is served only under the
+``block_exec`` it was reached under; passes are shared across modes.
+While a fault plan is active no non-pass verdict is written or served: a
+seam may have caused it.
 """
 
 from __future__ import annotations
@@ -366,26 +370,35 @@ def load_warm_start(
 PROGRAM_PASS = "pass"
 
 
+def _plan_blocks(passed: bool) -> bool:
+    """Whether an active fault plan keeps a verdict out of the store, in
+    both directions: a seam may have caused a non-pass verdict."""
+    return not passed and faults.active_plan() is not None
+
+
 def record_group_verdict(
-    store: ArtifactStore, key: str, verdict: GroupVerdict
+    store: ArtifactStore, key: str, verdict: GroupVerdict, block_exec: str
 ) -> None:
-    """Remember the verdict the group gate reached on ``key``'s group."""
-    if not verdict.passed and faults.active_plan() is not None:
+    """Remember the verdict the group gate reached on ``key``'s group
+    under ``block_exec``."""
+    if _plan_blocks(verdict.passed):
         return
-    store.put(
-        NS_VERIFIED_GROUPS,
-        key,
-        {
-            "kernel": verdict.kernel,
-            "members": list(verdict.members),
-            "status": verdict.status,
-            "cause": verdict.cause,
-        },
-    )
+    payload: Dict[str, object] = {
+        "kernel": verdict.kernel,
+        "members": list(verdict.members),
+        "status": verdict.status,
+        "cause": verdict.cause,
+    }
+    if not verdict.passed:
+        payload["block_exec"] = block_exec
+    store.put(NS_VERIFIED_GROUPS, key, payload)
 
 
-def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]:
-    """The verdict stored for ``key``'s group, or ``None``."""
+def load_group_verdict(
+    store: ArtifactStore, key: str, block_exec: str
+) -> Optional[GroupVerdict]:
+    """The verdict stored for ``key``'s group that a run under
+    ``block_exec`` may reuse, or ``None``."""
     payload = store.get(NS_VERIFIED_GROUPS, key)
     if payload is None:
         return None
@@ -399,34 +412,52 @@ def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]
     except (KeyError, TypeError) as exc:
         logger.warning("store: group verdict unusable (%s); re-verifying", exc)
         return None
-    if verdict.status not in GROUP_STATUSES:
+    if verdict.status not in GROUP_STATUSES or _plan_blocks(verdict.passed):
         return None
-    if not verdict.passed and faults.active_plan() is not None:
+    if not verdict.passed and payload.get("block_exec") != block_exec:
         return None
     return verdict
 
 
-def record_program_verdict(store: ArtifactStore, key: str, outcome: str) -> None:
-    """Remember the whole-program gate's outcome on ``key``'s program:
-    :data:`PROGRAM_PASS` or the failure cause."""
-    if outcome != PROGRAM_PASS and faults.active_plan() is not None:
+def record_program_verdict(
+    store: ArtifactStore, key: str, outcome: str, block_exec: str
+) -> None:
+    """Remember the whole-program gate's outcome on ``key``'s program
+    under ``block_exec``: :data:`PROGRAM_PASS` or the failure cause."""
+    passed = outcome == PROGRAM_PASS
+    if _plan_blocks(passed):
         return
-    store.put(NS_VERIFIED_PROGRAMS, key, {"outcome": outcome})
+    payload: Dict[str, object] = {"outcome": outcome}
+    if not passed:
+        payload["block_exec"] = block_exec
+    store.put(NS_VERIFIED_PROGRAMS, key, payload)
 
 
-def load_program_verdict(store: ArtifactStore, key: str) -> Optional[str]:
-    """The outcome stored for ``key``'s program, or ``None``."""
-    outcome = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
-    if outcome != PROGRAM_PASS and faults.active_plan() is not None:
+def load_program_verdict(
+    store: ArtifactStore, key: str, block_exec: str
+) -> Optional[str]:
+    """The outcome stored for ``key``'s program that a run under
+    ``block_exec`` may reuse, or ``None``."""
+    decoded = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
+    if decoded is None:
+        return None
+    outcome, reached_under = decoded
+    passed = outcome == PROGRAM_PASS
+    if _plan_blocks(passed) or (not passed and reached_under != block_exec):
         return None
     return outcome
 
 
-def _decode_program_verdict(payload: Dict[str, object]) -> Optional[str]:
+def _decode_program_verdict(
+    payload: Dict[str, object]
+) -> Optional[Tuple[str, object]]:
+    """``(outcome, block_exec it was reached under)``."""
     if payload.get("verified") is True:  # written before failures were kept
-        return PROGRAM_PASS
+        return PROGRAM_PASS, None
     outcome = payload.get("outcome")
-    return outcome if isinstance(outcome, str) and outcome else None
+    if not isinstance(outcome, str) or not outcome:
+        return None
+    return outcome, payload.get("block_exec")
 
 
 # --------------------------------------------------------------- block tuning

@@ -70,24 +70,49 @@ def test_config_digest_ignores_output_paths():
 # ----------------------------------------------------------- append/query
 
 
-def test_git_revision_is_read_once_per_directory(tmp_path, monkeypatch):
-    """Every record and run.json asks for the revision; only the first ask
-    in a directory forks ``git``."""
+def _fake_git(monkeypatch, replies):
+    """Replace the ``git rev-parse`` fork: each call pops the next reply (a
+    revision, or an exception to raise) and logs its directory."""
     from repro.observability import runinfo
 
     forks = []
-    real = subprocess.run
-    monkeypatch.setattr(
-        runinfo.subprocess, "run",
-        lambda *a, **kw: forks.append(kw["cwd"]) or real(*a, **kw),
-    )
-    first = runinfo.git_sha(str(tmp_path))
-    assert runinfo.git_sha(str(tmp_path / ".")) == first
+
+    def run(args, cwd, **_kw):
+        forks.append(cwd)
+        reply = replies.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return subprocess.CompletedProcess(args, 0, stdout=reply + "\n")
+
+    monkeypatch.setattr(runinfo, "_GIT_SHAS", {})
+    monkeypatch.setattr(runinfo.subprocess, "run", run)
+    return runinfo, forks
+
+
+def test_git_revision_is_read_once_per_directory(tmp_path, monkeypatch):
+    """Every record and run.json asks for the revision; only the first ask
+    in a directory forks ``git``."""
+    runinfo, forks = _fake_git(monkeypatch, ["f00d", "beef"])
+    assert runinfo.git_sha(str(tmp_path)) == "f00d"
+    assert runinfo.git_sha(str(tmp_path / ".")) == "f00d"
     assert forks == [str(tmp_path.resolve())]
     here = runinfo.git_sha()
+    assert here == "beef"
     forks.clear()
     assert [_record(when=float(i))["git_sha"] for i in range(3)] == [here] * 3
     assert forks == []
+
+
+def test_a_failed_git_read_is_retried(tmp_path, monkeypatch):
+    """A timeout is not remembered: the next record reads the revision."""
+    runinfo, forks = _fake_git(
+        monkeypatch, [subprocess.TimeoutExpired("git", 5), OSError(), "f00d"]
+    )
+    assert runinfo.git_sha(str(tmp_path)) is None
+    assert runinfo.git_sha(str(tmp_path)) is None
+    assert runinfo.git_sha(str(tmp_path)) == "f00d"
+    assert runinfo.git_sha(str(tmp_path)) == "f00d"
+    assert len(forks) == 3
 
 
 def test_append_assigns_unique_ids_and_roundtrips(store):

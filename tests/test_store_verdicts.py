@@ -8,6 +8,7 @@ emit the same program with the same demotions, and under an active fault
 plan no non-pass verdict is written or served.
 """
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import transform
-from repro.cudalite import unparse
+from repro.cudalite import parse_program, unparse
 from repro.errors import PipelineError
 from repro.fuzz.appgen import generate_app
 from repro.pipeline import apply, stages
@@ -150,7 +151,8 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
     tmp_path, gate_calls, seed, warm_mode
 ):
     """Written under ``auto``; the warm runs (``warm_mode``) demote the
-    same groups with the same cause text and run no group gate."""
+    same groups with the same cause text and, once the store holds the
+    failures reached under ``warm_mode``, run no group gate."""
     root = tmp_path / "store"
     source = _source(seed)
     cold = transform(source, **_config(seed, root))
@@ -162,8 +164,17 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
     _reset(gate_calls)
     MEMORY_TIER.clear()  # disk-served, as every service worker is
     disk = transform(source, **_config(seed, root, block_exec=warm_mode))
-    assert gate_calls == {"verify_group": 0, "run_program": 0}
     assert _outcome(disk) == _outcome(cold)
+    if warm_mode != "auto":
+        # a failure is served only under the executor that reached it:
+        # the first loop run re-runs the failing gates and stores its own
+        assert gate_calls["verify_group"] > 0
+        assert disk.state.verification["verdicts_reused"]["fail"] == 0
+        _reset(gate_calls)
+        MEMORY_TIER.clear()
+        disk = transform(source, **_config(seed, root, block_exec=warm_mode))
+        assert _outcome(disk) == _outcome(cold)
+    assert gate_calls == {"verify_group": 0, "run_program": 0}
     reused = disk.state.verification["verdicts_reused"]
     assert reused["fail"] > 0 and reused["program"] == 1
     assert disk.reused["verify_groups"] == (
@@ -174,6 +185,59 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
     assert fresh["verify_group_calls"] == 0
     assert fresh["outcome"] == json.loads(json.dumps(_outcome(cold)))
     assert fresh["verdicts_reused"] == reused
+
+
+def _with_thread_invariant_oob(fuse_kernels):
+    """``fuse_kernels`` whose kernels open with a thread-invariant read one
+    past the end of their first array, in a kernel with shared memory: the
+    per-block loop names the failing block, the batched lattice cannot."""
+
+    def fuse(name, constituents, block, array_shapes, **kwargs):
+        fused = fuse_kernels(name, constituents, block, array_shapes, **kwargs)
+        extent, *rest = array_shapes[fused.pointer_args[0]]
+        read = f"{fused.kernel.params[0].name}[q]" + "[0]" * len(rest)
+        text = unparse(fused.kernel).replace(
+            "{",
+            "{ __shared__ double spare[1];"
+            f" for (int q = 0; q <= {extent}; q++) {{ double oob = {read}; }}",
+            1,
+        )
+        return dataclasses.replace(fused, kernel=parse_program(text).kernels[0])
+
+    return fuse
+
+
+def test_a_failure_is_served_only_under_the_executor_that_reached_it(
+    tmp_path, gate_calls, monkeypatch
+):
+    monkeypatch.setattr(
+        apply, "fuse_kernels", _with_thread_invariant_oob(apply.fuse_kernels)
+    )
+    root, seed = tmp_path / "store", 17
+    source = _source(seed)
+    fresh = {
+        mode: _outcome(transform(source, **_config(seed, None, block_exec=mode)))
+        for mode in ("auto", "loop")
+    }
+    located = [d[3] for d in fresh["loop"]["demotions"] if " at block " in d[3]]
+    assert located and fresh["auto"]["demotions"] != fresh["loop"]["demotions"]
+
+    cold = transform(source, **_config(seed, root))
+    assert _outcome(cold) == fresh["auto"]
+
+    def warm(mode):
+        """(failures served, gates run) of a disk-served run under ``mode``."""
+        _reset(gate_calls)
+        MEMORY_TIER.clear()
+        result = transform(source, **_config(seed, root, block_exec=mode))
+        assert _outcome(result) == fresh[mode]
+        return result.state.verification["verdicts_reused"]["fail"], dict(gate_calls)
+
+    no_gates = {"verify_group": 0, "run_program": 0}
+    assert warm("auto") == (1, no_gates)
+    served, gates = warm("loop")  # auto's failure is not the loop's
+    assert served == 0 and gates["verify_group"] > 0
+    assert warm("loop") == (1, no_gates)
 
 
 def test_a_demoting_repeat_is_served_by_the_memory_tier(tmp_path, gate_calls):
@@ -212,6 +276,12 @@ def test_a_stored_whole_program_mismatch_is_served(tmp_path, gate_calls):
     assert "; verification reused from store; fell back to identity program" in (
         warm.reports["codegen"]
     )
+
+    _reset(gate_calls)
+    MEMORY_TIER.clear()
+    loop = transform(source, **_config(seed, root, block_exec="loop"))
+    assert gate_calls["run_program"] > 0  # the mismatch was reached under auto
+    assert _outcome(loop) == _outcome(cold)
 
 
 def test_a_stored_program_failure_raises_under_fail_hard(tmp_path):
