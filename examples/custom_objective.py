@@ -33,7 +33,7 @@ from repro.search import (
 def launch_averse_objective(problem, individual, device):
     """Projected GFLOPS minus a cost per generated kernel (launch latency)."""
     base = projected_gflops(problem, individual, device)
-    return base - 0.05 * len(individual.groups)
+    return base - 0.05 * len(individual.partition(problem))
 
 
 def main() -> None:

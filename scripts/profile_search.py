@@ -1,10 +1,16 @@
 #!/usr/bin/env python
-"""Profile the ``search-paper-budget`` op of ``benchmarks/e2e`` under cProfile.
+"""Attribute the ``search-paper-budget`` op of ``benchmarks/e2e``, then profile it.
 
 One command, the bench's own source, data seed and GA seed (imported from
-``benchmarks/e2e/workloads.py``, not copied), top-N functions by self
-time.  cProfile inflates call-heavy Python and not native code, so use
-this to find candidates and ``benchmarks/e2e/run.py --workload
+``benchmarks/e2e/workloads.py``, not copied).  First an unprofiled, traced
+run splits the search's seconds by span: breeding (``breed``), exact
+evaluation (the ``exact_s`` the ``eval`` spans carry: fitness-memo
+misses), memo hits and bookkeeping (the rest of the ``eval`` spans) and
+what is left of each generation; it also prints the mean groups and
+fused groups per individual of the final population.  Then, unless
+``--top 0``, the same op under cProfile, top-N functions by self time.
+cProfile inflates call-heavy Python and not native code, so use it to
+find candidates and ``benchmarks/e2e/run.py --workload
 search-paper-budget`` (profiling off) to measure them.
 
 Usage::
@@ -26,7 +32,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--top", type=int, default=25)
+    parser.add_argument("--top", type=int, default=25,
+                        help="cProfile rows (0: attribution only)")
     parser.add_argument("--generations", type=int, default=None,
                         help="override the paper's 500 (shorter profiles)")
     parser.add_argument("--seed", type=int, default=None,
@@ -40,6 +47,7 @@ def main() -> int:
     import run as bench_run
     import workloads
     from repro.api import transform
+    from repro.observability.tracing import get_tracer
     from repro.search import GAParams
 
     seed = bench_run.DEFAULT_SEED if args.seed is None else args.seed
@@ -48,19 +56,47 @@ def main() -> int:
     if args.generations is not None:
         params.generations = args.generations
 
-    profiler = cProfile.Profile()
-    result = profiler.runcall(
-        transform, source,
-        store=False, verify=False, verify_groups=False, ga_params=params,
-    )
+    def search_op():
+        return transform(
+            source, store=False, verify=False, verify_groups=False,
+            ga_params=params, telemetry=True,
+        )
+
+    tracer = get_tracer()
+    tracer.clear()
+    result = search_op()
+    spans = tracer.spans()
     search = result.state.search
+
+    def seconds(name_test) -> float:
+        return sum(s.duration_us for s in spans if name_test(s.name)) / 1e6
+
+    breed_s = seconds(lambda name: name == "breed")
+    eval_s = seconds(lambda name: name == "eval")
+    exact_s = sum(s.args.get("exact_s", 0.0) for s in spans if s.name == "eval")
+    generations_s = seconds(lambda name: name.startswith("gga:gen:"))
+    population = search.final_population
+    problem = result.state.built.problem
+    groups = sum(len(i.partition(problem)) for i in population) / len(population)
+    fused = sum(len(i.groups) for i in population) / len(population)
     print(
         f"# search-paper-budget op: data seed {seed}, GA seed {params.seed}, "
         f"{params.population} x {search.generations_run} generations\n"
         f"# evaluations {search.evaluations}  fitness_lookups {search.fitness_lookups}  "
         f"converged_at {search.converged_at}  best_fitness {search.best_fitness!r}\n"
-        f"# search wall (profiled) {search.wall_time_s:.2f} s"
+        f"# search wall {search.wall_time_s:.2f} s: breed {breed_s:.2f} s, "
+        f"exact evaluation {exact_s:.2f} s, memo hits + bookkeeping "
+        f"{eval_s - exact_s:.2f} s, rest of the generations "
+        f"{generations_s - breed_s - eval_s:.2f} s\n"
+        f"# per individual (final population of {len(population)}): "
+        f"{groups:.1f} groups, {fused:.1f} fused"
     )
+    if args.top <= 0:
+        return 0
+
+    profiler = cProfile.Profile()
+    search = profiler.runcall(search_op).state.search
+    print(f"# search wall (profiled) {search.wall_time_s:.2f} s")
     pstats.Stats(profiler).strip_dirs().sort_stats(args.sort).print_stats(args.top)
     return 0
 

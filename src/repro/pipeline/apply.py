@@ -120,14 +120,14 @@ def _schedule_groups(
     problem: FusionProblem, grouping: Grouping
 ) -> List[FrozenSet[str]]:
     """Topologically order the groups under the node-level OEG."""
-    active = grouping.active_nodes(problem)
-    oeg, _ = problem.node_oeg(active)
+    groups = grouping.partition(problem)
+    oeg, _ = problem.node_oeg(grouping.active_nodes(problem))
     owner: Dict[str, int] = {}
-    for gid, group in enumerate(grouping.groups):
+    for gid, group in enumerate(groups):
         for node in group:
             owner[node] = gid
     condensed = nx.DiGraph()
-    condensed.add_nodes_from(range(len(grouping.groups)))
+    condensed.add_nodes_from(range(len(groups)))
     for u, v in oeg.edges:
         gu, gv = owner[u], owner[v]
         if gu != gv:
@@ -136,12 +136,12 @@ def _schedule_groups(
         raise TransformError("chosen grouping violates precedence")
     min_order = [
         min((problem.info(n).order for n in group), default=0.0)
-        for group in grouping.groups
+        for group in groups
     ]
     order = nx.lexicographical_topological_sort(
         condensed, key=lambda g: min_order[g]
     )
-    return [grouping.groups[g] for g in order]
+    return [groups[g] for g in order]
 
 
 def _internal_raw_edges(

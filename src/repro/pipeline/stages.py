@@ -470,8 +470,9 @@ def stage_search(state: PipelineState) -> PipelineState:
             logger.error(
                 "search failed (%s); falling back to the identity grouping", exc
             )
+            identity = singleton_grouping(state.built.problem)
             state.search = SearchResult(
-                best=singleton_grouping(state.built.problem),
+                best=identity,
                 best_fitness=0.0,
                 projected_time_s=0.0,
                 history=[],
@@ -479,6 +480,7 @@ def stage_search(state: PipelineState) -> PipelineState:
                 converged_at=0,
                 avg_fissions_per_generation=0.0,
                 evaluations=0,
+                new_kernel_count=len(identity.partition(state.built.problem)),
             )
             fell_back = True
             search_note += (

@@ -23,6 +23,7 @@ from .grouping import (
     FusionProblem,
     Grouping,
     Violations,
+    cyclic_groups,
     singleton_grouping,
 )
 from .objective import (
@@ -36,7 +37,6 @@ from .objective import (
 from .operators import (
     crossover,
     lazy_fission_repair,
-    make_grouping,
     mutate,
     random_grouping,
 )
@@ -96,6 +96,9 @@ class SearchResult:
     avg_fissions_per_generation: float
     #: objective evaluations actually executed (fitness-memo misses)
     evaluations: int
+    #: groups of the best partition, singletons included: the kernels the
+    #: transformed program launches
+    new_kernel_count: int
     #: fitness lookups served from the evaluator's per-individual memo
     cache_hits: int = 0
     #: total fitness lookups this run (hits + misses)
@@ -117,10 +120,6 @@ class SearchResult:
 
     @property
     def fused_group_count(self) -> int:
-        return len(self.best.fused_groups())
-
-    @property
-    def new_kernel_count(self) -> int:
         return len(self.best.groups)
 
 
@@ -175,12 +174,28 @@ class GGA:
         return fitness, violations
 
     def evaluate_many(
-        self, individuals: Sequence[Grouping]
+        self, individuals: Sequence[Grouping], eval_span=None
     ) -> List[Tuple[float, Violations]]:
-        """Evaluate a population; results in input order."""
-        before = self.evaluations
-        results = [self.evaluate(individual) for individual in individuals]
-        misses = self.evaluations - before
+        """Evaluate a population; results in input order.
+
+        ``eval_span`` gets ``exact_s``: the seconds the memo misses took
+        (the rest of the span is memo hits and bookkeeping).
+        """
+        lookup = self.fitness.lookup
+        results: List[Tuple[float, Violations]] = []
+        misses = 0
+        exact_s = 0.0
+        for individual in individuals:
+            start = time.perf_counter()
+            fitness, violations, hit = lookup(individual)
+            if not hit:
+                exact_s += time.perf_counter() - start
+                misses += 1
+            results.append((fitness, violations))
+        self.lookups += len(results)
+        self.evaluations += misses
+        if eval_span is not None:
+            eval_span.set(misses=misses, exact_s=exact_s)
         registry = get_registry()
         registry.inc("search_fitness_lookups_total", len(results))
         registry.inc("search_fitness_cache_hits_total", len(results) - misses)
@@ -308,8 +323,8 @@ class GGA:
         generation = self._generation
         registry = get_registry()
         with span(f"gga:gen:{generation}") as gen_span:
-            with span("eval", batch="population", size=len(population)):
-                evaluated = self.evaluate_many(population)
+            with span("eval", batch="population", size=len(population)) as ev:
+                evaluated = self.evaluate_many(population, ev)
             fitnesses = [f for f, _ in evaluated]
             improved = False
             feasible_count = 0
@@ -343,59 +358,60 @@ class GGA:
             # surrogate; only the top slice reaches exact evaluation.
             needed = params.population - len(next_pop)
             surrogate_corr = float("nan")
-            if params.surrogate_topk < 1.0 and needed > 0:
-                scorer = self._scorer()
-                bred = self._breed(fitnesses, needed)
-                if scorer.supports_variants:
-                    # each bred child seeds a model-scored neighbourhood:
-                    # single merge/split/move edits priced as deltas
-                    # against the parent's per-group terms, materialized
-                    # only on admission
-                    extra_per = max(
-                        0, math.ceil(1.0 / params.surrogate_topk) - 1
+            with span("breed", size=needed):
+                if params.surrogate_topk < 1.0 and needed > 0:
+                    scorer = self._scorer()
+                    bred = self._breed(fitnesses, needed)
+                    if scorer.supports_variants:
+                        # each bred child seeds a model-scored neighbourhood:
+                        # single merge/split/move edits priced as deltas
+                        # against the parent's per-group terms, materialized
+                        # only on admission
+                        extra_per = max(
+                            0, math.ceil(1.0 / params.surrogate_topk) - 1
+                        )
+                        pool: List[object] = []
+                        scores: List[float] = []
+                        for child in bred:
+                            parts = scorer.components(child)
+                            pool.append(child)
+                            scores.append(scorer.score_from(parts))
+                            for variant in scorer.variants(
+                                child, parts, self.rng, extra_per
+                            ):
+                                pool.append(variant)
+                                scores.append(variant.score)
+                    else:
+                        # custom objective: oversampled breeding
+                        # ranked by the plain surrogate score
+                        extra = max(
+                            0,
+                            math.ceil(needed / params.surrogate_topk) - needed,
+                        )
+                        pool = bred + self._breed(fitnesses, extra)
+                        scores = [scorer.score(child) for child in pool]
+                    gen_candidates = len(pool)
+                    order = sorted(
+                        range(gen_candidates), key=lambda i: (-scores[i], i)
                     )
-                    pool: List[object] = []
-                    scores: List[float] = []
-                    for child in bred:
-                        parts = scorer.components(child)
-                        pool.append(child)
-                        scores.append(scorer.score_from(parts))
-                        for variant in scorer.variants(
-                            child, parts, self.rng, extra_per
-                        ):
-                            pool.append(variant)
-                            scores.append(variant.score)
+                    admitted = sorted(order[:needed])
+                    offspring = [
+                        entry.materialize()
+                        if isinstance(entry, SurrogateVariant)
+                        else entry
+                        for entry in (pool[i] for i in admitted)
+                    ]
+                    admitted_scores = [scores[i] for i in admitted]
+                    registry.inc("surrogate_candidates_total", gen_candidates)
+                    registry.inc("surrogate_admitted_total", len(offspring))
                 else:
-                    # custom objective: oversampled breeding
-                    # ranked by the plain surrogate score
-                    extra = max(
-                        0,
-                        math.ceil(needed / params.surrogate_topk) - needed,
-                    )
-                    pool = bred + self._breed(fitnesses, extra)
-                    scores = [scorer.score(child) for child in pool]
-                gen_candidates = len(pool)
-                order = sorted(
-                    range(gen_candidates), key=lambda i: (-scores[i], i)
-                )
-                admitted = sorted(order[:needed])
-                offspring = [
-                    entry.materialize()
-                    if isinstance(entry, SurrogateVariant)
-                    else entry
-                    for entry in (pool[i] for i in admitted)
-                ]
-                admitted_scores = [scores[i] for i in admitted]
-                registry.inc("surrogate_candidates_total", gen_candidates)
-                registry.inc("surrogate_admitted_total", len(offspring))
-            else:
-                gen_candidates = needed
-                offspring = self._breed(fitnesses, needed)
-                admitted_scores = []
+                    gen_candidates = needed
+                    offspring = self._breed(fitnesses, needed)
+                    admitted_scores = []
             self._surrogate_candidates += gen_candidates
             self._surrogate_admitted += len(offspring)
-            with span("eval", batch="offspring", size=len(offspring)):
-                child_results = self.evaluate_many(offspring)
+            with span("eval", batch="offspring", size=len(offspring)) as ev:
+                child_results = self.evaluate_many(offspring, ev)
             if admitted_scores:
                 corr = spearman_rank_correlation(
                     admitted_scores, [f for f, _ in child_results]
@@ -489,6 +505,7 @@ class GGA:
                 total_fissions / generations_run if generations_run else 0.0
             ),
             evaluations=self.evaluations,
+            new_kernel_count=len(best_feasible.partition(self.problem)),
             cache_hits=self.cache_hits,
             fitness_lookups=self.lookups,
             final_population=list(self.population),
@@ -511,31 +528,24 @@ class GGA:
 
     def _repair_to_feasible(self, individual: Grouping) -> Grouping:
         """Break infeasible groups into singletons until feasible."""
-        from .grouping import cyclic_group_indices
-
+        problem = self.problem
         current = individual
         for _ in range(len(current.groups) + 2):
-            active = current.active_nodes(self.problem)
-            _, reach = self.problem.node_oeg(active)
-            cyclic = cyclic_group_indices(self.problem, current)
-            groups = []
-            changed = False
-            for index, group in enumerate(current.groups):
-                feasible = len(group) <= 1 or (
-                    self.problem.group_fusable(group)
-                    and self.problem.group_convex(group, reach)
-                    and self.problem.group_realizable(group)
-                    and self.problem.group_smem_bytes(group) <= self.problem.capacity
-                    and index not in cyclic
-                )
-                if feasible:
-                    groups.append(group)
-                else:
-                    groups.extend(frozenset({m}) for m in sorted(group))
-                    changed = True
-            current = make_grouping(set(current.split), groups)
+            _, reach = problem.node_oeg(current.active_nodes(problem))
+            cyclic = cyclic_groups(problem, current)
+            kept = [
+                group
+                for group in current.groups
+                if problem.group_fusable(group)
+                and problem.group_convex(group, reach)
+                and problem.group_realizable(group)
+                and problem.group_smem_bytes(group) <= problem.capacity
+                and group not in cyclic
+            ]
+            changed = len(kept) < len(current.groups)
+            current = Grouping(current.split, kept)
             if not changed:
-                return current
+                break
         return current
 
 

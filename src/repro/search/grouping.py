@@ -4,7 +4,9 @@ The search operates over *invocation nodes* — the eligible kernel
 invocations plus, thanks to the lazy-fission pre-step (§4.1), the fission
 fragments of every fissionable invocation.  An *individual* is a
 :class:`Grouping`: a partition of the chosen node set where every group is
-a prospective fused kernel.
+a prospective fused kernel.  It stores the split set and its *fused* groups
+only: the split fixes the active node set, so every active node no fused
+group covers is implied to be a singleton group.
 
 Constraints handed to the GGA:
 
@@ -20,9 +22,12 @@ the block-size tuner after the search, §4.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections.abc import Sequence as SequenceABC
+from dataclasses import dataclass
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -103,6 +108,7 @@ class FusionProblem:
         self.mergeable: FrozenSet[str] = frozenset(
             n.node for n in nodes if n.eligible and n.fusable
         )
+        self._split_views: Dict[FrozenSet[str], SplitView] = {}
         self._oeg_cache: Dict[FrozenSet[str], Tuple[nx.DiGraph, Dict[str, Set[str]]]] = {}
         self._fingerprint: Optional[str] = None
 
@@ -150,12 +156,23 @@ class FusionProblem:
     def eligible_nodes(self) -> List[str]:
         return [n for n in self.whole_nodes() if self.infos[n].eligible]
 
-    def mergeable_groups(self, groups: Sequence[FrozenSet[str]]) -> List[int]:
-        """Indices of the groups that may be merged with another: every
-        member eligible and fusable."""
-        return list(
-            compress(range(len(groups)), map(self.mergeable.issuperset, groups))
-        )
+    def split_view(self, split: FrozenSet[str]) -> "SplitView":
+        """The active node set of ``split``, built once per split."""
+        view = self._split_views.get(split)
+        if view is None:
+            view = SplitView(self, split)
+            if len(self._split_views) > 512:
+                self._split_views.clear()
+            self._split_views[split] = view
+        return view
+
+    def mergeable_groups(
+        self, individual: "Grouping", exclude: Optional[FrozenSet[str]] = None
+    ) -> "MergeableGroups":
+        """The groups of ``individual`` (singletons included) that may be
+        merged with another — every member eligible and fusable — in
+        canonical order, optionally without the group ``exclude``."""
+        return MergeableGroups(self, individual, exclude)
 
     # ------------------------------------------------------- precedence (OEG)
 
@@ -377,41 +394,255 @@ class FusionProblem:
         return True
 
 
-@dataclass(frozen=True)
+def _mergeable_order(problem: FusionProblem, nodes: Sequence[str]):
+    """Mergeable ``nodes`` in one order: each node's position (slot), the
+    singleton groups by slot and, per slot, the mask of the slots whose
+    nodes share an array with it."""
+    touched = [problem.touched[n] for n in nodes]
+    share = tuple(
+        sum(1 << k for k, other in enumerate(touched) if not other.isdisjoint(mine))
+        for mine in touched
+    )
+    singles = tuple(frozenset((n,)) for n in nodes)
+    return {n: i for i, n in enumerate(nodes)}, singles, share
+
+
+class SplitView:
+    """The active node set of one split (:meth:`FusionProblem.split_view`)."""
+
+    __slots__ = ("active", "members", "canonical", "orders", "_group_slots")
+
+    def __init__(self, problem: FusionProblem, split: FrozenSet[str]) -> None:
+        active: List[str] = []
+        for node in problem.whole_nodes():
+            if node in split:
+                active.extend(problem.fragments_of[node])
+            else:
+                active.append(node)
+        #: launch order (fragments in place of split parents), and by id:
+        #: the canonical order of singleton groups
+        self.active = tuple(active)
+        self.members = frozenset(active)
+        self.canonical = tuple(sorted(active))
+        #: launch order? -> :func:`_mergeable_order` of the mergeable nodes
+        self.orders = {
+            launch: _mergeable_order(
+                problem,
+                [n for n in (active if launch else self.canonical) if n in problem.mergeable],
+            )
+            for launch in (False, True)
+        }
+        self._group_slots: Dict[FrozenSet[str], Tuple[int, int, Tuple[int, ...]]] = {}
+
+    def group_slots(self, group: FrozenSet[str]) -> Tuple[int, int, Tuple[int, ...]]:
+        """``(head, mask, rest)`` of a fused group over the canonical
+        mergeable slots: its least member's slot if every member is
+        mergeable (else -1), the mask of its members' slots and the slots
+        of the others; memoized."""
+        entry = self._group_slots.get(group)
+        if entry is None:
+            slot = self.orders[False][0]
+            slots = sorted(slot[m] for m in group if m in slot)
+            head = slots.pop(0) if len(slots) == len(group) else -1
+            mask = sum(1 << i for i in slots) | (1 << head if head >= 0 else 0)
+            if len(self._group_slots) >= 1 << 16:
+                self._group_slots.clear()
+            entry = self._group_slots[group] = (head, mask, tuple(slots))
+        return entry
+
+
+_LEAST: Dict[FrozenSet[str], str] = {}
+
+
+def least_member(group: FrozenSet[str]) -> str:
+    """The canonical sort key of a group, memoized."""
+    least = _LEAST.get(group)
+    if least is None:
+        if len(_LEAST) >= 1 << 16:
+            _LEAST.clear()
+        least = _LEAST[group] = min(group)
+    return least
+
+
 class Grouping:
-    """An individual: which fissionable nodes are split, and the partition."""
+    """An individual (immutable): which fissionable nodes are split, and
+    the fused groups.
+
+    ``groups`` holds the multi-member groups only, in canonical order (by
+    least member); every active node they do not cover is a singleton
+    group of the partition (:meth:`partition`).  The constructor accepts
+    any groups — a full partition included — and keeps the fused ones, so
+    equality and hash are over the partition's value.
+
+    The one exception is the identity individual of
+    :func:`singleton_grouping`: it has always listed its singletons in
+    launch order, a value apart from the canonical all-singleton partition
+    whenever the two orders differ.  ``launch_order`` keeps it apart — its
+    own fitness-memo key, summed in launch order — so the search's
+    evaluation count and floats stay what they were.
+    """
+
+    __slots__ = ("split", "groups", "launch_order", "_hash")
 
     #: nodes represented in split (fragment) form
     split: FrozenSet[str]
-    #: partition of the active node set
+    #: the fused groups, by least member
     groups: Tuple[FrozenSet[str], ...]
+    #: the launch-ordered identity individual (see above)
+    launch_order: bool
 
-    def active_nodes(self, problem: FusionProblem) -> List[str]:
-        nodes: List[str] = []
-        for node in problem.whole_nodes():
-            if node in self.split:
-                nodes.extend(problem.fragments_of[node])
-            else:
-                nodes.append(node)
-        return nodes
+    def __init__(
+        self,
+        split: Iterable[str],
+        groups: Iterable[Iterable[str]],
+        launch_order: bool = False,
+    ) -> None:
+        fused = [g for g in map(frozenset, groups) if len(g) > 1]
+        fused.sort(key=least_member)
+        values = (frozenset(split), tuple(fused), launch_order)
+        init = object.__setattr__
+        init(self, "split", values[0])
+        init(self, "groups", values[1])
+        init(self, "launch_order", launch_order)
+        init(self, "_hash", hash(values))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Grouping is immutable (cannot set {name!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if type(other) is not Grouping:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.groups == other.groups
+            and self.split == other.split
+            and self.launch_order == other.launch_order
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Grouping({sorted(self.split)}, {[sorted(g) for g in self.groups]})"
+
+    def __reduce__(self):
+        return Grouping, (self.split, self.groups, self.launch_order)
+
+    def active_nodes(self, problem: FusionProblem) -> Tuple[str, ...]:
+        return problem.split_view(self.split).active
 
     def covers(self, problem: FusionProblem) -> bool:
-        active = set(self.active_nodes(problem))
+        """Whether this is an individual of ``problem``: fissionable split
+        nodes, disjoint fused groups of active nodes."""
+        if not problem.fragments_of.keys() >= self.split:
+            return False
+        active = problem.split_view(self.split).members
         seen: Set[str] = set()
         for group in self.groups:
-            if group & seen:
+            if not group <= active or not group.isdisjoint(seen):
                 return False
             seen |= group
-        return seen == active
+        return True
 
-    def group_of(self, node: str) -> Optional[FrozenSet[str]]:
-        for group in self.groups:
-            if node in group:
-                return group
-        return None
+    def partition(self, problem: FusionProblem) -> List[FrozenSet[str]]:
+        """Every group, singletons included, in canonical order: the fused
+        groups interleaved with the uncovered active nodes by least member."""
+        heads = {least_member(g): g for g in self.groups}
+        covered = frozenset().union(*self.groups)
+        return [
+            heads[node] if node in covered else frozenset((node,))
+            for node in problem.split_view(self.split).canonical
+            if node not in covered or node in heads
+        ]
 
     def fused_groups(self) -> List[FrozenSet[str]]:
-        return [g for g in self.groups if len(g) > 1]
+        return list(self.groups)
+
+
+class MergeableGroups(SequenceABC):
+    """The mergeable groups of an individual, indexed lazily.
+
+    Positional draws (``rng.choice``, ``rng.sample``) see the sequence the
+    full partition's mergeable groups form in canonical order — the
+    uncovered mergeable nodes as singletons, interleaved by least member
+    with the fused groups whose members are all mergeable — without
+    building it: such a group takes its least member's slot among the
+    split's mergeable nodes, and every other covered slot (and
+    ``exclude``'s) is skipped.  The launch-ordered identity sees its
+    singletons in launch order.
+    """
+
+    __slots__ = ("_slot", "_singles", "_share", "_skipped", "_heads", "_len")
+
+    def __init__(
+        self,
+        problem: FusionProblem,
+        individual: Grouping,
+        exclude: Optional[FrozenSet[str]] = None,
+    ) -> None:
+        view = problem.split_view(individual.split)
+        self._slot, self._singles, self._share = view.orders[individual.launch_order]
+        skipped: List[int] = []
+        heads: Dict[int, Tuple[FrozenSet[str], int]] = {}
+        for group in individual.groups:
+            head, mask, rest = view.group_slots(group)
+            skipped.extend(rest)
+            if head < 0:
+                continue
+            if group == exclude:
+                skipped.append(head)
+            else:
+                heads[head] = (group, mask)
+        if exclude is not None and len(exclude) == 1:
+            skipped.append(self._slot[least_member(exclude)])
+        skipped.sort()
+        self._skipped = skipped
+        self._heads = heads
+        self._len = len(self._singles) - len(skipped)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _group(self, slot: int) -> FrozenSet[str]:
+        head = self._heads.get(slot)
+        return self._singles[slot] if head is None else head[0]
+
+    def __getitem__(self, index: int) -> FrozenSet[str]:
+        if index < 0:
+            index += self._len
+        if not 0 <= index < self._len:
+            raise IndexError(index)
+        for skipped in self._skipped:
+            if skipped > index:
+                break
+            index += 1
+        return self._group(index)
+
+    def __iter__(self) -> Iterator[FrozenSet[str]]:
+        skipped = set(self._skipped)
+        for slot in range(len(self._singles)):
+            if slot not in skipped:
+                yield self._group(slot)
+
+    def sharing(self, group: FrozenSet[str]) -> List[FrozenSet[str]]:
+        """The groups, in order, that share an array with ``group`` (one
+        of the individual's mergeable groups)."""
+        reach = 0
+        for node in group:
+            reach |= self._share[self._slot[node]]
+        hits = reach
+        for slot in self._skipped:
+            hits &= ~(1 << slot)
+        for slot, (_, mask) in self._heads.items():
+            hits = hits & ~mask | (1 << slot if mask & reach else 0)
+        out: List[FrozenSet[str]] = []
+        while hits:
+            low = hits & -hits
+            out.append(self._group(low.bit_length() - 1))
+            hits ^= low
+        return out
 
 
 @dataclass
@@ -444,33 +675,33 @@ class Violations:
         return self.total == 0
 
 
-def cyclic_group_indices(
+def cyclic_groups(
     problem: FusionProblem, individual: Grouping
-) -> Set[int]:
-    """Indices of groups participating in a cyclic group condensation.
+) -> Set[FrozenSet[str]]:
+    """Groups participating in a cyclic group condensation.
 
     Per-group convexity is necessary but not sufficient: two individually
     convex groups can still deadlock each other (G1 → G2 and G2 → G1 edges
     with no path threading through).  Scheduling requires the condensation
     of the OEG over the grouping to be acyclic.
     """
-    active = individual.active_nodes(problem)
-    oeg, _ = problem.node_oeg(active)
+    groups = individual.partition(problem)
+    oeg, _ = problem.node_oeg(individual.active_nodes(problem))
     owner: Dict[str, int] = {}
-    for gid, group in enumerate(individual.groups):
+    for gid, group in enumerate(groups):
         for node in group:
             owner[node] = gid
     condensed = nx.DiGraph()
-    condensed.add_nodes_from(range(len(individual.groups)))
+    condensed.add_nodes_from(range(len(groups)))
     for u, v in oeg.edges:
         gu, gv = owner.get(u), owner.get(v)
         if gu is None or gv is None or gu == gv:
             continue
         condensed.add_edge(gu, gv)
-    cyclic: Set[int] = set()
+    cyclic: Set[FrozenSet[str]] = set()
     for scc in nx.strongly_connected_components(condensed):
         if len(scc) > 1:
-            cyclic |= scc
+            cyclic.update(groups[gid] for gid in scc)
     return cyclic
 
 
@@ -479,15 +710,12 @@ def evaluate_violations(
 ) -> Violations:
     """Count constraint violations (consumed by the penalty function)."""
     violations = Violations()
-    active = individual.active_nodes(problem)
-    _, reach = problem.node_oeg(active)
-    ordering_bad = cyclic_group_indices(problem, individual)
-    for index, group in enumerate(individual.groups):
-        if len(group) <= 1:
-            continue
+    _, reach = problem.node_oeg(individual.active_nodes(problem))
+    ordering_bad = cyclic_groups(problem, individual)
+    for group in individual.groups:
         if not problem.group_fusable(group):
             violations.unfusable += 1
-        if not problem.group_convex(group, reach) or index in ordering_bad:
+        if not problem.group_convex(group, reach) or group in ordering_bad:
             violations.non_convex += 1
         if not problem.group_realizable(group):
             violations.unrealizable += 1
@@ -503,9 +731,9 @@ def evaluate_violations(
 
 def singleton_grouping(problem: FusionProblem) -> Grouping:
     """The identity individual: every invocation is its own group."""
+    view = problem.split_view(frozenset())
     return Grouping(
-        split=frozenset(),
-        groups=tuple(frozenset({n}) for n in problem.whole_nodes()),
+        split=frozenset(), groups=(), launch_order=view.active != view.canonical
     )
 
 

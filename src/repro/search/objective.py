@@ -33,6 +33,7 @@ from .grouping import (
     Grouping,
     Violations,
     evaluate_violations,
+    least_member,
 )
 from .penalty import PenaltyParams, penalized_fitness
 
@@ -43,6 +44,8 @@ ObjectiveFn = Callable[[FusionProblem, Grouping, DeviceSpec], float]
 _SplitState = Tuple[
     Dict[str, int], Dict[str, int], Dict[FrozenSet[str], Tuple[int, int, bool]]
 ]
+#: (node, projected time, flops) per active node of a split, in summation order
+_NodeTerms = Tuple[Tuple[str, float, float], ...]
 
 _REGISTRY: Dict[str, ObjectiveFn] = {}
 
@@ -160,13 +163,28 @@ def group_projection_time(
     return time_s
 
 
+def summation_order(
+    problem: FusionProblem, individual: Grouping
+) -> List[FrozenSet[str]]:
+    """Every group of ``individual`` in the order its floats are summed.
+
+    The canonical partition order (:meth:`Grouping.partition`), except for
+    the launch-ordered identity individual, which sums in launch order.
+    Summing in another order would move the totals by an ulp, and with
+    them the search's trajectory.
+    """
+    if individual.launch_order:
+        return [frozenset((node,)) for node in individual.active_nodes(problem)]
+    return individual.partition(problem)
+
+
 def projected_gflops(
     problem: FusionProblem, individual: Grouping, device: DeviceSpec
 ) -> float:
     """Default objective: whole-program projected GFLOPS."""
     total_time = 0.0
     total_flops = 0.0
-    for group in individual.groups:
+    for group in summation_order(problem, individual):
         total_time += group_projection_time(problem, group, device)
         total_flops += sum(problem.info(m).flops for m in group)
     if total_time <= 0:
@@ -179,7 +197,8 @@ def projected_time_s(
 ) -> float:
     """Projected program time (useful for reporting speedups)."""
     return sum(
-        group_projection_time(problem, group, device) for group in individual.groups
+        group_projection_time(problem, group, device)
+        for group in summation_order(problem, individual)
     )
 
 
@@ -203,9 +222,12 @@ class CompiledFitness:
       fused group its member mask ``M``, ``desc(M)`` and convexity
       ``desc(M) & anc(M) & ~M == 0`` — the group masks live and die with
       their split;
-    * per group: fusability / realizability / smem pressure / lazy-fission
-      relaxability, and the (projection time, flops) pair of the default
-      objective;
+    * per fused group: fusability / realizability / smem pressure /
+      lazy-fission relaxability, and the (projection time, flops) pair of
+      the default objective; per node, the singleton's pair, laid out per
+      split in summation order (:func:`summation_order`), so the objective
+      walks the split's nodes once and swaps in each fused group at its
+      least member;
     * per individual value: the final (fitness, violation counts) pair,
       so an exact re-evaluation (replays, restarts, converged
       populations) is one dict probe.  A fresh ``Violations`` record is
@@ -226,10 +248,8 @@ class CompiledFitness:
     Results are bit-identical to ``evaluate_individual_reference`` for
     any objective; the fast summation path engages only for the stock
     ``projected_gflops`` (a custom objective is still called per
-    evaluation, with only the violation side memoized).  Fitness is
-    treated as a pure function of the individual's *value*: numerically,
-    float sums follow the group iteration order of the first value-equal
-    individual seen.
+    evaluation, with only the violation side memoized).  Fitness is a
+    pure function of the individual's value.
 
     Concurrent searches of one problem (shared through the store's
     memory tier) share one evaluator: every memo is a plain dict whose
@@ -253,25 +273,20 @@ class CompiledFitness:
         self.device = device
         self.objective = objective
         self.penalties = penalties
-        self._whole = problem.whole_nodes()
-        self._fragments = problem.fragments_of
         #: split -> (desc, anc, {group: (M, desc(M), convex)})
         self._split_cache: Dict[FrozenSet[str], _SplitState] = {}
         self._group_static: Dict[FrozenSet[str], Tuple[bool, bool, bool, bool]] = {}
         self._group_obj: Dict[FrozenSet[str], Tuple[float, float]] = {}
+        self._node_obj: Dict[str, Tuple[float, float]] = {}
+        #: (split, launch order?) -> the split's singleton terms
+        self._split_terms: Dict[Tuple[FrozenSet[str], bool], _NodeTerms] = {}
         #: individual -> (fitness, the memo's own Violations record)
         self._eval_cache: Dict[Grouping, Tuple[float, Violations]] = {}
 
     def _split_state(self, split: FrozenSet[str]) -> _SplitState:
         state = self._split_cache.get(split)
         if state is None:
-            active: List[str] = []
-            for node in self._whole:
-                if node in split:
-                    active.extend(self._fragments[node])
-                else:
-                    active.append(node)
-            state = (*self.problem.reach_masks(active), {})
+            state = (*self.problem.reach_masks(self.problem.split_view(split).active), {})
             if len(self._split_cache) > self.MAX_SPLITS:
                 self._split_cache.clear()
             self._split_cache[split] = state
@@ -300,8 +315,6 @@ class CompiledFitness:
         violations = Violations()
         fused: List[Tuple[int, int, bool]] = []
         for group in individual.groups:
-            if len(group) <= 1:
-                continue
             entry = masks.get(group)
             if entry is None:
                 members = below = above = 0
@@ -343,22 +356,66 @@ class CompiledFitness:
                 violations.non_convex += 1
         return violations
 
+    def _group_pair(self, group: FrozenSet[str]) -> Tuple[float, float]:
+        """(projected time, flops) of a fused group, memoized."""
+        pair = self._group_obj.get(group)
+        if pair is None:
+            pair = self._group_obj[group] = (
+                group_projection_time(self.problem, group, self.device),
+                sum(self.problem.info(m).flops for m in group),
+            )
+        return pair
+
+    def _node_pair(self, node: str) -> Tuple[float, float]:
+        """(projected time, flops) of a singleton group, memoized."""
+        pair = self._node_obj.get(node)
+        if pair is None:
+            pair = self._node_obj[node] = (
+                group_projection_time(self.problem, (node,), self.device),
+                self.problem.infos[node].flops,
+            )
+        return pair
+
+    def _singleton_terms(
+        self, split: FrozenSet[str], launch_order: bool
+    ) -> _NodeTerms:
+        key = (split, launch_order)
+        terms = self._split_terms.get(key)
+        if terms is None:
+            view = self.problem.split_view(split)
+            terms = tuple(
+                (node, *self._node_pair(node))
+                for node in (view.active if launch_order else view.canonical)
+            )
+            if len(self._split_terms) > self.MAX_SPLITS:
+                self._split_terms.clear()
+            self._split_terms[key] = terms
+        return terms
+
+    def _totals(self, individual: Grouping) -> Tuple[float, float]:
+        """Projected time and flops summed over every group in
+        :func:`summation_order`: the split's singleton terms, each fused
+        group's pair at its least member."""
+        heads = {least_member(group): group for group in individual.groups}
+        covered = frozenset().union(*individual.groups)
+        total_time = 0.0
+        total_flops = 0.0
+        for node, time_s, flops in self._singleton_terms(
+            individual.split, individual.launch_order
+        ):
+            if node in covered:
+                group = heads.get(node)
+                if group is None:
+                    continue
+                time_s, flops = self._group_pair(group)
+            total_time += time_s
+            total_flops += flops
+        return total_time, total_flops
+
     def _objective_value(self, individual: Grouping) -> float:
         if self.objective is not projected_gflops:
             return self.objective(self.problem, individual, self.device)
-        total_time = 0.0
-        total_flops = 0.0
-        memo = self._group_obj
-        for group in individual.groups:
-            pair = memo.get(group)
-            if pair is None:
-                pair = (
-                    group_projection_time(self.problem, group, self.device),
-                    sum(self.problem.info(m).flops for m in group),
-                )
-                memo[group] = pair
-            total_time += pair[0]
-            total_flops += pair[1]
+        total_time, total_flops = self._totals(individual)
         if total_time <= 0:
             return 0.0
         return total_flops / total_time / 1e9
@@ -441,8 +498,8 @@ def surrogate_score(
 class SurrogateVariant:
     """A model-scored single-edit neighbour of a bred offspring.
 
-    The edit is held as a descriptor — the parent grouping, the indices
-    of the groups the edit removes and the groups it adds — so the
+    The edit is held as a descriptor — the parent grouping, the groups
+    the edit removes and the groups it adds — so the
     surrogate score can be computed incrementally from the per-group
     memos without ever constructing the child.  Only variants admitted
     by the ranking pay :func:`~repro.search.operators.replace_groups`.
@@ -454,7 +511,7 @@ class SurrogateVariant:
         self,
         score: float,
         parent: Grouping,
-        drop: Tuple[int, ...],
+        drop: Tuple[FrozenSet[str], ...],
         add: Tuple[FrozenSet[str], ...],
     ) -> None:
         self.score = score
@@ -520,8 +577,7 @@ class SurrogateScorer:
         evaluator = self.evaluator
         violations = Violations()
         for group in individual.groups:
-            if len(group) > 1:
-                self._apply_flags(violations, evaluator._group_flags(group), +1)
+            self._apply_flags(violations, evaluator._group_flags(group), +1)
         return penalized_fitness(
             evaluator._objective_value(individual), violations, self.penalties
         )
@@ -533,16 +589,10 @@ class SurrogateScorer:
     ) -> Tuple[float, float, Tuple[bool, bool, bool, bool]]:
         """(projected time, flops, static flags) for one group, memoized."""
         evaluator = self.evaluator
-        pair = evaluator._group_obj.get(group)
-        if pair is None:
-            pair = (
-                group_projection_time(self.problem, group, self.device),
-                sum(self.problem.info(m).flops for m in group),
-            )
-            evaluator._group_obj[group] = pair
-        if len(group) <= 1:
-            return pair[0], pair[1], self._NO_FLAGS
-        return pair[0], pair[1], evaluator._group_flags(group)
+        if len(group) == 1:
+            (node,) = group
+            return (*evaluator._node_pair(node), self._NO_FLAGS)
+        return (*evaluator._group_pair(group), evaluator._group_flags(group))
 
     def components(
         self, individual: Grouping
@@ -556,14 +606,11 @@ class SurrogateScorer:
         hit = self._components.get(individual)
         if hit is not None:
             return hit[0], hit[1], hit[2].copy()
-        total_time = 0.0
-        total_flops = 0.0
+        evaluator = self.evaluator
+        total_time, total_flops = evaluator._totals(individual)
         violations = Violations()
         for group in individual.groups:
-            g_time, g_flops, flags = self._group_terms(group)
-            total_time += g_time
-            total_flops += g_flops
-            self._apply_flags(violations, flags, +1)
+            self._apply_flags(violations, evaluator._group_flags(group), +1)
         if len(self._components) > 16384:
             self._components.clear()
         self._components[individual] = (
@@ -608,10 +655,9 @@ class SurrogateScorer:
         otherwise approximate.
         """
         problem = self.problem
-        groups = individual.groups
         infos = problem.infos
-        fusable = problem.mergeable_groups(groups)
-        fused = [i for i, g in enumerate(groups) if len(g) > 1]
+        fusable = problem.mergeable_groups(individual)
+        fused = individual.groups
         base_time, base_flops, base_viol = components
         out: List[SurrogateVariant] = []
         for _ in range(count):
@@ -625,43 +671,34 @@ class SurrogateScorer:
                 break
             op = ops[rng.randrange(len(ops))]
             if op == "merge":
-                i, j = rng.sample(fusable, 2)
-                drop = (i, j)
-                add = (groups[i] | groups[j],)
+                first, second = rng.sample(fusable, 2)
+                drop = (first, second)
+                add = (first | second,)
             elif op == "split":
                 target = fused[rng.randrange(len(fused))]
-                members = sorted(groups[target])
+                members = sorted(target)
                 rng.shuffle(members)
                 cut = rng.randint(1, len(members) - 1)
                 drop = (target,)
                 add = (frozenset(members[:cut]), frozenset(members[cut:]))
             else:  # move
                 source = fused[rng.randrange(len(fused))]
-                node = sorted(groups[source])[
-                    rng.randrange(len(groups[source]))
-                ]
-                rest = groups[source] - {node}
-                if (
-                    infos[node].fusable
-                    and rng.random() < 0.6
-                ):
-                    destinations = [i for i in fusable if i != source]
+                node = sorted(source)[rng.randrange(len(source))]
+                rest = source - {node}
+                drop = (source,)
+                add = (rest, frozenset((node,)))
+                if infos[node].fusable and rng.random() < 0.6:
+                    destinations = problem.mergeable_groups(
+                        individual, exclude=source
+                    )
                     if destinations:
-                        dest = destinations[
-                            rng.randrange(len(destinations))
-                        ]
+                        dest = destinations[rng.randrange(len(destinations))]
                         drop = (source, dest)
-                        add = (rest, groups[dest] | {node})
-                    else:
-                        drop = (source,)
-                        add = (rest, frozenset({node}))
-                else:
-                    drop = (source,)
-                    add = (rest, frozenset({node}))
+                        add = (rest, dest | {node})
             d_time, d_flops = 0.0, 0.0
             violations = base_viol.copy()
-            for index in drop:
-                g_time, g_flops, flags = self._group_terms(groups[index])
+            for group in drop:
+                g_time, g_flops, flags = self._group_terms(group)
                 d_time -= g_time
                 d_flops -= g_flops
                 self._apply_flags(violations, flags, -1)

@@ -16,83 +16,45 @@ Individuals are partitions, so the operators work on *groups*, not genes:
 from __future__ import annotations
 
 import random
-from bisect import insort
-from itertools import filterfalse
-from typing import Collection, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set, Tuple
 
 from .grouping import FusionProblem, Grouping
 
 
-class CanonicalGroups(tuple):
-    """A partition's groups in canonical order: by least member.
-
-    The order is a contract — value-equal individuals must compare and
-    hash alike, and the evaluator sums floats in ``groups`` order.  The
-    type is the voucher that it holds: only :func:`make_grouping` (a full
-    sort) and :func:`replace_groups` (ordered insertion into a vouched
-    tuple) build one, so operators never re-sort their own output, while
-    a plain tuple (``singleton_grouping`` is in launch order) still gets
-    the sort.  Equal to, and hashes like, the plain tuple of its groups.
-    """
-
-    __slots__ = ()
-
-
-def make_grouping(
-    split: Iterable[str], groups: Iterable[FrozenSet[str]]
+def replace_groups(
+    individual: Grouping,
+    drop: Iterable[frozenset],
+    add: Iterable[frozenset],
 ) -> Grouping:
+    """``individual`` without the groups ``drop`` and with the groups
+    ``add`` (singletons and empty groups are implied / dropped)."""
+    drop = tuple(drop)
     return Grouping(
-        split=frozenset(split),
-        groups=CanonicalGroups(sorted((g for g in groups if g), key=min)),
+        individual.split,
+        [g for g in individual.groups if g not in drop] + list(add),
     )
 
 
-def replace_groups(
-    individual: Grouping,
-    drop: Collection[int],
-    add: Iterable[FrozenSet[str]],
-) -> Grouping:
-    """``individual`` without the groups at indices ``drop`` and with the
-    non-empty groups of ``add``, in canonical order."""
-    groups = list(individual.groups)
-    for index in sorted(drop, reverse=True):
-        del groups[index]
-    if type(individual.groups) is not CanonicalGroups:
-        return make_grouping(individual.split, groups + list(add))
-    for group in add:
-        if group:
-            insort(groups, group, key=min)
-    return Grouping(split=individual.split, groups=CanonicalGroups(groups))
-
-
 def ensure_whole(
-    problem: FusionProblem, split: Set[str], groups: List[FrozenSet[str]], node: str
+    problem: FusionProblem, split: Set[str], groups: List[frozenset], node: str
 ) -> None:
-    """Convert ``node`` back to its whole representation (in place)."""
+    """Convert ``node`` back to its whole representation (in place); the
+    whole node and its fragments' former partners become singletons."""
     if node not in split:
         return
-    fragments = set(problem.fragments_of[node])
-    for i, group in enumerate(list(groups)):
-        if group & fragments:
-            groups[i] = group - fragments
-    groups[:] = [g for g in groups if g]
-    groups.append(frozenset({node}))
+    fragments = frozenset(problem.fragments_of[node])
+    groups[:] = [g if g.isdisjoint(fragments) else g - fragments for g in groups]
     split.discard(node)
 
 
 def ensure_split(
-    problem: FusionProblem, split: Set[str], groups: List[FrozenSet[str]], node: str
+    problem: FusionProblem, split: Set[str], groups: List[frozenset], node: str
 ) -> None:
     """Convert ``node`` to fragment representation (fragments become
     singletons, in place)."""
     if node in split or node not in problem.fragments_of:
         return
-    for i, group in enumerate(list(groups)):
-        if node in group:
-            groups[i] = group - {node}
-    groups[:] = [g for g in groups if g]
-    for fragment in problem.fragments_of[node]:
-        groups.append(frozenset({fragment}))
+    groups[:] = [g - {node} if node in g else g for g in groups]
     split.add(node)
 
 
@@ -105,15 +67,11 @@ def random_grouping(
     population carries fragment-level grouping material from generation 0
     (the lazy-fission pre-step gathered their metadata already).
     """
-    split: Set[str] = set()
-    groups: List[FrozenSet[str]] = []
-    for node in problem.whole_nodes():
-        groups.append(frozenset({node}))
-    for node in problem.fragments_of:
-        if rng.random() < 0.35:
-            ensure_split(problem, split, groups, node)
-    individual = make_grouping(split, groups)
-    merges = int(len(groups) * merge_bias * rng.random())
+    split = [node for node in problem.fragments_of if rng.random() < 0.35]
+    individual = Grouping(frozenset(split), ())
+    merges = int(
+        len(individual.active_nodes(problem)) * merge_bias * rng.random()
+    )
     for _ in range(merges):
         individual = mutate_merge(problem, individual, rng) or individual
     return individual
@@ -123,40 +81,24 @@ def mutate_merge(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
     """Merge two groups, preferring pairs that share a data array."""
-    candidates = problem.mergeable_groups(individual.groups)
+    candidates = problem.mergeable_groups(individual)
     if len(candidates) < 2:
         return None
     first = rng.choice(candidates)
-    touched = problem.touched
-    first_arrays: Set[str] = set()
-    for member in individual.groups[first]:
-        first_arrays |= touched[member]
-    sharing = [
-        i
-        for i in candidates
-        if i != first
-        and any(
-            not touched[m].isdisjoint(first_arrays) for m in individual.groups[i]
-        )
-    ]
-    pool = sharing if sharing and rng.random() < 0.8 else [i for i in candidates if i != first]
-    if not pool:
-        return None
+    others = problem.mergeable_groups(individual, exclude=first)
+    sharing = others.sharing(first)
+    pool = sharing if sharing and rng.random() < 0.8 else others
     second = rng.choice(pool)
-    groups = individual.groups
-    return replace_groups(
-        individual, (first, second), (groups[first] | groups[second],)
-    )
+    return replace_groups(individual, (first, second), (first | second,))
 
 
 def mutate_split(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
-    fused = [i for i, g in enumerate(individual.groups) if len(g) > 1]
-    if not fused:
+    if not individual.groups:
         return None
-    target = rng.choice(fused)
-    members = sorted(individual.groups[target])
+    target = rng.choice(individual.groups)
+    members = sorted(target)
     rng.shuffle(members)
     cut = rng.randint(1, len(members) - 1)
     return replace_groups(
@@ -167,40 +109,35 @@ def mutate_split(
 def mutate_move(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
-    fused = [i for i, g in enumerate(individual.groups) if len(g) > 1]
-    if not fused:
+    if not individual.groups:
         return None
-    source = rng.choice(fused)
-    groups = individual.groups
-    node = rng.choice(sorted(groups[source]))
-    rest = groups[source] - {node}
+    source = rng.choice(individual.groups)
+    node = rng.choice(sorted(source))
+    rest = source - {node}
     destinations = (
-        [i for i in problem.mergeable_groups(groups) if i != source]
+        problem.mergeable_groups(individual, exclude=source)
         if problem.infos[node].fusable
-        else []
+        else ()
     )
     if destinations and rng.random() < 0.6:
         dest = rng.choice(destinations)
-        return replace_groups(
-            individual, (source, dest), (rest, groups[dest] | {node})
-        )
-    return replace_groups(individual, (source,), (rest, frozenset({node})))
+        return replace_groups(individual, (source, dest), (rest, dest | {node}))
+    return replace_groups(individual, (source,), (rest,))
 
 
 def mutate_fission_toggle(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
-    fissionable = [n for n in problem.fragments_of]
-    if not fissionable:
+    if not problem.fragments_of:
         return None
-    node = rng.choice(sorted(fissionable))
+    node = rng.choice(sorted(problem.fragments_of))
     split = set(individual.split)
     groups = list(individual.groups)
     if node in split:
         ensure_whole(problem, split, groups, node)
     else:
         ensure_split(problem, split, groups, node)
-    return make_grouping(split, groups)
+    return Grouping(frozenset(split), groups)
 
 
 def lazy_fission_repair(
@@ -217,10 +154,7 @@ def lazy_fission_repair(
     split = set(individual.split)
     groups = list(individual.groups)
     fissions = 0
-    for index in range(len(groups)):
-        group = groups[index]
-        if len(group) <= 1:
-            continue
+    for index, group in enumerate(groups):
         if problem.group_smem_bytes(group) <= problem.capacity:
             continue
         candidates = [
@@ -236,9 +170,6 @@ def lazy_fission_repair(
         # split the node: fragments sharing arrays with the rest stay, but
         # only while the group remains within the shared-memory budget
         # (greedy re-admission); the others become singletons
-        for i, g in enumerate(groups):
-            if node in g:
-                groups[i] = g - {node}
         keep: Set[str] = set()
         sharing = [
             f
@@ -252,13 +183,10 @@ def lazy_fission_repair(
             candidate_group = rest | keep | {fragment}
             if problem.group_smem_bytes(candidate_group) <= problem.capacity:
                 keep.add(fragment)
-        for fragment in problem.fragments_of[node]:
-            if fragment not in keep:
-                groups.append(frozenset({fragment}))
         groups[index] = rest | keep
         split.add(node)
         fissions += 1
-    return make_grouping(split, groups), fissions
+    return Grouping(frozenset(split), groups), fissions
 
 
 def crossover(
@@ -268,33 +196,28 @@ def crossover(
     rng: random.Random,
 ) -> Grouping:
     """Group-injection crossover: donor fused groups overwrite the receiver."""
-    donor_groups = donor.fused_groups()
+    donor_groups = donor.groups
     if not donor_groups:
         return receiver
     count = max(1, rng.randint(1, len(donor_groups)))
     injected = rng.sample(donor_groups, count)
-
-    injected_members: Set[str] = set()
-    for group in injected:
-        injected_members |= group
-    # reconcile representations; a receiver that needed none keeps its
-    # (vouched) group order, a reconciled one is re-sorted
+    injected_members = frozenset().union(*injected)
+    # reconcile representations, then injected members leave the
+    # receiver's groups
     split = set(receiver.split)
     groups = list(receiver.groups)
     for node, fragments in problem.fragments_of.items():
         if node in injected_members:
             ensure_whole(problem, split, groups, node)
-        elif injected_members & set(fragments):
+        elif not injected_members.isdisjoint(fragments):
             ensure_split(problem, split, groups, node)
-    if split != receiver.split:
-        receiver = Grouping(split=frozenset(split), groups=tuple(groups))
-    # injected members leave the receiver's groups
-    groups = receiver.groups
-    overlap = list(filterfalse(injected_members.isdisjoint, groups))
-    return replace_groups(
-        receiver,
-        [groups.index(g) for g in overlap],
-        [g - injected_members for g in overlap] + injected,
+    return Grouping(
+        frozenset(split),
+        [
+            g if g.isdisjoint(injected_members) else g - injected_members
+            for g in groups
+        ]
+        + injected,
     )
 
 

@@ -215,10 +215,12 @@ def _decode_graphs(
 # -------------------------------------------------------------------- search
 
 
-def _grouping_to_payload(grouping: Grouping) -> Dict[str, object]:
+def _grouping_to_payload(
+    grouping: Grouping, problem: FusionProblem
+) -> Dict[str, object]:
     return {
         "split": sorted(grouping.split),
-        "groups": sorted(sorted(group) for group in grouping.groups),
+        "groups": [sorted(group) for group in grouping.partition(problem)],
     }
 
 
@@ -226,18 +228,15 @@ def _grouping_from_payload(
     payload: Dict[str, object], problem: FusionProblem
 ) -> Optional[Grouping]:
     try:
-        grouping = Grouping(
-            split=frozenset(payload["split"]),
-            groups=tuple(frozenset(group) for group in payload["groups"]),
-        )
+        groups = [frozenset(group) for group in payload["groups"]]
+        grouping = Grouping(split=frozenset(payload["split"]), groups=groups)
     except (KeyError, TypeError):
         return None
-    known = set(problem.infos)
-    if not set(grouping.split) <= known:
-        return None
-    if any(not group <= known for group in grouping.groups):
-        return None
+    # the payload must be a whole partition of the problem, not just the
+    # fused groups of one
     if not grouping.covers(problem):
+        return None
+    if sorted(map(sorted, groups)) != sorted(map(sorted, grouping.partition(problem))):
         return None
     return grouping
 
@@ -276,7 +275,7 @@ def save_search(
         NS_SEARCH,
         exact_key,
         {
-            "best": _grouping_to_payload(result.best),
+            "best": _grouping_to_payload(result.best, problem),
             "best_fitness": result.best_fitness,
             "projected_time_s": result.projected_time_s,
             "generations_run": result.generations_run,
@@ -285,11 +284,11 @@ def save_search(
             "evaluations": result.evaluations,
         },
     )
-    pop_payload = [_grouping_to_payload(result.best)]
+    pop_payload = [_grouping_to_payload(result.best, problem)]
     for individual in population or []:
         if len(pop_payload) > MAX_SAVED_POPULATION:
             break
-        pop_payload.append(_grouping_to_payload(individual))
+        pop_payload.append(_grouping_to_payload(individual, problem))
     store.put(NS_POPULATION, warm_key, {"population": pop_payload})
 
 
@@ -332,6 +331,7 @@ def _decode_search(
                 payload["avg_fissions_per_generation"]
             ),
             evaluations=int(payload["evaluations"]),
+            new_kernel_count=len(best.partition(problem)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         logger.warning("store: search entry unusable (%s); recomputing", exc)

@@ -44,11 +44,11 @@ from repro.search.objective import (
     clear_compiled_fitness,
     evaluate_individual_reference,
     get_objective,
+    summation_order,
 )
 from repro.search.operators import (
     crossover,
     lazy_fission_repair,
-    make_grouping,
     mutate,
     mutate_fission_toggle,
     mutate_merge,
@@ -76,7 +76,7 @@ PROGRAMS = {
 
 def _group_spread(problem, individual, device):
     """A custom objective with no additive structure to shortcut."""
-    sizes = sorted(len(group) for group in individual.groups)
+    sizes = sorted(len(group) for group in individual.partition(problem))
     return 50.0 + sum(i * size for i, size in enumerate(sizes)) / len(problem.infos)
 
 
@@ -214,7 +214,7 @@ def _random_partition(problem, rng):
     groups = {}
     for node in active:
         groups.setdefault(rng.randrange(cells), set()).add(node)
-    return make_grouping(split, [frozenset(g) for g in groups.values()])
+    return Grouping(frozenset(split), [frozenset(g) for g in groups.values()])
 
 
 @settings(max_examples=60, deadline=None)
@@ -303,8 +303,8 @@ def test_fused_only_cycle_test_matches_the_condensation(case):
     order, edges, fused, expected = CYCLE_CASES[case]
     problem = _dag_problem(order.split(), edges)
     grouped = set().union(*fused)
-    individual = make_grouping(
-        (),
+    individual = Grouping(
+        frozenset(),
         [frozenset(g) for g in fused]
         + [frozenset({n}) for n in order.split() if n not in grouped],
     )
@@ -317,14 +317,51 @@ def test_fused_only_cycle_test_matches_the_condensation(case):
     assert asdict(compiled.evaluate(individual)[1]) == asdict(reference)
 
 
+# ------------------------------------------------ the lazy mergeable sequence
+
+
+def test_mergeable_view_equals_the_materialized_sequence(problem):
+    """The operators draw by position from ``mergeable_groups``; it must
+    be the sequence the full partition's mergeable groups form, in the
+    order the partition is listed (launch order for the identity), with
+    ``exclude`` removed, and ``sharing`` must keep those that share an
+    array — what the operators built from every group before individuals
+    stopped listing singletons."""
+    checked = 0
+    for individual in _individuals(problem, 60, seed=5):
+        full = [
+            g for g in summation_order(problem, individual)
+            if problem.mergeable.issuperset(g)
+        ]
+        view = problem.mergeable_groups(individual)
+        assert list(view) == full
+        assert [view[i] for i in range(-len(full), len(full))] == full + full
+        for first in full:
+            others = [g for g in full if g != first]
+            excluded = problem.mergeable_groups(individual, exclude=first)
+            assert list(excluded) == others
+            arrays = set().union(*(problem.touched[m] for m in first))
+            assert excluded.sharing(first) == [
+                g for g in others
+                if any(not problem.touched[m].isdisjoint(arrays) for m in g)
+            ]
+            checked += 1
+        for group in individual.groups:
+            if group not in full:
+                assert list(problem.mergeable_groups(individual, exclude=group)) == full
+    if problem.mergeable:
+        assert checked > 0
+
+
 # ---------------------------------------------------- canonical by construction
 
 
 def test_every_operator_returns_its_groups_in_canonical_order(problem):
-    """Operators insert into an ordered tuple instead of re-sorting; the
-    order is a contract (memo keys, float summation order), so whatever
-    they return must equal ``make_grouping`` of its own groups — also when
-    the input, like ``singleton_grouping``, is not canonical itself."""
+    """An individual stores its fused groups only; the order is a
+    contract (memo keys, float summation order), so whatever an operator
+    returns must equal, and hash like, the individual built from its full
+    partition, and the partition must be in canonical order — also when
+    the input is the launch-ordered ``singleton_grouping``."""
     rng = random.Random(20150615)
     scorer = SurrogateScorer(problem, K20X, projected_gflops, PenaltyParams())
     produced = []
@@ -356,10 +393,10 @@ def test_every_operator_returns_its_groups_in_canonical_order(problem):
     assert len(produced) > 100
     for individual in produced:
         assert individual.covers(problem)
-        assert individual == make_grouping(individual.split, individual.groups)
-        assert hash(individual) == hash(
-            make_grouping(individual.split, individual.groups)
-        )
+        partition = individual.partition(problem)
+        assert partition == sorted(partition, key=min)
+        assert individual == Grouping(individual.split, partition)
+        assert hash(individual) == hash(Grouping(individual.split, partition))
 
 
 # ------------------------------------------------------- turnover during a run

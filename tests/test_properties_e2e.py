@@ -16,7 +16,7 @@ from repro.cudalite import parse_program
 from repro.gpu.device import K20X
 from repro.gpu.interpreter import outputs_allclose, run_program
 from repro.pipeline import Framework, PipelineConfig
-from repro.search import fast_params
+from repro.search import Grouping, fast_params
 from repro.search.gga import GGA
 from repro.search.grouping import evaluate_violations
 from repro.search.operators import random_grouping
@@ -124,14 +124,12 @@ def test_repair_always_feasible_property(source, seed):
     rng = random.Random(seed)
     individual = random_grouping(built.problem, rng)
     # scramble it further with random merges that may be infeasible
-    from repro.search.operators import make_grouping
-
-    groups = list(individual.groups)
+    groups = list(individual.partition(built.problem))
     rng.shuffle(groups)
     while len(groups) > 2 and rng.random() < 0.6:
         a = groups.pop()
         groups[-1] = groups[-1] | a
-    scrambled = make_grouping(set(individual.split), groups)
+    scrambled = Grouping(frozenset(individual.split), groups)
     repaired = engine._repair_to_feasible(scrambled)
     violations = evaluate_violations(built.problem, repaired)
     assert violations.feasible

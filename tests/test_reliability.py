@@ -441,7 +441,9 @@ def test_group_gate_demotes_a_real_misfusion_of_full_scale_fluam():
     group = frozenset(
         {"F003@3", "F017@17", "F021@21", "F022@22", "F023@23", "F029@29"}
     )
-    rest = tuple(g for g in singleton_grouping(problem).groups if not g & group)
+    rest = tuple(
+        g for g in singleton_grouping(problem).partition(problem) if not g & group
+    )
     result = materialize(
         state.program, problem, state.built.bindings,
         Grouping(frozenset(), (group,) + rest),

@@ -382,7 +382,7 @@ def test_projection_memo_separates_devices_sharing_a_name(problem3):
     from repro.search import group_projection_time
     from repro.search.objective import clear_projection_caches
 
-    group = singleton_grouping(problem3).groups[0]
+    group = singleton_grouping(problem3).partition(problem3)[0]
     starved = replace(K20X, peak_bandwidth_gbs=1.0)
     assert starved.name == K20X.name
     clear_projection_caches(problem3)

@@ -213,9 +213,9 @@ def test_surrogate_variants_materialize_consistently(fluam_problem):
         for variant in scorer.variants(parent, parts, rng, 4):
             child = variant.materialize()
             # the materialized child is a valid partition of the problem
-            members = [m for g in child.groups for m in g]
+            members = [m for g in child.partition(fluam_problem) for m in g]
             assert sorted(members) == sorted(
-                m for g in parent.groups for m in g
+                m for g in parent.partition(fluam_problem) for m in g
             )
             # the incremental delta score equals a fresh full rescan
             fresh = scorer.score_from(scorer.components(child))

@@ -216,3 +216,48 @@ def test_poisoned_store_cli_exit_zero(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert out1.read_text() == out2.read_text()
+
+
+# ------------------------------------------------ stored individuals' format
+
+
+def test_full_partition_payload_loads_as_its_sparse_seed(tmp_path):
+    """Stored individuals list every group, singletons included; one loads
+    as a warm-start seed equal to (and hashing like) the individual, which
+    keeps its fused groups only.  A payload that is not a whole partition
+    of the problem is dropped."""
+    import random
+
+    from repro.analysis.filtering import identify_targets
+    from repro.apps import build_app
+    from repro.gpu.device import K20X
+    from repro.gpu.profiler import gather_metadata
+    from repro.search import GAParams, build_problem, random_grouping
+    from repro.store import stage_cache
+    from repro.store.artifact_store import ArtifactStore
+
+    program = build_app("B-CALM", scale=0.5).program
+    meta = gather_metadata(program, K20X)
+    problem = build_problem(program, meta, identify_targets(meta, K20X), K20X).problem
+    rng = random.Random(3)
+    individual = next(
+        ind
+        for ind in (random_grouping(problem, rng) for _ in range(100))
+        if ind.split and ind.groups
+    )
+    full = sorted(sorted(g) for g in individual.partition(problem))
+    assert any(len(g) == 1 for g in full)
+    payload = {"split": sorted(individual.split), "groups": full}
+    short = {"split": payload["split"], "groups": full[1:]}
+
+    store = ArtifactStore(tmp_path / "store")
+    params = GAParams()
+    _, warm_key = stage_cache._search_keys(problem, K20X, params)
+    store.put(stage_cache.NS_POPULATION, warm_key, {"population": [payload, short]})
+    seeds = stage_cache.load_warm_start(store, problem, K20X, params)
+    assert seeds == [individual]
+    assert hash(seeds[0]) == hash(individual)
+    assert seeds[0].groups == individual.groups
+    assert all(len(g) > 1 for g in seeds[0].groups)
+    # and the writer keeps the full format
+    assert stage_cache._grouping_to_payload(individual, problem) == payload
