@@ -158,6 +158,8 @@ class GGA:
         self.lookups = 0
         #: objective evaluations this instance executed (memo misses)
         self.evaluations = 0
+        #: seconds those evaluations took
+        self.exact_s = 0.0
 
     # ------------------------------------------------------------------- eval
 
@@ -167,35 +169,25 @@ class GGA:
         return self.lookups - self.evaluations
 
     def evaluate(self, individual: Grouping) -> Tuple[float, Violations]:
+        start = time.perf_counter()
         fitness, violations, hit = self.fitness.lookup(individual)
         self.lookups += 1
         if not hit:
             self.evaluations += 1
+            self.exact_s += time.perf_counter() - start
         return fitness, violations
 
     def evaluate_many(
         self, individuals: Sequence[Grouping], eval_span=None
     ) -> List[Tuple[float, Violations]]:
-        """Evaluate a population; results in input order.
-
-        ``eval_span`` gets ``exact_s``: the seconds the memo misses took
-        (the rest of the span is memo hits and bookkeeping).
-        """
-        lookup = self.fitness.lookup
-        results: List[Tuple[float, Violations]] = []
-        misses = 0
-        exact_s = 0.0
-        for individual in individuals:
-            start = time.perf_counter()
-            fitness, violations, hit = lookup(individual)
-            if not hit:
-                exact_s += time.perf_counter() - start
-                misses += 1
-            results.append((fitness, violations))
-        self.lookups += len(results)
-        self.evaluations += misses
+        """Evaluate a population; results in input order.  ``eval_span``
+        gets ``exact_s``, the seconds of the memo misses (the rest of the
+        span is memo hits and bookkeeping)."""
+        before, exact_before = self.evaluations, self.exact_s
+        results = [self.evaluate(individual) for individual in individuals]
+        misses = self.evaluations - before
         if eval_span is not None:
-            eval_span.set(misses=misses, exact_s=exact_s)
+            eval_span.set(exact_s=self.exact_s - exact_before)
         registry = get_registry()
         registry.inc("search_fitness_lookups_total", len(results))
         registry.inc("search_fitness_cache_hits_total", len(results) - misses)

@@ -166,14 +166,6 @@ class FusionProblem:
             self._split_views[split] = view
         return view
 
-    def mergeable_groups(
-        self, individual: "Grouping", exclude: Optional[FrozenSet[str]] = None
-    ) -> "MergeableGroups":
-        """The groups of ``individual`` (singletons included) that may be
-        merged with another — every member eligible and fusable — in
-        canonical order, optionally without the group ``exclude``."""
-        return MergeableGroups(self, individual, exclude)
-
     # ------------------------------------------------------- precedence (OEG)
 
     def node_oeg(self, active: Iterable[str]) -> Tuple[nx.DiGraph, Dict[str, Set[str]]]:
@@ -428,40 +420,26 @@ class SplitView:
         self.orders = {
             launch: _mergeable_order(
                 problem,
-                [n for n in (active if launch else self.canonical) if n in problem.mergeable],
+                [n for n in (active if launch else self.canonical)
+                 if n in problem.mergeable],
             )
             for launch in (False, True)
         }
-        self._group_slots: Dict[FrozenSet[str], Tuple[int, int, Tuple[int, ...]]] = {}
+        self._group_slots: Dict[FrozenSet[str], Tuple[int, int]] = {}
 
-    def group_slots(self, group: FrozenSet[str]) -> Tuple[int, int, Tuple[int, ...]]:
-        """``(head, mask, rest)`` of a fused group over the canonical
-        mergeable slots: its least member's slot if every member is
-        mergeable (else -1), the mask of its members' slots and the slots
-        of the others; memoized."""
+    def group_slots(self, group: FrozenSet[str]) -> Tuple[int, int]:
+        """``(head, mask)`` of a fused group over the canonical mergeable
+        slots: its least member's slot if every member is mergeable (else
+        -1), and the mask of its members' slots; memoized."""
         entry = self._group_slots.get(group)
         if entry is None:
             slot = self.orders[False][0]
-            slots = sorted(slot[m] for m in group if m in slot)
-            head = slots.pop(0) if len(slots) == len(group) else -1
-            mask = sum(1 << i for i in slots) | (1 << head if head >= 0 else 0)
+            slots = [slot[m] for m in group if m in slot]
+            head = min(slots) if len(slots) == len(group) else -1
             if len(self._group_slots) >= 1 << 16:
                 self._group_slots.clear()
-            entry = self._group_slots[group] = (head, mask, tuple(slots))
+            entry = self._group_slots[group] = (head, sum(1 << i for i in slots))
         return entry
-
-
-_LEAST: Dict[FrozenSet[str], str] = {}
-
-
-def least_member(group: FrozenSet[str]) -> str:
-    """The canonical sort key of a group, memoized."""
-    least = _LEAST.get(group)
-    if least is None:
-        if len(_LEAST) >= 1 << 16:
-            _LEAST.clear()
-        least = _LEAST[group] = min(group)
-    return least
 
 
 class Grouping:
@@ -498,7 +476,7 @@ class Grouping:
         launch_order: bool = False,
     ) -> None:
         fused = [g for g in map(frozenset, groups) if len(g) > 1]
-        fused.sort(key=least_member)
+        fused.sort(key=min)
         values = (frozenset(split), tuple(fused), launch_order)
         init = object.__setattr__
         init(self, "split", values[0])
@@ -549,7 +527,7 @@ class Grouping:
     def partition(self, problem: FusionProblem) -> List[FrozenSet[str]]:
         """Every group, singletons included, in canonical order: the fused
         groups interleaved with the uncovered active nodes by least member."""
-        heads = {least_member(g): g for g in self.groups}
+        heads = {min(g): g for g in self.groups}
         covered = frozenset().union(*self.groups)
         return [
             heads[node] if node in covered else frozenset((node,))
@@ -562,7 +540,9 @@ class Grouping:
 
 
 class MergeableGroups(SequenceABC):
-    """The mergeable groups of an individual, indexed lazily.
+    """The groups of an individual (singletons included) that may be
+    merged with another — every member eligible and fusable — optionally
+    without the group ``exclude``, indexed lazily.
 
     Positional draws (``rng.choice``, ``rng.sample``) see the sequence the
     full partition's mergeable groups form in canonical order — the
@@ -584,23 +564,20 @@ class MergeableGroups(SequenceABC):
     ) -> None:
         view = problem.split_view(individual.split)
         self._slot, self._singles, self._share = view.orders[individual.launch_order]
-        skipped: List[int] = []
+        skipped = 0
         heads: Dict[int, Tuple[FrozenSet[str], int]] = {}
         for group in individual.groups:
-            head, mask, rest = view.group_slots(group)
-            skipped.extend(rest)
-            if head < 0:
-                continue
-            if group == exclude:
-                skipped.append(head)
-            else:
+            head, mask = view.group_slots(group)
+            if head >= 0 and group != exclude:
                 heads[head] = (group, mask)
+                mask ^= 1 << head
+            skipped |= mask
         if exclude is not None and len(exclude) == 1:
-            skipped.append(self._slot[least_member(exclude)])
-        skipped.sort()
+            skipped |= 1 << self._slot[min(exclude)]
+        #: mask of the slots the sequence skips
         self._skipped = skipped
         self._heads = heads
-        self._len = len(self._singles) - len(skipped)
+        self._len = len(self._singles) - skipped.bit_count()
 
     def __len__(self) -> int:
         return self._len
@@ -614,16 +591,18 @@ class MergeableGroups(SequenceABC):
             index += self._len
         if not 0 <= index < self._len:
             raise IndexError(index)
-        for skipped in self._skipped:
-            if skipped > index:
+        skipped = self._skipped
+        while skipped:
+            low = skipped & -skipped
+            if low.bit_length() - 1 > index:
                 break
             index += 1
+            skipped ^= low
         return self._group(index)
 
     def __iter__(self) -> Iterator[FrozenSet[str]]:
-        skipped = set(self._skipped)
         for slot in range(len(self._singles)):
-            if slot not in skipped:
+            if not self._skipped >> slot & 1:
                 yield self._group(slot)
 
     def sharing(self, group: FrozenSet[str]) -> List[FrozenSet[str]]:
@@ -632,11 +611,10 @@ class MergeableGroups(SequenceABC):
         reach = 0
         for node in group:
             reach |= self._share[self._slot[node]]
-        hits = reach
-        for slot in self._skipped:
-            hits &= ~(1 << slot)
+        hits = reach & ~self._skipped
         for slot, (_, mask) in self._heads.items():
-            hits = hits & ~mask | (1 << slot if mask & reach else 0)
+            if mask & reach:
+                hits |= 1 << slot
         out: List[FrozenSet[str]] = []
         while hits:
             low = hits & -hits

@@ -31,9 +31,9 @@ from .grouping import (
     NOMINAL_BLOCK,
     FusionProblem,
     Grouping,
+    MergeableGroups,
     Violations,
     evaluate_violations,
-    least_member,
 )
 from .penalty import PenaltyParams, penalized_fitness
 
@@ -222,12 +222,11 @@ class CompiledFitness:
       fused group its member mask ``M``, ``desc(M)`` and convexity
       ``desc(M) & anc(M) & ~M == 0`` — the group masks live and die with
       their split;
-    * per fused group: fusability / realizability / smem pressure /
-      lazy-fission relaxability, and the (projection time, flops) pair of
-      the default objective; per node, the singleton's pair, laid out per
-      split in summation order (:func:`summation_order`), so the objective
-      walks the split's nodes once and swaps in each fused group at its
-      least member;
+    * per group: fusability / realizability / smem pressure / lazy-fission
+      relaxability, and the (projection time, flops) pair of the default
+      objective; the singletons' pairs laid out per split in summation
+      order (:func:`summation_order`), so the objective walks the split's
+      nodes once and swaps in each fused group at its least member;
     * per individual value: the final (fitness, violation counts) pair,
       so an exact re-evaluation (replays, restarts, converged
       populations) is one dict probe.  A fresh ``Violations`` record is
@@ -277,7 +276,6 @@ class CompiledFitness:
         self._split_cache: Dict[FrozenSet[str], _SplitState] = {}
         self._group_static: Dict[FrozenSet[str], Tuple[bool, bool, bool, bool]] = {}
         self._group_obj: Dict[FrozenSet[str], Tuple[float, float]] = {}
-        self._node_obj: Dict[str, Tuple[float, float]] = {}
         #: (split, launch order?) -> the split's singleton terms
         self._split_terms: Dict[Tuple[FrozenSet[str], bool], _NodeTerms] = {}
         #: individual -> (fitness, the memo's own Violations record)
@@ -286,7 +284,8 @@ class CompiledFitness:
     def _split_state(self, split: FrozenSet[str]) -> _SplitState:
         state = self._split_cache.get(split)
         if state is None:
-            state = (*self.problem.reach_masks(self.problem.split_view(split).active), {})
+            active = self.problem.split_view(split).active
+            state = (*self.problem.reach_masks(active), {})
             if len(self._split_cache) > self.MAX_SPLITS:
                 self._split_cache.clear()
             self._split_cache[split] = state
@@ -357,22 +356,12 @@ class CompiledFitness:
         return violations
 
     def _group_pair(self, group: FrozenSet[str]) -> Tuple[float, float]:
-        """(projected time, flops) of a fused group, memoized."""
+        """(projected time, flops) of a group, memoized."""
         pair = self._group_obj.get(group)
         if pair is None:
             pair = self._group_obj[group] = (
                 group_projection_time(self.problem, group, self.device),
                 sum(self.problem.info(m).flops for m in group),
-            )
-        return pair
-
-    def _node_pair(self, node: str) -> Tuple[float, float]:
-        """(projected time, flops) of a singleton group, memoized."""
-        pair = self._node_obj.get(node)
-        if pair is None:
-            pair = self._node_obj[node] = (
-                group_projection_time(self.problem, (node,), self.device),
-                self.problem.infos[node].flops,
             )
         return pair
 
@@ -384,7 +373,7 @@ class CompiledFitness:
         if terms is None:
             view = self.problem.split_view(split)
             terms = tuple(
-                (node, *self._node_pair(node))
+                (node, *self._group_pair(frozenset((node,))))
                 for node in (view.active if launch_order else view.canonical)
             )
             if len(self._split_terms) > self.MAX_SPLITS:
@@ -396,7 +385,7 @@ class CompiledFitness:
         """Projected time and flops summed over every group in
         :func:`summation_order`: the split's singleton terms, each fused
         group's pair at its least member."""
-        heads = {least_member(group): group for group in individual.groups}
+        heads = {min(group): group for group in individual.groups}
         covered = frozenset().union(*individual.groups)
         total_time = 0.0
         total_flops = 0.0
@@ -589,10 +578,8 @@ class SurrogateScorer:
     ) -> Tuple[float, float, Tuple[bool, bool, bool, bool]]:
         """(projected time, flops, static flags) for one group, memoized."""
         evaluator = self.evaluator
-        if len(group) == 1:
-            (node,) = group
-            return (*evaluator._node_pair(node), self._NO_FLAGS)
-        return (*evaluator._group_pair(group), evaluator._group_flags(group))
+        flags = self._NO_FLAGS if len(group) == 1 else evaluator._group_flags(group)
+        return (*evaluator._group_pair(group), flags)
 
     def components(
         self, individual: Grouping
@@ -656,7 +643,7 @@ class SurrogateScorer:
         """
         problem = self.problem
         infos = problem.infos
-        fusable = problem.mergeable_groups(individual)
+        fusable = MergeableGroups(problem, individual)
         fused = individual.groups
         base_time, base_flops, base_viol = components
         out: List[SurrogateVariant] = []
@@ -688,8 +675,8 @@ class SurrogateScorer:
                 drop = (source,)
                 add = (rest, frozenset((node,)))
                 if infos[node].fusable and rng.random() < 0.6:
-                    destinations = problem.mergeable_groups(
-                        individual, exclude=source
+                    destinations = MergeableGroups(
+                        problem, individual, exclude=source
                     )
                     if destinations:
                         dest = destinations[rng.randrange(len(destinations))]

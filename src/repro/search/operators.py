@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional, Set, Tuple
 
-from .grouping import FusionProblem, Grouping
+from .grouping import FusionProblem, Grouping, MergeableGroups
 
 
 def replace_groups(
@@ -81,11 +81,11 @@ def mutate_merge(
     problem: FusionProblem, individual: Grouping, rng: random.Random
 ) -> Optional[Grouping]:
     """Merge two groups, preferring pairs that share a data array."""
-    candidates = problem.mergeable_groups(individual)
+    candidates = MergeableGroups(problem, individual)
     if len(candidates) < 2:
         return None
     first = rng.choice(candidates)
-    others = problem.mergeable_groups(individual, exclude=first)
+    others = MergeableGroups(problem, individual, exclude=first)
     sharing = others.sharing(first)
     pool = sharing if sharing and rng.random() < 0.8 else others
     second = rng.choice(pool)
@@ -115,7 +115,7 @@ def mutate_move(
     node = rng.choice(sorted(source))
     rest = source - {node}
     destinations = (
-        problem.mergeable_groups(individual, exclude=source)
+        MergeableGroups(problem, individual, exclude=source)
         if problem.infos[node].fusable
         else ()
     )

@@ -38,6 +38,7 @@ from repro.search import (
     register_objective,
     singleton_grouping,
 )
+from repro.search.grouping import MergeableGroups
 from repro.search.objective import (
     CompiledFitness,
     SurrogateScorer,
@@ -321,7 +322,7 @@ def test_fused_only_cycle_test_matches_the_condensation(case):
 
 
 def test_mergeable_view_equals_the_materialized_sequence(problem):
-    """The operators draw by position from ``mergeable_groups``; it must
+    """The operators draw by position from ``MergeableGroups``; it must
     be the sequence the full partition's mergeable groups form, in the
     order the partition is listed (launch order for the identity), with
     ``exclude`` removed, and ``sharing`` must keep those that share an
@@ -333,12 +334,12 @@ def test_mergeable_view_equals_the_materialized_sequence(problem):
             g for g in summation_order(problem, individual)
             if problem.mergeable.issuperset(g)
         ]
-        view = problem.mergeable_groups(individual)
+        view = MergeableGroups(problem, individual)
         assert list(view) == full
         assert [view[i] for i in range(-len(full), len(full))] == full + full
         for first in full:
             others = [g for g in full if g != first]
-            excluded = problem.mergeable_groups(individual, exclude=first)
+            excluded = MergeableGroups(problem, individual, exclude=first)
             assert list(excluded) == others
             arrays = set().union(*(problem.touched[m] for m in first))
             assert excluded.sharing(first) == [
@@ -348,7 +349,8 @@ def test_mergeable_view_equals_the_materialized_sequence(problem):
             checked += 1
         for group in individual.groups:
             if group not in full:
-                assert list(problem.mergeable_groups(individual, exclude=group)) == full
+                excluded = MergeableGroups(problem, individual, exclude=group)
+                assert list(excluded) == full
     if problem.mergeable:
         assert checked > 0
 

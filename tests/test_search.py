@@ -403,3 +403,23 @@ def test_default_params_match_paper():
     params = GAParams()
     assert params.population == 100
     assert params.generations == 500
+
+
+def test_grouping_is_an_immutable_value(problem3):
+    import copy
+    import pickle
+
+    fused = Grouping(frozenset(), (frozenset({"k1@0", "k2@1"}),))
+    full = Grouping(frozenset(), fused.partition(problem3))
+    assert full == fused and hash(full) == hash(fused)
+    assert full.groups == (frozenset({"k1@0", "k2@1"}),)
+    assert fused.partition(problem3) == [
+        frozenset({"k1@0", "k2@1"}), frozenset({"k3@2"})
+    ]
+    for clone in (pickle.loads(pickle.dumps(fused)), copy.deepcopy(fused)):
+        assert clone == fused and hash(clone) == hash(fused)
+    with pytest.raises(AttributeError):
+        fused.groups = ()
+    identity = singleton_grouping(problem3)
+    assert identity.groups == () and identity.covers(problem3)
+    assert len(identity.partition(problem3)) == 3
