@@ -16,15 +16,15 @@ Individuals are partitions, so the operators work on *groups*, not genes:
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .grouping import FusionProblem, Grouping, MergeableGroups
 
 
 def replace_groups(
     individual: Grouping,
-    drop: Iterable[frozenset],
-    add: Iterable[frozenset],
+    drop: Iterable[FrozenSet[str]],
+    add: Iterable[FrozenSet[str]],
 ) -> Grouping:
     """``individual`` without the groups ``drop`` and with the groups
     ``add`` (singletons and empty groups are implied / dropped)."""
@@ -36,10 +36,10 @@ def replace_groups(
 
 
 def ensure_whole(
-    problem: FusionProblem, split: Set[str], groups: List[frozenset], node: str
+    problem: FusionProblem, split: Set[str], groups: List[FrozenSet[str]], node: str
 ) -> None:
-    """Convert ``node`` back to its whole representation (in place); the
-    whole node and its fragments' former partners become singletons."""
+    """Convert ``node`` back to its whole representation (in place): its
+    fragments leave their fused groups and the whole node is a singleton."""
     if node not in split:
         return
     fragments = frozenset(problem.fragments_of[node])
@@ -48,7 +48,7 @@ def ensure_whole(
 
 
 def ensure_split(
-    problem: FusionProblem, split: Set[str], groups: List[frozenset], node: str
+    problem: FusionProblem, split: Set[str], groups: List[FrozenSet[str]], node: str
 ) -> None:
     """Convert ``node`` to fragment representation (fragments become
     singletons, in place)."""
