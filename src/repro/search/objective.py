@@ -460,9 +460,13 @@ def drop_individual_memos(problem: FusionProblem) -> None:
     key and stay, so a later search on the same problem object computes
     bit-identical values; the per-individual memo would instead answer
     that search's lookups and change what it counts as an evaluation.
+    The split views the operators index (and their per-group slots) go
+    too: a problem the memory tier keeps need not hold them between
+    searches, and the next search rebuilds them on demand.
     """
     for evaluator in problem.__dict__.get("_compiled_fitness", {}).values():
         evaluator._eval_cache.clear()
+    problem._split_views.clear()
 
 
 def clear_compiled_fitness(problem: FusionProblem) -> None:
