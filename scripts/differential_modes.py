@@ -21,6 +21,14 @@ stencil under every block execution strategy — ``loop``, ``batched`` and
   equals the two separate runs: array hashes of both programs and the
   transformed program's counter signature.
 
+With ``--verdicts`` it instead transforms the fuzz apps whose groups
+demote (:data:`VERDICT_SEEDS`; ``transform(...,
+ga_params=GAParams(population=10, generations=6, seed=s))``) under every
+mode, and once more seed 17 with a thread-invariant out-of-bounds read
+injected into every fused kernel: every group verdict (status and cause)
+and every ``DemotionRecord`` must be the same under all modes — what lets
+one stored verdict serve a run under any ``block_exec``.
+
 Exits non-zero on any mismatch, and when ``auto`` did not replay the
 stencil program's hazard kernel on the block loop, or did not abandon
 its lifted pass of the lagged-tile kernel (either fallback path would
@@ -29,15 +37,22 @@ then be untested).
 Usage::
 
     PYTHONPATH=src python scripts/differential_modes.py [--app Fluam ...|all]
+    PYTHONPATH=src python scripts/differential_modes.py --verdicts
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import sys
 
 MODES = ("loop", "batched", "auto")
+
+#: fuzz seeds whose groups demote at the small GA budget; the first also
+#: runs with the injected out-of-bounds read
+VERDICT_SEEDS = (17, 10, 11, 12, 29, 55, 58)
 
 #: a tiled stage-in/write-out stencil (batched-friendly shared memory),
 #: an in-place kernel that reads and writes one array but only ever its
@@ -214,6 +229,79 @@ def diff_runs(label: str, runs: dict) -> list:
     return problems
 
 
+@contextlib.contextmanager
+def thread_invariant_oob():
+    """Every fused kernel opens with a thread-invariant read one past the
+    end of its first array, in a kernel with shared memory, so the group
+    gate fails it with an out-of-bounds error that names a block."""
+    from repro.cudalite import parse_program, unparse
+    from repro.pipeline import apply
+
+    real = apply.fuse_kernels
+
+    def fuse(name, constituents, block, array_shapes, **kwargs):
+        fused = real(name, constituents, block, array_shapes, **kwargs)
+        extent, *rest = array_shapes[fused.pointer_args[0]]
+        read = f"{fused.kernel.params[0].name}[q]" + "[0]" * len(rest)
+        text = unparse(fused.kernel).replace(
+            "{",
+            "{ __shared__ double spare[1];"
+            f" for (int q = 0; q <= {extent}; q++) {{ double oob = {read}; }}",
+            1,
+        )
+        return dataclasses.replace(fused, kernel=parse_program(text).kernels[0])
+
+    apply.fuse_kernels = fuse
+    try:
+        yield
+    finally:
+        apply.fuse_kernels = real
+
+
+def diff_verdicts() -> list:
+    """Every group gate verdict and demotion of each demoting seed's
+    transform, per mode."""
+    from repro.api import transform
+    from repro.fuzz import generate_app
+    from repro.pipeline import apply
+    from repro.search.params import GAParams
+
+    legs = [(seed, contextlib.nullcontext) for seed in VERDICT_SEEDS]
+    legs.append((VERDICT_SEEDS[0], thread_invariant_oob))
+    real = apply.verify_group
+    problems = []
+    for seed, injected in legs:
+        label = f"fuzz seed {seed}" + (
+            "" if injected is contextlib.nullcontext else " + thread-invariant oob"
+        )
+        program = generate_app(seed).program
+        outcomes = {}
+        for mode in MODES:
+            verdicts = []
+            apply.verify_group = lambda *a, **k: verdicts.append(real(*a, **k)) or verdicts[-1]
+            try:
+                with injected():
+                    result = transform(
+                        program, seed=seed, store=False, telemetry=False,
+                        ga_params=GAParams(population=10, generations=6, seed=seed),
+                        block_exec=mode,
+                    )
+            finally:
+                apply.verify_group = real
+            outcomes[mode] = (verdicts, result.state.transform.demotions)
+        verdicts, demotions = outcomes["loop"]
+        for mode in MODES[1:]:
+            if outcomes[mode][0] != verdicts:
+                problems.append(f"{label}: group verdicts differ loop vs {mode}")
+            if outcomes[mode][1] != demotions:
+                problems.append(f"{label}: demotions differ loop vs {mode}")
+        statuses = [v.status for v in verdicts]
+        print(f"{label}: {len(verdicts)} group verdicts "
+              f"({statuses.count('fail')} fail), {len(demotions)} demotions "
+              f"x {len(MODES)} modes compared")
+    return problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--app", nargs="+", default=["Fluam"],
@@ -224,11 +312,17 @@ def main(argv=None) -> int:
     parser.add_argument("--fuzz-seed", type=int, default=None, metavar="N",
                         help="also differential-test fuzz app N "
                              "(repro.fuzz.appgen.generate_app)")
+    parser.add_argument("--verdicts", action="store_true",
+                        help="instead compare gate verdicts and demotions "
+                             "of the demoting fuzz apps across modes")
     args = parser.parse_args(argv)
 
     from repro.apps import APP_NAMES, build_app
     from repro.cudalite import parse_program
 
+    if args.verdicts:
+        return report(diff_verdicts(),
+                      "group verdicts and demotions equal under every mode")
     problems = []
     apps = APP_NAMES if args.app == ["all"] else args.app
     programs = {"stencil+fallback": parse_program(_STENCIL)}
@@ -254,12 +348,16 @@ def main(argv=None) -> int:
                 problems.append("the lagged-tile kernel was not replayed — "
                                 "the write record is untested")
 
+    return report(problems, "all modes bitwise-identical (arrays) and "
+                  "counter-consistent, paired runs equal to separate ones")
+
+
+def report(problems: list, success: str) -> int:
     for problem in problems:
         print(f"differential_modes: {problem}", file=sys.stderr)
     if problems:
         return 1
-    print("all modes bitwise-identical (arrays) and counter-consistent, "
-          "paired runs equal to separate ones")
+    print(success)
     return 0
 
 

@@ -52,7 +52,7 @@ from .observability.runtime import telemetry
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
 from .pipeline.stages import STAGES, PipelineConfig, PipelineState
-from .search.params import GAParams, drop_retired, fast_params
+from .search.params import RETIRED_GA_FIELDS, GAParams, drop_retired, fast_params
 from .store import keys as store_keys
 from .store.artifact_store import (
     DEFAULT_ROOT,
@@ -94,9 +94,19 @@ def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
     return values
 
 
-#: fields a config written before 4.0 carries (``null`` = defer to the GA
-#: parameter set), read through :func:`drop_retired`
-_RETIRED_CONFIG_FIELDS = ("islands", "migration_interval", "migration_size")
+#: fields configs written by earlier versions carry, read through
+#: :func:`drop_retired`: the island knobs before 4.0 (``null`` = defer to
+#: the GA parameter set) and the gates' tolerance before 6.0
+_RETIRED_CONFIG_FIELDS = {
+    **{
+        name: RETIRED_GA_FIELDS[name]
+        for name in ("islands", "migration_interval", "migration_size")
+    },
+    "verify_rtol": (
+        (0, None),
+        "the verification gates compare bits since 6.0 and take no tolerance",
+    ),
+}
 
 
 @dataclass
@@ -144,8 +154,6 @@ class TransformConfig:
     verify_groups: bool = True
     #: verification input-synthesis seed
     verify_seed: int = 0
-    #: 0 = bitwise comparison, >0 = allclose rtol
-    verify_rtol: float = 0.0
     #: interpreter strategy: 'auto' | 'loop' | 'batched'
     block_exec: str = "auto"
     #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
@@ -176,9 +184,9 @@ class TransformConfig:
                 f"unknown device {self.device!r} "
                 f"(available: {sorted(available_devices())})"
             )
-        # a config file or request written when these four were
+        # a config file or request written when these three were
         # env-backed carries null for "unset"
-        for name in ("verify_groups", "verify_seed", "verify_rtol", "block_exec"):
+        for name in ("verify_groups", "verify_seed", "block_exec"):
             if getattr(self, name) is None:
                 setattr(self, name, getattr(type(self), name))
         if self.block_exec not in interpreter.BLOCK_EXEC_MODES:
@@ -222,7 +230,7 @@ class TransformConfig:
         values = {
             k: v
             for k, v in data.items()
-            if not (k in _RETIRED_CONFIG_FIELDS and drop_retired(k, v))
+            if not drop_retired(k, v, _RETIRED_CONFIG_FIELDS)
         }
         known = {f.name for f in fields(cls)}
         unknown = set(values) - known
@@ -296,7 +304,6 @@ class TransformConfig:
             verify=self.verify,
             verify_groups=self.verify_groups,
             verify_seed=self.verify_seed,
-            verify_rtol=self.verify_rtol,
             block_exec=self.block_exec,
             fail_soft=not self.fail_hard,
             workdir=self.workdir,

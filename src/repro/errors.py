@@ -73,8 +73,8 @@ class OutOfBoundsError(InterpreterError):
 
     Structured fields locate the failure: the offending ``array``, the
     ``axis`` and ``index`` of the bad access, and the ``block`` / ``thread``
-    coordinates of the first offending thread (``None`` when the executing
-    mode cannot attribute the access to a single thread).
+    coordinates of the offender the per-block loop meets first, under
+    every executor (``thread`` is ``None`` for a thread-invariant index).
     """
 
     def __init__(

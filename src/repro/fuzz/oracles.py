@@ -11,14 +11,17 @@ failure" cheaply.
     must be absorbed, never escape.
 ``differential``
     The transformed program's whole-program output is bit-identical to
-    the original's (the per-group verification gate is bitwise by
-    default; fusion/fission/tuning must preserve every element).
+    the original's (both verification gates compare bits;
+    fusion/fission/tuning must preserve every element).
 ``modes``
     The loop / batched / auto interpreter strategies agree
     bitwise on arrays and on the mode-invariant counter signature, under
-    the forward and under the reversed block order; and a run none of
-    whose launches is order-sensitive computes the same arrays in both
-    orders (what lets whole-program verification skip its reversed run).
+    the forward and under the reversed block order, and fail alike: an
+    error has the same class and message under every strategy
+    (``error-mismatch``; an error all of them raise is an escape).  A run
+    none of whose launches is order-sensitive computes the same arrays in
+    both orders (what lets whole-program verification skip its reversed
+    run).
     ``loop`` must have run no array reference as slices and — on a
     generated app, whose every kernel indexes by its global thread id —
     ``auto`` some, which keeps that comparison a slice-vs-funnel
@@ -138,7 +141,6 @@ def fuzz_config(seed: int = 0, **overrides) -> TransformConfig:
         ga_params=params,
         telemetry=False,
         store=False,
-        verify_rtol=0.0,
     )
     defaults.update(overrides)
     return TransformConfig(**defaults)
@@ -213,28 +215,47 @@ def _check_modes(
     by_order = {}
     sliced = {}
     lifted = {}
+    escape: Optional[OracleFailure] = None
     for order in _BLOCK_ORDERS:
-        try:
-            runs = by_order[order] = {}
-            for mode in _EXEC_MODES:
-                interpreter.reset_stats()
+        runs = by_order[order] = {}
+        errors: Dict[str, BaseException] = {}
+        for mode in _EXEC_MODES:
+            interpreter.reset_stats()
+            try:
                 runs[mode] = run_program(
                     program,
                     block_order=order,
                     block_exec=mode,
                     collect_counters=True,
                 )
-                stats = interpreter.stats()
-                sliced[mode] = stats.accesses_by_path["slice"]
-                lifted[mode] = stats.statements_by_path["lifted"]
-        except BaseException as exc:  # noqa: BLE001
-            return _escape("modes", exc)
+            except BaseException as exc:  # noqa: BLE001
+                errors[mode] = exc
+                continue
+            stats = interpreter.stats()
+            sliced[mode] = stats.accesses_by_path["slice"]
+            lifted[mode] = stats.statements_by_path["lifted"]
+        # the forward order keeps the signatures it always had
+        suffix = "" if order == "forward" else f":{order}"
+        if errors:
+            # every executor must fail alike: same class, same message
+            named = {
+                mode: (type(errors[mode]).__name__, str(errors[mode]))
+                if mode in errors else None
+                for mode in _EXEC_MODES
+            }
+            for mode in _EXEC_MODES[1:]:
+                if named[mode] != named["loop"]:
+                    return OracleFailure(
+                        "modes",
+                        f"error-mismatch:{mode}{suffix}",
+                        f"loop={named['loop']} {mode}={named[mode]}",
+                    )
+            escape = escape or _escape("modes", errors["loop"])
+            continue
         signatures = {
             mode: counters_signature(rec.counters for rec in runs[mode].launches)
             for mode in _EXEC_MODES
         }
-        # the forward order keeps the signatures it always had
-        suffix = "" if order == "forward" else f":{order}"
         for mode in _EXEC_MODES[1:]:
             detail = _array_diff(runs["loop"].arrays, runs[mode].arrays)
             if detail is not None:
@@ -248,6 +269,8 @@ def _check_modes(
                     f"counter-mismatch:{mode}{suffix}",
                     f"loop={signatures['loop']} {mode}={signatures[mode]}",
                 )
+    if escape is not None:
+        return escape
     # the premise whole-program verification skips its reversed run on
     # (pipeline/stages.py): no order-sensitive launch, no order dependence
     for mode in _EXEC_MODES:

@@ -14,7 +14,7 @@ from .interpreter import (
     HostInterpreter,
     LaunchRecord,
     RunResult,
-    outputs_allclose,
+    outputs_equal,
     run_program,
     trace_launches,
 )
@@ -40,7 +40,7 @@ __all__ = [
     "DeviceSpec", "K20X", "K40", "TESTING",
     "query_device", "register_device", "available_devices",
     "Dim3", "HostInterpreter", "LaunchRecord", "RunResult",
-    "run_program", "trace_launches", "outputs_allclose",
+    "run_program", "trace_launches", "outputs_equal",
     "OccupancyResult", "BlockShape", "calculate_occupancy",
     "candidate_shapes", "tune_block_size",
     "CodegenTraits", "KernelProjection", "ProgramProjection",

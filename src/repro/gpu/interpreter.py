@@ -94,6 +94,7 @@ from typing import (
     FrozenSet,
     List,
     NamedTuple,
+    NoReturn,
     Optional,
     Set,
     Tuple,
@@ -1237,112 +1238,100 @@ class _KernelExec:
                 if masked:
                     bad = np.logical_and(bad, mask)
                 if np.any(bad):
-                    block, thread, value = self._locate_oob(bad, idx)
-                    where = (
-                        f" at block {block} thread {thread}"
-                        if block is not None
-                        else ""
-                    )
-                    shown = f"index {value} " if value is not None else "index "
-                    raise OutOfBoundsError(
-                        f"array {name!r} axis {axis}: active thread {shown}out "
-                        f"of [0, {extent}) during kernel "
-                        f"{self.kernel.name!r}{where}",
-                        kernel=self.kernel.name,
-                        array=name,
-                        axis=axis,
-                        index=value,
-                        block=block,
-                        thread=thread,
-                    )
+                    self._raise_oob(name, arr, idxs, mask, offset)
                 safe.append(np.clip(idx, 0, extent - 1))
             else:
                 value = int(idx)
                 if value < 0 or value >= extent:
-                    block, thread = self._current_block_thread()
-                    where = (
-                        f" at block {block}" if block is not None else ""
-                    )
-                    raise OutOfBoundsError(
-                        f"array {name!r} axis {axis}: index {value} out of "
-                        f"[0, {extent}) during kernel "
-                        f"{self.kernel.name!r}{where}",
-                        kernel=self.kernel.name,
-                        array=name,
-                        axis=axis,
-                        index=value,
-                        block=block,
-                        thread=thread,
-                    )
+                    self._raise_oob(name, arr, idxs, mask, offset)
                 safe.append(value)
         return safe
 
-    def _current_block_thread(
+    def _raise_oob(
         self,
-    ) -> Tuple[Optional[Tuple[int, int, int]], Optional[Tuple[int, int, int]]]:
-        """Block coordinates for a thread-invariant failure (loop mode only:
-        the vectorized and batched lattices span every block at once)."""
-        bx = self.bidx.get("x")
-        if isinstance(bx, (int, np.integer)):
-            return (
-                (int(bx), int(self.bidx["y"]), int(self.bidx["z"])),  # type: ignore[arg-type]
-                None,
+        name: str,
+        arr: np.ndarray,
+        idxs: List[Value],
+        mask: Value,
+        offset: int,
+    ) -> NoReturn:
+        """Raise the out-of-bounds error the per-block loop raises, under
+        every executor (:meth:`_first_offender`).  A thread-invariant
+        subscript names its block but no thread.  Only a failing access
+        pays for the location."""
+        if self._lift is not None:
+            # the launch re-runs sequentially (_run_lifted) and raises there
+            raise OutOfBoundsError(
+                f"array {name!r} out of bounds in a lifted loop",
+                kernel=self.kernel.name,
+                array=name,
             )
-        return None, None
+        axis, block, thread, lane = self._first_offender(
+            [
+                np.logical_and((np.asarray(idx) < 0) | (np.asarray(idx) >= extent), mask)
+                for idx, extent in zip(idxs, arr.shape[offset:])
+            ]
+        )
+        idx = idxs[axis]
+        if np.ndim(idx):
+            value = int(np.broadcast_to(idx, self.lattice_shape).flat[lane])
+            what, where = f"active thread index {value}", f" thread {thread}"
+        else:
+            value, thread = int(idx), None
+            what, where = f"index {value}", ""
+        raise OutOfBoundsError(
+            f"array {name!r} axis {axis}: {what} out of "
+            f"[0, {arr.shape[axis + offset]}) during kernel "
+            f"{self.kernel.name!r} at block {block}{where}",
+            kernel=self.kernel.name,
+            array=name,
+            axis=axis,
+            index=value,
+            block=block,
+            thread=thread,
+        )
 
-    def _locate_oob(
-        self, bad: Value, idx: Value
-    ) -> Tuple[
-        Optional[Tuple[int, int, int]],
-        Optional[Tuple[int, int, int]],
-        Optional[int],
-    ]:
-        """Locate the first offending thread of an out-of-bounds access.
+    def _first_offender(
+        self, bad: List[np.ndarray]
+    ) -> Tuple[int, Tuple[int, int, int], Tuple[int, int, int], int]:
+        """``(axis, block, thread, lane)`` of the offence the per-block loop
+        meets first, given each axis's offending active lanes: the first
+        block of :meth:`_visit_order` with one, the first axis offending
+        there, and that axis's first offending thread in ``(x, y, z)``
+        order; ``lane`` is its flat lattice index."""
+        shape = self.lattice_shape
+        keys = self._loop_keys()
+        threads = self.block.count
+        hits = [keys[np.broadcast_to(offending, shape)] for offending in bad]
+        first = min(int(h.min()) for h in hits if h.size) // threads
+        for axis, h in enumerate(hits):
+            h = h[h // threads == first]
+            if h.size:
+                key = int(h.min())
+                break
+        if self.executor == "loop":
+            block = tuple(int(self.bidx[a]) for a in "xyz")  # type: ignore[arg-type]
+        else:
+            block = self._visit_order()[first]
+        thread = tuple(
+            int(c) for c in np.unravel_index(key % threads, self.block.as_tuple())
+        )
+        return axis, block, thread, int(np.argmax(keys == key))  # type: ignore[return-value]
 
-        Returns ``(block, thread, index)`` in launch coordinates, or
-        ``None`` components when the executing mode cannot attribute the
-        access (location is best-effort diagnostics; it must never mask
-        the underlying error).
-        """
-        try:
-            shape = self.lattice_shape
-            bad_arr = np.broadcast_to(np.asarray(bad), shape)
-            flat = int(np.argmax(bad_arr))
-            if not bool(bad_arr.flat[flat]):
-                return None, None, None
-            value = int(np.broadcast_to(np.asarray(idx), shape).flat[flat])
-            coords = tuple(int(c) for c in np.unravel_index(flat, shape))
-            if self._block_axis is not None and len(coords) == 4:
-                nb, tx, ty, tz = coords
-                block = (
-                    int(np.asarray(self.bidx["x"]).reshape(-1)[nb]),
-                    int(np.asarray(self.bidx["y"]).reshape(-1)[nb]),
-                    int(np.asarray(self.bidx["z"]).reshape(-1)[nb]),
-                )
-                return block, (tx, ty, tz), value
-            if len(coords) == 3:
-                cx, cy, cz = coords
-                if isinstance(self.bidx.get("x"), np.ndarray):
-                    # vectorized: lattice coordinates are global threads
-                    bx, by, bz = self.block.as_tuple()
-                    return (
-                        (cx // bx, cy // by, cz // bz),
-                        (cx % bx, cy % by, cz % bz),
-                        value,
-                    )
-                # per-block loop: the lattice is one block's threads
-                return (
-                    (
-                        int(self.bidx["x"]),  # type: ignore[arg-type]
-                        int(self.bidx["y"]),  # type: ignore[arg-type]
-                        int(self.bidx["z"]),  # type: ignore[arg-type]
-                    ),
-                    (cx, cy, cz),
-                    value,
-                )
-            return None, None, value
-        except Exception:  # pragma: no cover - diagnostics must not raise
-            return None, None, None
+    def _loop_keys(self) -> np.ndarray:
+        """Each lattice lane's position in the per-block loop's visit
+        order: blocks in :meth:`_visit_order`, then threads in ``(x, y, z)``
+        order.  The loop's lattice is one block and the batched lattice's
+        axis 0 holds the blocks in visit order, so both are in C order."""
+        shape = self.lattice_shape
+        if self.executor != "vectorized":
+            return np.arange(math.prod(shape)).reshape(shape)
+        (bx, by, bz), (gx, gy, _) = self.block.as_tuple(), self.grid.as_tuple()
+        cx, cy, cz = np.ix_(*(np.arange(n) for n in shape))
+        rank = cx // bx + gx * (cy // by + gy * (cz // bz))
+        if self.block_order == "reverse":
+            rank = self.grid.count - 1 - rank
+        return ((rank * bx + cx % bx) * by + cy % by) * bz + cz % bz
 
     def _store_array(self, target: ast.Index, value: Value, mask: Value) -> None:
         name = target.array_name
@@ -2423,19 +2412,25 @@ def trace_launches(program: ast.Program) -> RunResult:
     return HostInterpreter(program, execute_kernels=False).run()
 
 
-def outputs_allclose(
-    a: RunResult, b: RunResult, rtol: float = 1e-10, atol: float = 1e-12
-) -> bool:
-    """Compare the device arrays of two runs (the paper's verification step).
+def differing_cells(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per cell, whether two arrays of one shape and dtype hold different
+    bits.  The cells are compared as unsigned integers of their width
+    (views, nothing is copied), so NaN equals NaN only with the same bits
+    and ``-0.0`` differs from ``0.0`` (DESIGN.md §5, "What equal means")."""
+    unsigned = f"u{a.dtype.itemsize}"
+    return a.view(unsigned) != b.view(unsigned)
 
-    NaN equals NaN in the same cell: a program whose output holds NaN
-    verifies against itself."""
+
+def outputs_equal(a: RunResult, b: RunResult) -> bool:
+    """Whether two runs left equal device arrays (the paper's verification
+    step): the same names, shapes and dtypes, and no
+    :func:`differing_cells`."""
     if set(a.arrays) != set(b.arrays):
         return False
-    return all(
-        a.arrays[name] is b.arrays[name]
-        or np.allclose(
-            a.arrays[name], b.arrays[name], rtol=rtol, atol=atol, equal_nan=True
-        )
-        for name in a.arrays
-    )
+    for name, x in a.arrays.items():
+        y = b.arrays[name]
+        if x is y:
+            continue
+        if x.shape != y.shape or x.dtype != y.dtype or differing_cells(x, y).any():
+            return False
+    return True

@@ -32,7 +32,6 @@ from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import ReproError, TransformError, VerificationError
 from ..gpu.device import DeviceSpec
-from ..gpu.interpreter import DEFAULT_BLOCK_EXEC
 from ..gpu.perfmodel import (
     CodegenTraits,
     KernelProjection,
@@ -202,7 +201,6 @@ def _group_verify_key(
         shapes_sig,
         tuple(sorted(compare)),
         verify_cfg.seed,
-        verify_cfg.rtol,
     )
 
 
@@ -253,9 +251,6 @@ def materialize(
     """
     options = options or FusionOptions()
     verify_cfg = verify_config or VerifyConfig()
-    # a stored failure is served only under the executor it was reached
-    # under: its cause text may locate the failing block
-    verdict_mode = DEFAULT_BLOCK_EXEC if block_exec is None else block_exec
     schedule = _schedule_groups(problem, grouping)
     device_fp = store_keys.device_fingerprint(device)
 
@@ -392,9 +387,7 @@ def materialize(
                     array_shapes,
                     verify_cfg,
                 )
-                stored = stage_cache.load_group_verdict(
-                    store, group_key, verdict_mode
-                )
+                stored = stage_cache.load_group_verdict(store, group_key)
                 if stored is not None:
                     verdicts_reused[stored.status] += 1
                     get_registry().inc(
@@ -416,9 +409,7 @@ def materialize(
                 "verify_group_verdicts_total", status=fresh.status
             )
             if group_key is not None:
-                stage_cache.record_group_verdict(
-                    store, group_key, fresh, verdict_mode
-                )
+                stage_cache.record_group_verdict(store, group_key, fresh)
             return fresh
 
         verdict = gated_verify(candidate)

@@ -30,7 +30,7 @@ from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import InterpreterError, PipelineError, ReproError
 from ..gpu.device import DeviceSpec, K20X
-from ..gpu.interpreter import LaunchRecord, RunResult, outputs_allclose, run_program
+from ..gpu.interpreter import LaunchRecord, RunResult, outputs_equal, run_program
 from ..gpu.perfmodel import ProgramProjection
 from ..gpu.profiler import gather_metadata
 from ..graphs import (
@@ -98,8 +98,6 @@ class PipelineConfig:
     verify_groups: bool = True
     #: the gate's input-synthesis seed
     verify_seed: int = 0
-    #: the gate's tolerance: 0 = bitwise, >0 = allclose rtol
-    verify_rtol: float = 0.0
     #: interpreter strategy for every kernel launch of the run:
     #: 'auto' | 'loop' | 'batched'
     block_exec: str = "auto"
@@ -585,11 +583,11 @@ def _whole_program_failure(state: PipelineState) -> Optional[str]:
             if counted:
                 state._counted_run = (program, after.launches)
             sensitive = [r.kernel for r in after.launches if r.order_sensitive]
-            verified = outputs_allclose(after.reference, after)
+            verified = outputs_equal(after.reference, after)
             reverse = verified and bool(sensitive)
             if reverse:
                 try:
-                    verified = outputs_allclose(
+                    verified = outputs_equal(
                         after.reference, _run(state, program, block_order="reverse")
                     )
                 except InterpreterError as exc:
@@ -619,9 +617,7 @@ def _program_gate(
     key: Optional[str] = None
     if store is not None and text is not None:
         key = store_keys.verified_program_key(state.program_fingerprint, text)
-        stored = stage_cache.load_program_verdict(
-            store, key, state.config.block_exec
-        )
+        stored = stage_cache.load_program_verdict(store, key)
         if stored is not None:
             state.verification["verdicts_reused"]["program"] += 1
             state.reused["verify_program"] = "verdict"
@@ -629,7 +625,7 @@ def _program_gate(
     failure = _whole_program_failure(state)
     if key is not None:
         stage_cache.record_program_verdict(
-            store, key, failure or stage_cache.PROGRAM_PASS, state.config.block_exec
+            store, key, failure or stage_cache.PROGRAM_PASS
         )
     return failure, False
 
@@ -648,7 +644,6 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     verify_cfg = VerifyConfig(
         enabled=state.config.verify_groups,
         seed=state.config.verify_seed,
-        rtol=state.config.verify_rtol,
     )
     store = state.config.store
     options = state.config.fusion_options()

@@ -13,8 +13,8 @@ and the configured seed — never on worker count, scheduling or host
 state.
 
 The gate is configured by a :class:`VerifyConfig` the caller passes
-(``TransformConfig.verify_groups`` / ``verify_seed`` / ``verify_rtol``
-on a pipeline run); nothing here reads ambient process state.
+(``TransformConfig.verify_groups`` / ``verify_seed`` on a pipeline
+run); nothing here reads ambient process state.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import ReproError
-from ..gpu.interpreter import Dim3, launch_kernel
+from ..gpu.interpreter import Dim3, differing_cells, launch_kernel
 from . import faults
 
 
@@ -37,9 +37,6 @@ class VerifyConfig:
     enabled: bool = True
     #: input-synthesis seed
     seed: int = 0
-    #: 0 = exact comparison; >0 = np.allclose with this rtol (and atol);
-    #: either way NaN equals NaN in the same cell
-    rtol: float = 0.0
 
 
 #: every ``GroupVerdict.status``
@@ -218,10 +215,7 @@ def verify_group(
         if name not in baseline:
             continue
         a, b = baseline[name], candidate[name]
-        if config.rtol > 0:
-            differ = ~np.isclose(a, b, rtol=config.rtol, atol=config.rtol, equal_nan=True)
-        else:
-            differ = ~((a == b) | (np.isnan(a) & np.isnan(b)))
+        differ = differing_cells(a, b)
         if differ.any():
             diff = np.abs(a[differ].astype(np.float64) - b[differ].astype(np.float64))
             return GroupVerdict(

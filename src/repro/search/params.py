@@ -12,42 +12,46 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ConfigError, SearchError
 from .penalty import PenaltyParams
 
 
-#: parameters of deleted mechanisms -> the values earlier versions wrote
-#: for them by default (``None``: any value).  Parameter files, config
-#: files and ``repro.service/1`` requests written by those versions
-#: still carry them.  The evaluation pool and second fitness cache
-#: (``fitness_cache`` / ``workers`` / ``executor``) never changed a
-#: result, so any value is dropped; the island model's knobs did, so
-#: only their old defaults are (a config's top level wrote ``null``).
-RETIRED_GA_FIELDS: Dict[str, Optional[Tuple[Any, ...]]] = {
-    "fitness_cache": None,
-    "workers": None,
-    "executor": None,
-    "islands": (1, None),
-    "migration_interval": (5, None),
-    "migration_size": (2, None),
+_ISLANDS = "the island model was removed in 4.0 and the search runs one population"
+
+#: parameters of deleted mechanisms -> (the values earlier versions wrote
+#: for them by default, ``None``: any value; what was removed).
+#: Parameter files, config files and ``repro.service/1`` requests written
+#: by those versions still carry them.  The evaluation pool and second
+#: fitness cache (``fitness_cache`` / ``workers`` / ``executor``) never
+#: changed a result, so any value is dropped; the island model's knobs
+#: did, so only their old defaults are (a config's top level wrote
+#: ``null``).
+RETIRED_GA_FIELDS: Dict[str, Tuple[Optional[Tuple[Any, ...]], str]] = {
+    "fitness_cache": (None, ""),
+    "workers": (None, ""),
+    "executor": (None, ""),
+    "islands": ((1, None), _ISLANDS),
+    "migration_interval": ((5, None), _ISLANDS),
+    "migration_size": ((2, None), _ISLANDS),
 }
 
 
-def drop_retired(name: str, value: Any) -> bool:
-    """True when ``name`` is a retired parameter whose ``value`` loads as
-    if absent; False when ``name`` is not retired.  Any other value of a
-    retired parameter raises :class:`ConfigError` naming the removal."""
-    if name not in RETIRED_GA_FIELDS:
+def drop_retired(
+    name: str,
+    value: Any,
+    retired: Mapping[str, Tuple[Optional[Tuple[Any, ...]], str]] = RETIRED_GA_FIELDS,
+) -> bool:
+    """True when ``name`` is a ``retired`` parameter whose ``value`` loads
+    as if absent; False when ``name`` is not retired.  Any other value of
+    a retired parameter raises :class:`ConfigError` naming the removal."""
+    if name not in retired:
         return False
-    defaults = RETIRED_GA_FIELDS[name]
+    defaults, removal = retired[name]
     if defaults is None or value in defaults:
         return True
-    raise ConfigError(
-        f"{name}={value!r}: the island model was removed in 4.0 and the "
-        f"search runs one population; drop {name!r}"
-    )
+    raise ConfigError(f"{name}={value!r}: {removal}; drop {name!r}")
 
 
 @dataclass

@@ -117,7 +117,6 @@ def verified_group_key(
     shapes_sig: Tuple[object, ...],
     compare: Tuple[str, ...],
     verify_seed: int,
-    verify_rtol: float,
 ) -> str:
     """Identity of one verified fused group.
 
@@ -134,7 +133,6 @@ def verified_group_key(
         shapes_sig,
         tuple(compare),
         verify_seed,
-        verify_rtol,
     )
 
 

@@ -33,12 +33,13 @@ The ``metadata``, ``targets``, ``graphs``, ``search`` and
 later hits and must not be mutated.
 
 A verdict is a function of its key, so failures are stored beside
-passes and a warm run re-executes no gate.  A failure's cause text can
-depend on the executor (only the per-block loop locates a thread-invariant
-out-of-bounds access), so a non-pass verdict is served only under the
-``block_exec`` it was reached under; passes are shared across modes.
-While a fault plan is active no non-pass verdict is written or served: a
-seam may have caused it.
+passes and a warm run re-executes no gate.  Both gates compare bits and
+every executor names the out-of-bounds offender the per-block loop meets
+first, so one stored verdict serves a run under any ``block_exec``
+(forced ``batched`` runs a launch's blocks in lockstep, unwatched, and
+can pass a racy group the others fail; ROADMAP item 14(d) retires it as
+a knob).  While a fault plan is active no non-pass verdict is written or
+served: a seam may have caused it.
 """
 
 from __future__ import annotations
@@ -377,28 +378,25 @@ def _plan_blocks(passed: bool) -> bool:
 
 
 def record_group_verdict(
-    store: ArtifactStore, key: str, verdict: GroupVerdict, block_exec: str
+    store: ArtifactStore, key: str, verdict: GroupVerdict
 ) -> None:
-    """Remember the verdict the group gate reached on ``key``'s group
-    under ``block_exec``."""
+    """Remember the verdict the group gate reached on ``key``'s group."""
     if _plan_blocks(verdict.passed):
         return
-    payload: Dict[str, object] = {
-        "kernel": verdict.kernel,
-        "members": list(verdict.members),
-        "status": verdict.status,
-        "cause": verdict.cause,
-    }
-    if not verdict.passed:
-        payload["block_exec"] = block_exec
-    store.put(NS_VERIFIED_GROUPS, key, payload)
+    store.put(
+        NS_VERIFIED_GROUPS,
+        key,
+        {
+            "kernel": verdict.kernel,
+            "members": list(verdict.members),
+            "status": verdict.status,
+            "cause": verdict.cause,
+        },
+    )
 
 
-def load_group_verdict(
-    store: ArtifactStore, key: str, block_exec: str
-) -> Optional[GroupVerdict]:
-    """The verdict stored for ``key``'s group that a run under
-    ``block_exec`` may reuse, or ``None``."""
+def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]:
+    """The verdict stored for ``key``'s group, or ``None``."""
     payload = store.get(NS_VERIFIED_GROUPS, key)
     if payload is None:
         return None
@@ -414,50 +412,28 @@ def load_group_verdict(
         return None
     if verdict.status not in GROUP_STATUSES or _plan_blocks(verdict.passed):
         return None
-    if not verdict.passed and payload.get("block_exec") != block_exec:
-        return None
     return verdict
 
 
-def record_program_verdict(
-    store: ArtifactStore, key: str, outcome: str, block_exec: str
-) -> None:
-    """Remember the whole-program gate's outcome on ``key``'s program
-    under ``block_exec``: :data:`PROGRAM_PASS` or the failure cause."""
-    passed = outcome == PROGRAM_PASS
-    if _plan_blocks(passed):
+def record_program_verdict(store: ArtifactStore, key: str, outcome: str) -> None:
+    """Remember the whole-program gate's outcome on ``key``'s program:
+    :data:`PROGRAM_PASS` or the failure cause."""
+    if _plan_blocks(outcome == PROGRAM_PASS):
         return
-    payload: Dict[str, object] = {"outcome": outcome}
-    if not passed:
-        payload["block_exec"] = block_exec
-    store.put(NS_VERIFIED_PROGRAMS, key, payload)
+    store.put(NS_VERIFIED_PROGRAMS, key, {"outcome": outcome})
 
 
-def load_program_verdict(
-    store: ArtifactStore, key: str, block_exec: str
-) -> Optional[str]:
-    """The outcome stored for ``key``'s program that a run under
-    ``block_exec`` may reuse, or ``None``."""
-    decoded = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
-    if decoded is None:
-        return None
-    outcome, reached_under = decoded
-    passed = outcome == PROGRAM_PASS
-    if _plan_blocks(passed) or (not passed and reached_under != block_exec):
+def load_program_verdict(store: ArtifactStore, key: str) -> Optional[str]:
+    """The outcome stored for ``key``'s program, or ``None``."""
+    outcome = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
+    if outcome is None or _plan_blocks(outcome == PROGRAM_PASS):
         return None
     return outcome
 
 
-def _decode_program_verdict(
-    payload: Dict[str, object]
-) -> Optional[Tuple[str, object]]:
-    """``(outcome, block_exec it was reached under)``."""
-    if payload.get("verified") is True:  # written before failures were kept
-        return PROGRAM_PASS, None
+def _decode_program_verdict(payload: Dict[str, object]) -> Optional[str]:
     outcome = payload.get("outcome")
-    if not isinstance(outcome, str) or not outcome:
-        return None
-    return outcome, payload.get("block_exec")
+    return outcome if isinstance(outcome, str) and outcome else None
 
 
 # --------------------------------------------------------------- block tuning

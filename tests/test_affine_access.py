@@ -314,7 +314,9 @@ def test_a_stale_hull_would_be_caught():
 
 
 #: (source, then str(exc), axis, index, block, thread) as raised by the
-#: parent commit (9248075) under ``auto`` — the funnel's own diagnostics
+#: parent commit (9248075) under ``auto`` — the funnel's own diagnostics —
+#: except that a thread-invariant subscript names its block, as the
+#: per-block loop does
 OOB_CASES = {
     "vectorized": (
         one_d("a[i + 1] = b[i];"),
@@ -330,8 +332,9 @@ OOB_CASES = {
     ),
     "thread-invariant": (
         one_d("for (int k = 30; k < 40; k++) { a[i] = b[k]; }"),
-        "array 'b' axis 0: index 32 out of [0, 32) during kernel 'k'",
-        0, 32, None, None,
+        "array 'b' axis 0: index 32 out of [0, 32) during kernel 'k' "
+        "at block (0, 0, 0)",
+        0, 32, (0, 0, 0), None,
     ),
     "shared tile on the batched lattice": (
         TILED.replace("t[tx + 2]", "t[tx + 3]"),

@@ -33,7 +33,6 @@ def test_default_when_nothing_set():
     resolved = TransformConfig().resolved(environ={})
     assert resolved.verify_seed == 0
     assert resolved.verify_groups is True
-    assert resolved.verify_rtol == 0.0
     assert resolved.block_exec == "auto"
     assert resolved.telemetry is True
     assert resolved.store is False
@@ -95,7 +94,7 @@ def test_config_file_roundtrip(tmp_path):
         mode="manual",
         seed=7,
         exclude=("boundary_k",),
-        verify_rtol=1e-7,
+        verify_seed=3,
         store=True,
         store_root=str(tmp_path / "cache"),
     )
@@ -198,6 +197,22 @@ def test_ga_params_retired_keys_dropped_others_rejected(tmp_path):
     params_file.write_text("islands = 4\n")
     with pytest.raises(ConfigError, match="islands=4.*removed"):
         GAParams.read(params_file)
+
+
+def test_verify_rtol_is_retired(tmp_path):
+    """The gates compare bits since 6.0: a config written before carries
+    ``verify_rtol``, which loads at 0 or null and is refused otherwise."""
+    for old in (0, 0.0, None):
+        assert TransformConfig.from_dict({"verify_rtol": old}) == TransformConfig()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, "verify_rtol": 0.0}))
+    assert TransformConfig.from_file(path) == TransformConfig(seed=3)
+    with pytest.raises(ConfigError, match="verify_rtol=1e-06: .*compare bits"):
+        TransformConfig.from_dict({"verify_rtol": 1e-6})
+    path.write_text(json.dumps({"verify_rtol": 1e-9}))
+    with pytest.raises(ConfigError, match="verify_rtol=1e-09: .*compare bits"):
+        TransformConfig.from_file(path)
+    assert "verify_rtol" not in TransformConfig().to_dict()
 
 
 # -------------------------------------------------------------- validation

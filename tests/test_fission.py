@@ -15,7 +15,7 @@ from repro.analysis.deps import (
 )
 from repro.cudalite import parse_program
 from repro.cudalite.parser import parse_kernel
-from repro.gpu.interpreter import outputs_allclose, run_program
+from repro.gpu.interpreter import outputs_equal, run_program
 from repro.transform.fission import (
     fission_kernel,
     fission_program,
@@ -137,7 +137,7 @@ def test_fission_program_semantics(separable_program):
     assert len(fragments) == 2
     before = run_program(separable_program)
     after = run_program(new_program)
-    assert outputs_allclose(before, after)
+    assert outputs_equal(before, after)
 
 
 def test_fission_program_rewrites_launches(separable_program):
@@ -222,4 +222,4 @@ def test_fission_semantic_equivalence_property(case):
     program, n_groups = case
     new_program, fragments = fission_program(program, "big")
     assert len(fragments) == n_groups
-    assert outputs_allclose(run_program(program), run_program(new_program))
+    assert outputs_equal(run_program(program), run_program(new_program))

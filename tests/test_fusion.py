@@ -10,7 +10,7 @@ from repro.cudalite import ast_nodes as ast
 from repro.cudalite import parse_program, unparse
 from repro.cudalite.parser import parse_expr
 from repro.errors import TransformError
-from repro.gpu.interpreter import outputs_allclose, run_program
+from repro.gpu.interpreter import outputs_equal, run_program
 from repro.transform import (
     FusionOptions,
     NewLaunch,
@@ -133,9 +133,9 @@ def test_complex_fusion_temporal_blocking(chain_program):
     assert fused.is_complex
     assert fused.traits.halo_compute_factor > 1.0
     new_program = run_fused(chain_program, [fused])
-    assert outputs_allclose(run_program(chain_program), run_program(new_program))
+    assert outputs_equal(run_program(chain_program), run_program(new_program))
     # the race check: reversed block schedule must give identical results
-    assert outputs_allclose(
+    assert outputs_equal(
         run_program(chain_program), run_program(new_program, block_order="reverse")
     )
 

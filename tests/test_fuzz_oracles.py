@@ -136,6 +136,53 @@ def test_modes_oracle_flags_a_differential_that_is_not_lifted_vs_sequential(
     assert run_oracles(app.program, ("modes",)).ok
 
 
+#: a tiled kernel whose blocks after the first read past the end of A
+OOB_PROGRAM = """
+__global__ void k(const double *A, double *O, int n) {
+    __shared__ double t[8];
+    int tx = threadIdx.x;
+    int i = blockIdx.x * blockDim.x + tx;
+    t[tx] = A[i];
+    __syncthreads();
+    if (blockIdx.x >= 1) { O[i] = A[n] + t[tx]; }
+}
+int main() {
+    int n = 32;
+    double *A = cudaMalloc1D(n); double *O = cudaMalloc1D(n);
+    k<<<dim3(4, 1, 1), dim3(8, 1, 1)>>>(A, O, n);
+    return 0;
+}
+"""
+
+
+def test_modes_oracle_compares_errors_across_executors(monkeypatch):
+    """An error every executor raises alike escapes; one executor naming
+    another failure — here, no block under the reversed order — is an
+    ``error-mismatch``."""
+    from repro.cudalite import parse_program
+    from repro.errors import OutOfBoundsError
+    from repro.fuzz import oracles
+
+    program = parse_program(OOB_PROGRAM)
+    verdict = run_oracles(program, ("modes",))
+    assert verdict.signatures() == ("modes:uncaught:OutOfBoundsError",)
+    assert "at block (1, 0, 0)" in verdict.failures[0].detail
+
+    real = oracles.run_program
+
+    def unlocated(program, **kwargs):
+        try:
+            return real(program, **kwargs)
+        except OutOfBoundsError as exc:
+            if (kwargs["block_exec"], kwargs["block_order"]) != ("batched", "reverse"):
+                raise
+            raise OutOfBoundsError(str(exc).split(" at block")[0]) from None
+
+    monkeypatch.setattr(oracles, "run_program", unlocated)
+    verdict = run_oracles(program, ("modes",))
+    assert verdict.signatures() == ("modes:error-mismatch:batched:reverse",)
+
+
 def test_verdict_signatures_are_ordered_and_stable():
     failures = (
         OracleFailure("modes", "array-mismatch:batched", "x"),
@@ -155,8 +202,6 @@ def test_fuzz_config_is_small_and_quiet():
     assert params.population <= 16 and params.generations <= 10
     assert config.telemetry is False
     assert config.store is False
-    # bitwise verification stays the default for differential soundness
-    assert config.verify_rtol == 0.0
     override = fuzz_config(seed=7, telemetry=True)
     assert override.telemetry is True
 

@@ -7,7 +7,8 @@ from repro.cudalite import parse_program
 from repro.errors import InterpreterError, OutOfBoundsError
 from repro.gpu.interpreter import (
     Dim3,
-    outputs_allclose,
+    RunResult,
+    outputs_equal,
     run_program,
     trace_launches,
 )
@@ -218,7 +219,7 @@ def test_shared_memory_is_block_scoped():
 def test_block_order_reverse_same_result_for_race_free(diffuse_program):
     forward = run_program(diffuse_program)
     reverse = run_program(diffuse_program, block_order="reverse")
-    assert outputs_allclose(forward, reverse)
+    assert outputs_equal(forward, reverse)
 
 
 def test_block_order_exposes_interblock_race():
@@ -240,7 +241,7 @@ def test_block_order_exposes_interblock_race():
     )
     fwd = run_program(parse_program(shared_source))
     rev = run_program(parse_program(shared_source), block_order="reverse")
-    assert not outputs_allclose(fwd, rev)
+    assert not outputs_equal(fwd, rev)
 
 
 def test_write_write_race_detection():
@@ -292,10 +293,27 @@ def test_2d_array_allocation():
     assert result.arrays["A"][3, 2] == 302.0
 
 
-def test_outputs_allclose_mismatched_sets():
+def test_outputs_equal_mismatched_sets():
     a = run("int main() { double *A = cudaMalloc1D(4); return 0; }")
     b = run("int main() { double *B = cudaMalloc1D(4); return 0; }")
-    assert not outputs_allclose(a, b)
+    assert not outputs_equal(a, b)
+
+
+def test_outputs_equal_compares_bits():
+    def equal(x, y):
+        return outputs_equal(RunResult({"A": np.array(x)}), RunResult({"A": np.array(y)}))
+
+    quiet = np.float64(np.nan)
+    payload = np.frombuffer(
+        (np.float64(np.nan).view(np.uint64) | np.uint64(1)).tobytes(), np.float64
+    )[0]
+    assert equal([1.0, quiet], [1.0, quiet])
+    assert not equal([quiet], [payload])  # NaN equals NaN only bit for bit
+    assert not equal([0.0], [-0.0])
+    assert not equal([0.1], [np.nextafter(0.1, 1.0)])
+    assert not equal([1.0, 2.0], [[1.0, 2.0]])  # shape
+    assert not equal(np.array([1, 2], np.int32), np.array([1, 2], np.int64))
+    assert equal(np.array([1, 2], np.int32), np.array([1, 2], np.int32))
 
 
 def test_return_stops_host():

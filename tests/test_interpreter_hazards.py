@@ -225,6 +225,79 @@ def test_error_on_the_lattice_is_replayed_not_trusted(mode):
             run_program(parsed, block_order="reverse", block_exec=failing)
 
 
+#: out-of-bounds kernels with shared memory -> the block and thread the
+#: per-block loop names, per block order
+OOB_CASES = {
+    # a thread-invariant read past the end of A, reached only by the
+    # blocks after the first: a block and no thread
+    "thread-invariant": (
+        program(
+            "const double *A, double *O, int n",
+            "t[tx] = A[i]; __syncthreads(); if (blockIdx.x >= 1) { O[i] = A[n]; }",
+            f"k{LAUNCH}(A, O, n);",
+        ),
+        {"forward": ((1, 0, 0), None), "reverse": ((3, 0, 0), None)},
+    ),
+    # axis 1 offends in block 0, axis 0 in block 1: the loop meets the
+    # later axis first going forward
+    "two-axes": (
+        program(
+            "const double *A, double *O, int n",
+            "t[tx] = 0.0; __syncthreads();"
+            " O[i] = A[blockIdx.x == 1 ? i + n : i][blockIdx.x == 0 ? tx + 8 : tx];",
+            f"k{LAUNCH}(A, O, n);",
+            alloc="int n = 32; double *A = cudaMalloc2D(n, 8);"
+            " double *O = cudaMalloc1D(n);",
+        ),
+        {"forward": ((0, 0, 0), (0, 0, 0)), "reverse": ((1, 0, 0), (0, 0, 0))},
+    ),
+}
+
+
+def _oob(source, order, mode):
+    with pytest.raises(OutOfBoundsError) as caught:
+        run_program(parse_program(source), block_order=order, block_exec=mode)
+    error = caught.value
+    return str(error), error.block, error.thread
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("mode", ["loop", "batched", "auto"])
+@pytest.mark.parametrize("case", sorted(OOB_CASES))
+def test_every_executor_names_the_loops_out_of_bounds_offender(case, mode, order):
+    source, located = OOB_CASES[case]
+    loop = _oob(source, order, "loop")
+    assert loop[1:] == located[order]
+    assert _oob(source, order, mode) == loop
+
+
+#: a kernel without shared memory (so the vectorized lattice runs it under
+#: every executor) reading past A's first axis in blocks (1, 0, 0) and
+#: (0, 1, 0) only; its twin's unused tile puts it on the per-block loop
+NO_SHARED_OOB = """
+__global__ void k(const double *A, double *O, int nx, int ny) {%s
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int j = blockIdx.y * blockDim.y + threadIdx.y;
+    if (blockIdx.x + blockIdx.y == 1) { O[i][j] = A[i + 8][j]; }
+}
+int main() {
+    int nx = 8; int ny = 8;
+    double *A = cudaMalloc2D(nx, ny); double *O = cudaMalloc2D(nx, ny);
+    k<<<dim3(2, 2, 1), dim3(4, 4, 1)>>>(A, O, nx, ny);
+    return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_the_vectorized_lattice_names_the_loops_first_offender(order):
+    loop = _oob(NO_SHARED_OOB % " __shared__ double spare[1];", order, "loop")
+    first = {"forward": (1, 0, 0), "reverse": (0, 1, 0)}[order]
+    assert loop[1:] == (first, (0, 0, 0))
+    for mode in ("loop", "batched", "auto"):
+        assert _oob(NO_SHARED_OOB % "", order, mode) == loop
+
+
 def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
     from repro.observability.metrics import get_registry
 

@@ -313,7 +313,8 @@ def test_out_of_range_k_raises_the_sequential_error(monkeypatch):
         with pytest.raises(OutOfBoundsError) as plain:
             run_counting(program)
     assert str(lifted.value) == str(plain.value) == (
-        "array 'a' axis 1: index 5 out of [0, 5) during kernel 'k'"
+        "array 'a' axis 1: index 5 out of [0, 5) during kernel 'k' "
+        "at block (0, 0, 0)"
     )
     with pytest.raises(OutOfBoundsError):
         run_program(program, block_exec="loop")

@@ -8,7 +8,7 @@ from repro.cudalite import parse_program, unparse
 from repro.cudalite.parser import parse_expr
 from repro.errors import ReproError, SearchError, TransformError
 from repro.gpu.device import K20X
-from repro.gpu.interpreter import outputs_allclose, run_program
+from repro.gpu.interpreter import outputs_equal, run_program
 from repro.pipeline import Framework, PipelineConfig
 from repro.search import fast_params
 from repro.transform import (
@@ -74,8 +74,8 @@ def test_one_dimensional_fusion_with_tile():
                           tuple(parse_expr(a) for a in fused.pointer_args)
                           + fused.scalar_args)]
     new_program = assemble_program(program, [fused.kernel], launches)
-    assert outputs_allclose(run_program(program), run_program(new_program))
-    assert outputs_allclose(
+    assert outputs_equal(run_program(program), run_program(new_program))
+    assert outputs_equal(
         run_program(program), run_program(new_program, block_order="reverse")
     )
 
@@ -131,7 +131,7 @@ def test_flat_2d_fusion_without_k_loop():
                           tuple(parse_expr(a) for a in fused.pointer_args)
                           + fused.scalar_args)]
     new_program = assemble_program(program, [fused.kernel], launches)
-    assert outputs_allclose(run_program(program), run_program(new_program))
+    assert outputs_equal(run_program(program), run_program(new_program))
 
 
 # ------------------------------------------------------ OEG USER amendment
@@ -235,4 +235,4 @@ def test_top_level_api_exports():
 def test_version():
     import repro
 
-    assert repro.__version__ == "5.1.0"
+    assert repro.__version__ == "6.0.0"

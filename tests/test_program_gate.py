@@ -317,6 +317,40 @@ def test_a_misfused_program_is_a_mismatch_and_its_identity_fallback_verifies(
     assert result.state.verification["first_divergence"]["transformed"] == ["K_00"]
 
 
+# ------------------------------------------------------------ one ulp
+
+ULP_KERNEL = """
+__global__ void fill(double *c, int nx, int ny) {
+    int i = blockIdx.x * blockDim.x + threadIdx.x;
+    int j = blockIdx.y * blockDim.y + threadIdx.y;
+    c[i][j] = VALUE;
+}
+
+int main() {
+    int nx = 16;
+    int ny = 16;
+    double *c = cudaMalloc2D(nx, ny);
+    fill<<<dim3(2, 2, 1), dim3(8, 8, 1)>>>(c, nx, ny);
+    return 0;
+}
+"""
+
+
+def test_one_ulp_in_one_cell_is_a_mismatch():
+    """The gate compares bits: no tolerance absorbs the last bit."""
+    original = parse_program(ULP_KERNEL.replace("VALUE", "0.1"))
+    transformed = parse_program(
+        ULP_KERNEL.replace("VALUE", "(i == 3 && j == 5) ? 0.10000000000000002 : 0.1")
+    )
+    before = run_program(original).arrays["c"]
+    after = run_program(transformed).arrays["c"]
+    assert np.count_nonzero(before != after) == 1
+    assert after[3, 5] == np.nextafter(before[3, 5], 1.0)
+
+    state = _gate_state(original, transformed)
+    assert stages._whole_program_failure(state) == stages.MISMATCH
+
+
 # -------------------------------------------------------------------- NaN
 
 NAN_SOURCE = TWO_KERNELS.replace("BODY", "sqrt(a[i][j] - 2.0)")

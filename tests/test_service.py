@@ -178,6 +178,24 @@ def test_error_paths(tmp_path):
         assert health.json()["status"] == "ok"
 
 
+def test_a_retired_tolerance_is_refused_at_the_door(tmp_path):
+    """``verify_rtol`` loads at 0 — the same request as without it — and
+    any other value is a 400 that names the removal."""
+    with ServiceHarness(tmp_path / "store") as (harness, client):
+        refused = client.transform(
+            source=THREE_KERNEL_SRC, config=dict(TINY_CONFIG, verify_rtol=1e-6)
+        )
+        assert refused.status == 400
+        assert "compare bits" in refused.body.decode()
+
+        plain = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+        old = client.transform(
+            source=THREE_KERNEL_SRC, config=dict(TINY_CONFIG, verify_rtol=0.0)
+        )
+        assert plain.status == old.status == 200
+        assert old.response().key == plain.response().key
+
+
 # ---------------------------------------------------------------- dedup
 
 

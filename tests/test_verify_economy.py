@@ -21,7 +21,7 @@ from repro.api import transform
 from repro.apps import build_app
 from repro.cudalite import parse_program, unparse
 from repro.errors import PipelineError
-from repro.gpu.interpreter import outputs_allclose, run_program
+from repro.gpu.interpreter import outputs_equal, run_program
 from repro.observability.model_validation import validate_model
 from repro.pipeline import stages
 from repro.pipeline.stages import PipelineConfig, PipelineState
@@ -158,7 +158,7 @@ def _three_run_verdict(original, transformed, mode):
     """Whole-program verification as it was: both orders, always."""
     before = run_program(original, block_exec=mode)
     return all(
-        outputs_allclose(
+        outputs_equal(
             before, run_program(transformed, block_order=order, block_exec=mode)
         )
         for order in ("forward", "reverse")
@@ -201,7 +201,7 @@ def test_reduced_gate_gives_the_three_run_verdict(case, mode, program_runs):
         kw for kw, _ in program_runs if kw.get("block_order") == "reverse"
     ]
     # the reversed run is made iff a launch could tell and forward passed
-    forward_ok = outputs_allclose(forward.reference, forward)
+    forward_ok = outputs_equal(forward.reference, forward)
     assert len(reversed_runs) == int(bool(sensitive) and forward_ok)
     assert state.verification["reversed_run"] is bool(reversed_runs)
     # the paired call interprets two programs
@@ -244,11 +244,11 @@ def test_identity_fallback_never_reports_the_rejected_programs_counters(
     monkeypatch, program_runs, tmp_path
 ):
     source = unparse(build_app("MITgcm", scale=APP_SCALE).program)
-    real = stages.outputs_allclose
+    real = stages.outputs_equal
     verdicts = iter([False])  # reject the fused program once
 
     monkeypatch.setattr(
-        stages, "outputs_allclose",
+        stages, "outputs_equal",
         lambda a, b, **kw: next(verdicts, None) is None and real(a, b, **kw),
     )
     workdir = tmp_path / "run"
@@ -285,11 +285,11 @@ def test_identity_fallback_writes_its_own_text(monkeypatch, tmp_path):
     """With a store the rejected program was unparsed for its verdict
     key; ``transformed.cu`` must be the fallback's text, not that one."""
     source = unparse(build_app("MITgcm", scale=APP_SCALE).program)
-    real = stages.outputs_allclose
+    real = stages.outputs_equal
     verdicts = iter([False])  # reject the fused program once
 
     monkeypatch.setattr(
-        stages, "outputs_allclose",
+        stages, "outputs_equal",
         lambda a, b, **kw: next(verdicts, None) is None and real(a, b, **kw),
     )
     workdir = tmp_path / "run"
