@@ -26,8 +26,9 @@ demote (:data:`VERDICT_SEEDS`; ``transform(...,
 ga_params=GAParams(population=10, generations=6, seed=s))``) under every
 mode, and once more seed 17 with a thread-invariant out-of-bounds read
 injected into every fused kernel: every group verdict (status and cause)
-and every ``DemotionRecord`` must be the same under all modes — what lets
-one stored verdict serve a run under any ``block_exec``.
+and every ``DemotionRecord`` must be the same under all modes.  (Only
+``auto`` runs read or write stored verdicts: forced ``batched`` passes
+racy groups the other modes fail, which these seeds do not contain.)
 
 Exits non-zero on any mismatch, and when ``auto`` did not replay the
 stencil program's hazard kernel on the block loop, or did not abandon

@@ -7,20 +7,26 @@ client threads —
 
 * a **cold pair**: 2 distinct requests against the fresh store (the
   very first one must reuse nothing),
-* a **warm pair**: the same 2 requests again, which must be served from
-  the shared store with stages reused and finish in under 1 s,
+* a **repeat pair**: the same 2 requests again, which the finished
+  executions answer: a dedup hit with the first job id and body, and no
+  new execution,
 * a **dedup burst**: one slow job submitted async plus 3 identical
   requests that must all join it (4 clients, 1 execution,
   byte-identical bodies).
 
 It then checks the server's own accounting end to end: the ``/v1/
 metrics`` counters and the ``kind == "service"`` records in the shared
-store's run ledger (dedup client counts, warm reuse provenance).
+store's run ledger (dedup client counts).
+
+With ``--store-warm``, against a server restarted on the same store (it
+retains no execution), the cold pair is sent once more: each is a new
+execution served from the shared store with stages reused, in under
+1 s, and the ledger shows both as warm.
 
 Usage::
 
     PYTHONPATH=src python scripts/service_smoke.py \
-        --port 8765 --store-root /tmp/service-store
+        --port 8765 --store-root /tmp/service-store [--store-warm]
 """
 
 from __future__ import annotations
@@ -118,10 +124,18 @@ def dedup_burst(client: ServiceClient) -> str:
     return job_id
 
 
+SEEDS = (101, 202)
+
+
+def _executions(client: ServiceClient) -> float:
+    return client.metrics().json()["counters"].get("service_executions_total", 0)
+
+
 def cold_warm(client: ServiceClient) -> None:
-    speedups = {}
-    for phase in ("cold", "warm"):
-        for seed in (101, 202):
+    first = {}
+    for phase in ("cold", "repeat"):
+        for seed in SEEDS:
+            executions = _executions(client)
             start = time.perf_counter()
             served = client.transform(
                 source=SOURCE, config={"ga_params": GA, "seed": seed},
@@ -131,37 +145,69 @@ def cold_warm(client: ServiceClient) -> None:
             assert served.status == 200, served.body
             response = served.response()
             if phase == "cold":
-                if seed == 101:  # very first request on a fresh store
+                if seed == SEEDS[0]:  # very first request on a fresh store
                     assert response.reused == {}, response.reused
-                speedups[seed] = response.speedup
+                first[seed] = served
             else:
-                assert response.reused, "warm request executed cold"
-                assert response.speedup == speedups[seed]
-                assert wall < 1.0, f"warm request took {wall:.2f}s"
+                assert served.dedup, "repeat of a finished request ran again"
+                assert served.job_id == first[seed].job_id
+                assert served.body == first[seed].body, "bodies differ"
+                assert _executions(client) == executions, "repeat ran a job"
             print(
-                f"{phase} seed={seed}: {wall:.2f}s "
+                f"{phase} seed={seed}: {wall:.3f}s job={served.job_id} "
                 f"speedup={response.speedup:.2f} reused={sorted(response.reused)}"
             )
+
+
+def store_warm(client: ServiceClient) -> list:
+    """The cold pair against a restarted server; returns the job ids."""
+    job_ids = []
+    for seed in SEEDS:
+        start = time.perf_counter()
+        served = client.transform(
+            source=SOURCE, config={"ga_params": GA, "seed": seed},
+            request_id=f"store-warm-{seed}",
+        )
+        wall = time.perf_counter() - start
+        assert served.status == 200, served.body
+        assert not served.dedup, "a restarted server answered from memory"
+        response = served.response()
+        assert response.reused, "warm request executed cold"
+        assert wall < 1.0, f"warm request took {wall:.2f}s"
+        job_ids.append(served.job_id)
+        print(
+            f"store-warm seed={seed}: {wall:.2f}s "
+            f"speedup={response.speedup:.2f} reused={sorted(response.reused)}"
+        )
+    return job_ids
 
 
 def check_accounting(
     client: ServiceClient, store_root: str, burst_job_id: str
 ) -> None:
     counters = client.metrics().json()["counters"]
-    assert counters.get("service_executions_total", 0) >= 5, counters
+    # 2 cold + 1 burst: the repeat pair ran nothing
+    assert counters.get("service_executions_total", 0) == 3, counters
     assert counters.get("service_dedup_hits_total", 0) >= 3, counters
+    assert counters.get("service_completed_hits_total", 0) >= 2, counters
 
     records = RunLedger(store_root).list(kind="service")
     by_job = {r["service"]["job_id"]: r for r in records}
+    assert len(by_job) == len(records) == 3, sorted(by_job)
     assert by_job[burst_job_id]["service"]["dedup_clients"] == 4, (
         by_job[burst_job_id]["service"]
     )
-    warm_records = [r for r in records if r["reused_stages"]]
+    print(f"ledger: {len(records)} service records, burst dedup_clients=4")
+
+
+def check_warm_ledger(store_root: str, job_ids: list) -> None:
+    records = RunLedger(store_root).list(kind="service")
+    warm_records = [
+        r for r in records
+        if r["service"]["job_id"] in job_ids and r["reused_stages"]
+    ]
     assert len(warm_records) >= 2, "warm reuse not visible in the ledger"
-    print(
-        f"ledger: {len(records)} service records, "
-        f"burst dedup_clients=4, {len(warm_records)} warm"
-    )
+    print(f"ledger: {len(records)} service records, {len(warm_records)} warm")
 
 
 def main(argv=None) -> int:
@@ -169,10 +215,18 @@ def main(argv=None) -> int:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--store-root", required=True)
+    parser.add_argument(
+        "--store-warm", action="store_true",
+        help="run the store-warm leg against a server restarted on the store",
+    )
     args = parser.parse_args(argv)
 
     client = ServiceClient(host=args.host, port=args.port)
     client.wait_ready(timeout=120)
+    if args.store_warm:
+        check_warm_ledger(args.store_root, store_warm(client))
+        print("service smoke OK (2 store-warm requests)")
+        return 0
     cold_warm(client)
     burst_job_id = dedup_burst(client)
     check_accounting(client, args.store_root, burst_job_id)

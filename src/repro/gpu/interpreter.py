@@ -1256,9 +1256,10 @@ class _KernelExec:
         offset: int,
     ) -> NoReturn:
         """Raise the out-of-bounds error the per-block loop raises, under
-        every executor (:meth:`_first_offender`).  A thread-invariant
-        subscript names its block but no thread.  Only a failing access
-        pays for the location."""
+        every executor (:meth:`_first_offender`).  A subscript with one
+        value over every thread of the offending block (thread-invariant,
+        or depending on ``blockIdx`` alone) names its block but no
+        thread.  Only a failing access pays for the location."""
         if self._lift is not None:
             # the launch re-runs sequentially (_run_lifted) and raises there
             raise OutOfBoundsError(
@@ -1272,12 +1273,15 @@ class _KernelExec:
                 for idx, extent in zip(idxs, arr.shape[offset:])
             ]
         )
-        idx = idxs[axis]
-        if np.ndim(idx):
-            value = int(np.broadcast_to(idx, self.lattice_shape).flat[lane])
+        values = np.broadcast_to(idxs[axis], self.lattice_shape)
+        value = int(values.flat[lane])
+        keys = self._loop_keys()
+        threads = self.block.count
+        own = values[keys // threads == keys.flat[lane] // threads]
+        if np.any(own != value):
             what, where = f"active thread index {value}", f" thread {thread}"
         else:
-            value, thread = int(idx), None
+            thread = None
             what, where = f"index {value}", ""
         raise OutOfBoundsError(
             f"array {name!r} axis {axis}: {what} out of "

@@ -247,10 +247,13 @@ def materialize(
     shapes, verification settings) the gate has judged before gets that
     verdict back without re-running the interpreter — a pass is
     committed, a failure demotes with the same cause — and block-tuning
-    decisions are memoized by their occupancy inputs.
+    decisions are memoized by their occupancy inputs.  Only ``auto``
+    reads or writes verdicts: a forced ``batched`` launch runs its blocks
+    in lockstep and can pass a racy group ``auto`` fails.
     """
     options = options or FusionOptions()
     verify_cfg = verify_config or VerifyConfig()
+    verdict_store = store if block_exec in (None, "auto") else None
     schedule = _schedule_groups(problem, grouping)
     device_fp = store_keys.device_fingerprint(device)
 
@@ -379,7 +382,7 @@ def materialize(
             reached before on the group's full content."""
             nonlocal gate_s
             group_key: Optional[str] = None
-            if store is not None and verify_cfg.enabled:
+            if verdict_store is not None and verify_cfg.enabled:
                 group_key = _group_verify_key(
                     kernel_candidate,
                     member_bindings,
@@ -387,7 +390,7 @@ def materialize(
                     array_shapes,
                     verify_cfg,
                 )
-                stored = stage_cache.load_group_verdict(store, group_key)
+                stored = stage_cache.load_group_verdict(verdict_store, group_key)
                 if stored is not None:
                     verdicts_reused[stored.status] += 1
                     get_registry().inc(
@@ -409,7 +412,7 @@ def materialize(
                 "verify_group_verdicts_total", status=fresh.status
             )
             if group_key is not None:
-                stage_cache.record_group_verdict(store, group_key, fresh)
+                stage_cache.record_group_verdict(verdict_store, group_key, fresh)
             return fresh
 
         verdict = gated_verify(candidate)

@@ -612,8 +612,9 @@ def _program_gate(
     """:func:`_whole_program_failure` of ``state.transform.program``, or
     the verdict the gate reached before on the same original and
     transformed ``text`` (``None`` without a store); and whether the
-    store served it."""
-    store = state.config.store
+    store served it.  Only ``auto`` reads or writes verdicts (see
+    :func:`~repro.pipeline.apply.materialize`)."""
+    store = state.config.store if state.config.block_exec == "auto" else None
     key: Optional[str] = None
     if store is not None and text is not None:
         key = store_keys.verified_program_key(state.program_fingerprint, text)
@@ -648,11 +649,12 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     store = state.config.store
     options = state.config.fusion_options()
     # a materialization of a served problem and search result, whose own
-    # store reads all hit, is what any later such run materializes
+    # store reads all hit, is what any later such run materializes; a
+    # forced executor's, which reads no verdict, is never kept
     inputs = state._served_inputs("built", "search")
     materialized_key: Optional[str] = None
     state.transform = None
-    if store is not None and inputs is not None:
+    if store is not None and inputs is not None and state.config.block_exec == "auto":
         materialized_key = store_keys.digest(
             "materialized",
             state._served["built"][0],
@@ -660,7 +662,6 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             repr(options),
             repr(verify_cfg),
             state.config.tune_blocks,
-            state.config.block_exec,
         )
         state.transform = store.recall(
             stage_cache.NS_MATERIALIZED, materialized_key

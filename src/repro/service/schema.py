@@ -149,7 +149,10 @@ class TransformResponse:
 
     #: 'ok' or 'error'
     status: str = "ok"
-    #: the executing job's id (shared by deduplicated requests)
+    #: the executing job's id (``<key prefix>-<server>-<n>``, unique
+    #: across server restarts), shared by every request answered from
+    #: that execution: those that joined it in flight and the repeats a
+    #: finished, retained execution answers without running again
     job_id: Optional[str] = None
     #: content-addressed request key (the dedup/store identity)
     key: Optional[str] = None

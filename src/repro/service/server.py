@@ -8,10 +8,13 @@ multi-tenant, deduplicating front door to :func:`repro.api.transform`:
   sees a raw dict.  Schema violations are a 400 before any work starts.
 * **Dedup before dispatch.**  The content-addressed request key
   (:func:`repro.api.request_key`) is computed up front; a request whose
-  key matches an in-flight execution *joins* it instead of spawning a
-  second one, and every joined client receives the byte-identical
-  response body.  Per-request metadata (the dedup verdict, the echoed
-  correlation id) rides in headers so the body can be shared.
+  key matches an execution *joins* it instead of spawning a second one,
+  and every joined client receives the byte-identical response body.
+  The match holds past completion: a finished ``ok`` execution run
+  without a fault plan answers a repeat at once from the event loop,
+  for as long as the job history keeps it.  Per-request metadata (the
+  dedup verdict, the echoed correlation id) rides in headers so the
+  body can be shared.
 * **Workers, not threads.**  Executions are dispatched to the
   persistent :class:`~repro.service.pool.WorkerPool`; a crashed worker
   is respawned and the job retried within a bounded budget, invisibly
@@ -20,8 +23,9 @@ multi-tenant, deduplicating front door to :func:`repro.api.transform`:
   progress frames and are re-served as ``text/event-stream`` on
   ``GET /v1/jobs/{id}/events``.
 * **Observability.**  The metrics registry carries queue depth, dedup
-  hits, executions and worker restarts; every execution appends a
-  ``kind == "service"`` record to the shared store's run ledger.
+  hits (in-flight joins), completed hits (answers from a finished
+  execution), executions and worker restarts; every execution appends
+  one ``kind == "service"`` record to the shared store's run ledger.
 
 Routes (all JSON unless noted)::
 
@@ -44,6 +48,7 @@ import asyncio
 import itertools
 import json
 import logging
+import uuid
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..api import TransformConfig, _coerce_program, request_key
@@ -71,7 +76,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class _Execution:
-    """One deduplicated execution: N clients, one worker job, one body."""
+    """One deduplicated execution: N clients, one worker job, one body.
+
+    ``clients`` counts the requests that joined before it finished (the
+    ledger's ``dedup_clients``); later answers from a retained execution
+    are counted by ``service_completed_hits_total``.
+    """
 
     def __init__(self, job_id: str, key: str, source_label: str) -> None:
         self.job_id = job_id
@@ -102,7 +112,8 @@ class _Execution:
 class TransformService:
     """One service instance: pool + dedup map + job registry + ledger."""
 
-    #: finished executions kept queryable by job id
+    #: finished executions kept queryable by job id (and, when retained,
+    #: joinable by request key)
     JOB_HISTORY = 256
 
     def __init__(
@@ -124,8 +135,12 @@ class TransformService:
             worker_env=dict(worker_env or {}),
             max_retries=max_retries,
         )
-        self._inflight: Dict[str, _Execution] = {}
+        # request key -> the execution a request with that key joins:
+        # running, or finished and retained (see _conclude)
+        self._by_key: Dict[str, _Execution] = {}
         self._jobs: Dict[str, _Execution] = {}
+        # job ids stay unique in a ledger that outlives one server
+        self._job_prefix = uuid.uuid4().hex[:8]
         self._job_seq = itertools.count(1)
         self._draining = False
         self._server: Optional[asyncio.AbstractServer] = None
@@ -163,14 +178,14 @@ class TransformService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if drain and self._inflight:
-            logger.info(
-                "service: draining %d in-flight job(s)", len(self._inflight)
-            )
-            await asyncio.gather(
-                *(ex.done.wait() for ex in list(self._inflight.values()))
-            )
+        inflight = self._inflight()
+        if drain and inflight:
+            logger.info("service: draining %d in-flight job(s)", len(inflight))
+            await asyncio.gather(*(ex.done.wait() for ex in inflight))
         await self.pool.shutdown()
+
+    def _inflight(self) -> List[_Execution]:
+        return [ex for ex in self._by_key.values() if not ex.done.is_set()]
 
     # ------------------------------------------------------------- execution
 
@@ -182,7 +197,8 @@ class TransformService:
     def _admit(
         self, request: TransformRequest
     ) -> Tuple[_Execution, bool]:
-        """Dedup gate: join an in-flight execution or start a new one."""
+        """Dedup gate: join the execution with the request's key, in
+        flight or finished and retained, or start a new one."""
         config = self._effective_config(request)
         # the same front door as transform(): a repeated text costs a lookup
         _, fingerprint, source_label = _coerce_program(
@@ -192,17 +208,21 @@ class TransformService:
         )
         key = request_key(fingerprint, config)
         registry = get_registry()
-        existing = self._inflight.get(key)
+        existing = self._by_key.get(key)
         if existing is not None:
-            existing.clients += 1
-            registry.inc("service_dedup_hits_total")
+            if existing.done.is_set():
+                registry.inc("service_completed_hits_total")
+                registry.inc("service_requests_total", outcome="ok")
+            else:
+                existing.clients += 1
+                registry.inc("service_dedup_hits_total")
             return existing, True
         execution = _Execution(
-            job_id=f"{key[:16]}-{next(self._job_seq)}",
+            job_id=f"{key[:16]}-{self._job_prefix}-{next(self._job_seq)}",
             key=key,
             source_label=source_label,
         )
-        self._inflight[key] = execution
+        self._by_key[key] = execution
         self._jobs[execution.job_id] = execution
         self._evict_history()
         registry.inc("service_executions_total")
@@ -223,7 +243,9 @@ class TransformService:
             job_id for job_id, ex in self._jobs.items() if ex.done.is_set()
         ]
         for job_id in finished[: len(self._jobs) - self.JOB_HISTORY]:
-            del self._jobs[job_id]
+            execution = self._jobs.pop(job_id)
+            if self._by_key.get(execution.key) is execution:
+                del self._by_key[execution.key]
 
     async def _run_execution(
         self,
@@ -252,7 +274,7 @@ class TransformService:
                     "message": str(exc),
                 },
             )
-            await self._conclude(execution, config, response, 500)
+            await self._conclude(execution, config, response, 500, retain=False)
             return
         status = outcome.get("status", "error")
         response = TransformResponse(
@@ -269,7 +291,12 @@ class TransformService:
             error=outcome.get("error"),
         )
         await self._conclude(
-            execution, config, response, 200 if status == "ok" else 422
+            execution,
+            config,
+            response,
+            200 if status == "ok" else 422,
+            # a seam may have shaped even an ok outcome (the store's rule)
+            retain=status == "ok" and outcome.get("fault_plan") is False,
         )
 
     async def _conclude(
@@ -278,11 +305,15 @@ class TransformService:
         config: TransformConfig,
         response: TransformResponse,
         http_status: int,
+        *,
+        retain: bool,
     ) -> None:
-        # the one canonical body every deduplicated client receives
+        """Publish the one canonical body every deduplicated client
+        receives; a retained execution keeps answering its key."""
         body = response.to_json().encode("utf-8")
         self._ledger_append(execution, config, response)
-        self._inflight.pop(execution.key, None)
+        if not retain:
+            self._by_key.pop(execution.key, None)
         state = "done" if response.status == "ok" else "failed"
         await execution.finish(state, http_status, body)
         get_registry().inc(
@@ -560,6 +591,7 @@ class TransformService:
             await writer.drain()
 
     async def _get_healthz(self, writer: asyncio.StreamWriter) -> None:
+        inflight = len(self._inflight())
         await self._send_json(
             writer,
             200 if not self._draining else 503,
@@ -569,7 +601,8 @@ class TransformService:
                 "workers": self.pool.size,
                 "queue_depth": self.pool.queued,
                 "worker_restarts": self.pool.restarts,
-                "inflight": len(self._inflight),
+                "inflight": inflight,
+                "retained": len(self._by_key) - inflight,
                 "store_root": str(self.store_root),
             },
         )

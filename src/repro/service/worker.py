@@ -9,7 +9,8 @@ of :mod:`repro.service.protocol` over its stdin/stdout pipes:
 * loop: receive a ``run`` frame, execute :func:`repro.api.transform`
   with the fully-resolved config the server shipped, stream
   ``progress`` frames as pipeline stages complete (sourced from the
-  tracing spans), answer with one ``result`` frame,
+  tracing spans), answer with one ``result`` frame whose outcome also
+  says whether a fault plan was active (``fault_plan``),
 * exit 0 on a ``shutdown`` frame.
 
 Failed transformations are *results* (``status: "error"``), not worker
@@ -211,6 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             }
         finally:
             sampler.finish()
+        # the server retains only outcomes no seam could have shaped
+        outcome["fault_plan"] = faults.active_plan() is not None
         send_msg(
             proto_out,
             {"op": "result", "job_id": job_id, "outcome": outcome},

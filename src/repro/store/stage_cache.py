@@ -33,13 +33,12 @@ The ``metadata``, ``targets``, ``graphs``, ``search`` and
 later hits and must not be mutated.
 
 A verdict is a function of its key, so failures are stored beside
-passes and a warm run re-executes no gate.  Both gates compare bits and
-every executor names the out-of-bounds offender the per-block loop meets
-first, so one stored verdict serves a run under any ``block_exec``
-(forced ``batched`` runs a launch's blocks in lockstep, unwatched, and
-can pass a racy group the others fail; ROADMAP item 14(d) retires it as
-a knob).  While a fault plan is active no non-pass verdict is written or
-served: a seam may have caused it.
+passes and a warm run re-executes no gate.  Only ``block_exec="auto"``
+runs read or write verdicts (the callers decide): forced ``batched``
+runs a launch's blocks in lockstep, unwatched, and can pass a racy
+group the others fail, and a forced run is a differential run.  While a
+fault plan is active no non-pass verdict is written or served: a seam
+may have caused it.
 """
 
 from __future__ import annotations

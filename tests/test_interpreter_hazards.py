@@ -238,6 +238,16 @@ OOB_CASES = {
         ),
         {"forward": ((1, 0, 0), None), "reverse": ((3, 0, 0), None)},
     ),
+    # a subscript of blockIdx alone (a scalar on the loop, an array on
+    # the lattices), past the end of A from block 2 on: no thread either
+    "block-only": (
+        program(
+            "const double *A, double *O, int n",
+            "t[tx] = A[i]; __syncthreads(); O[i] = A[blockIdx.x * 16];",
+            f"k{LAUNCH}(A, O, n);",
+        ),
+        {"forward": ((2, 0, 0), None), "reverse": ((3, 0, 0), None)},
+    ),
     # axis 1 offends in block 0, axis 0 in block 1: the loop meets the
     # later axis first going forward
     "two-axes": (

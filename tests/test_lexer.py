@@ -175,6 +175,7 @@ GOLDEN_STREAMS = {
     "race-inplace": "ca0f1980716fefddfa8c57ad244a33b795ce94e4a848d0acc0ff0862f6d3fe0c",
     "shared-mixed": "86ebfbfe9043d39c662781e1a982b1d6d746f6ffc73ba79fc4ccbb6a5c2699b6",
     "shared-tiles": "492ccaa363f90d581ef56d5d551e133ffeeabfeeff33d70144cb181a3225ad04",
+    "thread-invariant-oob": "ee206877e6a8598a7d9e00137220ec49b53da95371b8e85a2d95b7d17476b2b3",
     "unlowerable-mixed": "70f337c2a44ac93b3861fa5c38882595443b1bea4be189a88636734476e0e1b4",
     "unlowerable": "294cabf18dbf85ea5206a8fbc7cb7f2aa685e7145db3d0a7e457a58c311a1ac7",
 }

@@ -109,7 +109,8 @@ def _counter(name):
 
 
 def test_served_transform_and_warm_reuse(tmp_path):
-    with ServiceHarness(tmp_path / "store") as (harness, client):
+    store_root = tmp_path / "store"
+    with ServiceHarness(store_root) as (harness, client):
         restarts_before = _counter("service_worker_restarts_total")
         start = time.perf_counter()
         cold = client.transform(
@@ -126,13 +127,20 @@ def test_served_transform_and_warm_reuse(tmp_path):
         assert response.speedup is not None and response.speedup > 1.0
         assert response.verified is True
         assert response.reused == {}
+        assert (
+            _counter("service_worker_restarts_total") == restarts_before
+        )
 
+    # a fresh server retains nothing: the same request is a new
+    # execution, warm via the shared store
+    with ServiceHarness(store_root) as (harness, client):
+        restarts_before = _counter("service_worker_restarts_total")
         start = time.perf_counter()
         warm = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
         warm_wall = time.perf_counter() - start
         assert warm.status == 200
+        assert not warm.dedup
         warm_response = warm.response()
-        # same request, new execution -> warm via the shared store
         assert warm_response.reused
         assert warm_response.speedup == response.speedup
         assert warm_wall < 1.0, f"warm request took {warm_wall:.2f}s"
@@ -147,6 +155,104 @@ def test_served_transform_and_warm_reuse(tmp_path):
         assert (
             _counter("service_worker_restarts_total") == restarts_before
         )
+
+
+# ------------------------------------------------- finished executions
+
+
+def test_a_repeat_of_a_finished_request_runs_no_job(tmp_path):
+    """A finished ok execution answers its key at once: the first body
+    byte for byte, its job id, no worker job and no ledger record."""
+    with ServiceHarness(tmp_path / "store") as (harness, client):
+        first = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+        assert first.status == 200 and not first.dedup
+        assert client.healthz().json()["retained"] == 1
+        executions = _counter("service_executions_total")
+        dedup = _counter("service_dedup_hits_total")
+        completed = _counter("service_completed_hits_total")
+
+        repeat = client.transform(
+            source=THREE_KERNEL_SRC,
+            config=TINY_CONFIG_OLD_CLIENT,
+            request_id="again",
+        )
+        assert repeat.status == 200
+        assert repeat.dedup
+        assert repeat.body == first.body
+        assert repeat.job_id == first.job_id
+        assert repeat.request_id == "again"
+
+        submitted = client.submit(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+        assert submitted.status == 202
+        assert submitted.dedup
+        assert submitted.json()["status"] == "done"
+        assert submitted.json()["job_id"] == first.job_id
+        result = client.result(first.job_id)
+        assert result.status == 200 and result.body == first.body
+
+        assert _counter("service_executions_total") == executions
+        assert _counter("service_dedup_hits_total") == dedup
+        assert _counter("service_completed_hits_total") - completed == 2
+        assert harness.service.pool.queued == 0
+        records = RunLedger(harness.store_root).list(kind="service")
+        assert [r["service"]["job_id"] for r in records] == [first.job_id]
+
+
+def test_a_repeat_of_a_failed_request_runs_again(tmp_path):
+    """A 422 outcome (here codegen's: no kernel launches) is not kept."""
+    with ServiceHarness(tmp_path / "store") as (harness, client):
+        executions = _counter("service_executions_total")
+        served = [
+            client.transform(source="int main() { return 0; }")
+            for _ in range(2)
+        ]
+        assert [s.status for s in served] == [422, 422]
+        assert not any(s.dedup for s in served)
+        assert served[0].job_id != served[1].job_id
+        assert _counter("service_executions_total") - executions == 2
+        assert client.healthz().json()["retained"] == 0
+
+
+def test_an_outcome_under_a_fault_plan_is_not_retained(tmp_path):
+    """An ok outcome from a worker with an active fault plan (here the
+    injected codegen faults demote every group) runs again."""
+    with ServiceHarness(
+        tmp_path / "store", worker_env={"REPRO_FAULT_SEAMS": "codegen"}
+    ) as (harness, client):
+        executions = _counter("service_executions_total")
+        served = [
+            client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+            for _ in range(2)
+        ]
+        assert [s.status for s in served] == [200, 200]
+        assert served[0].response().demotions > 0
+        assert not any(s.dedup for s in served)
+        assert served[0].job_id != served[1].job_id
+        assert _counter("service_executions_total") - executions == 2
+        assert client.healthz().json()["retained"] == 0
+
+
+def test_retention_is_bounded_by_the_job_history(tmp_path, monkeypatch):
+    monkeypatch.setattr(TransformService, "JOB_HISTORY", 1)
+    with ServiceHarness(tmp_path / "store") as (harness, client):
+
+        def request(seed):
+            return client.transform(
+                source=THREE_KERNEL_SRC, config={**TINY_CONFIG, "seed": seed}
+            )
+
+        first, second = request(1), request(2)
+        executions = _counter("service_executions_total")
+        # admitting the second execution dropped the first from history
+        assert client.healthz().json()["retained"] == 1
+        assert request(2).job_id == second.job_id
+        assert _counter("service_executions_total") == executions
+        again = request(1)
+        assert not again.dedup and again.job_id != first.job_id
+        assert again.body != first.body  # a new job id, a new execution
+        assert _counter("service_executions_total") - executions == 1
+        assert client.job(first.job_id).status == 404
+        assert client.healthz().json()["retained"] == 1
 
 
 def test_error_paths(tmp_path):

@@ -5,7 +5,8 @@ A gate's verdict is a function of its key, so the store keeps every one
 mismatch or execution failure — and a warm run re-executes no gate.  A
 cold run, a disk-served warm run and a warm run in a fresh process must
 emit the same program with the same demotions, and under an active fault
-plan no non-pass verdict is written or served.
+plan no non-pass verdict is written or served.  Only ``auto`` reads or
+writes verdicts: a forced executor runs every gate.
 """
 
 import dataclasses
@@ -33,6 +34,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEMOTING = {10: "fused execution failed", 55: "output mismatch"}
 #: a fuzz seed whose transformed program fails the whole-program gate
 PROGRAM_MISMATCH = 123
+#: fuzz seed -> demotions of a fresh ``auto`` run, whose racy fusions a
+#: forced ``batched`` gate passes (its blocks run in lockstep)
+BATCHED_PASSES = {65: 1, 111: 2, 171: 2}
 
 
 @pytest.fixture(autouse=True)
@@ -142,16 +146,25 @@ def _stored_group_statuses(root):
     return _stored(root, stage_cache.NS_VERIFIED_GROUPS, "status")
 
 
+def _stored_verdicts(root):
+    return [
+        _stored(root, namespace, field)
+        for namespace, field in (
+            (stage_cache.NS_VERIFIED_GROUPS, "status"),
+            (stage_cache.NS_VERIFIED_PROGRAMS, "outcome"),
+        )
+    ]
+
+
 # ------------------------------------------------------------ group verdicts
 
 
 @pytest.mark.parametrize("seed", sorted(DEMOTING))
-@pytest.mark.parametrize("warm_mode", ["auto", "loop"])
 def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
-    tmp_path, gate_calls, seed, warm_mode
+    tmp_path, gate_calls, seed
 ):
-    """Written under ``auto``; the warm runs (``warm_mode``) demote the
-    same groups with the same cause text and run no gate."""
+    """The warm runs demote the same groups with the same cause text and
+    run no gate."""
     root = tmp_path / "store"
     source = _source(seed)
     cold = transform(source, **_config(seed, root))
@@ -162,7 +175,7 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
 
     _reset(gate_calls)
     MEMORY_TIER.clear()  # disk-served, as every service worker is
-    disk = transform(source, **_config(seed, root, block_exec=warm_mode))
+    disk = transform(source, **_config(seed, root))
     assert _outcome(disk) == _outcome(cold)
     assert gate_calls == {"verify_group": 0, "run_program": 0}
     reused = disk.state.verification["verdicts_reused"]
@@ -171,10 +184,55 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
         f"{reused['pass'] + reused['fail'] + reused['inconclusive']} groups"
     )
 
-    fresh = _fresh_process(tmp_path, seed, root, warm_mode)
+    fresh = _fresh_process(tmp_path, seed, root, "auto")
     assert fresh["verify_group_calls"] == 0
     assert fresh["outcome"] == json.loads(json.dumps(_outcome(cold)))
     assert fresh["verdicts_reused"] == reused
+
+
+@pytest.mark.parametrize("seed", sorted(DEMOTING))
+@pytest.mark.parametrize("mode", ["loop", "batched"])
+def test_a_forced_executor_reads_and_writes_no_verdict(
+    tmp_path, gate_calls, seed, mode
+):
+    """Against an ``auto``-written store a forced run runs every gate,
+    reaches the same demotions and leaves the store's verdicts as they
+    were; on an empty store it writes none."""
+    root = tmp_path / "store"
+    source = _source(seed)
+    cold = transform(source, **_config(seed, root))
+    stored = _stored_verdicts(root)
+
+    _reset(gate_calls)
+    forced = transform(source, **_config(seed, root, block_exec=mode))
+    assert _outcome(forced) == _outcome(cold)
+    assert gate_calls["verify_group"] > 0 and gate_calls["run_program"] > 0
+    assert set(forced.state.verification["verdicts_reused"].values()) == {0}
+    assert "verify_groups" not in forced.reused
+    assert _stored_verdicts(root) == stored
+
+    empty = tmp_path / "empty"
+    transform(source, **_config(seed, empty, block_exec=mode))
+    assert _stored_verdicts(empty) == [[], []]
+
+
+@pytest.mark.parametrize("seed", sorted(BATCHED_PASSES))
+def test_a_forced_batched_pass_never_reaches_auto(tmp_path, seed):
+    """Forced ``batched`` passes these racy fusions; an ``auto`` run after
+    it against the same store, in process and disk-served, demotes them
+    exactly as a fresh ``auto`` run does."""
+    root = tmp_path / "store"
+    source = _source(seed)
+    fresh = transform(source, **_config(seed, None))
+    assert len(fresh.state.transform.demotions) == BATCHED_PASSES[seed]
+    assert all(
+        "output mismatch" in d.cause for d in fresh.state.transform.demotions
+    )
+    batched = transform(source, **_config(seed, root, block_exec="batched"))
+    assert batched.state.transform.demotions == []
+    assert _outcome(transform(source, **_config(seed, root))) == _outcome(fresh)
+    MEMORY_TIER.clear()
+    assert _outcome(transform(source, **_config(seed, root))) == _outcome(fresh)
 
 
 def _with_thread_invariant_oob(fuse_kernels):
@@ -197,9 +255,10 @@ def _with_thread_invariant_oob(fuse_kernels):
     return fuse
 
 
-def test_a_failure_is_served_to_every_executor(tmp_path, gate_calls, monkeypatch):
-    """Every executor reaches the same failure with the same cause text,
-    so a failure stored under ``auto`` serves a ``loop`` run."""
+def test_every_executor_reaches_the_same_failure(tmp_path, gate_calls, monkeypatch):
+    """Every executor reaches the same failure with the same cause text;
+    a failure stored under ``auto`` serves a later ``auto`` run, while a
+    ``loop`` run reaches it again."""
     monkeypatch.setattr(
         apply, "fuse_kernels", _with_thread_invariant_oob(apply.fuse_kernels)
     )
@@ -225,7 +284,8 @@ def test_a_failure_is_served_to_every_executor(tmp_path, gate_calls, monkeypatch
 
     no_gates = {"verify_group": 0, "run_program": 0}
     assert warm("auto") == (1, no_gates)
-    assert warm("loop") == (1, no_gates)
+    served, gates = warm("loop")
+    assert served == 0 and gates["verify_group"] > 0
 
 
 def test_a_demoting_repeat_is_served_by_the_memory_tier(tmp_path, gate_calls):
@@ -268,7 +328,8 @@ def test_a_stored_whole_program_mismatch_is_served(tmp_path, gate_calls):
     _reset(gate_calls)
     MEMORY_TIER.clear()
     loop = transform(source, **_config(seed, root, block_exec="loop"))
-    assert gate_calls == {"verify_group": 0, "run_program": 0}
+    assert gate_calls["run_program"] > 0
+    assert loop.state.verification["verdicts_reused"]["program"] == 0
     assert _outcome(loop) == _outcome(cold)
 
 
