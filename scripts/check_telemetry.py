@@ -7,14 +7,16 @@ Usage::
     python scripts/check_telemetry.py --ledger STORE_ROOT
     python scripts/check_telemetry.py --repeat WORKDIR
 
-Checks, with plain asserts and no dependencies:
+Checks, with plain asserts:
 
-* ``run.json``        — schema tag, config/env/stage-time structure, the
+* ``run.json``        — one ``repro.run/2`` run record (:func:`check_run_record`):
+  header, config, the deterministic ``outcome`` section, stage times, the
   ``verification`` block (program runs, reversed run, counter source,
   launches the paired run shared, gate times, first divergence, gate
-  verdicts the store served),
-  the ``front_door`` block (source size, load time, memo outcome) and
-  the ``interpreter`` block (launches per executor, accesses per path);
+  verdicts the store served), the ``front_door`` block (source size,
+  load time, memo outcome), the ``interpreter`` block (launches per
+  executor, accesses per path), the ``store`` block, counters, the trace
+  summary, env, reports and the record's own cost;
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
   (every parent_id resolves), and a ``stage:*`` span per pipeline stage;
 * ``search_telemetry.jsonl`` — one well-formed row per GGA generation
@@ -22,15 +24,18 @@ Checks, with plain asserts and no dependencies:
 * ``model_validation.json``  — per-kernel measured/projected pairs;
 * the metrics JSON    — counter/gauge/histogram series structure;
 * ``--ledger``        — every ``run_ledger`` envelope in an artifact
-  store: store envelope shape, ``repro.ledger/1`` payload schema,
-  run_id/key agreement and kind-specific required fields;
+  store: store envelope shape, run_id/key agreement, and the same
+  :func:`check_run_record` on its payload (a ``repro.ledger/1`` payload
+  written before 7.0 is checked as the ledger reads it: upgraded by
+  ``repro.observability.ledger.upgrade_record``, imported from ``src/``
+  for that case only);
 * ``--repeat``        — the ``run.json`` of a repeat made in the process
   that ran the same transform before: every stage it reused was served
   by the store's memory tier (``memory_hits`` in that stage's namespace).
 
 Exit code 0 when everything validates, 1 with a message otherwise.
-CI runs this against a Fluam end-to-end run (and, in the warm-start
-job, against the shared store's ledger).
+CI runs this against a Fluam end-to-end run and against the ledgers of
+the warm-start job's store and the service job's store.
 """
 
 from __future__ import annotations
@@ -91,38 +96,122 @@ def load_json(path: Path) -> object:
         fail(f"{path} is not valid JSON: {exc}")
 
 
-def check_run_manifest(path: Path) -> None:
-    run = load_json(path)
-    expect(isinstance(run, dict), "run.json must be an object")
-    expect(run.get("schema") == "repro.run/1", "run.json schema tag missing")
-    for key in ("config", "env", "stage_wall_time_s", "reports", "exit_code"):
-        expect(key in run, f"run.json missing key {key!r}")
-    expect(isinstance(run["env"], dict) and "knobs" in run["env"],
-           "run.json env.knobs missing")
-    times = run["stage_wall_time_s"]
-    expect(isinstance(times, dict), "stage_wall_time_s must be an object")
+RECORD_FIELDS = (
+    "schema", "kind", "timestamp", "unix_time", "pid", "git_sha",
+    "repro_version", "source", "app", "config", "config_digest",
+    "exit_code", "error", "outcome", "stage_wall_time_s",
+    "total_wall_time_s", "reused_stages", "store", "interpreter",
+    "verification", "front_door", "counters", "trace", "env", "reports",
+    "observability",
+)
+
+OUTCOME_FIELDS = (
+    "speedup", "verified", "demotions", "kernels_in", "kernels_out",
+    "fused_groups", "targets_kept", "ddg_nodes", "oeg_edges",
+)
+
+TRACE_FIELDS = ("span_count", "critical_path", "self_time_ms")
+
+SERVICE_FIELDS = (
+    "request_key", "job_id", "status", "dedup_clients", "worker_retries",
+    "wall_time_s",
+)
+
+FUZZ_FIELDS = (
+    "seed_start", "seed_end", "seeds_run", "oracles", "failures",
+    "crashes", "unbucketed", "crash_buckets", "oracle_failures",
+)
+
+
+def check_run_record(record: object, where: str) -> None:
+    """One ``repro.run/2`` record: ``run.json`` or a ledger payload.
+
+    A record upgraded from ``repro.ledger/1`` (``upgraded_from``) may
+    carry null for the sections that schema did not have or added later
+    (``env``, ``observability``, ``interpreter``, ``verification``,
+    ``front_door``, ``trace``, the store's memory-tier counts); every
+    other requirement holds for it too.
+    """
+    expect(isinstance(record, dict), f"{where}: record must be an object")
+    expect(record.get("schema") == "repro.run/2",
+           f"{where}: bad record schema {record.get('schema')!r}")
+    for key in RECORD_FIELDS:
+        expect(key in record, f"{where}: missing field {key!r}")
+    kind = record["kind"]
+    expect(kind in ("transform", "service", "fuzz"),
+           f"{where}: unknown record kind {kind!r}")
+    legacy = record.get("upgraded_from") is not None
+    config = record["config"]
+    expect(isinstance(config, dict), f"{where}: config must be an object")
+    outcome = record["outcome"]
+    expect(isinstance(outcome, dict), f"{where}: outcome must be an object")
+    for key in OUTCOME_FIELDS:
+        expect(key in outcome, f"{where}: outcome missing {key!r}")
+    times = record["stage_wall_time_s"]
+    expect(isinstance(times, dict), f"{where}: stage_wall_time_s must be an object")
     for stage, value in times.items():
-        expect(stage in STAGES, f"unknown stage {stage!r} in stage times")
+        expect(stage in STAGES, f"{where}: unknown stage {stage!r} in stage times")
         expect(isinstance(value, (int, float)) and value >= 0,
-               f"stage time for {stage!r} must be a non-negative number")
-    if run["exit_code"] == 0:
-        expect(set(times) == set(STAGES) or run["config"].get("until"),
-               "a complete run must record wall time for all five stages")
-    else:
-        expect(run.get("error") is not None,
-               "a failed run must carry an error diagnostic")
-    block = run.get("verification")
-    expect(block is None or "verdicts_reused" in block,
-           "run.json: verification missing 'verdicts_reused'")
-    check_verification(block, "run.json")
-    expect("front_door" in run, "run.json missing key 'front_door'")
-    check_front_door(run["front_door"], "run.json")
-    expect("interpreter" in run, "run.json missing key 'interpreter'")
-    check_interpreter(run["interpreter"], run["config"], "run.json")
-    if "store" in run:
-        check_store(run["store"], "run.json")
-    print(f"  run manifest ok ({len(times)} stage times, "
+               f"{where}: stage time for {stage!r} must be a non-negative number")
+    expect(isinstance(record["total_wall_time_s"], (int, float)),
+           f"{where}: total_wall_time_s must be a number")
+    for key in ("reused_stages", "counters", "reports"):
+        expect(isinstance(record[key], dict), f"{where}: {key} must be an object")
+    if record["exit_code"] != 0 and kind != "fuzz":
+        expect(record["error"] is not None,
+               f"{where}: a failed run must carry an error diagnostic")
+    ran = kind != "fuzz" and (record["exit_code"] == 0 or kind == "transform")
+    # a served execution's config names its seed since 7.0
+    if kind == "transform" or (kind == "service" and not legacy):
+        expect("seed" in config, f"{where}: config missing 'seed'")
+    if ran and record["exit_code"] == 0 and not legacy:
+        expect(set(times) == set(STAGES) or config.get("until"),
+               f"{where}: a complete run must record wall time for all "
+               "five stages")
+    if not legacy:
+        env = record["env"]
+        expect(isinstance(env, dict) and "knobs" in env,
+               f"{where}: env.knobs missing")
+        cost = record["observability"]
+        expect(isinstance(cost, dict)
+               and isinstance(cost.get("record_s"), (int, float))
+               and cost["record_s"] >= 0,
+               f"{where}: observability.record_s must be a non-negative number")
+    trace = record["trace"]
+    expect((trace is None and (legacy or not ran))
+           or (isinstance(trace, dict)
+               and all(key in trace for key in TRACE_FIELDS)),
+           f"{where}: trace must summarise {TRACE_FIELDS}")
+    block = record["verification"]
+    expect(block is None or legacy or "verdicts_reused" in block,
+           f"{where}: verification missing 'verdicts_reused'")
+    check_verification(block, where)
+    for key, check in (("front_door", check_front_door),
+                       ("interpreter", check_interpreter)):
+        if record[key] is not None or (ran and not legacy):
+            check(record[key], where)
+    check_store(record["store"], where, legacy)
+    if kind == "service":
+        service = record.get("service")
+        expect(isinstance(service, dict),
+               f"{where}: service record missing its service block")
+        for key in SERVICE_FIELDS:
+            expect(key in service, f"{where}: service block missing {key!r}")
+    elif kind == "fuzz":
+        fuzz = record.get("fuzz")
+        expect(isinstance(fuzz, dict),
+               f"{where}: fuzz record missing its fuzz block")
+        for key in FUZZ_FIELDS:
+            expect(key in fuzz, f"{where}: fuzz block missing {key!r}")
+
+
+def check_run_json(path: Path) -> dict:
+    run = load_json(path)
+    check_run_record(run, "run.json")
+    expect("run_id" not in run, "run.json: a run_id is the ledger's")
+    print(f"  run record ok ({len(run['stage_wall_time_s'])} stage times, "
           f"exit {run['exit_code']})")
+    return run
 
 
 #: reused stage (``reused_stages``) -> the store namespace that served it
@@ -139,13 +228,16 @@ REUSED_NAMESPACES = {
 }
 
 
-def check_store(block: object, where: str) -> None:
-    """The ``store`` block of ``run.json``: tier hits are a part of hits."""
-    expect(isinstance(block, dict), f"{where}: store block must be an object")
-    if not block.get("enabled"):
+def check_store(block: object, where: str, legacy: bool = False) -> None:
+    """The ``store`` block: tier hits are a part of hits."""
+    expect(isinstance(block, dict) and "enabled" in block,
+           f"{where}: store block must be an object with 'enabled'")
+    if not block["enabled"]:
         return
     stats = block.get("stats")
     expect(isinstance(stats, dict), f"{where}: store.stats missing")
+    if legacy and "memory_hits" not in stats:
+        return  # written before the memory tier
     expect(0 <= stats.get("memory_hits", -1) <= stats["hits"],
            f"{where}: store.stats.memory_hits must be within hits")
     expect(stats.get("memory_misses", -1) >= 0,
@@ -158,11 +250,10 @@ def check_store(block: object, where: str) -> None:
 
 def check_repeat(path: Path) -> None:
     """An in-process repeat reports a tier hit for every stage it reused."""
-    run = load_json(path)
-    store = run.get("store") or {}
-    check_store(store, "run.json")
-    expect(store.get("enabled"), "--repeat needs a store-backed run")
-    reused = store.get("reused_stages") or {}
+    run = check_run_json(path)
+    store = run["store"]
+    expect(store["enabled"], "--repeat needs a store-backed run")
+    reused = run["reused_stages"]
     expect(bool(reused), "the repeat reused nothing from the store")
     # a memory-only entry is never on disk, so its absence is no miss
     expect(store["stats"]["misses"] == 0,
@@ -213,7 +304,7 @@ def check_verification(block: object, where: str) -> None:
         expect(isinstance(block[key], (int, float)) and block[key] >= 0,
                f"{where}: verification.{key} must be a non-negative number")
     # additive: ledger records written before failures were stored carry
-    # none; run.json must (check_run_manifest)
+    # none; every repro.run/2 record must (check_run_record)
     reused = block.get("verdicts_reused")
     expect(reused is None
            or (isinstance(reused, dict) and set(reused) == VERDICT_KINDS
@@ -249,11 +340,9 @@ def check_front_door(block: object, where: str) -> None:
            f"{where}: a memo outcome without a source text")
 
 
-def check_interpreter(block: object, config: object, where: str) -> None:
+def check_interpreter(block: object, where: str) -> None:
     """The ``interpreter`` block of ``run.json`` / a ledger record: which
-    executor ran the launches and which path the array references took.
-    The per-block loop is the oracle: a ``block_exec="loop"`` run never
-    takes the slice path and never lifts a loop."""
+    executor ran the launches and which path the array references took."""
     expect(isinstance(block, dict), f"{where}: interpreter must be an object")
     for key in INTERPRETER_FIELDS:
         expect(key in block, f"{where}: interpreter missing {key!r}")
@@ -278,11 +367,6 @@ def check_interpreter(block: object, config: object, where: str) -> None:
            f"{where}: launches_by_executor must map executor -> count")
     expect(bool(launches) or not any(by_path.values()),
            f"{where}: array accesses without a launch")
-    if isinstance(config, dict) and config.get("block_exec") == "loop":
-        expect(by_path["slice"] == 0,
-               f"{where}: block_exec=loop took the slice path")
-        expect(statements["lifted"] == 0 and not replays,
-               f"{where}: block_exec=loop lifted a loop")
 
 
 def check_trace(path: Path) -> None:
@@ -367,23 +451,6 @@ def check_metrics(path: Path) -> None:
     print(f"  metrics ok ({len(metrics['counters'])} counter series)")
 
 
-LEDGER_COMMON_FIELDS = (
-    "schema", "kind", "run_id", "timestamp", "unix_time", "pid",
-    "git_sha", "repro_version", "source", "exit_code",
-)
-
-TRANSFORM_FIELDS = (
-    "app", "config_digest", "seed", "stage_wall_time_s",
-    "total_wall_time_s", "speedup", "verified", "demotions",
-    "reused_stages", "store", "counters", "trace",
-)
-
-FUZZ_FIELDS = (
-    "seed_start", "seed_end", "seeds_run", "oracles", "failures",
-    "crashes", "unbucketed", "crash_buckets", "oracle_failures",
-)
-
-
 def check_ledger(root: Path) -> None:
     base = root / "v1" / "run_ledger"
     expect(base.is_dir(), f"{base} does not exist (no ledger records)")
@@ -391,6 +458,7 @@ def check_ledger(root: Path) -> None:
         p for p in base.rglob("*.json") if not p.name.startswith(".")
     )
     expect(bool(paths), "ledger namespace holds no records")
+    kinds = {}
     for path in paths:
         envelope = load_json(path)
         expect(isinstance(envelope, dict), f"{path} must be an object")
@@ -400,47 +468,24 @@ def check_ledger(root: Path) -> None:
                f"{path.name}: wrong namespace")
         record = envelope.get("payload")
         expect(isinstance(record, dict), f"{path.name}: payload missing")
-        expect(record.get("schema") == "repro.ledger/1",
-               f"{path.name}: bad ledger schema "
-               f"{record.get('schema')!r}")
-        for key in LEDGER_COMMON_FIELDS:
-            expect(key in record, f"{path.name}: missing field {key!r}")
-        expect(record["run_id"] == envelope.get("key") == path.stem,
+        expect(record.get("run_id") == envelope.get("key") == path.stem,
                f"{path.name}: run_id/key/filename disagree")
-        kind = record.get("kind")
-        if kind == "transform":
-            for key in TRANSFORM_FIELDS:
-                expect(key in record,
-                       f"{path.name}: transform record missing {key!r}")
-            times = record["stage_wall_time_s"]
-            expect(isinstance(times, dict), f"{path.name}: bad stage times")
-            for stage, value in times.items():
-                expect(stage in STAGES,
-                       f"{path.name}: unknown stage {stage!r}")
-                expect(isinstance(value, (int, float)) and value >= 0,
-                       f"{path.name}: bad time for stage {stage!r}")
-            check_verification(record.get("verification"), path.name)
-            # additive: records written before the memory tier count none
-            stats = record.get("store")
-            if isinstance(stats, dict) and "memory_hits" in stats:
-                check_store({"enabled": True, "stats": stats}, path.name)
-            # additive field: records written before it carry none
-            if record.get("front_door") is not None:
-                check_front_door(record["front_door"], path.name)
-            # likewise statements_by_path inside the interpreter block
-            block = record.get("interpreter")
-            if block is not None and "statements_by_path" in block:
-                check_interpreter(block, None, path.name)
-        elif kind == "fuzz":
-            fuzz = record.get("fuzz")
-            expect(isinstance(fuzz, dict),
-                   f"{path.name}: fuzz record missing its fuzz block")
-            for key in FUZZ_FIELDS:
-                expect(key in fuzz,
-                       f"{path.name}: fuzz block missing {key!r}")
-        else:
-            fail(f"{path.name}: unknown record kind {kind!r}")
-    print(f"  ledger ok ({len(paths)} records)")
+        if record.get("schema") == "repro.ledger/1":
+            record = upgrade_legacy(record)
+        check_run_record(record, path.name)
+        kinds[record["kind"]] = kinds.get(record["kind"], 0) + 1
+    print(f"  ledger ok ({len(paths)} records) - "
+          + ", ".join(f"{n} {kind}" for kind, n in sorted(kinds.items())))
+
+
+def upgrade_legacy(record: dict) -> dict:
+    """A ``repro.ledger/1`` payload as the ledger reads it."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    if str(src) not in sys.path:
+        sys.path.insert(0, str(src))
+    from repro.observability.ledger import upgrade_record
+
+    return upgrade_record(record)
 
 
 def main(argv=None) -> int:
@@ -459,7 +504,6 @@ def main(argv=None) -> int:
 
     if args.repeat is not None:
         print(f"checking repeat in {args.repeat}")
-        check_run_manifest(Path(args.repeat) / "run.json")
         check_repeat(Path(args.repeat) / "run.json")
         if args.workdir is None and args.ledger is None:
             print("check_telemetry: OK")
@@ -480,7 +524,7 @@ def main(argv=None) -> int:
     workdir = Path(args.workdir)
     expect(workdir.is_dir(), f"{workdir} is not a directory")
     print(f"checking telemetry in {workdir}")
-    check_run_manifest(workdir / "run.json")
+    check_run_json(workdir / "run.json")
     check_trace(Path(args.trace) if args.trace else workdir / "trace.json")
     check_search_telemetry(workdir / "search_telemetry.jsonl")
     check_model_validation(workdir / "model_validation.json")

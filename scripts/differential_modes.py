@@ -22,9 +22,9 @@ stencil under every block execution strategy — ``loop``, ``batched`` and
   transformed program's counter signature.
 
 With ``--verdicts`` it instead transforms the fuzz apps whose groups
-demote (:data:`VERDICT_SEEDS`; ``transform(...,
-ga_params=GAParams(population=10, generations=6, seed=s))``) under every
-mode, and once more seed 17 with a thread-invariant out-of-bounds read
+demote (:data:`VERDICT_SEEDS`; the default configuration with
+``ga_params=GAParams(population=10, generations=6, seed=s)``) under every
+forced mode (``PipelineConfig.block_exec``), and once more seed 17 with a thread-invariant out-of-bounds read
 injected into every fused kernel: every group verdict (status and cause)
 and every ``DemotionRecord`` must be the same under all modes.  (Only
 ``auto`` runs read or write stored verdicts: forced ``batched`` passes
@@ -261,11 +261,17 @@ def thread_invariant_oob():
 
 def diff_verdicts() -> list:
     """Every group gate verdict and demotion of each demoting seed's
-    transform, per mode."""
-    from repro.api import transform
+    transform, per mode: a ``Framework`` over the default configuration
+    with ``PipelineConfig.block_exec`` forced (no product setting)."""
+    from repro.api import TransformConfig
     from repro.fuzz import generate_app
-    from repro.pipeline import apply
+    from repro.pipeline import Framework, apply
     from repro.search.params import GAParams
+
+    def forced(program, mode, ga_params):
+        config = TransformConfig(ga_params=ga_params, store=False).resolved()
+        pipeline = dataclasses.replace(config.pipeline_config(), block_exec=mode)
+        return Framework(program, pipeline).run()
 
     legs = [(seed, contextlib.nullcontext) for seed in VERDICT_SEEDS]
     legs.append((VERDICT_SEEDS[0], thread_invariant_oob))
@@ -282,14 +288,13 @@ def diff_verdicts() -> list:
             apply.verify_group = lambda *a, **k: verdicts.append(real(*a, **k)) or verdicts[-1]
             try:
                 with injected():
-                    result = transform(
-                        program, seed=seed, store=False, telemetry=False,
+                    state = forced(
+                        program, mode,
                         ga_params=GAParams(population=10, generations=6, seed=seed),
-                        block_exec=mode,
                     )
             finally:
                 apply.verify_group = real
-            outcomes[mode] = (verdicts, result.state.transform.demotions)
+            outcomes[mode] = (verdicts, state.transform.demotions)
         verdicts, demotions = outcomes["loop"]
         for mode in MODES[1:]:
             if outcomes[mode][0] != verdicts:

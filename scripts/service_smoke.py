@@ -124,6 +124,8 @@ def dedup_burst(client: ServiceClient) -> str:
     return job_id
 
 
+#: two distinct cold requests: the GA seed is ``ga_params.seed`` (a
+#: top-level ``seed`` beside ``ga_params`` is not part of the request)
 SEEDS = (101, 202)
 
 
@@ -138,7 +140,7 @@ def cold_warm(client: ServiceClient) -> None:
             executions = _executions(client)
             start = time.perf_counter()
             served = client.transform(
-                source=SOURCE, config={"ga_params": GA, "seed": seed},
+                source=SOURCE, config={"ga_params": {**GA, "seed": seed}},
                 request_id=f"{phase}-{seed}",
             )
             wall = time.perf_counter() - start
@@ -165,7 +167,7 @@ def store_warm(client: ServiceClient) -> list:
     for seed in SEEDS:
         start = time.perf_counter()
         served = client.transform(
-            source=SOURCE, config={"ga_params": GA, "seed": seed},
+            source=SOURCE, config={"ga_params": {**GA, "seed": seed}},
             request_id=f"store-warm-{seed}",
         )
         wall = time.perf_counter() - start

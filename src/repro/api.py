@@ -9,8 +9,8 @@ One call transforms an application::
     print(result.source)          # the transformed CUDA(Lite) program
 
 :class:`TransformConfig` holds every knob of a run (verification,
-interpreter strategy, telemetry, the search's surrogate pre-filter, the
-persistent artifact store).  Configuration flows downward as arguments:
+telemetry, the search's surrogate pre-filter, the persistent artifact
+store).  Configuration flows downward as arguments:
 the config is resolved once at the front door (:func:`transform`, the
 CLIs) and handed to the pipeline, which hands each layer the values it
 needs.  Two fields may also come from the process environment —
@@ -47,7 +47,7 @@ from .errors import ConfigError, PipelineError, ReproError
 from .gpu import interpreter
 from .gpu.device import DeviceSpec, available_devices, query_device
 from .observability.metrics import get_registry
-from .observability.runinfo import build_run_manifest, write_run_manifest
+from .observability.runinfo import build_run_record, write_run_record
 from .observability.runtime import telemetry
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
@@ -96,7 +96,8 @@ def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
 
 #: fields configs written by earlier versions carry, read through
 #: :func:`drop_retired`: the island knobs before 4.0 (``null`` = defer to
-#: the GA parameter set) and the gates' tolerance before 6.0
+#: the GA parameter set), the gates' tolerance before 6.0 and the
+#: interpreter strategy before 7.0
 _RETIRED_CONFIG_FIELDS = {
     **{
         name: RETIRED_GA_FIELDS[name]
@@ -105,6 +106,11 @@ _RETIRED_CONFIG_FIELDS = {
     "verify_rtol": (
         (0, None),
         "the verification gates compare bits since 6.0 and take no tolerance",
+    ),
+    "block_exec": (
+        ("auto", None),
+        "the interpreter strategy is not a product setting since 7.0 (a "
+        "forced executor is for checks: PipelineConfig.block_exec)",
     ),
 }
 
@@ -125,7 +131,8 @@ class TransformConfig:
     device: Union[str, DeviceSpec] = "K20X"
     #: 'automated' | 'guided' | 'manual' (§6.2.2)
     mode: str = "automated"
-    #: GA random seed (used when ``ga_params`` is not given)
+    #: GA random seed; with ``ga_params`` given, :meth:`resolved` sets it
+    #: to ``ga_params.seed``
     seed: int = 12345
     #: full GA parameter set; ``None`` = ``fast_params(seed)``
     ga_params: Optional[GAParams] = None
@@ -154,8 +161,6 @@ class TransformConfig:
     verify_groups: bool = True
     #: verification input-synthesis seed
     verify_seed: int = 0
-    #: interpreter strategy: 'auto' | 'loop' | 'batched'
-    block_exec: str = "auto"
     #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
     telemetry: Optional[bool] = None
     #: fraction of offspring admitted to exact evaluation after surrogate
@@ -184,16 +189,11 @@ class TransformConfig:
                 f"unknown device {self.device!r} "
                 f"(available: {sorted(available_devices())})"
             )
-        # a config file or request written when these three were
+        # a config file or request written when these two were
         # env-backed carries null for "unset"
-        for name in ("verify_groups", "verify_seed", "block_exec"):
+        for name in ("verify_groups", "verify_seed"):
             if getattr(self, name) is None:
                 setattr(self, name, getattr(type(self), name))
-        if self.block_exec not in interpreter.BLOCK_EXEC_MODES:
-            raise ConfigError(
-                f"block_exec must be one of {interpreter.BLOCK_EXEC_MODES}, "
-                f"not {self.block_exec!r}"
-            )
         if self.surrogate_topk is not None and not (
             0.0 < self.surrogate_topk <= 1.0
         ):
@@ -204,21 +204,26 @@ class TransformConfig:
     def resolved(
         self, environ: Optional[Mapping[str, str]] = None
     ) -> "TransformConfig":
-        """Materialize ``explicit > env > default`` into concrete values."""
+        """Materialize ``explicit > env > default`` into concrete values.
+
+        With ``ga_params`` given, ``seed`` becomes ``ga_params.seed``: that
+        is the seed the search uses, so the request key, the config digest
+        and the run record name it rather than an ignored ``seed``.
+        """
         defaults = {
             "telemetry": True,
             "store": False,
             "store_root": DEFAULT_ROOT,
             **_read_env(environ),
         }
-        return replace(
-            self,
-            **{
-                name: value
-                for name, value in defaults.items()
-                if getattr(self, name) is None
-            },
-        )
+        values = {
+            name: value
+            for name, value in defaults.items()
+            if getattr(self, name) is None
+        }
+        if self.ga_params is not None:
+            values["seed"] = self.ga_params.seed
+        return replace(self, **values)
 
     # --------------------------------------------------- file round-trip
 
@@ -227,17 +232,7 @@ class TransformConfig:
         """Build a config from a plain dict (e.g. a parsed config file)."""
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        values = {
-            k: v
-            for k, v in data.items()
-            if not drop_retired(k, v, _RETIRED_CONFIG_FIELDS)
-        }
-        known = {f.name for f in fields(cls)}
-        unknown = set(values) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown config field(s): {', '.join(sorted(unknown))}"
-            )
+        values = _current_fields(data)
         ga = values.get("ga_params")
         if isinstance(ga, dict):
             values["ga_params"] = _ga_params_from_dict(ga)
@@ -304,7 +299,6 @@ class TransformConfig:
             verify=self.verify,
             verify_groups=self.verify_groups,
             verify_seed=self.verify_seed,
-            block_exec=self.block_exec,
             fail_soft=not self.fail_hard,
             workdir=self.workdir,
             store=store,
@@ -349,6 +343,10 @@ class TransformResult:
     report: str
     #: wall time per completed stage, in execution order
     stage_times: Dict[str, float] = field(default_factory=dict)
+    #: this run's ``repro.run/2`` record — what ``run.json`` and the run
+    #: ledger hold: the deterministic ``outcome`` section beside the
+    #: per-run sections (:mod:`repro.observability.runinfo`)
+    record: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def program(self) -> Optional[ast.Program]:
@@ -484,90 +482,6 @@ def _program_or_text(
     )
 
 
-def _store_provenance(
-    state: Optional[PipelineState], store: Optional[ArtifactStore]
-) -> Dict[str, object]:
-    if store is None:
-        return {"enabled": False}
-    return {
-        "enabled": True,
-        "root": str(store.root),
-        "reused_stages": dict(state.reused) if state is not None else {},
-        "stats": store.stats.as_dict(),
-    }
-
-
-def _outcome_of(
-    state: Optional[PipelineState],
-) -> Tuple[Optional[float], Optional[bool], int]:
-    """(speedup, verified, demotions) from a possibly-partial state."""
-    speedup = None
-    verified = None
-    demotions = 0
-    if state is not None:
-        verified = state.verified
-        if state.transform is not None:
-            demotions = len(state.transform.demotions)
-            try:
-                speedup = state.speedup
-            except PipelineError:
-                speedup = None
-    return speedup, verified, demotions
-
-
-def _ledger_append(
-    config: TransformConfig,
-    source_label: str,
-    framework: Optional[Framework],
-    store: Optional[ArtifactStore],
-    exit_code: int,
-    front_door: Optional[Dict[str, Any]] = None,
-    trace_mark: Optional[Tuple[int, int]] = None,
-) -> None:
-    """Append this run to the store's run ledger.
-
-    Strictly fail-soft bookkeeping: skipped entirely when telemetry is
-    off or no store is attached, and a failed append degrades to a
-    warning — a run must never break on its own history.  The ``trace``
-    block summarises the spans opened since ``trace_mark``
-    (:meth:`~repro.observability.tracing.Tracer.mark`, taken when the
-    run began; none when the run never started), not everything the
-    process's tracer kept.
-    """
-    if store is None or not config.telemetry:
-        return
-    from .observability.ledger import append_record, build_transform_record
-    from .observability.trace_analytics import summarize_spans
-
-    state = framework.state if framework is not None else None
-    speedup, verified, demotions = _outcome_of(state)
-    try:
-        record = build_transform_record(
-            source=source_label,
-            config=config.to_dict(),
-            seed=config.seed,
-            stage_times=(
-                framework.stage_times if framework is not None else {}
-            ),
-            speedup=speedup,
-            verified=verified,
-            demotions=demotions,
-            exit_code=exit_code,
-            reused=dict(state.reused) if state is not None else {},
-            store_stats=store.stats.as_dict(),
-            counters=get_registry().counter_totals(),
-            trace=summarize_spans(
-                get_tracer().spans_since(trace_mark) if trace_mark else []
-            ),
-            interpreter=interpreter.stats().as_dict(),
-            verification=state.verification if state is not None else None,
-            front_door=front_door,
-        )
-        append_record(store, record)
-    except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
-        logger.warning("ledger: could not append run record (%s)", exc)
-
-
 def write_run_outputs(
     config: TransformConfig,
     source_label: str,
@@ -576,43 +490,51 @@ def write_run_outputs(
     exit_code: int,
     error: Optional[Dict[str, object]] = None,
     front_door: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Persist ``run.json`` (+ optional metrics/trace files) for one run.
+    trace_mark: Optional[Tuple[int, int]] = None,
+) -> Dict[str, Any]:
+    """Build this run's record and write it; returns the record.
 
-    Runs on success *and* on the failure path, so failed runs leave a
-    machine-readable diagnostic; skipped when telemetry is off or when no
-    destination (workdir / metrics_out / trace_out) was configured.
+    The one write path of a run, on success *and* on the failure path, so
+    failed runs leave a machine-readable diagnostic.  With telemetry on,
+    the record is written as ``run.json`` (+ the optional metrics/trace
+    files) when a destination (workdir / metrics_out / trace_out) was
+    configured, and appended to the store's run ledger when a store is
+    attached.  With telemetry off nothing is written; the record is still
+    built, for :attr:`TransformResult.record`.  The ``trace`` section
+    summarises the spans opened since ``trace_mark``
+    (:meth:`~repro.observability.tracing.Tracer.mark`, taken when the run
+    began; none when the run never started), not everything the process's
+    tracer kept.
     """
-    if not config.telemetry:
-        return
-    if not (config.workdir or config.metrics_out or config.trace_out):
-        # don't surprise the caller with a run.json in their cwd
-        return
+    from .observability.trace_analytics import summarize_spans
+
+    started = perf_counter()
     state = framework.state if framework is not None else None
-    speedup, verified, demotions = _outcome_of(state)
-    run_dir = Path(config.workdir) if config.workdir else Path(".")
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest = build_run_manifest(
+    record = build_run_record(
         source=source_label,
         config=config.to_dict(),
-        stage_times=framework.stage_times if framework is not None else {},
-        reports=dict(state.reports) if state is not None else {},
-        speedup=speedup,
-        verified=verified,
-        demotions=demotions,
         exit_code=exit_code,
         error=error,
-        extra={
-            "store": _store_provenance(state, store),
-            # this run's executors: reset in _execute_transform
-            "interpreter": interpreter.stats().as_dict(),
-            # whole-program interpretations codegen made, and why
-            "verification": state.verification if state is not None else None,
-            # what transform() did before the pipeline started: the load
-            "front_door": front_door,
-        },
+        state=state,
+        stage_times=framework.stage_times if framework is not None else {},
+        store=store,
+        # this run's executors: reset in _execute_transform
+        interpreter=interpreter.stats().as_dict(),
+        # what transform() did before the pipeline started: the load
+        front_door=front_door,
+        counters=get_registry().counter_totals(),
+        trace=summarize_spans(
+            get_tracer().spans_since(trace_mark) if trace_mark else []
+        ),
+        started=started,
     )
-    write_run_manifest(str(run_dir / "run.json"), manifest)
+    if not config.telemetry:
+        return record
+    if config.workdir or config.metrics_out or config.trace_out:
+        # don't surprise the caller with a run.json in their cwd
+        run_dir = Path(config.workdir) if config.workdir else Path(".")
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_run_record(str(run_dir / "run.json"), record)
     if config.metrics_out:
         registry = get_registry()
         if config.metrics_out.endswith(".prom"):
@@ -621,6 +543,27 @@ def write_run_outputs(
             registry.write_json(config.metrics_out)
     if config.trace_out:
         get_tracer().write(config.trace_out)
+    _ledger_append(store, record)
+    return record
+
+
+def _ledger_append(
+    store: Optional[ArtifactStore], record: Dict[str, Any]
+) -> None:
+    """Append ``record`` to the store's run ledger (no store: nothing).
+
+    Strictly fail-soft bookkeeping: a failed append degrades to a
+    warning — a run must never break on its own history.  Kept apart
+    from :func:`write_run_outputs` so the append has its own span.
+    """
+    if store is None:
+        return
+    from .observability.ledger import append_record
+
+    try:
+        append_record(store, record)
+    except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
+        logger.warning("ledger: could not append run record (%s)", exc)
 
 
 def _merge_overrides(
@@ -628,15 +571,24 @@ def _merge_overrides(
 ) -> TransformConfig:
     """``config`` (or a default one) with ``overrides`` applied on top."""
     base = config or TransformConfig()
-    if overrides:
-        known = {f.name for f in fields(TransformConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(
-                f"unknown config field(s): {', '.join(sorted(unknown))}"
-            )
-        base = replace(base, **overrides)
-    return base
+    values = _current_fields(overrides)
+    return replace(base, **values) if values else base
+
+
+def _current_fields(data: Mapping[str, Any]) -> Dict[str, Any]:
+    """``data`` without the retired fields that load as absent; a retired
+    field at any other value, or an unknown one, is a ``ConfigError``."""
+    values = {
+        k: v
+        for k, v in data.items()
+        if not drop_retired(k, v, _RETIRED_CONFIG_FIELDS)
+    }
+    unknown = set(values) - {f.name for f in fields(TransformConfig)}
+    if unknown:
+        raise ConfigError(
+            f"unknown config field(s): {', '.join(sorted(unknown))}"
+        )
+    return values
 
 
 def _execute_transform(
@@ -672,29 +624,13 @@ def _execute_transform(
             )
             state = framework.run(until=resolved.until)
         except ReproError as exc:
-            write_run_outputs(
-                resolved,
-                source_label,
-                framework,
-                store,
-                exit_code=2,
-                error={
-                    "type": type(exc).__name__,
-                    "stage": exc.stage,
-                    "message": str(exc),
-                },
-                front_door=front_door,
-            )
-            _ledger_append(
+            exc.record = write_run_outputs(
                 resolved, source_label, framework, store, exit_code=2,
-                front_door=front_door, trace_mark=trace_mark,
+                error=_error_of(exc), front_door=front_door,
+                trace_mark=trace_mark,
             )
             raise
-        write_run_outputs(
-            resolved, source_label, framework, store, exit_code=0,
-            front_door=front_door,
-        )
-        _ledger_append(
+        record = write_run_outputs(
             resolved, source_label, framework, store, exit_code=0,
             front_door=front_door, trace_mark=trace_mark,
         )
@@ -703,7 +639,13 @@ def _execute_transform(
             config=resolved,
             report=framework.report(),
             stage_times=dict(framework.stage_times),
+            record=record,
         )
+
+
+def _error_of(exc: ReproError) -> Dict[str, object]:
+    """The ``error`` section of a failed run's record."""
+    return {"type": type(exc).__name__, "stage": exc.stage, "message": str(exc)}
 
 
 # ---------------------------------------------------------------- entry
@@ -765,22 +707,9 @@ def transform(
         # _EXEC_LOCK (another thread may be mid-transform), so it consults
         # resolved.telemetry and touches no process-global switch
         store = open_store(resolved.store_root) if resolved.store else None
-        write_run_outputs(
-            resolved,
-            "<unknown>",
-            None,
-            store,
-            exit_code=2,
-            error={
-                "type": type(exc).__name__,
-                "stage": exc.stage,
-                "message": str(exc),
-            },
-            front_door=front_door,
-        )
-        _ledger_append(
+        exc.record = write_run_outputs(
             resolved, "<unknown>", None, store, exit_code=2,
-            front_door=front_door,
+            error=_error_of(exc), front_door=front_door,
         )
         raise
     with _EXEC_LOCK:

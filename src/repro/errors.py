@@ -16,7 +16,7 @@ actionable.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 
 class ReproError(Exception):
@@ -24,6 +24,9 @@ class ReproError(Exception):
 
     #: pipeline stage that raised the error (filled in by the framework)
     stage: Optional[str] = None
+    #: the failed run's ``repro.run/2`` record, when :func:`repro.api.
+    #: transform` raised it (what its ``run.json`` and ledger entry hold)
+    record: Optional[Dict[str, Any]] = None
 
 
 class CudaLiteError(ReproError):

@@ -14,13 +14,14 @@ switch (``TransformConfig.telemetry`` / :func:`set_telemetry_enabled`):
 * :mod:`~repro.observability.search_telemetry` — the GGA's
   per-generation ``search_telemetry.jsonl`` record;
 * :mod:`~repro.observability.runinfo` /
-  :mod:`~repro.observability.model_validation` — the ``run.json``
-  manifest and the counters-vs-perf-model validation report.
+  :mod:`~repro.observability.model_validation` — the run record
+  (``repro.run/2``: ``run.json`` and each ledger entry) and the
+  counters-vs-perf-model validation report.
 
 On top of the per-run layer sits the *cross-run* layer (PR 8):
 
-* :mod:`~repro.observability.ledger` — the run ledger: one compact
-  record per run appended into the artifact store, with a query API;
+* :mod:`~repro.observability.ledger` — the run ledger: each run's
+  record appended into the artifact store, with a query API;
 * :mod:`~repro.observability.trace_analytics` — critical-path
   extraction, per-name self-time rollups and a text waterfall;
 * :mod:`~repro.observability.regress` — the regression sentinel's
@@ -38,12 +39,12 @@ from .hwcounters import (
     counters_signature,
 )
 from .ledger import (
-    LEDGER_SCHEMA,
+    LEGACY_LEDGER_SCHEMA,
     RUN_LEDGER_NAMESPACE,
     RunLedger,
     append_record,
     build_fuzz_record,
-    build_transform_record,
+    upgrade_record,
 )
 from .logfmt import ENV_LOG_FORMAT, JsonLogFormatter, configure_logging
 from .metrics import (
@@ -57,7 +58,13 @@ from .regress import (
     Finding,
     compare_ledger_records,
 )
-from .runinfo import build_run_manifest, env_knobs, git_sha, write_run_manifest
+from .runinfo import (
+    RUN_SCHEMA,
+    build_run_record,
+    env_knobs,
+    git_sha,
+    write_run_record,
+)
 from .runtime import (
     set_telemetry_enabled,
     telemetry,
@@ -90,11 +97,12 @@ __all__ = [
     "Finding",
     "JsonLogFormatter",
     "KernelCounters",
-    "LEDGER_SCHEMA",
+    "LEGACY_LEDGER_SCHEMA",
     "MetricsRegistry",
     "MetricsSnapshot",
     "ModelValidationReport",
     "RUN_LEDGER_NAMESPACE",
+    "RUN_SCHEMA",
     "RunLedger",
     "SpanRecord",
     "SpanStat",
@@ -103,8 +111,7 @@ __all__ = [
     "aggregate_counters",
     "append_record",
     "build_fuzz_record",
-    "build_run_manifest",
-    "build_transform_record",
+    "build_run_record",
     "compare_ledger_records",
     "configure_logging",
     "counters_signature",
@@ -126,7 +133,8 @@ __all__ = [
     "summarize_spans",
     "telemetry",
     "telemetry_enabled",
+    "upgrade_record",
     "validate_model",
     "write_jsonl",
-    "write_run_manifest",
+    "write_run_record",
 ]

@@ -49,12 +49,11 @@ def _one_line(record: Dict[str, object]) -> str:
             f"crashes={fuzz.get('crashes')}"
         )
     else:
-        total = record.get("total_wall_time_s")
         detail = (
-            f"app={record.get('app') or record.get('source')} "
-            f"total={total if total is not None else '?'}s "
-            f"speedup={record.get('speedup')} "
-            f"reused={len(record.get('reused_stages') or {})}"
+            f"app={record['app'] or record['source']} "
+            f"total={record['total_wall_time_s']}s "
+            f"speedup={record['outcome']['speedup']} "
+            f"reused={len(record['reused_stages'])}"
         )
     return (
         f"{run_id}  {_fmt_age(record)}  {kind:<9} sha={sha:<8} "
@@ -108,8 +107,8 @@ def _cmd_show(args) -> int:
 def _stage_delta_table(
     a: Dict[str, object], b: Dict[str, object]
 ) -> List[str]:
-    a_times: Dict[str, float] = dict(a.get("stage_wall_time_s") or {})
-    b_times: Dict[str, float] = dict(b.get("stage_wall_time_s") or {})
+    a_times: Dict[str, float] = a["stage_wall_time_s"]
+    b_times: Dict[str, float] = b["stage_wall_time_s"]
     lines = [f"{'stage':<12} {'a (s)':>10} {'b (s)':>10} {'delta':>10}"]
     for stage in sorted(set(a_times) | set(b_times)):
         av, bv = a_times.get(stage), b_times.get(stage)
@@ -121,8 +120,8 @@ def _stage_delta_table(
             f"{av if av is not None else '-':>10} "
             f"{bv if bv is not None else '-':>10} {delta:>10}"
         )
-    a_total = float(a.get("total_wall_time_s") or 0.0)
-    b_total = float(b.get("total_wall_time_s") or 0.0)
+    a_total = float(a["total_wall_time_s"])
+    b_total = float(b["total_wall_time_s"])
     lines.append(
         f"{'total':<12} {a_total:>10.3f} {b_total:>10.3f} "
         f"{b_total - a_total:>+10.3f}"
@@ -131,9 +130,7 @@ def _stage_delta_table(
 
 
 def _ns_table(record: Dict[str, object]) -> Dict[str, Dict[str, int]]:
-    store = record.get("store") or {}
-    # ledger records carry the stats dict flat; run.json nests it
-    stats = store.get("stats") or store
+    stats = record["store"].get("stats") or {}
     namespaces = stats.get("namespaces")
     if isinstance(namespaces, dict) and namespaces:
         return namespaces
@@ -165,8 +162,8 @@ def _cmd_diff(args) -> int:
         print(
             f"  {ns:<20} hits {ah:>5} -> {bh:<5} misses {am:>5} -> {bm:<5}"
         )
-    a_counters: Dict[str, float] = dict(a.get("counters") or {})
-    b_counters: Dict[str, float] = dict(b.get("counters") or {})
+    a_counters: Dict[str, float] = a["counters"]
+    b_counters: Dict[str, float] = b["counters"]
     changed = {
         name
         for name in set(a_counters) | set(b_counters)
@@ -247,7 +244,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_list = sub.add_parser("list", help="list ledger records (newest first)")
-    p_list.add_argument("--kind", choices=("transform", "fuzz"), default=None)
+    p_list.add_argument(
+        "--kind", choices=("transform", "service", "fuzz"), default=None
+    )
     p_list.add_argument("--app", default=None, help="filter by app name")
     p_list.add_argument("--sha", default=None, help="filter by git SHA prefix")
     p_list.add_argument("-n", "--limit", type=int, default=20)

@@ -1,13 +1,16 @@
 """The run ledger: cross-run history inside the artifact store.
 
-Every telemetry-enabled run with a store appends one compact record —
-config digest, git SHA, stage wall times, counter totals, store reuse
-provenance, trace summary, fuzz campaign stats — into the ``run_ledger``
-namespace of :class:`repro.store.ArtifactStore`.  Unlike every other
-namespace the ledger is *append-only history*, not a cache: keys are
-unique per run rather than content-addressed, and :class:`RunLedger`
-queries them back out (``list`` / ``latest`` / ``by_app`` / ``by_sha``)
-so two runs can be compared long after their processes exited.
+Every telemetry-enabled run with a store appends its run record — the
+``repro.run/2`` dict of :mod:`~repro.observability.runinfo`, the same
+one ``run.json`` holds — into the ``run_ledger`` namespace of
+:class:`repro.store.ArtifactStore`; the ledger adds only ``run_id``.
+Unlike every other namespace the ledger is *append-only history*, not a
+cache: keys are unique per run rather than content-addressed, and
+:class:`RunLedger` queries them back out (``list`` / ``latest`` /
+``by_app`` / ``by_sha``) so two runs can be compared long after their
+processes exited.  Records written before 7.0 (``repro.ledger/1``) are
+upgraded to the ``repro.run/2`` shape as they are read
+(:func:`upgrade_record`), so every reader sees one shape.
 
 Records ride the store's existing envelope contract — atomic writes,
 checksum-validated reads, quarantine of corrupt entries — so concurrent
@@ -24,14 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import logging
 import os
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
-from .runinfo import git_sha
+from .runinfo import OUTCOME_FIELDS, RUN_SCHEMA, build_run_record, config_digest
 
 if TYPE_CHECKING:  # runtime import is deferred: store -> reliability ->
     # gpu.interpreter imports back into this package's __init__
@@ -40,108 +42,24 @@ if TYPE_CHECKING:  # runtime import is deferred: store -> reliability ->
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "LEDGER_SCHEMA",
+    "LEGACY_LEDGER_SCHEMA",
     "RUN_LEDGER_NAMESPACE",
     "RunLedger",
     "append_record",
     "build_fuzz_record",
-    "build_service_record",
-    "build_transform_record",
     "config_digest",
+    "upgrade_record",
 ]
 
-LEDGER_SCHEMA = "repro.ledger/1"
+#: the ledger's own record schema before 7.0; read, upgraded, never written
+LEGACY_LEDGER_SCHEMA = "repro.ledger/1"
 RUN_LEDGER_NAMESPACE = "run_ledger"
-
-#: config fields that do not change what a run computes — two runs that
-#: differ only here share a baseline lineage for the regression sentinel
-_NON_SEMANTIC_CONFIG_FIELDS = frozenset(
-    {"workdir", "metrics_out", "trace_out", "store", "store_root", "telemetry"}
-)
 
 _sequence = itertools.count()
 
 
-def config_digest(config: Dict[str, object]) -> str:
-    """Content digest of a resolved configuration, output paths excluded."""
-    slim = {
-        k: v
-        for k, v in sorted(config.items())
-        if k not in _NON_SEMANTIC_CONFIG_FIELDS
-    }
-    canonical = json.dumps(slim, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _app_of(source: Optional[str]) -> Optional[str]:
-    """The app name a ``run.json`` source label encodes (None otherwise)."""
-    if source and source.startswith("app:"):
-        return source[len("app:"):]
-    return None
-
-
-def _base_record(kind: str) -> Dict[str, object]:
-    from .. import __version__
-
-    return {
-        "schema": LEDGER_SCHEMA,
-        "kind": kind,
-        "run_id": None,  # filled by append_record
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "unix_time": time.time(),
-        "pid": os.getpid(),
-        "git_sha": git_sha(),
-        "repro_version": __version__,
-    }
-
-
-def build_transform_record(
-    *,
-    source: str,
-    config: Dict[str, object],
-    seed: Optional[int] = None,
-    stage_times: Optional[Dict[str, float]] = None,
-    speedup: Optional[float] = None,
-    verified: Optional[bool] = None,
-    demotions: int = 0,
-    exit_code: int = 0,
-    reused: Optional[Dict[str, str]] = None,
-    store_stats: Optional[Dict[str, object]] = None,
-    counters: Optional[Dict[str, float]] = None,
-    trace: Optional[Dict[str, object]] = None,
-    interpreter: Optional[Dict[str, object]] = None,
-    verification: Optional[Dict[str, object]] = None,
-    front_door: Optional[Dict[str, object]] = None,
-) -> Dict[str, object]:
-    """One ledger record for a pipeline run (cold, warm or failed)."""
-    times = {k: round(v, 6) for k, v in (stage_times or {}).items()}
-    record = _base_record("transform")
-    record.update(
-        {
-            "source": source,
-            "app": _app_of(source),
-            "config_digest": config_digest(config),
-            "seed": seed,
-            "exit_code": exit_code,
-            "stage_wall_time_s": times,
-            "total_wall_time_s": round(sum(times.values()), 6),
-            "speedup": speedup,
-            "verified": verified,
-            "demotions": demotions,
-            "reused_stages": dict(reused or {}),
-            "store": store_stats,
-            "counters": dict(counters or {}),
-            "trace": trace,
-            "interpreter": interpreter,
-            "verification": verification,
-            "front_door": front_door,
-        }
-    )
-    return record
-
-
 def build_fuzz_record(report: Dict[str, object]) -> Dict[str, object]:
-    """One ledger record for a fuzz campaign (from its ``repro.fuzz/1``
+    """The run record of a fuzz campaign (from its ``repro.fuzz/1``
     report), so nightly fuzz history is queryable next to transforms."""
     campaign = report.get("campaign", {})
     summary = report.get("summary", {})
@@ -149,76 +67,90 @@ def build_fuzz_record(report: Dict[str, object]) -> Dict[str, object]:
     for failure in report.get("failures", []):
         oracle = str(failure.get("oracle", "?"))
         oracle_failures[oracle] = oracle_failures.get(oracle, 0) + 1
-    record = _base_record("fuzz")
-    record.update(
-        {
-            "source": "fuzz-campaign",
-            "app": None,
-            "exit_code": 0 if not summary.get("failures")
-            and not summary.get("crashes") else 1,
-            "fuzz": {
-                "seed_start": campaign.get("seed_start"),
-                "seed_end": campaign.get("seed_end"),
-                "seeds_run": campaign.get("seeds_run"),
-                "oracles": list(campaign.get("oracles", [])),
-                "duration_seconds": campaign.get("duration_seconds"),
-                "stopped_early": campaign.get("stopped_early"),
-                "failures": summary.get("failures", 0),
-                "crashes": summary.get("crashes", 0),
-                "unbucketed": summary.get("unbucketed", 0),
-                "crash_buckets": dict(summary.get("buckets", {})),
-                "oracle_failures": dict(sorted(oracle_failures.items())),
-            },
-        }
+    record = build_run_record(
+        kind="fuzz",
+        source="fuzz-campaign",
+        config=dict(campaign),
+        exit_code=0 if not summary.get("failures")
+        and not summary.get("crashes") else 1,
     )
+    record["fuzz"] = {
+        "seed_start": campaign.get("seed_start"),
+        "seed_end": campaign.get("seed_end"),
+        "seeds_run": campaign.get("seeds_run"),
+        "oracles": list(campaign.get("oracles", [])),
+        "duration_seconds": campaign.get("duration_seconds"),
+        "stopped_early": campaign.get("stopped_early"),
+        "failures": summary.get("failures", 0),
+        "crashes": summary.get("crashes", 0),
+        "unbucketed": summary.get("unbucketed", 0),
+        "crash_buckets": dict(summary.get("buckets", {})),
+        "oracle_failures": dict(sorted(oracle_failures.items())),
+    }
     return record
 
 
-def build_service_record(
-    *,
-    source: str,
-    config: Dict[str, object],
-    request_key: str,
-    job_id: str,
-    status: str,
-    dedup_clients: int = 1,
-    speedup: Optional[float] = None,
-    verified: Optional[bool] = None,
-    demotions: int = 0,
-    reused: Optional[Dict[str, str]] = None,
-    wall_time_s: Optional[float] = None,
-    worker_retries: int = 0,
-) -> Dict[str, object]:
-    """One ledger record per *served* transformation request.
+#: header fields a ``repro.ledger/1`` record carries under the same name
+_LEGACY_HEADER = (
+    "kind", "run_id", "timestamp", "unix_time", "pid", "git_sha",
+    "repro_version", "source", "app", "config_digest", "exit_code",
+)
 
-    The serving path appends one record per executed job (deduplicated
-    requests share one execution and hence one record, with
-    ``dedup_clients`` counting how many clients it answered), so service
-    traffic is queryable next to CLI transforms — same store, same
-    schema tag, ``kind == "service"``.
+
+def upgrade_record(
+    record: Optional[Dict[str, object]],
+) -> Optional[Dict[str, object]]:
+    """``record`` in the ``repro.run/2`` shape, or ``None`` for a missing
+    payload or one of neither schema.
+
+    A ``repro.ledger/1`` record (written before 7.0) is upgraded on read:
+    its top-level ``speedup`` / ``verified`` / ``demotions`` move into
+    ``outcome`` (the counts it never had are null), ``seed`` into
+    ``config``, the flat store stats under ``store.stats``.  The sections
+    it never carried (``env``, ``error``, ``observability``) are null and
+    ``upgraded_from`` names the old schema.
     """
-    record = _base_record("service")
-    record.update(
-        {
-            "source": source,
-            "app": _app_of(source),
-            "config_digest": config_digest(config),
-            "exit_code": 0 if status == "ok" else 2,
-            "service": {
-                "request_key": request_key,
-                "job_id": job_id,
-                "status": status,
-                "dedup_clients": dedup_clients,
-                "worker_retries": worker_retries,
-                "wall_time_s": wall_time_s,
-            },
-            "speedup": speedup,
-            "verified": verified,
-            "demotions": demotions,
-            "reused_stages": dict(reused or {}),
-        }
-    )
-    return record
+    schema = record.get("schema") if record is not None else None
+    if schema == RUN_SCHEMA:
+        return record
+    if schema != LEGACY_LEDGER_SCHEMA:
+        return None
+    stats = record.get("store")
+    times = dict(record.get("stage_wall_time_s") or {})
+    upgraded: Dict[str, object] = {
+        "schema": RUN_SCHEMA,
+        "upgraded_from": LEGACY_LEDGER_SCHEMA,
+        **{key: record.get(key) for key in _LEGACY_HEADER},
+        "config": {"seed": record["seed"]} if "seed" in record else {},
+        "error": None,
+        "outcome": {
+            **dict.fromkeys(OUTCOME_FIELDS),
+            "speedup": record.get("speedup"),
+            "verified": record.get("verified"),
+            "demotions": record.get("demotions", 0),
+        },
+        "stage_wall_time_s": times,
+        "total_wall_time_s": record.get(
+            "total_wall_time_s", round(sum(times.values()), 6)
+        ),
+        "reused_stages": dict(record.get("reused_stages") or {}),
+        "store": (
+            {"enabled": True, "root": None, "stats": stats}
+            if isinstance(stats, dict) else {"enabled": False}
+        ),
+        "interpreter": record.get("interpreter"),
+        "verification": record.get("verification"),
+        "front_door": record.get("front_door"),
+        "counters": dict(record.get("counters") or {}),
+        "trace": record.get("trace"),
+        "env": None,
+        "reports": {},
+        "observability": None,
+    }
+    for section in ("service", "fuzz"):
+        if section in record:
+            upgraded[section] = record[section]
+    return upgraded
 
 
 def append_record(
@@ -276,10 +208,9 @@ class RunLedger:
         and quarantined by the store's envelope validation)."""
         records = []
         for key in self.keys():
-            payload = self.store.get(RUN_LEDGER_NAMESPACE, key)
-            if payload is None or payload.get("schema") != LEDGER_SCHEMA:
-                continue
-            records.append(payload)
+            record = upgrade_record(self.store.get(RUN_LEDGER_NAMESPACE, key))
+            if record is not None:
+                records.append(record)
         records.sort(key=lambda r: (r.get("unix_time") or 0.0, r.get("run_id")))
         return records
 
@@ -319,7 +250,7 @@ class RunLedger:
         return self.list(sha=sha)
 
     def get(self, run_id: str) -> Optional[Dict[str, object]]:
-        return self.store.get(RUN_LEDGER_NAMESPACE, run_id)
+        return upgrade_record(self.store.get(RUN_LEDGER_NAMESPACE, run_id))
 
     def previous(
         self, record: Dict[str, object]

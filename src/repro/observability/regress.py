@@ -62,10 +62,10 @@ def compare_ledger_records(
     threshold: float = 1.5,
     min_seconds: float = 0.05,
 ) -> List[Finding]:
-    """Wall-time and speedup findings for two transform ledger records."""
+    """Wall-time and speedup findings for two ``repro.run/2`` records."""
     findings: List[Finding] = []
-    b_times: Dict[str, float] = dict(baseline.get("stage_wall_time_s") or {})
-    c_times: Dict[str, float] = dict(current.get("stage_wall_time_s") or {})
+    b_times: Dict[str, float] = baseline["stage_wall_time_s"]
+    c_times: Dict[str, float] = current["stage_wall_time_s"]
     for stage in sorted(set(b_times) & set(c_times)):
         b, c = float(b_times[stage]), float(c_times[stage])
         regressed = c > b * threshold and (c - b) > min_seconds
@@ -79,8 +79,8 @@ def compare_ledger_records(
                 regressed=regressed,
             )
         )
-    b_total = float(baseline.get("total_wall_time_s") or 0.0)
-    c_total = float(current.get("total_wall_time_s") or 0.0)
+    b_total = float(baseline["total_wall_time_s"])
+    c_total = float(current["total_wall_time_s"])
     findings.append(
         Finding(
             metric="total_wall_time_s",
@@ -92,8 +92,8 @@ def compare_ledger_records(
             and (c_total - b_total) > min_seconds,
         )
     )
-    b_speed = baseline.get("speedup")
-    c_speed = current.get("speedup")
+    b_speed = baseline["outcome"]["speedup"]
+    c_speed = current["outcome"]["speedup"]
     if isinstance(b_speed, (int, float)) and isinstance(c_speed, (int, float)):
         findings.append(
             Finding(
@@ -106,8 +106,8 @@ def compare_ledger_records(
                 note="projected transformation speedup",
             )
         )
-    b_store = (baseline.get("store") or {})
-    c_store = (current.get("store") or {})
+    b_store = baseline["store"].get("stats") or {}
+    c_store = current["store"].get("stats") or {}
     if "hit_rate" in b_store and "hit_rate" in c_store:
         findings.append(
             Finding(

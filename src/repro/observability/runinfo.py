@@ -1,30 +1,63 @@
-"""The run manifest: one ``run.json`` per pipeline invocation.
+"""The run record: one ``repro.run/2`` dict per run, built in one place.
 
-Records everything needed to reproduce and audit a run — the resolved
-configuration, the ``REPRO_*`` environment knobs in effect, the seed, the
-git revision, per-stage wall time, and the outcome (final speedup and
-verification verdict, or the stage-tagged diagnostic of a failed run, so
-exit-code-2 failures leave a machine-readable trace too).
+Every run — a transform, a served request, a fuzz campaign — is described
+by one record.  It is written as ``run.json`` when a destination is
+configured and appended, unchanged, to the run ledger (which adds only
+``run_id``).  Its sections:
+
+* ``outcome`` — the *deterministic* section: what the run produced
+  (speedup, verification verdict, demotions, kernels in/out, fused
+  groups, targets kept, DDG nodes, OEG edges).  A cold run and a warm
+  repeat of the same configuration carry the same outcome;
+* per-run sections — ``stage_wall_time_s`` / ``total_wall_time_s``,
+  ``reused_stages``, ``store``, ``interpreter``, ``verification``,
+  ``front_door``, ``counters``, ``trace``, ``env``, ``reports``,
+  ``error`` and ``observability`` (``record_s``: the seconds spent
+  building this record);
+* the header — identity and lineage: ``kind``, ``timestamp``,
+  ``unix_time``, ``pid``, ``git_sha``, ``repro_version``, ``source``,
+  ``app``, the resolved ``config`` and its ``config_digest``,
+  ``exit_code``.
+
+A kind adds one section of its own: ``service`` (the request key, job
+id and dedup count of a served execution) or ``fuzz`` (a campaign's
+summary).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
 import subprocess
 import sys
 import time
-from typing import Dict, Optional
+from time import perf_counter
+from typing import Any, Dict, Optional
+
+RUN_SCHEMA = "repro.run/2"
+
+#: the deterministic ``outcome`` section, in order
+OUTCOME_FIELDS = (
+    "speedup", "verified", "demotions", "kernels_in", "kernels_out",
+    "fused_groups", "targets_kept", "ddg_nodes", "oeg_edges",
+)
+
+#: config fields that do not change what a run computes — two runs that
+#: differ only here share a baseline lineage for the regression sentinel
+_NON_SEMANTIC_CONFIG_FIELDS = frozenset(
+    {"workdir", "metrics_out", "trace_out", "store", "store_root", "telemetry"}
+)
 
 
 def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     """Best-effort revision of the working tree (None outside a repo).
 
     Read once per process and directory: the code a process runs does not
-    change under it, and every ledger record and ``run.json`` asks.  Only
-    a revision is kept; a failed read (a timeout on a loaded machine) is
-    retried by the next caller.
+    change under it, and every run record asks.  Only a revision is kept;
+    a failed read (a timeout on a loaded machine) is retried by the next
+    caller.
     """
     try:
         directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
@@ -62,48 +95,126 @@ def env_knobs() -> Dict[str, str]:
     return {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")}
 
 
-def build_run_manifest(
+def config_digest(config: Dict[str, object]) -> str:
+    """Content digest of a resolved configuration, output paths excluded."""
+    slim = {
+        k: v
+        for k, v in sorted(config.items())
+        if k not in _NON_SEMANTIC_CONFIG_FIELDS
+    }
+    canonical = json.dumps(slim, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def app_of(source: Optional[str]) -> Optional[str]:
+    """The app name a source label encodes (None otherwise)."""
+    if source and source.startswith("app:"):
+        return source[len("app:"):]
+    return None
+
+
+def outcome_of(state: Any) -> Dict[str, object]:
+    """The deterministic ``outcome`` section of a possibly-partial
+    :class:`~repro.pipeline.stages.PipelineState` (``None``: no state)."""
+    from ..errors import PipelineError
+
+    outcome: Dict[str, object] = dict.fromkeys(OUTCOME_FIELDS)
+    outcome["demotions"] = 0
+    if state is None:
+        return outcome
+    outcome["verified"] = state.verified
+    if state.targets is not None:
+        outcome["targets_kept"] = len(state.targets.targets)
+    if state.ddg is not None:
+        outcome["ddg_nodes"] = state.ddg.number_of_nodes()
+        outcome["oeg_edges"] = state.oeg.number_of_edges()
+    transform = state.transform
+    if transform is not None:
+        outcome["demotions"] = len(transform.demotions)
+        outcome["kernels_in"] = len(state.program.kernels)
+        outcome["kernels_out"] = len(transform.program.kernels)
+        outcome["fused_groups"] = len(transform.fused_kernels)
+        try:
+            outcome["speedup"] = state.speedup
+        except PipelineError:
+            pass
+    return outcome
+
+
+def build_run_record(
     *,
-    source: Optional[str] = None,
-    config: Optional[Dict[str, object]] = None,
-    stage_times: Optional[Dict[str, float]] = None,
-    reports: Optional[Dict[str, str]] = None,
-    speedup: Optional[float] = None,
-    verified: Optional[bool] = None,
-    demotions: int = 0,
+    kind: str = "transform",
+    source: Optional[str],
+    config: Dict[str, object],
     exit_code: int = 0,
     error: Optional[Dict[str, object]] = None,
-    extra: Optional[Dict[str, object]] = None,
+    state: Any = None,
+    stage_times: Optional[Dict[str, float]] = None,
+    store: Any = None,
+    interpreter: Optional[Dict[str, object]] = None,
+    front_door: Optional[Dict[str, object]] = None,
+    counters: Optional[Dict[str, float]] = None,
+    trace: Optional[Dict[str, object]] = None,
+    started: Optional[float] = None,
 ) -> Dict[str, object]:
-    """Assemble the manifest dict (the CLI writes it as ``run.json``)."""
-    manifest: Dict[str, object] = {
-        "schema": "repro.run/1",
+    """The one builder of a ``repro.run/2`` record.
+
+    ``state`` is the run's (possibly partial) pipeline state and
+    ``store`` its :class:`~repro.store.ArtifactStore` (``None``: no
+    store); both may be absent for a run that never started.
+    ``started`` is the :func:`time.perf_counter` reading at which the
+    caller began collecting the record's inputs (default: now), so
+    ``observability.record_s`` covers that collection too.
+    """
+    start = perf_counter() if started is None else started
+    from .. import __version__
+
+    times = {k: round(v, 6) for k, v in (stage_times or {}).items()}
+    if store is None:
+        store_block: Dict[str, object] = {"enabled": False}
+    else:
+        store_block = {
+            "enabled": True,
+            "root": str(store.root),
+            "stats": store.stats.as_dict(),
+        }
+    record: Dict[str, object] = {
+        "schema": RUN_SCHEMA,
+        "kind": kind,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "unix_time": time.time(),
+        "pid": os.getpid(),
+        "git_sha": git_sha(),
+        "repro_version": __version__,
         "source": source,
-        "config": config or {},
+        "app": app_of(source),
+        "config": config,
+        "config_digest": config_digest(config),
+        "exit_code": exit_code,
+        "error": error,
+        "outcome": outcome_of(state),
+        "stage_wall_time_s": times,
+        "total_wall_time_s": round(sum(times.values()), 6),
+        "reused_stages": dict(state.reused) if state is not None else {},
+        "store": store_block,
+        "interpreter": interpreter,
+        "verification": state.verification if state is not None else None,
+        "front_door": front_door,
+        "counters": dict(counters or {}),
+        "trace": trace,
         "env": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
             "knobs": env_knobs(),
         },
-        "git_sha": git_sha(),
-        "stage_wall_time_s": {
-            k: round(v, 6) for k, v in (stage_times or {}).items()
-        },
-        "total_wall_time_s": round(sum((stage_times or {}).values()), 6),
-        "reports": reports or {},
-        "speedup": speedup,
-        "verified": verified,
-        "demotions": demotions,
-        "exit_code": exit_code,
-        "error": error,
+        "reports": dict(state.reports) if state is not None else {},
     }
-    if extra:
-        manifest.update(extra)
-    return manifest
+    record["observability"] = {"record_s": round(perf_counter() - start, 6)}
+    return record
 
 
-def write_run_manifest(path: str, manifest: Dict[str, object]) -> None:
+def write_run_record(path: str, record: Dict[str, object]) -> None:
+    """Write ``record`` as ``run.json``."""
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from ..api import TransformConfig, transform
+from ..api import TransformConfig, _merge_overrides, transform
 from ..errors import ConfigError, ReproError
 from ..gpu.device import available_devices
-from ..gpu.interpreter import BLOCK_EXEC_MODES
 from ..observability.logfmt import configure_logging
 from ..search.params import GAParams
 from .stages import STAGES
@@ -131,12 +129,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed", type=int, default=None, help="GA random seed (default: 12345)"
     )
-    parser.add_argument(
-        "--block-exec",
-        default=None,
-        choices=BLOCK_EXEC_MODES,
-        help="interpreter execution strategy for kernel launches (default: 'auto')",
-    )
+    # retired in 7.0: 'auto' is accepted and ignored, any other value is
+    # a ConfigError (a forced executor is for checks, not a product knob)
+    parser.add_argument("--block-exec", default=None, help=argparse.SUPPRESS)
     parser.add_argument(
         "--store",
         nargs="?",
@@ -235,7 +230,7 @@ def _build_config(args) -> TransformConfig:
         overrides["store"] = True
         if isinstance(args.store, str):
             overrides["store_root"] = args.store
-    return replace(config, **overrides) if overrides else config
+    return _merge_overrides(config, overrides)
 
 
 def main(argv=None) -> int:

@@ -274,7 +274,9 @@ class TransformService:
                     "message": str(exc),
                 },
             )
-            await self._conclude(execution, config, response, 500, retain=False)
+            await self._conclude(
+                execution, config, response, 500, retain=False, record=None
+            )
             return
         status = outcome.get("status", "error")
         response = TransformResponse(
@@ -297,6 +299,7 @@ class TransformService:
             200 if status == "ok" else 422,
             # a seam may have shaped even an ok outcome (the store's rule)
             retain=status == "ok" and outcome.get("fault_plan") is False,
+            record=outcome.get("record"),
         )
 
     async def _conclude(
@@ -307,11 +310,12 @@ class TransformService:
         http_status: int,
         *,
         retain: bool,
+        record: Optional[Dict[str, Any]],
     ) -> None:
         """Publish the one canonical body every deduplicated client
         receives; a retained execution keeps answering its key."""
         body = response.to_json().encode("utf-8")
-        self._ledger_append(execution, config, response)
+        self._ledger_append(execution, config, response, record)
         if not retain:
             self._by_key.pop(execution.key, None)
         state = "done" if response.status == "ok" else "failed"
@@ -327,30 +331,36 @@ class TransformService:
         execution: _Execution,
         config: TransformConfig,
         response: TransformResponse,
+        record: Optional[Dict[str, Any]],
     ) -> None:
+        """Append the execution's service record: the worker's run record
+        (built here when the worker returned none) as ``kind ==
+        "service"`` with a ``service`` section."""
         try:
-            from ..observability.ledger import (
-                append_record,
-                build_service_record,
-            )
+            from ..observability.ledger import append_record
+            from ..observability.runinfo import build_run_record
             from ..store.artifact_store import open_store
 
-            store = open_store(self.store_root)
-            record = build_service_record(
-                source=execution.source_label,
-                config=config.to_dict(),
-                request_key=execution.key,
-                job_id=execution.job_id,
-                status=response.status,
-                dedup_clients=execution.clients,
-                speedup=response.speedup,
-                verified=response.verified,
-                demotions=response.demotions,
-                reused=response.reused,
-                wall_time_s=response.wall_time_s,
-                worker_retries=response.worker_retries,
-            )
-            append_record(store, record)
+            if record is None:
+                record = build_run_record(
+                    source=execution.source_label,
+                    config=config.to_dict(),
+                    exit_code=2,
+                    error=response.error,
+                )
+            record = {
+                **record,
+                "kind": "service",
+                "service": {
+                    "request_key": execution.key,
+                    "job_id": execution.job_id,
+                    "status": response.status,
+                    "dedup_clients": execution.clients,
+                    "worker_retries": response.worker_retries,
+                    "wall_time_s": response.wall_time_s,
+                },
+            }
+            append_record(open_store(self.store_root), record)
         except Exception as exc:  # noqa: BLE001 - bookkeeping is best-effort
             logger.warning("service: ledger append failed (%s)", exc)
 

@@ -110,7 +110,8 @@ def run_request(request: Dict[str, Any]) -> Dict[str, Any]:
     ``request`` carries ``source`` or ``app`` plus the server-resolved
     ``config`` dict.  The envelope mirrors the wire response fields the
     server owns none of: status/source/speedup/verified/demotions/
-    reused/wall_time_s/error.
+    reused/wall_time_s/error, read off the run's record, which rides
+    along as ``record`` for the server's ledger entry.
     """
     config = TransformConfig.from_dict(request["config"])
     app_or_source = (
@@ -122,31 +123,41 @@ def run_request(request: Dict[str, Any]) -> Dict[str, Any]:
         result: TransformResult = transform(app_or_source, config)
     except ReproError as exc:
         return {
-            "status": "error",
-            "source": None,
-            "speedup": None,
-            "verified": None,
-            "demotions": 0,
-            "reused": {},
+            **_error_outcome(exc),
             "wall_time_s": round(time.perf_counter() - start, 6),
-            "error": {
-                "type": type(exc).__name__,
-                "stage": exc.stage,
-                "message": str(exc),
-            },
+            "record": exc.record,
         }
-    transform_state = result.state.transform
+    record = result.record
+    outcome = record["outcome"]
     return {
         "status": "ok",
         "source": result.source,
-        "speedup": result.speedup,
-        "verified": result.verified,
-        "demotions": (
-            len(transform_state.demotions) if transform_state is not None else 0
-        ),
-        "reused": result.reused,
+        "speedup": outcome["speedup"],
+        "verified": outcome["verified"],
+        "demotions": outcome["demotions"],
+        "reused": dict(record["reused_stages"]),
         "wall_time_s": round(time.perf_counter() - start, 6),
         "error": None,
+        "record": record,
+    }
+
+
+def _error_outcome(exc: Exception) -> Dict[str, Any]:
+    """The envelope of a job that raised ``exc``."""
+    return {
+        "status": "error",
+        "source": None,
+        "speedup": None,
+        "verified": None,
+        "demotions": 0,
+        "reused": {},
+        "wall_time_s": None,
+        "error": {
+            "type": type(exc).__name__,
+            "stage": getattr(exc, "stage", None),
+            "message": str(exc),
+        },
+        "record": None,
     }
 
 
@@ -196,20 +207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             outcome = run_request(msg.get("request") or {})
         except Exception as exc:  # noqa: BLE001 - a bug is a result too
-            outcome = {
-                "status": "error",
-                "source": None,
-                "speedup": None,
-                "verified": None,
-                "demotions": 0,
-                "reused": {},
-                "wall_time_s": None,
-                "error": {
-                    "type": type(exc).__name__,
-                    "stage": None,
-                    "message": str(exc),
-                },
-            }
+            outcome = _error_outcome(exc)
         finally:
             sampler.finish()
         # the server retains only outcomes no seam could have shaped

@@ -213,3 +213,57 @@ def k40():
 @pytest.fixture
 def testing_device():
     return TESTING
+
+
+# ------------------------------------------------------ forced executors
+
+
+def forced_framework(app_or_source, block_exec, **fields):
+    """A ``Framework`` over ``TransformConfig(**fields)`` with its
+    interpreter strategy forced to ``block_exec``.
+
+    ``block_exec`` is no product setting: ``PipelineConfig.block_exec`` is
+    the internal field only ``Framework`` callers (checks and tests) set.
+    Returns ``(framework, resolved config)``; the interpreter's per-run
+    stats are reset, as :func:`repro.api.transform` resets them.
+    """
+    from dataclasses import replace
+
+    from repro.api import TransformConfig
+    from repro.apps import APP_NAMES, build_app
+    from repro.gpu import interpreter
+    from repro.pipeline import Framework
+    from repro.store.artifact_store import open_store
+
+    config = TransformConfig(**fields).resolved()
+    store = open_store(config.store_root) if config.store else None
+    if isinstance(app_or_source, str):
+        app_or_source = (
+            build_app(app_or_source).program
+            if app_or_source in APP_NAMES
+            else parse_program(app_or_source)
+        )
+    interpreter.reset_stats()
+    framework = Framework(
+        app_or_source,
+        replace(config.pipeline_config(store), block_exec=block_exec),
+        read_only=True,
+    )
+    return framework, config
+
+
+def forced_transform(app_or_source, block_exec, **fields):
+    """:func:`repro.api.transform` of ``TransformConfig(**fields)`` under a
+    forced executor (see :func:`forced_framework`); writes no run record."""
+    from repro.api import TransformResult
+    from repro.observability import telemetry
+
+    framework, config = forced_framework(app_or_source, block_exec, **fields)
+    with telemetry(bool(config.telemetry)):
+        state = framework.run(until=config.until)
+    return TransformResult(
+        state=state,
+        config=config,
+        report=framework.report(),
+        stage_times=dict(framework.stage_times),
+    )

@@ -78,7 +78,7 @@ def paper_runs():
     for name in PAPER_APPS:
         original = build_app(name, scale=0.5).program
         result = transform(
-            unparse(original), seed=20150615, store=False, block_exec="auto"
+            unparse(original), seed=20150615, store=False
         )
         assert result.verified
         runs[name] = (

@@ -33,7 +33,7 @@ def test_default_when_nothing_set():
     resolved = TransformConfig().resolved(environ={})
     assert resolved.verify_seed == 0
     assert resolved.verify_groups is True
-    assert resolved.block_exec == "auto"
+    assert not hasattr(resolved, "block_exec")  # retired in 7.0
     assert resolved.telemetry is True
     assert resolved.store is False
 
@@ -82,7 +82,7 @@ def test_null_for_a_formerly_env_backed_field_means_default():
         "verify_rtol": None, "block_exec": None,
     })
     assert old == TransformConfig()
-    assert old.verify_groups is True and old.block_exec == "auto"
+    assert old.verify_groups is True
 
 
 # ------------------------------------------------------------- round-trips
@@ -231,7 +231,7 @@ def test_invalid_values_rejected():
     with pytest.raises(ConfigError):
         TransformConfig(device="RTX9090")
     with pytest.raises(ConfigError):
-        TransformConfig(block_exec="warp")
+        TransformConfig.from_dict({"block_exec": "warp"})
 
 
 def test_config_file_invalid_json(tmp_path):
@@ -330,7 +330,7 @@ def test_cli_config_file(tmp_path, capsys):
     assert run["config"]["until"] == "targets"
     # resolved env-backed fields are dumped concretely, not as null
     assert run["config"]["verify_groups"] is True
-    assert run["config"]["block_exec"] == "auto"
+    assert "block_exec" not in run["config"]
 
 
 def test_cli_flag_overrides_config_file(tmp_path, capsys):
@@ -389,7 +389,23 @@ def test_identical_submissions_share_a_key_not_a_job_id():
 
 def test_semantic_config_changes_the_request_key():
     base = TransformConfig(ga_params=small_params(), until="metadata")
-    assert _key(base) != _key(base, seed=999)
+    assert _key(base) != _key(base, ga_params=small_params(seed=999))
+    assert _key(base) != _key(base, until="targets")
+
+
+def test_a_seed_the_ga_ignores_is_not_in_the_request_key():
+    """With ``ga_params`` given the search runs on ``ga_params.seed``, so
+    a differing ``seed`` is the same request, and the resolved config
+    (hence the ledger's config digest and the run record) names the seed
+    the search used."""
+    ga = {"population": 10, "generations": 6, "stall_generations": 3}
+    first = TransformConfig.from_dict({"ga_params": ga, "seed": 101})
+    second = TransformConfig.from_dict({"ga_params": ga, "seed": 202})
+    assert _key(first) == _key(second)
+    assert first.resolved().seed == first.ga_params.seed
+    reseeded = TransformConfig.from_dict({"ga_params": {**ga, "seed": 7}})
+    assert _key(reseeded) != _key(first)
+    assert TransformConfig(seed=101).resolved().seed == 101
 
 
 def test_output_paths_do_not_change_the_request_key(tmp_path):

@@ -1,10 +1,12 @@
-"""Execution-mode equivalence and the ``block_exec`` setting.
+"""Execution-mode equivalence and the retired ``block_exec`` setting.
 
 The contract under test (see ``repro.gpu.interpreter``): the per-block
 ``loop``, the forced ``batched`` lattice and ``auto`` (vectorized, watched
 batched, or the loop on a hazard) are **bit-identical** — same array
-contents, same mode-invariant counter totals — on every kernel shape,
-and ``block_exec`` accepts exactly those three values.
+contents, same mode-invariant counter totals — on every kernel shape.
+Choosing among them is no product setting since 7.0: a config file, a
+request, ``transform()`` and ``repro-transform --block-exec`` accept only
+``"auto"`` (or null) and refuse the rest.
 """
 
 import numpy as np
@@ -154,24 +156,32 @@ def test_all_modes_bit_identical(source):
 # ------------------------------------------------------------ configuration
 
 
-def test_cli_accepts_block_exec_flag():
+def test_cli_retires_block_exec_flag():
+    from repro.api import TransformConfig
+    from repro.errors import ConfigError
     from repro.pipeline.cli import _build_config, build_arg_parser
 
-    args = build_arg_parser().parse_args(["app.cu", "--block-exec", "batched"])
-    assert _build_config(args).block_exec == "batched"
-    with pytest.raises(SystemExit):
-        build_arg_parser().parse_args(["app.cu", "--block-exec", "compiled"])
+    parser = build_arg_parser()
+    assert "--block-exec" not in parser.format_help()
+    args = parser.parse_args(["app.cu", "--block-exec", "auto"])
+    assert _build_config(args) == TransformConfig()
+    for mode in ("loop", "batched", "compiled"):
+        args = parser.parse_args(["app.cu", "--block-exec", mode])
+        with pytest.raises(ConfigError, match="block_exec"):
+            _build_config(args)
 
 
 def test_transform_config_rejects_unknown_block_exec():
-    from repro.api import TransformConfig
+    from repro.api import TransformConfig, transform
     from repro.errors import ConfigError
 
-    for mode in MODES:
-        TransformConfig(block_exec=mode)  # accepted
-    for mode in ("compiled", "jit"):
-        with pytest.raises(ConfigError):
-            TransformConfig(block_exec=mode)
+    for value in ("auto", None):
+        assert TransformConfig.from_dict({"block_exec": value}) == TransformConfig()
+    for mode in ("loop", "batched", "compiled", "jit"):
+        with pytest.raises(ConfigError, match="block_exec"):
+            TransformConfig.from_dict({"block_exec": mode})
+        with pytest.raises(ConfigError, match="block_exec"):
+            transform("Fluam", block_exec=mode)
 
 
 # ------------------------------------------------------- property: 3 modes

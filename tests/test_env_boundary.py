@@ -19,7 +19,7 @@ from repro.api import TransformConfig, transform
 from repro.gpu import interpreter
 from repro.search import fast_params
 
-from conftest import THREE_KERNEL_SRC
+from conftest import THREE_KERNEL_SRC, forced_transform
 
 SRC = Path(repro.__file__).resolve().parent
 
@@ -95,10 +95,10 @@ def small_params(seed=1):
 
 @pytest.mark.parametrize("mode, slices", [("auto", True), ("loop", False)])
 def test_block_exec_reaches_the_interpreter(mode, slices):
-    result = transform(
+    result = forced_transform(
         THREE_KERNEL_SRC,
+        mode,
         ga_params=small_params(),
-        block_exec=mode,
         store=False,
     )
     assert result.verified is True
@@ -115,11 +115,11 @@ def test_gate_settings_reach_verify_group(monkeypatch):
         return real(fused, constituents, shapes, compare, config, **kwargs)
 
     monkeypatch.setattr(apply_module, "verify_group", spy)
-    transform(
+    forced_transform(
         THREE_KERNEL_SRC,
+        "batched",
         ga_params=small_params(),
         verify_seed=7,
-        block_exec="batched",
         store=False,
     )
     assert calls, "no fused group reached the gate"

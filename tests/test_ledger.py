@@ -1,7 +1,8 @@
-"""The run ledger: append, query, lineage, concurrency, fuzz (PR 8).
+"""The run ledger: append, query, lineage, concurrency, fuzz, upgrade.
 
 The ledger rides the artifact store's envelope contract, so most tests
-craft records directly (no pipeline run needed) and the concurrency test
+build records with the one run-record builder directly (no pipeline run
+needed) and the concurrency test
 reuses the multi-process harness of ``test_store_concurrency.py``: two
 writer processes appending records while a reader queries — every append
 must survive and no query may crash.
@@ -17,14 +18,13 @@ import pytest
 from repro.fuzz.campaign import CampaignConfig, run_campaign
 from repro.observability import telemetry
 from repro.observability.ledger import (
-    LEDGER_SCHEMA,
     RUN_LEDGER_NAMESPACE,
     RunLedger,
     append_record,
     build_fuzz_record,
-    build_transform_record,
     config_digest,
 )
+from repro.observability.runinfo import RUN_SCHEMA, build_run_record
 from repro.store.artifact_store import ArtifactStore
 
 
@@ -35,20 +35,15 @@ def store(tmp_path):
 
 def _record(app="Fluam", seed=1, exit_code=0, total=1.0, when=None,
             config=None):
-    record = build_transform_record(
+    record = build_run_record(
         source=f"app:{app}",
         config=config if config is not None else {"seed": seed, "mode": "automated"},
-        seed=seed,
         stage_times={"search": total / 2, "codegen": total / 2},
-        speedup=1.2,
-        verified=True,
-        demotions=0,
         exit_code=exit_code,
-        reused={},
-        store_stats={"hits": 0, "misses": 1, "hit_rate": 0.0},
         counters={"pipeline_stage_runs_total": 5.0},
         trace={"span_count": 0, "critical_path": [], "self_time_ms": {}},
     )
+    record["outcome"].update(speedup=1.2, verified=True)
     if when is not None:
         record["unix_time"] = when
     return record
@@ -121,7 +116,7 @@ def test_append_assigns_unique_ids_and_roundtrips(store):
     ledger = RunLedger(store)
     assert len(ledger.records()) == 5
     got = ledger.get(sorted(ids)[0])
-    assert got["schema"] == LEDGER_SCHEMA
+    assert got["schema"] == RUN_SCHEMA
     assert got["kind"] == "transform"
     assert got["app"] == "Fluam"
 
@@ -252,16 +247,16 @@ def test_campaign_skips_ledger_without_telemetry(tmp_path):
 APPENDER = """
 import sys
 sys.path.insert(0, {src!r})
-from repro.observability.ledger import append_record, build_transform_record
+from repro.observability.ledger import append_record
+from repro.observability.runinfo import build_run_record
 from repro.store.artifact_store import ArtifactStore
 
 store = ArtifactStore({root!r})
 ok = 0
 for n in range({rounds}):
-    record = build_transform_record(
+    record = build_run_record(
         source="app:Fluam",
         config={{"seed": {writer}, "mode": "automated"}},
-        seed={writer},
         stage_times={{"search": 0.1}},
         exit_code=0,
     )
@@ -309,15 +304,30 @@ def test_concurrent_appenders_never_lose_or_corrupt(tmp_path):
     assert len({r["run_id"] for r in records}) == 2 * ROUNDS
     by_seed = {0: 0, 1: 0}
     for r in records:
-        by_seed[r["seed"]] += 1
+        by_seed[r["config"]["seed"]] += 1
     assert by_seed == {0: ROUNDS, 1: ROUNDS}
 
 
 # -------------------------------------------------- schema checker (CI)
 
 
+def _complete_record():
+    """A record of a run that went through every stage."""
+    from repro.gpu import interpreter
+    from repro.pipeline.stages import STAGES
+
+    return build_run_record(
+        source="app:Fluam",
+        config={"seed": 1, "mode": "automated"},
+        stage_times=dict.fromkeys(STAGES, 0.1),
+        interpreter=interpreter.stats().as_dict(),
+        front_door={"source_bytes": None, "load_s": 0.0, "memo": None},
+        trace={"span_count": 0, "critical_path": [], "self_time_ms": {}},
+    )
+
+
 def test_check_telemetry_validates_ledger(tmp_path, store):
-    append_record(store, _record())
+    append_record(store, _complete_record())
     script = Path(__file__).resolve().parent.parent / "scripts"
     result = subprocess.run(
         [sys.executable, str(script / "check_telemetry.py"),
@@ -328,7 +338,7 @@ def test_check_telemetry_validates_ledger(tmp_path, store):
     assert "ledger ok (1 records)" in result.stdout
 
     # a record missing required fields must fail the check
-    bad = dict(_record())
+    bad = dict(_complete_record())
     bad.pop("config_digest")
     rid = "a" * 64
     bad["run_id"] = rid

@@ -16,7 +16,8 @@ from repro.observability.cli import (
     EXIT_REGRESSION,
     main,
 )
-from repro.observability.ledger import append_record, build_transform_record
+from repro.observability.ledger import append_record
+from repro.observability.runinfo import build_run_record
 from repro.store.artifact_store import ArtifactStore
 
 
@@ -27,17 +28,22 @@ def root(tmp_path):
 
 def _append(root, *, app="Fluam", when, search=1.0, codegen=0.5,
             speedup=1.4, exit_code=0, hits=4, misses=1, seed=1):
-    record = build_transform_record(
+    record = build_run_record(
         source=f"app:{app}",
         config={"seed": seed, "mode": "automated"},
-        seed=seed,
         stage_times={"search": search, "codegen": codegen},
-        speedup=speedup,
-        verified=True,
-        demotions=0,
         exit_code=exit_code,
-        reused={},
-        store_stats={
+        counters={"pipeline_stage_runs_total": 5.0},
+        trace={"span_count": 2,
+               "critical_path": [{"name": "stage:search",
+                                  "duration_ms": search * 1000.0}],
+               "self_time_ms": {"stage:search": search * 1000.0}},
+    )
+    record["outcome"].update(speedup=speedup, verified=True)
+    record["store"] = {
+        "enabled": True,
+        "root": str(root),
+        "stats": {
             "hits": hits, "misses": misses,
             "hit_rate": hits / max(1, hits + misses),
             "namespaces": {
@@ -45,12 +51,7 @@ def _append(root, *, app="Fluam", when, search=1.0, codegen=0.5,
                            "bytes_read": 512, "bytes_written": 256},
             },
         },
-        counters={"pipeline_stage_runs_total": 5.0},
-        trace={"span_count": 2,
-               "critical_path": [{"name": "stage:search",
-                                  "duration_ms": search * 1000.0}],
-               "self_time_ms": {"stage:search": search * 1000.0}},
-    )
+    }
     record["unix_time"] = when
     return append_record(ArtifactStore(root), record)
 

@@ -238,7 +238,8 @@ def test_retention_is_bounded_by_the_job_history(tmp_path, monkeypatch):
 
         def request(seed):
             return client.transform(
-                source=THREE_KERNEL_SRC, config={**TINY_CONFIG, "seed": seed}
+                source=THREE_KERNEL_SRC,
+                config={"ga_params": {**TINY_CONFIG["ga_params"], "seed": seed}},
             )
 
         first, second = request(1), request(2)
@@ -302,6 +303,26 @@ def test_a_retired_tolerance_is_refused_at_the_door(tmp_path):
         assert old.response().key == plain.response().key
 
 
+def test_a_retired_executor_is_refused_at_the_door(tmp_path):
+    """``block_exec`` loads at ``"auto"`` or null — the same request as
+    without it — and a forced executor is a 400 that names the removal."""
+    with ServiceHarness(tmp_path / "store") as (harness, client):
+        for mode in ("loop", "batched"):
+            refused = client.transform(
+                source=THREE_KERNEL_SRC, config=dict(TINY_CONFIG, block_exec=mode)
+            )
+            assert refused.status == 400
+            assert "not a product setting" in refused.body.decode()
+
+        plain = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+        for old in ("auto", None):
+            served = client.transform(
+                source=THREE_KERNEL_SRC, config=dict(TINY_CONFIG, block_exec=old)
+            )
+            assert served.status == 200
+            assert served.response().key == plain.response().key
+
+
 # ---------------------------------------------------------------- dedup
 
 
@@ -360,7 +381,7 @@ def test_killed_worker_respawns_and_retries(tmp_path):
 
         crashed = client.transform(
             source=THREE_KERNEL_SRC,
-            config={**TINY_CONFIG, "seed": 4242},
+            config={"ga_params": {**TINY_CONFIG["ga_params"], "seed": 4242}},
         )
         assert crashed.status == 200, crashed.body
         response = crashed.response()

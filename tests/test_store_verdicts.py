@@ -27,6 +27,8 @@ from repro.search.params import GAParams
 from repro.store import stage_cache
 from repro.store.artifact_store import MEMORY_TIER, ArtifactStore
 
+from conftest import forced_transform
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: fuzz seed -> a demotion cause the seed's group gate reaches
@@ -110,8 +112,7 @@ apply.verify_group = lambda *a, **k: calls.append(1) or real(*a, **k)
 seed = int(sys.argv[2])
 r = api.transform(open(sys.argv[1]).read(), seed=seed,
                   ga_params=GAParams(population=10, generations=6, seed=seed),
-                  store=True, store_root=sys.argv[3], telemetry=False,
-                  block_exec=sys.argv[4])
+                  store=True, store_root=sys.argv[3], telemetry=False)
 print(json.dumps({"outcome": {
     "source": r.source, "speedup": r.speedup, "verified": r.verified,
     "demotions": [[list(d.members), d.from_level, d.to_level, d.cause]
@@ -121,12 +122,12 @@ print(json.dumps({"outcome": {
 """
 
 
-def _fresh_process(tmp_path, seed, root, block_exec):
+def _fresh_process(tmp_path, seed, root):
     path = tmp_path / "app.cu"
     path.write_text(_source(seed))
     done = subprocess.run(
         [sys.executable, "-c", _FRESH_PROCESS, str(path), str(seed),
-         str(root), block_exec],
+         str(root)],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"},
     )
@@ -184,7 +185,7 @@ def test_a_failed_group_verdict_is_served_cold_disk_and_fresh_process(
         f"{reused['pass'] + reused['fail'] + reused['inconclusive']} groups"
     )
 
-    fresh = _fresh_process(tmp_path, seed, root, "auto")
+    fresh = _fresh_process(tmp_path, seed, root)
     assert fresh["verify_group_calls"] == 0
     assert fresh["outcome"] == json.loads(json.dumps(_outcome(cold)))
     assert fresh["verdicts_reused"] == reused
@@ -204,7 +205,7 @@ def test_a_forced_executor_reads_and_writes_no_verdict(
     stored = _stored_verdicts(root)
 
     _reset(gate_calls)
-    forced = transform(source, **_config(seed, root, block_exec=mode))
+    forced = forced_transform(source, mode, **_config(seed, root))
     assert _outcome(forced) == _outcome(cold)
     assert gate_calls["verify_group"] > 0 and gate_calls["run_program"] > 0
     assert set(forced.state.verification["verdicts_reused"].values()) == {0}
@@ -212,7 +213,7 @@ def test_a_forced_executor_reads_and_writes_no_verdict(
     assert _stored_verdicts(root) == stored
 
     empty = tmp_path / "empty"
-    transform(source, **_config(seed, empty, block_exec=mode))
+    forced_transform(source, mode, **_config(seed, empty))
     assert _stored_verdicts(empty) == [[], []]
 
 
@@ -228,7 +229,7 @@ def test_a_forced_batched_pass_never_reaches_auto(tmp_path, seed):
     assert all(
         "output mismatch" in d.cause for d in fresh.state.transform.demotions
     )
-    batched = transform(source, **_config(seed, root, block_exec="batched"))
+    batched = forced_transform(source, "batched", **_config(seed, root))
     assert batched.state.transform.demotions == []
     assert _outcome(transform(source, **_config(seed, root))) == _outcome(fresh)
     MEMORY_TIER.clear()
@@ -265,7 +266,7 @@ def test_every_executor_reaches_the_same_failure(tmp_path, gate_calls, monkeypat
     root, seed = tmp_path / "store", 17
     source = _source(seed)
     fresh = {
-        mode: _outcome(transform(source, **_config(seed, None, block_exec=mode)))
+        mode: _outcome(forced_transform(source, mode, **_config(seed, None)))
         for mode in ("auto", "loop")
     }
     assert fresh["auto"] == fresh["loop"]
@@ -278,7 +279,7 @@ def test_every_executor_reaches_the_same_failure(tmp_path, gate_calls, monkeypat
         """(failures served, gates run) of a disk-served run under ``mode``."""
         _reset(gate_calls)
         MEMORY_TIER.clear()
-        result = transform(source, **_config(seed, root, block_exec=mode))
+        result = forced_transform(source, mode, **_config(seed, root))
         assert _outcome(result) == fresh[mode]
         return result.state.verification["verdicts_reused"]["fail"], dict(gate_calls)
 
@@ -327,7 +328,7 @@ def test_a_stored_whole_program_mismatch_is_served(tmp_path, gate_calls):
 
     _reset(gate_calls)
     MEMORY_TIER.clear()
-    loop = transform(source, **_config(seed, root, block_exec="loop"))
+    loop = forced_transform(source, "loop", **_config(seed, root))
     assert gate_calls["run_program"] > 0
     assert loop.state.verification["verdicts_reused"]["program"] == 0
     assert _outcome(loop) == _outcome(cold)

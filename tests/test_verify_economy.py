@@ -26,6 +26,7 @@ from repro.observability.model_validation import validate_model
 from repro.pipeline import stages
 from repro.pipeline.stages import PipelineConfig, PipelineState
 
+from conftest import forced_framework
 from test_cold_path_counts import APP_SCALE, PINNED_GA_SEED
 from test_fusion import run_fused
 from test_interpreter_hazards import ALLOC, CASES, LAUNCH, _fused_chain, program
@@ -222,18 +223,17 @@ def test_order_dependent_program_fails_end_to_end(mode, tmp_path):
     """Passes forward, fails reversed: rejected at the parent commit by
     the unconditional reversed run, and still rejected now."""
     source = CASES["waw-one-statement"][0]
+    framework, _ = forced_framework(
+        source, mode, store=False, seed=1, workdir=str(tmp_path)
+    )
     with pytest.raises(PipelineError, match="does not match the original"):
-        transform(
-            source, store=False, seed=1, block_exec=mode,
-            workdir=str(tmp_path),
-        )
-    run = json.loads((tmp_path / "run.json").read_text())
-    assert run["exit_code"] != 0
-    assert run["verification"]["reversed_run"] is True
+        framework.run()
+    verification = framework.state.verification
+    assert verification["reversed_run"] is True
     # fused attempt, then the identity fallback: before/after/reversed each
-    assert run["verification"]["program_runs"] == 6
-    assert run["verification"]["order_sensitive_launches"] == {"k": 2}
-    assert run["verification"]["counters_from"] is None
+    assert verification["program_runs"] == 6
+    assert verification["order_sensitive_launches"] == {"k": 2}
+    assert verification["counters_from"] is None
     assert not (tmp_path / "model_validation.json").exists()
 
 

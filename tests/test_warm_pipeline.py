@@ -165,7 +165,7 @@ def test_cli_store_flags(tmp_path, capsys):
     assert rc == 0
     cold_manifest = json.loads((wd1 / "run.json").read_text())
     assert cold_manifest["store"]["enabled"] is True
-    assert cold_manifest["store"]["reused_stages"] == {}
+    assert cold_manifest["reused_stages"] == {}
 
     rc = cli_main(
         [str(source), "-o", str(out2), "--seed", "1",
@@ -175,7 +175,7 @@ def test_cli_store_flags(tmp_path, capsys):
     assert rc == 0
     assert out1.read_text() == out2.read_text()
     warm_manifest = json.loads((wd2 / "run.json").read_text())
-    reused = warm_manifest["store"]["reused_stages"]
+    reused = warm_manifest["reused_stages"]
     assert reused.get("search") == "result"
     assert warm_manifest["store"]["stats"]["hits"] > 0
 
