@@ -5,7 +5,8 @@ Each corpus entry freezes one generated application as *source text*
 (schema ``repro.fuzz.corpus/1``), so the regression suite replays the
 exact program even if the generator evolves.  The selection covers every
 archetype family, with dedicated shared-memory, own-element read+write
-(race) and maybe-defined-read (unlowerable) entries, plus two hand-written
+(race) and maybe-defined-read (unlowerable) entries, one real input per
+rung of the fusion ladder (:data:`RUNGS`), plus two hand-written
 programs the generator cannot draw: shared-memory kernels whose blocks
 really touch each other's cells, which the interpreter must catch on the
 batched lattice and replay on the per-block loop.  A raising entry
@@ -91,6 +92,25 @@ ENTRIES = (
         },
         "boundary faces, tiny-grid latency kernels and compute-bound work",
     ),
+)
+
+#: (slug, seed, note): default-mix apps whose transform under
+#: ``GAParams(population=10, generations=6, seed=seed)`` (the item-5 sweep
+#: recipe, ``tests/test_reliability.py::run_rung``) slides down one rung
+#: of the fusion ladder for a real reason — no failure is injected
+RUNGS = (
+    ("rung-complex-simple", 34,
+     "complex fusion fails its gate (fused execution failed); a wave of the "
+     "simple fusion fails too and runs unfused"),
+    ("rung-simple-none", 10,
+     "a simple fusion fails its gate (fused execution failed) and runs "
+     "unfused"),
+    ("rung-complex-none", 54,
+     "a cross-segment producer/consumer makes complex fusion infeasible; the "
+     "group runs unfused"),
+    ("rung-identity", 123,
+     "the fused program fails whole-program verification: the identity "
+     "(no-fusion) program ships"),
 )
 
 #: what ``fusion`` emitted for a temporally blocked ``=`` producer before
@@ -300,7 +320,9 @@ def main(argv=None) -> int:
         path.write_text(json.dumps(entry, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(program.kernels)} kernels)")
 
-    for slug, seed, overrides, note in ENTRIES:
+    for slug, seed, overrides, note in ENTRIES + tuple(
+        (slug, seed, {}, note) for slug, seed, note in RUNGS
+    ):
         app = generate_app(seed, FuzzSpec(**overrides) if overrides else None)
         write(
             slug, f"{slug}-{app.name}", seed, overrides, app.program,

@@ -75,14 +75,26 @@ logger = logging.getLogger(__name__)
 
 ENV_TELEMETRY = "REPRO_TELEMETRY"
 
+#: variables that changed behaviour before 8.0 and would now silently do
+#: nothing: setting one is an error rather than a run that ignores it
+_RETIRED_ENV = ("REPRO_FAULT_SEAMS", "REPRO_FAULT_SEED")
+
 
 def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
     """The one configuration read of the process environment.
 
     Returns the :class:`TransformConfig` fields that ``REPRO_TELEMETRY``
     and ``REPRO_STORE`` set; an unset or blank variable sets nothing.
+    A set retired variable (:data:`_RETIRED_ENV`) is a :class:`ConfigError`.
     """
     env = os.environ if environ is None else environ
+    retired = [name for name in _RETIRED_ENV if (env.get(name) or "").strip()]
+    if retired:
+        raise ConfigError(
+            f"{', '.join(retired)}: fault injection was removed in 8.0 "
+            "(the degradation paths are tested through real inputs); "
+            "unset the variable"
+        )
     values: Dict[str, Any] = {}
     raw = (env.get(ENV_TELEMETRY) or "").strip().lower()
     if raw:
@@ -491,6 +503,7 @@ def write_run_outputs(
     error: Optional[Dict[str, object]] = None,
     front_door: Optional[Dict[str, Any]] = None,
     trace_mark: Optional[Tuple[int, int]] = None,
+    counters_mark: Optional[Dict[str, float]] = None,
 ) -> Dict[str, Any]:
     """Build this run's record and write it; returns the record.
 
@@ -504,7 +517,9 @@ def write_run_outputs(
     summarises the spans opened since ``trace_mark``
     (:meth:`~repro.observability.tracing.Tracer.mark`, taken when the run
     began; none when the run never started), not everything the process's
-    tracer kept.
+    tracer kept, and the ``counters`` section what the registry's counter
+    totals gained since ``counters_mark`` (taken when ``transform()`` was
+    called), not the process's cumulative totals.
     """
     from .observability.trace_analytics import summarize_spans
 
@@ -522,7 +537,7 @@ def write_run_outputs(
         interpreter=interpreter.stats().as_dict(),
         # what transform() did before the pipeline started: the load
         front_door=front_door,
-        counters=get_registry().counter_totals(),
+        counters=_counters_since(counters_mark or {}),
         trace=summarize_spans(
             get_tracer().spans_since(trace_mark) if trace_mark else []
         ),
@@ -545,6 +560,16 @@ def write_run_outputs(
         get_tracer().write(config.trace_out)
     _ledger_append(store, record)
     return record
+
+
+def _counters_since(mark: Dict[str, float]) -> Dict[str, float]:
+    """The counter totals that moved since ``mark`` (a
+    ``counter_totals()`` snapshot), by how much."""
+    return {
+        name: total - mark.get(name, 0.0)
+        for name, total in get_registry().counter_totals().items()
+        if total != mark.get(name, 0.0)
+    }
 
 
 def _ledger_append(
@@ -597,13 +622,15 @@ def _execute_transform(
     source_label: str,
     front_door: Dict[str, Any],
     resolved: TransformConfig,
+    counters_mark: Dict[str, float],
 ) -> TransformResult:
     """Run one fully-resolved transformation end to end.
 
     The execution body of :func:`transform`, under ``_EXEC_LOCK``:
     telemetry scope, store wiring, ``run.json`` and the run ledger on
     both the success and the failure path.  ``fingerprint`` and
-    ``front_door`` are what :func:`_coerce_program` made of the input.
+    ``front_door`` are what :func:`_coerce_program` made of the input,
+    ``counters_mark`` the counter totals before it ran.
     """
     with telemetry(bool(resolved.telemetry)):
         # run.json / the ledger report this run's executors and loop launches
@@ -627,12 +654,13 @@ def _execute_transform(
             exc.record = write_run_outputs(
                 resolved, source_label, framework, store, exit_code=2,
                 error=_error_of(exc), front_door=front_door,
-                trace_mark=trace_mark,
+                trace_mark=trace_mark, counters_mark=counters_mark,
             )
             raise
         record = write_run_outputs(
             resolved, source_label, framework, store, exit_code=0,
             front_door=front_door, trace_mark=trace_mark,
+            counters_mark=counters_mark,
         )
         return TransformResult(
             state=state,
@@ -697,6 +725,8 @@ def transform(
     """
     resolved = _merge_overrides(config, overrides).resolved()
     front_door: Dict[str, Any] = {}
+    # the record counts what this call adds, the front door's load included
+    counters_mark = get_registry().counter_totals()
     try:
         program, fingerprint, source_label = _coerce_program(
             app_or_program, bool(resolved.telemetry), front_door
@@ -710,9 +740,11 @@ def transform(
         exc.record = write_run_outputs(
             resolved, "<unknown>", None, store, exit_code=2,
             error=_error_of(exc), front_door=front_door,
+            counters_mark=counters_mark,
         )
         raise
     with _EXEC_LOCK:
         return _execute_transform(
-            program, fingerprint, source_label, front_door, resolved
+            program, fingerprint, source_label, front_door, resolved,
+            counters_mark,
         )

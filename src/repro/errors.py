@@ -120,11 +120,6 @@ class VerificationError(ReproError):
     does not match the unfused constituents it replaces."""
 
 
-class FaultInjectionError(ReproError):
-    """The fault-injection harness itself was misconfigured (unknown seam,
-    malformed spec) — distinct from the faults it injects."""
-
-
 class PipelineError(ReproError):
     """End-to-end pipeline orchestration failure (bad stage order etc.)."""
 

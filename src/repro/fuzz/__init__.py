@@ -12,8 +12,7 @@ pipeline's contracts on every one of them:
 
 :mod:`repro.fuzz.oracles`
     The invariant battery: fail-soft transform, bitwise transform
-    differential, execution-mode agreement, warm-store determinism and
-    graceful degradation under every fault seam.
+    differential, execution-mode agreement and warm-store determinism.
 
 :mod:`repro.fuzz.reduce`
     Delta-debugging reducer that shrinks a failing program while the

@@ -38,9 +38,6 @@ failure" cheaply.
     (the objects the warm leg decoded, ``tier-miss`` if not) and a fourth
     runs with the tier cleared, so the disk decode path stays covered;
     both must equal the warm leg (program and reused stages).
-``fault_seams``
-    With each recoverable fault seam firing once, the transform still
-    completes (graceful degradation end-to-end).
 """
 
 from __future__ import annotations
@@ -58,7 +55,6 @@ from ..cudalite.unparser import unparse
 from ..gpu import interpreter
 from ..gpu.interpreter import run_program
 from ..observability import counters_signature
-from ..reliability import faults
 from ..search.params import GAParams
 from ..store.artifact_store import MEMORY_TIER
 
@@ -72,14 +68,10 @@ __all__ = [
 ]
 
 #: every oracle, in execution order
-ORACLE_NAMES = ("transform", "differential", "modes", "warm_store", "fault_seams")
+ORACLE_NAMES = ("transform", "differential", "modes", "warm_store")
 
 #: the fast subset used by the PR-level smoke campaign
 CHEAP_ORACLES = ("transform", "differential", "modes")
-
-#: seams whose firing the pipeline must absorb in a fail-soft transform
-#: (service_worker needs a serving pool — tests/test_service.py covers it)
-_RECOVERABLE_SEAMS = ("parse", "analysis", "codegen", "interpreter", "store")
 
 #: the loop first: every other mode is compared against it
 _EXEC_MODES = ("loop", "batched", "auto")
@@ -351,26 +343,6 @@ def _check_warm_store(
     return None
 
 
-def _check_fault_seams(
-    program: ast.Program, config: TransformConfig
-) -> Optional[OracleFailure]:
-    for seam in _RECOVERABLE_SEAMS:
-        plan = faults.FaultPlan(seams=faults.parse_seam_specs(f"{seam}:x1"))
-        faults.install_plan(plan)
-        try:
-            transform(program, config)
-        except BaseException as exc:  # noqa: BLE001
-            return OracleFailure(
-                oracle="fault_seams",
-                kind=f"fault:{seam}:{type(exc).__name__}",
-                detail=str(exc),
-                exc=exc,
-            )
-        finally:
-            faults.clear_plan()
-    return None
-
-
 # ------------------------------------------------------------------- driver
 
 
@@ -416,7 +388,6 @@ def run_oracles(
             program, expect_slices=not isinstance(app_or_program, ast.Program)
         ),
         "warm_store": lambda: _check_warm_store(program, config),
-        "fault_seams": lambda: _check_fault_seams(program, config),
     }
     for oracle in selected:
         if oracle == "transform":

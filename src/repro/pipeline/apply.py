@@ -42,7 +42,6 @@ from ..gpu.perfmodel import (
 from ..analysis.volume import estimate_volume
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
-from ..reliability import faults
 from ..reliability.degrade import DemotionRecord, fusion_waves
 from ..reliability.verify import (
     GROUP_STATUSES,
@@ -306,7 +305,7 @@ def materialize(
     ) -> Tuple[FusedKernel, Optional[TuningDecision], GroupVerdict]:
         """Fuse ``members``, tune the block, verify the result.
 
-        Raises a :class:`ReproError` (codegen, parse, verification) when
+        Raises a :class:`ReproError` (codegen, verification) when
         the group cannot be realized at this ladder level — the caller
         demotes it.
         """
@@ -318,11 +317,8 @@ def materialize(
         members: Sequence[str],
         precedence: Sequence[Tuple[int, int, str]],
     ) -> Tuple[FusedKernel, Optional[TuningDecision], GroupVerdict]:
-        for node in members:
-            faults.check("parse", f"re-parsing constituent {node}")
         constituents = [_constituent(bindings[n]) for n in members]
         start_block = pick_block(members)
-        faults.check("codegen", f"fusing group {name}")
         fused = fuse_kernels(
             name,
             constituents,

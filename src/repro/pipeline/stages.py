@@ -498,12 +498,6 @@ def stage_search(state: PipelineState) -> PipelineState:
                 state.search.final_population,
             )
     result = state.search
-    if state.built.analysis_failures:
-        failed = ", ".join(sorted(state.built.analysis_failures))
-        search_note += (
-            f"; {len(state.built.analysis_failures)} launches "
-            f"analyzed conservatively ({failed})"
-        )
     if result.surrogate_skipped:
         search_note += (
             f"; surrogate pre-filter skipped {result.surrogate_skipped} "

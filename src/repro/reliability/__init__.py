@@ -1,11 +1,6 @@
 """Verification and fault-tolerance subsystem.
 
-Three cooperating pieces:
-
-:mod:`repro.reliability.faults`
-    Deterministic, seeded fault injection at named pipeline seams
-    (``REPRO_FAULT_SEAMS`` / ``REPRO_FAULT_SEED``), so every degradation
-    path in the pipeline is exercisable in CI.
+Two cooperating pieces:
 
 :mod:`repro.reliability.verify`
     The per-group semantic verification gate: executes each fused kernel
@@ -19,31 +14,11 @@ Three cooperating pieces:
 """
 
 from .degrade import DemotionRecord, fusion_waves
-from .faults import (
-    ENV_FAULT_SEAMS,
-    ENV_FAULT_SEED,
-    KNOWN_SEAMS,
-    FaultPlan,
-    active_plan,
-    check,
-    clear_plan,
-    install_plan,
-    plan_from_env,
-)
 from .verify import GroupVerdict, VerifyConfig, verify_group
 
 __all__ = [
     "DemotionRecord",
     "fusion_waves",
-    "ENV_FAULT_SEAMS",
-    "ENV_FAULT_SEED",
-    "KNOWN_SEAMS",
-    "FaultPlan",
-    "active_plan",
-    "check",
-    "clear_plan",
-    "install_plan",
-    "plan_from_env",
     "GroupVerdict",
     "VerifyConfig",
     "verify_group",

@@ -27,7 +27,6 @@ import numpy as np
 
 from ..errors import ReproError
 from ..gpu.interpreter import Dim3, differing_cells, launch_kernel
-from . import faults
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ def verify_group(
     # --- candidate: the fused kernel over the same inputs
     candidate = {name: arr.copy() for name, arr in inputs.items()}
     try:
-        faults.check("interpreter", f"verifying {fused.kernel.name}")
         launch_kernel(
             fused.kernel,
             Dim3(*fused.grid),

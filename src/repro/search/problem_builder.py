@@ -15,23 +15,18 @@ chosen grouping as CUDA code.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.accesses import KernelAccesses, collect_accesses
 from ..analysis.filtering import TargetReport
 from ..analysis.metadata import ProgramMetadata
 from ..analysis.volume import estimate_volume
 from ..cudalite import ast_nodes as ast
-from ..errors import ReproError, SearchError
 from ..gpu.device import DeviceSpec
-from ..reliability import faults
 from ..transform.fission import fission_kernel
 from ..transform.kernel_model import extract_model
 from .grouping import FusionProblem, NodeInfo
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -68,9 +63,6 @@ class BuiltProblem:
     bindings: Dict[str, CodegenBinding]
     #: content digest of the problem (``FusionProblem.fingerprint()``)
     fingerprint: str = ""
-    #: node → error message for launches whose static analysis failed and
-    #: that were described conservatively (fusion-ineligible) instead
-    analysis_failures: Dict[str, str] = field(default_factory=dict)
 
 
 def _node_info(
@@ -125,42 +117,6 @@ def _node_info(
     )
 
 
-def _conservative_node_info(
-    node: str,
-    order: float,
-    kernel: ast.KernelDef,
-    array_args: Sequence[str],
-    grid: Tuple[int, int, int],
-    block: Tuple[int, int, int],
-) -> NodeInfo:
-    """Fusion-ineligible description of a launch whose analysis failed.
-
-    Declaring every bound array both read and written yields the maximal
-    precedence constraints in the node OEG, so the launch keeps its
-    original position and semantics; ``eligible=False`` keeps the search
-    from ever fusing or fissioning it.
-    """
-    threads = grid[0] * block[0] * grid[1] * block[1] * grid[2] * block[2]
-    arrays = frozenset(array_args)
-    return NodeInfo(
-        node=node,
-        kernel=kernel.name,
-        order=order,
-        eligible=False,
-        fusable=False,
-        fissionable=False,
-        arrays_read=arrays,
-        arrays_written=arrays,
-        points_per_array={a: threads for a in arrays},
-        flops=threads,
-        flops_per_point=1.0,
-        radius={a: 0 for a in arrays},
-        extents=(grid[0] * block[0], grid[1] * block[1], grid[2] * block[2]),
-        grid=grid,
-        block=block,
-    )
-
-
 def build_problem(
     program: ast.Program,
     metadata: ProgramMetadata,
@@ -169,18 +125,9 @@ def build_problem(
     extra_precedence: Sequence[Tuple[str, str]] = (),
     enable_fission: bool = True,
 ) -> BuiltProblem:
-    """Assemble the search problem from the earlier pipeline stages.
-
-    A launch whose static analysis fails (or is fault-injected to fail
-    via the ``analysis`` seam) is not fatal: the node is described
-    conservatively — all arrays read *and* written, fusion-ineligible —
-    which preserves its launch-order semantics while excluding it from
-    the search.  Such nodes are reported in
-    :attr:`BuiltProblem.analysis_failures`.
-    """
+    """Assemble the search problem from the earlier pipeline stages."""
     nodes: List[NodeInfo] = []
     bindings: Dict[str, CodegenBinding] = {}
-    analysis_failures: Dict[str, str] = {}
 
     for index, entry in enumerate(metadata.launch_order):
         kernel_name, array_args, grid, block = (
@@ -192,27 +139,7 @@ def build_problem(
         scalars = tuple(entry[4]) if len(entry) > 4 else ()
         kernel = program.kernel(kernel_name)
         node = f"{kernel_name}@{index}"
-        try:
-            faults.check("analysis", node)
-            accesses = collect_accesses(kernel)
-        except ReproError as exc:
-            logger.warning(
-                "analysis failed for %s; describing conservatively: %s", node, exc
-            )
-            analysis_failures[node] = str(exc)
-            nodes.append(
-                _conservative_node_info(
-                    node, float(index), kernel, array_args, grid, block
-                )
-            )
-            bindings[node] = CodegenBinding(
-                kernel=kernel,
-                array_args=tuple(array_args),
-                scalar_values=scalars,
-                grid=grid,
-                block=block,
-            )
-            continue
+        accesses = collect_accesses(kernel)
         decision = report.decisions.get(kernel_name)
         eligible = bool(decision and decision.eligible)
         ops = metadata.operations.get(kernel_name)
@@ -278,8 +205,8 @@ def build_problem(
             else:
                 fissionable = False
 
-        try:
-            info = _node_info(
+        nodes.append(
+            _node_info(
                 node,
                 order=float(index),
                 kernel=kernel,
@@ -292,16 +219,7 @@ def build_problem(
                 fissionable=fissionable,
                 fragments=fragment_ids,
             )
-        except ReproError as exc:
-            logger.warning(
-                "analysis failed for %s; describing conservatively: %s", node, exc
-            )
-            analysis_failures[node] = str(exc)
-            info = _conservative_node_info(
-                node, float(index), kernel, array_args, grid, block
-            )
-            fragment_infos = []
-        nodes.append(info)
+        )
         nodes.extend(fragment_infos)
         bindings[node] = CodegenBinding(
             kernel=kernel,
@@ -320,5 +238,4 @@ def build_problem(
         problem=problem,
         bindings=bindings,
         fingerprint=problem.fingerprint(),
-        analysis_failures=analysis_failures,
     )

@@ -6,9 +6,8 @@ frames (:mod:`repro.service.protocol`), and the pipe itself is the
 health check — EOF mid-job means the worker died, and the pool respawns
 it and retries the job within a bounded budget.  Modeled on the
 long-lived compile-worker pools production compilers use (one spawn +
-import cost amortized over the process lifetime), wired to this repo's
-reliability seams: the ``service_worker`` fault seam kills a worker at
-the worst moment, and these retries are what absorb it.
+import cost amortized over the process lifetime).  A worker that dies
+mid-job — killed, crashed, out of memory — is what the retries absorb.
 
 Worker environment hygiene
 --------------------------
@@ -57,7 +56,7 @@ def worker_environment(
 
     Ambient ``REPRO_*`` knobs are dropped (request semantics travel in
     the resolved config, not the environment); ``overrides`` — the store
-    root, telemetry switches, injected fault plans — are applied on top.
+    root, telemetry switches — are applied on top.
     """
     env = {
         name: value

@@ -10,11 +10,10 @@ multi-tenant, deduplicating front door to :func:`repro.api.transform`:
   (:func:`repro.api.request_key`) is computed up front; a request whose
   key matches an execution *joins* it instead of spawning a second one,
   and every joined client receives the byte-identical response body.
-  The match holds past completion: a finished ``ok`` execution run
-  without a fault plan answers a repeat at once from the event loop,
-  for as long as the job history keeps it.  Per-request metadata (the
-  dedup verdict, the echoed correlation id) rides in headers so the
-  body can be shared.
+  The match holds past completion: a finished ``ok`` execution answers
+  a repeat at once from the event loop, for as long as the job history
+  keeps it.  Per-request metadata (the dedup verdict, the echoed
+  correlation id) rides in headers so the body can be shared.
 * **Workers, not threads.**  Executions are dispatched to the
   persistent :class:`~repro.service.pool.WorkerPool`; a crashed worker
   is respawned and the job retried within a bounded budget, invisibly
@@ -274,9 +273,7 @@ class TransformService:
                     "message": str(exc),
                 },
             )
-            await self._conclude(
-                execution, config, response, 500, retain=False, record=None
-            )
+            await self._conclude(execution, config, response, 500, record=None)
             return
         status = outcome.get("status", "error")
         response = TransformResponse(
@@ -297,8 +294,6 @@ class TransformService:
             config,
             response,
             200 if status == "ok" else 422,
-            # a seam may have shaped even an ok outcome (the store's rule)
-            retain=status == "ok" and outcome.get("fault_plan") is False,
             record=outcome.get("record"),
         )
 
@@ -309,14 +304,14 @@ class TransformService:
         response: TransformResponse,
         http_status: int,
         *,
-        retain: bool,
         record: Optional[Dict[str, Any]],
     ) -> None:
         """Publish the one canonical body every deduplicated client
-        receives; a retained execution keeps answering its key."""
+        receives; an ``ok`` execution is retained and keeps answering its
+        key."""
         body = response.to_json().encode("utf-8")
         self._ledger_append(execution, config, response, record)
-        if not retain:
+        if response.status != "ok":
             self._by_key.pop(execution.key, None)
         state = "done" if response.status == "ok" else "failed"
         await execution.finish(state, http_status, body)

@@ -9,15 +9,12 @@ of :mod:`repro.service.protocol` over its stdin/stdout pipes:
 * loop: receive a ``run`` frame, execute :func:`repro.api.transform`
   with the fully-resolved config the server shipped, stream
   ``progress`` frames as pipeline stages complete (sourced from the
-  tracing spans), answer with one ``result`` frame whose outcome also
-  says whether a fault plan was active (``fault_plan``),
+  tracing spans), answer with one ``result`` frame,
 * exit 0 on a ``shutdown`` frame.
 
 Failed transformations are *results* (``status: "error"``), not worker
-failures — the worker stays alive.  A genuinely dead worker is detected
-by the pool as EOF on the pipe; the ``service_worker`` fault seam
-(:func:`repro.reliability.faults.service_worker_fault`) simulates
-exactly that between accepting a job and running it.
+failures — the worker stays alive.  A dead worker (killed, crashed, out
+of memory) is detected by the pool as EOF on the pipe.
 
 Stage progress is sampled, not instrumented: spans record on
 completion, so a 50 ms poll of the process tracer yields each
@@ -37,7 +34,6 @@ from ..api import TransformConfig, TransformResult, transform
 from ..errors import ReproError
 from ..observability.metrics import reset_registry
 from ..observability.tracing import get_tracer, reset_tracer
-from ..reliability import faults
 from .protocol import recv_msg, send_msg
 
 __all__ = ["main", "run_request"]
@@ -197,9 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             continue
         job_id = msg.get("job_id", "?")
-        # the crash seam sits between accept and execute: the hardest
-        # point for the pool to confuse with a clean outcome
-        faults.service_worker_fault()
         reset_tracer()
         reset_registry()
         sampler = _StageSampler(proto_out, out_lock, job_id)
@@ -210,8 +203,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             outcome = _error_outcome(exc)
         finally:
             sampler.finish()
-        # the server retains only outcomes no seam could have shaped
-        outcome["fault_plan"] = faults.active_plan() is not None
         send_msg(
             proto_out,
             {"op": "result", "job_id": job_id, "outcome": outcome},

@@ -56,7 +56,6 @@ from .. import __version__
 from ..errors import StoreError
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
-from ..reliability import faults
 from .keys import checksum_payload
 
 logger = logging.getLogger(__name__)
@@ -271,8 +270,8 @@ class ArtifactStore:
         """The payload stored under ``(namespace, key)``, or ``None``.
 
         Every failure mode — missing file, unreadable file, malformed
-        JSON, wrong schema/key, checksum mismatch, injected poison — is
-        a miss; validation failures additionally remove the entry.
+        JSON, wrong schema/key, checksum mismatch — is a miss; validation
+        failures additionally remove the entry.
         """
         path = self.path_for(namespace, key)
         registry = get_registry()
@@ -292,8 +291,6 @@ class ArtifactStore:
                 )
                 self._record_miss(namespace, registry, "error", start)
                 return None
-            if faults.poison_cache_value("store"):
-                raw = raw[: len(raw) // 2] + "\x00poisoned"
             payload = self._validate(namespace, key, raw)
             if payload is None:
                 self._quarantine(path)
@@ -329,30 +326,18 @@ class ArtifactStore:
     def _slot(self, namespace: str, key: str) -> Tuple[str, str, str]:
         return (str(self.root), namespace, key)
 
-    def _recall(
-        self, namespace: str, key: str, on_disk: bool
-    ) -> Optional[Tuple[Deps, Any]]:
+    def _recall(self, namespace: str, key: str) -> Optional[Tuple[Deps, Any]]:
         """The tier's entry for ``(namespace, key)``, counted as a hit.
 
-        For an entry that stands in for a disk read (``on_disk``) the
-        ``store`` fault seam fires as it would on the read: the entry is
-        dropped, its file quarantined, and the read is an invalid miss —
-        poison recovery behaves as it does on disk.
+        A corrupted or rewritten entry file changed its stamp, so the tier
+        drops the entry and the caller reads the disk, where validation
+        quarantines a corrupt envelope as it does on any read.
         """
-        slot = self._slot(namespace, key)
-        entry = MEMORY_TIER.get(slot)
+        entry = MEMORY_TIER.get(self._slot(namespace, key))
         if entry is None:
             return None
-        registry = get_registry()
-        if on_disk and faults.poison_cache_value("store"):
-            MEMORY_TIER.discard(slot)
-            for path, _ in entry[0]:
-                self._quarantine(Path(path))
-            self.stats.invalid += 1
-            self._record_miss(namespace, registry, "invalid")
-            return None
         self._served.extend(entry[0])
-        self._record_hit(namespace, registry, "memory")
+        self._record_hit(namespace, get_registry(), "memory")
         return entry
 
     def get_decoded(
@@ -365,7 +350,7 @@ class ArtifactStore:
         an unusable one) and its result is shared with every later hit,
         so callers must not mutate it.  Only a read fills the tier.
         """
-        entry = self._recall(namespace, key, on_disk=True)
+        entry = self._recall(namespace, key)
         if entry is not None:
             return entry[1]
         mark = len(self._served)
@@ -383,15 +368,11 @@ class ArtifactStore:
         """A memory-only entry (:meth:`remember`), or ``None``.
 
         An absence is a ``memory_misses``, not a store miss: the disk
-        never holds these entries.  While a fault plan is active the
-        tier is not asked at all — a served entry would skip the seams
-        (``analysis``, ``parse``, ``codegen``) that deriving it visits on
-        a disk-served run.
+        never holds these entries.
         """
-        if faults.active_plan() is None:
-            entry = self._recall(namespace, key, on_disk=False)
-            if entry is not None:
-                return entry[1]
+        entry = self._recall(namespace, key)
+        if entry is not None:
+            return entry[1]
         self.stats.memory_misses += 1
         return None
 
@@ -400,12 +381,9 @@ class ArtifactStore:
 
         ``deps`` are the entries it was derived from (:meth:`served_since`);
         an object derived from anything else must not be remembered, or a
-        hit would differ from a disk-served run.  Nothing is kept while a
-        fault plan is active: a seam that fired while ``value`` was
-        derived degrades it (a conservatively described node, a demoted
-        group), and that must not outlive the run.
+        hit would differ from a disk-served run.
         """
-        if deps and faults.active_plan() is None:
+        if deps:
             MEMORY_TIER.put(self._slot(namespace, key), deps, value)
 
     def mark(self) -> Tuple[int, int]:

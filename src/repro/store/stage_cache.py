@@ -36,9 +36,7 @@ A verdict is a function of its key, so failures are stored beside
 passes and a warm run re-executes no gate.  Only ``block_exec="auto"``
 runs read or write verdicts (the callers decide): forced ``batched``
 runs a launch's blocks in lockstep, unwatched, and can pass a racy
-group the others fail, and a forced run is a differential run.  While a
-fault plan is active no non-pass verdict is written or served: a seam
-may have caused it.
+group the others fail, and a forced run is a differential run.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from ..analysis.metadata import (
     _parse_perf,
 )
 from ..gpu.device import DeviceSpec
-from ..reliability import faults
 from ..reliability.verify import GROUP_STATUSES, GroupVerdict
 from ..search.gga import SearchResult
 from ..search.grouping import FusionProblem, Grouping
@@ -370,18 +367,10 @@ def load_warm_start(
 PROGRAM_PASS = "pass"
 
 
-def _plan_blocks(passed: bool) -> bool:
-    """Whether an active fault plan keeps a verdict out of the store, in
-    both directions: a seam may have caused a non-pass verdict."""
-    return not passed and faults.active_plan() is not None
-
-
 def record_group_verdict(
     store: ArtifactStore, key: str, verdict: GroupVerdict
 ) -> None:
     """Remember the verdict the group gate reached on ``key``'s group."""
-    if _plan_blocks(verdict.passed):
-        return
     store.put(
         NS_VERIFIED_GROUPS,
         key,
@@ -409,7 +398,7 @@ def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]
     except (KeyError, TypeError) as exc:
         logger.warning("store: group verdict unusable (%s); re-verifying", exc)
         return None
-    if verdict.status not in GROUP_STATUSES or _plan_blocks(verdict.passed):
+    if verdict.status not in GROUP_STATUSES:
         return None
     return verdict
 
@@ -417,17 +406,12 @@ def load_group_verdict(store: ArtifactStore, key: str) -> Optional[GroupVerdict]
 def record_program_verdict(store: ArtifactStore, key: str, outcome: str) -> None:
     """Remember the whole-program gate's outcome on ``key``'s program:
     :data:`PROGRAM_PASS` or the failure cause."""
-    if _plan_blocks(outcome == PROGRAM_PASS):
-        return
     store.put(NS_VERIFIED_PROGRAMS, key, {"outcome": outcome})
 
 
 def load_program_verdict(store: ArtifactStore, key: str) -> Optional[str]:
     """The outcome stored for ``key``'s program, or ``None``."""
-    outcome = store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
-    if outcome is None or _plan_blocks(outcome == PROGRAM_PASS):
-        return None
-    return outcome
+    return store.get_decoded(NS_VERIFIED_PROGRAMS, key, _decode_program_verdict)
 
 
 def _decode_program_verdict(payload: Dict[str, object]) -> Optional[str]:

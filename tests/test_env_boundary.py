@@ -16,6 +16,7 @@ import pytest
 import repro
 import repro.pipeline.apply as apply_module
 from repro.api import TransformConfig, transform
+from repro.errors import ConfigError
 from repro.gpu import interpreter
 from repro.search import fast_params
 
@@ -29,7 +30,6 @@ ENV_ALLOWLIST = {
     "store/artifact_store.py",  # REPRO_STORE parsing
     "observability/logfmt.py",  # REPRO_LOG_FORMAT
     "observability/runinfo.py",  # run.json provenance snapshot
-    "reliability/faults.py",  # REPRO_FAULT_* plan
     "service/pool.py",  # child-process environment construction
 }
 
@@ -146,6 +146,24 @@ def test_deleted_variables_are_inert(monkeypatch):
     assert dict(os.environ) == before
     assert ambient.source == clean.source
     assert ambient.config == clean.config
+
+
+@pytest.mark.parametrize("name", ["REPRO_FAULT_SEAMS", "REPRO_FAULT_SEED"])
+def test_retired_fault_variables_are_a_config_error(name, tmp_path, monkeypatch, capsys):
+    """Fault injection is gone; a variable that would have turned it on
+    fails at the front door instead of running without it."""
+    from repro.pipeline.cli import main as cli_main
+
+    monkeypatch.setenv(name, "codegen" if name.endswith("SEAMS") else "1")
+    with pytest.raises(ConfigError, match=f"{name}: fault injection was removed"):
+        TransformConfig().resolved()
+    src = tmp_path / "prog.cu"
+    src.write_text(THREE_KERNEL_SRC)
+    assert cli_main([str(src)]) == 2
+    err = capsys.readouterr().err
+    assert f"ConfigError: {name}: fault injection was removed" in err
+    monkeypatch.setenv(name, " ")  # blank is unset, as for every variable
+    assert TransformConfig().resolved() == TransformConfig().resolved({})
 
 
 # ------------------------------------------ the two that are still honoured

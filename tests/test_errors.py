@@ -6,7 +6,6 @@ from repro.cudalite import parse_program
 from repro.errors import (
     AnalysisError,
     CudaLiteError,
-    FaultInjectionError,
     GraphError,
     InterpreterError,
     LexError,
@@ -33,7 +32,6 @@ ALL_ERRORS = (
     SearchError,
     TransformError,
     VerificationError,
-    FaultInjectionError,
     PipelineError,
 )
 

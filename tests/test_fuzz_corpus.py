@@ -21,7 +21,6 @@ from repro.fuzz.campaign import CORPUS_SCHEMA
 from repro.fuzz.oracles import ORACLE_NAMES, fuzz_config
 from repro.gpu import interpreter
 from repro.gpu.interpreter import run_program
-from repro.reliability import faults
 
 CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
 ENTRY_PATHS = sorted(CORPUS_DIR.glob("*.json"))
@@ -34,13 +33,6 @@ REQUIRED_FIELDS = (
 
 def _load(path):
     return json.loads(path.read_text())
-
-
-@pytest.fixture(autouse=True)
-def _no_fault_plan():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
 
 
 def test_corpus_is_populated_and_diverse():

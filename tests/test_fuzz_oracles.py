@@ -23,14 +23,6 @@ from repro.fuzz.oracles import (
     fuzz_config,
     run_oracles,
 )
-from repro.reliability import faults
-
-
-@pytest.fixture(autouse=True)
-def _no_fault_plan():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
 
 
 def test_cheap_battery_passes_on_generated_apps():
@@ -205,9 +197,3 @@ def test_fuzz_config_is_small_and_quiet():
     override = fuzz_config(seed=7, telemetry=True)
     assert override.telemetry is True
 
-
-def test_fault_seam_oracle_restores_plan_state():
-    app = generate_app(2)
-    verdict = run_oracles(app, ("fault_seams",), fuzz_config(seed=2))
-    assert verdict.ok, verdict.signatures()
-    assert faults.active_plan() is None

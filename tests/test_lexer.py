@@ -154,7 +154,8 @@ def test_full_kernel_tokenizes():
 # The token stream is the parser's whole input, so a scanner rewrite is
 # safe exactly when these digests do not move.  Recorded on the
 # hand-rolled character-at-a-time scanner (PR 16 tree); this block passes
-# unmodified there.
+# unmodified there.  The ``rung-*`` corpus entries came later and were
+# recorded on the regex scanner when they were added.
 
 GOLDEN_STREAMS = {
     "SCALE-LES": "0dcc90e17039ec3540cf51a27dff14d514f2d95e3a990357776d6502fe39c332",
@@ -173,6 +174,10 @@ GOLDEN_STREAMS = {
     "late-hazard-rollback": "ff2e0ca3e42bcf6aa4ebddcc2b5a9836676b9425d8e09ca7402ae67a3de6c0bd",
     "race-heavy": "6361a49ca5b8dda7733ee50de23d72a7ca1fcd2be107e263bcea5be0baf19764",
     "race-inplace": "ca0f1980716fefddfa8c57ad244a33b795ce94e4a848d0acc0ff0862f6d3fe0c",
+    "rung-complex-none": "d6e2e7f665f9ddc9fa541f9a497b918a586517b6b7d1a882db96c49a73fa7c25",
+    "rung-complex-simple": "48f3527d3b910f89c0921a2a9a305ebd7f04357d5983eb5b5d2d5446be458733",
+    "rung-identity": "35960bc7465ebdb35a007aca0f767b8de191b0c13c4a649db85ad2e6ba413a54",
+    "rung-simple-none": "f9d363deb3c6e63a13c8dfa641a16de07d7a3c154c41996d238b1038bae6b058",
     "shared-mixed": "86ebfbfe9043d39c662781e1a982b1d6d746f6ffc73ba79fc4ccbb6a5c2699b6",
     "shared-tiles": "492ccaa363f90d581ef56d5d551e133ffeeabfeeff33d70144cb181a3225ad04",
     "thread-invariant-oob": "ee206877e6a8598a7d9e00137220ec49b53da95371b8e85a2d95b7d17476b2b3",

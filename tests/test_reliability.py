@@ -1,30 +1,28 @@
-"""Fault injection, the degradation ladder and the verification gate.
+"""The degradation ladder and the verification gate.
 
-Covers the reliability subsystem end to end: seam-spec parsing, fault-plan
-determinism, precedence waves, direct ``verify_group`` verdicts, and — per
-injectable seam — a full pipeline run asserting the affected group degrades
-gracefully, the demotion lands in the stage report, and the final program
-still verifies.
+Covers the reliability subsystem end to end: precedence waves, direct
+``verify_group`` verdicts, and — per rung of the fusion ladder — a full
+pipeline run over a committed real input (``tests/corpus/rung-*.json``)
+asserting the group slides down for its real cause, the demotion lands in
+the stage report, and the final program still verifies.  Nothing is
+injected: each rung is reached by a program the pipeline really fails to
+fuse.
 """
 
 import dataclasses
+import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from repro.api import transform
 from repro.cudalite import parse_program
-from repro.errors import (
-    AnalysisError,
-    FaultInjectionError,
-    OutOfBoundsError,
-    ParseError,
-    TransformError,
-)
+from repro.errors import AnalysisError
 from repro.gpu.device import K20X
 from repro.pipeline import Framework, PipelineConfig
 from repro.pipeline.cli import main as cli_main
 from repro.pipeline.stages import STAGE_FUNCTIONS
-from repro.reliability import faults
 from repro.reliability.degrade import LEVELS, DemotionRecord, fusion_waves
 from repro.reliability.verify import (
     GroupVerdict,
@@ -32,17 +30,12 @@ from repro.reliability.verify import (
     synthesize_inputs,
     verify_group,
 )
-from repro.search import fast_params
+from repro.search import GAParams, fast_params
 from repro.search.grouping import Grouping
 
 from conftest import THREE_KERNEL_SRC
 
-
-@pytest.fixture(autouse=True)
-def clean_fault_state():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 
 def small_params(seed=1):
@@ -57,8 +50,7 @@ def run_three_kernel(force_full_fusion=True, **config_kwargs):
     """Run the full pipeline on the three-kernel program.
 
     With ``force_full_fusion`` the search result is overridden with the
-    one complex group ``{k1, k2, k3}`` so codegen deterministically walks
-    the full ladder (complex → waves → singletons) under injection.
+    one complex group ``{k1, k2, k3}``.
     """
     config = PipelineConfig(
         device=K20X, ga_params=small_params(), verify=True, **config_kwargs
@@ -78,159 +70,6 @@ def run_three_kernel(force_full_fusion=True, **config_kwargs):
     return framework, state
 
 
-# --------------------------------------------------------- seam-spec parsing
-
-
-def test_parse_seam_specs_defaults():
-    specs = faults.parse_seam_specs("codegen")
-    assert set(specs) == {"codegen"}
-    assert specs["codegen"].probability == 1.0
-    assert specs["codegen"].max_fires is None
-    assert specs["codegen"].only_visit is None
-
-
-def test_parse_seam_specs_modifiers():
-    specs = faults.parse_seam_specs("parse:0.5, codegen:x2, analysis:@3")
-    assert specs["parse"].probability == 0.5
-    assert specs["codegen"].max_fires == 2
-    assert specs["analysis"].only_visit == 3
-
-
-def test_parse_seam_specs_combined_modifiers():
-    specs = faults.parse_seam_specs("codegen:0.25:x2")
-    assert specs["codegen"].probability == 0.25
-    assert specs["codegen"].max_fires == 2
-
-
-def test_parse_seam_specs_rejects_unknown_seam():
-    with pytest.raises(FaultInjectionError, match="unknown fault seam"):
-        faults.parse_seam_specs("warp_divergence")
-
-
-@pytest.mark.parametrize("spec", ("parse:abc", "codegen:x", "parse:1.5"))
-def test_parse_seam_specs_rejects_malformed_modifiers(spec):
-    with pytest.raises(FaultInjectionError, match="malformed|unknown"):
-        faults.parse_seam_specs(spec)
-
-
-# ------------------------------------------------- canonical seam registry
-
-
-def test_known_seams_is_the_canonical_registry():
-    import repro.reliability as reliability
-
-    assert reliability.KNOWN_SEAMS is faults.KNOWN_SEAMS
-    assert len(faults.KNOWN_SEAMS) == len(set(faults.KNOWN_SEAMS))
-    for seam in ("parse", "analysis", "codegen", "interpreter", "store"):
-        assert seam in faults.KNOWN_SEAMS
-
-
-def test_programmatic_plan_rejects_typo_seam():
-    # a typo'd seam must fail loudly at install time, not silently never fire
-    with pytest.raises(FaultInjectionError, match="unknown fault seam"):
-        faults.FaultPlan(
-            seams={"codegne": faults.parse_seam_specs("codegen")["codegen"]}
-        )
-
-
-def test_check_rejects_typo_seam_even_without_a_plan():
-    with pytest.raises(FaultInjectionError, match="unknown fault seam"):
-        faults.check("codegne")
-
-
-def test_poison_cache_value_rejects_typo_seam():
-    with pytest.raises(FaultInjectionError, match="unknown fault seam"):
-        faults.poison_cache_value("fitness_cahce")
-
-
-# ------------------------------------------------------ fault-plan mechanics
-
-
-def test_plan_fires_at_most_max_fires():
-    plan = faults.FaultPlan(seams=faults.parse_seam_specs("codegen:x1"))
-    fired = [plan.should_fire("codegen") for _ in range(6)]
-    assert fired == [True, False, False, False, False, False]
-    assert plan.counts()["codegen"] == (6, 1)
-
-
-def test_plan_fires_on_designated_visit_only():
-    plan = faults.FaultPlan(seams=faults.parse_seam_specs("parse:@3"))
-    fired = [plan.should_fire("parse") for _ in range(5)]
-    assert fired == [False, False, True, False, False]
-
-
-def test_plan_probability_is_deterministic():
-    draws = []
-    for _ in range(2):
-        plan = faults.FaultPlan(
-            seams=faults.parse_seam_specs("analysis:0.5"), seed=7
-        )
-        draws.append([plan.should_fire("analysis") for _ in range(32)])
-    assert draws[0] == draws[1]
-    # a fair-ish coin: both outcomes occur in 32 draws
-    assert any(draws[0]) and not all(draws[0])
-
-
-def test_unconfigured_seam_never_fires():
-    plan = faults.FaultPlan(seams=faults.parse_seam_specs("codegen"))
-    assert not plan.should_fire("parse")
-    assert "parse" not in plan.counts()
-
-
-def test_plan_from_env():
-    assert faults.plan_from_env({}) is None
-    plan = faults.plan_from_env(
-        {
-            faults.ENV_FAULT_SEAMS: "codegen:x1",
-            faults.ENV_FAULT_SEED: "42",
-        }
-    )
-    assert plan is not None
-    assert plan.seed == 42
-    assert "codegen" in plan.seams
-
-
-def test_active_plan_lazily_reads_environment(monkeypatch):
-    monkeypatch.setenv(faults.ENV_FAULT_SEAMS, "interpreter")
-    faults.clear_plan()  # forget the cached env lookup
-    plan = faults.active_plan()
-    assert plan is not None and "interpreter" in plan.seams
-
-
-def test_install_plan_overrides_environment(monkeypatch):
-    monkeypatch.setenv(faults.ENV_FAULT_SEAMS, "interpreter")
-    plan = faults.FaultPlan(seams=faults.parse_seam_specs("codegen"))
-    faults.install_plan(plan)
-    assert faults.active_plan() is plan
-
-
-def test_check_is_a_noop_without_a_plan():
-    faults.check("codegen", "no plan installed")
-
-
-@pytest.mark.parametrize(
-    "seam,exc_type",
-    [
-        ("parse", ParseError),
-        ("analysis", AnalysisError),
-        ("codegen", TransformError),
-        ("interpreter", OutOfBoundsError),
-    ],
-)
-def test_check_raises_canonical_error(seam, exc_type):
-    faults.install_plan(faults.FaultPlan(seams=faults.parse_seam_specs(seam)))
-    with pytest.raises(exc_type, match="injected"):
-        faults.check(seam, "unit test")
-
-
-def test_check_rejects_hook_only_seams():
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("store"))
-    )
-    with pytest.raises(FaultInjectionError, match="dedicated hook"):
-        faults.check("store")
-
-
 # --------------------------------------------------------- degradation ladder
 
 
@@ -243,10 +82,10 @@ def test_demotion_record_describe():
         members=("k1@0", "k2@1"),
         from_level="complex",
         to_level="simple",
-        cause="injected codegen fault",
+        cause="kernel K_00: output mismatch on array 'C'",
     )
     assert record.describe() == (
-        "[k1@0,k2@1] complex->simple: injected codegen fault"
+        "[k1@0,k2@1] complex->simple: kernel K_00: output mismatch on array 'C'"
     )
 
 
@@ -380,16 +219,14 @@ def test_verify_group_is_deterministic(gate_kernels):
 
 
 def test_verify_group_interpreter_fault_fails_candidate(gate_kernels):
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("interpreter"))
-    )
     verdict = verify_group(
-        _fused(gate_kernels["kd"]), [_binding(gate_kernels["kd"])], SHAPES
+        _fused(gate_kernels["oob"]), [_binding(gate_kernels["kd"])], SHAPES
     )
-    # the fault fires in the fused launch only — the baseline stays clean,
+    # only the fused launch reads out of bounds — the baseline stays clean,
     # so the verdict is a definite fail, not inconclusive
     assert verdict.failed
-    assert "injected interpreter OOB fault" in verdict.cause
+    assert verdict.cause.startswith("fused execution failed: ")
+    assert "out of [0, 16)" in verdict.cause
 
 
 def test_synthesize_inputs_independent_of_order():
@@ -403,13 +240,53 @@ def test_synthesize_inputs_independent_of_order():
     assert not np.array_equal(forward["B"], differently_seeded["B"])
 
 
-# ----------------------------------------- pipeline-level fault injection
+# ------------------------------------------------- the ladder, real inputs
+
+_OOB = "kernel K_00: fused execution failed: "
+
+#: corpus entry -> its demotions, in order: (from, to, cause prefix)
+RUNGS = {
+    "rung-complex-simple": [
+        ("complex", "simple", _OOB), ("simple", "none", _OOB)
+    ],
+    "rung-simple-none": [("simple", "none", _OOB)],
+    "rung-complex-none": [
+        ("complex", "none", "cross-segment producer/consumer on 'a02'")
+    ],
+    "rung-identity": [
+        ("complex", "simple", "kernel K_00: output mismatch on array "),
+        ("simple", "none", "whole-program verification mismatch"),
+    ],
+}
 
 
-def install(spec, **kwargs):
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs(spec), **kwargs)
-    )
+def run_rung(slug):
+    """Transform the corpus entry ``slug`` with the recipe it was drawn
+    with; returns the pipeline state."""
+    entry = json.loads((CORPUS / f"{slug}.json").read_text())
+    seed = entry["seed"]
+    return transform(
+        parse_program(entry["source"]),
+        store=False,
+        seed=seed,
+        # the item-5 sweep recipe the entries were drawn with
+        ga_params=GAParams(population=10, generations=6, seed=seed),
+        telemetry=False,
+    ).state
+
+
+def assert_rung(state, slug):
+    demotions = state.transform.demotions
+    assert len(demotions) == len(RUNGS[slug])
+    for d, (from_level, to_level, cause) in zip(demotions, RUNGS[slug]):
+        assert (d.from_level, d.to_level) == (from_level, to_level)
+        assert d.cause.startswith(cause), d.cause
+    assert state.verified is True  # the degraded program is still correct
+    # every demotion is listed in the codegen stage report
+    report = state.reports["codegen"]
+    assert "demotions:" in report
+    for demotion in demotions:
+        assert demotion.describe() in report
 
 
 def test_no_faults_no_demotions():
@@ -462,84 +339,61 @@ def test_group_gate_demotes_a_real_misfusion_of_full_scale_fluam():
 
 
 def test_codegen_fault_walks_the_whole_ladder():
-    install("codegen")  # every fusion attempt fails
-    framework, state = run_three_kernel()
-    assert state.verified is True  # degraded program still correct
-    transitions = [(d.from_level, d.to_level) for d in state.transform.demotions]
-    assert ("complex", "simple") in transitions
-    assert ("simple", "none") in transitions
-    assert all(
-        "injected codegen fault" in d.cause for d in state.transform.demotions
-    )
-    assert state.transform.degraded_groups  # nothing could be fused
-    # every demotion is listed in the codegen stage report
-    report = state.reports["codegen"]
-    assert "demotions:" in report
-    for demotion in state.transform.demotions:
-        assert demotion.describe() in report
-    assert "degraded groups" in framework.report()
+    """The complex fusion runs out of bounds in its gate, and so does the
+    simple fusion of one of its waves: that wave runs unfused."""
+    state = run_rung("rung-complex-simple")
+    assert_rung(state, "rung-complex-simple")
+    complex_, wave = state.transform.demotions
+    assert set(wave.members) < set(complex_.members)
+    fused = [l.members for l in state.transform.launches if len(l.members) > 1]
+    assert fused and not set(fused[0]) & set(wave.members)
 
 
 def test_codegen_fault_on_first_attempt_degrades_to_waves():
-    install("codegen:@1")  # only the complex attempt fails
-    _, state = run_three_kernel()
-    assert state.verified is True
-    assert [
-        (d.from_level, d.to_level) for d in state.transform.demotions
-    ] == [("complex", "simple")]
-    # the precedence waves were simple-fused successfully
-    assert state.transform.new_kernel_count >= 1
+    """After the complex attempt fails, the precedence waves are fused
+    one by one, and a wave that passes its gate ships fused."""
+    state = run_rung("rung-complex-simple")
+    complex_ = state.transform.demotions[0]
+    assert (complex_.from_level, complex_.to_level) == ("complex", "simple")
     assert any(len(l.members) > 1 for l in state.transform.launches)
     assert not state.transform.degraded_groups
 
 
-def test_parse_fault_demotes_and_recovers():
-    install("parse:@1")  # first constituent re-parse fails
-    _, state = run_three_kernel()
-    assert state.verified is True
-    assert state.transform.demotions
-    assert any(
-        "injected parse fault" in d.cause for d in state.transform.demotions
-    )
+def test_infeasible_complex_fusion_demotes_to_none():
+    """A cross-segment producer/consumer with a halo cannot be fused
+    complex, and the group falls straight to unfused launches."""
+    state = run_rung("rung-complex-none")
+    assert_rung(state, "rung-complex-none")
+    (demotion,) = state.transform.demotions
+    assert tuple(demotion.members) in state.transform.degraded_groups
+    assert "fusion infeasible" in demotion.cause
 
 
 def test_interpreter_fault_fails_gate_and_demotes():
-    install("interpreter")  # every fused candidate run dies in the gate
-    _, state = run_three_kernel()
-    assert state.verified is True
-    transitions = [(d.from_level, d.to_level) for d in state.transform.demotions]
-    assert ("complex", "simple") in transitions
-    assert ("simple", "none") in transitions
-    assert any(
-        "injected interpreter OOB fault" in d.cause
-        for d in state.transform.demotions
-    )
-    # nothing that failed the gate reached the generated program
+    """A simple fusion whose fused kernel runs out of bounds fails its
+    gate; nothing that failed the gate reaches the generated program."""
+    state = run_rung("rung-simple-none")
+    assert_rung(state, "rung-simple-none")
+    (demotion,) = state.transform.demotions
+    assert "out of [0, 16)" in demotion.cause
+    assert state.transform.degraded_groups == [tuple(demotion.members)]
     assert all(len(l.members) == 1 for l in state.transform.launches)
 
 
-def test_analysis_fault_falls_back_to_conservative_node():
-    install("analysis:@1")
-    _, state = run_three_kernel(force_full_fusion=False)
-    assert state.verified is True
-    assert len(state.built.analysis_failures) == 1
-    node, cause = next(iter(state.built.analysis_failures.items()))
-    assert "injected analysis fault" in cause
-    assert "analyzed conservatively" in state.reports["search"]
-    assert node in state.reports["search"]
-    # the conservative node is fusion-ineligible, never part of a group
-    for launch in state.transform.launches:
-        if len(launch.members) > 1:
-            assert node not in launch.members
+def test_whole_program_mismatch_falls_back_to_identity():
+    """Each group passes its gate at some rung, yet the fused program's
+    output differs from the original's: the identity program ships."""
+    state = run_rung("rung-identity")
+    assert_rung(state, "rung-identity")
+    assert "fell back to identity program" in state.reports["codegen"]
+    assert all(len(l.members) == 1 for l in state.transform.launches)
 
 
 def test_demotions_deterministic_across_runs():
-    install("codegen")
-    _, first = run_three_kernel()
-    faults.clear_plan()
-    install("codegen")
-    _, second = run_three_kernel()
-    assert first.transform.demotions == second.transform.demotions
+    for slug in RUNGS:
+        first, second = run_rung(slug), run_rung(slug)
+        assert first.transform.demotions, slug  # the input stopped demoting
+        assert first.transform.demotions == second.transform.demotions, slug
 
 
 # ------------------------------------------------------------ CLI behaviour
@@ -570,17 +424,20 @@ def test_cli_names_the_failing_stage(tmp_path, capsys, monkeypatch):
     assert "synthetic stage failure" in err
 
 
-def test_cli_degrades_under_env_configured_faults(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(faults.ENV_FAULT_SEAMS, "codegen")
-    faults.clear_plan()  # let the CLI run pick the plan up from the env
+def test_cli_degrades_on_a_demoting_program(tmp_path, capsys):
+    entry = json.loads((CORPUS / "rung-simple-none.json").read_text())
     src = tmp_path / "prog.cu"
-    src.write_text(THREE_KERNEL_SRC)
+    src.write_text(entry["source"])
+    params = tmp_path / "ga.json"
+    params.write_text(
+        f"population = 10\ngenerations = 6\nseed = {entry['seed']}\n"
+    )
     out = tmp_path / "out.cu"
-    rc = cli_main([str(src), "-o", str(out), "--seed", "1"])
+    rc = cli_main([str(src), "-o", str(out), "--ga-params", str(params)])
     assert rc == 0  # graceful degradation, not an error
     captured = capsys.readouterr().out
     assert "demotions:" in captured
-    assert "injected codegen fault" in captured
+    assert "simple->none: kernel K_00: fused execution failed: " in captured
     assert out.exists()
 
 

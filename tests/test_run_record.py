@@ -136,6 +136,25 @@ def test_cold_repeat_and_failed_runs_write_one_record(tmp_path, monkeypatch):
     assert result.returncode == 0, result.stderr
 
 
+def test_each_record_counts_its_own_run(monkeypatch):
+    """``counters`` is what one ``transform()`` added to the registry, not
+    the process's totals: a second run in the process reports what that
+    run reports alone, in a fresh registry."""
+    from repro.observability import metrics
+
+    def run():
+        return transform(
+            THREE_KERNEL_SRC, ga_params=small_params(), store=False
+        ).record["counters"]
+
+    first, second = run(), run()
+    monkeypatch.setattr(metrics, "_registry", metrics.MetricsRegistry())
+    alone = run()
+    assert second == alone
+    assert second["gpu_launches_total"] == first["gpu_launches_total"] > 0
+    assert second["source_loads_total"] == 1
+
+
 def test_a_failed_load_carries_its_record(tmp_path):
     with pytest.raises(ReproError) as failed:
         transform("int main( {", workdir=str(tmp_path), telemetry=True)

@@ -7,8 +7,12 @@ synchronous :class:`ServiceClient` exactly as external tenants would.
 """
 
 import asyncio
+import json
+import os
+import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,8 @@ from repro.service import ServiceClient, TransformService
 from repro.service.pool import worker_environment
 
 from conftest import THREE_KERNEL_SRC
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
 
 #: a deliberately small search so one served transform is sub-second
 TINY_CONFIG = {
@@ -36,6 +42,17 @@ TINY_CONFIG_OLD_CLIENT = {
         TINY_CONFIG["ga_params"],
         workers=1, executor="thread", fitness_cache=True,
     )
+}
+
+#: a search that keeps a worker busy for about a second after its first
+#: stage completes, so a test can kill it mid-job
+LONG_CONFIG = {
+    "ga_params": {
+        "population": 100,
+        "generations": 600,
+        "stall_generations": 600,
+        "seed": 5,
+    }
 }
 
 #: a slower search for the dedup test: the first request must still be
@@ -213,23 +230,24 @@ def test_a_repeat_of_a_failed_request_runs_again(tmp_path):
         assert client.healthz().json()["retained"] == 0
 
 
-def test_an_outcome_under_a_fault_plan_is_not_retained(tmp_path):
-    """An ok outcome from a worker with an active fault plan (here the
-    injected codegen faults demote every group) runs again."""
-    with ServiceHarness(
-        tmp_path / "store", worker_env={"REPRO_FAULT_SEAMS": "codegen"}
-    ) as (harness, client):
+def test_a_demoting_outcome_is_retained(tmp_path):
+    """An ok outcome that demoted groups is as final as any: the repeat is
+    answered from the finished execution."""
+    entry = json.loads((CORPUS / "rung-simple-none.json").read_text())
+    config = {
+        "ga_params": {"population": 10, "generations": 6, "seed": entry["seed"]}
+    }
+    with ServiceHarness(tmp_path / "store") as (harness, client):
         executions = _counter("service_executions_total")
         served = [
-            client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+            client.transform(source=entry["source"], config=config)
             for _ in range(2)
         ]
         assert [s.status for s in served] == [200, 200]
         assert served[0].response().demotions > 0
-        assert not any(s.dedup for s in served)
-        assert served[0].job_id != served[1].job_id
-        assert _counter("service_executions_total") - executions == 2
-        assert client.healthz().json()["retained"] == 0
+        assert served[1].dedup and served[1].body == served[0].body
+        assert _counter("service_executions_total") - executions == 1
+        assert client.healthz().json()["retained"] == 1
 
 
 def test_retention_is_bounded_by_the_job_history(tmp_path, monkeypatch):
@@ -361,28 +379,37 @@ def test_concurrent_identical_requests_deduplicate(tmp_path):
         assert records[0]["service"]["dedup_clients"] == 2
 
 
-# ----------------------------------------------------------- fault injection
+# ------------------------------------------------------------ worker death
+
+
+def _kill_workers_mid_job(harness, client, job_id, kills):
+    """SIGKILL the pool's one worker while it runs ``job_id``, on each of
+    the job's first ``kills`` attempts: an attempt is in flight once its
+    first stage completes.  Returns the killed pids."""
+    killed = []
+    for kind, _data in client.events(job_id):
+        if kind != "stage" or len(killed) == kills:
+            continue
+        workers = list(harness.service.pool._workers)
+        if len(workers) != 1 or workers[0].proc.pid in killed:
+            continue  # a stage of the attempt just killed, not yet respawned
+        killed.append(workers[0].proc.pid)
+        os.kill(killed[-1], signal.SIGKILL)
+    return killed
 
 
 def test_killed_worker_respawns_and_retries(tmp_path):
-    # visit 2 only: the first job sails through, the second one's worker
-    # is hard-killed on accept; the respawned worker (fresh visit
-    # counter) serves the retry cleanly
-    with ServiceHarness(
-        tmp_path / "store",
-        pool_size=1,
-        worker_env={"REPRO_FAULT_SEAMS": "service_worker:@2"},
-    ) as (harness, client):
+    with ServiceHarness(tmp_path / "store", pool_size=1) as (harness, client):
         restarts_before = _counter("service_worker_restarts_total")
-
         first = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
         assert first.status == 200
         assert first.response().worker_retries == 0
 
-        crashed = client.transform(
-            source=THREE_KERNEL_SRC,
-            config={"ga_params": {**TINY_CONFIG["ga_params"], "seed": 4242}},
-        )
+        job_id = client.submit(
+            source=THREE_KERNEL_SRC, config=LONG_CONFIG
+        ).json()["job_id"]
+        (pid,) = _kill_workers_mid_job(harness, client, job_id, kills=1)
+        crashed = client.wait(job_id, timeout=300)
         assert crashed.status == 200, crashed.body
         response = crashed.response()
         assert response.status == "ok"
@@ -390,18 +417,21 @@ def test_killed_worker_respawns_and_retries(tmp_path):
         assert (
             _counter("service_worker_restarts_total") - restarts_before == 1
         )
-        assert harness.service.pool.restarts >= 1
+        assert harness.service.pool.restarts == 1
+        (worker,) = harness.service.pool._workers
+        assert worker.proc.pid != pid
 
 
 def test_retry_budget_exhaustion_is_a_500(tmp_path):
-    # every visit fires: the job crashes its worker on every attempt
+    # the job loses its worker on every attempt the budget allows
     with ServiceHarness(
-        tmp_path / "store",
-        pool_size=1,
-        max_retries=1,
-        worker_env={"REPRO_FAULT_SEAMS": "service_worker"},
+        tmp_path / "store", pool_size=1, max_retries=1
     ) as (harness, client):
-        served = client.transform(source=THREE_KERNEL_SRC, config=TINY_CONFIG)
+        job_id = client.submit(
+            source=THREE_KERNEL_SRC, config=LONG_CONFIG
+        ).json()["job_id"]
+        assert len(_kill_workers_mid_job(harness, client, job_id, 2)) == 2
+        served = client.wait(job_id, timeout=300)
         assert served.status == 500
         response = served.response()
         assert response.status == "error"
@@ -460,12 +490,12 @@ def test_worker_environment_scrubs_ambient_repro_knobs(monkeypatch):
     monkeypatch.setenv("REPRO_STORE", "/srv/ambient-store")
     monkeypatch.setenv("REPRO_TELEMETRY", "0")
     monkeypatch.setenv("HOME", "/home/x")
-    env = worker_environment({"REPRO_FAULT_SEAMS": "service_worker"})
+    env = worker_environment({"REPRO_LOG_FORMAT": "json"})
     assert "REPRO_STORE" not in env
     assert "REPRO_TELEMETRY" not in env
     assert env["HOME"] == "/home/x"
     # explicit overrides survive the scrub
-    assert env["REPRO_FAULT_SEAMS"] == "service_worker"
+    assert env["REPRO_LOG_FORMAT"] == "json"
     # the worker can import this very repro checkout
     import repro
     from pathlib import Path

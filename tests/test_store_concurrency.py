@@ -17,9 +17,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
-from repro.reliability import faults
 from repro.store.artifact_store import ArtifactStore
 
 KEY = "c" * 64
@@ -38,13 +35,6 @@ for n in range({rounds}):
         wrote += 1
 print(wrote)
 """
-
-
-@pytest.fixture(autouse=True)
-def _no_fault_plan():
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
 
 
 def _spawn_writer(root, writer_id):

@@ -20,7 +20,6 @@ from repro.api import transform
 from repro.cudalite import parse_program, unparse
 from repro.pipeline.framework import Framework
 from repro.pipeline.stages import PipelineConfig
-from repro.reliability import faults
 from repro.search import fast_params
 from repro.store import artifact_store, stage_cache
 from repro.store.artifact_store import MEMORY_TIER, ArtifactStore, MemoryTier
@@ -40,12 +39,10 @@ def small_params(seed=1):
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """No ambient store or fault plan, and an empty tier per test."""
+    """No ambient store, and an empty tier per test."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    faults.clear_plan()
     MEMORY_TIER.clear()
     yield
-    faults.clear_plan()
     MEMORY_TIER.clear()
 
 
@@ -222,59 +219,24 @@ def test_wipe_makes_the_next_run_cold(tmp_path):
 
 
 def test_poison_recovery_fires_on_a_served_read(tmp_path):
+    """An entry the tier holds is corrupted on disk with a well-formed
+    envelope whose payload no longer matches its checksum: the tier drops
+    it, and the disk read quarantines it as any corrupt read would."""
     root = tmp_path / "store"
     _run(root)
-    reference, _ = _run(root)
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("store:x1"))
-    )
+    reference, store = _run(root)  # decoded from disk: the tier holds it
+    entry = _metadata_entry(store, reference)
+    slot = (str(store.root), stage_cache.NS_METADATA, entry.stem)
+    assert MEMORY_TIER.get(slot) is not None
+    envelope = json.loads(entry.read_text())
+    envelope["payload"]["corrupted"] = True
+    entry.write_text(json.dumps(envelope))
     state, store = _run(root)
+    assert MEMORY_TIER.get(slot) is None  # dropped, and only a read refills
     assert store.stats.invalid == 1
     assert "metadata" not in state.reused
     assert state.metadata is not reference.metadata
     assert state.reports["codegen"] == reference.reports["codegen"]
-
-
-def _degraded_warm_run(root, seams):
-    """A disk-served run under the fault plan ``seams``; returns its state."""
-    faults.install_plan(faults.FaultPlan(seams=faults.parse_seam_specs(seams)))
-    try:
-        return _run(root)[0]
-    finally:
-        faults.clear_plan()
-
-
-@pytest.mark.parametrize("seams", ["analysis:x1", "codegen:x1", "parse:x1"])
-def test_a_run_under_a_fault_plan_leaves_nothing_in_the_tier(tmp_path, seams):
-    """A seam that fires while a problem or program is derived degrades
-    it; a later clean run must be served what a disk-served one gets."""
-    root = tmp_path / "store"
-    _run(root)
-    degraded = _degraded_warm_run(root, seams)
-    assert degraded.built.analysis_failures or degraded.transform.demotions
-    clean, store = _run(root)
-    assert store.stats.memory_misses == 2  # nothing was remembered
-    assert clean.built is not degraded.built
-    assert clean.transform is not degraded.transform
-    assert not clean.built.analysis_failures
-    assert not clean.transform.demotions
-    MEMORY_TIER.clear()
-    disk, _ = _run(root)
-    for name in ("reused", "reports"):
-        assert getattr(clean, name) == getattr(disk, name), name
-    assert unparse(clean.transform.program) == unparse(disk.transform.program)
-
-
-def test_a_run_under_a_fault_plan_is_not_served_memory_only_entries(tmp_path):
-    """Seams visit problem building on a disk-served run, so a faulted
-    run must build the problem itself, not take a clean one from memory."""
-    root = tmp_path / "store"
-    _run(root)
-    reference, _ = _run(root)
-    _run(root)  # the tier now holds the clean problem and program
-    degraded = _degraded_warm_run(root, "analysis:x1")
-    assert degraded.built is not reference.built
-    assert degraded.built.analysis_failures
 
 
 # ------------------------------------------------------------ immutability

@@ -4,8 +4,7 @@ A gate's verdict is a function of its key, so the store keeps every one
 — a group's fail / inconclusive with its cause, a whole program's
 mismatch or execution failure — and a warm run re-executes no gate.  A
 cold run, a disk-served warm run and a warm run in a fresh process must
-emit the same program with the same demotions, and under an active fault
-plan no non-pass verdict is written or served.  Only ``auto`` reads or
+emit the same program with the same demotions.  Only ``auto`` reads or
 writes verdicts: a forced executor runs every gate.
 """
 
@@ -22,7 +21,6 @@ from repro.cudalite import parse_program, unparse
 from repro.errors import PipelineError
 from repro.fuzz.appgen import generate_app
 from repro.pipeline import apply, stages
-from repro.reliability import faults
 from repro.search.params import GAParams
 from repro.store import stage_cache
 from repro.store.artifact_store import MEMORY_TIER, ArtifactStore
@@ -44,10 +42,8 @@ BATCHED_PASSES = {65: 1, 111: 2, 171: 2}
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    faults.clear_plan()
     MEMORY_TIER.clear()
     yield
-    faults.clear_plan()
     MEMORY_TIER.clear()
 
 
@@ -341,60 +337,3 @@ def test_a_stored_program_failure_raises_under_fail_hard(tmp_path):
     MEMORY_TIER.clear()
     with pytest.raises(PipelineError, match="does not match the original"):
         transform(source, **_config(seed, root, fail_hard=True))
-
-
-# --------------------------------------------------------------- fault plans
-
-
-def test_a_fault_plan_serves_no_stored_failure(tmp_path, gate_calls):
-    """A plan whose seams never fire here still re-runs every failing
-    gate (a seam may have caused the stored failure), reaching today's
-    demotions; stored passes are still served."""
-    root, seed = tmp_path / "store", PROGRAM_MISMATCH
-    source = _source(seed)
-    cold = transform(source, **_config(seed, root))
-    _reset(gate_calls)
-    MEMORY_TIER.clear()
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("service_worker"))
-    )
-    warm = transform(source, **_config(seed, root))
-    assert gate_calls["verify_group"] > 0 and gate_calls["run_program"] > 0
-    reused = warm.state.verification["verdicts_reused"]
-    assert reused["fail"] == reused["inconclusive"] == 0
-    assert reused["program"] == 1  # the identity fallback's pass
-    assert _outcome(warm) == _outcome(cold)
-    # and a cold run under the plan stores only passes
-    other = tmp_path / "other"
-    assert _outcome(transform(source, **_config(seed, other))) == _outcome(cold)
-    assert set(_stored(other, stage_cache.NS_VERIFIED_PROGRAMS, "outcome")) == {
-        stage_cache.PROGRAM_PASS
-    }
-    assert set(_stored_group_statuses(other)) <= {"pass"}
-
-
-def test_a_fault_plan_writes_no_failure_and_keeps_todays_demotion(
-    tmp_path, gate_calls
-):
-    """A seam that fires in the group gate demotes as it does without a
-    store; nothing it caused reaches the store or a later clean run."""
-    root, seed = tmp_path / "store", 10
-    source = _source(seed)
-    clean = transform(source, **_config(seed, None))
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("interpreter"))
-    )
-    storeless = transform(source, **_config(seed, None))
-    faulted = transform(source, **_config(seed, root))
-    injected = [d.cause for d in faulted.state.transform.demotions]
-    assert any("injected interpreter" in cause for cause in injected)
-    assert _outcome(faulted) == _outcome(storeless)
-    assert set(_stored_group_statuses(root)) <= {"pass"}
-    faults.clear_plan()
-
-    MEMORY_TIER.clear()
-    after = transform(source, **_config(seed, root))
-    assert _outcome(after) == _outcome(clean)
-    assert not any(
-        "injected" in d.cause for d in after.state.transform.demotions
-    )

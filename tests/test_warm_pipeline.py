@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import TransformConfig, transform
 from repro.pipeline.cli import main as cli_main
-from repro.reliability import faults
 from repro.search import fast_params
 
 from conftest import THREE_KERNEL_SRC
@@ -22,11 +21,8 @@ def small_params(seed=1):
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch):
-    """Keep these tests hermetic: no ambient store, no fault plan."""
+    """Keep these tests hermetic: no ambient store."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
-    faults.clear_plan()
-    yield
-    faults.clear_plan()
 
 
 def _run(tmp_path, seed=1, **overrides):
@@ -128,20 +124,6 @@ def test_poisoned_store_degrades_to_cold_run(tmp_path):
 
     warm = _run(tmp_path)
     # all reuse degraded away, output identical, no exception escaped
-    assert warm.reused == {}
-    assert warm.source == cold.source
-    assert warm.verified is True
-
-
-def test_store_fault_seam_degrades_to_cold_run(tmp_path):
-    cold = _run(tmp_path)
-    faults.install_plan(
-        faults.FaultPlan(seams=faults.parse_seam_specs("store"))
-    )
-    try:
-        warm = _run(tmp_path)
-    finally:
-        faults.clear_plan()
     assert warm.reused == {}
     assert warm.source == cold.source
     assert warm.verified is True
