@@ -99,8 +99,21 @@ def test_checksum_mismatch_detected(store):
     path.write_text(json.dumps(envelope))
     assert store.get("search", key) is None
     assert store.stats.invalid == 1
-    # the entry was quarantined: a later read is a clean miss
-    assert store.get("search", key) is None
+
+
+def test_store_fault_seam_poisons_reads(store):
+    """A read at the store seam that finds a checksum-mismatched envelope
+    is rejected, and the entry is quarantined: a later read is a clean
+    miss, not a second rejection."""
+    key = keys.digest("seam")
+    store.put("metadata", key, {"ok": 1})
+    path = store.path_for("metadata", key)
+    envelope = json.loads(path.read_text())
+    envelope["sha256"] = "0" * len(envelope["sha256"])
+    path.write_text(json.dumps(envelope))
+    assert store.get("metadata", key) is None
+    assert store.stats.invalid == 1
+    assert store.get("metadata", key) is None
     assert (store.stats.invalid, store.stats.misses) == (1, 2)
 
 

@@ -129,6 +129,25 @@ def test_poisoned_store_degrades_to_cold_run(tmp_path):
     assert warm.verified is True
 
 
+def test_store_fault_seam_degrades_to_cold_run(tmp_path):
+    """Every stored envelope is well-formed JSON whose checksum no longer
+    matches its payload: each read at the store seam is rejected and the
+    warm run degrades to a cold one with the same output."""
+    cold = _run(tmp_path)
+    tampered = 0
+    for path in (tmp_path / "store").rglob("*.json"):
+        envelope = json.loads(path.read_text())
+        envelope["sha256"] = "0" * len(envelope["sha256"])
+        path.write_text(json.dumps(envelope))
+        tampered += 1
+    assert tampered > 0
+
+    warm = _run(tmp_path)
+    assert warm.reused == {}
+    assert warm.source == cold.source
+    assert warm.verified is True
+
+
 # -------------------------------------------------------------------- CLI
 
 
