@@ -9,8 +9,14 @@ it recovers, for each kernel,
 * for every device array: the set of read and written offsets relative to
   the index variables (the stencil's footprint),
 * per-statement read/write sets (consumed by the fission dependency
-  analysis), and
-* floating-point operation counts per statement and per array.
+  analysis),
+* floating-point operation counts per statement and per array, and
+* what the interpreter dispatches on: the ``var ± const`` terms of every
+  subscript, the ``__shared__`` declarations, whether every bound is
+  thread-invariant, and the loops whose iterations may run in any order.
+
+:func:`collect_accesses` builds this summary once per kernel object; every
+consumer of a kernel's text reads it instead of walking the kernel again.
 
 Accesses whose subscripts are not of the affine ``var ± const`` form are
 flagged *irregular*; the paper's Limitations section excludes such kernels
@@ -237,7 +243,8 @@ class StatementAccess:
 
 @dataclass(frozen=True)
 class KernelAccesses:
-    """Complete access summary for a kernel.
+    """Complete access summary for a kernel: the search, fission, fusion,
+    the DDG, the profiler and the interpreter's dispatch all read it.
 
     Read-only: :func:`collect_accesses` hands the same object to every
     caller for as long as the kernel lives.
@@ -250,6 +257,27 @@ class KernelAccesses:
     loops: Tuple[LoopInfo, ...]
     uses_shared: bool
     has_irregular: bool
+    #: the ``__shared__`` declarations, in body order
+    shared_decls: Tuple[ast.VarDecl, ...]
+    #: every construct the batched lattice must scalarize — loop bounds,
+    #: while conditions, shared extents — is statically block-invariant
+    #: (literals, scalar parameters, blockDim/gridDim)
+    uniform_bounds: bool
+    #: pointer parameters some subscript reads / stores through, whatever
+    #: a ``__shared__`` tile of the same name shadows (a superset of
+    #: :attr:`arrays_read` / :attr:`arrays_written`)
+    reads: FrozenSet[str]
+    writes: FrozenSet[str]
+    #: parameters a launch may store through: the ones stores name, or
+    #: every parameter when a store names a local that may alias one
+    may_write: FrozenSet[str]
+    #: id(Index node) -> its subscripts as ``var ± const`` terms, for every
+    #: node (tiles and locals included) where each subscript has that
+    #: form; the nodes live as long as the kernel, so the ids are stable
+    subscripts: Mapping[int, Tuple[IndexTerm, ...]]
+    #: id(For node) -> its :class:`ParallelLoop`, for every loop whose
+    #: iterations may run in any order
+    lifts: Mapping[int, ParallelLoop]
 
     @property
     def arrays_read(self) -> Set[str]:
@@ -342,9 +370,9 @@ def _expr_names(expr: ast.Expr) -> Tuple[Set[str], Set[str]]:
     return arrays, scalars
 
 
-#: id(KernelDef) -> its summary; entries leave with their kernel (the
-#: scheme of ``gpu.interpreter._kernel_facts``: KernelDef hashes by
-#: content, which would cost the walk this memo avoids)
+#: id(KernelDef) -> its summary; entries leave with their kernel
+#: (KernelDef hashes by content, which would cost the walk this memo
+#: avoids)
 _SUMMARIES: Dict[int, KernelAccesses] = {}
 
 
@@ -359,14 +387,21 @@ def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
 
 def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
     index_vars = find_global_index_vars(kernel)
+    params = set(kernel.param_names())
     pointer_params = {p.name for p in kernel.pointer_params()}
+    scalar_params = params - pointer_params
     shared_names: Set[str] = set()
+    shared_decls: List[ast.VarDecl] = []
     #: name -> (reads, writes), in first-access order
     footprints: Dict[str, Tuple[Set[Tuple[IndexTerm, ...]], ...]] = {}
     irregular_arrays: Set[str] = set()
     statements: List[StatementAccess] = []
     loops = find_loops(kernel)
-    uses_shared = False
+    subscripts: Dict[int, Tuple[IndexTerm, ...]] = {}
+    reads: Set[str] = set()
+    #: the names every store subscripts (None: not a plain name)
+    stored: Set[Optional[str]] = set()
+    uniform_bounds = True
     counter = 0
     #: a summary lives as long as its kernel and a frozenset is 216 B:
     #: keep one per distinct name set (the empty one, mostly)
@@ -376,21 +411,30 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
         key = frozenset(values)
         return interned.setdefault(key, key)
 
+    def uniform(*exprs: ast.Expr) -> bool:
+        return all(thread_invariant(e, scalar_params) for e in exprs)
+
     def record_access(node: ast.Index, is_write: bool) -> None:
-        name = node.array_name
-        if name is None or (name not in pointer_params and name not in shared_names):
-            return
-        if name in shared_names:
-            return  # shared tiles are staging, not global footprint
         terms = tuple(linear_index_term(i) for i in node.indices)
-        if any(t[0] == IRREGULAR for t in terms):
+        regular = all(base != IRREGULAR for base, _ in terms)
+        if regular:
+            subscripts[id(node)] = terms
+        name = node.array_name
+        if is_write:
+            stored.add(name)
+        elif name in pointer_params:
+            reads.add(name)
+        if name not in pointer_params or name in shared_names:
+            return  # shared tiles are staging, not global footprint
+        if not regular:
             irregular_arrays.add(name)
-        reads, writes = footprints.setdefault(name, (set(), set()))
-        (writes if is_write else reads).add(terms)
+        read_terms, write_terms = footprints.setdefault(name, (set(), set()))
+        (write_terms if is_write else read_terms).add(terms)
 
     def scan_expr(expr: ast.Expr, is_store: bool = False) -> None:
         if isinstance(expr, ast.Index):
             record_access(expr, is_store)
+            scan_expr(expr.base)
             for sub in expr.indices:
                 scan_expr(sub)
         elif isinstance(expr, ast.Binary):
@@ -405,13 +449,18 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
             scan_expr(expr.cond)
             scan_expr(expr.then)
             scan_expr(expr.els)
+        elif isinstance(expr, ast.Member):
+            scan_expr(expr.obj)
 
     def visit(stmt: ast.Stmt, loop_ctx: Tuple[str, ...], guard_depth: int) -> None:
-        nonlocal counter, uses_shared
+        nonlocal counter, uniform_bounds
         if isinstance(stmt, ast.VarDecl):
             if stmt.is_shared:
-                uses_shared = True
                 shared_names.add(stmt.name)
+                shared_decls.append(stmt)
+                uniform_bounds &= uniform(*stmt.array_dims)
+            for dim in stmt.array_dims:
+                scan_expr(dim)
             if stmt.init is not None:
                 scan_expr(stmt.init)
                 # an initialized scalar declaration is a defining statement:
@@ -481,35 +530,55 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
                 for inner in stmt.els.stmts:
                     visit(inner, loop_ctx, guard_depth + 1)
         elif isinstance(stmt, ast.For):
+            uniform_bounds &= uniform(stmt.start, stmt.bound, stmt.step)
             scan_expr(stmt.start)
             scan_expr(stmt.bound)
+            scan_expr(stmt.step)
             for inner in stmt.body.stmts:
                 visit(inner, loop_ctx + (stmt.var,), guard_depth)
         elif isinstance(stmt, ast.While):
+            uniform_bounds &= uniform(stmt.cond)
             scan_expr(stmt.cond)
             for inner in stmt.body.stmts:
                 visit(inner, loop_ctx, guard_depth)
         elif isinstance(stmt, ast.Block):
             for inner in stmt.stmts:
                 visit(inner, loop_ctx, guard_depth)
+        elif isinstance(stmt, ast.ExprStmt):
+            scan_expr(stmt.expr)
+        elif isinstance(stmt, ast.Return) and stmt.value is not None:
+            scan_expr(stmt.value)
 
     for stmt in kernel.body.stmts:
         visit(stmt, (), 0)
 
     arrays = {
         name: ArrayAccessInfo(
-            name, frozenset(reads), frozenset(writes), name in irregular_arrays
+            name,
+            frozenset(read_terms),
+            frozenset(write_terms),
+            name in irregular_arrays,
         )
-        for name, (reads, writes) in footprints.items()
+        for name, (read_terms, write_terms) in footprints.items()
     }
+    tiles = {decl.name for decl in shared_decls}
     return KernelAccesses(
         kernel_name=kernel.name,
         index_vars=MappingProxyType(index_vars),
         arrays=MappingProxyType(arrays),
         statements=tuple(statements),
         loops=tuple(loops),
-        uses_shared=uses_shared,
+        uses_shared=bool(shared_decls),
         has_irregular=bool(irregular_arrays),
+        shared_decls=tuple(shared_decls),
+        uniform_bounds=uniform_bounds,
+        reads=frozenset(reads),
+        writes=frozenset(stored & pointer_params),
+        may_write=frozenset(params if stored - params - tiles else stored & params),
+        subscripts=MappingProxyType(subscripts),
+        lifts=MappingProxyType(
+            {id(lift.loop): lift for lift in parallel_loops(kernel)}
+        ),
     )
 
 

@@ -141,7 +141,8 @@ class TransformConfig:
 
     #: device model name (see ``repro.gpu.device.available_devices``)
     device: Union[str, DeviceSpec] = "K20X"
-    #: 'automated' | 'guided' | 'manual' (§6.2.2)
+    #: 'automated' | 'guided' | 'manual' (§6.2.2); 'manual' enables the
+    #: higher-quality codegen strategies, 'guided' runs as 'automated'
     mode: str = "automated"
     #: GA random seed; with ``ga_params`` given, :meth:`resolved` sets it
     #: to ``ga_params.seed``

@@ -216,7 +216,7 @@ class Unparser:
 
 
 #: id(Program | KernelDef) -> its text; entries leave with their node (the
-#: scheme of ``gpu.interpreter._kernel_facts``: the frozen AST hashes by
+#: scheme of ``analysis.accesses.collect_accesses``: the frozen AST hashes by
 #: content, which would cost the walk this memo avoids)
 _TEXTS: Dict[int, str] = {}
 

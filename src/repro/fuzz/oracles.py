@@ -48,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..analysis.accesses import collect_accesses, parallel_loops
+from ..analysis.accesses import collect_accesses
 from ..api import TransformConfig, TransformResult, transform
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
@@ -285,8 +285,8 @@ def _check_modes(
     # likewise lifted-vs-sequential: the loop never lifts, and ``auto``
     # lifts a generated app that has a loop its vectorized lattice can lift
     expect_lifts = expect_slices and any(
-        parallel_loops(kernel) and not collect_accesses(kernel).uses_shared
-        for kernel in program.kernels
+        summary.lifts and not summary.uses_shared
+        for summary in map(collect_accesses, program.kernels)
     )
     if lifted["loop"] or (expect_lifts and not lifted["auto"]):
         return OracleFailure(

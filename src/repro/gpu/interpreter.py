@@ -64,10 +64,11 @@ accesses"), the split is reported as
 :attr:`InterpreterStats.accesses_by_path`.
 
 **Lifted loops.**  On the same two lattices a ``for`` whose iterations
-carry no dependence (:func:`~repro.analysis.accesses.parallel_loops`,
-once per kernel) runs its body once, the iterations one more trailing
-lattice axis and the loop variable an ``arange`` along it, tagged affine
-like any lattice coordinate.  ``__shared__`` tiles the body touches get
+carry no dependence (``lifts`` of the kernel's
+:func:`~repro.analysis.accesses.collect_accesses` summary) runs its body
+once, the iterations one more trailing lattice axis and the loop
+variable an ``arange`` along it, tagged affine like any lattice
+coordinate.  ``__shared__`` tiles the body touches get
 that axis too, each iteration its own copy, and a per-cell "written this
 iteration" record: reading a cell the iteration has not written, any
 :class:`InterpreterError` or block hazard in the body, or a store whose
@@ -86,12 +87,10 @@ import difflib
 import math
 import struct
 import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     List,
     NamedTuple,
     NoReturn,
@@ -103,14 +102,7 @@ from typing import (
 
 import numpy as np
 
-from ..analysis.accesses import (
-    IRREGULAR,
-    IndexTerm,
-    ParallelLoop,
-    linear_index_term,
-    parallel_loops,
-    thread_invariant,
-)
+from ..analysis.accesses import ParallelLoop, collect_accesses
 from ..cudalite import ast_nodes as ast
 from ..errors import InterpreterError, OutOfBoundsError
 from ..observability.hwcounters import KernelCounters
@@ -389,134 +381,6 @@ def _note_launch(
         registry.inc("gpu_statements_total", count, path=path)
 
 
-@dataclass(frozen=True)
-class _KernelFacts:
-    """What dispatch needs to know about a kernel's *text*.
-
-    Computed by one walk per :class:`~repro.cudalite.ast_nodes.KernelDef`
-    and reused by every launch; only the binding of the pointer names to
-    array identities is per launch.
-    """
-
-    uses_shared: bool
-    #: every construct the batched lattice must scalarize — loop bounds,
-    #: while conditions, shared extents — is statically block-invariant
-    #: (literals, scalar parameters, blockDim/gridDim)
-    uniform_bounds: bool
-    #: pointer parameters syntactically read / written
-    reads: FrozenSet[str]
-    writes: FrozenSet[str]
-    #: parameters a launch may store through: the ones stores name, or
-    #: every parameter when a store names a local that may alias one
-    may_write: FrozenSet[str]
-    #: id(Index node) -> its subscripts as ``var ± const`` terms, for the
-    #: nodes where every subscript has that form (the nodes live as long
-    #: as the kernel, so the ids are stable)
-    subscripts: Dict[int, Tuple[IndexTerm, ...]]
-    #: id(For node) -> its facts, for every loop whose iterations may run
-    #: in any order (the lattices lift those)
-    lifts: Dict[int, ParallelLoop]
-
-
-#: id(KernelDef) -> facts; entries leave with their kernel (KernelDef
-#: hashes by content, which would cost the walk this cache avoids)
-_FACTS: Dict[int, _KernelFacts] = {}
-
-
-def _kernel_facts(kernel: ast.KernelDef) -> _KernelFacts:
-    facts = _FACTS.get(id(kernel))
-    if facts is None:
-        facts = _FACTS[id(kernel)] = _analyse_kernel(kernel)
-        weakref.finalize(kernel, _FACTS.pop, id(kernel), None)
-    return facts
-
-
-def _analyse_kernel(kernel: ast.KernelDef) -> _KernelFacts:
-    pointer_params = {p.name for p in kernel.params if p.type.is_pointer}
-    scalar_params = {p.name for p in kernel.params if not p.type.is_pointer}
-
-    def uniform(expr: ast.Expr) -> bool:
-        return thread_invariant(expr, scalar_params)
-
-    uses_shared = False
-    uniform_bounds = True
-    subscripts: Dict[int, Tuple[IndexTerm, ...]] = {}
-    stored: set = set()
-    tiles: set = set()
-    for node in kernel.body.walk():
-        if isinstance(node, ast.Assign) and isinstance(node.target, ast.Index):
-            stored.add(node.target.array_name)
-        if isinstance(node, ast.Index):
-            terms = tuple(linear_index_term(e) for e in node.indices)
-            if all(base != IRREGULAR for base, _ in terms):
-                subscripts[id(node)] = terms
-        elif isinstance(node, ast.For):
-            uniform_bounds &= (
-                uniform(node.start) and uniform(node.bound) and uniform(node.step)
-            )
-        elif isinstance(node, ast.While):
-            uniform_bounds &= uniform(node.cond)
-        elif isinstance(node, ast.VarDecl) and node.is_shared:
-            uses_shared = True
-            tiles.add(node.name)
-            uniform_bounds &= all(uniform(d) for d in node.array_dims)
-
-    reads: set = set()
-
-    def expr_reads(expr: ast.Expr) -> None:
-        for node in expr.walk():
-            if isinstance(node, ast.Index) and node.array_name in pointer_params:
-                reads.add(node.array_name)
-
-    def visit(stmt: ast.Stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            target = stmt.target
-            if isinstance(target, ast.Index):
-                if target.array_name in pointer_params and stmt.op != "=":
-                    reads.add(target.array_name)
-                for e in target.indices:
-                    expr_reads(e)
-            expr_reads(stmt.value)
-        elif isinstance(stmt, ast.VarDecl):
-            for d in stmt.array_dims:
-                expr_reads(d)
-            if stmt.init is not None:
-                expr_reads(stmt.init)
-        elif isinstance(stmt, ast.If):
-            expr_reads(stmt.cond)
-            visit(stmt.then)
-            if stmt.els is not None:
-                visit(stmt.els)
-        elif isinstance(stmt, ast.For):
-            expr_reads(stmt.start)
-            expr_reads(stmt.bound)
-            expr_reads(stmt.step)
-            visit(stmt.body)
-        elif isinstance(stmt, ast.While):
-            expr_reads(stmt.cond)
-            visit(stmt.body)
-        elif isinstance(stmt, ast.ExprStmt):
-            expr_reads(stmt.expr)
-        elif isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                visit(s)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                expr_reads(stmt.value)
-
-    visit(kernel.body)
-    params = set(kernel.param_names())
-    return _KernelFacts(
-        uses_shared,
-        bool(uniform_bounds),
-        frozenset(reads),
-        frozenset(stored & pointer_params),
-        frozenset(params if stored - params - tiles else stored & params),
-        subscripts,
-        {id(lift.loop): lift for lift in parallel_loops(kernel)},
-    )
-
-
 class _BlockHazard(Exception):
     """Two blocks touched one element of a written global array."""
 
@@ -624,7 +488,7 @@ class _KernelExec:
         self._statements = {"lifted": 0, "sequential": 0}
         #: a lifted pass was abandoned and the launch re-run sequentially
         self.lift_replayed = False
-        self._facts = _kernel_facts(kernel)
+        self._summary = collect_accesses(kernel)
         #: what ran (or is running) the launch, for :class:`LaunchRecord`
         self.executor = "loop"
         self.hazard_replay: Optional[str] = None
@@ -668,8 +532,8 @@ class _KernelExec:
             )
 
     def _dispatch(self, mode: str) -> None:
-        facts = self._facts
-        if not facts.uses_shared:
+        summary = self._summary
+        if not summary.uses_shared:
             self._setup_vectorized()
             self._run_lattice("vectorized")
         elif self.detect_races or mode == "loop":
@@ -681,8 +545,8 @@ class _KernelExec:
             self.order_sensitive = self.grid.count > 1
             self._setup_batched()
             self._run_lattice("batched")
-        elif facts.uniform_bounds:
-            self._run_watched(facts)
+        elif summary.uniform_bounds:
+            self._run_watched()
         else:
             self._run_per_block()
 
@@ -698,7 +562,7 @@ class _KernelExec:
         """
         self.executor = lattice
         self._slicing = not self.detect_races and self.block_exec != "loop"
-        self._lifting = self._slicing and bool(self._facts.lifts)
+        self._lifting = self._slicing and bool(self._summary.lifts)
         # scalar True: all threads active
         mask = np.ones((), dtype=bool)
         if self._lifting:
@@ -718,7 +582,7 @@ class _KernelExec:
             self._lifting = False
         self._exec_block(self.kernel.body, mask)
 
-    def _run_watched(self, facts: _KernelFacts) -> None:
+    def _run_watched(self) -> None:
         """Batched execution that proves itself equal to the block loop.
 
         Blocks interact only through global memory.  Every global array
@@ -748,7 +612,8 @@ class _KernelExec:
         except _BlockHazard as hazard:
             self.hazard_replay = f"{hazard.array}:{hazard.kind}"
         except InterpreterError as exc:
-            if not any(id(entry.env.get(name)) in watched for name in facts.reads):
+            reads = self._summary.reads
+            if not any(id(entry.env.get(name)) in watched for name in reads):
                 raise
             self.hazard_replay = f"{getattr(exc, 'array', None) or '?'}:ERR"
         finally:
@@ -762,7 +627,7 @@ class _KernelExec:
         global array the kernel writes (one copy per distinct array)."""
         written = {
             id(arr): arr
-            for name in self._facts.writes
+            for name in self._summary.writes
             if isinstance(arr := self.env.get(name), np.ndarray)
         }
         return _Entry(
@@ -1166,7 +1031,7 @@ class _KernelExec:
         every axis the hull spans addressed (else several lanes share an
         element); a load covers every in-range lane.
         """
-        terms = self._facts.subscripts.get(id(node))
+        terms = self._summary.subscripts.get(id(node))
         if terms is None or (self._watch is not None and id(arr) in self._watch):
             return None
         hull = self._mask_facts(mask).hull
@@ -1530,7 +1395,7 @@ class _KernelExec:
             raise InterpreterError("loop step must be positive")
         end = bound + 1 if stmt.cmp == "<=" else bound
         self._affine.pop(stmt.var, None)
-        lift = self._facts.lifts.get(id(stmt)) if self._lifting else None
+        lift = self._summary.lifts.get(id(stmt)) if self._lifting else None
         if (
             lift is not None
             and self._lift is None
@@ -2011,7 +1876,7 @@ def _fill(array: np.ndarray, event: _Fill) -> None:
 
 def _written_slots(event: _Launch) -> List[int]:
     """The allocations ``event``'s kernel may store to (a superset)."""
-    writes = _kernel_facts(event.kernel).may_write
+    writes = collect_accesses(event.kernel).may_write
     return [
         arg.slot
         for param, arg in zip(event.kernel.params, event.args)

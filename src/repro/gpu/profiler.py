@@ -45,25 +45,24 @@ def declared_shared_bytes(kernel: ast.KernelDef) -> int:
     the condition surfaces in the run's metrics.
     """
     total = 0
-    for node in kernel.body.walk():
-        if isinstance(node, ast.VarDecl) and node.is_shared:
-            elems = 1
-            for dim in node.array_dims:
-                if isinstance(dim, ast.IntLit):
-                    elems *= dim.value
-                else:
-                    logger.warning(
-                        "kernel %s: shared array %s has non-constant dim; "
-                        "counting it as 1 element (footprint undercounted)",
-                        kernel.name,
-                        node.name,
-                    )
-                    get_registry().inc(
-                        "metadata_warnings_total",
-                        kind="nonconstant_shared_dim",
-                        kernel=kernel.name,
-                    )
-            total += elems * node.type.itemsize
+    for decl in collect_accesses(kernel).shared_decls:
+        elems = 1
+        for dim in decl.array_dims:
+            if isinstance(dim, ast.IntLit):
+                elems *= dim.value
+            else:
+                logger.warning(
+                    "kernel %s: shared array %s has non-constant dim; "
+                    "counting it as 1 element (footprint undercounted)",
+                    kernel.name,
+                    decl.name,
+                )
+                get_registry().inc(
+                    "metadata_warnings_total",
+                    kind="nonconstant_shared_dim",
+                    kernel=kernel.name,
+                )
+        total += elems * decl.type.itemsize
     return total
 
 

@@ -74,26 +74,18 @@ def invocation_table(
 ) -> List[InvocationIO]:
     """Resolve each recorded launch's formal params to host array names."""
     table: List[InvocationIO] = []
-    access_cache: Dict[str, Tuple[Set[str], Set[str], List[str]]] = {}
     for index, entry in enumerate(metadata.launch_order):
         kernel_name, args, grid, block = entry[0], entry[1], entry[2], entry[3]
-        if kernel_name not in access_cache:
-            kernel = program.kernel(kernel_name)
-            acc = collect_accesses(kernel)
-            pointer_names = [p.name for p in kernel.pointer_params()]
-            access_cache[kernel_name] = (
-                acc.arrays_read,
-                acc.arrays_written,
-                pointer_names,
-            )
-        formal_reads, formal_writes, pointer_names = access_cache[kernel_name]
-        if len(pointer_names) != len(args):
+        kernel = program.kernel(kernel_name)
+        acc = collect_accesses(kernel)
+        pointers = kernel.pointer_params()
+        if len(pointers) != len(args):
             raise GraphError(
                 f"invocation {kernel_name}@{index}: arg count mismatch"
             )
-        binding = dict(zip(pointer_names, args))
-        reads = tuple(sorted({binding[f] for f in formal_reads if f in binding}))
-        writes = tuple(sorted({binding[f] for f in formal_writes if f in binding}))
+        binding = {p.name: arg for p, arg in zip(pointers, args)}
+        reads = tuple(sorted({binding[f] for f in acc.arrays_read if f in binding}))
+        writes = tuple(sorted({binding[f] for f in acc.arrays_written if f in binding}))
         table.append(
             InvocationIO(
                 node=invocation_id(kernel_name, index),

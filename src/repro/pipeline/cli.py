@@ -55,7 +55,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--mode",
         default=None,
         choices=("automated", "guided", "manual"),
-        help="transformation mode (guided/manual enable high-quality codegen)",
+        help=(
+            "transformation mode (manual enables the higher-quality codegen; "
+            "guided runs as automated)"
+        ),
     )
     parser.add_argument(
         "--until", default=None, choices=STAGES, help="stop after this stage"
@@ -64,7 +67,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--workdir", default=None, help="directory for stage artifacts"
     )
     parser.add_argument(
-        "--ga-params", default=None, help="GA parameter file (see GAParams)"
+        "--ga-params",
+        default=None,
+        help="GA parameter file (see GAParams), seed included: not with --seed",
     )
     parser.add_argument(
         "--surrogate-topk",
@@ -195,6 +200,13 @@ def _build_config(args) -> TransformConfig:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.ga_params:
+        # the file is the whole GA parameter set, seed included: beside
+        # it, --seed would be silently replaced by the file's seed
+        if args.seed is not None:
+            raise ConfigError(
+                "--seed and --ga-params both set the GA seed; put "
+                "'seed = N' in the parameter file instead"
+            )
         overrides["ga_params"] = GAParams.read(args.ga_params)
     if args.surrogate_topk is not None:
         overrides["surrogate_topk"] = args.surrogate_topk

@@ -82,7 +82,8 @@ class PipelineConfig:
 
     device: DeviceSpec = K20X
     #: 'automated' (default), 'guided' or 'manual' — §6.2.2 terminology;
-    #: guided/manual enable the higher-quality codegen strategies.
+    #: 'manual' enables the higher-quality codegen strategies
+    #: (:meth:`fusion_options`), 'guided' runs as 'automated'.
     mode: str = "automated"
     ga_params: Optional[GAParams] = None
     boundary_fraction: float = 0.30

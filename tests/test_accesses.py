@@ -1,5 +1,7 @@
 """Array-access analysis tests."""
 
+import pytest
+
 from repro.analysis.accesses import (
     IRREGULAR,
     collect_accesses,
@@ -9,7 +11,11 @@ from repro.analysis.accesses import (
     max_loop_depth,
     shared_arrays_between,
 )
+from repro.analysis.metadata import ProgramMetadata
+from repro.cudalite import parse_program
 from repro.cudalite.parser import parse_expr, parse_kernel
+from repro.gpu.device import K20X
+from repro.graphs import invocation_table
 
 
 DIFFUSE = """
@@ -170,3 +176,27 @@ def test_shared_arrays_between():
         " int i = threadIdx.x; Y[i] = S[i]; }"
     )
     assert shared_arrays_between(collect_accesses(k1), collect_accesses(k2)) == {"S"}
+
+
+#: a pointer read in each construct the summary once skipped
+WALK_COVERAGE = {
+    "for-step": "for (int t = 0; t < n; t += S[0]) { A[i] = 1.0; }",
+    "expression-statement": "fabs(S[i]); A[i] = 1.0;",
+    "return-value": "A[i] = 1.0; return S[i];",
+}
+
+
+@pytest.mark.parametrize("body", WALK_COVERAGE.values(), ids=list(WALK_COVERAGE))
+def test_every_pointer_read_reaches_the_summary_and_the_ddg(body):
+    program = parse_program(
+        "__global__ void k(double *A, const double *S, int n) {"
+        f" int i = threadIdx.x; {body} }}"
+    )
+    assert "S" in collect_accesses(program.kernel("k")).arrays_read
+    meta = ProgramMetadata(
+        device=K20X,
+        launch_order=[("k", ("hA", "hS"), (1, 1, 1), (32, 1, 1), (32,))],
+    )
+    (launch,) = invocation_table(program, meta)
+    assert launch.reads == ("hS",)
+    assert launch.writes == ("hA",)

@@ -348,6 +348,20 @@ def test_cli_flag_overrides_config_file(tmp_path, capsys):
     assert run["config"]["until"] == "targets"
 
 
+def test_cli_seed_beside_ga_params_file_is_a_config_error(tmp_path, capsys):
+    """A seedless parameter file used to run seed 12345 whatever --seed
+    said; the pair is refused rather than one seed silently dropped."""
+    source = tmp_path / "prog.cu"
+    source.write_text(THREE_KERNEL_SRC)
+    ga = tmp_path / "ga.txt"
+    ga.write_text("population = 6\ngenerations = 2\n")
+    rc = cli_main([str(source), "--seed", "10", "--ga-params", str(ga)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "ConfigError" in captured.err and "--seed" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_bad_config_file(tmp_path, capsys):
     source = tmp_path / "prog.cu"
     source.write_text(THREE_KERNEL_SRC)

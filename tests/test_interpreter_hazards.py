@@ -11,6 +11,7 @@ counters, and the launch record says which executor ran and why.
 import numpy as np
 import pytest
 
+from repro.analysis import accesses
 from repro.cudalite import ast_nodes as ast
 from repro.cudalite import parse_program, unparse
 from repro.cudalite.unparser import unparse_expr
@@ -344,18 +345,26 @@ def test_replays_are_visible_in_stats_metrics_and_fallback_reasons():
 
 def test_kernel_text_is_analysed_once_per_kernel(monkeypatch):
     calls = []
-    real = interpreter._analyse_kernel
+    real = accesses._summarize
     monkeypatch.setattr(
-        interpreter, "_analyse_kernel", lambda k: calls.append(k.name) or real(k)
+        accesses, "_summarize", lambda k: calls.append(k.name) or real(k)
+    )
+    read = []
+    dispatch = interpreter._KernelExec._dispatch
+    monkeypatch.setattr(
+        interpreter._KernelExec,
+        "_dispatch",
+        lambda self, mode: read.append(self._summary) or dispatch(self, mode),
     )
     source, _ = CASES["aliased"]
     parsed = parse_program(source)
     for order in ORDERS:
         run_program(parsed, block_order=order, block_exec="auto")
+    summary = accesses.collect_accesses(parsed.kernel("k"))
     assert calls == ["k"]  # four launches of one KernelDef
-    facts = interpreter._kernel_facts(parsed.kernel("k"))
-    assert facts.uses_shared and facts.uniform_bounds
-    assert (facts.reads, facts.writes) == ({"B"}, {"A"})
+    assert len(read) == 4 and all(r is summary for r in read)
+    assert summary.uses_shared and summary.uniform_bounds
+    assert (summary.reads, summary.writes) == ({"B"}, {"A"})
 
 
 # ------------------------------------------------------------------ staging
