@@ -27,7 +27,7 @@ def main() -> None:
     # --- Algorithm 2: dependency graph and separable components ------------
     graph = array_dependency_graph(stress)
     print(f"array-dependency graph of {stress.name!r}: "
-          f"{graph.number_of_nodes()} arrays, {graph.number_of_edges()} edges")
+          f"{len(graph)} arrays, {sum(map(len, graph.values())) // 2} edges")
     components = separable_components(stress)
     print(f"separable components ({len(components)}):")
     for component in components:

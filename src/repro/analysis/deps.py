@@ -19,11 +19,8 @@ without aliasing.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from ..cudalite import ast_nodes as ast
 from .accesses import KernelAccesses, StatementAccess, collect_accesses
@@ -56,17 +53,16 @@ def _scalar_sources(statements: Sequence[StatementAccess]) -> Dict[str, Set[str]
 
 def array_dependency_graph(
     kernel: ast.KernelDef, accesses: KernelAccesses = None
-) -> nx.Graph:
+) -> Dict[str, Set[str]]:
     """Build the undirected dependency graph over the kernel's device arrays.
 
-    Nodes are the kernel's pointer-parameter arrays; an edge means the two
-    arrays are *not* separable.  Connected components of this graph are the
+    An adjacency dict: every pointer-parameter array maps to the arrays it
+    is *not* separable from.  Connected components of this graph are the
     fission fragments of Algorithm 2.
     """
     acc = accesses if accesses is not None else collect_accesses(kernel)
-    graph = nx.Graph()
     pointer_params = [p.name for p in kernel.pointer_params()]
-    graph.add_nodes_from(pointer_params)
+    graph: Dict[str, Set[str]] = {name: set() for name in pointer_params}
     scalar_sources = _scalar_sources(acc.statements)
 
     for stmt in acc.statements:
@@ -77,24 +73,28 @@ def array_dependency_graph(
         touched &= set(pointer_params)
         written = set(stmt.arrays_written) & set(pointer_params)
         # every influencing array is inseparable from every written array
+        # (two arrays written by one statement are inseparable too)
         for w in written:
-            for other in touched:
-                if other != w:
-                    graph.add_edge(w, other)
-        # two arrays written by one statement are inseparable
-        written_list = sorted(written)
-        for i, a in enumerate(written_list):
-            for b in written_list[i + 1 :]:
-                graph.add_edge(a, b)
+            for other in touched - {w}:
+                graph[w].add(other)
+                graph[other].add(w)
     return graph
+
+
+def _component(graph: Dict[str, Set[str]], root: str) -> Set[str]:
+    component = {root}
+    todo = [root]
+    while todo:
+        fresh = graph[todo.pop()] - component
+        component |= fresh
+        todo.extend(fresh)
+    return component
 
 
 def dependency_exists(kernel: ast.KernelDef, a: str, b: str) -> bool:
     """The paper's ``dependencyExists(D_i, D_j)`` predicate."""
     graph = array_dependency_graph(kernel)
-    if a not in graph or b not in graph:
-        return False
-    return nx.has_path(graph, a, b)
+    return a in graph and b in _component(graph, a)
 
 
 def separable_components(
@@ -102,8 +102,8 @@ def separable_components(
 ) -> List[FrozenSet[str]]:
     """Enumerate the disconnected subgraphs of the array-dependency graph.
 
-    Follows Algorithm 2's structure: pick a node, BFS to collect its
-    component, remove, repeat.  A deterministic order (sorted nodes walked
+    Follows Algorithm 2's structure: pick a node, collect its component,
+    remove, repeat.  A deterministic order (sorted nodes walked
     with a seeded start offset) replaces the paper's random choice so runs
     are reproducible.
 
@@ -111,7 +111,7 @@ def separable_components(
     kernel has no separable arrays (not fissionable).
     """
     graph = array_dependency_graph(kernel, accesses)
-    remaining = sorted(graph.nodes)
+    remaining = sorted(graph)
     if not remaining:
         return []
     components: List[FrozenSet[str]] = []
@@ -119,19 +119,10 @@ def separable_components(
     order = remaining[offset:] + remaining[:offset]
     visited: Set[str] = set()
     for root in order:
-        if root in visited:
-            continue
-        queue = deque([root])
-        component: Set[str] = {root}
-        visited.add(root)
-        while queue:
-            node = queue.popleft()
-            for neighbor in graph.neighbors(node):
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    component.add(neighbor)
-                    queue.append(neighbor)
-        components.append(frozenset(component))
+        if root not in visited:
+            component = _component(graph, root)
+            visited |= component
+            components.append(frozenset(component))
     return components
 
 

@@ -27,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..analysis.accesses import collect_accesses
 from ..analysis.metadata import ProgramMetadata
 from ..cudalite import ast_nodes as ast
 from ..errors import GraphError
+from .digraph import DiGraph, is_directed_acyclic_graph
 
 KERNEL = "kernel"
 ARRAY = "array"
@@ -100,37 +99,37 @@ def invocation_table(
     return table
 
 
-def build_naive_ddg(invocations: List[InvocationIO]) -> nx.DiGraph:
+def build_naive_ddg(invocations: List[InvocationIO]) -> DiGraph:
     """Algorithm 1 verbatim: one node per array, may contain cycles."""
-    ddg = nx.DiGraph(kind="ddg", form="naive")
+    ddg = DiGraph(kind="ddg", form="naive")
     for inv in invocations:
         ddg.add_node(inv.node, kind=KERNEL, kernel=inv.kernel, index=inv.index)
         for array in inv.reads:
             node = array_id(array, 0)
-            if node not in ddg:
+            if node not in ddg.nodes:
                 ddg.add_node(node, kind=ARRAY, base=array, version=0)
             ddg.add_edge(node, inv.node)
         for array in inv.writes:
             node = array_id(array, 0)
-            if node not in ddg:
+            if node not in ddg.nodes:
                 ddg.add_node(node, kind=ARRAY, base=array, version=0)
             ddg.add_edge(inv.node, node)
     return ddg
 
 
-def build_versioned_ddg(invocations: List[InvocationIO]) -> nx.DiGraph:
+def build_versioned_ddg(invocations: List[InvocationIO]) -> DiGraph:
     """DDG with redundant array instances (the optimized form).
 
     Every write creates a fresh instance node of the array; reads consume
     the latest instance.  The result is acyclic by construction.
     """
-    ddg = nx.DiGraph(kind="ddg", form="versioned")
+    ddg = DiGraph(kind="ddg", form="versioned")
     version: Dict[str, int] = {}
 
     def current(array: str) -> str:
         v = version.setdefault(array, 0)
         node = array_id(array, v)
-        if node not in ddg:
+        if node not in ddg.nodes:
             ddg.add_node(node, kind=ARRAY, base=array, version=v)
         return node
 
@@ -178,10 +177,10 @@ class DDGOptimizationReport:
 
 def optimize_ddg(
     invocations: List[InvocationIO],
-) -> Tuple[nx.DiGraph, DDGOptimizationReport]:
+) -> Tuple[DiGraph, DDGOptimizationReport]:
     """Build the optimized DDG and report the applied changes."""
     naive = build_naive_ddg(invocations)
-    had_cycles = not nx.is_directed_acyclic_graph(naive)
+    had_cycles = not is_directed_acyclic_graph(naive)
     ddg = build_versioned_ddg(invocations)
     instance_counts: Dict[str, int] = {}
     for node, data in ddg.nodes(data=True):
@@ -189,7 +188,7 @@ def optimize_ddg(
             base = data["base"]
             instance_counts[base] = instance_counts.get(base, 0) + 1
     dropped: List[Tuple[str, str]] = []
-    if not nx.is_directed_acyclic_graph(ddg):  # pragma: no cover - safety net
+    if not is_directed_acyclic_graph(ddg):  # pragma: no cover - safety net
         # invocation-order heuristic: drop edges pointing backwards in time
         for u, v in list(ddg.edges):
             if ddg.nodes[u]["kind"] == KERNEL and ddg.nodes[v]["kind"] == ARRAY:
@@ -199,7 +198,7 @@ def optimize_ddg(
             if ddg_order_u is not None and ddg_order_v is not None and ddg_order_u > ddg_order_v:
                 ddg.remove_edge(u, v)
                 dropped.append((u, v))
-        if not nx.is_directed_acyclic_graph(ddg):
+        if not is_directed_acyclic_graph(ddg):
             raise GraphError("DDG still cyclic after optimization")
     report = DDGOptimizationReport(
         instances_added=instance_counts,
@@ -209,22 +208,22 @@ def optimize_ddg(
     return ddg, report
 
 
-def _order_of(ddg: nx.DiGraph, node: str) -> Optional[int]:
+def _order_of(ddg: DiGraph, node: str) -> Optional[int]:
     data = ddg.nodes[node]
     return data.get("index")
 
 
-def kernel_nodes(ddg: nx.DiGraph) -> List[str]:
+def kernel_nodes(ddg: DiGraph) -> List[str]:
     """Invocation nodes in launch order."""
     nodes = [n for n, d in ddg.nodes(data=True) if d["kind"] == KERNEL]
     return sorted(nodes, key=lambda n: ddg.nodes[n]["index"])
 
 
-def array_nodes(ddg: nx.DiGraph) -> List[str]:
+def array_nodes(ddg: DiGraph) -> List[str]:
     return sorted(n for n, d in ddg.nodes(data=True) if d["kind"] == ARRAY)
 
 
-def arrays_of_invocation(ddg: nx.DiGraph, node: str) -> Tuple[Set[str], Set[str]]:
+def arrays_of_invocation(ddg: DiGraph, node: str) -> Tuple[Set[str], Set[str]]:
     """(reads, writes) of an invocation node, as base array names."""
     reads = {
         ddg.nodes[p]["base"] for p in ddg.predecessors(node)
@@ -237,12 +236,12 @@ def arrays_of_invocation(ddg: nx.DiGraph, node: str) -> Tuple[Set[str], Set[str]
     return reads, writes
 
 
-def validate_ddg(ddg: nx.DiGraph) -> None:
+def validate_ddg(ddg: DiGraph) -> None:
     """Invariants: bipartite kernel/array structure and acyclicity."""
     for u, v in ddg.edges:
         ku = ddg.nodes[u]["kind"]
         kv = ddg.nodes[v]["kind"]
         if ku == kv:
             raise GraphError(f"DDG edge {u}->{v} joins two {ku} nodes")
-    if not nx.is_directed_acyclic_graph(ddg):
+    if not is_directed_acyclic_graph(ddg):
         raise GraphError("DDG contains a cycle")

@@ -12,10 +12,9 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..errors import GraphError
 from .ddg import ARRAY, KERNEL
+from .digraph import DiGraph
 
 _NODE_RE = re.compile(r'^\s*"(?P<id>[^"]+)"\s*(\[(?P<attrs>[^\]]*)\])?\s*;\s*$')
 _EDGE_RE = re.compile(
@@ -31,7 +30,7 @@ def _fmt_attrs(attrs: Dict[str, object]) -> str:
     return f" [{rendered}]"
 
 
-def graph_to_dot(graph: nx.DiGraph, name: str = "G") -> str:
+def graph_to_dot(graph: DiGraph, name: str = "G") -> str:
     """Render a DDG or OEG to DOT text.
 
     Kernel-invocation nodes are boxes; array-instance nodes are ellipses.
@@ -78,9 +77,9 @@ def _parse_attrs(text: Optional[str]) -> Dict[str, str]:
     }
 
 
-def dot_to_graph(text: str) -> nx.DiGraph:
+def dot_to_graph(text: str) -> DiGraph:
     """Parse DOT text produced by :func:`graph_to_dot` (tolerant to edits)."""
-    graph = nx.DiGraph()
+    graph = DiGraph()
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith(("digraph", "}", "//", "#")):
@@ -137,14 +136,14 @@ def dot_to_graph(text: str) -> nx.DiGraph:
     return graph
 
 
-def write_dot(graph: nx.DiGraph, path) -> None:
+def write_dot(graph: DiGraph, path) -> None:
     """Write a graph to a DOT file."""
     from pathlib import Path
 
     Path(path).write_text(graph_to_dot(graph))
 
 
-def read_dot(path) -> nx.DiGraph:
+def read_dot(path) -> DiGraph:
     """Read a (possibly programmer-amended) DOT file back into a graph."""
     from pathlib import Path
 

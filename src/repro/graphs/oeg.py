@@ -20,15 +20,17 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..errors import GraphError
 from .ddg import ARRAY, KERNEL, kernel_nodes, split_array
+from .digraph import (
+    DiGraph, is_directed_acyclic_graph, lexicographical_topological_sort,
+    topological_sort, transitive_reduction,
+)
 
 
-def build_oeg(ddg: nx.DiGraph, reduce: bool = True) -> nx.DiGraph:
+def build_oeg(ddg: DiGraph, reduce: bool = True) -> DiGraph:
     """Derive the OEG from a versioned DDG."""
-    oeg = nx.DiGraph(kind="oeg")
+    oeg = DiGraph(kind="oeg")
     for node in kernel_nodes(ddg):
         data = ddg.nodes[node]
         oeg.add_node(
@@ -80,38 +82,27 @@ def build_oeg(ddg: nx.DiGraph, reduce: bool = True) -> nx.DiGraph:
                 if writer is not None and writer != next_writer:
                     oeg.add_edge(writer, next_writer, dep="WAW", array=base)
 
-    if not nx.is_directed_acyclic_graph(oeg):
+    if not is_directed_acyclic_graph(oeg):
         raise GraphError("OEG construction produced a cycle")
-    if reduce:
-        reduced = nx.transitive_reduction(oeg)
-        # transitive_reduction drops attributes; copy them back
-        reduced.graph.update(oeg.graph)
-        for node in reduced.nodes:
-            reduced.nodes[node].update(oeg.nodes[node])
-        for u, v in reduced.edges:
-            reduced.edges[u, v].update(oeg.edges[u, v])
-        oeg = reduced
-    return oeg
+    return transitive_reduction(oeg) if reduce else oeg
 
 
-def validate_oeg(oeg: nx.DiGraph) -> None:
-    if not nx.is_directed_acyclic_graph(oeg):
+def validate_oeg(oeg: DiGraph) -> None:
+    if not is_directed_acyclic_graph(oeg):
         raise GraphError("OEG contains a cycle")
 
 
-def topological_order(oeg: nx.DiGraph) -> List[str]:
+def topological_order(oeg: DiGraph) -> List[str]:
     """A topological order that ties-breaks by original launch index."""
-    return list(
-        nx.lexicographical_topological_sort(
-            oeg, key=lambda n: oeg.nodes[n].get("index", 0)
-        )
+    return lexicographical_topological_sort(
+        oeg, key=lambda n: oeg.nodes[n].get("index", 0)
     )
 
 
-def reachability(oeg: nx.DiGraph) -> Dict[str, Set[str]]:
+def reachability(oeg: DiGraph) -> Dict[str, Set[str]]:
     """Transitive successors of every node (cached by callers)."""
     closure: Dict[str, Set[str]] = {}
-    for node in reversed(list(nx.topological_sort(oeg))):
+    for node in reversed(topological_sort(oeg)):
         reach: Set[str] = set()
         for succ in oeg.successors(node):
             reach.add(succ)
@@ -122,7 +113,7 @@ def reachability(oeg: nx.DiGraph) -> Dict[str, Set[str]]:
 
 def is_convex(
     group: Iterable[str],
-    oeg: nx.DiGraph,
+    oeg: DiGraph,
     reach: Optional[Dict[str, Set[str]]] = None,
 ) -> bool:
     """True if ``group`` can be fused without violating the OEG.
@@ -145,7 +136,7 @@ def is_convex(
 
 
 def group_schedule(
-    groups: Sequence[FrozenSet[str]], oeg: nx.DiGraph
+    groups: Sequence[FrozenSet[str]], oeg: DiGraph
 ) -> List[FrozenSet[str]]:
     """Order fused groups topologically (the new host invocation order).
 
@@ -159,7 +150,7 @@ def group_schedule(
             if node in owner:
                 raise GraphError(f"node {node} appears in two groups")
             owner[node] = gid
-    condensed = nx.DiGraph()
+    condensed = DiGraph()
     condensed.add_nodes_from(range(len(groups)))
     for u, v in oeg.edges:
         gu, gv = owner.get(u), owner.get(v)
@@ -167,19 +158,19 @@ def group_schedule(
             raise GraphError("grouping does not cover all OEG nodes")
         if gu != gv:
             condensed.add_edge(gu, gv)
-    if not nx.is_directed_acyclic_graph(condensed):
+    if not is_directed_acyclic_graph(condensed):
         raise GraphError("grouping violates OEG precedence (non-convex group)")
     min_index = [
         min(oeg.nodes[n]["index"] for n in group) if group else 0 for group in groups
     ]
-    order = nx.lexicographical_topological_sort(
+    order = lexicographical_topological_sort(
         condensed, key=lambda g: min_index[g]
     )
     return [groups[g] for g in order]
 
 
 def internal_precedence(
-    group: Iterable[str], oeg: nx.DiGraph
+    group: Iterable[str], oeg: DiGraph
 ) -> List[Tuple[str, str, str]]:
     """Precedence edges *inside* a group: (producer, consumer, array).
 

@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import ReproError, TransformError, VerificationError
@@ -38,6 +36,9 @@ from ..gpu.perfmodel import (
     ProgramProjection,
     estimate_registers,
     project_kernel,
+)
+from ..graphs.digraph import (
+    DiGraph, is_directed_acyclic_graph, lexicographical_topological_sort,
 )
 from ..analysis.volume import estimate_volume
 from ..observability.metrics import get_registry
@@ -124,19 +125,19 @@ def _schedule_groups(
     for gid, group in enumerate(groups):
         for node in group:
             owner[node] = gid
-    condensed = nx.DiGraph()
+    condensed = DiGraph()
     condensed.add_nodes_from(range(len(groups)))
     for u, v in oeg.edges:
         gu, gv = owner[u], owner[v]
         if gu != gv:
             condensed.add_edge(gu, gv)
-    if not nx.is_directed_acyclic_graph(condensed):
+    if not is_directed_acyclic_graph(condensed):
         raise TransformError("chosen grouping violates precedence")
     min_order = [
         min((problem.info(n).order for n in group), default=0.0)
         for group in groups
     ]
-    order = nx.lexicographical_topological_sort(
+    order = lexicographical_topological_sort(
         condensed, key=lambda g: min_order[g]
     )
     return [groups[g] for g in order]

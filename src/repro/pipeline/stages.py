@@ -22,7 +22,6 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-import networkx as nx
 
 from ..analysis.filtering import TargetReport, identify_targets, tag_eligibility
 from ..analysis.metadata import ProgramMetadata
@@ -41,6 +40,7 @@ from ..graphs import (
     validate_ddg,
     validate_oeg,
 )
+from ..graphs.digraph import DiGraph
 from ..observability.metrics import get_registry
 from ..observability.model_validation import validate_model
 from ..observability.runtime import telemetry_enabled
@@ -139,8 +139,8 @@ class PipelineState:
     config: PipelineConfig
     metadata: Optional[ProgramMetadata] = None
     targets: Optional[TargetReport] = None
-    ddg: Optional[nx.DiGraph] = None
-    oeg: Optional[nx.DiGraph] = None
+    ddg: Optional[DiGraph] = None
+    oeg: Optional[DiGraph] = None
     built: Optional[BuiltProblem] = None
     search: Optional[SearchResult] = None
     transform: Optional[TransformResult] = None

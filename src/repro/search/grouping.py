@@ -29,9 +29,9 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
-
 from ..errors import SearchError
+from ..graphs.digraph import DiGraph, strongly_connected_components
+from ..graphs.oeg import reachability
 
 #: Nominal block shape used for shared-memory estimates during the search.
 NOMINAL_BLOCK = (32, 8)
@@ -109,7 +109,7 @@ class FusionProblem:
             n.node for n in nodes if n.eligible and n.fusable
         )
         self._split_views: Dict[FrozenSet[str], SplitView] = {}
-        self._oeg_cache: Dict[FrozenSet[str], Tuple[nx.DiGraph, Dict[str, Set[str]]]] = {}
+        self._oeg_cache: Dict[FrozenSet[str], Tuple[DiGraph, Dict[str, Set[str]]]] = {}
         self._fingerprint: Optional[str] = None
 
     def fingerprint(self) -> str:
@@ -168,7 +168,7 @@ class FusionProblem:
 
     # ------------------------------------------------------- precedence (OEG)
 
-    def node_oeg(self, active: Iterable[str]) -> Tuple[nx.DiGraph, Dict[str, Set[str]]]:
+    def node_oeg(self, active: Iterable[str]) -> Tuple[DiGraph, Dict[str, Set[str]]]:
         """Build the OEG over an *active node set* and its reachability.
 
         Derives RAW/WAR/WAW precedence from the nodes' read/write sets in
@@ -180,7 +180,7 @@ class FusionProblem:
         if cached is not None:
             return cached
         ordered = sorted(key, key=lambda n: self.infos[n].order)
-        oeg = nx.DiGraph()
+        oeg = DiGraph()
         oeg.add_nodes_from(ordered)
         last_writers: Dict[str, str] = {}
         readers_since: Dict[str, List[str]] = {}
@@ -205,13 +205,7 @@ class FusionProblem:
         for u, v in self.extra_precedence:
             if u in key and v in key:
                 oeg.add_edge(u, v, dep="USER", array="")
-        reach: Dict[str, Set[str]] = {}
-        for node in reversed(list(nx.topological_sort(oeg))):
-            acc: Set[str] = set()
-            for succ in oeg.successors(node):
-                acc.add(succ)
-                acc |= reach[succ]
-            reach[node] = acc
+        reach = reachability(oeg)
         self._oeg_cache[key] = (oeg, reach)
         if len(self._oeg_cache) > 64:
             self._oeg_cache.pop(next(iter(self._oeg_cache)))
@@ -669,7 +663,7 @@ def cyclic_groups(
     for gid, group in enumerate(groups):
         for node in group:
             owner[node] = gid
-    condensed = nx.DiGraph()
+    condensed = DiGraph()
     condensed.add_nodes_from(range(len(groups)))
     for u, v in oeg.edges:
         gu, gv = owner.get(u), owner.get(v)
@@ -677,7 +671,7 @@ def cyclic_groups(
             continue
         condensed.add_edge(gu, gv)
     cyclic: Set[FrozenSet[str]] = set()
-    for scc in nx.strongly_connected_components(condensed):
+    for scc in strongly_connected_components(condensed):
         if len(scc) > 1:
             cyclic.update(groups[gid] for gid in scc)
     return cyclic

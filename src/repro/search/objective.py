@@ -212,7 +212,7 @@ class CompiledFitness:
 
     The GGA evaluates the same *parts* — splits, groups — in endless new
     combinations; the reference path rebuilds per-part state (OEG edge
-    lists, networkx condensations, feasibility set walks, projection
+    lists, group condensations, feasibility set walks, projection
     sums) for every individual.  This evaluator reads the problem's
     integer view (:attr:`FusionProblem.bit`, one bit per node in launch
     order) and memoizes at part granularity:

@@ -11,13 +11,12 @@ mid-job — killed, crashed, out of memory — is what the retries absorb.
 
 Worker environment hygiene
 --------------------------
-Workers are spawned with every ``REPRO_*`` variable stripped and only
-the pool's explicit ``worker_env`` re-added.  The server ships each job
-a *fully resolved* config, so ambient server environment must never
-leak into request semantics — a stray ``REPRO_STORE`` in the server's
-shell must not redirect a tenant's artifacts (nor break response
-bit-identity across a pool whose workers were spawned under different
-shells).  Inside the worker the config travels as arguments from
+Workers are spawned with every ``REPRO_*`` variable stripped.  The
+server ships each job a *fully resolved* config, so ambient server
+environment must never leak into request semantics — a stray
+``REPRO_STORE`` in the server's shell must not redirect a tenant's
+artifacts (nor break response bit-identity across a pool whose workers
+were spawned under different shells).  Inside the worker the config travels as arguments from
 ``transform()`` down to the interpreter, the gate and the search; a
 ``surrogate_topk`` that is ``None`` on the wire defers to the request's
 GA parameter set.
@@ -49,14 +48,11 @@ READY_TIMEOUT_S = 120.0
 SHUTDOWN_GRACE_S = 10.0
 
 
-def worker_environment(
-    overrides: Optional[Dict[str, str]] = None,
-) -> Dict[str, str]:
+def worker_environment() -> Dict[str, str]:
     """The scrubbed environment a pool worker is spawned with.
 
-    Ambient ``REPRO_*`` knobs are dropped (request semantics travel in
-    the resolved config, not the environment); ``overrides`` — the store
-    root, telemetry switches — are applied on top.
+    Ambient ``REPRO_*`` knobs are dropped: request semantics travel in
+    the resolved config, not the environment.
     """
     env = {
         name: value
@@ -76,7 +72,6 @@ def worker_environment(
             env["PYTHONPATH"] = os.pathsep.join([package_parent, existing])
     else:
         env["PYTHONPATH"] = package_parent
-    env.update(overrides or {})
     return env
 
 
@@ -136,7 +131,6 @@ class WorkerPool:
         self,
         size: int = 2,
         *,
-        worker_env: Optional[Dict[str, str]] = None,
         max_retries: int = 2,
     ) -> None:
         if size < 1:
@@ -144,7 +138,6 @@ class WorkerPool:
         if max_retries < 0:
             raise ServiceError("max_retries must be >= 0")
         self.size = size
-        self.worker_env = dict(worker_env or {})
         self.max_retries = max_retries
         self._idle: "asyncio.Queue[_Worker]" = asyncio.Queue()
         self._workers: List[_Worker] = []
@@ -164,7 +157,7 @@ class WorkerPool:
             stdin=asyncio.subprocess.PIPE,
             stdout=asyncio.subprocess.PIPE,
             stderr=None,  # worker diagnostics share the server's stderr
-            env=worker_environment(self.worker_env),
+            env=worker_environment(),
         )
         worker = _Worker(proc)
         ready = await asyncio.wait_for(worker.recv(), READY_TIMEOUT_S)

@@ -122,18 +122,13 @@ class TransformService:
         store_root: Optional[str] = None,
         pool_size: int = 2,
         max_retries: int = 2,
-        worker_env: Optional[Dict[str, str]] = None,
     ) -> None:
         base = (base_config or TransformConfig()).resolved()
         # serving policy: the server owns its store and filesystem; no
         # request (and no ambient base config) may redirect outputs
         self.store_root = store_root or base.store_root
         self.base_config = self._scrub(base)
-        self.pool = WorkerPool(
-            pool_size,
-            worker_env=dict(worker_env or {}),
-            max_retries=max_retries,
-        )
+        self.pool = WorkerPool(pool_size, max_retries=max_retries)
         # request key -> the execution a request with that key joins:
         # running, or finished and retained (see _conclude)
         self._by_key: Dict[str, _Execution] = {}
@@ -675,7 +670,6 @@ async def serve(
     store_root: Optional[str] = None,
     pool_size: int = 2,
     max_retries: int = 2,
-    worker_env: Optional[Dict[str, str]] = None,
     ready: Optional["asyncio.Event"] = None,
     shutdown: Optional["asyncio.Event"] = None,
 ) -> None:
@@ -689,7 +683,6 @@ async def serve(
         store_root=store_root,
         pool_size=pool_size,
         max_retries=max_retries,
-        worker_env=worker_env,
     )
     await service.start(host, port)
     if ready is not None:

@@ -45,8 +45,6 @@ import logging
 from dataclasses import asdict
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from ..analysis.filtering import FilterDecision, TargetReport
 from ..analysis.metadata import (
     ProgramMetadata,
@@ -55,6 +53,7 @@ from ..analysis.metadata import (
     _parse_perf,
 )
 from ..gpu.device import DeviceSpec
+from ..graphs.digraph import DiGraph
 from ..reliability.verify import GROUP_STATUSES, GroupVerdict
 from ..search.gga import SearchResult
 from ..search.grouping import FusionProblem, Grouping
@@ -152,17 +151,18 @@ def _decode_targets(payload: Dict[str, object]) -> Optional[TargetReport]:
 # -------------------------------------------------------------------- graphs
 
 
-def _graph_to_payload(graph: nx.DiGraph) -> Dict[str, object]:
+def _graph_to_payload(graph: DiGraph) -> Dict[str, object]:
+    # in the graph's own order: a served graph writes the DOT text a
+    # built one does
     return {
-        "nodes": [[node, dict(data)] for node, data in sorted(graph.nodes(data=True))],
-        "edges": [
-            [u, v, dict(data)] for u, v, data in sorted(graph.edges(data=True))
-        ],
+        "graph": dict(graph.graph),
+        "nodes": [[node, dict(data)] for node, data in graph.nodes(data=True)],
+        "edges": [[u, v, dict(data)] for u, v, data in graph.edges(data=True)],
     }
 
 
-def _graph_from_payload(payload: Dict[str, object]) -> nx.DiGraph:
-    graph = nx.DiGraph()
+def _graph_from_payload(payload: Dict[str, object]) -> DiGraph:
+    graph = DiGraph(**payload["graph"])
     for node, data in payload["nodes"]:
         graph.add_node(node, **data)
     for u, v, data in payload["edges"]:
@@ -173,8 +173,8 @@ def _graph_from_payload(payload: Dict[str, object]) -> nx.DiGraph:
 def save_graphs(
     store: ArtifactStore,
     key: str,
-    ddg: nx.DiGraph,
-    oeg: nx.DiGraph,
+    ddg: DiGraph,
+    oeg: DiGraph,
     report: str,
 ) -> None:
     store.put(
@@ -190,13 +190,13 @@ def save_graphs(
 
 def load_graphs(
     store: ArtifactStore, key: str
-) -> Optional[Tuple[nx.DiGraph, nx.DiGraph, str]]:
+) -> Optional[Tuple[DiGraph, DiGraph, str]]:
     return store.get_decoded(NS_GRAPHS, key, _decode_graphs)
 
 
 def _decode_graphs(
     payload: Dict[str, object]
-) -> Optional[Tuple[nx.DiGraph, nx.DiGraph, str]]:
+) -> Optional[Tuple[DiGraph, DiGraph, str]]:
     try:
         ddg = _graph_from_payload(payload["ddg"])
         oeg = _graph_from_payload(payload["oeg"])

@@ -7,7 +7,7 @@ every individual the search operators can produce.
 
 The compiled path answers feasibility from integer masks and tests the
 scheduling cycle over fused groups only; the reference walks sets and
-builds a networkx condensation over every group.  The hypothesis sweep
+builds a condensation graph over every group.  The hypothesis sweep
 and the hand-built cycle cases below hold the two to the same
 ``Violations``, field by field.
 """

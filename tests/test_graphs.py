@@ -1,6 +1,9 @@
 """DDG / OEG construction, optimization and DOT round-trip tests."""
 
-import networkx as nx
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cudalite import parse_program
@@ -25,6 +28,9 @@ from repro.graphs import (
     validate_ddg,
     validate_oeg,
 )
+from repro.graphs.digraph import is_directed_acyclic_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CYCLE_SRC = """
 __global__ void ka(double *Y, const double *X, int n) {
@@ -73,12 +79,12 @@ def test_naive_ddg_has_cycle(cycle_case):
     """The paper's motivating case: kernel A reads X / writes Y while B
     writes X / reads Y — Algorithm 1's naive graph is cyclic."""
     naive = build_naive_ddg(cycle_case)
-    assert not nx.is_directed_acyclic_graph(naive)
+    assert not is_directed_acyclic_graph(naive)
 
 
 def test_versioned_ddg_is_acyclic(cycle_case):
     versioned = build_versioned_ddg(cycle_case)
-    assert nx.is_directed_acyclic_graph(versioned)
+    assert is_directed_acyclic_graph(versioned)
     validate_ddg(versioned)
 
 
@@ -193,3 +199,35 @@ def test_dot_file_io(tmp_path, cycle_case):
     write_dot(ddg, path)
     loaded = read_dot(path)
     assert set(loaded.nodes) == set(ddg.nodes)
+
+
+_WRITE_DOTS = """
+import sys
+from repro.api import transform
+result = transform("Fluam", workdir=sys.argv[1], until="graphs", store=True,
+                   store_root=sys.argv[2], telemetry=False)
+print(" ".join(result.reused))
+"""
+
+
+def test_dot_files_are_identical_across_hash_seeds_and_the_store(tmp_path):
+    """``ddg.dot`` and ``oeg.dot`` depend on the program alone: not on the
+    hash seed (the OEG reduction keeps adjacency order) and not on whether
+    the store served the graphs (its payload keeps the graphs' own order
+    and graph attributes)."""
+    runs = (("cold-0", "0", "store-0"), ("cold-1", "1", "store-1"),
+            ("warm", "1", "store-0"))
+    files, reused = [], []
+    for workdir, hash_seed, store in runs:
+        run = subprocess.run(
+            [sys.executable, "-c", _WRITE_DOTS, str(tmp_path / workdir),
+             str(tmp_path / store)],
+            capture_output=True, text=True, check=True,
+            env={"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin",
+                 "PYTHONHASHSEED": hash_seed},
+        )
+        reused.append(run.stdout.split())
+        files.append([(tmp_path / workdir / name).read_bytes()
+                      for name in ("ddg.dot", "oeg.dot")])
+    assert "graphs" not in reused[0] and "graphs" in reused[2]
+    assert files[0] == files[1] == files[2]

@@ -235,4 +235,4 @@ def test_top_level_api_exports():
 def test_version():
     import repro
 
-    assert repro.__version__ == "8.0.0"
+    assert repro.__version__ == "9.0.0"

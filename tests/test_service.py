@@ -70,8 +70,7 @@ SLOW_CONFIG = {
 class ServiceHarness:
     """A live service in a daemon thread, stopped (with drain) on exit."""
 
-    def __init__(self, store_root, *, pool_size=1, max_retries=2,
-                 worker_env=None):
+    def __init__(self, store_root, *, pool_size=1, max_retries=2):
         self.store_root = str(store_root)
         self.port = None
         self.service = None
@@ -80,11 +79,11 @@ class ServiceHarness:
         self._shutdown = None
         self._thread = threading.Thread(
             target=self._run,
-            args=(pool_size, max_retries, worker_env),
+            args=(pool_size, max_retries),
             daemon=True,
         )
 
-    def _run(self, pool_size, max_retries, worker_env):
+    def _run(self, pool_size, max_retries):
         async def main():
             self.loop = asyncio.get_running_loop()
             self._shutdown = asyncio.Event()
@@ -92,7 +91,6 @@ class ServiceHarness:
                 store_root=self.store_root,
                 pool_size=pool_size,
                 max_retries=max_retries,
-                worker_env=worker_env,
             )
             _host, self.port = await self.service.start("127.0.0.1", 0)
             self._started.set()
@@ -489,13 +487,11 @@ def test_graceful_shutdown_drains_inflight_jobs(tmp_path):
 def test_worker_environment_scrubs_ambient_repro_knobs(monkeypatch):
     monkeypatch.setenv("REPRO_STORE", "/srv/ambient-store")
     monkeypatch.setenv("REPRO_TELEMETRY", "0")
+    monkeypatch.setenv("REPRO_LOG_FORMAT", "json")
     monkeypatch.setenv("HOME", "/home/x")
-    env = worker_environment({"REPRO_LOG_FORMAT": "json"})
-    assert "REPRO_STORE" not in env
-    assert "REPRO_TELEMETRY" not in env
+    env = worker_environment()
+    assert not [name for name in env if name.startswith("REPRO_")]
     assert env["HOME"] == "/home/x"
-    # explicit overrides survive the scrub
-    assert env["REPRO_LOG_FORMAT"] == "json"
     # the worker can import this very repro checkout
     import repro
     from pathlib import Path
