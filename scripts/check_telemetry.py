@@ -16,7 +16,8 @@ Checks, with plain asserts:
   verdicts the store served), the ``front_door`` block (source size,
   load time, memo outcome), the ``interpreter`` block (launches per
   executor, accesses per path), the ``store`` block, counters, the trace
-  summary, env, reports and the record's own cost;
+  summary, env, reports, the record's own cost and what re-running the
+  program for its counters cost;
 * ``trace.json``      — Chrome trace-event shape, a well-formed span tree
   (every parent_id resolves), and a ``stage:*`` span per pipeline stage;
 * ``search_telemetry.jsonl`` — one well-formed row per GGA generation
@@ -177,6 +178,14 @@ def check_run_record(record: object, where: str) -> None:
                and isinstance(cost.get("record_s"), (int, float))
                and cost["record_s"] >= 0,
                f"{where}: observability.record_s must be a non-negative number")
+        # additive: records written before the counted re-run was timed
+        # carry none
+        rerun_s = cost.get("counters_s", 0.0)
+        expect(isinstance(rerun_s, (int, float)) and rerun_s >= 0,
+               f"{where}: observability.counters_s must be a non-negative number")
+        expect(rerun_s == 0 or (record["verification"] or {}).get(
+                   "counters_from") in ("rerun", None),
+               f"{where}: counters_s beside counters the gate or the store gave")
     trace = record["trace"]
     expect((trace is None and (legacy or not ran))
            or (isinstance(trace, dict)
@@ -287,7 +296,7 @@ def check_verification(block: object, where: str) -> None:
     expect(isinstance(sensitive, dict)
            and all(isinstance(n, int) and n > 0 for n in sensitive.values()),
            f"{where}: order_sensitive_launches must map kernel -> count")
-    expect(block["counters_from"] in ("verify", "rerun", None),
+    expect(block["counters_from"] in ("verify", "stored", "rerun", None),
            f"{where}: bad counters_from {block['counters_from']!r}")
     # the reversed run exists for order-sensitive launches and only them
     expect(not block["reversed_run"] or (bool(sensitive) and runs >= 3),

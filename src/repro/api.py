@@ -147,7 +147,8 @@ class TransformConfig:
     #: GA random seed; with ``ga_params`` given, :meth:`resolved` sets it
     #: to ``ga_params.seed``
     seed: int = 12345
-    #: full GA parameter set; ``None`` = ``fast_params(seed)``
+    #: full GA parameter set, or its dict spelling (the form a config
+    #: file uses); ``None`` = ``fast_params(seed)``
     ga_params: Optional[GAParams] = None
     #: stop after this stage (``None`` = run everything)
     until: Optional[str] = None
@@ -191,6 +192,8 @@ class TransformConfig:
     def __post_init__(self) -> None:
         if isinstance(self.exclude, list):
             self.exclude = tuple(self.exclude)
+        if isinstance(self.ga_params, dict):
+            self.ga_params = _ga_params_from_dict(self.ga_params)
         if self.mode not in ("automated", "guided", "manual"):
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.until is not None and self.until not in STAGES:
@@ -246,9 +249,6 @@ class TransformConfig:
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         values = _current_fields(data)
-        ga = values.get("ga_params")
-        if isinstance(ga, dict):
-            values["ga_params"] = _ga_params_from_dict(ga)
         if "exclude" in values and values["exclude"] is not None:
             values["exclude"] = tuple(values["exclude"])
         try:

@@ -10,7 +10,7 @@ dependency).
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..errors import GraphError
 from .ddg import ARRAY, KERNEL

@@ -18,10 +18,12 @@ problem-related constraint handed to the optimization algorithm.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from ..errors import GraphError
-from .ddg import ARRAY, KERNEL, kernel_nodes, split_array
+from .ddg import ARRAY, KERNEL, kernel_nodes
 from .digraph import (
     DiGraph, is_directed_acyclic_graph, lexicographical_topological_sort,
     topological_sort, transitive_reduction,
@@ -136,14 +138,20 @@ def is_convex(
 
 
 def group_schedule(
-    groups: Sequence[FrozenSet[str]], oeg: DiGraph
+    groups: Sequence[FrozenSet[str]],
+    oeg: DiGraph,
+    key: Optional[Callable[[str], float]] = None,
 ) -> List[FrozenSet[str]]:
     """Order fused groups topologically (the new host invocation order).
 
-    Builds the condensation of the OEG over the grouping and topologically
-    sorts it.  Raises :class:`GraphError` if the grouping induces a cycle
-    (i.e. some group is not convex).
+    Builds the condensation of the OEG over the grouping and sorts it
+    lexicographically: among the groups ready to run, the one whose
+    earliest member comes first by ``key`` (default: the OEG's launch
+    ``index``), ties by position in ``groups``.  Raises
+    :class:`GraphError` if the grouping induces a cycle (i.e. some group
+    is not convex).
     """
+    key = key or (lambda n: oeg.nodes[n]["index"])
     owner: Dict[str, int] = {}
     for gid, group in enumerate(groups):
         for node in group:
@@ -160,12 +168,8 @@ def group_schedule(
             condensed.add_edge(gu, gv)
     if not is_directed_acyclic_graph(condensed):
         raise GraphError("grouping violates OEG precedence (non-convex group)")
-    min_index = [
-        min(oeg.nodes[n]["index"] for n in group) if group else 0 for group in groups
-    ]
-    order = lexicographical_topological_sort(
-        condensed, key=lambda g: min_index[g]
-    )
+    first = [min(map(key, group), default=0) for group in groups]
+    order = lexicographical_topological_sort(condensed, key=first.__getitem__)
     return [groups[g] for g in order]
 
 

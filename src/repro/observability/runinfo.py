@@ -13,7 +13,9 @@ configured and appended, unchanged, to the run ledger (which adds only
   ``reused_stages``, ``store``, ``interpreter``, ``verification``,
   ``front_door``, ``counters``, ``trace``, ``env``, ``reports``,
   ``error`` and ``observability`` (``record_s``: the seconds spent
-  building this record);
+  building this record; ``counters_s``: the seconds spent re-running
+  the transformed program for model-validation counters, 0 when the
+  gate's run or the store gave them);
 * the header — identity and lineage: ``kind``, ``timestamp``,
   ``unix_time``, ``pid``, ``git_sha``, ``repro_version``, ``source``,
   ``app``, the resolved ``config`` and its ``config_digest``,
@@ -55,37 +57,35 @@ def git_sha(cwd: Optional[str] = None) -> Optional[str]:
     """Best-effort revision of the working tree (None outside a repo).
 
     Read once per process and directory: the code a process runs does not
-    change under it, and every run record asks.  Only a revision is kept;
-    a failed read (a timeout on a loaded machine) is retried by the next
-    caller.
+    change under it, and every run record asks.  The answer is kept,
+    "not a repository" included; a failed read (a timeout on a loaded
+    machine, no runnable ``git``) is retried by the next caller.
     """
     try:
         directory = os.path.realpath(cwd if cwd is not None else os.getcwd())
     except OSError:
         return None
-    sha = _GIT_SHAS.get(directory)
-    if sha is None:
-        sha = _read_git_sha(directory)
-        if sha is not None:
-            _GIT_SHAS[directory] = sha
-    return sha
+    if directory not in _GIT_SHAS:
+        try:
+            _GIT_SHAS[directory] = _read_git_sha(directory)
+        except (OSError, subprocess.SubprocessError):
+            return None
+    return _GIT_SHAS[directory]
 
 
-#: resolved directory -> its revision, for the directories read so far
-_GIT_SHAS: Dict[str, str] = {}
+#: resolved directory -> its revision (None: not a repository), for the
+#: directories read so far
+_GIT_SHAS: Dict[str, Optional[str]] = {}
 
 
 def _read_git_sha(directory: str) -> Optional[str]:
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=directory,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
+    out = subprocess.run(
+        ["git", "rev-parse", "HEAD"],
+        cwd=directory,
+        capture_output=True,
+        text=True,
+        timeout=5,
+    )
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else None
 
@@ -209,7 +209,10 @@ def build_run_record(
         },
         "reports": dict(state.reports) if state is not None else {},
     }
-    record["observability"] = {"record_s": round(perf_counter() - start, 6)}
+    record["observability"] = {
+        "record_s": round(perf_counter() - start, 6),
+        "counters_s": round(state.counters_s, 6) if state is not None else 0.0,
+    }
     return record
 
 

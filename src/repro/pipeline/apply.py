@@ -24,7 +24,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, List, Mapping, Optional, Sequence, Set,
+    Tuple, TypeVar,
+)
 
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
@@ -37,10 +40,8 @@ from ..gpu.perfmodel import (
     estimate_registers,
     project_kernel,
 )
-from ..graphs.digraph import (
-    DiGraph, is_directed_acyclic_graph, lexicographical_topological_sort,
-)
-from ..analysis.volume import estimate_volume
+from ..errors import GraphError
+from ..graphs.oeg import group_schedule
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
 from ..reliability.degrade import DemotionRecord, fusion_waves
@@ -66,6 +67,8 @@ from ..transform.fusion import fuse_kernels
 from ..transform.hostcode import NewLaunch, assemble_program
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -118,29 +121,15 @@ class TransformResult:
 def _schedule_groups(
     problem: FusionProblem, grouping: Grouping
 ) -> List[FrozenSet[str]]:
-    """Topologically order the groups under the node-level OEG."""
-    groups = grouping.partition(problem)
+    """Topologically order the groups under the node-level OEG, earliest
+    member first (:func:`~repro.graphs.oeg.group_schedule`)."""
     oeg, _ = problem.node_oeg(grouping.active_nodes(problem))
-    owner: Dict[str, int] = {}
-    for gid, group in enumerate(groups):
-        for node in group:
-            owner[node] = gid
-    condensed = DiGraph()
-    condensed.add_nodes_from(range(len(groups)))
-    for u, v in oeg.edges:
-        gu, gv = owner[u], owner[v]
-        if gu != gv:
-            condensed.add_edge(gu, gv)
-    if not is_directed_acyclic_graph(condensed):
-        raise TransformError("chosen grouping violates precedence")
-    min_order = [
-        min((problem.info(n).order for n in group), default=0.0)
-        for group in groups
-    ]
-    order = lexicographical_topological_sort(
-        condensed, key=lambda g: min_order[g]
-    )
-    return [groups[g] for g in order]
+    try:
+        return group_schedule(
+            grouping.partition(problem), oeg, key=lambda n: problem.info(n).order
+        )
+    except GraphError as exc:
+        raise TransformError("chosen grouping violates precedence") from exc
 
 
 def _internal_raw_edges(
@@ -563,26 +552,42 @@ def materialize(
     )
 
 
+def held(owner: object, slot: str, key: Hashable, compute: Callable[[], T]) -> T:
+    """``compute()`` once per ``owner`` and ``key``, held in the owner's
+    ``slot`` so that it is freed with the owner.
+
+    For pure functions of objects the store's memory tier shares between
+    runs and nobody mutates (a :class:`FusionProblem`, a
+    :class:`TransformResult`).  As with the search's
+    ``_group_time_cache``, a lost race between two runs costs one
+    recomputation.
+    """
+    memo: Dict = owner.__dict__.setdefault(slot, {})
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
 def project_transformed(
     result: TransformResult,
     problem: FusionProblem,
     device: DeviceSpec,
 ) -> ProgramProjection:
-    """Project the transformed program's execution time."""
-    projections: List[KernelProjection] = []
-    for launch in result.launches:
-        if launch.fused is not None:
-            projections.append(
-                project_kernel(
-                    device, launch.fused.volume, launch.block, launch.fused.traits
-                )
+    """Project the transformed program's execution time (once per
+    materialization, problem and device)."""
+
+    def project() -> ProgramProjection:
+        return ProgramProjection(tuple(
+            project_kernel(
+                device, launch.fused.volume, launch.block, launch.fused.traits
             )
-        else:
-            assert launch.node is not None
-            projections.append(
-                _project_singleton(problem, launch.node, device)
-            )
-    return ProgramProjection(tuple(projections))
+            if launch.fused is not None
+            else _project_singleton(problem, launch.node, device)
+            for launch in result.launches
+        ))
+
+    return held(result, "_projections", (problem, device), project)
 
 
 def _project_singleton(
@@ -612,9 +617,14 @@ def _project_singleton(
 def project_baseline(
     problem: FusionProblem, device: DeviceSpec
 ) -> ProgramProjection:
-    """Projection of the *original* program (all whole nodes, untouched)."""
-    projections = [
-        _project_singleton(problem, node, device)
-        for node in problem.whole_nodes()
-    ]
-    return ProgramProjection(tuple(projections))
+    """Projection of the *original* program (all whole nodes, untouched),
+    once per problem and device."""
+    return held(
+        problem,
+        "_baseline_projections",
+        device,
+        lambda: ProgramProjection(tuple(
+            _project_singleton(problem, node, device)
+            for node in problem.whole_nodes()
+        )),
+    )

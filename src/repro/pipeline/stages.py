@@ -64,6 +64,7 @@ from ..store.artifact_store import ArtifactStore, Deps
 from ..transform.fusion import FusionOptions
 from .apply import (
     TransformResult,
+    held,
     materialize,
     project_baseline,
     project_transformed,
@@ -178,6 +179,11 @@ class PipelineState:
     _counted_run: Optional[Tuple[ast.Program, List[LaunchRecord]]] = field(
         default=None, repr=False
     )
+    #: seconds spent re-running the transformed program for its counters
+    #: (``observability.counters_s``; 0 when the gate or the store gave them)
+    counters_s: float = 0.0
+    #: a transformed program and its text, unparsed once, where first needed
+    _text: Optional[Tuple[ast.Program, str]] = field(default=None, repr=False)
     _program_fp: Optional[str] = field(default=None, repr=False)
     #: artifacts the store served this state (metadata, targets, graphs,
     #: built, search) -> (content key, the store entries they came from):
@@ -601,18 +607,45 @@ def _whole_program_failure(state: PipelineState) -> Optional[str]:
     return failure
 
 
-def _program_gate(
-    state: PipelineState, text: Optional[str]
-) -> Tuple[Optional[str], bool]:
+def _transformed_text(state: PipelineState) -> str:
+    """The text of ``state.transform.program``, unparsed once per program."""
+    program = state.transform.program
+    if state._text is None or state._text[0] is not program:
+        state._text = (program, unparse(program))
+    return state._text[1]
+
+
+def _verdict_store(state: PipelineState) -> Optional[ArtifactStore]:
+    """The store that serves and keeps program verdicts and counters: only
+    ``auto``'s (see :func:`~repro.pipeline.apply.materialize`)."""
+    return state.config.store if state.config.block_exec == "auto" else None
+
+
+def _verdict_key(state: PipelineState) -> str:
+    """The key of ``state.transform``'s program verdict and counters: a
+    function of the materialization, held on it (see
+    :func:`~repro.pipeline.apply.held`), so a repeat served the same one
+    neither unparses nor hashes its text."""
+    fingerprint = state.program_fingerprint
+    return held(
+        state.transform,
+        "_verdict_keys",
+        fingerprint,
+        lambda: store_keys.verified_program_key(
+            fingerprint, _transformed_text(state)
+        ),
+    )
+
+
+def _program_gate(state: PipelineState) -> Tuple[Optional[str], bool]:
     """:func:`_whole_program_failure` of ``state.transform.program``, or
     the verdict the gate reached before on the same original and
-    transformed ``text`` (``None`` without a store); and whether the
-    store served it.  Only ``auto`` reads or writes verdicts (see
-    :func:`~repro.pipeline.apply.materialize`)."""
-    store = state.config.store if state.config.block_exec == "auto" else None
+    transformed program (none without a :func:`_verdict_store`); and
+    whether the store served it."""
+    store = _verdict_store(state)
     key: Optional[str] = None
-    if store is not None and text is not None:
-        key = store_keys.verified_program_key(state.program_fingerprint, text)
+    if store is not None:
+        key = _verdict_key(state)
         stored = stage_cache.load_program_verdict(store, key)
         if stored is not None:
             state.verification["verdicts_reused"]["program"] += 1
@@ -698,12 +731,8 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         state.built.problem, state.config.device
     )
     codegen_note = ""
-    # the transformed program's text: unparsed once, where first needed
-    transformed_text: Optional[str] = None
     if state.config.verify:
-        if store is not None:
-            transformed_text = unparse(state.transform.program)
-        failure, served = _program_gate(state, transformed_text)
+        failure, served = _program_gate(state)
         state.verified = failure is None
         if served:
             codegen_note = "; verification reused from store"
@@ -746,11 +775,8 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 degraded_groups=state.transform.degraded_groups
                 + [d.members for d in demoted],
             )
-            transformed_text = None  # that was the demoted program's
-            if store is not None:
-                transformed_text = unparse(state.transform.program)
             codegen_note += "; fell back to identity program"
-            state.verified = _program_gate(state, transformed_text)[0] is None
+            state.verified = _program_gate(state)[0] is None
             if not state.verified:
                 raise PipelineError(
                     "identity fallback program does not match the original "
@@ -784,9 +810,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         + validation_note
     )
     if state.config.workdir is not None:
-        if transformed_text is None:
-            transformed_text = unparse(state.transform.program)
-        state._persist("transformed.cu", transformed_text)
+        state._persist("transformed.cu", _transformed_text(state))
     state._persist("codegen.txt", state.reports["codegen"])
     if _writes_telemetry(state):
         telemetry_path = Path(state.config.workdir) / "search_telemetry.jsonl"
@@ -811,13 +835,16 @@ def _model_validation(state: PipelineState) -> str:
     """Compare interpreter counters against the perf model's projections.
 
     Lines every launch of the transformed program, run with hardware-ish
-    counters enabled, up with its :class:`KernelProjection`.  The run is the
-    one whole-program verification already made (counters are mode- and
-    order-invariant); only when the gate made none of *this* program —
-    ``verify`` off, verdict reused from the store — is it run here.  Gated
-    on telemetry + a working directory (counting is not free, so library
-    users and benchmarks that set neither never pay for it).
-    Returns a one-line note for the codegen report ("" when skipped).
+    counters enabled, up with its :class:`KernelProjection`.  The counters
+    (mode- and order-invariant, and a function of the program) come from
+    the run whole-program verification already made; else from the store,
+    beside the program's verdict; only when neither exists — ``verify``
+    off, or a served verdict without counters — is the program run here
+    (``telemetry:rerun``, ``observability.counters_s``), and what it
+    counted is stored.  Gated on telemetry + a working directory (counting
+    is not free, so library users and benchmarks that set neither never
+    pay for it).  Returns a one-line note for the codegen report ("" when
+    skipped).
     """
     if not _writes_telemetry(state):
         return ""
@@ -825,15 +852,31 @@ def _model_validation(state: PipelineState) -> str:
     program = state.transform.program
     counted_program, launches = state._counted_run or (None, [])
     state._counted_run = None
-    reran = counted_program is not program
-    with span("telemetry:model_validation", reran=reran):
-        if reran:
-            try:
-                launches = _run(state, program, collect_counters=True).launches
-            except ReproError as exc:  # pragma: no cover - best effort
-                logger.warning("model-validation run failed: %s", exc)
-                return ""
-        state.verification["counters_from"] = "rerun" if reran else "verify"
+    store = _verdict_store(state)
+    key = None if store is None else _verdict_key(state)
+    source = "verify"
+    with span("telemetry:model_validation") as validation:
+        if counted_program is not program:
+            stored = (
+                None if key is None else stage_cache.load_program_counters(store, key)
+            )
+            if stored is not None:
+                launches, source = stored, "stored"
+            else:
+                source = "rerun"
+                start = perf_counter()
+                try:
+                    with span("telemetry:rerun"):
+                        launches = _run(state, program, collect_counters=True).launches
+                except ReproError as exc:  # pragma: no cover - best effort
+                    logger.warning("model-validation run failed: %s", exc)
+                    return ""
+                finally:
+                    state.counters_s += perf_counter() - start
+        if key is not None and source != "stored":
+            stage_cache.record_program_counters(store, key, launches)
+        validation.set(counters_from=source)
+        state.verification["counters_from"] = source
         report = validate_model(launches, state.transformed_projection.kernels)
     report.write_json(str(Path(state.config.workdir) / "model_validation.json"))
     state._persist("model_validation.txt", report.summary() + "\n")

@@ -20,6 +20,8 @@ Namespaces
                         edits)
 ``verified_programs`` — every whole-program verdict: verified, or the
                         failure cause (the identity fallback's too)
+``program_counters``  — the per-launch interpreter counters of one
+                        transformed program, under its verdict's key
 ``tuning``            — thread-block tuning decisions
 
 Memory-only namespaces (:meth:`ArtifactStore.remember`, never on disk):
@@ -27,23 +29,25 @@ Memory-only namespaces (:meth:`ArtifactStore.remember`, never on disk):
 ``built_problems``    — the search stage's :class:`BuiltProblem`
 ``materialized``      — codegen's materialized ``TransformResult``
 
-The ``metadata``, ``targets``, ``graphs``, ``search`` and
-``verified_programs`` loaders read through the memory tier
-(:meth:`ArtifactStore.get_decoded`): what they return is shared with
-later hits and must not be mutated.
+The ``metadata``, ``targets``, ``graphs``, ``search``,
+``verified_programs`` and ``program_counters`` loaders read through the
+memory tier (:meth:`ArtifactStore.get_decoded`): what they return is
+shared with later hits and must not be mutated.
 
 A verdict is a function of its key, so failures are stored beside
-passes and a warm run re-executes no gate.  Only ``block_exec="auto"``
-runs read or write verdicts (the callers decide): forced ``batched``
-runs a launch's blocks in lockstep, unwatched, and can pass a racy
-group the others fail, and a forced run is a differential run.
+passes and a warm run re-executes no gate; so is a program's counted
+run, so a warm run that writes ``model_validation.json`` executes
+nothing.  Only ``block_exec="auto"`` runs read or write verdicts or
+counters (the callers decide): forced ``batched`` runs a launch's blocks
+in lockstep, unwatched, and can pass a racy group the others fail, and a
+forced run is a differential run.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis.filtering import FilterDecision, TargetReport
 from ..analysis.metadata import (
@@ -54,6 +58,7 @@ from ..analysis.metadata import (
 )
 from ..gpu.device import DeviceSpec
 from ..graphs.digraph import DiGraph
+from ..observability.hwcounters import KernelCounters
 from ..reliability.verify import GROUP_STATUSES, GroupVerdict
 from ..search.gga import SearchResult
 from ..search.grouping import FusionProblem, Grouping
@@ -71,6 +76,7 @@ NS_SEARCH = "search"
 NS_POPULATION = "population"
 NS_VERIFIED_GROUPS = "verified_groups"
 NS_VERIFIED_PROGRAMS = "verified_programs"
+NS_PROGRAM_COUNTERS = "program_counters"
 NS_TUNING = "tuning"
 NS_BUILT_PROBLEMS = "built_problems"
 NS_MATERIALIZED = "materialized"
@@ -417,6 +423,53 @@ def load_program_verdict(store: ArtifactStore, key: str) -> Optional[str]:
 def _decode_program_verdict(payload: Dict[str, object]) -> Optional[str]:
     outcome = payload.get("outcome")
     return outcome if isinstance(outcome, str) and outcome else None
+
+
+class CountedLaunch(NamedTuple):
+    """One stored launch, as :func:`~repro.observability.model_validation.validate_model`
+    reads a :class:`~repro.gpu.interpreter.LaunchRecord`."""
+
+    kernel: str
+    counters: Optional[KernelCounters]
+
+
+def record_program_counters(
+    store: ArtifactStore, key: str, launches: Sequence[object]
+) -> None:
+    """Remember the counters a counted run of ``key``'s program gave, per
+    launch (``None`` for a launch that counted nothing)."""
+    store.put(
+        NS_PROGRAM_COUNTERS,
+        key,
+        {
+            "launches": [
+                [r.kernel, None if r.counters is None else r.counters.as_dict()]
+                for r in launches
+            ]
+        },
+    )
+
+
+def load_program_counters(
+    store: ArtifactStore, key: str
+) -> Optional[List[CountedLaunch]]:
+    """The counted launches stored for ``key``'s program, or ``None``."""
+    return store.get_decoded(NS_PROGRAM_COUNTERS, key, _decode_program_counters)
+
+
+def _decode_program_counters(
+    payload: Dict[str, object]
+) -> Optional[List[CountedLaunch]]:
+    try:
+        return [
+            CountedLaunch(
+                str(kernel), None if counters is None else KernelCounters(**counters)
+            )
+            for kernel, counters in payload["launches"]
+        ]
+    except (KeyError, TypeError, ValueError) as exc:
+        logger.warning("store: counters entry unusable (%s); recounting", exc)
+        return None
 
 
 # --------------------------------------------------------------- block tuning

@@ -116,6 +116,21 @@ def test_config_file_with_ga_params(tmp_path):
     assert loaded.ga_params.generations == 5
 
 
+def test_ga_params_dict_spelling_equals_the_object():
+    """A config file's dict spelling of ``ga_params`` works everywhere the
+    object does: the constructor, ``resolved()`` and ``transform()``."""
+    spelled = {"population": 10, "generations": 6, "seed": 3}
+    params = GAParams(population=10, generations=6, seed=3)
+    resolved = TransformConfig(ga_params=dict(spelled)).resolved(environ={})
+    assert resolved.ga_params == params and resolved.seed == 3
+    as_dict = transform(THREE_KERNEL_SRC, ga_params=dict(spelled), store=False)
+    as_object = transform(THREE_KERNEL_SRC, ga_params=params, store=False)
+    assert as_dict.source == as_object.source
+    assert as_dict.record["outcome"] == as_object.record["outcome"]
+    with pytest.raises(ConfigError, match="unknown ga_params field.*threads"):
+        TransformConfig(ga_params={"threads": 2})
+
+
 #: ``TransformConfig(seed=7, ga_params=fast_params(seed=7)).to_json()`` as
 #: version 3.1 wrote it: the island knobs at their defaults, null on top
 CONFIG_FILE_3_1 = """{

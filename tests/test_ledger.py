@@ -71,8 +71,11 @@ def _fake_git(monkeypatch, replies):
     from repro.observability import runinfo
 
     forks = []
+    real = subprocess.run
 
-    def run(args, cwd, **_kw):
+    def run(args, cwd=None, **kw):
+        if args[:1] != ["git"]:  # e.g. platform.processor() asking uname
+            return real(args, cwd=cwd, **kw)
         forks.append(cwd)
         reply = replies.pop(0)
         if isinstance(reply, Exception):
@@ -108,6 +111,23 @@ def test_a_failed_git_read_is_retried(tmp_path, monkeypatch):
     assert runinfo.git_sha(str(tmp_path)) == "f00d"
     assert runinfo.git_sha(str(tmp_path)) == "f00d"
     assert len(forks) == 3
+
+
+def test_outside_a_repository_git_is_asked_once(tmp_path, monkeypatch):
+    """``git rev-parse`` that ran and said "not a repository" is an
+    answer: later records in that directory fork nothing."""
+    from repro.observability import runinfo
+
+    forks = []
+
+    def run(args, cwd=None, **_kw):
+        forks.append(cwd)
+        return subprocess.CompletedProcess(args, 128, stdout="")
+
+    monkeypatch.setattr(runinfo, "_GIT_SHAS", {})
+    monkeypatch.setattr(runinfo.subprocess, "run", run)
+    assert [runinfo.git_sha(str(tmp_path)) for _ in range(3)] == [None] * 3
+    assert forks == [str(tmp_path.resolve())]
 
 
 def test_append_assigns_unique_ids_and_roundtrips(store):

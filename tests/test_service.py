@@ -14,8 +14,6 @@ import threading
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.observability.ledger import RunLedger
 from repro.observability.metrics import get_registry
 from repro.service import ServiceClient, TransformService
