@@ -10,8 +10,6 @@ ingredient of the transformation contributes:
   producer→consumer group to separate launches).
 """
 
-import pytest
-
 from repro.gpu.device import K20X
 from repro.pipeline import Framework, PipelineConfig
 from repro.apps import build_app

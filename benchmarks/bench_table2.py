@@ -6,7 +6,7 @@ changed, and the average occupancy before/after tuning (§4.2).
 
 import pytest
 
-from repro.apps import APP_NAMES, SPECS
+from repro.apps import APP_NAMES
 
 from common import fmt_row, print_header, run_pipeline
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
-from repro.apps import APP_NAMES, SPECS, build_app
-from repro.gpu.device import DeviceSpec, K20X, K40
+from repro.apps import build_app
+from repro.gpu.device import DeviceSpec, K20X
 from repro.observability.metrics import get_registry
 from repro.observability.runtime import telemetry_enabled
 from repro.pipeline import Framework, PipelineConfig, PipelineState

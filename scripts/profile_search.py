@@ -6,8 +6,10 @@ One command, the bench's own source, data seed and GA seed (imported from
 run splits the search's seconds by span: breeding (``breed``), exact
 evaluation (the ``exact_s`` the ``eval`` spans carry: fitness-memo
 misses), memo hits and bookkeeping (the rest of the ``eval`` spans) and
-what is left of each generation; it also prints the mean groups and
-fused groups per individual of the final population.  Then, unless
+what is left of each generation; then the part of the exact evaluation
+that scored groups new to the problem (the ``eval`` spans' ``new_groups``
+and ``group_terms_s``: count, seconds, share, µs per group) and the mean
+groups and fused groups per individual of the final population.  Then, unless
 ``--top 0``, the same op under cProfile, top-N functions by self time.
 cProfile inflates call-heavy Python and not native code, so use it to
 find candidates and ``benchmarks/e2e/run.py --workload
@@ -73,7 +75,12 @@ def main() -> int:
 
     breed_s = seconds(lambda name: name == "breed")
     eval_s = seconds(lambda name: name == "eval")
-    exact_s = sum(s.args.get("exact_s", 0.0) for s in spans if s.name == "eval")
+    def total(field: str) -> float:
+        return sum(s.args.get(field, 0) for s in spans if s.name == "eval")
+
+    exact_s = total("exact_s")
+    new_groups = total("new_groups")
+    terms_s = total("group_terms_s")
     generations_s = seconds(lambda name: name.startswith("gga:gen:"))
     population = search.final_population
     problem = result.state.built.problem
@@ -88,6 +95,9 @@ def main() -> int:
         f"exact evaluation {exact_s:.2f} s, memo hits + bookkeeping "
         f"{eval_s - exact_s:.2f} s, rest of the generations "
         f"{generations_s - breed_s - eval_s:.2f} s\n"
+        f"# new groups scored in exact evaluation: {new_groups}, "
+        f"{terms_s:.2f} s ({terms_s / max(exact_s, 1e-12):.0%} of it), "
+        f"{terms_s / max(new_groups, 1) * 1e6:.1f} us per group\n"
         f"# per individual (final population of {len(population)}): "
         f"{groups:.1f} groups, {fused:.1f} fused"
     )

@@ -22,7 +22,7 @@ and slow GGA convergence; only manual filtering removes them.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional
 
 from ..analysis.metadata import ProgramMetadata
 from ..gpu.device import DeviceSpec

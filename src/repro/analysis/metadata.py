@@ -16,7 +16,7 @@ import copy
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from typing import TYPE_CHECKING
 

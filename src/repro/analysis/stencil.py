@@ -9,7 +9,7 @@ projection model (halo sizes for shared-memory tiles).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..cudalite import ast_nodes as ast
 from .accesses import IRREGULAR, KernelAccesses, collect_accesses

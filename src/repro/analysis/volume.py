@@ -20,7 +20,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..cudalite import ast_nodes as ast
 from ..errors import AnalysisError
-from .accesses import KernelAccesses, StatementAccess, collect_accesses
+from .accesses import KernelAccesses, collect_accesses
 
 Number = float
 

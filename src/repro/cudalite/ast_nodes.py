@@ -21,7 +21,7 @@ Top level
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator, List, Optional, Tuple, Union
 
 # --------------------------------------------------------------------------- types

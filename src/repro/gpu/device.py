@@ -12,7 +12,7 @@ by the metadata-gathering stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 

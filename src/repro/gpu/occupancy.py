@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import List, Optional, Tuple
 
 from .device import DeviceSpec
 
@@ -41,6 +42,7 @@ class OccupancyResult:
     limiter: str
 
 
+@lru_cache(maxsize=4096)
 def calculate_occupancy(
     device: DeviceSpec,
     threads_per_block: int,
@@ -50,7 +52,9 @@ def calculate_occupancy(
     """Compute achievable occupancy for a kernel configuration.
 
     Mirrors the CUDA occupancy calculator's arithmetic: each limit is
-    computed independently and the minimum wins.
+    computed independently and the minimum wins.  Pure in its arguments
+    (``DeviceSpec`` is frozen), so results are memoized; the result is
+    frozen too.
 
     Raises
     ------

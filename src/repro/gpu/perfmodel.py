@@ -25,11 +25,11 @@ with three effects the paper's evaluation hinges on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..analysis.volume import LaunchVolume
 from .device import DeviceSpec
-from .occupancy import OccupancyResult, calculate_occupancy
+from .occupancy import calculate_occupancy
 
 #: Per-radius cache redundancy for untiled stencil reads.  Radius-0 streams
 #: perfectly; each extra halo ring costs ~25% extra traffic on Kepler-class
@@ -134,6 +134,33 @@ class KernelProjection:
         return self.bytes_total / self.time_s / 1e9 if self.time_s > 0 else 0.0
 
 
+def roofline(
+    device: DeviceSpec,
+    block: Tuple[int, int, int],
+    smem_per_block: int,
+    regs_per_thread: int,
+    total_bytes: float,
+    flops: float,
+    divergence_factor: float = 1.0,
+    precision: str = "double",
+) -> Tuple[float, float, float, float]:
+    """``(occupancy, memory time, compute time, time)`` of one launch
+    moving ``total_bytes`` and doing ``flops`` on ``device``."""
+    threads_per_block = max(1, block[0] * block[1] * block[2])
+    occ = calculate_occupancy(
+        device,
+        min(threads_per_block, device.max_threads_per_block),
+        min(smem_per_block, device.shared_mem_per_block),
+        min(regs_per_thread, device.max_regs_per_thread),
+    ).occupancy
+    peak = device.peak_gflops_dp if precision == "double" else device.peak_gflops_sp
+    bw = device.effective_bandwidth(occ)
+    time_mem = total_bytes / (bw * 1e9) if bw > 0 else float("inf")
+    time_cmp = flops / (peak * 1e9) if peak > 0 else float("inf")
+    busy = max(time_mem, time_cmp) * divergence_factor
+    return occ, time_mem, time_cmp, busy + device.launch_overhead_s
+
+
 def project_kernel(
     device: DeviceSpec,
     volume: LaunchVolume,
@@ -143,28 +170,22 @@ def project_kernel(
 ) -> KernelProjection:
     """Project execution time of one launch on ``device``."""
     traits = traits if traits is not None else CodegenTraits()
-    threads_per_block = max(1, block[0] * block[1] * block[2])
-    occ = calculate_occupancy(
-        device,
-        min(threads_per_block, device.max_threads_per_block),
-        min(traits.smem_per_block, device.shared_mem_per_block),
-        min(traits.regs_per_thread, device.max_regs_per_thread),
-    ).occupancy
-
     bytes_read = 0.0
     for array in volume.arrays_read:
         points = volume.points_per_array.get(array, volume.active_threads)
         bytes_read += points * volume.itemsize * traits.read_factor(array, block)
     bytes_written = volume.bytes_written()
-    total_bytes = (bytes_read + bytes_written) * traits.halo_compute_factor
-
-    peak = device.peak_gflops_dp if precision == "double" else device.peak_gflops_sp
-    bw = device.effective_bandwidth(occ)
-    time_mem = total_bytes / (bw * 1e9) if bw > 0 else float("inf")
     flops = volume.flops * traits.halo_compute_factor
-    time_cmp = flops / (peak * 1e9) if peak > 0 else float("inf")
-    busy = max(time_mem, time_cmp) * traits.divergence_factor
-    time = busy + device.launch_overhead_s
+    occ, time_mem, time_cmp, time = roofline(
+        device,
+        block,
+        traits.smem_per_block,
+        traits.regs_per_thread,
+        (bytes_read + bytes_written) * traits.halo_compute_factor,
+        flops,
+        traits.divergence_factor,
+        precision,
+    )
     return KernelProjection(
         kernel_name=volume.kernel_name,
         bytes_read=bytes_read,

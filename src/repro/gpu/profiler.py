@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set
 
 from ..analysis.accesses import KernelAccesses, collect_accesses
 from ..analysis.deps import is_fissionable

@@ -558,9 +558,9 @@ def held(owner: object, slot: str, key: Hashable, compute: Callable[[], T]) -> T
 
     For pure functions of objects the store's memory tier shares between
     runs and nobody mutates (a :class:`FusionProblem`, a
-    :class:`TransformResult`).  As with the search's
-    ``_group_time_cache``, a lost race between two runs costs one
-    recomputation.
+    :class:`TransformResult`).  As with the search's group memo
+    (:meth:`FusionProblem.group_terms`), a lost race between two runs
+    costs one recomputation.
     """
     memo: Dict = owner.__dict__.setdefault(slot, {})
     value = memo.get(key)

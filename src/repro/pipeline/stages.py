@@ -462,6 +462,7 @@ def stage_search(state: PipelineState) -> PipelineState:
     if reused_result is not None:
         state.search = reused_result
     else:
+        scored_before = state.built.problem.new_groups
         try:
             state.search = run_search(
                 state.built.problem,
@@ -495,6 +496,9 @@ def stage_search(state: PipelineState) -> PipelineState:
             # the problem may be shared with later runs (memory tier): a
             # search's per-individual memo ends with it
             drop_individual_memos(state.built.problem)
+        search_note += (
+            f"; {state.built.problem.new_groups - scored_before} new groups scored"
+        )
         if store is not None and not fell_back:
             stage_cache.save_search(
                 store,

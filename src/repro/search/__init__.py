@@ -14,7 +14,6 @@ from .objective import (
     evaluate_individual,
     get_objective,
     group_projection_time,
-    group_volume,
     projected_gflops,
     projected_time_s,
     register_objective,
@@ -42,8 +41,7 @@ __all__ = [
     "FusionProblem", "NodeInfo", "Grouping", "Violations",
     "evaluate_violations", "singleton_grouping", "NOMINAL_BLOCK",
     "GGA", "run_search", "SearchResult", "GenerationStats",
-    "projected_gflops", "projected_time_s", "group_volume",
-    "group_projection_time", "register_objective", "get_objective",
+    "projected_gflops", "projected_time_s", "group_projection_time", "register_objective", "get_objective",
     "evaluate_individual", "surrogate_score", "spearman_rank_correlation",
     "surrogate_scorer", "SurrogateScorer", "SurrogateVariant",
     "GAParams", "default_params", "fast_params",

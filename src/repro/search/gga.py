@@ -182,12 +182,20 @@ class GGA:
     ) -> List[Tuple[float, Violations]]:
         """Evaluate a population; results in input order.  ``eval_span``
         gets ``exact_s``, the seconds of the memo misses (the rest of the
-        span is memo hits and bookkeeping)."""
+        span is memo hits and bookkeeping), and of those, ``new_groups``
+        / ``group_terms_s``: the groups the problem scored for the first
+        time (a concurrent search of the same problem adds its own)."""
+        problem = self.problem
         before, exact_before = self.evaluations, self.exact_s
+        groups_before, terms_before = problem.new_groups, problem.group_terms_s
         results = [self.evaluate(individual) for individual in individuals]
         misses = self.evaluations - before
         if eval_span is not None:
-            eval_span.set(exact_s=self.exact_s - exact_before)
+            eval_span.set(
+                exact_s=self.exact_s - exact_before,
+                new_groups=problem.new_groups - groups_before,
+                group_terms_s=problem.group_terms_s - terms_before,
+            )
         registry = get_registry()
         registry.inc("search_fitness_lookups_total", len(results))
         registry.inc("search_fitness_cache_hits_total", len(results) - misses)
@@ -269,6 +277,7 @@ class GGA:
         self._start_time = time.perf_counter()
         self._surrogate_candidates = screened
         self._surrogate_admitted = min(screened, fill)
+        self._groups_at_start = self.problem.new_groups
         self._rank_correlations: List[float] = []
 
     @property
@@ -482,6 +491,10 @@ class GGA:
                 ):
                     converged_at = stats.generation
                     break
+        get_registry().inc(
+            "search_group_terms_total",
+            self.problem.new_groups - self._groups_at_start,
+        )
         total_fissions = sum(s.fissions for s in history)
         correlations = self._rank_correlations
         return SearchResult(
@@ -528,10 +541,9 @@ class GGA:
             kept = [
                 group
                 for group in current.groups
-                if problem.group_fusable(group)
+                # unfusable, unrealizable, over the smem budget
+                if not any(problem.group_terms(group).flags[:3])
                 and problem.group_convex(group, reach)
-                and problem.group_realizable(group)
-                and problem.group_smem_bytes(group) <= problem.capacity
                 and group not in cyclic
             ]
             changed = len(kept) < len(current.groups)

@@ -24,12 +24,16 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from time import perf_counter
 from typing import (
-    Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set,
-    Tuple,
+    Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..errors import SearchError
+from ..gpu.perfmodel import cache_redundancy, estimate_registers, tile_halo_factor
 from ..graphs.digraph import DiGraph, strongly_connected_components
 from ..graphs.oeg import reachability
 
@@ -63,6 +67,59 @@ class NodeInfo:
     parent: Optional[str] = None
     #: fragment node ids when this node is fissionable (whole form)
     fragments: Tuple[str, ...] = ()
+
+
+class _Row(NamedTuple):
+    """The fields of one node that :meth:`FusionProblem.group_terms` reads."""
+
+    order: float
+    block: Tuple[int, int, int]
+    read: FrozenSet[str]
+    written: FrozenSet[str]
+    #: ``(array, points)`` / ``(array, radius)`` items
+    points: Tuple[Tuple[str, int], ...]
+    radius: Tuple[Tuple[str, int], ...]
+    #: arrays read at a halo (radius > 0)
+    halo: FrozenSet[str]
+    flops: float
+    flops_per_point: float
+    active: int
+    fusable: bool
+    #: fissionable, or a fission fragment
+    relaxable: bool
+
+
+class GroupFlags(NamedTuple):
+    """The feasibility flags of one group (counted by :class:`Violations`)."""
+
+    unfusable: bool
+    unrealizable: bool
+    #: its tiles exceed the capacity at :data:`NOMINAL_BLOCK`
+    smem_over: bool
+    #: it has a fissionable member or a fragment (lazy fission may relax it)
+    relaxable: bool
+
+
+class GroupTerms(NamedTuple):
+    """What the search needs of one group, from one pass over its members
+    (:meth:`FusionProblem.group_terms`): its flops, its tile bytes at
+    :data:`NOMINAL_BLOCK`, its :class:`GroupFlags`, and the inputs of its
+    projection as one fused kernel at its modal member block
+    (:func:`~repro.search.objective.group_projection_time` adds the device).
+    """
+
+    flops: float
+    smem: int
+    flags: GroupFlags
+    block: Tuple[int, int, int]
+    #: tile bytes at ``block`` (0 for a singleton: nothing is staged)
+    tile_bytes: int
+    regs: int
+    #: bytes moved: reads at their read factors, plus writes
+    bytes: float
+    #: the flops added one by one, as the launch volume sums them
+    #: (``flops`` is the objective's ``sum``, compensated on Python 3.12+)
+    kernel_flops: float
 
 
 class FusionProblem:
@@ -109,8 +166,33 @@ class FusionProblem:
             n.node for n in nodes if n.eligible and n.fusable
         )
         self._split_views: Dict[FrozenSet[str], SplitView] = {}
+        # the group memo: plain dict gets and sets are atomic under the
+        # GIL, so concurrent searches of one problem (shared through the
+        # store's memory tier) share it safely; a lost race costs one
+        # recomputation
+        self._group_terms: Dict[FrozenSet[str], GroupTerms] = {}
+        #: groups scored and their seconds (incl. each first projection on
+        #: a device); a concurrent search of this problem adds to both
+        self.new_groups = 0
+        self.group_terms_s = 0.0
         self._oeg_cache: Dict[FrozenSet[str], Tuple[DiGraph, Dict[str, Set[str]]]] = {}
         self._fingerprint: Optional[str] = None
+
+    @cached_property
+    def _rows(self) -> Dict[str, _Row]:
+        """The per-node table :meth:`group_terms` reads, built on first use
+        (a problem served only to codegen never scores a group)."""
+        return {
+            n.node: _Row(
+                n.order, n.block, n.arrays_read, n.arrays_written,
+                tuple(n.points_per_array.items()), tuple(n.radius.items()),
+                frozenset(a for a in n.arrays_read if n.radius.get(a, 0) > 0),
+                n.flops, n.flops_per_point,
+                n.extents[0] * n.extents[1] * n.extents[2],
+                n.fusable, n.fissionable or n.parent is not None,
+            )
+            for n in self.infos.values()
+        }
 
     def fingerprint(self) -> str:
         """Content digest of the whole problem (nodes, capacity, edges).
@@ -236,37 +318,6 @@ class FusionProblem:
             desc[node] = mask
         return desc, anc
 
-    # ---------------------------------------------------------- smem estimate
-
-    def locality_arrays(self, members: Iterable[str]) -> Set[str]:
-        """Arrays giving reuse inside a prospective group: read by >= 2
-        members, or produced by one member and read by another."""
-        members = list(members)
-        read_count: Dict[str, int] = {}
-        written: Set[str] = set()
-        read: Set[str] = set()
-        for node in members:
-            info = self.infos[node]
-            for array in info.arrays_read:
-                read_count[array] = read_count.get(array, 0) + 1
-                read.add(array)
-            written |= info.arrays_written
-        multi = {a for a, n in read_count.items() if n >= 2}
-        return multi | (written & read)
-
-    def group_smem_bytes(
-        self, members: Iterable[str], block: Tuple[int, int] = NOMINAL_BLOCK
-    ) -> int:
-        """Tile bytes a fused group needs at the nominal block shape."""
-        members = list(members)
-        total = 0
-        for array in sorted(self.locality_arrays(members)):
-            radius = max(
-                (self.infos[m].radius.get(array, 0) for m in members), default=0
-            )
-            total += (block[0] + 2 * radius) * (block[1] + 2 * radius) * 8
-        return total
-
     # ------------------------------------------------------------- feasibility
 
     def group_convex(
@@ -284,100 +335,186 @@ class FusionProblem:
                     return False
         return True
 
-    def group_fusable(self, members: FrozenSet[str]) -> bool:
-        """Every member of a multi-node group must be transformable."""
-        if len(members) <= 1:
-            return True
-        return all(self.infos[m].fusable for m in members)
+    # ------------------------------------------------------------ group terms
 
-    def group_realizable(
-        self, members: FrozenSet[str], max_waves: int = 2
-    ) -> bool:
-        """Mirror of the code generator's feasibility rules (§5.5.3).
+    def group_terms(self, group: FrozenSet[str]) -> GroupTerms:
+        """The :class:`GroupTerms` of ``group``, scored once per problem."""
+        terms = self._group_terms.get(group)
+        if terms is None:
+            start = perf_counter()
+            terms = self._group_terms[group] = self._score(group)
+            self.new_groups += 1
+            self.group_terms_s += perf_counter() - start
+        return terms
 
-        A group is unrealizable when fusing it would need behaviour the
-        generator cannot produce safely:
+    def _score(self, group: FrozenSet[str]) -> GroupTerms:
+        # member (set) order first: the byte sum below walks ``read`` in
+        # the order these unions give it, and the flops are summed in it,
+        # as the model's walks per term sum them (tests/test_group_terms.py)
+        read: Set[str] = set()
+        written: Set[str] = set()
+        multi_read: Set[str] = set()
+        multi_written: Set[str] = set()
+        points: Dict[str, int] = {}
+        radius: Dict[str, int] = {}
+        members = [self._rows[node] for node in group]
+        for row in members:
+            if not read.isdisjoint(row.read):
+                multi_read |= read & row.read
+            if not written.isdisjoint(row.written):
+                multi_written |= written & row.written
+            read |= row.read
+            written |= row.written
+            # counts and radii are >= 0: a first sighting always lands
+            for array, p in row.points:
+                if p > points.get(array, -1):
+                    points[array] = p
+            for array, r in row.radius:
+                if r > radius.get(array, 0):
+                    radius[array] = r
+        member_flops = [row.flops for row in members]
+        kernel_flops = 0.0
+        for flops in member_flops:
+            kernel_flops += flops
+        active = max([row.active for row in members], default=0)
+        blocks = [row.block for row in members]
+        if not blocks:
+            block = (NOMINAL_BLOCK[0], NOMINAL_BLOCK[1], 1)
+        elif blocks.count(blocks[0]) == len(blocks):
+            block = blocks[0]
+        else:
+            block = max(set(blocks), key=blocks.count)
+        ordered = sorted(members, key=_order)
+        flops_pp = 0.0
+        for row in ordered:
+            flops_pp += row.flops_per_point
+
+        # a fused group walks its members in launch order when one of them
+        # produces an array another reads: for realizability when one is
+        # read at a halo (else only a user conflict makes a group
+        # unrealizable), and for the arrays on chip — produced by one
+        # member and read at the producing thread's own site (radius 0)
+        # by later ones, they never leave the chip in the fused kernel:
+        # the code generator routes them through cache or registers (the
+        # B-CALM pole-array effect)
+        fused = len(members) > 1
+        realizable = not (
+            fused and self.user_conflicts
+            and any(c <= group for c in self.user_conflicts)
+        )
+        on_chip: Set[str] = set()
+        if fused and not written.isdisjoint(read):
+            check = realizable and not written.isdisjoint(
+                set().union(*[row.halo for row in members])
+            )
+            if check or any(radius.get(a, 0) == 0 for a in written & read):
+                on_chip, realizable = self._launch_walk(
+                    ordered, written, multi_written, check, realizable
+                )
+                on_chip = {a for a in on_chip if radius.get(a, 0) == 0}
+
+        # tiles: arrays read by two members, or produced and read in it
+        smem = tile_bytes = 0
+        local = multi_read | (written & read)
+        for array in local:
+            r = radius.get(array, 0)
+            smem += (NOMINAL_BLOCK[0] + 2 * r) * (NOMINAL_BLOCK[1] + 2 * r) * 8
+            tile_bytes += (block[0] + 2 * r) * (block[1] + 2 * r) * 8
+        staged = local - on_chip if fused else set()
+        bytes_read = 0.0
+        for array in read:
+            r = radius.get(array, 0)
+            if array in on_chip:
+                factor = 0.0
+            elif array in staged:
+                factor = tile_halo_factor(block, r)
+            else:
+                factor = cache_redundancy(r)
+            bytes_read += points.get(array, active) * 8 * factor
+        bytes_written = sum([points.get(array, 0) * 8 for array in written])
+        unfusable = fused and not all([row.fusable for row in members])
+        return GroupTerms(
+            sum(member_flops),
+            smem,
+            GroupFlags(
+                unfusable, not realizable, smem > self.capacity,
+                any([row.relaxable for row in members]),
+            ),
+            block,
+            tile_bytes if fused else 0,
+            estimate_registers(len(read | written), flops_pp),
+            bytes_read + bytes_written,
+            kernel_flops,
+        )
+
+    def _launch_walk(
+        self, ordered: List[_Row], written: Set[str],
+        multi_written: Set[str], check: bool, realizable: bool,
+    ) -> Tuple[Set[str], bool]:
+        """The arrays a member of a fused group produces before any member
+        reads them, and (when ``check``) whether the code generator can
+        realize the group (§5.5.3), from one walk in launch order.  It
+        cannot when fusing would need behaviour it cannot produce safely:
 
         * a member reads an array *with a halo* that a later member
-          overwrites (inter-block WAR hazard),
-        * an array consumed with a halo has two producers in the group, or
-        * the halo producer→consumer chains are deeper than the supported
-          wave count (one barrier level of temporal blocking).
+          writes first (inter-block WAR hazard);
+        * an array consumed with a halo has a second producer in the
+          group (the tile stages the array's pre-kernel values once per
+          iteration, so a second writer, even an earlier, fully
+          overwritten one, leaves guard-boundary cells of the tile
+          stale), or its producer reads an array another member writes
+          (the producer's extended compute reads every input at halo
+          distance, so it must read pure inputs).  This also bounds the
+          halo chains at one barrier level: a producer in the second wave
+          reads what another member wrote, so no third wave passes;
+        * the waves would reorder a dependence: a first-wave member reads
+          what a second-wave one last wrote, or writes what one read or
+          wrote (the generator emits wave by wave).
         """
-        if len(members) <= 1:
-            return True
-        for conflict in self.user_conflicts:
-            if conflict <= members:
-                return False
-        ordered = sorted(members, key=lambda n: self.infos[n].order)
-        first_writer: Dict[str, int] = {}
-        for idx, node in enumerate(ordered):
-            for array in self.infos[node].arrays_written:
-                first_writer.setdefault(array, idx)
-        for idx, node in enumerate(ordered):
-            info = self.infos[node]
-            for array in info.arrays_read:
-                radius = info.radius.get(array, 0)
-                writer = first_writer.get(array)
-                if radius > 0 and writer is not None and writer > idx:
-                    return False
-        # halo RAW edges: single producer, bounded wave depth, and a
-        # "pure inputs" producer (its extended compute reads every input at
-        # halo distance, so no other member may write what it reads)
-        all_writes: Dict[str, Set[int]] = {}
-        for idx, node in enumerate(ordered):
-            for array in self.infos[node].arrays_written:
-                all_writes.setdefault(array, set()).add(idx)
-        last_writer: Dict[str, int] = {}
-        producer_of: Dict[str, int] = {}
-        depth = [0] * len(ordered)
-        for idx, node in enumerate(ordered):
-            info = self.infos[node]
-            for array in sorted(info.arrays_read):
-                writer = last_writer.get(array)
-                if writer is None or writer == idx:
-                    continue
-                if info.radius.get(array, 0) > 0:
-                    known = producer_of.setdefault(array, writer)
-                    if known != writer:
-                        return False
-                    # the tile stages the array's pre-kernel values once per
-                    # iteration; a second in-group writer (even an earlier,
-                    # fully-overwritten one) leaves guard-boundary cells of
-                    # the tile stale relative to the sequential program
-                    if all_writes.get(array, set()) - {writer}:
-                        return False
-                    depth[idx] = max(depth[idx], depth[writer] + 1)
-                    if depth[idx] + 1 > max_waves:
-                        return False
-                    producer_info = self.infos[ordered[writer]]
-                    for read in producer_info.arrays_read:
-                        writers = all_writes.get(read, set())
-                        if writers - {writer}:
-                            return False
-            for array in info.arrays_written:
-                last_writer[array] = idx
-        # the wave assignment must not reorder ANY dependence pair: a halo
-        # consumer pushed to a later wave cannot jump over a member it has a
-        # RAW/WAR/WAW relation with (the generator emits wave by wave)
-        last_writer.clear()
-        readers: Dict[str, List[int]] = {}
-        for idx, node in enumerate(ordered):
-            info = self.infos[node]
-            for array in info.arrays_read:
-                writer = last_writer.get(array)
-                if writer is not None and depth[writer] > depth[idx]:
-                    return False
-                readers.setdefault(array, []).append(idx)
-            for array in info.arrays_written:
-                for reader in readers.get(array, []):
-                    if reader != idx and depth[reader] > depth[idx]:
-                        return False
-                writer = last_writer.get(array)
-                if writer is not None and depth[writer] > depth[idx]:
-                    return False
-                last_writer[array] = idx
-        return True
+        produced_first: Set[str] = set()
+        seen_read: Set[str] = set()
+        seen_written: Set[str] = set()
+        halo_read: Set[str] = set()
+        last_writer: Dict[str, _Row] = {}
+        wave2_read: Set[str] = set()
+        wave2_written: Set[str] = set()
+        for row in ordered:
+            if not seen_written.isdisjoint(row.read):
+                produced_first |= (row.read - seen_read) & seen_written
+            if check:
+                check = halo_read.isdisjoint(row.written - seen_written)
+                second_wave = False
+                for array in row.halo if check else ():
+                    producer = last_writer.get(array)
+                    if producer is None:
+                        continue
+                    check = not (
+                        array in multi_written
+                        or not producer.read.isdisjoint(multi_written)
+                        or not producer.read.isdisjoint(written - producer.written)
+                    )
+                    if not check:
+                        break
+                    second_wave = True
+                if second_wave and check:
+                    wave2_read |= row.read
+                    wave2_written |= row.written
+                elif check:
+                    check = (
+                        wave2_written.isdisjoint(row.read)
+                        and wave2_read.isdisjoint(row.written)
+                        and wave2_written.isdisjoint(row.written)
+                    )
+                for array in row.written:
+                    last_writer[array] = row
+                halo_read |= row.halo
+                realizable = check
+            seen_read |= row.read
+            seen_written |= row.written
+        return produced_first, realizable
+
+
+_order = attrgetter("order")
 
 
 def _mergeable_order(problem: FusionProblem, nodes: Sequence[str]):
@@ -685,18 +822,16 @@ def evaluate_violations(
     _, reach = problem.node_oeg(individual.active_nodes(problem))
     ordering_bad = cyclic_groups(problem, individual)
     for group in individual.groups:
-        if not problem.group_fusable(group):
+        flags = problem.group_terms(group).flags
+        if flags.unfusable:
             violations.unfusable += 1
         if not problem.group_convex(group, reach) or group in ordering_bad:
             violations.non_convex += 1
-        if not problem.group_realizable(group):
+        if flags.unrealizable:
             violations.unrealizable += 1
-        if problem.group_smem_bytes(group) > problem.capacity:
+        if flags.smem_over:
             violations.smem_over += 1
-            if any(
-                problem.infos[m].fissionable or problem.infos[m].parent is not None
-                for m in group
-            ):
+            if flags.relaxable:
                 violations.relaxable += 1
     return violations
 

@@ -13,6 +13,7 @@ function and point the parameter file at it" workflow.
 
 from __future__ import annotations
 
+import time
 from typing import (
     Callable,
     Dict,
@@ -23,12 +24,10 @@ from typing import (
     Tuple,
 )
 
-from ..analysis.volume import LaunchVolume
 from ..errors import SearchError
 from ..gpu.device import DeviceSpec
-from ..gpu.perfmodel import CodegenTraits, estimate_registers, project_kernel
+from ..gpu.perfmodel import roofline
 from .grouping import (
-    NOMINAL_BLOCK,
     FusionProblem,
     Grouping,
     MergeableGroups,
@@ -64,103 +63,59 @@ def get_objective(name: str) -> ObjectiveFn:
         ) from None
 
 
-def group_volume(problem: FusionProblem, members: Iterable[str]) -> LaunchVolume:
-    """Merged launch volume of a prospective fused group."""
-    members = list(members)
-    arrays_read: set = set()
-    arrays_written: set = set()
-    points: Dict[str, int] = {}
-    flops = 0.0
-    active = 0
-    for node in members:
-        info = problem.info(node)
-        arrays_read |= info.arrays_read
-        arrays_written |= info.arrays_written
-        for array, p in info.points_per_array.items():
-            points[array] = max(points.get(array, 0), p)
-        flops += info.flops
-        active = max(active, info.extents[0] * info.extents[1] * info.extents[2])
-    return LaunchVolume(
-        kernel_name="+".join(problem.info(m).kernel for m in members),
-        active_threads=active,
-        launched_threads=active,
-        points_per_array=points,
-        arrays_read=arrays_read,
-        arrays_written=arrays_written,
-        flops=flops,
-    )
+def _group_pairs(
+    problem: FusionProblem, device: DeviceSpec
+) -> Dict[FrozenSet[str], Tuple[float, float]]:
+    """The problem's (projected time, flops) per group on ``device``.
+
+    Held on the problem beside its group terms, keyed on the frozen
+    ``DeviceSpec`` (two specs may share a name); plain dicts, so
+    concurrent searches of one problem share them as they share the
+    terms.
+    """
+    cache: Dict = problem.__dict__.setdefault("_group_time_cache", {})
+    return cache.setdefault(device, {})
+
+
+def _group_pair(
+    problem: FusionProblem,
+    pairs: Dict[FrozenSet[str], Tuple[float, float]],
+    group: FrozenSet[str],
+    device: DeviceSpec,
+) -> Tuple[float, float]:
+    pair = pairs.get(group)
+    if pair is None:
+        terms = problem.group_terms(group)
+        start = time.perf_counter()
+        time_s = roofline(
+            device,
+            terms.block,
+            min(terms.tile_bytes, device.shared_mem_per_block),
+            terms.regs,
+            terms.bytes,
+            terms.kernel_flops,
+        )[3]
+        pair = pairs[group] = (time_s, terms.flops)
+        problem.group_terms_s += time.perf_counter() - start
+    return pair
 
 
 def group_projection_time(
-    problem: FusionProblem,
-    members: Iterable[str],
-    device: DeviceSpec,
-    block: Tuple[int, int, int] = (NOMINAL_BLOCK[0], NOMINAL_BLOCK[1], 1),
+    problem: FusionProblem, members: Iterable[str], device: DeviceSpec
 ) -> float:
-    """Projected execution time (s) of one group fused at the nominal block.
+    """Projected execution time (s) of one group fused at its modal
+    member block: locality arrays staged, intermediates produced and read
+    at the same site kept on chip (the B-CALM pole-array effect).
 
-    Cached per (group, device, block) on the problem instance — group
-    fitness evaluation dominates GGA runtime (the paper reports > 90%), so
-    memoizing repeated groups across generations is the main speed lever.
+    Scoring the groups a problem has not seen is the largest single cost
+    of a search: on ``search-paper-budget`` (5 966 distinct groups) it
+    was ~37 % of the search at ~130 µs a group in five walks, and is
+    ~20 % at ~60 µs in one (:meth:`FusionProblem.group_terms`, whose
+    terms this reads; 2-core box).  So the time is memoized per (group,
+    device) on the problem.
     """
-    members = list(members)
-    blocks = [problem.info(m).block for m in members]
-    if blocks:
-        block = max(set(blocks), key=blocks.count)
-    # dict get/setdefault are atomic under the GIL, so concurrent searches
-    # of one problem (shared through the store's memory tier) share this
-    # cache safely; a lost race costs one recomputation.  Keyed on the
-    # frozen DeviceSpec, not its name: two specs may share a name
-    cache: Dict = problem.__dict__.setdefault("_group_time_cache", {})
-    key = (frozenset(members), device, block)
-    cached = cache.get(key)
-    if cached is not None:
-        return cached
-    volume = group_volume(problem, members)
-    radius: Dict[str, int] = {}
-    flops_pp = 0.0
-    ordered = sorted(members, key=lambda n: problem.info(n).order)
-    for node in ordered:
-        info = problem.info(node)
-        flops_pp += info.flops_per_point
-        for array, r in info.radius.items():
-            radius[array] = max(radius.get(array, 0), r)
-    # intermediates produced by one member and consumed at the producing
-    # thread's own site (radius 0) by strictly later members never leave
-    # the chip in the fused kernel — the code generator routes them through
-    # cache/registers (the B-CALM pole-array effect)
-    on_chip: set = set()
-    if len(ordered) > 1:
-        first_writer: Dict[str, int] = {}
-        first_reader: Dict[str, int] = {}
-        for idx, node in enumerate(ordered):
-            info = problem.info(node)
-            for array in info.arrays_written:
-                first_writer.setdefault(array, idx)
-            for array in info.arrays_read:
-                first_reader.setdefault(array, idx)
-        for array, widx in first_writer.items():
-            ridx = first_reader.get(array)
-            if ridx is not None and ridx > widx and radius.get(array, 0) == 0:
-                on_chip.add(array)
-    if len(members) > 1:
-        staged = problem.locality_arrays(members) - on_chip
-        smem = problem.group_smem_bytes(members, (block[0], block[1]))
-    else:
-        staged = set()
-        smem = 0
-    traits = CodegenTraits(
-        staged=staged,
-        on_chip=on_chip,
-        radius=radius,
-        smem_per_block=min(smem, device.shared_mem_per_block),
-        regs_per_thread=estimate_registers(
-            len(volume.arrays_read | volume.arrays_written), flops_pp
-        ),
-    )
-    time_s = project_kernel(device, volume, block, traits).time_s
-    cache[key] = time_s
-    return time_s
+    group = frozenset(members)
+    return _group_pair(problem, _group_pairs(problem, device), group, device)[0]
 
 
 def summation_order(
@@ -203,8 +158,10 @@ def projected_time_s(
 
 
 def clear_projection_caches(problem: FusionProblem) -> None:
-    """Drop the per-problem projection memo (tests / benchmarks)."""
-    problem.__dict__.pop("_group_time_cache", None)
+    """Empty the per-problem group memos (tests / benchmarks)."""
+    problem._group_terms.clear()
+    for pairs in problem.__dict__.get("_group_time_cache", {}).values():
+        pairs.clear()
 
 
 class CompiledFitness:
@@ -222,9 +179,10 @@ class CompiledFitness:
       fused group its member mask ``M``, ``desc(M)`` and convexity
       ``desc(M) & anc(M) & ~M == 0`` — the group masks live and die with
       their split;
-    * per group: fusability / realizability / smem pressure / lazy-fission
-      relaxability, and the (projection time, flops) pair of the default
-      objective; the singletons' pairs laid out per split in summation
+    * per group, on the problem and so shared by every evaluator of it:
+      the feasibility flags (:meth:`FusionProblem.group_terms`) and the
+      (projection time, flops) pair of the default objective for this
+      device; the singletons' pairs laid out per split in summation
       order (:func:`summation_order`), so the objective walks the split's
       nodes once and swaps in each fused group at its least member;
     * per individual value: the final (fitness, violation counts) pair,
@@ -274,8 +232,8 @@ class CompiledFitness:
         self.penalties = penalties
         #: split -> (desc, anc, {group: (M, desc(M), convex)})
         self._split_cache: Dict[FrozenSet[str], _SplitState] = {}
-        self._group_static: Dict[FrozenSet[str], Tuple[bool, bool, bool, bool]] = {}
-        self._group_obj: Dict[FrozenSet[str], Tuple[float, float]] = {}
+        #: the problem's (time, flops) memo for this device
+        self._pairs = _group_pairs(problem, device)
         #: (split, launch order?) -> the split's singleton terms
         self._split_terms: Dict[Tuple[FrozenSet[str], bool], _NodeTerms] = {}
         #: individual -> (fitness, the memo's own Violations record)
@@ -290,23 +248,6 @@ class CompiledFitness:
                 self._split_cache.clear()
             self._split_cache[split] = state
         return state
-
-    def _group_flags(self, group: FrozenSet[str]) -> Tuple[bool, bool, bool, bool]:
-        flags = self._group_static.get(group)
-        if flags is None:
-            problem = self.problem
-            infos = problem.infos
-            flags = (
-                not problem.group_fusable(group),
-                not problem.group_realizable(group),
-                problem.group_smem_bytes(group) > problem.capacity,
-                any(
-                    infos[m].fissionable or infos[m].parent is not None
-                    for m in group
-                ),
-            )
-            self._group_static[group] = flags
-        return flags
 
     def _violations(self, individual: Grouping) -> Violations:
         desc, anc, masks = self._split_state(individual.split)
@@ -325,8 +266,8 @@ class CompiledFitness:
                     members, below, not below & above & ~members
                 )
             fused.append(entry)
-            unfusable, unrealizable, smem_over, relax_possible = self._group_flags(
-                group
+            unfusable, unrealizable, smem_over, relax_possible = (
+                self.problem.group_terms(group).flags
             )
             if unfusable:
                 violations.unfusable += 1
@@ -357,12 +298,9 @@ class CompiledFitness:
 
     def _group_pair(self, group: FrozenSet[str]) -> Tuple[float, float]:
         """(projected time, flops) of a group, memoized."""
-        pair = self._group_obj.get(group)
+        pair = self._pairs.get(group)
         if pair is None:
-            pair = self._group_obj[group] = (
-                group_projection_time(self.problem, group, self.device),
-                sum(self.problem.info(m).flops for m in group),
-            )
+            pair = _group_pair(self.problem, self._pairs, group, self.device)
         return pair
 
     def _singleton_terms(
@@ -521,10 +459,9 @@ class SurrogateVariant:
 class SurrogateScorer:
     """Batch surrogate scoring plus cheap model-guided neighbourhoods.
 
-    Wraps the per-problem :class:`CompiledFitness` so the per-group
-    projection-time and static-flag memos are shared with exact
-    evaluation: scoring a candidate pre-pays the memo fills its exact
-    evaluation would do anyway.  On top of plain scoring it generates
+    Wraps the per-problem :class:`CompiledFitness`, so it reads the same
+    per-group memos as exact evaluation: scoring a candidate pre-pays
+    the memo fills its exact evaluation would do anyway.  On top of plain scoring it generates
     *variants* — single merge/split/move edits of a bred offspring whose
     scores are computed as deltas against the parent's per-group terms,
     two dictionary lookups per edit instead of a full rescan.
@@ -570,7 +507,7 @@ class SurrogateScorer:
         evaluator = self.evaluator
         violations = Violations()
         for group in individual.groups:
-            self._apply_flags(violations, evaluator._group_flags(group), +1)
+            self._apply_flags(violations, self.problem.group_terms(group).flags, +1)
         return penalized_fitness(
             evaluator._objective_value(individual), violations, self.penalties
         )
@@ -582,7 +519,10 @@ class SurrogateScorer:
     ) -> Tuple[float, float, Tuple[bool, bool, bool, bool]]:
         """(projected time, flops, static flags) for one group, memoized."""
         evaluator = self.evaluator
-        flags = self._NO_FLAGS if len(group) == 1 else evaluator._group_flags(group)
+        flags = (
+            self._NO_FLAGS if len(group) == 1
+            else self.problem.group_terms(group).flags
+        )
         return (*evaluator._group_pair(group), flags)
 
     def components(
@@ -601,7 +541,7 @@ class SurrogateScorer:
         total_time, total_flops = evaluator._totals(individual)
         violations = Violations()
         for group in individual.groups:
-            self._apply_flags(violations, evaluator._group_flags(group), +1)
+            self._apply_flags(violations, self.problem.group_terms(group).flags, +1)
         if len(self._components) > 16384:
             self._components.clear()
         self._components[individual] = (

@@ -155,7 +155,7 @@ def lazy_fission_repair(
     groups = list(individual.groups)
     fissions = 0
     for index, group in enumerate(groups):
-        if problem.group_smem_bytes(group) <= problem.capacity:
+        if not problem.group_terms(group).flags.smem_over:
             continue
         candidates = [
             m for m in sorted(group) if m in problem.fragments_of and m not in split
@@ -181,7 +181,7 @@ def lazy_fission_repair(
         )
         for fragment in sharing:
             candidate_group = rest | keep | {fragment}
-            if problem.group_smem_bytes(candidate_group) <= problem.capacity:
+            if not problem.group_terms(candidate_group).flags.smem_over:
                 keep.add(fragment)
         groups[index] = rest | keep
         split.add(node)

@@ -218,28 +218,38 @@ def _decode_graphs(
 # -------------------------------------------------------------------- search
 
 
-def _grouping_to_payload(
-    grouping: Grouping, problem: FusionProblem
-) -> Dict[str, object]:
+def _grouping_to_payload(grouping: Grouping) -> Dict[str, object]:
+    """An individual as stored: its split set and its fused groups (the
+    uncovered active nodes are its singletons)."""
     return {
         "split": sorted(grouping.split),
-        "groups": [sorted(group) for group in grouping.partition(problem)],
+        "fused": [sorted(group) for group in grouping.groups],
     }
 
 
 def _grouping_from_payload(
     payload: Dict[str, object], problem: FusionProblem
 ) -> Optional[Grouping]:
+    """The stored individual, or ``None`` if it is not one of ``problem``.
+
+    Entries written before individuals were stored sparse list every
+    group (``"groups"``, singletons included); they load as the same
+    individual if they are a whole partition of the problem.
+    """
     try:
-        groups = [frozenset(group) for group in payload["groups"]]
+        sparse = "fused" in payload
+        groups = [
+            frozenset(group)
+            for group in payload["fused" if sparse else "groups"]
+        ]
         grouping = Grouping(split=frozenset(payload["split"]), groups=groups)
     except (KeyError, TypeError):
         return None
-    # the payload must be a whole partition of the problem, not just the
-    # fused groups of one
     if not grouping.covers(problem):
         return None
-    if sorted(map(sorted, groups)) != sorted(map(sorted, grouping.partition(problem))):
+    if not sparse and sorted(map(sorted, groups)) != sorted(
+        map(sorted, grouping.partition(problem))
+    ):
         return None
     return grouping
 
@@ -278,7 +288,7 @@ def save_search(
         NS_SEARCH,
         exact_key,
         {
-            "best": _grouping_to_payload(result.best, problem),
+            "best": _grouping_to_payload(result.best),
             "best_fitness": result.best_fitness,
             "projected_time_s": result.projected_time_s,
             "generations_run": result.generations_run,
@@ -287,11 +297,11 @@ def save_search(
             "evaluations": result.evaluations,
         },
     )
-    pop_payload = [_grouping_to_payload(result.best, problem)]
+    pop_payload = [_grouping_to_payload(result.best)]
     for individual in population or []:
         if len(pop_payload) > MAX_SAVED_POPULATION:
             break
-        pop_payload.append(_grouping_to_payload(individual, problem))
+        pop_payload.append(_grouping_to_payload(individual))
     store.put(NS_POPULATION, warm_key, {"population": pop_payload})
 
 

@@ -15,10 +15,10 @@ winning shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 from ..gpu.device import DeviceSpec
-from ..gpu.occupancy import BlockShape, OccupancyResult, calculate_occupancy, tune_block_size
+from ..gpu.occupancy import BlockShape, calculate_occupancy, tune_block_size
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ The fission invariants (tested):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.accesses import KernelAccesses, collect_accesses
 from ..analysis.deps import separable_components

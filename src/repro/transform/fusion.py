@@ -25,7 +25,7 @@ sequential segments (lost reuse, §6.2.2/SCALE-LES), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..analysis.accesses import KernelAccesses, collect_accesses
@@ -39,7 +39,6 @@ from .kernel_model import (
     CanonicalKernel,
     extract_model,
     local_names,
-    rename_block,
     rename_expr,
     rename_stmt,
     substitute_expr,

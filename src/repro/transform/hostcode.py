@@ -11,10 +11,9 @@ from the tuning step and are emitted as inline ``dim3(...)`` literals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..cudalite import ast_nodes as ast
-from ..cudalite import builders as b
 from ..errors import TransformError
 
 

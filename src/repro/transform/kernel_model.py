@@ -27,8 +27,8 @@ code-generating transformation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..cudalite import ast_nodes as ast
 from ..analysis.accesses import find_global_index_vars

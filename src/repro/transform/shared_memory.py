@@ -35,12 +35,10 @@ canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..cudalite import ast_nodes as ast
 from ..cudalite import builders as b
-from ..errors import TransformError
-from .kernel_model import substitute_expr
 
 #: Names used by generated staging code.
 TX, TY = "tx", "ty"

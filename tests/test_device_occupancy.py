@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from repro.gpu.device import (
     K20X,
     K40,
-    TESTING,
     DeviceSpec,
     available_devices,
     query_device,
     register_device,
 )
 from repro.gpu.occupancy import (
-    BlockShape,
     calculate_occupancy,
     candidate_shapes,
     enumerate_block_sizes,

@@ -1,7 +1,5 @@
 """Kernel-fission tests: Algorithm 2 invariants + semantic preservation."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,8 +19,6 @@ from repro.transform.fission import (
     fission_program,
     iterative_fission,
 )
-
-from conftest import SEPARABLE_SRC
 
 
 SEPARABLE_KERNEL = """

@@ -21,7 +21,7 @@ from repro.transform import (
     make_constituent,
 )
 
-from conftest import CHAIN_SRC, THREE_KERNEL_SRC
+from conftest import THREE_KERNEL_SRC
 
 
 def consts(program, specs):
@@ -91,7 +91,7 @@ def test_simple_fusion_not_complex(simple_fused):
 
 
 def test_fused_kernel_parses_and_checks(simple_fused):
-    from repro.cudalite import check_program, parse_program as reparse
+    from repro.cudalite import parse_program as reparse
 
     _, fused = simple_fused
     text = unparse(ast.Program((fused.kernel,)))

@@ -1,12 +1,11 @@
 """Additional coverage: 1-D / flat fusion, OEG amendments, errors, misc."""
 
-import numpy as np
 import pytest
 
 from repro.cudalite import ast_nodes as ast
 from repro.cudalite import parse_program, unparse
 from repro.cudalite.parser import parse_expr
-from repro.errors import ReproError, SearchError, TransformError
+from repro.errors import ReproError, SearchError
 from repro.gpu.device import K20X
 from repro.gpu.interpreter import outputs_equal, run_program
 from repro.pipeline import Framework, PipelineConfig

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cudalite import parse_program, unparse
+from repro.cudalite import parse_program
 from repro.errors import PipelineError
 from repro.gpu.device import K20X
 from repro.pipeline import Framework, PipelineConfig, transform_program

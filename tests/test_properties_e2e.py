@@ -8,7 +8,6 @@ preserve program semantics on the simulator under both block schedules.
 
 import random
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

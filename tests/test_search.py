@@ -3,8 +3,6 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.analysis.filtering import identify_targets
 from repro.cudalite import parse_program
@@ -36,8 +34,6 @@ from repro.search.operators import (
     random_grouping,
 )
 
-from conftest import SEPARABLE_SRC, THREE_KERNEL_SRC
-
 
 @pytest.fixture
 def problem3(three_kernel_program):
@@ -68,7 +64,7 @@ def test_node_infos(problem3):
 
 
 def test_group_smem_estimate_positive(problem3):
-    smem = problem3.group_smem_bytes({"k1@0", "k2@1"})
+    smem = problem3.group_terms(frozenset({"k1@0", "k2@1"})).smem
     assert smem > 0  # B is a locality array
 
 

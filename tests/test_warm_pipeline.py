@@ -7,6 +7,7 @@ import pytest
 from repro.api import TransformConfig, transform
 from repro.pipeline.cli import main as cli_main
 from repro.search import fast_params
+from repro.search.grouping import Grouping
 
 from conftest import THREE_KERNEL_SRC
 
@@ -260,5 +261,110 @@ def test_full_partition_payload_loads_as_its_sparse_seed(tmp_path):
     assert hash(seeds[0]) == hash(individual)
     assert seeds[0].groups == individual.groups
     assert all(len(g) > 1 for g in seeds[0].groups)
-    # and the writer keeps the full format
-    assert stage_cache._grouping_to_payload(individual, problem) == payload
+    # and the writer writes the sparse format
+    assert stage_cache._grouping_to_payload(individual) == {
+        "split": sorted(individual.split),
+        "fused": sorted(sorted(g) for g in individual.groups),
+    }
+
+
+def _bcalm_problem_and_individual(seed=3):
+    """Half-scale B-CALM's problem and a random individual of it that
+    splits a node and fuses groups."""
+    import random
+
+    from repro.analysis.filtering import identify_targets
+    from repro.apps import build_app
+    from repro.gpu.device import K20X
+    from repro.gpu.profiler import gather_metadata
+    from repro.search import build_problem, random_grouping
+
+    program = build_app("B-CALM", scale=0.5).program
+    meta = gather_metadata(program, K20X)
+    problem = build_problem(program, meta, identify_targets(meta, K20X), K20X).problem
+    rng = random.Random(seed)
+    individual = next(
+        ind
+        for ind in (random_grouping(problem, rng) for _ in range(100))
+        if ind.split and len(ind.groups) >= 2
+    )
+    return problem, individual
+
+
+def test_sparse_payload_round_trips_to_an_equal_individual():
+    from repro.store import stage_cache
+
+    problem, individual = _bcalm_problem_and_individual()
+    payload = stage_cache._grouping_to_payload(individual)
+    assert set(payload) == {"split", "fused"}
+    assert len(payload["fused"]) == len(individual.groups)
+    loaded = stage_cache._grouping_from_payload(json.loads(json.dumps(payload)), problem)
+    assert loaded == individual
+    assert hash(loaded) == hash(individual)
+    assert loaded.partition(problem) == individual.partition(problem)
+
+
+def test_sparse_payload_that_is_no_individual_gives_no_seed(tmp_path):
+    """Overlapping fused groups, a member outside the active set (a
+    fragment of an unsplit node, or an unknown node) and a split node that
+    is not fissionable each drop the entry; the valid one beside them
+    still seeds."""
+    from repro.gpu.device import K20X
+    from repro.search import GAParams
+    from repro.store import stage_cache
+    from repro.store.artifact_store import ArtifactStore
+
+    problem, individual = _bcalm_problem_and_individual()
+    good = stage_cache._grouping_to_payload(individual)
+    split, fused = good["split"], good["fused"]
+    unsplit = sorted(set(problem.fragments_of) - individual.split)
+    whole = [n for n in problem.whole_nodes() if n not in problem.fragments_of]
+    bad = [
+        # two fused groups share a member
+        {"split": split, "fused": fused + [[fused[0][0], fused[1][0]]]},
+        # a member that is not active: the whole form of a split node
+        {"split": split, "fused": [[split[0], fused[0][0]]]},
+        # a member that is no node of the problem
+        {"split": split, "fused": [["no-such-node@0", fused[0][0]]]},
+        # a split node that is not fissionable
+        {"split": sorted(split + whole[:1]), "fused": fused},
+    ]
+    if unsplit:
+        # a fragment of a node that is not split
+        fragment = problem.fragments_of[unsplit[0]][0]
+        bad.append({"split": split, "fused": [[fragment, fused[0][0]]]})
+    for payload in bad:
+        assert stage_cache._grouping_from_payload(payload, problem) is None, payload
+
+    store = ArtifactStore(tmp_path / "store")
+    params = GAParams()
+    _, warm_key = stage_cache._search_keys(problem, K20X, params)
+    store.put(stage_cache.NS_POPULATION, warm_key, {"population": bad + [good]})
+    assert stage_cache.load_warm_start(store, problem, K20X, params) == [individual]
+
+
+def test_population_entry_keeps_order_and_duplicates(tmp_path):
+    """Generation 0 takes the seeds by position: a stored population loads
+    as the same list, repeats included."""
+    from repro.gpu.device import K20X
+    from repro.search import GAParams, singleton_grouping
+    from repro.search.gga import SearchResult
+    from repro.store import stage_cache
+    from repro.store.artifact_store import ArtifactStore
+
+    problem, individual = _bcalm_problem_and_individual()
+    other = _bcalm_problem_and_individual(seed=4)[1]
+    identity = singleton_grouping(problem)
+    population = [other, individual, other, identity, individual]
+    result = SearchResult(
+        best=individual, best_fitness=1.0, projected_time_s=1.0, history=[],
+        generations_run=1, converged_at=0, avg_fissions_per_generation=0.0,
+        evaluations=1, new_kernel_count=len(individual.partition(problem)),
+    )
+    store = ArtifactStore(tmp_path / "store")
+    params = GAParams()
+    stage_cache.save_search(store, problem, K20X, params, result, population)
+    seeds = stage_cache.load_warm_start(store, problem, K20X, params)
+    assert seeds == [individual] + population[:3] + [
+        Grouping(identity.split, identity.groups)
+    ] + population[4:]
