@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, reduce
+from operator import add, attrgetter
 from time import perf_counter
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
@@ -76,7 +76,8 @@ class _Row(NamedTuple):
     block: Tuple[int, int, int]
     read: FrozenSet[str]
     written: FrozenSet[str]
-    #: ``(array, points)`` / ``(array, radius)`` items
+    touched: FrozenSet[str]
+    #: ``(array, points)`` / ``(array, radius > 0)`` items
     points: Tuple[Tuple[str, int], ...]
     radius: Tuple[Tuple[str, int], ...]
     #: arrays read at a halo (radius > 0)
@@ -185,7 +186,8 @@ class FusionProblem:
         return {
             n.node: _Row(
                 n.order, n.block, n.arrays_read, n.arrays_written,
-                tuple(n.points_per_array.items()), tuple(n.radius.items()),
+                self.touched[n.node], tuple(n.points_per_array.items()),
+                tuple((a, r) for a, r in n.radius.items() if r > 0),
                 frozenset(a for a in n.arrays_read if n.radius.get(a, 0) > 0),
                 n.flops, n.flops_per_point,
                 n.extents[0] * n.extents[1] * n.extents[2],
@@ -351,33 +353,24 @@ class FusionProblem:
         # member (set) order first: the byte sum below walks ``read`` in
         # the order these unions give it, and the flops are summed in it,
         # as the model's walks per term sum them (tests/test_group_terms.py)
-        read: Set[str] = set()
-        written: Set[str] = set()
-        multi_read: Set[str] = set()
-        multi_written: Set[str] = set()
+        members = [self._rows[node] for node in group]
+        (
+            _, blocks, reads, writes, _, points_items, radius_items, halos,
+            flops, _, actives, fusable, relaxable,
+        ) = zip(*members) if members else ((),) * len(_Row._fields)
+        read: Set[str] = set().union(*reads)
+        written: Set[str] = set().union(*writes)
         points: Dict[str, int] = {}
         radius: Dict[str, int] = {}
-        members = [self._rows[node] for node in group]
-        for row in members:
-            if not read.isdisjoint(row.read):
-                multi_read |= read & row.read
-            if not written.isdisjoint(row.written):
-                multi_written |= written & row.written
-            read |= row.read
-            written |= row.written
-            # counts and radii are >= 0: a first sighting always lands
-            for array, p in row.points:
+        for items in points_items:
+            # counts are >= 0: a first sighting always lands
+            for array, p in items:
                 if p > points.get(array, -1):
                     points[array] = p
-            for array, r in row.radius:
+        for items in radius_items:
+            for array, r in items:
                 if r > radius.get(array, 0):
                     radius[array] = r
-        member_flops = [row.flops for row in members]
-        kernel_flops = 0.0
-        for flops in member_flops:
-            kernel_flops += flops
-        active = max([row.active for row in members], default=0)
-        blocks = [row.block for row in members]
         if not blocks:
             block = (NOMINAL_BLOCK[0], NOMINAL_BLOCK[1], 1)
         elif blocks.count(blocks[0]) == len(blocks):
@@ -385,76 +378,81 @@ class FusionProblem:
         else:
             block = max(set(blocks), key=blocks.count)
         ordered = sorted(members, key=_order)
-        flops_pp = 0.0
-        for row in ordered:
-            flops_pp += row.flops_per_point
+        flops_pp = reduce(add, map(_flops_per_point, ordered), 0.0)
+        active = max(actives, default=0)
 
-        # a fused group walks its members in launch order when one of them
-        # produces an array another reads: for realizability when one is
-        # read at a halo (else only a user conflict makes a group
-        # unrealizable), and for the arrays on chip — produced by one
-        # member and read at the producing thread's own site (radius 0)
-        # by later ones, they never leave the chip in the fused kernel:
-        # the code generator routes them through cache or registers (the
-        # B-CALM pole-array effect)
+        # where a member produces an array another reads: the arrays on
+        # chip — produced by one member and read at the producing
+        # thread's own site (radius 0) by later ones, they never leave
+        # the chip in the fused kernel: the code generator routes them
+        # through cache or registers (the B-CALM pole-array effect) — and,
+        # where one is read at a halo, realizability (else only a user
+        # conflict makes a group unrealizable)
         fused = len(members) > 1
         realizable = not (
             fused and self.user_conflicts
             and any(c <= group for c in self.user_conflicts)
         )
         on_chip: Set[str] = set()
-        if fused and not written.isdisjoint(read):
-            check = realizable and not written.isdisjoint(
-                set().union(*[row.halo for row in members])
-            )
-            if check or any(radius.get(a, 0) == 0 for a in written & read):
-                on_chip, realizable = self._launch_walk(
-                    ordered, written, multi_written, check, realizable
-                )
-                on_chip = {a for a in on_chip if radius.get(a, 0) == 0}
+        both = written & read
+        if fused and both:
+            pending = both - radius.keys()
+            for row in ordered:
+                if not pending:
+                    break
+                if not pending.isdisjoint(row.touched):
+                    first = pending & row.touched
+                    on_chip |= first - row.read
+                    pending -= first
+            # an array read at a halo has radius > 0
+            if (
+                realizable and not both.isdisjoint(radius)
+                and not written.isdisjoint(set().union(*halos))
+            ):
+                realizable = self._realizable(ordered, writes, written)
 
         # tiles: arrays read by two members, or produced and read in it
         smem = tile_bytes = 0
-        local = multi_read | (written & read)
+        local = (_repeated(reads, read) if fused else set()) | both
         for array in local:
             r = radius.get(array, 0)
             smem += (NOMINAL_BLOCK[0] + 2 * r) * (NOMINAL_BLOCK[1] + 2 * r) * 8
             tile_bytes += (block[0] + 2 * r) * (block[1] + 2 * r) * 8
-        staged = local - on_chip if fused else set()
+        staged = local if fused else ()
         bytes_read = 0.0
         for array in read:
             r = radius.get(array, 0)
-            if array in on_chip:
+            if array in on_chip:  # before staged: a staged array may be on chip
                 factor = 0.0
             elif array in staged:
                 factor = tile_halo_factor(block, r)
             else:
                 factor = cache_redundancy(r)
             bytes_read += points.get(array, active) * 8 * factor
-        bytes_written = sum([points.get(array, 0) * 8 for array in written])
-        unfusable = fused and not all([row.fusable for row in members])
+        bytes_written = 0
+        for array in written:
+            bytes_written += points.get(array, 0) * 8
         return GroupTerms(
-            sum(member_flops),
+            sum(flops),
             smem,
             GroupFlags(
-                unfusable, not realizable, smem > self.capacity,
-                any([row.relaxable for row in members]),
+                fused and not all(fusable), not realizable,
+                smem > self.capacity, any(relaxable),
             ),
             block,
             tile_bytes if fused else 0,
-            estimate_registers(len(read | written), flops_pp),
+            estimate_registers(len(read) + len(written) - len(both), flops_pp),
             bytes_read + bytes_written,
-            kernel_flops,
+            reduce(add, flops, 0.0),
         )
 
-    def _launch_walk(
-        self, ordered: List[_Row], written: Set[str],
-        multi_written: Set[str], check: bool, realizable: bool,
-    ) -> Tuple[Set[str], bool]:
-        """The arrays a member of a fused group produces before any member
-        reads them, and (when ``check``) whether the code generator can
-        realize the group (§5.5.3), from one walk in launch order.  It
-        cannot when fusing would need behaviour it cannot produce safely:
+    def _realizable(
+        self, ordered: List[_Row], writes: Sequence[FrozenSet[str]],
+        written: Set[str],
+    ) -> bool:
+        """Whether the code generator can realize a fused group (§5.5.3),
+        from one walk of its members in launch order.  It cannot when
+        fusing would need behaviour it cannot produce safely:
 
         * a member reads an array *with a halo* that a later member
           writes first (inter-block WAR hazard);
@@ -471,50 +469,56 @@ class FusionProblem:
           what a second-wave one last wrote, or writes what one read or
           wrote (the generator emits wave by wave).
         """
-        produced_first: Set[str] = set()
-        seen_read: Set[str] = set()
+        multi_written = _repeated(writes, written)
         seen_written: Set[str] = set()
         halo_read: Set[str] = set()
         last_writer: Dict[str, _Row] = {}
         wave2_read: Set[str] = set()
         wave2_written: Set[str] = set()
         for row in ordered:
-            if not seen_written.isdisjoint(row.read):
-                produced_first |= (row.read - seen_read) & seen_written
-            if check:
-                check = halo_read.isdisjoint(row.written - seen_written)
-                second_wave = False
-                for array in row.halo if check else ():
-                    producer = last_writer.get(array)
-                    if producer is None:
-                        continue
-                    check = not (
-                        array in multi_written
-                        or not producer.read.isdisjoint(multi_written)
-                        or not producer.read.isdisjoint(written - producer.written)
-                    )
-                    if not check:
-                        break
-                    second_wave = True
-                if second_wave and check:
-                    wave2_read |= row.read
-                    wave2_written |= row.written
-                elif check:
-                    check = (
-                        wave2_written.isdisjoint(row.read)
-                        and wave2_read.isdisjoint(row.written)
-                        and wave2_written.isdisjoint(row.written)
-                    )
-                for array in row.written:
-                    last_writer[array] = row
-                halo_read |= row.halo
-                realizable = check
-            seen_read |= row.read
+            if not halo_read.isdisjoint(row.written - seen_written):
+                return False
+            second_wave = False
+            for array in row.halo:
+                producer = last_writer.get(array)
+                if producer is None:
+                    continue
+                if (
+                    array in multi_written
+                    or not producer.read.isdisjoint(multi_written)
+                    or not producer.read.isdisjoint(written - producer.written)
+                ):
+                    return False
+                second_wave = True
+            if second_wave:
+                wave2_read |= row.read
+                wave2_written |= row.written
+            elif not (
+                wave2_written.isdisjoint(row.read)
+                and wave2_read.isdisjoint(row.written)
+                and wave2_written.isdisjoint(row.written)
+            ):
+                return False
+            for array in row.written:
+                last_writer[array] = row
+            halo_read |= row.halo
             seen_written |= row.written
-        return produced_first, realizable
+        return True
 
 
 _order = attrgetter("order")
+_flops_per_point = attrgetter("flops_per_point")
+
+
+def _repeated(sets: Sequence[FrozenSet[str]], union: Set[str]) -> Set[str]:
+    """The items in two or more of ``sets``, whose union is ``union``."""
+    repeated: Set[str] = set()
+    if len(union) < sum(map(len, sets)):
+        seen: Set[str] = set()
+        for items in sets:
+            repeated |= seen & items
+            seen |= items
+    return repeated
 
 
 def _mergeable_order(problem: FusionProblem, nodes: Sequence[str]):

@@ -110,7 +110,7 @@ def group_projection_time(
     Scoring the groups a problem has not seen is the largest single cost
     of a search: on ``search-paper-budget`` (5 966 distinct groups) it
     was ~37 % of the search at ~130 µs a group in five walks, and is
-    ~20 % at ~60 µs in one (:meth:`FusionProblem.group_terms`, whose
+    ~16 % at ~42 µs in one (:meth:`FusionProblem.group_terms`, whose
     terms this reads; 2-core box).  So the time is memoized per (group,
     device) on the problem.
     """
@@ -461,10 +461,11 @@ class SurrogateScorer:
 
     Wraps the per-problem :class:`CompiledFitness`, so it reads the same
     per-group memos as exact evaluation: scoring a candidate pre-pays
-    the memo fills its exact evaluation would do anyway.  On top of plain scoring it generates
-    *variants* — single merge/split/move edits of a bred offspring whose
-    scores are computed as deltas against the parent's per-group terms,
-    two dictionary lookups per edit instead of a full rescan.
+    the memo fills its exact evaluation would do anyway.  On top of
+    plain scoring it generates *variants* — single merge/split/move
+    edits of a bred offspring whose scores are computed as deltas
+    against the parent's per-group terms, two dictionary lookups per
+    edit instead of a full rescan.
 
     Incremental mode needs the additive default objective
     (:func:`projected_gflops`); for custom objectives the scorer still
