@@ -41,7 +41,8 @@ __all__ = [
     "FusionProblem", "NodeInfo", "Grouping", "Violations",
     "evaluate_violations", "singleton_grouping", "NOMINAL_BLOCK",
     "GGA", "run_search", "SearchResult", "GenerationStats",
-    "projected_gflops", "projected_time_s", "group_projection_time", "register_objective", "get_objective",
+    "projected_gflops", "projected_time_s", "group_projection_time",
+    "register_objective", "get_objective",
     "evaluate_individual", "surrogate_score", "spearman_rank_correlation",
     "surrogate_scorer", "SurrogateScorer", "SurrogateVariant",
     "GAParams", "default_params", "fast_params",

@@ -107,12 +107,11 @@ def group_projection_time(
     member block: locality arrays staged, intermediates produced and read
     at the same site kept on chip (the B-CALM pole-array effect).
 
-    Scoring the groups a problem has not seen is the largest single cost
-    of a search: on ``search-paper-budget`` (5 966 distinct groups) it
-    was ~37 % of the search at ~130 µs a group in five walks, and is
-    ~16 % at ~42 µs in one (:meth:`FusionProblem.group_terms`, whose
-    terms this reads; 2-core box).  So the time is memoized per (group,
-    device) on the problem.
+    Scoring the groups a problem has not seen is the model's share of a
+    search: on ``search-paper-budget`` (5 966 distinct groups) ~16 % of
+    it at ~42 µs a group (:meth:`FusionProblem.group_terms`, whose terms
+    this reads; 2-core box), against ~50 % for breeding.  So the time is
+    memoized per (group, device) on the problem.
     """
     group = frozenset(members)
     return _group_pair(problem, _group_pairs(problem, device), group, device)[0]
