@@ -10,36 +10,34 @@ ingredient of the transformation contributes:
   producer→consumer group to separate launches).
 """
 
-from repro.gpu.device import K20X
-from repro.pipeline import Framework, PipelineConfig
+from dataclasses import replace
+
 from repro.apps import build_app
+from repro.config import TransformConfig
+from repro.gpu.device import K20X
+from repro.pipeline import Framework
 from repro.search import PenaltyParams
+from repro.transform import FusionOptions
 
 from common import bench_params, fmt_row, print_header, run_pipeline
 
 _ROWS = {}
 
 
-def _run(app, *, overrides=None, penalties=None, **cfgkw):
+def _run(app, *, fusion=None, penalties=None):
     generated = build_app(app)
     params = bench_params()
     if penalties is not None:
         params.penalties = penalties
-    config = PipelineConfig(
-        device=K20X,
-        ga_params=params,
-        verify=False,
-        fusion_overrides=overrides,
-        **cfgkw,
-    )
-    return Framework(generated.program, config).run()
+    config = TransformConfig(device=K20X, ga_params=params, verify=False)
+    return Framework(generated.program, config, fusion=fusion).run()
 
 
 def test_ablation_staging(benchmark):
     def run():
         with_tiles = run_pipeline("SCALE-LES", K20X).speedup
         without = _run(
-            "SCALE-LES", overrides={"stage_shared": False}
+            "SCALE-LES", fusion=replace(FusionOptions(), stage_shared=False)
         ).speedup
         return with_tiles, without
 
@@ -62,7 +60,7 @@ def test_ablation_temporal_blocking(benchmark):
     def run():
         on = run_pipeline("B-CALM", K20X).speedup
         off = _run(
-            "B-CALM", overrides={"temporal_blocking": False}
+            "B-CALM", fusion=replace(FusionOptions(), temporal_blocking=False)
         ).speedup
         return on, off
 

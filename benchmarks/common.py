@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import atexit
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.apps import build_app
+from repro.config import TransformConfig
 from repro.gpu.device import DeviceSpec, K20X
 from repro.observability.metrics import get_registry
 from repro.observability.runtime import telemetry_enabled
-from repro.pipeline import Framework, PipelineConfig, PipelineState
+from repro.pipeline import Framework, PipelineState
 from repro.search import GAParams, fast_params
+from repro.transform import FusionOptions
 
 #: GA budget for benchmark runs (reduced from the paper's 500x100 C++ GGA;
 #: early stopping keeps runs tractable in pure Python).
@@ -66,15 +68,15 @@ def bench_params(seed: int = BENCH_SEED) -> GAParams:
     return params
 
 
-def guided_overrides(app: str) -> Optional[Dict[str, object]]:
-    """The targeted interventions §6.2.2 reports per application."""
+def guided_fusion(app: str) -> Optional[FusionOptions]:
+    """The targeted codegen interventions §6.2.2 reports per application."""
     if app == "SCALE-LES":
         # the identified inefficiency was deep-nested-loop fusion
-        return {"merge_deep_loops": True}
+        return replace(FusionOptions(), merge_deep_loops=True)
     if app == "HOMME":
         # the identified inefficiency was two-sided divergence guards;
         # fission already helps HOMME, keep it on
-        return {"one_sided_guards": True}
+        return replace(FusionOptions(), one_sided_guards=True)
     return None
 
 
@@ -85,32 +87,32 @@ def run_pipeline(
     fission: bool = True,
     tuning: bool = True,
     filtering: str = "auto",
-    overrides: Optional[Dict[str, object]] = None,
+    fusion: Optional[FusionOptions] = None,
 ) -> RunOutcome:
-    """Run (or fetch from cache) one full transformation."""
+    """Run (or fetch from cache) one full transformation; ``fusion``
+    replaces the codegen options ``mode`` implies."""
     key = RunKey(app, device.name, mode, fission, tuning, filtering)
-    if overrides is None and key in _CACHE:
+    if fusion is None and key in _CACHE:
         return _CACHE[key]
 
     generated = build_app(app)
-    manual_exclusions: Tuple[str, ...] = ()
+    exclude: Tuple[str, ...] = ()
     if filtering == "manual":
-        manual_exclusions = generated.latency_kernels
-    config = PipelineConfig(
+        exclude = generated.latency_kernels
+    config = TransformConfig(
         device=device,
         mode=mode,
         ga_params=bench_params(),
-        manual_exclusions=manual_exclusions,
-        disable_filtering=(filtering == "off"),
-        enable_fission=fission,
-        tune_blocks=tuning,
+        exclude=exclude,
+        filtering=(filtering != "off"),
+        fission=fission,
+        tuning=tuning,
         verify=False,  # correctness is covered by the test suite
-        fusion_overrides=overrides,
     )
     start = time.perf_counter()
-    state = Framework(generated.program, config).run()
+    state = Framework(generated.program, config, fusion=fusion).run()
     outcome = RunOutcome(state=state, wall_time_s=time.perf_counter() - start)
-    if overrides is None:
+    if fusion is None:
         _CACHE[key] = outcome
     return outcome
 
@@ -120,8 +122,7 @@ def guided_run(app: str, device: DeviceSpec = K20X) -> RunOutcome:
     if app == "Fluam":
         # Fluam's guided fix is manual target filtering (§6.2.2)
         return run_pipeline(app, device, filtering="manual")
-    overrides = guided_overrides(app)
-    return run_pipeline(app, device, overrides=overrides)
+    return run_pipeline(app, device, fusion=guided_fusion(app))
 
 
 #: where the end-of-run metrics dump lands (next to the bench results)

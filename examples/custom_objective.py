@@ -21,7 +21,8 @@ from pathlib import Path
 
 from repro.apps import build_app
 from repro.gpu.device import K20X, register_device
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import (
     GAParams,
     fast_params,
@@ -61,8 +62,8 @@ def main() -> None:
     register_device(big_smem)
 
     app = build_app("B-CALM", scale=0.5)
-    baseline_cfg = PipelineConfig(device=K20X, ga_params=params, verify=False)
-    big_cfg = PipelineConfig(device=big_smem, ga_params=params, verify=False)
+    baseline_cfg = TransformConfig(device=K20X, ga_params=params, verify=False)
+    big_cfg = TransformConfig(device=big_smem, ga_params=params, verify=False)
 
     on_k20x = Framework(app.program, baseline_cfg).run()
     on_big = Framework(app.program, big_cfg).run()

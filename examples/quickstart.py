@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 
 from repro.cudalite import unparse
 from repro.gpu.device import K20X
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
 
 SOURCE = """
@@ -67,7 +68,7 @@ int main() {
 
 
 def main() -> None:
-    config = PipelineConfig(
+    config = TransformConfig(
         device=K20X,
         ga_params=fast_params(seed=7),
         verify=True,  # run original + transformed on the simulator, compare

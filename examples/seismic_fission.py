@@ -15,7 +15,8 @@ from repro.analysis.deps import array_dependency_graph, separable_components
 from repro.apps import build_app
 from repro.cudalite import unparse
 from repro.gpu.device import K20X
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
 from repro.transform import fission_kernel
 
@@ -43,10 +44,10 @@ def main() -> None:
     base = dict(device=K20X, ga_params=params, verify=False)
 
     fusion_only = Framework(
-        app.program, PipelineConfig(enable_fission=False, **base)
+        app.program, TransformConfig(fission=False, **base)
     ).run()
     with_fission = Framework(
-        app.program, PipelineConfig(enable_fission=True, **base)
+        app.program, TransformConfig(fission=True, **base)
     ).run()
 
     print(f"fusion only:      {fusion_only.speedup:.3f}x "

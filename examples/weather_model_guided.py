@@ -12,16 +12,19 @@ Run:  python examples/weather_model_guided.py
 """
 
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from repro.apps import build_app
 from repro.gpu.device import K20X
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
+from repro.transform import FusionOptions
 
 
 def run_automated(app, workdir: str):
-    config = PipelineConfig(
+    config = TransformConfig(
         device=K20X,
         ga_params=fast_params(seed=11),
         verify=False,
@@ -49,13 +52,17 @@ def run_guided(app):
     """The guided run: the programmer spotted that deep-nested-loop fusions
     were generated sub-optimally (the paper's K_07/K_15/K_16/K_23 story)
     and turns on inner-loop sharing; they also hand-exclude one kernel."""
-    config = PipelineConfig(
+    config = TransformConfig(
         device=K20X,
+        mode="guided",
         ga_params=fast_params(seed=11),
         verify=False,
-        fusion_overrides={"merge_deep_loops": True},
     )
-    framework = Framework(app.program, config)
+    framework = Framework(
+        app.program,
+        config,
+        fusion=replace(FusionOptions(), merge_deep_loops=True),
+    )
 
     def exclude_one(state):
         # pretend the programmer knows K000 is not worth fusing

@@ -24,7 +24,7 @@ stencil under every block execution strategy — ``loop``, ``batched`` and
 With ``--verdicts`` it instead transforms the fuzz apps whose groups
 demote (:data:`VERDICT_SEEDS`; the default configuration with
 ``ga_params=GAParams(population=10, generations=6, seed=s)``) under every
-forced mode (``PipelineConfig.block_exec``), and once more seed 17 with a thread-invariant out-of-bounds read
+forced mode (``Framework``'s ``block_exec``), and once more seed 17 with a thread-invariant out-of-bounds read
 injected into every fused kernel: every group verdict (status and cause)
 and every ``DemotionRecord`` must be the same under all modes.  (Only
 ``auto`` runs read or write stored verdicts: forced ``batched`` passes
@@ -168,15 +168,16 @@ def diff_paired(label: str, program, runs: dict) -> list:
     """The paired run against the separate runs, under every mode."""
     from repro.gpu.interpreter import run_program
     from repro.observability import counters_signature
-    from repro.pipeline import Framework, PipelineConfig
+    from repro.config import TransformConfig
+    from repro.pipeline import Framework
     from repro.search import fast_params
+    from repro.transform import FusionOptions
 
     # untiled fusions: a fused tile on the per-block ``loop`` costs minutes
     # at these scales (tests/test_program_gate.py pairs tiled ones)
-    config = PipelineConfig(
-        ga_params=fast_params(seed=1), verify=False, stage_shared=False
-    )
-    transformed = Framework(program, config).run().transform.program
+    config = TransformConfig(ga_params=fast_params(seed=1), verify=False)
+    untiled = dataclasses.replace(FusionOptions(), stage_shared=False)
+    transformed = Framework(program, config, fusion=untiled).run().transform.program
     problems = []
     shared = {}
     for mode in MODES:
@@ -262,7 +263,7 @@ def thread_invariant_oob():
 def diff_verdicts() -> list:
     """Every group gate verdict and demotion of each demoting seed's
     transform, per mode: a ``Framework`` over the default configuration
-    with ``PipelineConfig.block_exec`` forced (no product setting)."""
+    with its ``block_exec`` run argument forced (no product setting)."""
     from repro.api import TransformConfig
     from repro.fuzz import generate_app
     from repro.pipeline import Framework, apply
@@ -270,8 +271,7 @@ def diff_verdicts() -> list:
 
     def forced(program, mode, ga_params):
         config = TransformConfig(ga_params=ga_params, store=False).resolved()
-        pipeline = dataclasses.replace(config.pipeline_config(), block_exec=mode)
-        return Framework(program, pipeline).run()
+        return Framework(program, config, block_exec=mode).run()
 
     legs = [(seed, contextlib.nullcontext) for seed in VERDICT_SEEDS]
     legs.append((VERDICT_SEEDS[0], thread_invariant_oob))

@@ -15,7 +15,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 - :mod:`repro.api`       — the stable entry point (transform / TransformConfig)
 """
 
-__version__ = "9.0.0"
+__version__ = "10.0.0"
 
 from .api import TransformConfig, TransformResult, transform
 from .cudalite import parse_program, unparse
@@ -27,7 +27,7 @@ from .errors import (
     StoreError,
 )
 from .gpu.device import K20X, K40, query_device
-from .pipeline import Framework, PipelineConfig, transform_program
+from .pipeline import Framework
 from .store import ArtifactStore, default_store_root, open_store
 
 __all__ = [
@@ -53,7 +53,5 @@ __all__ = [
     "query_device",
     # pipeline internals (pre-facade API, kept stable)
     "Framework",
-    "PipelineConfig",
-    "transform_program",
     "__version__",
 ]

@@ -8,20 +8,22 @@ One call transforms an application::
     print(result.speedup, result.verified)
     print(result.source)          # the transformed CUDA(Lite) program
 
-:class:`TransformConfig` holds every knob of a run (verification,
-telemetry, the search's surrogate pre-filter, the persistent artifact
-store).  Configuration flows downward as arguments:
-the config is resolved once at the front door (:func:`transform`, the
-CLIs) and handed to the pipeline, which hands each layer the values it
-needs.  Two fields may also come from the process environment —
+:class:`TransformConfig` (defined in :mod:`repro.config`, re-exported
+here) holds every knob of a run (verification, telemetry, the search's
+surrogate pre-filter, the persistent artifact store).  It is the one
+config type: the config is resolved once at the front door
+(:func:`transform`, the CLIs) and the pipeline
+(:class:`~repro.pipeline.framework.Framework`) runs that same object,
+handing each layer the values it needs.  Two fields may also come from
+the process environment —
 ``telemetry`` (``REPRO_TELEMETRY``) and ``store`` / ``store_root``
 (``REPRO_STORE``) — with precedence
 
     explicit config field  >  environment variable  >  built-in default
 
 materialized by :meth:`TransformConfig.resolved` (and recorded verbatim
-in ``run.json``).  Nothing below this module reads the environment for
-configuration and nothing writes to it.
+in ``run.json``).  Nothing else reads the environment for configuration
+and nothing writes to it.
 
 For asynchronous, deduplicated or multi-tenant use, run ``repro-serve``
 (:mod:`repro.service`): it queues requests at ``/v1/jobs`` and runs each
@@ -30,39 +32,28 @@ one through :func:`transform` in a worker process.
 
 from __future__ import annotations
 
-import json
 import logging
-import os
 import threading
 from collections import OrderedDict
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
+from .config import TransformConfig, _current_fields
 from .cudalite import ast_nodes as ast
 from .cudalite.parser import parse_program
 from .cudalite.unparser import unparse
 from .errors import ConfigError, PipelineError, ReproError
 from .gpu import interpreter
-from .gpu.device import DeviceSpec, available_devices, query_device
 from .observability.metrics import get_registry
 from .observability.runinfo import build_run_record, write_run_record
 from .observability.runtime import telemetry
 from .observability.tracing import get_tracer
 from .pipeline.framework import Framework
-from .pipeline.stages import STAGES, PipelineConfig, PipelineState
-from .search.params import RETIRED_GA_FIELDS, GAParams, drop_retired, fast_params
+from .pipeline.stages import PipelineState
 from .store import keys as store_keys
-from .store.artifact_store import (
-    DEFAULT_ROOT,
-    ENV_FALSY,
-    ENV_STORE,
-    ArtifactStore,
-    default_store_root,
-    open_store,
-    store_enabled_from_env,
-)
+from .store.artifact_store import ArtifactStore, open_store
 
 __all__ = [
     "TransformConfig",
@@ -71,273 +62,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-ENV_TELEMETRY = "REPRO_TELEMETRY"
-
-#: variables that changed behaviour before 8.0 and would now silently do
-#: nothing: setting one is an error rather than a run that ignores it
-_RETIRED_ENV = ("REPRO_FAULT_SEAMS", "REPRO_FAULT_SEED")
-
-
-def _read_env(environ: Optional[Mapping[str, str]]) -> Dict[str, Any]:
-    """The one configuration read of the process environment.
-
-    Returns the :class:`TransformConfig` fields that ``REPRO_TELEMETRY``
-    and ``REPRO_STORE`` set; an unset or blank variable sets nothing.
-    A set retired variable (:data:`_RETIRED_ENV`) is a :class:`ConfigError`.
-    """
-    env = os.environ if environ is None else environ
-    retired = [name for name in _RETIRED_ENV if (env.get(name) or "").strip()]
-    if retired:
-        raise ConfigError(
-            f"{', '.join(retired)}: fault injection was removed in 8.0 "
-            "(the degradation paths are tested through real inputs); "
-            "unset the variable"
-        )
-    values: Dict[str, Any] = {}
-    raw = (env.get(ENV_TELEMETRY) or "").strip().lower()
-    if raw:
-        values["telemetry"] = raw not in ENV_FALSY
-    if (env.get(ENV_STORE) or "").strip():
-        values["store"] = store_enabled_from_env(env)
-        if values["store"]:
-            values["store_root"] = default_store_root(env)
-    return values
-
-
-#: fields configs written by earlier versions carry, read through
-#: :func:`drop_retired`: the island knobs before 4.0 (``null`` = defer to
-#: the GA parameter set), the gates' tolerance before 6.0 and the
-#: interpreter strategy before 7.0
-_RETIRED_CONFIG_FIELDS = {
-    **{
-        name: RETIRED_GA_FIELDS[name]
-        for name in ("islands", "migration_interval", "migration_size")
-    },
-    "verify_rtol": (
-        (0, None),
-        "the verification gates compare bits since 6.0 and take no tolerance",
-    ),
-    "block_exec": (
-        ("auto", None),
-        "the interpreter strategy is not a product setting since 7.0 (a "
-        "forced executor is for checks: PipelineConfig.block_exec)",
-    ),
-}
-
-
-@dataclass
-class TransformConfig:
-    """Complete configuration of one transformation run.
-
-    Every field has an ordinary default except ``surrogate_topk``
-    (``None`` defers to the GA parameter set) and ``telemetry`` /
-    ``store`` / ``store_root``, where ``None`` means *unset*:
-    :meth:`resolved` fills those three from ``REPRO_TELEMETRY`` /
-    ``REPRO_STORE`` when present, else from the built-in default.  An
-    explicitly assigned value always wins.
-    """
-
-    #: device model name (see ``repro.gpu.device.available_devices``)
-    device: Union[str, DeviceSpec] = "K20X"
-    #: 'automated' | 'guided' | 'manual' (§6.2.2); 'manual' enables the
-    #: higher-quality codegen strategies, 'guided' runs as 'automated'
-    mode: str = "automated"
-    #: GA random seed; with ``ga_params`` given, :meth:`resolved` sets it
-    #: to ``ga_params.seed``
-    seed: int = 12345
-    #: full GA parameter set, or its dict spelling (the form a config
-    #: file uses); ``None`` = ``fast_params(seed)``
-    ga_params: Optional[GAParams] = None
-    #: stop after this stage (``None`` = run everything)
-    until: Optional[str] = None
-    #: kernels manually excluded from the search
-    exclude: Tuple[str, ...] = ()
-    #: roofline/boundary target filtering (§3.2.2)
-    filtering: bool = True
-    #: kernel fission (lazy fission encoding)
-    fission: bool = True
-    #: thread-block tuning (§4.2)
-    tuning: bool = True
-    #: whole-program output verification on the interpreter
-    verify: bool = True
-    #: abort on search/verification failure instead of degrading
-    fail_hard: bool = False
-    #: directory for stage artifacts, reports and ``run.json``
-    workdir: Optional[str] = None
-    #: end-of-run metrics destination (.json or .prom)
-    metrics_out: Optional[str] = None
-    #: Chrome trace-event destination
-    trace_out: Optional[str] = None
-
-    #: per-group verification gate
-    verify_groups: bool = True
-    #: verification input-synthesis seed
-    verify_seed: int = 0
-    #: observability layer on/off; ``None`` = unset (REPRO_TELEMETRY)
-    telemetry: Optional[bool] = None
-    #: fraction of offspring admitted to exact evaluation after surrogate
-    #: ranking, 1.0 = pre-filter off; ``None`` defers to the GA parameter set
-    surrogate_topk: Optional[float] = None
-    #: persistent cross-run artifact store; ``None`` = unset (REPRO_STORE
-    #: opts in)
-    store: Optional[bool] = None
-    #: store root directory; ``None`` = unset (REPRO_STORE, else
-    #: ``~/.cache/repro``)
-    store_root: Optional[str] = None
-
-    # ----------------------------------------------------- validation
-
-    def __post_init__(self) -> None:
-        if isinstance(self.exclude, list):
-            self.exclude = tuple(self.exclude)
-        if isinstance(self.ga_params, dict):
-            self.ga_params = _ga_params_from_dict(self.ga_params)
-        if self.mode not in ("automated", "guided", "manual"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.until is not None and self.until not in STAGES:
-            raise ConfigError(
-                f"unknown stage {self.until!r} (expected one of {STAGES})"
-            )
-        if isinstance(self.device, str) and self.device not in available_devices():
-            raise ConfigError(
-                f"unknown device {self.device!r} "
-                f"(available: {sorted(available_devices())})"
-            )
-        # a config file or request written when these two were
-        # env-backed carries null for "unset"
-        for name in ("verify_groups", "verify_seed"):
-            if getattr(self, name) is None:
-                setattr(self, name, getattr(type(self), name))
-        if self.surrogate_topk is not None and not (
-            0.0 < self.surrogate_topk <= 1.0
-        ):
-            raise ConfigError("surrogate_topk must be in (0, 1]")
-
-    # ------------------------------------------------------ environment
-
-    def resolved(
-        self, environ: Optional[Mapping[str, str]] = None
-    ) -> "TransformConfig":
-        """Materialize ``explicit > env > default`` into concrete values.
-
-        With ``ga_params`` given, ``seed`` becomes ``ga_params.seed``: that
-        is the seed the search uses, so the request key, the config digest
-        and the run record name it rather than an ignored ``seed``.
-        """
-        defaults = {
-            "telemetry": True,
-            "store": False,
-            "store_root": DEFAULT_ROOT,
-            **_read_env(environ),
-        }
-        values = {
-            name: value
-            for name, value in defaults.items()
-            if getattr(self, name) is None
-        }
-        if self.ga_params is not None:
-            values["seed"] = self.ga_params.seed
-        return replace(self, **values)
-
-    # --------------------------------------------------- file round-trip
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TransformConfig":
-        """Build a config from a plain dict (e.g. a parsed config file)."""
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        values = _current_fields(data)
-        if "exclude" in values and values["exclude"] is not None:
-            values["exclude"] = tuple(values["exclude"])
-        try:
-            return cls(**values)
-        except TypeError as exc:
-            raise ConfigError(f"invalid config: {exc}") from None
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "TransformConfig":
-        """Load a JSON config file (the CLI's ``--config``)."""
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(data)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable dict (round-trips through :meth:`from_dict`)."""
-        data: Dict[str, Any] = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "ga_params" and value is not None:
-                value = asdict(value)
-            elif f.name == "device" and isinstance(value, DeviceSpec):
-                value = value.name
-            elif isinstance(value, tuple):
-                value = list(value)
-            data[f.name] = value
-        return data
-
-    def to_json(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-
-    # ------------------------------------------------------- execution
-
-    def device_spec(self) -> DeviceSpec:
-        if isinstance(self.device, DeviceSpec):
-            return self.device
-        return query_device(self.device)
-
-    def resolved_ga_params(self) -> GAParams:
-        params = self.ga_params or fast_params(seed=self.seed)
-        if self.surrogate_topk is None:
-            return params
-        return replace(params, surrogate_topk=self.surrogate_topk)
-
-    def pipeline_config(
-        self, store: Optional[ArtifactStore] = None
-    ) -> PipelineConfig:
-        """The :class:`PipelineConfig` this (resolved) config describes."""
-        return PipelineConfig(
-            device=self.device_spec(),
-            mode=self.mode,
-            ga_params=self.resolved_ga_params(),
-            manual_exclusions=tuple(self.exclude),
-            disable_filtering=not self.filtering,
-            enable_fission=self.fission,
-            tune_blocks=self.tuning,
-            verify=self.verify,
-            verify_groups=self.verify_groups,
-            verify_seed=self.verify_seed,
-            fail_soft=not self.fail_hard,
-            workdir=self.workdir,
-            store=store,
-        )
-
-
-def _ga_params_from_dict(data: Dict[str, Any]) -> GAParams:
-    from .search.penalty import PenaltyParams
-
-    values = {k: v for k, v in data.items() if not drop_retired(k, v)}
-    known = {f.name for f in fields(GAParams)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown ga_params field(s): {', '.join(sorted(unknown))}"
-        )
-    penalties = values.get("penalties")
-    if isinstance(penalties, dict):
-        try:
-            values["penalties"] = PenaltyParams(**penalties)
-        except TypeError as exc:
-            raise ConfigError(f"invalid ga_params.penalties: {exc}") from None
-    try:
-        return GAParams(**values)
-    except TypeError as exc:
-        raise ConfigError(f"invalid ga_params: {exc}") from None
 
 
 # ------------------------------------------------------------------ result
@@ -601,22 +325,6 @@ def _merge_overrides(
     return replace(base, **values) if values else base
 
 
-def _current_fields(data: Mapping[str, Any]) -> Dict[str, Any]:
-    """``data`` without the retired fields that load as absent; a retired
-    field at any other value, or an unknown one, is a ``ConfigError``."""
-    values = {
-        k: v
-        for k, v in data.items()
-        if not drop_retired(k, v, _RETIRED_CONFIG_FIELDS)
-    }
-    unknown = set(values) - {f.name for f in fields(TransformConfig)}
-    if unknown:
-        raise ConfigError(
-            f"unknown config field(s): {', '.join(sorted(unknown))}"
-        )
-    return values
-
-
 def _execute_transform(
     program: ast.Program,
     fingerprint: str,
@@ -645,12 +353,13 @@ def _execute_transform(
         try:
             framework = Framework(
                 program,
-                resolved.pipeline_config(store),
+                resolved,
+                store=store,
                 program_fingerprint=fingerprint,
                 # the result is final: its state is read, never run again
                 read_only=True,
             )
-            state = framework.run(until=resolved.until)
+            state = framework.run()
         except ReproError as exc:
             exc.record = write_run_outputs(
                 resolved, source_label, framework, store, exit_code=2,

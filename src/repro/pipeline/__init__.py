@@ -9,10 +9,9 @@ from .apply import (
     project_baseline,
     project_transformed,
 )
-from .framework import Framework, transform_program
+from ..config import STAGES
+from .framework import Framework
 from .stages import (
-    STAGES,
-    PipelineConfig,
     PipelineState,
     stage_codegen,
     stage_graphs,
@@ -22,8 +21,8 @@ from .stages import (
 )
 
 __all__ = [
-    "Framework", "transform_program",
-    "PipelineConfig", "PipelineState", "STAGES",
+    "Framework",
+    "PipelineState", "STAGES",
     "stage_metadata", "stage_targets", "stage_graphs",
     "stage_search", "stage_codegen",
     "materialize", "TransformResult", "GeneratedLaunch",

@@ -17,11 +17,11 @@ import sys
 from pathlib import Path
 
 from ..api import TransformConfig, _merge_overrides, transform
+from ..config import STAGES
 from ..errors import ConfigError, ReproError
 from ..gpu.device import available_devices
 from ..observability.logfmt import configure_logging
 from ..search.params import GAParams
-from .stages import STAGES
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

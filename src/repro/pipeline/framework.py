@@ -13,10 +13,15 @@ modes the paper describes:
 
 Example
 -------
->>> fw = Framework(program, PipelineConfig(device=K20X))
+>>> fw = Framework(program, TransformConfig(device="K20X"))
 >>> fw.intervene("targets", lambda state: my_fix_targets(state))
 >>> state = fw.run()
 >>> print(state.speedup)
+
+A guided run that enables one codegen fix passes its own options::
+
+>>> Framework(program, config,
+...           fusion=replace(FusionOptions(), merge_deep_loops=True)).run()
 """
 
 from __future__ import annotations
@@ -26,16 +31,14 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from ..cudalite import ast_nodes as ast
+from ..config import STAGES, TransformConfig
 from ..cudalite.parser import parse_program
 from ..errors import PipelineError, ReproError
 from ..observability.metrics import get_registry
 from ..observability.tracing import span
-from .stages import (
-    STAGE_FUNCTIONS,
-    STAGES,
-    PipelineConfig,
-    PipelineState,
-)
+from ..store.artifact_store import ArtifactStore
+from ..transform.fusion import FusionOptions
+from .stages import STAGE_FUNCTIONS, PipelineState
 
 logger = logging.getLogger(__name__)
 
@@ -43,13 +46,33 @@ Intervention = Callable[[PipelineState], Optional[PipelineState]]
 
 
 class Framework:
-    """Drives an end-to-end kernel fission/fusion transformation."""
+    """Drives an end-to-end kernel fission/fusion transformation.
+
+    Runs ``config`` as it is.  The pipeline reads every field but
+    ``telemetry``, ``metrics_out``, ``trace_out``, ``store`` and
+    ``store_root``: those are :func:`repro.api.transform`'s, which scopes
+    telemetry, writes the outputs and opens the store.  Beside the
+    config, three run arguments that are not user configuration:
+
+    * ``store`` — the opened :class:`~repro.store.ArtifactStore`
+      (``None`` = no cross-run reuse);
+    * ``fusion`` — the codegen strategy switches; ``None`` = the options
+      ``config.mode`` implies (:meth:`FusionOptions.for_mode`).  A guided
+      run passes its fix, e.g. ``replace(FusionOptions(),
+      merge_deep_loops=True)``;
+    * ``block_exec`` — the interpreter strategy of every launch, 'auto'
+      | 'loop' | 'batched'.  Forcing one is for checks (the
+      mode-differential CI, ``scripts/differential_modes.py``).
+    """
 
     def __init__(
         self,
         program: "ast.Program | str",
-        config: Optional[PipelineConfig] = None,
+        config: Optional[TransformConfig] = None,
         *,
+        store: Optional[ArtifactStore] = None,
+        fusion: Optional[FusionOptions] = None,
+        block_exec: str = "auto",
         program_fingerprint: Optional[str] = None,
         read_only: bool = False,
     ) -> None:
@@ -59,7 +82,10 @@ class Framework:
         # front door) seeds it; otherwise it is computed on first use
         self.state = PipelineState(
             program=program,
-            config=config or PipelineConfig(),
+            config=config or TransformConfig(),
+            store=store,
+            block_exec=block_exec,
+            fusion=fusion,
             _program_fp=program_fingerprint,
         )
         #: the caller only reads the state run() returns and never runs it
@@ -143,6 +169,8 @@ class Framework:
     ) -> PipelineState:
         """Run the pipeline, optionally bounded (`--until` / `--from`).
 
+        ``until`` defaults to the config's ``until``.
+
         The returned state is the programmer's to amend before a later
         ``run(from_stage=…)``: the artifacts the store served are swapped
         for private copies (:meth:`PipelineState.own_served`), so an edit
@@ -150,6 +178,7 @@ class Framework:
         made ``read_only``, which skips the copies (~2 ms for half-scale
         Fluam).
         """
+        until = until or self.state.config.until
         start = STAGES.index(from_stage) if from_stage else 0
         stop = STAGES.index(until) + 1 if until else len(STAGES)
         if start > 0 and STAGES[start - 1] not in self._completed:
@@ -174,10 +203,3 @@ class Framework:
                 lines.append(self.state.reports[stage])
         return "\n".join(lines)
 
-
-def transform_program(
-    program: "ast.Program | str",
-    config: Optional[PipelineConfig] = None,
-) -> PipelineState:
-    """One-call automated transformation (parse → ... → generated program)."""
-    return Framework(program, config).run()

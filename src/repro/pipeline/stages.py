@@ -22,13 +22,17 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple, TypeVar
 
-
-from ..analysis.filtering import TargetReport, identify_targets, tag_eligibility
+from ..analysis.filtering import (
+    BOUNDARY_ACTIVE_FRACTION,
+    TargetReport,
+    identify_targets,
+    tag_eligibility,
+)
 from ..analysis.metadata import ProgramMetadata
+from ..config import STAGES, TransformConfig
 from ..cudalite import ast_nodes as ast
 from ..cudalite.unparser import unparse
 from ..errors import InterpreterError, PipelineError, ReproError
-from ..gpu.device import DeviceSpec, K20X
 from ..gpu.interpreter import LaunchRecord, RunResult, outputs_equal, run_program
 from ..gpu.perfmodel import ProgramProjection
 from ..gpu.profiler import gather_metadata
@@ -50,10 +54,8 @@ from ..reliability.degrade import DemotionRecord
 from ..reliability.verify import GROUP_STATUSES, VerifyConfig
 from ..search import (
     BuiltProblem,
-    GAParams,
     SearchResult,
     build_problem,
-    fast_params,
     run_search,
     singleton_grouping,
 )
@@ -74,70 +76,27 @@ logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
-STAGES: Tuple[str, ...] = ("metadata", "targets", "graphs", "search", "codegen")
-
-
-@dataclass
-class PipelineConfig:
-    """Configuration of one end-to-end transformation."""
-
-    device: DeviceSpec = K20X
-    #: 'automated' (default), 'guided' or 'manual' — §6.2.2 terminology;
-    #: 'manual' enables the higher-quality codegen strategies
-    #: (:meth:`fusion_options`), 'guided' runs as 'automated'.
-    mode: str = "automated"
-    ga_params: Optional[GAParams] = None
-    boundary_fraction: float = 0.30
-    manual_exclusions: Tuple[str, ...] = ()
-    disable_filtering: bool = False
-    enable_fission: bool = True
-    tune_blocks: bool = True
-    stage_shared: bool = True
-    #: verify the transformed program's output against the original
-    verify: bool = True
-    #: verify each fused group against its unfused constituents as it is
-    #: generated (the per-group gate; see repro.reliability.verify)
-    verify_groups: bool = True
-    #: the gate's input-synthesis seed
-    verify_seed: int = 0
-    #: interpreter strategy for every kernel launch of the run:
-    #: 'auto' | 'loop' | 'batched'
-    block_exec: str = "auto"
-    #: degrade gracefully instead of raising: a failed search falls back
-    #: to the identity grouping, a failed whole-program verification
-    #: falls back to the identity (untransformed-kernel) program
-    fail_soft: bool = True
-    #: optional directory where stage artifacts are written
-    workdir: Optional[str] = None
-    #: persistent cross-run artifact cache (``None`` disables reuse); see
-    #: :mod:`repro.store` — corruption always degrades to a cold run
-    store: Optional[ArtifactStore] = None
-    #: fine-grained codegen-strategy overrides (field name -> value), applied
-    #: on top of the mode defaults; this is how a *guided* run enables only
-    #: the specific fix the programmer identified (§6.2.2)
-    fusion_overrides: Optional[Dict[str, object]] = None
-
-    def fusion_options(self) -> FusionOptions:
-        quality = self.mode == "manual"
-        options = FusionOptions(
-            stage_shared=self.stage_shared,
-            merge_deep_loops=quality,
-            one_sided_guards=quality,
-        )
-        if self.fusion_overrides:
-            for key, value in self.fusion_overrides.items():
-                if not hasattr(options, key):
-                    raise PipelineError(f"unknown fusion option {key!r}")
-                setattr(options, key, value)
-        return options
-
-
 @dataclass
 class PipelineState:
-    """Everything produced so far."""
+    """Everything produced so far.
+
+    ``config`` is the run's :class:`~repro.config.TransformConfig`,
+    read as it is.  Beside it, three run arguments that are not user
+    configuration (see :class:`~repro.pipeline.framework.Framework`).
+    """
 
     program: ast.Program
-    config: PipelineConfig
+    config: TransformConfig
+    #: the opened persistent cross-run artifact cache (``None`` disables
+    #: reuse); see :mod:`repro.store` — corruption always degrades to a
+    #: cold run
+    store: Optional[ArtifactStore] = None
+    #: interpreter strategy for every kernel launch of the run: 'auto' |
+    #: 'loop' | 'batched'; anything but 'auto' is for checks
+    block_exec: str = "auto"
+    #: codegen strategy switches; ``None`` = the options ``config.mode``
+    #: implies (:meth:`~repro.transform.fusion.FusionOptions.for_mode`)
+    fusion: Optional[FusionOptions] = None
     metadata: Optional[ProgramMetadata] = None
     targets: Optional[TargetReport] = None
     ddg: Optional[DiGraph] = None
@@ -191,6 +150,10 @@ class PipelineState:
     #: inputs a memory-only entry may be derived from
     _served: Dict[str, Tuple[str, Deps]] = field(default_factory=dict, repr=False)
 
+    def __post_init__(self) -> None:
+        if self.fusion is None:
+            self.fusion = FusionOptions.for_mode(self.config.mode)
+
     def own_served(self) -> None:
         """Replace the served stage artifacts a programmer may amend with
         private copies, before the state is handed to code outside the
@@ -226,7 +189,7 @@ class PipelineState:
 
     @property
     def device_fingerprint(self) -> str:
-        return store_keys.device_fingerprint(self.config.device)
+        return store_keys.device_fingerprint(self.config.device_spec())
 
     @property
     def speedup(self) -> float:
@@ -255,7 +218,7 @@ def _serve(
 ) -> Optional[T]:
     """``load()`` from the store, recorded in ``state._served`` as ``name``
     when it served (a miss leaves ``name`` to be computed, unrecorded)."""
-    store = state.config.store
+    store = state.store
     state._served.pop(name, None)
     if store is None:
         return None
@@ -280,7 +243,7 @@ def stage_metadata(state: PipelineState) -> PipelineState:
     is reconstructed from its persisted metadata files instead of
     re-running the profiling interpreter.
     """
-    store = state.config.store
+    store = state.store
     reuse_note = ""
     key = _metadata_store_key(state)
     metadata = _serve(
@@ -290,7 +253,7 @@ def stage_metadata(state: PipelineState) -> PipelineState:
         state.reused["metadata"] = "profile"
         reuse_note = " (reused from store)"
     else:
-        metadata = gather_metadata(state.program, state.config.device)
+        metadata = gather_metadata(state.program, state.config.device_spec())
         if store is not None:
             stage_cache.save_metadata(store, key, metadata)
     state.metadata = metadata
@@ -310,9 +273,9 @@ def _targets_store_key(state: PipelineState) -> str:
     return store_keys.targets_key(
         state.program_fingerprint,
         state.device_fingerprint,
-        state.config.boundary_fraction,
-        tuple(state.config.manual_exclusions),
-        state.config.disable_filtering,
+        BOUNDARY_ACTIVE_FRACTION,
+        tuple(state.config.exclude),
+        not state.config.filtering,
     )
 
 
@@ -320,7 +283,7 @@ def stage_targets(state: PipelineState) -> PipelineState:
     """Stage 2: identify the fusion targets."""
     if state.metadata is None:
         raise PipelineError("metadata stage has not run")
-    store = state.config.store
+    store = state.store
     reuse_note = ""
     key = _targets_store_key(state)
     targets = _serve(
@@ -332,10 +295,9 @@ def stage_targets(state: PipelineState) -> PipelineState:
     else:
         targets = identify_targets(
             state.metadata,
-            state.config.device,
-            boundary_fraction=state.config.boundary_fraction,
-            manual_exclusions=state.config.manual_exclusions,
-            disable_filtering=state.config.disable_filtering,
+            state.config.device_spec(),
+            manual_exclusions=state.config.exclude,
+            disable_filtering=not state.config.filtering,
         )
         if store is not None:
             stage_cache.save_targets(store, key, targets)
@@ -353,7 +315,7 @@ def stage_graphs(state: PipelineState) -> PipelineState:
     """Stage 3: build and optimize the DDG, derive the OEG."""
     if state.metadata is None or state.targets is None:
         raise PipelineError("earlier stages have not run")
-    store = state.config.store
+    store = state.store
     graphs_key = _graphs_store_key(state)
     reuse_note = ""
     ddg = oeg = None
@@ -402,7 +364,7 @@ def stage_search(state: PipelineState) -> PipelineState:
         for u, v, dep in state.oeg.edges(data="dep"):
             if dep == "USER":
                 extra_precedence.append((u, v))
-    store = state.config.store
+    store = state.store
     # the problem is a function of what the store served, so a memory-only
     # entry keyed on it (and on the search inputs the graphs key misses)
     # holds exactly what building it from those served artifacts gives
@@ -416,7 +378,7 @@ def stage_search(state: PipelineState) -> PipelineState:
             _graphs_store_key(state),
             state.device_fingerprint,
             tuple(extra_precedence),
-            state.config.enable_fission,
+            state.config.fission,
         )
         state.built = store.recall(stage_cache.NS_BUILT_PROBLEMS, built_key)
     if state.built is None:
@@ -424,9 +386,9 @@ def stage_search(state: PipelineState) -> PipelineState:
             state.program,
             state.metadata,
             state.targets,
-            state.config.device,
+            state.config.device_spec(),
             extra_precedence=extra_precedence,
-            enable_fission=state.config.enable_fission,
+            enable_fission=state.config.fission,
         )
         if built_key is not None:
             store.remember(
@@ -434,19 +396,19 @@ def stage_search(state: PipelineState) -> PipelineState:
             )
     if built_key is not None:
         state._served["built"] = (built_key, inputs)
-    params = state.config.ga_params or fast_params()
+    params = state.config.resolved_ga_params()
     search_note = ""
     fell_back = False
     reused_result: Optional[SearchResult] = None
     seeds: List = []
     if store is not None:
         search_key = stage_cache.search_result_key(
-            state.built.problem, state.config.device, params
+            state.built.problem, state.config.device_spec(), params
         )
         reused_result = _serve(
             state, "search", search_key,
             lambda: stage_cache.load_search_result(
-                store, state.built.problem, state.config.device, params
+                store, state.built.problem, state.config.device_spec(), params
             ),
         )
         if reused_result is not None:
@@ -454,7 +416,7 @@ def stage_search(state: PipelineState) -> PipelineState:
             search_note = "; result reused from store"
         else:
             seeds = stage_cache.load_warm_start(
-                store, state.built.problem, state.config.device, params
+                store, state.built.problem, state.config.device_spec(), params
             )
             if seeds:
                 state.reused["search"] = f"warm-start:{len(seeds)} seeds"
@@ -466,12 +428,12 @@ def stage_search(state: PipelineState) -> PipelineState:
         try:
             state.search = run_search(
                 state.built.problem,
-                state.config.device,
+                state.config.device_spec(),
                 params,
                 seed_population=seeds or None,
             )
         except ReproError as exc:
-            if not state.config.fail_soft:
+            if state.config.fail_hard:
                 raise
             logger.error(
                 "search failed (%s); falling back to the identity grouping", exc
@@ -503,7 +465,7 @@ def stage_search(state: PipelineState) -> PipelineState:
             stage_cache.save_search(
                 store,
                 state.built.problem,
-                state.config.device,
+                state.config.device_spec(),
                 params,
                 state.search,
                 state.search.final_population,
@@ -537,7 +499,7 @@ def stage_search(state: PipelineState) -> PipelineState:
 def _run(state: PipelineState, program: ast.Program, **kwargs) -> RunResult:
     """``run_program`` under the run's interpreter strategy."""
     state.verification["program_runs"] += 1 + ("reference" in kwargs)
-    return run_program(program, block_exec=state.config.block_exec, **kwargs)
+    return run_program(program, block_exec=state.block_exec, **kwargs)
 
 
 #: demotion causes of a failed whole-program verification
@@ -622,7 +584,7 @@ def _transformed_text(state: PipelineState) -> str:
 def _verdict_store(state: PipelineState) -> Optional[ArtifactStore]:
     """The store that serves and keeps program verdicts and counters: only
     ``auto``'s (see :func:`~repro.pipeline.apply.materialize`)."""
-    return state.config.store if state.config.block_exec == "auto" else None
+    return state.store if state.block_exec == "auto" else None
 
 
 def _verdict_key(state: PipelineState) -> str:
@@ -668,7 +630,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
 
     Per-group verification and ladder demotion happen inside
     :func:`~repro.pipeline.apply.materialize`; this stage additionally
-    verifies the whole transformed program and — under ``fail_soft`` —
+    verifies the whole transformed program and — unless ``fail_hard`` —
     falls back to the identity (no-fusion) program rather than raising
     when that last check fails.
     """
@@ -678,22 +640,22 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         enabled=state.config.verify_groups,
         seed=state.config.verify_seed,
     )
-    store = state.config.store
-    options = state.config.fusion_options()
+    store = state.store
+    options = state.fusion
     # a materialization of a served problem and search result, whose own
     # store reads all hit, is what any later such run materializes; a
     # forced executor's, which reads no verdict, is never kept
     inputs = state._served_inputs("built", "search")
     materialized_key: Optional[str] = None
     state.transform = None
-    if store is not None and inputs is not None and state.config.block_exec == "auto":
+    if store is not None and inputs is not None and state.block_exec == "auto":
         materialized_key = store_keys.digest(
             "materialized",
             state._served["built"][0],
             state._served["search"][0],
             repr(options),
             repr(verify_cfg),
-            state.config.tune_blocks,
+            state.config.tuning,
         )
         state.transform = store.recall(
             stage_cache.NS_MATERIALIZED, materialized_key
@@ -705,13 +667,13 @@ def stage_codegen(state: PipelineState) -> PipelineState:
             state.built.problem,
             state.built.bindings,
             state.search.best,
-            state.config.device,
+            state.config.device_spec(),
             state.metadata.array_shapes,
             options=options,
-            tune_blocks=state.config.tune_blocks,
+            tune_blocks=state.config.tuning,
             verify_config=verify_cfg,
             store=store,
-            block_exec=state.config.block_exec,
+            block_exec=state.block_exec,
         )
         state.verification["group_gate_s"] += state.transform.group_gate_s
         reads = store.served_since(mark) if materialized_key else None
@@ -732,7 +694,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
     if reused_tuning:
         state.reused["tuning"] = f"{reused_tuning} blocks"
     state.baseline_projection = project_baseline(
-        state.built.problem, state.config.device
+        state.built.problem, state.config.device_spec()
     )
     codegen_note = ""
     if state.config.verify:
@@ -741,7 +703,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
         if served:
             codegen_note = "; verification reused from store"
         if not state.verified:
-            if not state.config.fail_soft:
+            if state.config.fail_hard:
                 raise PipelineError(
                     "transformed program output does not match the original"
                     if failure == MISMATCH
@@ -766,7 +728,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                 state.built.problem,
                 state.built.bindings,
                 singleton_grouping(state.built.problem),
-                state.config.device,
+                state.config.device_spec(),
                 state.metadata.array_shapes,
                 options=options,
                 tune_blocks=False,
@@ -787,7 +749,7 @@ def stage_codegen(state: PipelineState) -> PipelineState:
                     "— the pipeline cannot produce a correct program"
                 )
     state.transformed_projection = project_transformed(
-        state.transform, state.built.problem, state.config.device
+        state.transform, state.built.problem, state.config.device_spec()
     )
     validation_note = _model_validation(state)
     tuned = [t for t in state.transform.tuning if t.changed]
@@ -895,10 +857,9 @@ def _model_validation(state: PipelineState) -> str:
     )
 
 
-STAGE_FUNCTIONS = {
-    "metadata": stage_metadata,
-    "targets": stage_targets,
-    "graphs": stage_graphs,
-    "search": stage_search,
-    "codegen": stage_codegen,
-}
+STAGE_FUNCTIONS = dict(
+    zip(
+        STAGES,
+        (stage_metadata, stage_targets, stage_graphs, stage_search, stage_codegen),
+    )
+)

@@ -121,6 +121,14 @@ class FusionOptions:
     two_sided_cost: float = 0.03
     one_sided_cost: float = 0.015
 
+    @classmethod
+    def for_mode(cls, mode: str) -> "FusionOptions":
+        """The options a run's mode implies (§6.2.2): 'manual' enables the
+        higher-quality strategies; 'automated' and 'guided' get the
+        defaults (a guided run passes its own fix as a ``replace``)."""
+        quality = mode == "manual"
+        return cls(merge_deep_loops=quality, one_sided_guards=quality)
+
 
 @dataclass
 class FusedKernel:

@@ -222,13 +222,11 @@ def forced_framework(app_or_source, block_exec, **fields):
     """A ``Framework`` over ``TransformConfig(**fields)`` with its
     interpreter strategy forced to ``block_exec``.
 
-    ``block_exec`` is no product setting: ``PipelineConfig.block_exec`` is
-    the internal field only ``Framework`` callers (checks and tests) set.
+    ``block_exec`` is no product setting: it is the ``Framework`` run
+    argument only checks and tests set.
     Returns ``(framework, resolved config)``; the interpreter's per-run
     stats are reset, as :func:`repro.api.transform` resets them.
     """
-    from dataclasses import replace
-
     from repro.api import TransformConfig
     from repro.apps import APP_NAMES, build_app
     from repro.gpu import interpreter
@@ -246,7 +244,9 @@ def forced_framework(app_or_source, block_exec, **fields):
     interpreter.reset_stats()
     framework = Framework(
         app_or_source,
-        replace(config.pipeline_config(store), block_exec=block_exec),
+        config,
+        store=store,
+        block_exec=block_exec,
         read_only=True,
     )
     return framework, config
@@ -260,7 +260,7 @@ def forced_transform(app_or_source, block_exec, **fields):
 
     framework, config = forced_framework(app_or_source, block_exec, **fields)
     with telemetry(bool(config.telemetry)):
-        state = framework.run(until=config.until)
+        state = framework.run()
     return TransformResult(
         state=state,
         config=config,

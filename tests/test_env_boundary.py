@@ -26,7 +26,7 @@ SRC = Path(repro.__file__).resolve().parent
 
 #: the only modules that may touch the process environment, and why
 ENV_ALLOWLIST = {
-    "api.py",  # the one configuration reader
+    "config.py",  # the one configuration reader
     "store/artifact_store.py",  # REPRO_STORE parsing
     "observability/logfmt.py",  # REPRO_LOG_FORMAT
     "observability/runinfo.py",  # run.json provenance snapshot

@@ -5,7 +5,8 @@ import pytest
 
 from repro.apps import APP_NAMES, build_app
 from repro.gpu.device import K20X, K40
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
 
 
@@ -22,7 +23,7 @@ def test_apps_transform_and_verify(name):
     """Every generated application survives the end-to-end transformation
     with bit-faithful output (both block schedules)."""
     app = build_app(name, scale=0.22)
-    config = PipelineConfig(device=K20X, ga_params=small_params(), verify=True)
+    config = TransformConfig(device=K20X, ga_params=small_params(), verify=True)
     state = Framework(app.program, config).run()
     assert state.verified is True
     assert state.speedup >= 0.99  # never meaningfully slower
@@ -32,10 +33,10 @@ def test_awp_fission_beats_fusion_only():
     app = build_app("AWP-ODC-GPU", scale=0.5)
     base_cfg = dict(device=K20X, ga_params=small_params(), verify=False)
     no_fission = Framework(
-        app.program, PipelineConfig(enable_fission=False, **base_cfg)
+        app.program, TransformConfig(fission=False, **base_cfg)
     ).run()
     with_fission = Framework(
-        app.program, PipelineConfig(enable_fission=True, **base_cfg)
+        app.program, TransformConfig(fission=True, **base_cfg)
     ).run()
     assert with_fission.speedup > no_fission.speedup + 0.1
 
@@ -43,8 +44,8 @@ def test_awp_fission_beats_fusion_only():
 def test_manual_mode_at_least_as_fast_as_automated():
     app = build_app("SCALE-LES", scale=0.3)
     base = dict(device=K20X, ga_params=small_params(), verify=False)
-    auto = Framework(app.program, PipelineConfig(mode="automated", **base)).run()
-    manual = Framework(app.program, PipelineConfig(mode="manual", **base)).run()
+    auto = Framework(app.program, TransformConfig(mode="automated", **base)).run()
+    manual = Framework(app.program, TransformConfig(mode="manual", **base)).run()
     assert manual.speedup >= auto.speedup - 1e-9
 
 
@@ -52,10 +53,10 @@ def test_k40_projection_differs_from_k20x():
     app = build_app("HOMME", scale=0.4)
     p = small_params()
     a = Framework(
-        app.program, PipelineConfig(device=K20X, ga_params=p, verify=False)
+        app.program, TransformConfig(device=K20X, ga_params=p, verify=False)
     ).run()
     b = Framework(
-        app.program, PipelineConfig(device=K40, ga_params=p, verify=False)
+        app.program, TransformConfig(device=K40, ga_params=p, verify=False)
     ).run()
     assert (
         a.baseline_projection.time_s != b.baseline_projection.time_s
@@ -65,7 +66,7 @@ def test_k40_projection_differs_from_k20x():
 def test_degraded_groups_still_verify():
     """Even if the generator degrades a group, the output stays correct."""
     app = build_app("MITgcm", scale=0.3)
-    config = PipelineConfig(device=K20X, ga_params=small_params(3), verify=True)
+    config = TransformConfig(device=K20X, ga_params=small_params(3), verify=True)
     state = Framework(app.program, config).run()
     assert state.verified is True
 
@@ -77,12 +78,12 @@ def test_disable_filtering_slows_convergence():
     params = small_params()
     filtered = Framework(
         app.program,
-        PipelineConfig(device=K20X, ga_params=params, verify=False),
+        TransformConfig(device=K20X, ga_params=params, verify=False),
     ).run()
     unfiltered = Framework(
         app.program,
-        PipelineConfig(
-            device=K20X, ga_params=params, verify=False, disable_filtering=True
+        TransformConfig(
+            device=K20X, ga_params=params, verify=False, filtering=False
         ),
     ).run()
     n_filtered = len(filtered.targets.targets)

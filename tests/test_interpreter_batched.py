@@ -13,7 +13,7 @@ import pytest
 from repro.cudalite import parse_program
 from repro.errors import InterpreterError, OutOfBoundsError
 from repro.gpu.interpreter import run_program
-from repro.pipeline.framework import transform_program
+from repro.pipeline.framework import Framework
 
 
 def run(source, **kw):
@@ -256,7 +256,7 @@ def test_unknown_mode_rejected():
 def test_pipeline_fused_program_bit_exact_across_modes(chain_program):
     """The pipeline's generated (temporal-blocked) kernels must agree
     between the strategies even when forced onto the batched path."""
-    state = transform_program(chain_program)
+    state = Framework(chain_program).run()
     fused = state.transform.program
     for order in ("forward", "reverse"):
         loop = run_program(fused, block_order=order, block_exec="loop")

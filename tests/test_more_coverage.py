@@ -8,7 +8,8 @@ from repro.cudalite.parser import parse_expr
 from repro.errors import ReproError, SearchError
 from repro.gpu.device import K20X
 from repro.gpu.interpreter import outputs_equal, run_program
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
 from repro.transform import (
     NewLaunch,
@@ -144,7 +145,7 @@ def test_user_oeg_edge_constrains_search(three_kernel_program):
     def forbid_k1_k2_fusion(state):
         state.oeg.add_edge("k2@1", "k1@0", dep="USER", array="")
 
-    config = PipelineConfig(
+    config = TransformConfig(
         device=K20X, ga_params=small_params(), verify=False
     )
     framework = Framework(three_kernel_program, config)
@@ -174,14 +175,6 @@ def test_error_hierarchy():
     ):
         assert issubclass(cls, ReproError)
     assert issubclass(errors.OutOfBoundsError, errors.InterpreterError)
-
-
-def test_unknown_fusion_override_rejected(three_kernel_program):
-    from repro.errors import PipelineError
-
-    config = PipelineConfig(fusion_overrides={"bogus_option": True})
-    with pytest.raises(PipelineError, match="unknown fusion option"):
-        config.fusion_options()
 
 
 def test_unknown_objective_rejected():
@@ -234,4 +227,4 @@ def test_top_level_api_exports():
 def test_version():
     import repro
 
-    assert repro.__version__ == "9.0.0"
+    assert repro.__version__ == "10.0.0"

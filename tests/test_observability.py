@@ -40,7 +40,8 @@ from repro.observability import (
     telemetry_enabled,
     validate_model,
 )
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import fast_params
 
 from conftest import CHAIN_SRC
@@ -508,7 +509,7 @@ def _run_small_pipeline():
     params.population = 12
     params.generations = 8
     params.stall_generations = 4
-    config = PipelineConfig(ga_params=params, verify=False)
+    config = TransformConfig(ga_params=params, verify=False)
     return Framework(parse_program(CHAIN_SRC), config).run()
 
 

@@ -30,7 +30,8 @@ from repro.fuzz.appgen import generate_app
 from repro.fuzz.oracles import fuzz_config
 from repro.gpu.interpreter import run_program
 from repro.pipeline import stages
-from repro.pipeline.stages import PipelineConfig, PipelineState
+from repro.config import TransformConfig
+from repro.pipeline.stages import PipelineState
 from repro.reliability.verify import verify_group
 
 from test_integration import small_params
@@ -200,7 +201,7 @@ def raised(call):
 
 
 def _gate_state(original, transformed):
-    state = PipelineState(original, PipelineConfig())
+    state = PipelineState(original, TransformConfig())
     state.transform = SimpleNamespace(program=transformed)
     return state
 

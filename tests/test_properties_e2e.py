@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from repro.cudalite import parse_program
 from repro.gpu.device import K20X
 from repro.gpu.interpreter import outputs_equal, run_program
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.search import Grouping, fast_params
 from repro.search.gga import GGA
 from repro.search.grouping import evaluate_violations
@@ -99,7 +100,7 @@ def test_pipeline_preserves_semantics_property(source):
     params.population = 12
     params.generations = 8
     params.stall_generations = 4
-    config = PipelineConfig(device=K20X, ga_params=params, verify=False)
+    config = TransformConfig(device=K20X, ga_params=params, verify=False)
     state = Framework(program, config).run()
     before = run_program(program)
     after = run_program(state.transform.program)

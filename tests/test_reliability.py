@@ -20,7 +20,8 @@ from repro.api import transform
 from repro.cudalite import parse_program
 from repro.errors import AnalysisError
 from repro.gpu.device import K20X
-from repro.pipeline import Framework, PipelineConfig
+from repro.config import TransformConfig
+from repro.pipeline import Framework
 from repro.pipeline.cli import main as cli_main
 from repro.pipeline.stages import STAGE_FUNCTIONS
 from repro.reliability.degrade import LEVELS, DemotionRecord, fusion_waves
@@ -52,7 +53,7 @@ def run_three_kernel(force_full_fusion=True, **config_kwargs):
     With ``force_full_fusion`` the search result is overridden with the
     one complex group ``{k1, k2, k3}``.
     """
-    config = PipelineConfig(
+    config = TransformConfig(
         device=K20X, ga_params=small_params(), verify=True, **config_kwargs
     )
     framework = Framework(parse_program(THREE_KERNEL_SRC), config)
@@ -324,8 +325,8 @@ def test_group_gate_demotes_a_real_misfusion_of_full_scale_fluam():
     result = materialize(
         state.program, problem, state.built.bindings,
         Grouping(frozenset(), (group,) + rest),
-        state.config.device, state.metadata.array_shapes,
-        options=state.config.fusion_options(),
+        state.config.device_spec(), state.metadata.array_shapes,
+        options=state.fusion,
     )
     (demotion,) = result.demotions
     assert set(demotion.members) == group
@@ -448,7 +449,7 @@ def test_framework_tags_stage_on_escaping_errors(monkeypatch):
     monkeypatch.setitem(STAGE_FUNCTIONS, "metadata", explode)
     framework = Framework(
         parse_program(THREE_KERNEL_SRC),
-        PipelineConfig(device=K20X, ga_params=small_params()),
+        TransformConfig(device=K20X, ga_params=small_params()),
     )
     with pytest.raises(AnalysisError) as excinfo:
         framework.run()

@@ -19,7 +19,7 @@ import pytest
 from repro.api import transform
 from repro.cudalite import parse_program, unparse
 from repro.pipeline.framework import Framework
-from repro.pipeline.stages import PipelineConfig
+from repro.config import TransformConfig
 from repro.search import fast_params
 from repro.store import artifact_store, stage_cache
 from repro.store.artifact_store import MEMORY_TIER, ArtifactStore, MemoryTier
@@ -52,11 +52,9 @@ def _run(root, seed=1, **overrides):
     Read-only, as ``repro.api.transform`` runs it: the state holds what
     the store served, so tests can tell a tier hit by identity."""
     store = ArtifactStore(root)
-    config = PipelineConfig(
-        ga_params=small_params(seed), store=store, **overrides
-    )
+    config = TransformConfig(ga_params=small_params(seed), **overrides)
     state = Framework(
-        parse_program(THREE_KERNEL_SRC), config, read_only=True
+        parse_program(THREE_KERNEL_SRC), config, store=store, read_only=True
     ).run()
     return state, store
 
@@ -248,8 +246,11 @@ def test_an_edit_between_until_and_from_stage_stays_private(tmp_path):
     reference, _ = _run(root)
     edges = set(reference.oeg.edges)
 
-    config = PipelineConfig(ga_params=small_params(), store=ArtifactStore(root))
-    framework = Framework(parse_program(THREE_KERNEL_SRC), config)
+    framework = Framework(
+        parse_program(THREE_KERNEL_SRC),
+        TransformConfig(ga_params=small_params()),
+        store=ArtifactStore(root),
+    )
     state = framework.run(until="graphs")
     assert state.oeg is not reference.oeg  # handed out as a copy
     state.oeg.add_edge("k2@1", "k1@0", dep="USER", array="")
@@ -277,8 +278,11 @@ def test_an_edit_after_a_full_run_stays_private(tmp_path):
     reference, _ = _run(root)
     edges = set(reference.oeg.edges)
 
-    config = PipelineConfig(ga_params=small_params(), store=ArtifactStore(root))
-    framework = Framework(parse_program(THREE_KERNEL_SRC), config)
+    framework = Framework(
+        parse_program(THREE_KERNEL_SRC),
+        TransformConfig(ga_params=small_params()),
+        store=ArtifactStore(root),
+    )
     state = framework.run()
     assert state.oeg is not reference.oeg
     assert state.metadata is not reference.metadata
@@ -301,9 +305,12 @@ def test_an_intervention_sees_copies(tmp_path):
     root = tmp_path / "store"
     _run(root)
     reference, _ = _run(root)
-    config = PipelineConfig(ga_params=small_params(), store=ArtifactStore(root))
     seen = []
-    framework = Framework(parse_program(THREE_KERNEL_SRC), config)
+    framework = Framework(
+        parse_program(THREE_KERNEL_SRC),
+        TransformConfig(ga_params=small_params()),
+        store=ArtifactStore(root),
+    )
     framework.intervene("targets", lambda state: seen.append(state.targets))
     framework.run()
     assert seen and seen[0] is not reference.targets

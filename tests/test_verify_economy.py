@@ -24,7 +24,8 @@ from repro.errors import PipelineError
 from repro.gpu.interpreter import outputs_equal, run_program
 from repro.observability.model_validation import validate_model
 from repro.pipeline import stages
-from repro.pipeline.stages import PipelineConfig, PipelineState
+from repro.config import TransformConfig
+from repro.pipeline.stages import PipelineState
 
 from conftest import forced_framework
 from test_cold_path_counts import APP_SCALE, PINNED_GA_SEED
@@ -150,7 +151,7 @@ def test_gate_free_paths_keep_the_standalone_counted_run(program_runs, tmp_path)
 
 
 def _gate_state(original, transformed, mode):
-    state = PipelineState(original, PipelineConfig(block_exec=mode))
+    state = PipelineState(original, TransformConfig(), block_exec=mode)
     state.transform = SimpleNamespace(program=transformed)
     return state
 
