@@ -30,8 +30,8 @@ import logging
 import time
 from typing import Callable, Dict, List, Optional
 
-from ..cudalite import ast_nodes as ast
 from ..config import STAGES, TransformConfig
+from ..cudalite import ast_nodes as ast
 from ..cudalite.parser import parse_program
 from ..errors import PipelineError, ReproError
 from ..observability.metrics import get_registry
