@@ -6,6 +6,7 @@ Usage::
     python scripts/check_telemetry.py WORKDIR [--trace PATH] [--metrics PATH]
     python scripts/check_telemetry.py --ledger STORE_ROOT
     python scripts/check_telemetry.py --repeat WORKDIR
+    python scripts/check_telemetry.py --cold-codegen WORKDIR
 
 Checks, with plain asserts:
 
@@ -32,7 +33,11 @@ Checks, with plain asserts:
   for that case only);
 * ``--repeat``        — the ``run.json`` of a repeat made in the process
   that ran the same transform before: every stage it reused was served
-  by the store's memory tier (``memory_hits`` in that stage's namespace).
+  by the store's memory tier (``memory_hits`` in that stage's namespace);
+* ``--cold-codegen``  — the ``run.json`` of a cold verified run
+  (:func:`check_cold_codegen`): two programs interpreted in one paired
+  run with shared launches, no reversed run, and the model validation's
+  counters taken from the gate's run.
 
 Exit code 0 when everything validates, 1 with a message otherwise.
 CI runs this against a Fluam end-to-end run and against the ledgers of
@@ -280,6 +285,24 @@ def check_repeat(path: Path) -> None:
           f"{store['stats']['memory_hits']} memory-tier hits)")
 
 
+def check_cold_codegen(workdir: Path) -> None:
+    """A cold, verified run: codegen interpreted two programs, the
+    original and one transformed run with counters on, together in one
+    paired run that executed some launches once for both, and the model
+    validation came from that run."""
+    block = check_run_json(workdir / "run.json")["verification"]
+    expect(block["program_runs"] == 2,
+           f"a cold verified run interprets 2 programs, not {block}")
+    expect(block["reversed_run"] is False, f"unexpected reversed run: {block}")
+    expect(block["counters_from"] == "verify",
+           f"the counters must come from the gate's run: {block}")
+    expect(block["shared_launches"] > 0,
+           f"the paired run shared no launch: {block}")
+    expect((workdir / "model_validation.json").is_file(),
+           f"{workdir} has no model_validation.json")
+    print(f"  cold codegen ok ({block['shared_launches']} shared launches)")
+
+
 def check_verification(block: object, where: str) -> None:
     """The ``verification`` block of ``run.json`` / a ledger record: what
     codegen interpreted.  ``None`` when the run never built a state."""
@@ -509,14 +532,22 @@ def main(argv=None) -> int:
                         help="validate the run ledger of this store root")
     parser.add_argument("--repeat", default=None, metavar="WORKDIR",
                         help="validate the run.json of an in-process repeat")
+    parser.add_argument("--cold-codegen", default=None, metavar="WORKDIR",
+                        help="validate what codegen interpreted in a cold "
+                             "verified run")
     args = parser.parse_args(argv)
 
+    if args.cold_codegen is not None:
+        print(f"checking cold codegen in {args.cold_codegen}")
+        check_cold_codegen(Path(args.cold_codegen))
     if args.repeat is not None:
         print(f"checking repeat in {args.repeat}")
         check_repeat(Path(args.repeat) / "run.json")
-        if args.workdir is None and args.ledger is None:
-            print("check_telemetry: OK")
-            return 0
+    if args.workdir is None and args.ledger is None and (
+        args.cold_codegen is not None or args.repeat is not None
+    ):
+        print("check_telemetry: OK")
+        return 0
 
     if args.ledger is not None:
         root = Path(args.ledger)

@@ -10,8 +10,9 @@ statement executions lifted loop bodies stood in for
 (``statements_by_path``) and the lift replays, what the two
 verification gates cost (``program_gate_s``, ``group_gate_s``) and how
 many launches the whole-program gate's paired run executed once for
-both programs (``shared_launches``), the verdict and a digest of the
-emitted source — then the top-N functions of a second cold
+both programs (``shared_launches``), the front door (``front_door.load_s``:
+parse and fingerprint; the summed ``analysis:summarize`` spans: the kernel
+summaries), the verdict and a digest of the emitted source — then the top-N functions of a second cold
 transform (a re-parsed text: fresh AST, cold per-kernel memos) under
 cProfile.  cProfile inflates call-heavy Python and not native code: use
 it to find candidates and the first block to measure them.
@@ -52,6 +53,7 @@ def main() -> int:
     from repro.cudalite.unparser import unparse
     from repro.gpu import interpreter
     from repro.gpu.interpreter import _KernelExec
+    from repro.observability.tracing import get_tracer
 
     source = unparse(build_app(args.app, scale=args.scale).program)
 
@@ -70,6 +72,8 @@ def main() -> int:
             )
 
     _KernelExec.run = timed_run
+    tracer = get_tracer()
+    mark = tracer.mark()
     try:
         start = perf_counter()
         result = transform(source, seed=args.seed, store=False)
@@ -87,6 +91,15 @@ def main() -> int:
           f"({len(emitted)} bytes)")
     for stage, seconds in result.stage_times.items():
         print(f"  stage {stage:<9} {seconds:8.3f} s")
+    # the front door: reading the text, and summarizing the kernels read
+    door = result.record["front_door"]
+    summaries = [
+        s.duration_us for s in tracer.spans_since(mark)
+        if s.name == "analysis:summarize"
+    ]
+    print(f"  front_door.load_s {door['load_s']:.3f} (parse + fingerprint, "
+          f"memo {door['memo']})  analysis:summarize {len(summaries)} spans "
+          f"{sum(summaries) / 1e6:.3f} s")
     for executor, (launches, seconds) in sorted(per_executor.items()):
         print(f"  {executor:<10} {launches:5d} launches {seconds:8.3f} s "
               f"{1e3 * seconds / launches:8.2f} ms/launch")

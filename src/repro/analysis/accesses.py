@@ -42,6 +42,8 @@ from typing import (
 )
 
 from ..cudalite import ast_nodes as ast
+from ..observability.metrics import get_registry
+from ..observability.tracing import span
 
 #: An index term: (base variable name or None for constant, constant offset).
 IndexTerm = Tuple[Optional[str], int]
@@ -302,40 +304,25 @@ class KernelAccesses:
         return result
 
 
-def _count_flops(expr: ast.Expr) -> int:
-    """Count floating-point operations in an expression tree.
-
-    Arithmetic binary operators count 1; math intrinsics count a nominal
-    cost (transcendentals are several hardware ops).
-    """
-    cost = 0
-    intrinsic_cost = {
-        "sqrt": 4,
-        "exp": 8,
-        "log": 8,
-        "sin": 8,
-        "cos": 8,
-        "tan": 10,
-        "pow": 10,
-        "fabs": 1,
-        "abs": 1,
-        "min": 1,
-        "max": 1,
-        "fmin": 1,
-        "fmax": 1,
-        "floor": 1,
-        "ceil": 1,
-    }
-    for node in expr.walk():
-        if isinstance(node, ast.Binary) and node.op in ("+", "-", "*", "/"):
-            cost += 1
-        elif isinstance(node, ast.Unary) and node.op == "-":
-            cost += 1
-        elif isinstance(node, ast.Call):
-            cost += intrinsic_cost.get(node.func, 2)
-        elif isinstance(node, ast.Ternary):
-            cost += 1
-    return cost
+#: floating-point operations of one call of each math intrinsic
+#: (transcendentals are several hardware ops); any other call costs 2
+_INTRINSIC_FLOPS = {
+    "sqrt": 4,
+    "exp": 8,
+    "log": 8,
+    "sin": 8,
+    "cos": 8,
+    "tan": 10,
+    "pow": 10,
+    "fabs": 1,
+    "abs": 1,
+    "min": 1,
+    "max": 1,
+    "fmin": 1,
+    "fmax": 1,
+    "floor": 1,
+    "ceil": 1,
+}
 
 
 def _expr_names(expr: ast.Expr) -> Tuple[Set[str], Set[str]]:
@@ -344,27 +331,27 @@ def _expr_names(expr: ast.Expr) -> Tuple[Set[str], Set[str]]:
     scalars: Set[str] = set()
 
     def visit(node: ast.Expr) -> None:
-        if isinstance(node, ast.Index):
+        kind = type(node)
+        if kind is ast.Ident:
+            scalars.add(node.name)
+        elif kind is ast.Binary:
+            visit(node.lhs)
+            visit(node.rhs)
+        elif kind is ast.Index:
             if node.array_name is not None:
                 arrays.add(node.array_name)
             for sub in node.indices:
                 visit(sub)
-        elif isinstance(node, ast.Ident):
-            scalars.add(node.name)
-        elif isinstance(node, ast.Member):
-            pass  # thread geometry, not data
-        elif isinstance(node, (ast.Binary,)):
-            visit(node.lhs)
-            visit(node.rhs)
-        elif isinstance(node, ast.Unary):
+        elif kind is ast.Unary:
             visit(node.operand)
-        elif isinstance(node, ast.Call):
+        elif kind is ast.Call:
             for arg in node.args:
                 visit(arg)
-        elif isinstance(node, ast.Ternary):
+        elif kind is ast.Ternary:
             visit(node.cond)
             visit(node.then)
             visit(node.els)
+        # a Member is thread geometry, not data
 
     visit(expr)
     return arrays, scalars
@@ -377,10 +364,13 @@ _SUMMARIES: Dict[int, KernelAccesses] = {}
 
 
 def collect_accesses(kernel: ast.KernelDef) -> KernelAccesses:
-    """The access summary of ``kernel``, built once per kernel object."""
+    """The access summary of ``kernel``, built once per kernel object
+    (each build is one ``analysis:summarize`` span)."""
     summary = _SUMMARIES.get(id(kernel))
     if summary is None:
-        summary = _SUMMARIES[id(kernel)] = _summarize(kernel)
+        with span("analysis:summarize", kernel=kernel.name):
+            summary = _SUMMARIES[id(kernel)] = _summarize(kernel)
+        get_registry().inc("kernel_summaries_total")
         weakref.finalize(kernel, _SUMMARIES.pop, id(kernel), None)
     return summary
 
@@ -431,26 +421,34 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
         read_terms, write_terms = footprints.setdefault(name, (set(), set()))
         (write_terms if is_write else read_terms).add(terms)
 
-    def scan_expr(expr: ast.Expr, is_store: bool = False) -> None:
-        if isinstance(expr, ast.Index):
+    def scan_expr(expr: ast.Expr, is_store: bool = False) -> int:
+        """Record the accesses in ``expr``; return its floating-point
+        operations (arithmetic operators count 1, intrinsics their
+        :data:`_INTRINSIC_FLOPS`)."""
+        kind = type(expr)
+        if kind is ast.Binary:
+            flops = expr.op in ("+", "-", "*", "/")
+            return flops + scan_expr(expr.lhs) + scan_expr(expr.rhs)
+        if kind is ast.Index:
             record_access(expr, is_store)
-            scan_expr(expr.base)
+            flops = scan_expr(expr.base)
             for sub in expr.indices:
-                scan_expr(sub)
-        elif isinstance(expr, ast.Binary):
-            scan_expr(expr.lhs)
-            scan_expr(expr.rhs)
-        elif isinstance(expr, ast.Unary):
-            scan_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
+                flops += scan_expr(sub)
+            return flops
+        if kind is ast.Call:
+            flops = _INTRINSIC_FLOPS.get(expr.func, 2)
             for arg in expr.args:
-                scan_expr(arg)
-        elif isinstance(expr, ast.Ternary):
-            scan_expr(expr.cond)
-            scan_expr(expr.then)
-            scan_expr(expr.els)
-        elif isinstance(expr, ast.Member):
-            scan_expr(expr.obj)
+                flops += scan_expr(arg)
+            return flops
+        if kind is ast.Member:
+            return scan_expr(expr.obj)
+        if kind is ast.Unary:
+            return (expr.op == "-") + scan_expr(expr.operand)
+        if kind is ast.Ternary:
+            return (
+                1 + scan_expr(expr.cond) + scan_expr(expr.then) + scan_expr(expr.els)
+            )
+        return 0
 
     def visit(stmt: ast.Stmt, loop_ctx: Tuple[str, ...], guard_depth: int) -> None:
         nonlocal counter, uniform_bounds
@@ -462,7 +460,7 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
             for dim in stmt.array_dims:
                 scan_expr(dim)
             if stmt.init is not None:
-                scan_expr(stmt.init)
+                init_flops = scan_expr(stmt.init)
                 # an initialized scalar declaration is a defining statement:
                 # its dataflow (array -> scalar -> array) must be visible to
                 # the fission separability analysis
@@ -478,7 +476,7 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
                         scalars_written=names({stmt.name}),
                         # integer index math (pure-scalar inits) is
                         # address arithmetic, not floating-point work
-                        flops=_count_flops(stmt.init) if init_arrays else 0,
+                        flops=init_flops if init_arrays else 0,
                         loop_context=loop_ctx,
                         guard_depth=guard_depth,
                     )
@@ -489,7 +487,7 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
             if stmt.op != "=":
                 # compound assignment also reads the target
                 scan_expr(stmt.target, is_store=False)
-            scan_expr(stmt.value)
+            flops = scan_expr(stmt.value)
             arrays_r, scalars_r = _expr_names(stmt.value)
             arrays_w: Set[str] = set()
             scalars_w: Set[str] = set()
@@ -516,7 +514,7 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
                     arrays_written=names(arrays_w & global_arrays),
                     scalars_read=names(scalars_r - global_arrays),
                     scalars_written=names(scalars_w - global_arrays),
-                    flops=_count_flops(stmt.value),
+                    flops=flops,
                     loop_context=loop_ctx,
                     guard_depth=guard_depth,
                 )
@@ -577,7 +575,7 @@ def _summarize(kernel: ast.KernelDef) -> KernelAccesses:
         may_write=frozenset(params if stored - params - tiles else stored & params),
         subscripts=MappingProxyType(subscripts),
         lifts=MappingProxyType(
-            {id(lift.loop): lift for lift in parallel_loops(kernel)}
+            {id(lift.loop): lift for lift in parallel_loops(kernel, subscripts)}
         ),
     )
 
@@ -645,8 +643,13 @@ class _ArrayUse(NamedTuple):
     terms: Tuple[IndexTerm, ...]
 
 
-def parallel_loops(kernel: ast.KernelDef) -> Tuple[ParallelLoop, ...]:
+def parallel_loops(
+    kernel: ast.KernelDef, subscripts: Mapping[int, Tuple[IndexTerm, ...]]
+) -> Tuple[ParallelLoop, ...]:
     """Every ``for`` of ``kernel`` whose iterations may run in any order.
+
+    ``subscripts`` holds the terms of the kernel's regular accesses
+    (:attr:`KernelAccesses.subscripts`); the others are derived here.
 
     A loop qualifies when
     * its start, bound and step are thread-invariant;
@@ -687,14 +690,35 @@ def parallel_loops(kernel: ast.KernelDef) -> Tuple[ParallelLoop, ...]:
         return None
 
     def read(expr: ast.Expr, loops: Tuple[int, ...]) -> None:
-        for node in expr.walk():
-            if isinstance(node, ast.Ident):
-                uses.append(_Use(node.name, False, loops, lookup(node.name)))
-            elif isinstance(node, ast.Index):
-                access(node, False, loops)
+        """Record every name and every access in ``expr`` (an indexed
+        array's name is a use of that name too)."""
+        kind = type(expr)
+        if kind is ast.Ident:
+            uses.append(_Use(expr.name, False, loops, lookup(expr.name)))
+        elif kind is ast.Binary:
+            read(expr.lhs, loops)
+            read(expr.rhs, loops)
+        elif kind is ast.Index:
+            access(expr, False, loops)
+            read(expr.base, loops)
+            for sub in expr.indices:
+                read(sub, loops)
+        elif kind is ast.Call:
+            for arg in expr.args:
+                read(arg, loops)
+        elif kind is ast.Member:
+            read(expr.obj, loops)
+        elif kind is ast.Unary:
+            read(expr.operand, loops)
+        elif kind is ast.Ternary:
+            read(expr.cond, loops)
+            read(expr.then, loops)
+            read(expr.els, loops)
 
     def access(node: ast.Index, written: bool, loops: Tuple[int, ...]) -> None:
-        terms = tuple(linear_index_term(e) for e in node.indices)
+        terms = subscripts.get(id(node))
+        if terms is None:
+            terms = tuple(linear_index_term(e) for e in node.indices)
         arrays.append(_ArrayUse(node.array_name, written, loops, terms))
 
     def declare(name: str, loops: Tuple[int, ...]) -> None:
@@ -734,8 +758,9 @@ def parallel_loops(kernel: ast.KernelDef) -> Tuple[ParallelLoop, ...]:
                 block(stmt.els.stmts, loops)
         elif isinstance(stmt, ast.For):
             for expr in (stmt.start, stmt.bound, stmt.step):
+                first = len(uses)
                 read(expr, loops)
-                names = {n.name for n in expr.walk() if isinstance(n, ast.Ident)}
+                names = {use.name for use in uses[first:]}
                 rejected.update(key for key in loops if fors[key][0].var in names)
             if id(stmt) in fors:  # one node object in two places
                 rejected.add(id(stmt))

@@ -21,8 +21,9 @@ Top level
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Tuple, Union
+import weakref
+from dataclasses import dataclass, fields, replace
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 # --------------------------------------------------------------------------- types
 
@@ -67,24 +68,48 @@ class Node:
     """Base class for all AST nodes."""
 
     def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes (expressions and statements)."""
-        for value in self.__dict__.values():
-            if isinstance(value, Node):
-                yield value
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Node):
-                        yield item
+        """Iterate over the direct child nodes (expressions and statements)."""
+        return iter(_children(self))
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants in preorder."""
         # explicit stack, children pushed reversed: a recursive ``yield
         # from`` resumes one generator per level of depth for every node
         stack = [self]
+        pop, push = stack.pop, stack.extend
         while stack:
-            node = stack.pop()
+            node = pop()
             yield node
-            stack.extend(reversed(tuple(node.children())))
+            kids = _children(node)
+            if kids:
+                kids.reverse()
+                push(kids)
+
+
+#: annotations of fields that never hold a node
+_LEAF_TYPES = frozenset({"str", "int", "float", "bool", "TypeSpec"})
+
+#: node class -> names of its fields that may hold a node or a sequence of
+#: nodes, in field order (so in the order the constructor sets them)
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {}
+
+
+def _children(node: Node) -> List[Node]:
+    """The direct children of ``node``, in field order."""
+    cls = type(node)
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.type not in _LEAF_TYPES
+        )
+    kids: List[Node] = []
+    for name in names:
+        value = getattr(node, name)
+        if isinstance(value, Node):
+            kids.append(value)
+        elif isinstance(value, (list, tuple)):
+            kids += [item for item in value if isinstance(item, Node)]
+    return kids
 
 
 class Expr(Node):
@@ -331,11 +356,11 @@ class Program(Node):
 
     @property
     def kernels(self) -> Tuple[KernelDef, ...]:
-        return tuple(i for i in self.items if isinstance(i, KernelDef))
+        return _split_items(self)[0]
 
     @property
     def host_funcs(self) -> Tuple[HostFunc, ...]:
-        return tuple(i for i in self.items if isinstance(i, HostFunc))
+        return _split_items(self)[1]
 
     def kernel(self, name: str) -> KernelDef:
         """Return the kernel definition named ``name``.
@@ -378,6 +403,24 @@ class Program(Node):
             items += [new_main]
         items += host
         return Program(tuple(items))
+
+
+#: id(Program) -> (its kernels, its host functions); entries leave with
+#: their program (the scheme of ``analysis.accesses.collect_accesses``:
+#: a program hashes by content, which would cost a walk of it)
+_SPLITS: Dict[int, Tuple[Tuple[KernelDef, ...], Tuple[HostFunc, ...]]] = {}
+
+
+def _split_items(program: Program):
+    split = _SPLITS.get(id(program))
+    if split is None:
+        items = program.items
+        split = _SPLITS[id(program)] = (
+            tuple(i for i in items if isinstance(i, KernelDef)),
+            tuple(i for i in items if isinstance(i, HostFunc)),
+        )
+        weakref.finalize(program, _SPLITS.pop, id(program), None)
+    return split
 
 
 #: Union type of things accepted where an lvalue is expected.

@@ -2,13 +2,17 @@
 
 One compiled master pattern matches, per token, the trivia before it
 (whitespace, ``//`` line comments, ``/* */`` block comments) and then the
-token itself, producing :class:`~repro.cudalite.tokens.Token` objects with
-1-based line/column positions for error reporting.
+token itself.  :func:`scan` records each token's kind, spelling and
+1-based line/column position (for error reporting) in four parallel
+lists, which the parser reads; :func:`tokenize` turns them into
+:class:`~repro.cudalite.tokens.Token` objects.
 """
 
 from __future__ import annotations
 
 import re
+import string
+from itertools import repeat
 from typing import Iterator, List
 
 from ..errors import LexError
@@ -25,9 +29,56 @@ _OPEN_COMMENT = r"/\*"
 _PUNCT = "|".join(re.escape(p) for p in PUNCTUATORS)
 
 _TOKEN = re.compile(
-    rf"({_TRIVIA})(?:({_NUMBER})|({_IDENT})|({_OPEN_COMMENT})|({_PUNCT}))?",
-    re.DOTALL,
+    rf"({_TRIVIA})({_NUMBER}|{_IDENT}|{_OPEN_COMMENT}|{_PUNCT})?", re.DOTALL
 )
+
+#: the kind of every spelling that has a fixed one; any other token is an
+#: identifier (by its first character), a number or an open ``/*``
+_FIXED_KINDS = {
+    **{word: TokKind.KEYWORD for word in KEYWORDS},
+    **{punct: TokKind.PUNCT for punct in PUNCTUATORS},
+}
+_IDENT_START = frozenset(string.ascii_letters + "_")
+
+
+def scan(src: str, kinds: list, texts: list, lines: list, cols: list) -> None:
+    """Append each token's fields to the four lists, ending with EOF;
+    raise :class:`LexError` at the first character no token starts with."""
+    kind_of = _FIXED_KINDS
+    add_kind, add_text = kinds.append, texts.append
+    add_line, add_col = lines.append, cols.append
+    pos, line, line_start = 0, 1, 0
+    for trivia, text in _TOKEN.findall(src):
+        if trivia:
+            if "\n" in trivia:
+                line += trivia.count("\n")
+                line_start = pos + trivia.rfind("\n") + 1
+            pos += len(trivia)
+        col = pos - line_start + 1
+        kind = kind_of.get(text)
+        if kind is None:
+            if not text:  # no token after the trivia: the end, or an error
+                if pos < len(src):
+                    raise LexError(f"unexpected character {src[pos]!r}", line, col)
+                kind = TokKind.EOF
+            elif text[0] in _IDENT_START:
+                kind = TokKind.IDENT
+            elif text == "/*":  # the trivia did not find its ``*/``
+                raise LexError("unterminated block comment", line, col)
+            else:
+                kind = TokKind.INT if text.isdigit() else TokKind.FLOAT
+        add_kind(kind)
+        add_text(text)
+        add_line(line)
+        add_col(col)
+        if kind is TokKind.EOF:
+            return
+        pos += len(text)
+
+
+def _as_tokens(*columns: list) -> Iterator[Token]:
+    # tuple.__new__ builds a Token without its Python-level constructor
+    return map(tuple.__new__, repeat(Token), zip(*columns))
 
 
 class Lexer:
@@ -46,37 +97,19 @@ class Lexer:
         self.src = source
 
     def tokens(self) -> Iterator[Token]:
-        """Yield tokens one at a time, ending with an EOF token."""
-        src = self.src
-        pos, line, line_start = 0, 1, 0
-        for match in _TOKEN.finditer(src):
-            trivia, number, ident, open_comment, punct = match.groups("")
-            if trivia:
-                if "\n" in trivia:
-                    line += trivia.count("\n")
-                    line_start = pos + trivia.rfind("\n") + 1
-                pos += len(trivia)
-            col = pos - line_start + 1
-            if punct:
-                yield Token(TokKind.PUNCT, punct, line, col)
-            elif ident:
-                kind = TokKind.KEYWORD if ident in KEYWORDS else TokKind.IDENT
-                yield Token(kind, ident, line, col)
-            elif number:
-                kind = TokKind.INT if number.isdigit() else TokKind.FLOAT
-                yield Token(kind, number, line, col)
-            elif open_comment:
-                raise LexError("unterminated block comment", line, col)
-            elif pos >= len(src):
-                yield Token(TokKind.EOF, "", line, col)
-                return
-            else:
-                raise LexError(f"unexpected character {src[pos]!r}", line, col)
-            pos = match.end()
+        """Yield tokens one at a time, ending with an EOF token; a
+        :class:`LexError` is raised after the tokens before it."""
+        columns = ([], [], [], [])
+        try:
+            scan(self.src, *columns)
+        finally:
+            yield from _as_tokens(*columns)
 
     def tokenize(self) -> List[Token]:
         """Return the complete token list (terminated by EOF)."""
-        return list(self.tokens())
+        columns = ([], [], [], [])
+        scan(self.src, *columns)
+        return list(_as_tokens(*columns))
 
 
 def tokenize(source: str) -> List[Token]:

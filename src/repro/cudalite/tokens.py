@@ -8,8 +8,8 @@ simplified host side with ``<<<grid, block>>>`` launches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokKind(Enum):
@@ -92,9 +92,11 @@ PUNCTUATORS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
+
+    An immutable tuple: the lexer builds each one with ``tuple.__new__``,
+    skipping the constructor call a frozen dataclass pays per token.
 
     Attributes
     ----------

@@ -12,7 +12,7 @@ property, tested with hypothesis).
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from . import ast_nodes as ast
 
@@ -175,43 +175,44 @@ class Unparser:
             return f"({text})"
         return text
 
-    def _expr_with_prec(self, expr: ast.Expr):
-        if isinstance(expr, ast.IntLit):
-            if expr.value < 0:
-                return str(expr.value), _UNARY_PREC
-            return str(expr.value), _POSTFIX_PREC
-        if isinstance(expr, ast.FloatLit):
-            return expr.text, _POSTFIX_PREC if not expr.text.startswith("-") else _UNARY_PREC
-        if isinstance(expr, ast.BoolLit):
-            return ("true" if expr.value else "false"), _POSTFIX_PREC
-        if isinstance(expr, ast.Ident):
+    def _expr_with_prec(self, expr: ast.Expr) -> Tuple[str, int]:
+        kind = type(expr)  # exact types, the most frequent first
+        if kind is ast.Ident:
             return expr.name, _POSTFIX_PREC
-        if isinstance(expr, ast.Member):
-            return f"{self._expr(expr.obj, _POSTFIX_PREC)}.{expr.field_name}", _POSTFIX_PREC
-        if isinstance(expr, ast.Index):
-            base = self._expr(expr.base, _POSTFIX_PREC)
-            subs = "".join(f"[{self._expr(i, _TERNARY_PREC)}]" for i in expr.indices)
-            return base + subs, _POSTFIX_PREC
-        if isinstance(expr, ast.Call):
-            args = ", ".join(self._expr(a, _TERNARY_PREC) for a in expr.args)
-            return f"{expr.func}({args})", _POSTFIX_PREC
-        if isinstance(expr, ast.Unary):
-            operand = self._expr(expr.operand, _UNARY_PREC)
-            if expr.op == "-" and operand.startswith("-"):
-                # avoid emitting "--x", which would lex as a decrement
-                operand = f"({operand})"
-            return f"{expr.op}{operand}", _UNARY_PREC
-        if isinstance(expr, ast.Binary):
+        if kind is ast.Binary:
             prec = _PRECEDENCE[expr.op]
             lhs = self._expr(expr.lhs, prec)
             # right operand needs strictly higher precedence (left-assoc ops)
             rhs = self._expr(expr.rhs, prec + 1)
             return f"{lhs} {expr.op} {rhs}", prec
-        if isinstance(expr, ast.Ternary):
+        if kind is ast.IntLit:
+            if expr.value < 0:
+                return str(expr.value), _UNARY_PREC
+            return str(expr.value), _POSTFIX_PREC
+        if kind is ast.FloatLit:
+            return expr.text, _POSTFIX_PREC if not expr.text.startswith("-") else _UNARY_PREC
+        if kind is ast.Call:
+            args = ", ".join(self._expr(a, _TERNARY_PREC) for a in expr.args)
+            return f"{expr.func}({args})", _POSTFIX_PREC
+        if kind is ast.Member:
+            return f"{self._expr(expr.obj, _POSTFIX_PREC)}.{expr.field_name}", _POSTFIX_PREC
+        if kind is ast.Index:
+            base = self._expr(expr.base, _POSTFIX_PREC)
+            subs = "".join(f"[{self._expr(i, _TERNARY_PREC)}]" for i in expr.indices)
+            return base + subs, _POSTFIX_PREC
+        if kind is ast.Unary:
+            operand = self._expr(expr.operand, _UNARY_PREC)
+            if expr.op == "-" and operand.startswith("-"):
+                # avoid emitting "--x", which would lex as a decrement
+                operand = f"({operand})"
+            return f"{expr.op}{operand}", _UNARY_PREC
+        if kind is ast.Ternary:
             cond = self._expr(expr.cond, 1)
             then = self._expr(expr.then, _TERNARY_PREC)
             els = self._expr(expr.els, _TERNARY_PREC)
             return f"{cond} ? {then} : {els}", _TERNARY_PREC
+        if kind is ast.BoolLit:
+            return ("true" if expr.value else "false"), _POSTFIX_PREC
         raise TypeError(f"cannot unparse expression {type(expr).__name__}")
 
 

@@ -367,8 +367,17 @@ def materialize(
             """Verify one generated kernel, or serve the verdict the gate
             reached before on the group's full content."""
             nonlocal gate_s
+            if not verify_cfg.enabled:
+                # the gate is off: keep the fusion, and say no gate ran
+                get_registry().inc("verify_group_skips_total")
+                return GroupVerdict(
+                    kernel_candidate.kernel.name,
+                    kernel_candidate.constituents,
+                    "skipped",
+                    "gate disabled",
+                )
             group_key: Optional[str] = None
-            if verdict_store is not None and verify_cfg.enabled:
+            if verdict_store is not None:
                 group_key = _group_verify_key(
                     kernel_candidate,
                     member_bindings,

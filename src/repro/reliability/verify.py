@@ -38,7 +38,8 @@ class VerifyConfig:
     seed: int = 0
 
 
-#: every ``GroupVerdict.status``
+#: every ``GroupVerdict.status`` a gate reaches (``materialize`` records a
+#: group whose gate is off as ``"skipped"``)
 GROUP_STATUSES = ("pass", "fail", "inconclusive")
 
 
@@ -48,7 +49,8 @@ class GroupVerdict:
 
     ``status`` is ``"pass"``, ``"fail"`` or ``"inconclusive"`` (the
     baseline itself could not run, or inputs could not be synthesized —
-    the fusion is kept, since there is no evidence against it).
+    the fusion is kept, since there is no evidence against it), or
+    ``"skipped"`` for a group ``materialize`` fused with the gate off.
     """
 
     kernel: str

@@ -25,6 +25,7 @@ from repro.cudalite import ast_nodes as ast
 from repro.cudalite import parse_program
 from repro.errors import ParseError
 from repro.observability.metrics import get_registry, reset_registry
+from repro.observability.tracing import get_tracer
 from repro.store import keys as store_keys
 
 from conftest import CHAIN_SRC, DIFFUSE_SRC, THREE_KERNEL_SRC
@@ -288,6 +289,30 @@ def test_front_door_block_and_counter(tmp_path):
     ]
 
 
+def test_each_kernel_summary_is_one_span_and_a_warm_repeat_builds_none(tmp_path):
+    """``collect_accesses`` opens one ``analysis:summarize`` span per
+    summary it builds; a repeat in the process is served the same program
+    and the same materialization, so it builds none."""
+    reset_registry()
+    tracer = get_tracer()
+    tracer.clear()  # room for every span, whatever ran before
+    config = _stored(tmp_path, telemetry=True)
+    mark = tracer.mark()
+    cold = transform(THREE_KERNEL_SRC, config)
+    summarized = [
+        s.args["kernel"]
+        for s in tracer.spans_since(mark)
+        if s.name == "analysis:summarize"
+    ]
+    fused = [launch.kernel_name for launch in cold.state.transform.launches]
+    assert sorted(summarized) == sorted({"k1", "k2", "k3", *fused})
+    assert cold.record["counters"]["kernel_summaries_total"] == len(summarized)
+    mark = tracer.mark()
+    warm = transform(THREE_KERNEL_SRC, config)
+    assert [s for s in tracer.spans_since(mark) if s.name == "analysis:summarize"] == []
+    assert "kernel_summaries_total" not in warm.record["counters"]
+
+
 # ------------------------------------------------------------ result retention
 
 
@@ -306,10 +331,20 @@ def test_transform_does_not_pin_its_result_in_the_job_history():
 # ------------------------------------------------------------------ AST walk
 
 
+def _field_children(node):
+    """``Node.children`` as it was defined: every node, or node in a list
+    or tuple, among the instance's attribute values, in order."""
+    for value in node.__dict__.values():
+        if isinstance(value, ast.Node):
+            yield value
+        elif isinstance(value, (list, tuple)):
+            yield from (item for item in value if isinstance(item, ast.Node))
+
+
 def _recursive_walk(node):
     """``Node.walk`` as it was defined: the reference order."""
     yield node
-    for child in node.children():
+    for child in _field_children(node):
         yield from _recursive_walk(child)
 
 
@@ -332,6 +367,10 @@ def test_iterative_walk_yields_the_recursive_preorder(build):
     nodes = [program, *walked]
     assert len(nodes) > 20
     assert [id(n) for n in nodes] == [id(n) for n in _recursive_walk(program)]
+    for node in nodes:
+        assert [id(c) for c in node.children()] == [
+            id(c) for c in _field_children(node)
+        ]
     for kernel in program.kernels:
         assert [id(n) for n in kernel.body.walk()] == [
             id(n) for n in _recursive_walk(kernel.body)

@@ -202,7 +202,9 @@ FIELD_CASES = {
     ),
     "verify_groups": (
         False, THREE_KERNEL_SRC, {"verify": False}, None,
-        lambda state, gates: [gate.enabled for gate in gates] == [False],
+        # no gate runs; the fused group is recorded as skipped
+        lambda state, gates: gates == []
+        and [v.status for v in state.transform.group_verdicts] == ["skipped"],
     ),
     "verify_seed": (
         7, THREE_KERNEL_SRC, {"verify": False}, None,

@@ -21,6 +21,8 @@ from repro.cudalite import parse_program
 from repro.errors import AnalysisError
 from repro.gpu.device import K20X
 from repro.config import TransformConfig
+from repro.observability.metrics import reset_registry
+from repro.observability.tracing import get_tracer
 from repro.pipeline import Framework
 from repro.pipeline.cli import main as cli_main
 from repro.pipeline.stages import STAGE_FUNCTIONS
@@ -207,6 +209,29 @@ def test_verify_group_disabled_gate_passes(gate_kernels):
     )
     assert verdict.passed
     assert verdict.cause == "gate disabled"
+
+
+def test_a_disabled_group_gate_is_skipped_not_passed():
+    """With ``verify_groups=False`` no gate runs: the group keeps its
+    fusion and is recorded as skipped, so ``run.json`` tells the two
+    apart (``verify_group`` itself still passes a disabled gate, above)."""
+    reset_registry()
+    tracer = get_tracer()
+    tracer.clear()
+    result = transform(
+        THREE_KERNEL_SRC, verify_groups=False, verify=False, store=False,
+        telemetry=True,
+    )
+    verdicts = result.state.transform.group_verdicts
+    assert verdicts and all(v.status == "skipped" for v in verdicts)
+    assert not any(v.passed or v.failed for v in verdicts)
+    assert all(v.cause == "gate disabled" for v in verdicts)
+    assert tracer.find("verify:group") == []
+    counters = result.record["counters"]
+    assert "verify_group_verdicts_total" not in counters
+    assert counters["verify_group_skips_total"] == len(verdicts)
+    assert result.record["verification"]["group_gate_s"] == 0.0
+    assert any(launch.fused is not None for launch in result.state.transform.launches)
 
 
 def test_verify_group_is_deterministic(gate_kernels):

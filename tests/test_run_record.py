@@ -336,3 +336,31 @@ def test_the_checker_refuses_a_record_missing_a_section(tmp_path):
         capture_output=True, text=True,
     )
     assert result.returncode == 1 and "run_id" in result.stderr
+
+
+def test_cold_codegen_check_on_a_half_scale_fluam_run(tmp_path):
+    """``check_telemetry.py --cold-codegen`` (the CI step "Codegen
+    interpreted two programs (before + one counted after)") accepts a cold
+    verified run, and names what is wrong with one that is not."""
+    from repro.apps import build_app
+    from repro.cudalite import unparse
+
+    workdir = tmp_path / "wd"
+    source = unparse(build_app("Fluam", scale=0.5).program)
+    transform(source, seed=1, store=False, workdir=str(workdir))
+    ok = subprocess.run(
+        [sys.executable, str(CHECKER), "--cold-codegen", str(workdir)],
+        capture_output=True, text=True,
+    )
+    assert ok.returncode == 0, ok.stderr
+    assert "cold codegen ok" in ok.stdout
+    run = workdir / "run.json"
+    record = json.loads(run.read_text())
+    record["verification"]["counters_from"] = "rerun"
+    run.write_text(json.dumps(record))
+    bad = subprocess.run(
+        [sys.executable, str(CHECKER), "--cold-codegen", str(workdir)],
+        capture_output=True, text=True,
+    )
+    assert bad.returncode == 1
+    assert "the counters must come from the gate's run" in bad.stderr
